@@ -240,8 +240,17 @@ def _default_harness_algebra(field, top):
         1, [(0, 0), (0, 0)], [[(1, (1, 0))]], top, field)
 
 
+def _field(args):
+    if args.field == "Q":
+        return QQ
+    try:
+        return GF(args.p)
+    except ValueError as e:
+        raise PreconditionError(f"--p: {e}")
+
+
 def cmd_verify_equivalence(args):
-    field = QQ if args.field == "Q" else GF(args.p)
+    field = _field(args)
     top = args.window if args.window is not None else 2 * args.n + 1
     if args.alg:
         a = algebra_from_json(_load_json(args.alg))
@@ -309,7 +318,7 @@ def cmd_koszul_pipeline(args):
 
 
 def cmd_make(args):
-    field = QQ if args.field == "Q" else GF(args.p)
+    field = _field(args)
     if args.builder == "group-zn":
         a = constructions.group_algebra(args.n, field)
     elif args.builder == "trunc-poly":
@@ -369,7 +378,7 @@ def _add_format(p):
 def _add_field(p):
     p.add_argument("--field", choices=("Q", "GFp"), default="Q")
     p.add_argument("--p", type=int, default=101,
-                   help="prime for --field GFp")
+                   help="prime below 3.3e24 for --field GFp")
 
 
 def build_parser():

@@ -23,7 +23,7 @@ import itertools
 import math
 
 from .errors import PreconditionError
-from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, ZERO_SPACE, kernel,
+from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, kernel,
                        matched_pairs)
 from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
     quotient_module
@@ -384,65 +384,7 @@ def free_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
     gens = [int(g) for g in gens]
     if not gens:
         raise PreconditionError("a free module needs at least one generator")
-    F = a.field
-    z = F.zero()
-    if a.group.kind == "Zn":
-        window = a.window
-        degrees = list(range(a.group.n))
-    else:
-        if window is None:
-            window = (min(gens) + a.window[0], max(gens) + a.window[1])
-        degrees = list(range(window[0], window[1] + 1))
-    comps = {}
-    layout = {}  # degree -> list of (gen_index, algebra_degree, start, dim)
-    for t in degrees:
-        tags = []
-        blocks = []
-        pos = 0
-        for i, g in enumerate(gens):
-            if a.group.kind == "Zn":
-                d = (t - g) % a.group.n
-            else:
-                d = t - g
-            c = a.component(d)
-            if c.dim:
-                blocks.append((i, d, pos, c.dim))
-                tags.extend(c.right_tags)
-                pos += c.dim
-        if pos:
-            comps[t] = LabeledSpace.module_component(tuple(tags))
-            layout[t] = blocks
-    action = {}
-    for t, blocks in layout.items():
-        locate = {}
-        for (i, d, start, dim) in blocks:
-            for q in range(dim):
-                locate[start + q] = (i, d, q)
-        for u in a.degrees():
-            tu = a.group.add(t, u)
-            if a.group.kind == "Z" and not window[0] <= tu <= window[1]:
-                continue
-            tblocks = layout.get(tu)
-            if tblocks is None:
-                continue
-            tstart = {i: start for (i, d, start, dim) in tblocks}
-            pairs = matched_pairs(comps[t], a.component(u))
-            if not pairs:
-                continue
-            tdim = comps[tu].dim
-            rows = []
-            for (p, j) in pairs:
-                i, d, q = locate[p]
-                row = [z] * tdim
-                if i in tstart:
-                    r = a.mult_row(d, u, q, j)
-                    if r is not None:
-                        base = tstart[i]
-                        for x, val in enumerate(r):
-                            row[base + x] = val
-                rows.append(row)
-            action[(t, u)] = Matrix(F, len(pairs), tdim, rows)
-    return GradedModule(a, window, comps, action)
+    return _layout_module(a, *_layout(a, [(g, None) for g in gens], window))
 
 
 def projective_layout(a: GradedAlgebra, gens, window=None):
@@ -460,6 +402,11 @@ def projective_layout(a: GradedAlgebra, gens, window=None):
     for _, c in gens:
         if not 0 <= c < a.k:
             raise PreconditionError(f"generator tag {c} out of range")
+    return _layout(a, gens, window)
+
+
+def _layout(a: GradedAlgebra, gens, window):
+    """projective_layout for checked gens; a tag of None keeps all of A."""
     if a.group.kind == "Zn":
         window = a.window
         degrees = list(range(a.group.n))
@@ -480,7 +427,8 @@ def projective_layout(a: GradedAlgebra, gens, window=None):
             else:
                 d = t - m
             comp = a.component(d)
-            positions = tuple(q for q in range(comp.dim) if comp.left_tags[q] == c)
+            positions = tuple(q for q in range(comp.dim)
+                              if c is None or comp.left_tags[q] == c)
             if positions:
                 blocks.append((b, d, pos, positions))
                 tags.extend(comp.right_tags[q] for q in positions)
@@ -497,7 +445,11 @@ def projective_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
     These are exactly the projectives with tops concentrated in the listed
     degrees when the degree-0 part is split semisimple.
     """
-    window, comps, layout = projective_layout(a, gens, window)
+    return _layout_module(a, *projective_layout(a, gens, window))
+
+
+def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
+    """The module whose action multiplies each generator block inside A."""
     F = a.field
     z = F.zero()
     action = {}

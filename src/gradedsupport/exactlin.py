@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LabelError, ShapeError
+from .errors import CapacityError, LabelError, ShapeError
 
 
 class Field:
@@ -90,17 +90,50 @@ class RationalField(Field):
         return hash("Q")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic primality for 0 <= p < PRIME_BOUND."""
+    if p < 2:
+        return False
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
-    """GF(p) for prime p; elements are ints reduced into [0, p)."""
+    """GF(p) for prime p < PRIME_BOUND; elements are ints reduced into [0, p).
+
+    A composite p raises ValueError; p >= PRIME_BOUND raises CapacityError
+    because its primality is not certified.
+    """
 
     def __init__(self, p):
-        if p < 2:
+        if p >= PRIME_BOUND:
+            raise CapacityError(
+                f"modulus {p} is too large: primality is certified only "
+                f"below {PRIME_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
-        k = 2
-        while k * k <= p:
-            if p % k == 0:
-                raise ValueError(f"not a prime: {p}")
-            k += 1
         self.p = p
         self.name = f"GF({p})"
 

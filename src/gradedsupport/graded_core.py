@@ -2,23 +2,23 @@
 
 Data model
 ----------
-A GradedAlgebra stores, per degree, a LabeledSpace (basis vectors tagged with
-idempotent indices on both sides) and, per degree pair (g, h), the matrix of
-the multiplication map on the tag-matched tensor basis of A_g x A_h, rows
-indexed by matched pairs in lexicographic order, columns by the basis of
-A_{g+h}.  Components absent from the dictionary are zero, and for Z-graded
-objects every component outside the window is zero by definition: the object
-is genuinely finite dimensional, not a truncated view of an unknown infinite
-one.
+An algebra and a right module are the same kind of data: per degree a
+LabeledSpace (basis vectors tagged with idempotent indices on both sides),
+and per degree pair (g, h) the matrix of a structure map on the tag-matched
+tensor basis of X_g x A_h, rows indexed by matched pairs in lexicographic
+order, columns by the basis of X_{g+h}.  For a GradedAlgebra X = A and the
+map is the multiplication; for a GradedModule A is the algebra it lives
+over and the map is the action.  Both share one base class holding the
+components, the map table and the lookups on it.  Components absent from
+the dictionary are zero, and for Z-graded objects every component outside
+the window is zero by definition: the object is genuinely finite
+dimensional, not a truncated view of an unknown infinite one.
 
-The degree-0 part carries the unit as an explicit coefficient vector.  With
-k >= 2 idempotents the degree-0 part must be exactly the k orthogonal
-idempotents (split semisimple); with k = 1 any unital degree-0 algebra is
-allowed.
-
-A GradedModule is the right-module mirror: components are labeled spaces
-whose right tags carry the degree-0 action, and action matrices live on
-matched tensor bases of M_s x A_u.
+The degree-0 part of an algebra carries the unit as an explicit coefficient
+vector.  With k >= 2 idempotents the degree-0 part must be exactly the k
+orthogonal idempotents (split semisimple); with k = 1 any unital degree-0
+algebra is allowed.  Module components use their right tags for the
+degree-0 action.
 
 All arithmetic is exact, over QQ or GF(p).
 """
@@ -34,73 +34,58 @@ from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
 
-def _check_window(group, window):
-    lo, hi = int(window[0]), int(window[1])
-    if group.kind == "Zn":
-        if (lo, hi) != (0, group.n - 1):
-            raise PreconditionError(
-                f"cyclic gradings carry the full window (0, {group.n - 1})")
-    elif lo > hi:
-        raise PreconditionError(f"empty window [{lo}, {hi}]")
-    return (lo, hi)
+class _GradedObject:
+    """Graded components plus one table of structure maps X_g x A_h -> X_{g+h}.
 
+    Subclasses name the table (_map_name: mult or action) and return from
+    _acting() the algebra A acting on the right: the algebra itself, or the
+    one a module lives over.
+    """
 
-def _normalize_components(group, window, k, components):
-    lo, hi = window
-    comps = {}
-    for d, c in components.items():
-        d = int(d)
+    def __init__(self, group, window, k, field, components):
+        lo, hi = int(window[0]), int(window[1])
         if group.kind == "Zn":
-            d %= group.n
-        if c.dim == 0:
-            continue
-        if not lo <= d <= hi:
-            raise PreconditionError(f"component at degree {d} outside window")
-        c.check_tags(k)
-        comps[d] = c
-    return comps
-
-
-class GradedAlgebra:
-    """A finite-dimensional graded algebra over Z or Z/n."""
-
-    def __init__(self, group, window, k, field, components, mult, unit):
-        self.group = group
-        self.window = _check_window(group, window)
+            if (lo, hi) != (0, group.n - 1):
+                raise PreconditionError(
+                    f"cyclic gradings carry the full window (0, {group.n - 1})")
+        elif lo > hi:
+            raise PreconditionError(f"empty window [{lo}, {hi}]")
         if k < 1:
             raise PreconditionError("at least one idempotent is required")
-        self.k = k
+        self.group = group
+        self.window = (lo, hi)
         self.field = field
-        self.components = _normalize_components(group, self.window, k, components)
-        if 0 not in self.components:
-            raise PreconditionError("the degree-0 component must be nonzero")
-        a0 = self.components[0]
-        if k >= 2:
-            if a0.dim != k or a0.left_tags != tuple(range(k)) \
-                    or a0.right_tags != tuple(range(k)):
-                raise LabelError(
-                    "with k >= 2 the degree-0 part must be the k idempotents, "
-                    "basis vector i tagged (i, i)")
-        unit = tuple(unit)
-        if len(unit) != a0.dim:
-            raise ShapeError("unit vector length must match the degree-0 dimension")
-        self.unit = unit
-        self._pair_cache = {}
-        stored = {}
-        for (g, h), m in mult.items():
+        comps = {}
+        for d, c in components.items():
+            d = int(d)
             if group.kind == "Zn":
-                g, h = g % group.n, h % group.n
-            pairs = matched_pairs(self.component(g), self.component(h))
+                d %= group.n
+            if c.dim == 0:
+                continue
+            if not lo <= d <= hi:
+                raise PreconditionError(f"component at degree {d} outside window")
+            c.check_tags(k)
+            comps[d] = c
+        self.components = comps
+        self._pair_cache = {}
+
+    def _store_maps(self, table):
+        """Check every map's shape and field; keep the nonempty ones."""
+        stored = {}
+        for (g, h), m in table.items():
+            if self.group.kind == "Zn":
+                g, h = g % self.group.n, h % self.group.n
+            pairs = self.pairs(g, h)
             t = self.component(self.add_deg(g, h))
             if m.rows != len(pairs) or m.cols != t.dim:
                 raise ShapeError(
-                    f"mult({g},{h}) must be {len(pairs)}x{t.dim}, "
+                    f"{self._map_name}({g},{h}) must be {len(pairs)}x{t.dim}, "
                     f"got {m.rows}x{m.cols}")
-            if m.field != field:
-                raise ShapeError("mult matrix over the wrong field")
+            if m.field != self.field:
+                raise ShapeError(f"{self._map_name} matrix over the wrong field")
             if m.rows and m.cols:
                 stored[(g, h)] = m
-        self.mult = stored
+        self._maps = stored
 
     def in_window(self, d):
         lo, hi = self.window
@@ -123,47 +108,80 @@ class GradedAlgebra:
     def total_dim(self):
         return sum(c.dim for c in self.components.values())
 
-    def pairs(self, g, h):
+    def _pairs_indexed(self, g, h):
         key = (g, h)
         got = self._pair_cache.get(key)
         if got is None:
-            got = matched_pairs(self.component(g), self.component(h))
+            pairs = matched_pairs(self.component(g),
+                                  self._acting().component(h))
+            got = (pairs, {p: r for r, p in enumerate(pairs)})
             self._pair_cache[key] = got
         return got
 
-    def mult_matrix(self, g, h):
+    def pairs(self, g, h):
+        """Matched basis pairs of X_g x A_h, the row order of map (g, h)."""
+        return self._pairs_indexed(g, h)[0]
+
+    def _map_matrix(self, g, h):
         """Stored matrix, or None when the map is structurally zero."""
         if self.group.kind == "Zn":
             g, h = g % self.group.n, h % self.group.n
-        return self.mult.get((g, h))
+        return self._maps.get((g, h))
 
-    def mult_row(self, g, h, i, j):
-        """Image of x_i * y_j as a vector over A_{g+h}; None when zero."""
-        m = self.mult_matrix(g, h)
+    def _map_row(self, g, h, i, j):
+        """Image of x_i * a_j as a vector over X_{g+h}; None when zero."""
+        m = self._map_matrix(g, h)
         if m is None:
             return None
-        cg, ch = self.component(g), self.component(h)
-        if cg.right_tags[i] != ch.left_tags[j]:
-            return None
-        idx = self.pairs(g, h).index((i, j))
-        return m.entries[idx]
+        r = self._pairs_indexed(g, h)[1].get((i, j))
+        return None if r is None else m.entries[r]
 
-    def right_mult_matrix(self, g, h, j):
-        """Matrix of A_g -> A_{g+h}, x |-> x * y_j; None when zero."""
-        m = self.mult_matrix(g, h)
+    def _right_map_matrix(self, g, h, j):
+        """Matrix of X_g -> X_{g+h}, x |-> x * a_j; None when zero."""
+        m = self._map_matrix(g, h)
         tdim = self.component(self.add_deg(g, h)).dim
         if m is None or tdim == 0:
             return None
-        return _select_rows(self.field, self.component(g).dim, tdim,
-                            self.pairs(g, h), m, j)
+        index = self._pairs_indexed(g, h)[1]
+        zero_row = (self.field.zero(),) * tdim
+        rows = [m.entries[index[(i, j)]] if (i, j) in index else zero_row
+                for i in range(self.component(g).dim)]
+        return Matrix(self.field, len(rows), tdim, rows)
 
 
-def _select_rows(field, src_dim, tgt_dim, pairs, m, j):
-    index = {p: r for r, p in enumerate(pairs)}
-    zero_row = (field.zero(),) * tgt_dim
-    rows = [m.entries[index[(i, j)]] if (i, j) in index else zero_row
-            for i in range(src_dim)]
-    return Matrix(field, src_dim, tgt_dim, rows)
+class GradedAlgebra(_GradedObject):
+    """A finite-dimensional graded algebra over Z or Z/n."""
+
+    _map_name = "mult"
+
+    def __init__(self, group, window, k, field, components, mult, unit):
+        super().__init__(group, window, k, field, components)
+        self.k = k
+        if 0 not in self.components:
+            raise PreconditionError("the degree-0 component must be nonzero")
+        a0 = self.components[0]
+        if k >= 2:
+            if a0.dim != k or a0.left_tags != tuple(range(k)) \
+                    or a0.right_tags != tuple(range(k)):
+                raise LabelError(
+                    "with k >= 2 the degree-0 part must be the k idempotents, "
+                    "basis vector i tagged (i, i)")
+        unit = tuple(unit)
+        if len(unit) != a0.dim:
+            raise ShapeError("unit vector length must match the degree-0 dimension")
+        self.unit = unit
+        self._store_maps(mult)
+
+    def _acting(self):
+        return self
+
+    @property
+    def mult(self):
+        return self._maps
+
+    mult_matrix = _GradedObject._map_matrix
+    mult_row = _GradedObject._map_row
+    right_mult_matrix = _GradedObject._right_map_matrix
 
 
 class KilledAlgebra(GradedAlgebra):
@@ -181,85 +199,26 @@ class KilledAlgebra(GradedAlgebra):
         self.support = support
 
 
-class GradedModule:
+class GradedModule(_GradedObject):
     """A right graded module over a GradedAlgebra."""
+
+    _map_name = "action"
 
     def __init__(self, over, window, components, action):
         self.over = over
-        self.group = over.group
-        self.field = over.field
-        self.window = _check_window(self.group, window)
-        self.components = _normalize_components(self.group, self.window, over.k,
-                                                components)
-        self._pair_cache = {}
-        stored = {}
-        for (s, u), m in action.items():
-            if self.group.kind == "Zn":
-                s, u = s % self.group.n, u % self.group.n
-            pairs = matched_pairs(self.component(s), over.component(u))
-            t = self.component(self.add_deg(s, u))
-            if m.rows != len(pairs) or m.cols != t.dim:
-                raise ShapeError(
-                    f"action({s},{u}) must be {len(pairs)}x{t.dim}, "
-                    f"got {m.rows}x{m.cols}")
-            if m.field != self.field:
-                raise ShapeError("action matrix over the wrong field")
-            if m.rows and m.cols:
-                stored[(s, u)] = m
-        self.action = stored
+        super().__init__(over.group, window, over.k, over.field, components)
+        self._store_maps(action)
 
-    def in_window(self, d):
-        lo, hi = self.window
-        return lo <= d <= hi
+    def _acting(self):
+        return self.over
 
-    def add_deg(self, a, b):
-        return self.group.add(a, b)
+    @property
+    def action(self):
+        return self._maps
 
-    def component(self, d) -> LabeledSpace:
-        if self.group.kind == "Zn":
-            d %= self.group.n
-        return self.components.get(d, ZERO_SPACE)
-
-    def degrees(self):
-        return sorted(self.components)
-
-    def dims(self):
-        return {d: c.dim for d, c in sorted(self.components.items())}
-
-    def total_dim(self):
-        return sum(c.dim for c in self.components.values())
-
-    def pairs(self, s, u):
-        key = (s, u)
-        got = self._pair_cache.get(key)
-        if got is None:
-            got = matched_pairs(self.component(s), self.over.component(u))
-            self._pair_cache[key] = got
-        return got
-
-    def action_matrix(self, s, u):
-        if self.group.kind == "Zn":
-            s, u = s % self.group.n, u % self.group.n
-        return self.action.get((s, u))
-
-    def action_row(self, s, u, i, j):
-        m = self.action_matrix(s, u)
-        if m is None:
-            return None
-        cs, cu = self.component(s), self.over.component(u)
-        if cs.right_tags[i] != cu.left_tags[j]:
-            return None
-        idx = self.pairs(s, u).index((i, j))
-        return m.entries[idx]
-
-    def right_action_matrix(self, s, u, j):
-        """Matrix of M_s -> M_{s+u}, x |-> x * a_j; None when zero."""
-        m = self.action_matrix(s, u)
-        tdim = self.component(self.add_deg(s, u)).dim
-        if m is None or tdim == 0:
-            return None
-        return _select_rows(self.field, self.component(s).dim, tdim,
-                            self.pairs(s, u), m, j)
+    action_matrix = _GradedObject._map_matrix
+    action_row = _GradedObject._map_row
+    right_action_matrix = _GradedObject._right_map_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +243,7 @@ def modules_equal(m: GradedModule, n: GradedModule) -> bool:
             and _live_maps(m.action) == _live_maps(n.action))
 
 
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -297,17 +257,10 @@ def validate_algebra(a: GradedAlgebra) -> Verdict:
     ("unit-left"|"unit-right", g, i), ("assoc", (g, h, l), (i, j, k)).
     """
     F = a.field
-    z = F.zero()
-    for (g, h), m in a.mult.items():
-        cg, ch = a.component(g), a.component(h)
-        ct = a.component(a.add_deg(g, h))
-        for r, (i, j) in enumerate(a.pairs(g, h)):
-            for q in range(ct.dim):
-                if m.entries[r][q] != z and (
-                        ct.left_tags[q] != cg.left_tags[i]
-                        or ct.right_tags[q] != ch.right_tags[j]):
-                    return Verdict(False, False, ("tags", g, h, i, j, q),
-                                   reason="product escapes its tag block")
+    witness = _tag_escape(a, both_sides=True)
+    if witness is not None:
+        return Verdict(False, False, witness,
+                       reason="product escapes its tag block")
     if a.k >= 2:
         if a.mult_matrix(0, 0) != Matrix.identity(F, a.k):
             return Verdict(False, False, ("degree0",),
@@ -316,43 +269,98 @@ def validate_algebra(a: GradedAlgebra) -> Verdict:
             return Verdict(False, False, ("unit",),
                            reason="unit must be the sum of the idempotents")
     for g in a.degrees():
-        dim = a.component(g).dim
-        for idx in range(dim):
-            if not _unit_side(a, g, idx, left=True):
+        for idx in range(a.component(g).dim):
+            if not _unit_side(a, a.unit, g, idx, left=True):
                 return Verdict(False, False, ("unit-left", g, idx))
-            if not _unit_side(a, g, idx, left=False):
+            if not _unit_side(a, a.unit, g, idx, left=False):
                 return Verdict(False, False, ("unit-right", g, idx))
-    degs = a.degrees()
-    for g in degs:
-        cg = a.component(g)
-        for h in degs:
-            ch = a.component(h)
-            gh = a.add_deg(g, h)
-            cgh = a.component(gh)
-            for l in degs:
-                cl = a.component(l)
-                hl = a.add_deg(h, l)
-                ct = a.component(a.add_deg(gh, l))
+    witness = _assoc_witness(a)
+    return Verdict(witness is None, False, witness)
+
+
+def validate_module(mod: GradedModule) -> Verdict:
+    """Tag compatibility, unit action, and action associativity."""
+    witness = _tag_escape(mod, both_sides=False)
+    if witness is not None:
+        return Verdict(False, False, witness,
+                       reason="action escapes its tag block")
+    for s in mod.degrees():
+        for idx in range(mod.component(s).dim):
+            if not _unit_side(mod, mod.over.unit, s, idx, left=False):
+                return Verdict(False, False, ("unit", s, idx))
+    witness = _assoc_witness(mod)
+    return Verdict(witness is None, False, witness)
+
+
+def _tag_escape(x, both_sides):
+    """First nonzero map entry landing on a basis vector with other tags.
+
+    The right tag of x_i * a_j is that of a_j; for algebras the left tag is
+    also checked against that of x_i (module left tags carry no action).
+    """
+    z = x.field.zero()
+    right = x._acting()
+    for (g, h), m in x._maps.items():
+        cg, ch = x.component(g), right.component(h)
+        ct = x.component(x.add_deg(g, h))
+        for r, (i, j) in enumerate(x.pairs(g, h)):
+            for q in range(ct.dim):
+                if m.entries[r][q] != z and (
+                        ct.right_tags[q] != ch.right_tags[j]
+                        or both_sides and ct.left_tags[q] != cg.left_tags[i]):
+                    return ("tags", g, h, i, j, q)
+    return None
+
+
+def _unit_side(x, unit, g, idx, left):
+    """Whether the unit fixes basis vector idx of X_g from the given side."""
+    F = x.field
+    dim = x.component(g).dim
+    if left:
+        got = _accumulate(F, dim, unit, lambda pos: x._map_row(0, g, pos, idx))
+    else:
+        got = _accumulate(F, dim, unit, lambda pos: x._map_row(g, 0, idx, pos))
+    return got == tuple(F.one() if t == idx else F.zero() for t in range(dim))
+
+
+def _assoc_witness(x):
+    """First basis triple with (x a) b != x (a b), or None.
+
+    x ranges over the object, a and b over the algebra acting on it; for an
+    algebra the two coincide.  Witness: ("assoc", (s, u, v), (i, j, k)).
+    """
+    a = x._acting()
+    F = x.field
+    adegs = a.degrees()
+    for s in x.degrees():
+        cs = x.component(s)
+        for u in adegs:
+            cu = a.component(u)
+            su = x.add_deg(s, u)
+            csu = x.component(su)
+            for v in adegs:
+                cv = a.component(v)
+                uv = a.add_deg(u, v)
+                ct = x.component(x.add_deg(su, v))
                 if ct.dim == 0:
                     continue
-                chl = a.component(hl)
-                for i in range(cg.dim):
-                    for j in range(ch.dim):
-                        if cg.right_tags[i] != ch.left_tags[j]:
+                cuv = a.component(uv)
+                for i in range(cs.dim):
+                    for j in range(cu.dim):
+                        if cs.right_tags[i] != cu.left_tags[j]:
                             continue
-                        xy = a.mult_row(g, h, i, j) if cgh.dim else None
-                        for kk in range(cl.dim):
-                            if ch.right_tags[j] != cl.left_tags[kk]:
+                        xa = x._map_row(s, u, i, j) if csu.dim else None
+                        for kk in range(cv.dim):
+                            if cu.right_tags[j] != cv.left_tags[kk]:
                                 continue
-                            r1 = _accumulate(F, ct.dim, xy,
-                                             lambda m: a.mult_row(gh, l, m, kk))
-                            yz = a.mult_row(h, l, j, kk) if chl.dim else None
-                            r2 = _accumulate(F, ct.dim, yz,
-                                             lambda m: a.mult_row(g, hl, i, m))
+                            r1 = _accumulate(F, ct.dim, xa,
+                                             lambda m: x._map_row(su, v, m, kk))
+                            ab = a.mult_row(u, v, j, kk) if cuv.dim else None
+                            r2 = _accumulate(F, ct.dim, ab,
+                                             lambda m: x._map_row(s, uv, i, m))
                             if r1 != r2:
-                                return Verdict(False, False,
-                                               ("assoc", (g, h, l), (i, j, kk)))
-    return Verdict(True, False)
+                                return ("assoc", (s, u, v), (i, j, kk))
+    return None
 
 
 def _accumulate(field, tdim, coeffs, row_of):
@@ -368,22 +376,6 @@ def _accumulate(field, tdim, coeffs, row_of):
                 continue
             acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, row)]
     return tuple(acc)
-
-
-def _unit_side(a, g, idx, left):
-    F = a.field
-    z = F.zero()
-    dim = a.component(g).dim
-    acc = [z] * dim
-    for pos, c in enumerate(a.unit):
-        if c == z:
-            continue
-        row = a.mult_row(0, g, pos, idx) if left else a.mult_row(g, 0, idx, pos)
-        if row is None:
-            continue
-        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, row)]
-    want = tuple(F.one() if t == idx else z for t in range(dim))
-    return tuple(acc) == want
 
 
 def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
@@ -404,65 +396,6 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
         if len(span) < a.component(i).dim:
             return False
     return True
-
-
-def validate_module(mod: GradedModule) -> Verdict:
-    """Tag compatibility, unit action, and action associativity."""
-    a = mod.over
-    F = mod.field
-    z = F.zero()
-    for (s, u), m in mod.action.items():
-        cu = a.component(u)
-        ct = mod.component(mod.add_deg(s, u))
-        for r, (i, j) in enumerate(mod.pairs(s, u)):
-            for q in range(ct.dim):
-                if m.entries[r][q] != z and ct.right_tags[q] != cu.right_tags[j]:
-                    return Verdict(False, False, ("tags", s, u, i, j, q),
-                                   reason="action escapes its tag block")
-    for s in mod.degrees():
-        dim = mod.component(s).dim
-        for idx in range(dim):
-            acc = [z] * dim
-            for pos, c in enumerate(a.unit):
-                if c == z:
-                    continue
-                row = mod.action_row(s, 0, idx, pos)
-                if row is None:
-                    continue
-                acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, row)]
-            if tuple(acc) != tuple(F.one() if t == idx else z for t in range(dim)):
-                return Verdict(False, False, ("unit", s, idx))
-    adegs = a.degrees()
-    for s in mod.degrees():
-        cs = mod.component(s)
-        for u in adegs:
-            cu = a.component(u)
-            su = mod.add_deg(s, u)
-            csu = mod.component(su)
-            for v in adegs:
-                cv = a.component(v)
-                uv = a.add_deg(u, v)
-                ct = mod.component(mod.add_deg(su, v))
-                if ct.dim == 0:
-                    continue
-                cuv = a.component(uv)
-                for i in range(cs.dim):
-                    for j in range(cu.dim):
-                        if cs.right_tags[i] != cu.left_tags[j]:
-                            continue
-                        xa = mod.action_row(s, u, i, j) if csu.dim else None
-                        for kk in range(cv.dim):
-                            if cu.right_tags[j] != cv.left_tags[kk]:
-                                continue
-                            r1 = _accumulate(F, ct.dim, xa,
-                                             lambda m: mod.action_row(su, v, m, kk))
-                            ab = a.mult_row(u, v, j, kk) if cuv.dim else None
-                            r2 = _accumulate(F, ct.dim, ab,
-                                             lambda m: mod.action_row(s, uv, i, m))
-                            if r1 != r2:
-                                return Verdict(False, False,
-                                               ("assoc", (s, u, v), (i, j, kk)))
-    return Verdict(True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +420,7 @@ def kill_support_algebra(a: GradedAlgebra, u: DegreeSet) -> KilledAlgebra:
     if not u.contains(0):
         raise PreconditionError("killing keeps the unit, so 0 must lie in U")
     comps = {d: c for d, c in a.components.items() if u.contains(d)}
-    mult = {}
-    for (g, h), m in a.mult.items():
-        if g in comps and h in comps and a.add_deg(g, h) in comps:
-            mult[(g, h)] = m
-    return KilledAlgebra(a, u, comps, mult)
+    return KilledAlgebra(a, u, comps, _kept_maps(a, comps, comps))
 
 
 def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -510,12 +439,14 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
     if algebra is None:
         algebra = kill_support_algebra(m.over, u)
     comps = {d: c for d, c in m.components.items() if s.contains(d)}
-    action = {}
-    for (sd, ud), mat in m.action.items():
-        if sd in comps and ud in algebra.components \
-                and m.add_deg(sd, ud) in comps:
-            action[(sd, ud)] = mat
-    return GradedModule(algebra, m.window, comps, action)
+    return GradedModule(algebra, m.window, comps,
+                        _kept_maps(m, comps, algebra.components))
+
+
+def _kept_maps(x, comps, acting):
+    """The maps of x between kept degrees comps, by acting degrees."""
+    return {(g, h): mat for (g, h), mat in x._maps.items()
+            if g in comps and h in acting and x.add_deg(g, h) in comps}
 
 
 def shift_module(m: GradedModule, g: int) -> GradedModule:
@@ -529,11 +460,14 @@ def shift_module(m: GradedModule, g: int) -> GradedModule:
     return GradedModule(m.over, window, comps, action)
 
 
+
 # ---------------------------------------------------------------------------
 # regrading along a windowed pseudomorphism
 
 
-def _require_pseudo(phi: WindowedMap):
+def _check_regrade(x, phi: WindowedMap):
+    if x.group.kind != "Z":
+        raise PreconditionError("regrading applies to Z-graded objects")
     v = is_pseudomorphism(phi)
     if not v.holds:
         raise PreconditionError(
@@ -549,72 +483,53 @@ def regrade_algebra(b: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
     that land outside the image are necessarily zero under that hypothesis;
     a nonzero one raises a grading violation with witness (sigma, tau).
     """
-    if b.group.kind != "Z":
-        raise PreconditionError("regrading applies to Z-graded algebras")
-    _require_pseudo(phi)
-    img = {phi(s): s for s in phi.domain()}
-    for d in b.degrees():
-        if d not in img:
-            raise PreconditionError(
-                f"nonzero component at degree {d} lies outside the image of the map")
-    # only positions mapping into B's window are certified by B
-    lo, hi = _clipped_positions(phi, b.window)
-    comps = {}
-    for sigma in range(lo, hi + 1):
-        c = b.component(phi(sigma))
-        if c.dim:
-            comps[sigma] = c
-    mult = {}
-    for sigma in comps:
-        for tau in comps:
-            mm = b.mult_matrix(phi(sigma), phi(tau))
-            if mm is None:
-                continue
-            st = sigma + tau
-            total = phi(sigma) + phi(tau)
-            if total not in img:
-                if not mm.is_zero():
-                    raise GradingViolationError(
-                        "product lands outside the image of the regrading map",
-                        witness=(sigma, tau))
-                continue
-            if not lo <= st <= hi:
-                # the target exists in B but the new grading has no slot for it
-                if not mm.is_zero():
-                    raise GradingViolationError(
-                        "product leaves the regrading window",
-                        witness=(sigma, tau))
-                continue
-            if phi(st) != total:
-                raise InternalConsistencyError(
-                    "pseudomorphism certificate violated during regrading")
-            mult[(sigma, tau)] = mm
-    return GradedAlgebra(b.group, (lo, hi), b.k, b.field, comps, mult, b.unit)
+    _check_regrade(b, phi)
+    return _regraded_algebra(b, phi)
+
+
+def _regraded_algebra(b, phi):
+    window, comps, mult = _regraded_parts(b, phi, 0)
+    return GradedAlgebra(b.group, window, b.k, b.field, comps, mult, b.unit)
 
 
 def regrade_module(x: GradedModule, phi: WindowedMap, g: int = 0,
                    algebra: GradedAlgebra | None = None) -> GradedModule:
     """New grading with component sigma = X_{g + phi(sigma)}."""
-    if x.group.kind != "Z":
-        raise PreconditionError("regrading applies to Z-graded modules")
-    _require_pseudo(phi)
+    _check_regrade(x, phi)
     if algebra is None:
-        algebra = regrade_algebra(x.over, phi)
-    img = {phi(s): s for s in phi.domain()}
+        algebra = _regraded_algebra(x.over, phi)
+    window, comps, action = _regraded_parts(x, phi, g)
+    return GradedModule(algebra, window, comps, action)
+
+
+def _regraded_parts(x, phi: WindowedMap, g: int):
+    """Window, components and maps of x regraded along phi, shifted by g.
+
+    Component sigma is X_{g + phi(sigma)} and the map at (sigma, tau) is the
+    map of x at (g + phi(sigma), phi(tau)).  Only positions whose image falls
+    inside x's window are certified by x, so the new window is clipped to
+    them.  A nonzero map whose value sum leaves the image, or whose target
+    has no slot in the new window, raises a grading violation with witness
+    (sigma, tau).
+    """
+    img = {phi(s) for s in phi.domain()}
     for d in x.degrees():
         if d - g not in img:
             raise PreconditionError(
-                f"module support at degree {d} lies outside g + Im(phi)")
+                f"nonzero component at degree {d} lies outside "
+                f"{g} + Im(phi)")
     lo, hi = _clipped_positions(phi, x.window, g)
     comps = {}
     for sigma in range(lo, hi + 1):
         c = x.component(g + phi(sigma))
         if c.dim:
             comps[sigma] = c
-    action = {}
+    right = x._acting()
+    taus = [t for t in phi.domain() if right.component(phi(t)).dim]
+    maps = {}
     for sigma in comps:
-        for tau in phi.domain():
-            mat = x.action_matrix(g + phi(sigma), phi(tau))
+        for tau in taus:
+            mat = x._map_matrix(g + phi(sigma), phi(tau))
             if mat is None:
                 continue
             st = sigma + tau
@@ -622,17 +537,21 @@ def regrade_module(x: GradedModule, phi: WindowedMap, g: int = 0,
             if total not in img:
                 if not mat.is_zero():
                     raise GradingViolationError(
-                        "module action lands outside the image of the regrading map",
-                        witness=(sigma, tau))
+                        f"{x._map_name} lands outside the image of the "
+                        f"regrading map", witness=(sigma, tau))
                 continue
             if not lo <= st <= hi:
+                # the target exists in x but the new grading has no slot for it
                 if not mat.is_zero():
                     raise GradingViolationError(
-                        "module action leaves the regrading window",
+                        f"{x._map_name} leaves the regrading window",
                         witness=(sigma, tau))
                 continue
-            action[(sigma, tau)] = mat
-    return GradedModule(algebra, (lo, hi), comps, action)
+            if phi(st) != total:
+                raise InternalConsistencyError(
+                    "pseudomorphism certificate violated during regrading")
+            maps[(sigma, tau)] = mat
+    return (lo, hi), comps, maps
 
 
 def _clipped_positions(phi: WindowedMap, window, g: int = 0):
@@ -654,9 +573,7 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     algebra to grade over is not supplied it is rebuilt by pushing V's
     algebra forward along phi.
     """
-    if v.group.kind != "Z":
-        raise PreconditionError("regrading applies to Z-graded modules")
-    _require_pseudo(phi)
+    _check_regrade(v, phi)
     dom = list(phi.domain())
     img = {phi(s): s for s in dom}
     for sigma in v.degrees():
@@ -736,42 +653,43 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
         bases[d] = _tag_blocked_rows(m.component(d), sp, F)
     comps = {d: LabeledSpace.module_component(tags)
              for d, (rows, tags) in bases.items()}
-    action = {}
-    adegs = m.over.degrees()
-    for d, (rows, tags) in bases.items():
-        for u in adegs:
-            t = m.add_deg(d, u)
-            if t not in bases:
-                # pushes into an unlisted degree must land on zero
-                for (i, j) in matched_pairs(comps[d], m.over.component(u)):
-                    ra = m.right_action_matrix(d, u, j)
-                    if ra is None:
-                        continue
-                    vec = apply_row(F, rows[i], ra)
-                    if any(e != F.zero() for e in vec):
-                        raise PreconditionError(
-                            f"subspaces are not action-closed: degree {d} "
-                            f"pushes into unlisted degree {t}")
-                continue
-            trows, _ = bases[t]
-            pairs = matched_pairs(comps[d], m.over.component(u))
-            if not pairs:
-                continue
-            out = []
-            for (i, j) in pairs:
-                ra = m.right_action_matrix(d, u, j)
-                if ra is None:
-                    out.append((F.zero(),) * len(trows))
-                    continue
-                vec = apply_row(F, rows[i], ra)
-                coords = _coords_in_rows(F, trows, vec)
-                if coords is None:
-                    raise PreconditionError(
-                        f"subspaces are not action-closed: degree {d} "
-                        f"pushes outside the degree-{t} subspace")
-                out.append(tuple(coords))
-            action[(d, u)] = Matrix(F, len(pairs), len(trows), out)
+
+    def coords(t, vec):
+        # a push into an unlisted degree must land on zero
+        got = _coords_in_rows(F, bases[t][0] if t in bases else (), vec)
+        if got is None:
+            raise PreconditionError(
+                f"subspaces are not action-closed: a push leaves the "
+                f"degree-{t} subspace")
+        return tuple(got)
+
+    action = _action_on(m, comps,
+                        lambda d, i, ra: apply_row(F, bases[d][0][i], ra),
+                        coords)
     return GradedModule(m.over, m.window, comps, action)
+
+
+def _action_on(m: GradedModule, comps, image, coords) -> dict:
+    """Action table of a module built from m on the components comps.
+
+    Basis vector i of comps[d] times a_j is image(d, i, ra) in m's
+    coordinates, ra being the matrix of x |-> x * a_j on m; coords(t, vec)
+    writes that vector in the basis of comps[t], empty when t is unlisted.
+    """
+    F = m.field
+    action = {}
+    for d in comps:
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            tdim = comps[t].dim if t in comps else 0
+            out = []
+            for (i, j) in matched_pairs(comps[d], m.over.component(u)):
+                ra = m.right_action_matrix(d, u, j)
+                out.append((F.zero(),) * tdim if ra is None
+                           else coords(t, image(d, i, ra)))
+            if out and tdim:
+                action[(d, u)] = Matrix(F, len(out), tdim, out)
+    return action
 
 
 def _coords_in_rows(field, rows, vec):
@@ -817,6 +735,8 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
 
     def project(d, vec):
         rows, pivots, keep = reducers[d]
+        if not keep:
+            return ()
         v = list(vec)
         for row, p in zip(rows, pivots):
             c = v[p]
@@ -824,26 +744,9 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
                 v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
         return tuple(v[i] for i in keep)
 
-    action = {}
-    adegs = m.over.degrees()
-    for d in comps:
-        keep = reducers[d][2]
-        for u in adegs:
-            t = m.add_deg(d, u)
-            if t not in comps:
-                continue
-            pairs = matched_pairs(comps[d], m.over.component(u))
-            if not pairs:
-                continue
-            tdim = len(reducers[t][2])
-            out = []
-            for (i, j) in pairs:
-                ra = m.right_action_matrix(d, u, j)
-                if ra is None:
-                    out.append((z,) * tdim)
-                    continue
-                out.append(project(t, ra.entries[keep[i]]))
-            action[(d, u)] = Matrix(F, len(pairs), tdim, out)
+    action = _action_on(m, comps,
+                        lambda d, i, ra: ra.entries[reducers[d][2][i]],
+                        project)
     quotient = GradedModule(m.over, m.window, comps, action)
     keep_map = {d: tuple(keep) for d, (_, _, keep) in reducers.items()}
     return quotient, project, keep_map
@@ -878,8 +781,6 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
                 continue
             for u in adegs:
                 t = m.add_deg(d, u)
-                if m.group.kind == "Z" and not m.in_window(t):
-                    continue
                 tcomp = m.component(t)
                 if tcomp.dim == 0 or spaces[t].dim == tcomp.dim:
                     continue
@@ -974,8 +875,6 @@ def torsion_spaces(n: GradedModule, s: DegreeSet) -> dict:
                 continue
             for u in adegs:
                 t = n.add_deg(d, u)
-                if n.group.kind == "Z" and not n.in_window(t):
-                    continue
                 if n.component(t).dim == 0:
                     continue
                 for j in range(n.over.component(u).dim):

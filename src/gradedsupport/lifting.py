@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .constructions import projective_layout, projective_module, \
     regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, Subspace, apply_row, kernel, matched_pairs, rref
+from .exactlin import Matrix, Subspace, apply_row, kernel, rref
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
                           algebras_equal, closure_under_action,
                           hom_space_basis, hom_space_dim, is_cogenerated_in,
@@ -88,25 +88,7 @@ def _resolve_algebra(x: GradedModule, a):
 def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
                       a: GradedAlgebra):
     """Common preconditions; returns the quotient set Q = (S : U)."""
-    if a.group.kind != "Z":
-        raise PreconditionError("lifting is defined for Z-graded algebras")
-    if a.window[0] != 0:
-        raise PreconditionError("the ambient algebra must be positively "
-                                "graded with window starting at 0")
-    if a.component(0).dim != a.k:
-        raise PreconditionError("the degree-0 part must be split semisimple "
-                                "(one basis idempotent per tag)")
-    if not is_generated_in_degrees_01(a):
-        raise PreconditionError(
-            "the ambient algebra must be generated in degrees 0 and 1")
-    verdict = is_right_modular(s, u)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"(S, U) is not a right modular pair: {verdict.reason} fails, "
-            f"witness {verdict.witness}")
-    q = quotient_set(s, u)
-    if q is None:
-        raise PreconditionError("the quotient set (S : U) is empty")
+    q = _check_hypotheses_algebra_only(a, s, u)
     if not algebras_equal(x.over, kill_support_algebra(a, u)):
         raise PreconditionError(
             "the module is not over the support-killed form of the given "
@@ -127,6 +109,30 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
     return q
 
 
+def _check_hypotheses_algebra_only(a, s, u):
+    """Preconditions on A and (S, U) alone; returns Q = (S : U)."""
+    if a.group.kind != "Z":
+        raise PreconditionError("lifting is defined for Z-graded algebras")
+    if a.window[0] != 0:
+        raise PreconditionError("the ambient algebra must be positively "
+                                "graded with window starting at 0")
+    if a.component(0).dim != a.k:
+        raise PreconditionError("the degree-0 part must be split semisimple "
+                                "(one basis idempotent per tag)")
+    if not is_generated_in_degrees_01(a):
+        raise PreconditionError(
+            "the ambient algebra must be generated in degrees 0 and 1")
+    verdict = is_right_modular(s, u)
+    if not verdict.holds:
+        raise PreconditionError(
+            f"(S, U) is not a right modular pair: {verdict.reason} fails, "
+            f"witness {verdict.witness}")
+    q = quotient_set(s, u)
+    if q is None:
+        raise PreconditionError("the quotient set (S : U) is empty")
+    return q
+
+
 def _u_degrees(u: DegreeSet, a: GradedAlgebra):
     return [d for d in u.members_in(0, a.window[1]) if a.component(d).dim]
 
@@ -135,74 +141,62 @@ def _u_degrees(u: DegreeSet, a: GradedAlgebra):
 # the kernel-containment scan
 
 
-def _scan_triples(x: GradedModule, a: GradedAlgebra, triples):
-    """Check Ker(mu_{m,u}) A_{v-u} inside Ker(mu_{m,v}) for given triples.
+def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
+    """Test Ker(mu_{m,xu}) A_gap inside Ker(mu_{m,xv}) on the module x.
 
-    Returns (violations, checked); at most one witness is recorded per
-    triple.  Triples whose components vanish hold vacuously and are skipped
-    without counting.
+    mu_{m,d} is the action X_m (x) B_d -> X_{m+d} of x over its algebra B.
+    A kernel vector is pushed into X_m (x) B_xv by the products
+    A_au x A_gap -> A_{au+gap} of the ambient algebra, whose basis is that of
+    B_xv.  Returns None when a component or the matched pairs of
+    X_m (x) B_xu vanish, so the condition does not arise.  Otherwise returns
+    (tested, witness): tested is False when the kernel or mu_{m,xv} is zero
+    and the containment holds trivially; witness is the first pushed vector
+    mu_{m,xv} does not kill, or None.
     """
+    b = x.over
+    if b.component(xu).dim == 0 or a.component(gap).dim == 0 \
+            or b.component(xv).dim == 0:
+        return None
+    pairs_u = x.pairs(m, xu)
+    if not pairs_u:
+        return None
     F = a.field
     z = F.zero()
-    violations = []
-    checked = 0
-    for (m, ud, v) in triples:
-        gap = v - ud
-        xm = x.component(m)
-        if xm.dim == 0:
-            continue
-        if a.component(ud).dim == 0 or a.component(gap).dim == 0 \
-                or a.component(v).dim == 0:
-            continue
-        if not x.in_window(m + v):
-            continue
-        pairs_u = x.pairs(m, ud)
-        if not pairs_u:
-            continue
-        act_u = x.action_matrix(m, ud)
-        ker = kernel(act_u) if act_u is not None \
-            else Subspace.full(F, len(pairs_u))
-        if ker.dim == 0:
-            continue
-        act_v = x.action_matrix(m, v)
-        if act_v is None:
-            continue
-        pairs_v = x.pairs(m, v)
-        pos_v = {pair: idx for idx, pair in enumerate(pairs_v)}
-        checked += 1
-        witness = None
-        for w in ker.rows:
-            for ell in range(a.component(gap).dim):
-                pushed = [z] * len(pairs_v)
-                moved = False
-                for idx, (i, j) in enumerate(pairs_u):
-                    c = w[idx]
-                    if c == z:
-                        continue
-                    row = a.mult_row(ud, gap, j, ell)
-                    if row is None:
-                        continue
-                    for qq, e in enumerate(row):
-                        if e == z:
-                            continue
-                        pos = pos_v.get((i, qq))
-                        if pos is None:
-                            raise InternalConsistencyError(
-                                "multiplication broke tag matching while "
-                                f"pushing a kernel element at {(m, ud, v)}")
-                        pushed[pos] = F.add(pushed[pos], F.mul(c, e))
-                        moved = True
-                if not moved:
+    act_u = x.action_matrix(m, xu)
+    ker = kernel(act_u) if act_u is not None \
+        else Subspace.full(F, len(pairs_u))
+    act_v = x.action_matrix(m, xv)
+    if ker.dim == 0 or act_v is None:
+        return False, None
+    pairs_v = x.pairs(m, xv)
+    pos_v = {pair: idx for idx, pair in enumerate(pairs_v)}
+    for w in ker.rows:
+        for ell in range(a.component(gap).dim):
+            pushed = [z] * len(pairs_v)
+            moved = False
+            for idx, (i, j) in enumerate(pairs_u):
+                c = w[idx]
+                if c == z:
                     continue
-                out = apply_row(F, pushed, act_v)
-                if any(e != z for e in out):
-                    witness = (m, ud, v, tuple(pushed))
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            violations.append(witness)
-    return tuple(violations), checked
+                row = a.mult_row(au, gap, j, ell)
+                if row is None:
+                    continue
+                for qq, e in enumerate(row):
+                    if e == z:
+                        continue
+                    pos = pos_v.get((i, qq))
+                    if pos is None:
+                        raise InternalConsistencyError(
+                            "multiplication broke tag matching while "
+                            f"pushing a kernel element at {(m, xu, xv)}")
+                    pushed[pos] = F.add(pushed[pos], F.mul(c, e))
+                    moved = True
+            if not moved:
+                continue
+            out = apply_row(F, pushed, act_v)
+            if any(e != z for e in out):
+                return True, tuple(pushed)
+    return True, None
 
 
 def liftability_check(x: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -212,28 +206,7 @@ def liftability_check(x: GradedModule, s: DegreeSet, u: DegreeSet,
     Quantifies over every m in (S : U) and every u < v in U with v - u
     outside U for which all involved components are nonzero.
     """
-    a = _resolve_algebra(x, a)
-    q = _check_hypotheses(x, s, u, a)
-    udegs = _u_degrees(u, a)
-    qdegs = [m for m in q.members_in(x.window[0], x.window[1])
-             if x.component(m).dim]
-
-    def triples():
-        for m in qdegs:
-            for i, ud in enumerate(udegs):
-                for v in udegs[i + 1:]:
-                    gap = u.try_contains(v - ud)
-                    if gap is None:
-                        raise PreconditionError(
-                            "membership of a degree difference in U is "
-                            "undecidable on this window")
-                    if gap:
-                        continue
-                    yield (m, ud, v)
-
-    violations, checked = _scan_triples(x, a, triples())
-    return LiftReport(liftable=not violations, violations=violations,
-                      triples_checked=checked)
+    return _liftability(x, s, u, a, _all_triples)
 
 
 def liftability_check_interval(x: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -244,14 +217,55 @@ def liftability_check_interval(x: GradedModule, s: DegreeSet, u: DegreeSet,
     for U = [-r, 0] + nZ all pairs n - r <= u < v <= n are.  Agrees with
     liftability_check wherever both apply.
     """
+    return _liftability(x, s, u, a, _interval_triples)
+
+
+def _liftability(x, s, u, a, triples):
+    """Check Ker(mu_{m,u}) A_{v-u} inside Ker(mu_{m,v}) on each (m, u, v).
+
+    The triples come from triples(u, a, qdegs).  At most one witness is
+    recorded per triple.  Triples whose components vanish hold vacuously and
+    are skipped without counting.
+    """
     a = _resolve_algebra(x, a)
     q = _check_hypotheses(x, s, u, a)
+    qdegs = [m for m in q.members_in(x.window[0], x.window[1])
+             if x.component(m).dim]
+    violations = []
+    checked = 0
+    for (m, ud, v) in triples(u, a, qdegs):
+        if not x.in_window(m + v):
+            continue
+        got = _kernel_push(x, a, m, ud, v, ud, v - ud)
+        if got is None or not got[0]:
+            continue
+        checked += 1
+        if got[1] is not None:
+            violations.append((m, ud, v, got[1]))
+    return LiftReport(liftable=not violations, violations=tuple(violations),
+                      triples_checked=checked)
+
+
+def _all_triples(u, a, qdegs):
+    udegs = _u_degrees(u, a)
+    for m in qdegs:
+        for i, ud in enumerate(udegs):
+            for v in udegs[i + 1:]:
+                gap = u.try_contains(v - ud)
+                if gap is None:
+                    raise PreconditionError(
+                        "membership of a degree difference in U is "
+                        "undecidable on this window")
+                if gap:
+                    continue
+                yield (m, ud, v)
+
+
+def _interval_triples(u, a, qdegs):
     shape = is_translation_of_interval(u)
     if shape is None:
         raise PreconditionError(
             "U is not a union of translates of a single interval")
-    qdegs = [m for m in q.members_in(x.window[0], x.window[1])
-             if x.component(m).dim]
     n, r = shape.n, shape.r
     if r == 0:
         pairs = []  # U is a subgroup; killing is exact, nothing to check
@@ -260,10 +274,7 @@ def liftability_check_interval(x: GradedModule, s: DegreeSet, u: DegreeSet,
     else:
         pairs = [(ud, v) for ud in range(n - r, n)
                  for v in range(ud + 1, n + 1)]
-    violations, checked = _scan_triples(
-        x, a, ((m, ud, v) for m in qdegs for (ud, v) in pairs))
-    return LiftReport(liftable=not violations, violations=violations,
-                      triples_checked=checked)
+    return ((m, ud, v) for m in qdegs for (ud, v) in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -617,23 +628,6 @@ def equivalence_harness(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
                              holds=all(r.equal for r in rows))
 
 
-def _check_hypotheses_algebra_only(a, s, u):
-    if a.group.kind != "Z" or a.window[0] != 0:
-        raise PreconditionError("the ambient algebra must be positively "
-                                "graded over Z")
-    if a.component(0).dim != a.k:
-        raise PreconditionError("the degree-0 part must be split semisimple")
-    if not is_generated_in_degrees_01(a):
-        raise PreconditionError(
-            "the ambient algebra must be generated in degrees 0 and 1")
-    verdict = is_right_modular(s, u)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"(S, U) is not a right modular pair: {verdict.reason} fails, "
-            f"witness {verdict.witness}")
-    if quotient_set(s, u) is None:
-        raise PreconditionError("the quotient set (S : U) is empty")
-
 
 # ---------------------------------------------------------------------------
 # membership conditions on the regraded side
@@ -650,59 +644,13 @@ def regraded_interval_conditions(v: GradedModule, a: GradedAlgebra, n, r=1):
     """
     if n < 2 or not 0 < r or 2 * r >= n:
         raise PreconditionError("need 0 < 2r < n")
-    F = v.field
-    z = F.zero()
-    bt = v.over
     out = []
     for sigma in range(v.window[0], v.window[1] + 1):
         if sigma % (r + 1) or v.component(sigma).dim == 0:
             continue
-        if bt.component(r).dim == 0 or a.component(n - r).dim == 0 \
-                or bt.component(r + 1).dim == 0:
-            continue
-        pairs_u = v.pairs(sigma, r)
-        if not pairs_u:
-            continue
-        act_u = v.action_matrix(sigma, r)
-        ker = kernel(act_u) if act_u is not None \
-            else Subspace.full(F, len(pairs_u))
-        if ker.dim == 0:
-            out.append((sigma, True, None))
-            continue
-        act_v = v.action_matrix(sigma, r + 1)
-        pairs_v = matched_pairs(v.component(sigma), bt.component(r + 1))
-        pos_v = {pair: idx for idx, pair in enumerate(pairs_v)}
-        holds, witness = True, None
-        for w in ker.rows:
-            for ell in range(a.component(n - r).dim):
-                pushed = [z] * len(pairs_v)
-                moved = False
-                for idx, (i, j) in enumerate(pairs_u):
-                    c = w[idx]
-                    if c == z:
-                        continue
-                    row = a.mult_row(r, n - r, j, ell)
-                    if row is None:
-                        continue
-                    for qq, e in enumerate(row):
-                        if e == z:
-                            continue
-                        pos = pos_v.get((i, qq))
-                        if pos is None:
-                            raise InternalConsistencyError(
-                                "tag matching broke while pushing a kernel "
-                                f"element at regraded degree {sigma}")
-                        pushed[pos] = F.add(pushed[pos], F.mul(c, e))
-                        moved = True
-                if not moved or act_v is None:
-                    continue
-                image = apply_row(F, pushed, act_v)
-                if any(e != z for e in image):
-                    holds, witness = False, tuple(pushed)
-                    break
-            if not holds:
-                break
-        out.append((sigma, holds, witness))
+        got = _kernel_push(v, a, sigma, r, r + 1, r, n - r)
+        if got is not None:
+            out.append((sigma, got[1] is None, got[1]))
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import CapacityError, SchemaError
 from .exactlin import GF, LabeledSpace, Matrix, QQ
 from .graded_core import GradedAlgebra, GradedModule
 from .regrade_maps import WindowedMap
@@ -154,7 +154,12 @@ def field_from_json(obj, path="") -> object:
     if name == "Q":
         return QQ
     if name == "GF(p)":
-        return GF(_int(_get(obj, "p", path), _child(path, "p")))
+        ppath = _child(path, "p")
+        p = _int(_get(obj, "p", path), ppath)
+        try:
+            return GF(p)
+        except (ValueError, CapacityError) as e:
+            raise SchemaError(str(e), ppath)
     if name.startswith("GF(") and name.endswith(")"):
         try:
             return GF(int(name[3:-1]))

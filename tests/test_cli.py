@@ -394,3 +394,19 @@ def test_monomials_parse_by_name_or_index():
         parse_monomial("x**y")
     with pytest.raises(PreconditionError):
         parse_monomial("q")
+
+
+@pytest.mark.parametrize("p", ["4", "1", "3317044064679887385961981"])
+def test_unusable_prime_exits_2(capsys, p):
+    code, out, err = run(capsys, "verify-equivalence", "--samples", "1",
+                         "--field", "GFp", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_make_rejects_a_composite_prime(capsys):
+    code, out, err = run(capsys, "make", "group-zn", "--n", "3",
+                         "--field", "GFp", "--p", "4")
+    assert code == 2
+    assert "not a prime" in err

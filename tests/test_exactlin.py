@@ -1,11 +1,12 @@
 """Exact linear algebra checked against dimension identities."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gradedsupport.errors import LabelError
+from gradedsupport.errors import CapacityError, LabelError
 from gradedsupport.exactlin import (
     GF,
     QQ,
@@ -144,6 +145,37 @@ def test_gf_rejects_composite_modulus():
 
 def test_gf_instances_are_cached():
     assert GF(5) is GF(5)
+
+
+def _prime_by_trial_division(p):
+    return p >= 2 and all(p % k for k in range(2, int(p ** 0.5) + 1))
+
+
+def test_gf_primality_matches_trial_division():
+    for p in range(-3, 3000):
+        if _prime_by_trial_division(p):
+            assert GF(p).p == p
+        else:
+            with pytest.raises(ValueError):
+                GF(p)
+
+
+def test_gf_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            GF(n)
+
+
+def test_gf_settles_a_large_prime_quickly():
+    start = time.perf_counter()
+    assert GF(10**18 + 3).p == 10**18 + 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gf_refuses_moduli_beyond_the_certified_bound():
+    with pytest.raises(CapacityError):
+        GF(3317044064679887385961981)
 
 
 # ---------------------------------------------------------------------------

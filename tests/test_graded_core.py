@@ -39,7 +39,7 @@ from gradedsupport.constructions import (
     regular_module,
     truncated_polynomial,
 )
-from gradedsupport.regrade_maps import delta_map
+from gradedsupport.regrade_maps import delta_map, is_pseudomorphism
 from gradedsupport.subsets import DegreeSet, Z, Zn
 
 
@@ -151,6 +151,46 @@ def test_validate_catches_broken_unit():
     verdict = validate_algebra(bad)
     assert not verdict.holds
     assert verdict.witness[0].startswith("unit")
+
+
+def test_validate_module_catches_a_tag_escape():
+    from gradedsupport.constructions import quiver_algebra
+    from gradedsupport.exactlin import LabeledSpace
+    a = quiver_algebra(2, [(0, 1)], [], 1)
+    f = a.field
+    o, z = f.one(), f.zero()
+    comps = {0: LabeledSpace.module_component((0, 1))}
+    good = GradedModule(a, (0, 0), comps,
+                        {(0, 0): Matrix(f, 2, 2, [(o, z), (z, o)])})
+    assert validate_module(good).holds
+    # x_0 * e_0 = x_1, but x_1 carries right tag 1, not e_0's tag 0
+    bad = GradedModule(a, (0, 0), comps,
+                       {(0, 0): Matrix(f, 2, 2, [(z, o), (z, o)])})
+    verdict = validate_module(bad)
+    assert not verdict.holds
+    assert verdict.witness == ("tags", 0, 0, 0, 0, 1)
+    assert verdict.reason == "action escapes its tag block"
+
+
+def test_validate_module_catches_a_broken_unit():
+    a = truncated_polynomial(2)
+    m = regular_module(a)
+    twice = Matrix.from_rows(a.field, [[a.field.from_int(2)]], 1)
+    bad = GradedModule(a, m.window, m.components, {**m.action, (0, 0): twice})
+    verdict = validate_module(bad)
+    assert not verdict.holds
+    assert verdict.witness == ("unit", 0, 0)
+
+
+def test_validate_module_catches_a_non_associative_action():
+    a = truncated_polynomial(3)
+    m = regular_module(a)
+    twice = Matrix.from_rows(a.field, [[a.field.from_int(2)]], 1)
+    # x acting on x gives 2x^2, while 1 acting on x * x gives x^2
+    bad = GradedModule(a, m.window, m.components, {**m.action, (1, 1): twice})
+    verdict = validate_module(bad)
+    assert not verdict.holds
+    assert verdict.witness == ("assoc", (0, 1, 1), (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +424,23 @@ def test_regrade_compresses_the_support():
     for sigma, tau in bt.mult:
         assert bt.mult_matrix(sigma, tau) \
             == b.mult_matrix(phi.try_call(sigma), phi.try_call(tau))
+
+
+def test_regrade_checks_the_map_once_per_call(monkeypatch):
+    import gradedsupport.graded_core as gc
+    a, u, b, phi = _compressed_setup()
+    x = kill_support_module(regular_module(a), u, u, b)
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_pseudomorphism(f)
+
+    monkeypatch.setattr(gc, "is_pseudomorphism", counted)
+    regrade_algebra(b, phi)
+    assert len(calls) == 1
+    regrade_module(x, phi)  # regrades the algebra too
+    assert len(calls) == 2
 
 
 def test_regrade_rejects_support_outside_the_image():

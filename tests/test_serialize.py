@@ -235,3 +235,16 @@ def test_module_loader_reports_nested_paths():
         module_from_json(obj)
     assert "unit" in str(e.value)
     assert e.value.path == "algebra"
+
+
+@pytest.mark.parametrize("p", [4, 3317044064679887385961981])
+def test_field_loader_reports_an_unusable_prime_at_p(p):
+    with pytest.raises(SchemaError) as e:
+        field_from_json({"field": "GF(p)", "p": p})
+    assert e.value.path == "p"
+    a = algebra_to_json(truncated_polynomial(2, field=GF(5)))
+    a["p"] = p
+    with pytest.raises(SchemaError) as e:
+        module_from_json({"algebra": a, "window": [0, 1],
+                          "components": [], "action": []})
+    assert e.value.path == "algebra.p"
