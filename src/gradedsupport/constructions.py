@@ -23,8 +23,8 @@ import itertools
 import math
 
 from .errors import PreconditionError
-from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, kernel,
-                       matched_pairs)
+from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, matched_pairs,
+                       nullspace)
 from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
     quotient_module
 from .subsets import Z, Zn
@@ -354,7 +354,7 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
     if top < n:
         raise PreconditionError(
             f"the window top {top} cannot hold the degree-{n} relations")
-    perp = kernel(Matrix.from_rows(F, rows, len(words)).transpose())
+    perp = nullspace(F, rows, len(words))
     dual_rels = []
     for row in perp.rows:
         terms = [(c, words[i]) for i, c in enumerate(row) if c != F.zero()]

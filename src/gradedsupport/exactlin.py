@@ -13,6 +13,21 @@ library computes with.
 
 Subspaces are stored as reduced row echelon bases, so two equal subspaces are
 structurally equal (same tuple of rows).
+
+One elimination kernel
+----------------------
+rref is the only elimination step.  Every other operation is one rref call
+plus a read-off of its pivots and free columns:
+
+- nullspace(field, rows, ncols) is {x : r . x = 0 for every row r}, one
+  basis vector per free column of rref(rows);
+- kernel(M) is {v : v @ M = 0}, the nullspace of M's columns;
+- solve(M, b) reads a preimage off rref([M^T | b]);
+- subspace_intersect (Zassenhaus) keeps the right halves of the reduced rows
+  whose left halves vanished, which are already in canonical form.
+
+Reducing a vector against rows with unit, cleared pivots (subspace
+membership, coordinates, quotient projections) goes through pivot_reduce.
 """
 
 from __future__ import annotations
@@ -233,19 +248,8 @@ class Matrix:
             raise ShapeError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        F = self.field
-        z = F.zero()
-        out = []
-        ot = other.entries
-        for arow in self.entries:
-            acc = [z] * other.cols
-            for k, a in enumerate(arow):
-                if a == z:
-                    continue
-                brow = ot[k]
-                acc = [F.add(acc[j], F.mul(a, brow[j])) for j in range(other.cols)]
-            out.append(acc)
-        return Matrix(F, self.rows, other.cols, out)
+        return Matrix(self.field, self.rows, other.cols,
+                      [apply_row(self.field, r, other) for r in self.entries])
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -277,13 +281,13 @@ def apply_row(field, vec, matrix):
     """vec @ matrix for a plain sequence vec of length matrix.rows."""
     if len(vec) != matrix.rows:
         raise ShapeError(f"vector length {len(vec)} vs {matrix.rows} rows")
-    z = field.zero()
-    acc = [z] * matrix.cols
-    for k, a in enumerate(vec):
-        if a == z:
-            continue
-        row = matrix.entries[k]
-        acc = [field.add(acc[j], field.mul(a, row[j])) for j in range(matrix.cols)]
+    add, mul = field.add, field.mul
+    acc = [field.zero()] * matrix.cols
+    for a, row in zip(vec, matrix.entries):
+        if a:
+            for j, e in enumerate(row):
+                if e:
+                    acc[j] = add(acc[j], mul(a, e))
     return acc
 
 
@@ -292,38 +296,61 @@ def rref(field, rows):
 
     Returns (reduced_nonzero_rows, pivot_columns), both tuples.  Rows come out
     sorted by pivot column with pivots equal to 1 and cleared columns, so the
-    result is the canonical basis of the row space.
+    result is the canonical basis of the row space.  A row operation touches
+    only the nonzero entries of the pivot row.
     """
     work = [list(r) for r in rows]
-    z = field.zero()
     ncols = len(work[0]) if work else 0
+    one = field.one()
+    sub, mul = field.sub, field.mul
     pivots = []
     rank = 0
     for col in range(ncols):
-        sel = None
-        for i in range(rank, len(work)):
-            if work[i][col] != z:
-                sel = i
+        for sel in range(rank, len(work)):
+            if work[sel][col]:
                 break
-        if sel is None:
+        else:
             continue
         work[rank], work[sel] = work[sel], work[rank]
-        inv = field.inv(work[rank][col])
-        if inv != field.one():
-            work[rank] = [field.mul(inv, e) for e in work[rank]]
         prow = work[rank]
-        for i in range(len(work)):
-            if i == rank:
-                continue
-            f = work[i][col]
-            if f != z:
-                wrow = work[i]
-                work[i] = [field.sub(wrow[j], field.mul(f, prow[j])) for j in range(ncols)]
+        # columns left of col are zero here: pivots are cleared, the rest
+        # had no pivot candidate
+        nz = [j for j in range(col, ncols) if prow[j]]
+        inv = field.inv(prow[col])
+        if inv != one:
+            for j in nz:
+                prow[j] = mul(inv, prow[j])
+        for i, wrow in enumerate(work):
+            f = wrow[col]
+            if f and i != rank:
+                for j in nz:
+                    wrow[j] = sub(wrow[j], mul(f, prow[j]))
         pivots.append(col)
         rank += 1
         if rank == len(work):
             break
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+def pivot_reduce(field, rows, pivots, vec):
+    """Subtract c * row at each pivot, c being vec's entry there.
+
+    rows must carry unit pivots that are zero in every other row (a reduced
+    echelon basis, in any order).  Returns (remainder, coefficients): the
+    remainder is zero iff vec lies in the span, and then vec is the sum of
+    coefficient times row.
+    """
+    sub, mul = field.sub, field.mul
+    v = list(vec)
+    coeffs = []
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        coeffs.append(c)
+        if c:
+            for j, e in enumerate(row):
+                if e:
+                    v[j] = sub(v[j], mul(c, e))
+    return v, coeffs
 
 
 @dataclass(frozen=True)
@@ -364,51 +391,42 @@ class Subspace:
 
     def reduce(self, vec):
         """Reduce vec modulo this subspace; 0 iff vec is a member."""
-        F = self.field
-        z = F.zero()
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != z:
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        return pivot_reduce(self.field, self.rows, self.pivots, vec)[0]
 
     def contains_vector(self, vec):
-        z = self.field.zero()
-        return all(e == z for e in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def coordinates(self, vec):
         """Coefficients of vec in the RREF basis; None if vec is outside."""
-        F = self.field
-        z = F.zero()
-        v = list(vec)
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != z:
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        if any(e != z for e in v):
-            return None
-        return coeffs
+        v, coeffs = pivot_reduce(self.field, self.rows, self.pivots, vec)
+        return None if any(v) else coeffs
+
+
+def nullspace(field, rows, ncols) -> Subspace:
+    """{x in K^ncols : r . x = 0 for every row r}.
+
+    One basis vector per free column f of rref(rows): 1 at f and minus the
+    column-f entry of each reduced row at that row's pivot.
+    """
+    red, pivots = rref(field, rows)
+    taken = set(pivots)
+    neg, z, o = field.neg, field.zero(), field.one()
+    basis = []
+    for f in range(ncols):
+        if f in taken:
+            continue
+        x = [z] * ncols
+        x[f] = o
+        for row, p in zip(red, pivots):
+            if row[f]:
+                x[p] = neg(row[f])
+        basis.append(x)
+    return Subspace.from_vectors(field, ncols, basis)
 
 
 def kernel(m: Matrix) -> Subspace:
-    """{v in K^rows : v @ m = 0}."""
-    F = m.field
-    z, o = F.zero(), F.one()
-    if m.rows == 0:
-        return Subspace.zero(F, 0)
-    # Row reduce [m | I]; rows whose m-part vanished span the kernel.
-    aug = [list(m.entries[i]) + [o if j == i else z for j in range(m.rows)]
-           for i in range(m.rows)]
-    red, _ = rref(F, aug)
-    basis = []
-    for row in red:
-        if all(e == z for e in row[:m.cols]):
-            basis.append(row[m.cols:])
-    # rref again for canonical form (rows already independent).
-    return Subspace.from_vectors(F, m.rows, basis)
+    """{v in K^rows : v @ m = 0}: the nullspace of m's columns."""
+    return nullspace(m.field, list(zip(*m.entries)), m.rows)
 
 
 def image(m: Matrix) -> Subspace:
@@ -431,11 +449,11 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient
     block = [list(r) + list(r) for r in a.rows]
     block += [list(r) + [z] * n for r in b.rows]
-    if not block:
-        return Subspace.zero(F, n)
-    red, _ = rref(F, block)
-    basis = [row[n:] for row in red if all(e == z for e in row[:n])]
-    return Subspace.from_vectors(F, n, basis)
+    red, pivots = rref(F, block)
+    # rows pivoting right of n have a zero left half; their right halves
+    # are reduced, unit and cleared at pivot - n, hence canonical
+    rest = [(row[n:], p - n) for row, p in zip(red, pivots) if p >= n]
+    return Subspace(F, n, tuple(r for r, _ in rest), tuple(p for _, p in rest))
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
@@ -446,29 +464,24 @@ def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
 
 
 def solve(m: Matrix, b) -> list | None:
-    """Some v with v @ m = b, or None if b is outside image(m)."""
+    """Some v with v @ m = b, or None if b is outside image(m).
+
+    Reads v off rref([m^T | b]): the free unknowns are 0 and each pivot
+    unknown takes its row's last entry; a pivot in the last column means
+    the system is inconsistent.
+    """
     b = tuple(b)
     if len(b) != m.cols:
         raise ShapeError(f"rhs length {len(b)} vs {m.cols} cols")
     F = m.field
-    z, o = F.zero(), F.one()
-    if m.rows == 0:
-        return [] if all(e == z for e in b) else None
-    aug = [list(m.entries[i]) + [o if j == i else z for j in range(m.rows)]
-           for i in range(m.rows)]
-    red, pivots = rref(F, aug)
-    v = list(b)
-    combo = [z] * m.rows
-    for row, p in zip(red, pivots):
-        if p >= m.cols:
-            break
-        c = v[p]
-        if c != z:
-            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row[:m.cols])]
-            combo = [F.add(x, F.mul(c, y)) for x, y in zip(combo, row[m.cols:])]
-    if any(e != z for e in v):
+    cols = zip(*m.entries) if m.rows else ((),) * m.cols
+    red, pivots = rref(F, [col + (e,) for col, e in zip(cols, b)])
+    if pivots and pivots[-1] == m.rows:
         return None
-    return combo
+    v = [F.zero()] * m.rows
+    for row, p in zip(red, pivots):
+        v[p] = row[-1]
+    return v
 
 
 def apply_subspace(m: Matrix, v: Subspace) -> Subspace:

@@ -28,8 +28,8 @@ from __future__ import annotations
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, apply_row,
-                       kernel, matched_pairs, rref, solve, subspace_intersect,
-                       subspace_sum)
+                       kernel, matched_pairs, nullspace, pivot_reduce, rref,
+                       subspace_intersect, subspace_sum)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -622,25 +622,26 @@ def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
 def _tag_blocked_rows(comp: LabeledSpace, space: Subspace, field):
     """Basis of an A_0-stable subspace grouped by right tag.
 
-    Returns (rows, tags) with rows reduced per tag; raises if the subspace is
-    not the direct sum of its tag blocks, which cannot happen for
-    action-closed subspaces of a valid module.
+    Returns (rows, tags, pivots) with rows reduced per tag.  Blocks of
+    different tags have disjoint supports, so every pivot is a unit that is
+    zero in all other rows.  Raises if the subspace is not the direct sum of
+    its tag blocks, which cannot happen for action-closed subspaces of a
+    valid module.
     """
     if space.dim == 0:
-        return (), ()
+        return (), (), ()
     z = field.zero()
-    rows, tags = [], []
-    total = 0
+    rows, tags, pivots = [], [], []
     for c in sorted(set(comp.right_tags)):
         proj = [tuple(e if comp.right_tags[i] == c else z for i, e in enumerate(r))
                 for r in space.rows]
-        red, _ = rref(field, proj)
+        red, piv = rref(field, proj)
         rows.extend(red)
         tags.extend(c for _ in red)
-        total += len(red)
-    if total != space.dim:
+        pivots.extend(piv)
+    if len(rows) != space.dim:
         raise InternalConsistencyError("subspace is not stable under the idempotents")
-    return tuple(rows), tuple(tags)
+    return tuple(rows), tuple(tags), tuple(pivots)
 
 
 def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
@@ -652,12 +653,13 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
             continue
         bases[d] = _tag_blocked_rows(m.component(d), sp, F)
     comps = {d: LabeledSpace.module_component(tags)
-             for d, (rows, tags) in bases.items()}
+             for d, (_, tags, _) in bases.items()}
 
     def coords(t, vec):
         # a push into an unlisted degree must land on zero
-        got = _coords_in_rows(F, bases[t][0] if t in bases else (), vec)
-        if got is None:
+        rows, _, pivots = bases.get(t, ((), (), ()))
+        rest, got = pivot_reduce(F, rows, pivots, vec)
+        if any(rest):
             raise PreconditionError(
                 f"subspaces are not action-closed: a push leaves the "
                 f"degree-{t} subspace")
@@ -682,22 +684,17 @@ def _action_on(m: GradedModule, comps, image, coords) -> dict:
         for u in m.over.degrees():
             t = m.add_deg(d, u)
             tdim = comps[t].dim if t in comps else 0
+            pairs = matched_pairs(comps[d], m.over.component(u))
+            ras = {j: m.right_action_matrix(d, u, j)
+                   for j in {j for _, j in pairs}}
             out = []
-            for (i, j) in matched_pairs(comps[d], m.over.component(u)):
-                ra = m.right_action_matrix(d, u, j)
+            for (i, j) in pairs:
+                ra = ras[j]
                 out.append((F.zero(),) * tdim if ra is None
                            else coords(t, image(d, i, ra)))
             if out and tdim:
                 action[(d, u)] = Matrix(F, len(out), tdim, out)
     return action
-
-
-def _coords_in_rows(field, rows, vec):
-    """Coordinates of vec in the span of independent rows; None if outside."""
-    z = field.zero()
-    if not rows:
-        return () if all(e == z for e in vec) else None
-    return solve(Matrix.from_rows(field, rows, len(vec)), vec)
 
 
 def quotient_with_maps(m: GradedModule, spaces: dict):
@@ -712,16 +709,12 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     result again has tag-pure basis vectors.
     """
     F = m.field
-    z = F.zero()
     reducers = {}
     for d in m.degrees():
         comp = m.component(d)
         sp = spaces.get(d)
-        if sp is None or sp.dim == 0:
-            rows, pivots = (), ()
-        else:
-            rows, _ = _tag_blocked_rows(comp, sp, F)
-            pivots = tuple(next(i for i, e in enumerate(r) if e != z) for r in rows)
+        rows, _, pivots = (_tag_blocked_rows(comp, sp, F) if sp is not None
+                           else ((), (), ()))
         taken = set(pivots)
         keep = sorted((i for i in range(comp.dim) if i not in taken),
                       key=lambda i: (comp.right_tags[i], i))
@@ -737,11 +730,7 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
         rows, pivots, keep = reducers[d]
         if not keep:
             return ()
-        v = list(vec)
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c != z:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+        v = pivot_reduce(F, rows, pivots, vec)[0]
         return tuple(v[i] for i in keep)
 
     action = _action_on(m, comps,
@@ -944,8 +933,6 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
         nd = n.component(d).dim
         for u in adegs:
             t = m.add_deg(d, u)
-            if m.group.kind == "Z" and not m.in_window(t):
-                continue
             nt = n.component(t).dim
             if nt == 0:
                 continue
@@ -976,10 +963,7 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
                                     live = True
                         if live:
                             equations.append(tuple(row))
-    if equations:
-        sols = kernel(Matrix.from_rows(F, equations, total).transpose())
-    else:
-        sols = Subspace.full(F, total)
+    sols = nullspace(F, equations, total)
     out = []
     for vec in sols.rows:
         maps = {}

@@ -32,8 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .constructions import projective_layout, projective_module, \
-    regular_module
+from .constructions import _layout_module, projective_layout, \
+    projective_module, regular_module
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, Subspace, apply_row, kernel, rref
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
@@ -306,8 +306,7 @@ def _evaluation_rows(x: GradedModule, t, blocks, meta, xdim, F):
 
 
 def _rank(F, rows):
-    reduced, pivots = rref(F, [list(r) for r in rows])
-    return len(pivots)
+    return len(rref(F, rows)[1])
 
 
 def lift_module(x: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -341,7 +340,6 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     q = quotient_set(s, u)
     window = x.window
     F = a.field
-    z = F.zero()
     qdegs = [m for m in q.members_in(window[0], window[1])
              if x.component(m).dim]
     if not qdegs:
@@ -351,11 +349,11 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
                           isomorphism_certified=True, generated_certified=True,
                           cogenerated_certified=True)
     gens, meta = _generator_data(x, qdegs)
-    _, _comps, layout = projective_layout(a, gens, window)
-    induced = projective_module(a, gens, window)
+    pwindow, pcomps, layout = projective_layout(a, gens, window)
+    induced = _layout_module(a, pwindow, pcomps, layout)
 
     sdegs = s.members_in(window[0], window[1])
-    eval_rows = {}
+    evals = {}
     seeds = {}
     for t in sdegs:
         blocks = layout.get(t)
@@ -363,8 +361,8 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
             continue
         xdim = x.component(t).dim
         rows = _evaluation_rows(x, t, blocks, meta, xdim, F)
-        eval_rows[t] = rows
-        ker = kernel(Matrix(F, len(rows), xdim, rows))
+        evals[t] = Matrix(F, len(rows), xdim, rows)
+        ker = kernel(evals[t])
         if ker.dim:
             seeds[t] = [list(r) for r in ker.rows]
 
@@ -383,18 +381,17 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
                 f"lift has dimension {mdim} at degree {t}, expected {xdim}")
         if xdim == 0:
             continue
-        rows = eval_rows.get(t)
-        if rows is None:
+        ev = evals.get(t)
+        if ev is None:
             raise InternalConsistencyError(
                 f"lift lost the generator blocks at degree {t}")
-        for w in closure.get(t, Subspace.zero(F, len(rows))).rows:
-            out = apply_row(F, list(w), Matrix(F, len(rows), xdim, rows))
-            if any(e != z for e in out):
+        for w in closure.get(t, Subspace.zero(F, ev.rows)).rows:
+            if any(apply_row(F, w, ev)):
                 raise InternalConsistencyError(
                     "a killed relation does not evaluate to zero although "
                     "the liftability check passed")
         kept = [keep0[t][i] for i in keep1[t]]
-        phi_rows = [rows[kk] for kk in kept]
+        phi_rows = [ev.entries[kk] for kk in kept]
         if _rank(F, phi_rows) != xdim:
             raise InternalConsistencyError(
                 f"evaluation is not bijective at degree {t}")

@@ -343,6 +343,19 @@ def test_hom_basis_elements_commute_with_the_action():
         assert _commutes(m, n, mats)
 
 
+@pytest.mark.parametrize("window", [(0, 0), (0, 2)])
+def test_hom_out_of_a_simple_ignores_its_window(window):
+    # S sits in degree 0 and x kills it.  A degree-0 map S -> A sends s to
+    # c * 1, and f(s) x = c x must vanish because s x = 0, so c = 0.  The
+    # equation lives in degree 1, outside S's narrow window, and still counts
+    from gradedsupport.exactlin import LabeledSpace
+    a = truncated_polynomial(3)
+    s = GradedModule(a, window, {0: LabeledSpace.untagged(1)},
+                     {(0, 0): Matrix(QQ, 1, 1, [(QQ.one(),)])})
+    assert validate_module(s).holds
+    assert hom_space_dim(s, regular_module(a)) == 0
+
+
 # ---------------------------------------------------------------------------
 # submodules and quotients
 
