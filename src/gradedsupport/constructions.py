@@ -198,30 +198,21 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
         prev = ideal.get(m - 1)
         if prev is not None and prev.dim:
             for row in prev.rows:
+                terms = [(paths[m - 1][pi], coeff)
+                         for pi, coeff in enumerate(row) if coeff]
                 for a in range(len(arrows)):
-                    left = [z] * dim
-                    right = [z] * dim
-                    hit_l = hit_r = False
-                    for pi, coeff in enumerate(row):
-                        if coeff == z:
-                            continue
-                        p = paths[m - 1][pi]
-                        if arrows[a][1] == _path_source(arrows, p):
-                            left[index[m][(a,) + p]] = coeff
-                            hit_l = True
-                        if _path_target(arrows, p) == arrows[a][0]:
-                            right[index[m][p + (a,)]] = coeff
-                            hit_r = True
-                    if hit_l:
-                        vecs.append(left)
-                    if hit_r:
-                        vecs.append(right)
+                    left = {index[m][(a,) + p]: coeff for p, coeff in terms
+                            if arrows[a][1] == _path_source(arrows, p)}
+                    right = {index[m][p + (a,)]: coeff for p, coeff in terms
+                             if _path_target(arrows, p) == arrows[a][0]}
+                    vecs += [v for v in (left, right) if v]
         for terms in rel_by_degree.get(m, []):
-            vec = [z] * dim
+            vec = {}
             for coeff, path in terms:
                 if path not in index[m]:
                     raise PreconditionError(f"path {path} does not exist in the quiver")
-                vec[index[m][path]] = F.add(vec[index[m][path]], coeff)
+                i = index[m][path]
+                vec[i] = F.add(vec.get(i, z), coeff)
             vecs.append(vec)
         ideal[m] = Subspace.from_vectors(F, dim, vecs)
     for m, terms in rel_by_degree.items():
@@ -232,7 +223,6 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
 
     comps = {0: LabeledSpace(num_vertices, tuple(range(num_vertices)),
                              tuple(range(num_vertices)))}
-    kept = {0: list(range(num_vertices))}
     basis_paths = {0: list(range(num_vertices))}  # degree 0: vertices
     for m in range(1, top + 1):
         ps = paths.get(m, [])
@@ -247,16 +237,11 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             len(keep),
             tuple(_path_source(arrows, ps[i]) for i in keep),
             tuple(_path_target(arrows, ps[i]) for i in keep))
-        kept[m] = keep
         basis_paths[m] = [ps[i] for i in keep]
 
-    def reduce_path(m, p):
-        """Class of path p in the kept coordinates of degree m."""
-        e = [z] * len(paths[m])
-        e[index[m][p]] = F.one()
-        sp = ideal.get(m)
-        red = sp.reduce(e) if sp is not None else e
-        return tuple(red[i] for i in kept[m])
+    # the class of each path of degree m in the kept coordinates
+    residues = {m: ideal.get(m, Subspace.zero(F, len(paths[m]))).unit_residues()
+                for m in comps if m}
 
     mult = {}
     degs = sorted(comps)
@@ -279,7 +264,7 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
                 if t == 0:
                     row = tuple(F.one() if v == word else z for v in basis_paths[0])
                 else:
-                    row = reduce_path(t, word)
+                    row = residues[t][index[t][word]]
                 rows.append(row)
             mult[(g, h)] = Matrix(F, len(pairs), comps[t].dim, rows)
     unit = tuple(F.one() for _ in range(num_vertices))

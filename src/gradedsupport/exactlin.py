@@ -16,8 +16,14 @@ structurally equal (same tuple of rows).
 
 One elimination kernel
 ----------------------
-rref is the only elimination step.  Every other operation is one rref call
-plus a read-off of its pivots and free columns:
+rref is the only elimination step.  It takes rows as dense sequences, or as
+dicts {column: value} together with the column count, and is a sparse
+Gauss-Jordan elimination: it keeps each pivot row as a dict of its nonzeros,
+unit at its pivot and zero at every other pivot, reduces an incoming row only
+at the pivot columns it holds, and clears a new pivot's column from the
+earlier pivot rows.  Its output is the dense canonical basis whatever the
+input form.  Every other operation is one rref call plus a read-off of its
+pivots and free columns:
 
 - nullspace(field, rows, ncols) is {x : r . x = 0 for every row r}, one
   basis vector per free column of rref(rows);
@@ -28,6 +34,8 @@ plus a read-off of its pivots and free columns:
 
 Reducing a vector against rows with unit, cleared pivots (subspace
 membership, coordinates, quotient projections) goes through pivot_reduce.
+A unit vector e_i needs no reduction: Subspace.unit_residues reads e_i
+modulo the subspace off the row pivoting at i.
 """
 
 from __future__ import annotations
@@ -291,45 +299,61 @@ def apply_row(field, vec, matrix):
     return acc
 
 
-def rref(field, rows):
+def _axpy(field, row, c, src, skip):
+    """row -= c * src in place, over src's entries except column skip."""
+    sub, mul = field.sub, field.mul
+    for j, e in src.items():
+        if j != skip:
+            v = sub(row[j], mul(c, e)) if j in row else field.neg(mul(c, e))
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def rref(field, rows, ncols=None):
     """Reduced row echelon form.
 
-    Returns (reduced_nonzero_rows, pivot_columns), both tuples.  Rows come out
-    sorted by pivot column with pivots equal to 1 and cleared columns, so the
-    result is the canonical basis of the row space.  A row operation touches
-    only the nonzero entries of the pivot row.
+    rows are dense sequences, or dicts {column: value} when ncols is given;
+    zero values in a dict are allowed and ignored.  Returns
+    (reduced_nonzero_rows, pivot_columns), both tuples of dense rows sorted
+    by pivot column, with pivots equal to 1 and cleared columns: the
+    canonical basis of the row space.
     """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     one = field.one()
-    sub, mul = field.sub, field.mul
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        for sel in range(rank, len(work)):
-            if work[sel][col]:
-                break
-        else:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        prow = work[rank]
-        # columns left of col are zero here: pivots are cleared, the rest
-        # had no pivot candidate
-        nz = [j for j in range(col, ncols) if prow[j]]
-        inv = field.inv(prow[col])
-        if inv != one:
-            for j in nz:
-                prow[j] = mul(inv, prow[j])
-        for i, wrow in enumerate(work):
-            f = wrow[col]
-            if f and i != rank:
-                for j in nz:
-                    wrow[j] = sub(wrow[j], mul(f, prow[j]))
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
+    # pivot column -> row (as a dict of nonzeros) that is 1 there, 0 at every
+    # other pivot and 0 left of its pivot
+    basis = {}
+    for r in rows:
+        if len(basis) == ncols:
             break
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+        row = {j: v for j, v in (r.items() if isinstance(r, dict)
+                                 else enumerate(r)) if v}
+        # a pivot row is zero at the other pivots, so subtracting it changes
+        # no pivot column but its own
+        for p in [j for j in row if j in basis]:
+            _axpy(field, row, row.pop(p), basis[p], p)
+        if not row:
+            continue
+        col = min(row)
+        inv = field.inv(row[col])
+        if inv != one:
+            row = {j: field.mul(inv, v) for j, v in row.items()}
+        for prow in basis.values():
+            if col in prow:
+                _axpy(field, prow, prow.pop(col), row, col)
+        basis[col] = row
+    pivots = tuple(sorted(basis))
+    z = field.zero()
+    out = []
+    for p in pivots:
+        dense = [z] * ncols
+        for j, v in basis[p].items():
+            dense[j] = v
+        out.append(tuple(dense))
+    return tuple(out), pivots
 
 
 def pivot_reduce(field, rows, pivots, vec):
@@ -368,11 +392,13 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        vectors = [tuple(v) for v in vectors]
+        """Span of vectors: dense sequences of length ambient, or dicts
+        {coordinate: value}."""
+        vectors = [v if isinstance(v, dict) else tuple(v) for v in vectors]
         for v in vectors:
-            if len(v) != ambient:
+            if not isinstance(v, dict) and len(v) != ambient:
                 raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
-        r, p = rref(field, vectors)
+        r, p = rref(field, vectors, ambient)
         return cls(field, ambient, r, p)
 
     @classmethod
@@ -401,6 +427,24 @@ class Subspace:
         v, coeffs = pivot_reduce(self.field, self.rows, self.pivots, vec)
         return None if any(v) else coeffs
 
+    def unit_residues(self):
+        """Row i is e_i modulo this subspace, in the non-pivot coordinates.
+
+        Read off the basis: e_i is its own residue when i is not a pivot
+        column, and e_i minus the row pivoting at i otherwise.
+        """
+        F = self.field
+        z, one, neg = F.zero(), F.one(), F.neg
+        row_at = dict(zip(self.pivots, self.rows))
+        keep = [i for i in range(self.ambient) if i not in row_at]
+        out = []
+        for i in range(self.ambient):
+            row = row_at.get(i)
+            out.append(tuple(one if j == i else z for j in keep)
+                       if row is None
+                       else tuple(neg(row[j]) if row[j] else z for j in keep))
+        return out
+
 
 def nullspace(field, rows, ncols) -> Subspace:
     """{x in K^ncols : r . x = 0 for every row r}.
@@ -408,7 +452,7 @@ def nullspace(field, rows, ncols) -> Subspace:
     One basis vector per free column f of rref(rows): 1 at f and minus the
     column-f entry of each reduced row at that row's pivot.
     """
-    red, pivots = rref(field, rows)
+    red, pivots = rref(field, rows, ncols)
     taken = set(pivots)
     neg, z, o = field.neg, field.zero(), field.one()
     basis = []

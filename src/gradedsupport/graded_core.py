@@ -29,7 +29,7 @@ from .errors import (GradingViolationError, InternalConsistencyError, LabelError
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, apply_row,
                        kernel, matched_pairs, nullspace, pivot_reduce, rref,
-                       subspace_intersect, subspace_sum)
+                       subspace_intersect)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -758,8 +758,7 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
     for d, vecs in seeds.items():
         if m.component(d).dim == 0 or not vecs:
             continue
-        spaces[d] = subspace_sum(
-            spaces[d], Subspace.from_vectors(F, m.component(d).dim, vecs))
+        spaces[d] = Subspace.from_vectors(F, m.component(d).dim, vecs)
     adegs = m.over.degrees()
     changed = True
     while changed:
@@ -781,8 +780,8 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
                     vecs.extend(apply_row(F, r, ra) for r in sp.rows)
                 if not vecs:
                     continue
-                new = subspace_sum(spaces[t],
-                                   Subspace.from_vectors(F, tcomp.dim, vecs))
+                new = Subspace.from_vectors(F, tcomp.dim,
+                                            list(spaces[t].rows) + vecs)
                 if new.dim > spaces[t].dim:
                     spaces[t] = new
                     changed = True
@@ -814,19 +813,9 @@ def _complement_matrix(field, ambient, space: Subspace):
 
     None when the space is everything.
     """
-    z = field.zero()
-    taken = set(space.pivots)
-    keep = [i for i in range(ambient) if i not in taken]
-    if not keep:
+    if space.dim == ambient:
         return None
-    one = field.one()
-    rows = []
-    for i in range(ambient):
-        e = [z] * ambient
-        e[i] = one
-        red = space.reduce(e)
-        rows.append(tuple(red[j] for j in keep))
-    return Matrix(field, ambient, len(keep), rows)
+    return Matrix(field, ambient, ambient - space.dim, space.unit_residues())
 
 
 def preimage_subspace(f: Matrix, w: Subspace) -> Subspace:
@@ -936,33 +925,32 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
             nt = n.component(t).dim
             if nt == 0:
                 continue
-            mt = m.component(t).dim
             for j in range(m.over.component(u).dim):
                 tm = m.right_action_matrix(d, u, j)
                 tn = n.right_action_matrix(d, u, j) if nd else None
                 if tm is None and tn is None:
                     continue
+                # the nonzeros of row i of tm and of column c of tn
+                tm_nz = tn_nz = None
+                if tm is not None and t in offset:
+                    tm_nz = [[(mm * nt, e) for mm, e in enumerate(r) if e]
+                             for r in tm.entries]
+                if tn is not None and d in offset:
+                    tn_nz = [[(q, tn.entries[q][c]) for q in range(nd)
+                              if tn.entries[q][c]] for c in range(nt)]
                 for i in range(md):
                     for c in range(nt):
-                        row = [z] * total
-                        live = False
-                        if tm is not None and t in offset:
-                            base = offset[t]
-                            for mm in range(mt):
-                                coef = tm.entries[i][mm]
-                                if coef != z:
-                                    row[base + mm * nt + c] = coef
-                                    live = True
-                        if tn is not None and d in offset:
-                            base = offset[d]
-                            for q in range(nd):
-                                coef = tn.entries[q][c]
-                                if coef != z:
-                                    pos = base + i * nd + q
-                                    row[pos] = F.sub(row[pos], coef)
-                                    live = True
-                        if live:
-                            equations.append(tuple(row))
+                        row = {}
+                        if tm_nz is not None:
+                            base = offset[t] + c
+                            for k, coef in tm_nz[i]:
+                                row[base + k] = coef
+                        if tn_nz is not None:
+                            base = offset[d] + i * nd
+                            for q, coef in tn_nz[c]:
+                                row[base + q] = F.sub(row.get(base + q, z), coef)
+                        if row:
+                            equations.append(row)
     sols = nullspace(F, equations, total)
     out = []
     for vec in sols.rows:

@@ -281,6 +281,68 @@ def test_verify_equivalence_small_run(capsys):
     assert all(r["equal"] for r in got["samples"])
 
 
+@pytest.mark.parametrize("seed, dim", [(3, 10), (6, 0), (12, 8)])
+def test_verify_equivalence_heavy_hom_systems(capsys, seed, dim):
+    # the largest sampled hom systems over Q: seed 12 has 538 unknowns
+    code, got = run_json(capsys, "verify-equivalence", "--samples", "1",
+                         "--seed", str(seed), "--n", "3", "--format", "json")
+    assert code == 0
+    [sample] = got["samples"]
+    assert (sample["hom_dim_ambient"], sample["hom_dim_killed"]) == (dim, dim)
+
+
+VERIFY_SEED_9_TEXT = """\
+sample  dim Hom(M,N)  dim Hom(M_S,N_S)
+     0             5                 5
+     1             0                 0
+     2             9                 9
+     3             0                 0
+holds: True
+"""
+
+VERIFY_SEED_9_JSON = """\
+{
+  "holds": true,
+  "samples": [
+    {
+      "equal": true,
+      "hom_dim_ambient": 5,
+      "hom_dim_killed": 5,
+      "index": 0
+    },
+    {
+      "equal": true,
+      "hom_dim_ambient": 0,
+      "hom_dim_killed": 0,
+      "index": 1
+    },
+    {
+      "equal": true,
+      "hom_dim_ambient": 9,
+      "hom_dim_killed": 9,
+      "index": 2
+    },
+    {
+      "equal": true,
+      "hom_dim_ambient": 0,
+      "hom_dim_killed": 0,
+      "index": 3
+    }
+  ],
+  "seed": 9
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, want", [("text", VERIFY_SEED_9_TEXT),
+                                       ("json", VERIFY_SEED_9_JSON)],
+                         ids=["text", "json"])
+def test_verify_equivalence_golden_stdout(capsys, fmt, want):
+    code, out, err = run(capsys, "verify-equivalence", "--samples", "4",
+                         "--seed", "9", "--n", "3", "--format", fmt)
+    assert (code, out, err) == (0, want, "")
+
+
 def test_verify_equivalence_text_table(capsys):
     code, out, _ = run(capsys, "verify-equivalence", "--samples", "2")
     assert code == 0
