@@ -665,24 +665,29 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
                 f"degree-{t} subspace")
         return tuple(got)
 
+    # pushes into every degree of m, so coords sees any that leave the spaces
     action = _action_on(m, comps,
                         lambda d, i, ra: apply_row(F, bases[d][0][i], ra),
-                        coords)
+                        coords, m.components)
     return GradedModule(m.over, m.window, comps, action)
 
 
-def _action_on(m: GradedModule, comps, image, coords) -> dict:
+def _action_on(m: GradedModule, comps, image, coords, targets) -> dict:
     """Action table of a module built from m on the components comps.
 
     Basis vector i of comps[d] times a_j is image(d, i, ra) in m's
     coordinates, ra being the matrix of x |-> x * a_j on m; coords(t, vec)
     writes that vector in the basis of comps[t], empty when t is unlisted.
+    Only degrees d + u in targets are pushed into; nothing is built for the
+    others.
     """
     F = m.field
     action = {}
     for d in comps:
         for u in m.over.degrees():
             t = m.add_deg(d, u)
+            if t not in targets:
+                continue
             tdim = comps[t].dim if t in comps else 0
             pairs = matched_pairs(comps[d], m.over.component(u))
             ras = {j: m.right_action_matrix(d, u, j)
@@ -735,7 +740,7 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
 
     action = _action_on(m, comps,
                         lambda d, i, ra: ra.entries[reducers[d][2][i]],
-                        project)
+                        project, comps)
     quotient = GradedModule(m.over, m.window, comps, action)
     keep_map = {d: tuple(keep) for d, (_, _, keep) in reducers.items()}
     return quotient, project, keep_map

@@ -268,6 +268,39 @@ def _check_same_group(*sets):
 
 
 # ---------------------------------------------------------------------------
+# the residue pair scan
+
+
+def _mask(residues):
+    """Bitmask of a set of residues: bit r set for each member r."""
+    return sum(1 << r for r in residues)
+
+
+def _pair_scan(n, s, u, a_order, bc_order):
+    """First (a, b, c) breaking the pair condition on Z/n, or None.
+
+    s and u are the bitmasks of S and U.  The condition: for a in S and
+    b, c in U with a+b+c in S, a+b in S iff b+c in U (S = U is the
+    ring-supporting condition).  For each (a, b) the breaking c form one
+    mask: those c in U with a+b+c in S, less the c with b+c in U when a+b
+    is in S, or only those when it is not.  Pairs are walked in a_order x
+    bc_order and the witness's c is the first breaking one in bc_order,
+    so the caller's orders decide which witness comes back.
+    """
+    s2 = s | s << n  # bit i + t of s2 is bit (i + t) mod n of s, t < n
+    u2 = u | u << n
+    for a in a_order:
+        for b in bc_order:
+            ab = (a + b) % n
+            relevant = u & s2 >> ab  # c in U with a+b+c in S
+            in_u = u2 >> b  # bit c: b+c in U, for c < n
+            bad = relevant & ~in_u if s >> ab & 1 else relevant & in_u
+            if bad:
+                return a, b, next(c for c in bc_order if bad >> c & 1)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # predicates
 
 
@@ -282,15 +315,9 @@ def is_ring_supporting(u: DegreeSet) -> Verdict:
     if u.form == FORM_FULL:
         return Verdict(True)
     if u.form == FORM_PERIODIC:
-        n = u.period
-        mem = _profile(u, n)
-        for a in u.residues:
-            for b in u.residues:
-                ab = mem[(a + b) % n]
-                for c in u.residues:
-                    if mem[(a + b + c) % n] and ab != mem[(b + c) % n]:
-                        return Verdict(False, witness=(a, b, c))
-        return Verdict(True)
+        mask = _mask(u.residues)
+        witness = _pair_scan(u.period, mask, mask, u.residues, u.residues)
+        return Verdict(witness is None, witness=witness)
     els = sorted(u.elements)
     for a, b, c in itertools.product(els, repeat=3):
         total = u.try_contains(a + b + c)
@@ -307,17 +334,10 @@ def is_right_premodular(s: DegreeSet, u: DegreeSet) -> Verdict:
     _check_same_group(s, u)
     mod = _common_modulus(s, u)
     if mod is not None:
-        ms = _profile(s, mod)
-        mu = _profile(u, mod)
-        s_res = [c for c in range(mod) if ms[c]]
-        u_res = [c for c in range(mod) if mu[c]]
-        for a in s_res:
-            for b in u_res:
-                ab = ms[(a + b) % mod]
-                for c in u_res:
-                    if ms[(a + b + c) % mod] and ab != mu[(b + c) % mod]:
-                        return Verdict(False, witness=(a, b, c))
-        return Verdict(True)
+        s_res = s.members_in(0, mod - 1)
+        u_res = u.members_in(0, mod - 1)
+        witness = _pair_scan(mod, _mask(s_res), _mask(u_res), s_res, u_res)
+        return Verdict(witness is None, witness=witness)
     lo, hi = _scan_range(s, u)
     for a in s.members_in(lo, hi):
         for b in u.members_in(lo, hi):
@@ -449,10 +469,16 @@ def _translate(s: DegreeSet, m):
 ENUMERATION_CAP = 16
 
 
-def _rotate_mask(mask, d, n, full):
-    """Bitmask of {(x + d) mod n : x in mask}."""
-    d %= n
-    return ((mask << d) | (mask >> (n - d))) & full if d else mask
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def enumerate_ring_supporting(n) -> list:
@@ -460,6 +486,20 @@ def enumerate_ring_supporting(n) -> list:
 
     Sorted by cardinality then lexicographically on the sorted residue
     tuple.  For n = 1 the answer [{0}] stands for U = Z.
+
+    Each candidate is a bitmask of J; J - t is read off the doubled mask as
+    (dbl >> t) & full.  Two cheap filters run before the pair scan, and
+    neither drops a set the scan would keep:
+
+    * the pair (a, a), a the smallest nonzero member, is tested inline.  It
+      is one of the pairs the scan walks, so a set failing it fails the
+      scan.  The scan walks the nonzero members only: with 0 in J, a pair
+      with a = 0 or b = 0 has an empty breaking mask, and c = 0 never
+      breaks a pair.
+    * the stabilizer is tested only at the shifts n/p, p a prime dividing
+      n.  The stabilizer is a subgroup of Z/n; a nontrivial one contains
+      an element of some prime order p, and the subgroup of order p is
+      generated by n/p.
     """
     if n < 1:
         raise PreconditionError(f"modulus must be >= 1, got {n}")
@@ -467,27 +507,23 @@ def enumerate_ring_supporting(n) -> list:
         raise CapacityError(
             f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
     full = (1 << n) - 1
+    shifts = [n // p for p in _prime_factors(n)]
     found = []
     for mask in range(1, full + 1, 2):  # bit 0 set: 0 in J
-        if any(_rotate_mask(mask, d, n, full) == mask for d in range(1, n)):
+        dbl = mask | mask << n
+        rest = mask & ~1
+        if rest:
+            a = (rest & -rest).bit_length() - 1
+            aa = 2 * a % n
+            relevant = mask & dbl >> aa
+            in_j = dbl >> a
+            if relevant & ~in_j if mask >> aa & 1 else relevant & in_j:
+                continue
+        if any(dbl >> t & full == mask for t in shifts):
             continue
-        # membership-after-shift tables: shifted[t] = {w : (w+t) mod n in J}
-        shifted = [_rotate_mask(mask, -t, n, full) for t in range(n)]
-        members = [i for i in range(n) if (mask >> i) & 1]
-        ok = True
-        for a in members:
-            for b in members:
-                relevant = mask & shifted[(a + b) % n]  # c in J with a+b+c in J
-                if (mask >> ((a + b) % n)) & 1:
-                    ok = relevant & ~shifted[b] == 0
-                else:
-                    ok = relevant & shifted[b] == 0
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(frozenset(members))
+        nonzero = [i for i in range(1, n) if mask >> i & 1]
+        if _pair_scan(n, mask, mask, nonzero, nonzero) is None:
+            found.append(frozenset([0, *nonzero]))
     found.sort(key=lambda j: (len(j), tuple(sorted(j))))
     return found
 

@@ -403,6 +403,26 @@ def test_quotient_with_maps_coordinate_contract():
             assert out == expected
 
 
+def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
+    a = truncated_polynomial(4)
+    f = a.field
+    m = regular_module(a)
+    spaces = {2: Subspace.from_vectors(f, 1, [[f.one()]]),
+              3: Subspace.from_vectors(f, 1, [[f.one()]])}
+    calls = []
+    build = GradedModule.right_action_matrix
+
+    def counted(self, d, u, j):
+        calls.append((d, u))
+        return build(self, d, u, j)
+
+    monkeypatch.setattr(GradedModule, "right_action_matrix", counted)
+    q, _, _ = quotient_with_maps(m, spaces)
+    # the quotient lives in degrees 0 and 1: only 0+0, 0+1 and 1+0 land there
+    assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
+    assert all(d + u in q.components for d, u in calls)
+
+
 def test_preimage_subspace_membership():
     f = GF(3)
     mat = Matrix.from_rows(f, [[f.from_int(e) for e in row]
