@@ -13,6 +13,7 @@ errors, malformed input files, and unmet preconditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -381,7 +382,9 @@ def _add_field(p):
                    help="prime below 3.3e24 for --field GFp")
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process; main() only reads it."""
     parser = argparse.ArgumentParser(
         prog="gradedsupport",
         description="Support-killing, regrading, and lifting for graded "
@@ -509,8 +512,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as e:

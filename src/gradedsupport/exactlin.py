@@ -528,13 +528,6 @@ def solve(m: Matrix, b) -> list | None:
     return v
 
 
-def apply_subspace(m: Matrix, v: Subspace) -> Subspace:
-    """Image {x @ m : x in v}."""
-    if v.ambient != m.rows or v.field != m.field:
-        raise ShapeError("subspace/matrix mismatch in apply")
-    return Subspace.from_vectors(m.field, m.cols, [apply_row(m.field, r, m) for r in v.rows])
-
-
 @dataclass(frozen=True)
 class LabeledSpace:
     """A based space whose basis vectors carry idempotent tags on both sides.

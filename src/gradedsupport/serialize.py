@@ -139,10 +139,6 @@ def windowed_map_from_json(obj, path="") -> WindowedMap:
 # fields and matrices
 
 
-def field_name(field) -> str:
-    return "Q" if field is QQ or field.name == "Q" else "GF(p)"
-
-
 def _field_keys(field) -> dict:
     if field.name == "Q":
         return {"field": "Q"}

@@ -8,11 +8,17 @@ A DegreeSet is one of:
 * Windowed(elements, window): an explicit finite set, only certified on its
   window.  Only available over Z.
 
-Predicates return a Verdict.  For Full and Periodic forms the residue scan is
-exhaustive and therefore exact (membership only depends on the residue, so
-finitely many triples decide the quantifier over the whole group); for
-Windowed forms the scan is restricted to the window and the verdict carries
-window_certified=True.
+Every form has one bitmask view of the degrees [lo, hi] (_view): bit i of
+its member mask is lo + i, and its known mask is all ones for Full and
+Periodic sets and the window for a Windowed set.  One pair scan on these
+views (_pair_scan) decides the premodular condition on (S, U) and, with
+S = U, the ring-supporting one.  Over [0, m), m the common period of Full
+and Periodic sets, the scan is exact (periodic views are unrolled over the
+sums [0, 3m), so nothing is reduced mod m); with a Windowed set it runs on
+the intersection of the windows, skips what is unknown there, and the
+verdict carries window_certified=True.  SCAN_CAP caps its work, points a x
+points b x mask bits, before any mask is built (CapacityError).  _shifts
+reads the g with g + U = S off the same views.
 
 Argument order conventions follow the module side the ring acts on: right
 pairs are written (S, U) with S the module support and U the ring set; left
@@ -21,9 +27,8 @@ pairs are written (U, S) with the ring set first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .errors import (CapacityError, InternalConsistencyError, PreconditionError,
                      UnsupportedFormError, WindowViolationError)
@@ -179,7 +184,7 @@ class DegreeSet:
         n, J = self.period, self.residues
         if len(J) == n:
             return DegreeSet.full(self.group)
-        stab = [d for d in range(n) if frozenset((j + d) % n for j in J) == J]
+        stab = _rotations(self, self)
         d0 = n // len(stab)
         if set(stab) != {i * d0 for i in range(len(stab))}:
             raise InternalConsistencyError("stabilizer is not a subgroup")
@@ -198,28 +203,18 @@ class DegreeSet:
         """Set intersection; None when empty.  Windowed results stay windowed."""
         if self.group != other.group:
             raise PreconditionError("intersection needs a common group")
-        if FORM_WINDOWED in (self.form, other.form):
-            win = self.window if self.form == FORM_WINDOWED else other.window
-            if other.form == FORM_WINDOWED and self.form == FORM_WINDOWED:
-                lo = max(self.window[0], other.window[0])
-                hi = min(self.window[1], other.window[1])
-                if lo > hi:
-                    return None
-                win = (lo, hi)
-            members = [x for x in range(win[0], win[1] + 1)
-                       if self.try_contains(x) and other.try_contains(x)]
-            return DegreeSet.windowed(members, win)
-        if self.form == FORM_FULL:
-            return other
-        if other.form == FORM_FULL:
-            return self
-        L = _lcm(self.period, other.period)
-        J = frozenset(c for c in range(L)
-                      if c % self.period in self.residues
-                      and c % other.period in other.residues)
-        if not J:
+        windowed = FORM_WINDOWED in (self.form, other.form)
+        if not windowed and FORM_FULL in (self.form, other.form):
+            return other if self.form == FORM_FULL else self
+        lo, hi = _points(self, other)
+        if lo > hi:
             return None
-        return DegreeSet.periodic(L, J, self.group).canonical()
+        both = _bits(_view(self, lo, hi)[0] & _view(other, lo, hi)[0], lo)
+        if windowed:
+            return DegreeSet.windowed(both, (lo, hi))
+        if not both:
+            return None
+        return DegreeSet.periodic(hi + 1, both, self.group).canonical()
 
     def __repr__(self):
         if self.form == FORM_FULL:
@@ -229,34 +224,18 @@ class DegreeSet:
         return f"DegreeSet.windowed({sorted(self.elements)}, {self.window})"
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def same_set(a: DegreeSet, b: DegreeSet) -> bool:
     """Semantic equality for Full/Periodic forms; structural for Windowed."""
     return a.canonical() == b.canonical()
 
 
 # ---------------------------------------------------------------------------
-# residue profiles: exact finite views of Full/Periodic sets
-
-
-def _profile(s: DegreeSet, modulus):
-    """Membership table of s modulo the given modulus (Full/Periodic only)."""
-    return tuple(s.try_contains(c) for c in range(modulus))
+# bitmask views
 
 
 def _common_modulus(*sets):
-    mods = []
-    for s in sets:
-        if s.form == FORM_WINDOWED:
-            return None
-        mods.append(1 if s.form == FORM_FULL else s.period)
-    out = 1
-    for m in mods:
-        out = _lcm(out, m)
-    return out
+    """The lcm of the periods of Full/Periodic sets, a Full set's being 1."""
+    return lcm(*(s.period or 1 for s in sets))
 
 
 def _check_same_group(*sets):
@@ -267,37 +246,131 @@ def _check_same_group(*sets):
     return g
 
 
-# ---------------------------------------------------------------------------
-# the residue pair scan
+def _view(x, lo, hi):
+    """(members, known) masks of x over [lo, hi]: bit i is the degree lo + i."""
+    ones = (1 << (hi - lo + 1)) - 1
+    if x.form == FORM_FULL:
+        return ones, ones
+    if x.form == FORM_PERIODIC:
+        n = x.period
+        members = sum(1 << p for r in x.residues
+                      if (p := (r - lo) % n) <= hi - lo)
+        span = n
+        while span <= hi - lo:  # unroll one period up to the width
+            members, span = members | members << span, 2 * span
+        return members & ones, ones
+    wlo, whi = max(lo, x.window[0]), min(hi, x.window[1])
+    if wlo > whi:
+        return 0, 0
+    members = sum(1 << (e - lo) for e in x.elements if wlo <= e <= whi)
+    return members, ((1 << (whi - wlo + 1)) - 1) << (wlo - lo)
 
 
-def _mask(residues):
-    """Bitmask of a set of residues: bit r set for each member r."""
-    return sum(1 << r for r in residues)
+def _bits(mask, lo=0):
+    """The degrees lo + i of the set bits i of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(lo + low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _pair_scan(n, s, u, a_order, bc_order):
-    """First (a, b, c) breaking the pair condition on Z/n, or None.
+def _count_in(x, lo, hi):
+    """How many members x has in [lo, hi], without listing them."""
+    if x.form == FORM_FULL:
+        return hi - lo + 1
+    if x.form == FORM_PERIODIC:
+        n = x.period
+        return sum((hi - r) // n - (lo - 1 - r) // n for r in x.residues)
+    return sum(lo <= e <= hi for e in x.elements)
 
-    s and u are the bitmasks of S and U.  The condition: for a in S and
-    b, c in U with a+b+c in S, a+b in S iff b+c in U (S = U is the
-    ring-supporting condition).  For each (a, b) the breaking c form one
-    mask: those c in U with a+b+c in S, less the c with b+c in U when a+b
-    is in S, or only those when it is not.  Pairs are walked in a_order x
-    bc_order and the witness's c is the first breaking one in bc_order,
-    so the caller's orders decide which witness comes back.
+
+def _shifts(s, u, shifts):
+    """The g >= 0 in shifts with g + U = S wherever both views, over ranges
+    with a common lo, are known."""
+    (s_in, s_known), (u_in, u_known) = s, u
+    return [g for g in shifts
+            if not (s_in ^ u_in << g) & s_known & u_known << g]
+
+
+def _rotations(s, u):
+    """The g in [0, m) with g + U = S, m the common period, ascending.
+
+    Full/Periodic only.  Only g with g + u0 in S, u0 = min U, are tested.
     """
-    s2 = s | s << n  # bit i + t of s2 is bit (i + t) mod n of s, t < n
-    u2 = u | u << n
+    m = _common_modulus(s, u)
+    s_view, u_view = _view(s, 0, 2 * m - 1), _view(u, 0, m - 1)
+    u0 = (u_view[0] & -u_view[0]).bit_length() - 1
+    in_s = _bits(s_view[0] & u_view[1])  # the members of S in [0, m)
+    return _shifts(s_view, u_view, sorted((x - u0) % m for x in in_s))
+
+
+# ---------------------------------------------------------------------------
+# the pair scan
+
+SCAN_CAP = 10 ** 8
+
+
+def _pair_scan(s2, s3, u2, c_mask, lo, a_order, bc_order):
+    """First (a, b, c) breaking the pair condition, or None.
+
+    The condition: for a in S and b, c in U with a+b+c in S, a+b in S iff
+    b+c in U.  a walks a_order and b, c walk bc_order, points of [lo, hi];
+    c_mask has bit c - lo for each c.  s2, u2 view S, U over [2lo, 2hi] and
+    s3 views S over [3lo, 3hi], so against c_mask s3 >> (a+b - 2lo) reads
+    a+b+c and u2 >> (b - lo) reads b+c.  A pair with a+b unknown is
+    skipped; otherwise the breaking c are one mask: a+b+c in S and, if a+b
+    is in S, b+c known and not in U, else b+c in U.  The witness's c is the
+    first breaking one in bc_order, so the caller's orders pick the witness.
+    """
+    (s2_in, s2_known), (s3_in, _), (u2_in, u2_known) = s2, s3, u2
+    u2_out = u2_known & ~u2_in
     for a in a_order:
         for b in bc_order:
-            ab = (a + b) % n
-            relevant = u & s2 >> ab  # c in U with a+b+c in S
-            in_u = u2 >> b  # bit c: b+c in U, for c < n
-            bad = relevant & ~in_u if s >> ab & 1 else relevant & in_u
-            if bad:
-                return a, b, next(c for c in bc_order if bad >> c & 1)
+            ab = a + b - 2 * lo
+            if s2_known >> ab & 1:
+                bc = (u2_out if s2_in >> ab & 1 else u2_in) >> (b - lo)
+                bad = c_mask & s3_in >> ab & bc
+                if bad:
+                    return a, b, next(c for c in bc_order
+                                      if bad >> (c - lo) & 1)
     return None
+
+
+def _points(s, u):
+    """[lo, hi]: the intersection of the windows if either set has one,
+    else [0, m), m the common period."""
+    windows = [x.window for x in (s, u) if x.form == FORM_WINDOWED]
+    if windows:
+        return max(w[0] for w in windows), min(w[1] for w in windows)
+    return 0, _common_modulus(s, u) - 1
+
+
+def _scan(s, u, order=None) -> Verdict:
+    """The pair condition on (S, U) from one _pair_scan over _points(S, U):
+    a walks the members of S there and b, c those of U, ascending, or all
+    three walk `order`."""
+    windowed = FORM_WINDOWED in (s.form, u.form)
+    lo, hi = _points(s, u)
+    if lo > hi:  # disjoint windows: nothing to scan
+        return Verdict(True, window_certified=True)
+    na, nb = ((len(order),) * 2 if order is not None
+              else (_count_in(s, lo, hi), _count_in(u, lo, hi)))
+    width = 3 * (hi - lo) + 1
+    if na * nb * width > SCAN_CAP:
+        raise CapacityError(
+            f"the pair scan over [{lo}, {hi}] walks {na} x {nb} points on "
+            f"{width}-bit masks, over the cap of {SCAN_CAP}")
+    witness = None
+    if na and nb:  # with no pair, even a width past the cap builds nothing
+        c_mask = _view(u, lo, hi)[0]
+        a_order, bc_order = ((order, order) if order is not None else
+                             (_bits(_view(s, lo, hi)[0], lo), _bits(c_mask, lo)))
+        witness = _pair_scan(_view(s, 2 * lo, 2 * hi), _view(s, 3 * lo, 3 * hi),
+                             _view(u, 2 * lo, 2 * hi), c_mask, lo, a_order,
+                             bc_order)
+    return Verdict(witness is None, window_certified=windowed, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -308,61 +381,21 @@ def is_ring_supporting(u: DegreeSet) -> Verdict:
     """Whether support-restricted multiplication at u is always associative.
 
     The defining condition: for all members a, b, c with a+b+c in U,
-    a+b in U iff b+c in U.  Requires 0 in U.
+    a+b in U iff b+c in U.  Requires 0 in U.  A periodic set is walked in
+    u.residues iteration order, which decides its witness.
     """
     if u.try_contains(0) is not True:
         raise PreconditionError("a ring-supporting candidate must contain 0")
     if u.form == FORM_FULL:
         return Verdict(True)
-    if u.form == FORM_PERIODIC:
-        mask = _mask(u.residues)
-        witness = _pair_scan(u.period, mask, mask, u.residues, u.residues)
-        return Verdict(witness is None, witness=witness)
-    els = sorted(u.elements)
-    for a, b, c in itertools.product(els, repeat=3):
-        total = u.try_contains(a + b + c)
-        ab = u.try_contains(a + b)
-        bc = u.try_contains(b + c)
-        if total is True and ab is not None and bc is not None and ab != bc:
-            return Verdict(False, window_certified=True, witness=(a, b, c))
-    return Verdict(True, window_certified=True)
+    return _scan(u, u, list(u.residues) if u.form == FORM_PERIODIC else None)
 
 
 def is_right_premodular(s: DegreeSet, u: DegreeSet) -> Verdict:
     """Right pair (S, U): for (a,b,c) in S x U x U with a+b+c in S,
     a+b in S iff b+c in U."""
     _check_same_group(s, u)
-    mod = _common_modulus(s, u)
-    if mod is not None:
-        s_res = s.members_in(0, mod - 1)
-        u_res = u.members_in(0, mod - 1)
-        witness = _pair_scan(mod, _mask(s_res), _mask(u_res), s_res, u_res)
-        return Verdict(witness is None, witness=witness)
-    lo, hi = _scan_range(s, u)
-    for a in s.members_in(lo, hi):
-        for b in u.members_in(lo, hi):
-            ab = s.try_contains(a + b)
-            if ab is None:
-                continue
-            for c in u.members_in(lo, hi):
-                total = s.try_contains(a + b + c)
-                bc = u.try_contains(b + c)
-                if total is True and bc is not None and ab != bc:
-                    return Verdict(False, window_certified=True, witness=(a, b, c))
-    return Verdict(True, window_certified=True)
-
-
-def _scan_range(*sets):
-    """The widest range on which every windowed participant is defined."""
-    lo, hi = None, None
-    for s in sets:
-        if s.form == FORM_WINDOWED:
-            wlo, whi = s.window
-            lo = wlo if lo is None else max(lo, wlo)
-            hi = whi if hi is None else min(hi, whi)
-    if lo is None:
-        raise InternalConsistencyError("scan range requested with no windowed set")
-    return lo, hi
+    return _scan(s, u)
 
 
 def is_right_modular(s: DegreeSet, u: DegreeSet) -> Verdict:
@@ -403,22 +436,17 @@ def stabilizer(u: DegreeSet) -> DegreeSet:
     if u.form == FORM_FULL:
         return u
     if u.form == FORM_PERIODIC:
-        n, J = u.period, u.residues
-        good = [d for d in range(n) if frozenset((j + d) % n for j in J) == J]
+        good = _rotations(u, u)
         if u.group.kind == "Zn":
-            return DegreeSet.periodic(n, good, u.group)
-        k = n // len(good)
+            return DegreeSet.periodic(u.period, good, u.group)
+        k = u.period // len(good)
         return DegreeSet.periodic(k, {0}) if k > 1 else DegreeSet.full()
+    # g and -g compare the same overlapping part of the window
     lo, hi = u.window
-    els = u.elements
-    good = []
-    for g in range(lo, hi + 1):
-        olo, ohi = max(lo, lo + g), min(hi, hi + g)
-        if olo > ohi:
-            continue
-        if all(((x - g) in els) == (x in els) for x in range(olo, ohi + 1)):
-            good.append(g)
-    return DegreeSet.windowed(good, (lo, hi))
+    view = _view(u, lo, hi)
+    fixed = set(_shifts(view, view, range(hi - lo + 1)))
+    return DegreeSet.windowed([g for g in range(lo, hi + 1) if abs(g) in fixed],
+                              (lo, hi))
 
 
 def quotient_set(s: DegreeSet, u: DegreeSet):
@@ -434,33 +462,19 @@ def quotient_set(s: DegreeSet, u: DegreeSet):
         return DegreeSet.full(s.group)
     if s.form == FORM_FULL or u.form == FORM_FULL:
         return None  # a proper periodic set is never a translate of everything
-    mod = _common_modulus(s, u)
-    ms = _profile(s, mod)
-    mu = _profile(u, mod)
-    good = [g for g in range(mod)
-            if all(mu[(c - g) % mod] == ms[c] for c in range(mod))]
+    good = _rotations(s, u)
     if not good:
         return None
+    mod = _common_modulus(s, u)
     if s.group.kind == "Zn":
         result = DegreeSet.periodic(mod, good, s.group)
     else:
         result = DegreeSet.periodic(mod, good).canonical()
     if is_right_modular(s, u).holds:
-        m = min(good)
-        stab = stabilizer(u)
-        expected = _translate(stab, m)
-        if not same_set(result, expected):
+        if not same_set(result, stabilizer(u).translate(min(good))):
             raise InternalConsistencyError(
                 "(S:U) is not a coset of (U:U) for a modular pair")
     return result
-
-
-def _translate(s: DegreeSet, m):
-    """m + S for Full/Periodic forms."""
-    if s.form == FORM_FULL:
-        return s
-    n = s.period
-    return DegreeSet.periodic(n, {(r + m) % n for r in s.residues}, s.group)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +501,8 @@ def enumerate_ring_supporting(n) -> list:
     Sorted by cardinality then lexicographically on the sorted residue
     tuple.  For n = 1 the answer [{0}] stands for U = Z.
 
-    Each candidate is a bitmask of J; J - t is read off the doubled mask as
-    (dbl >> t) & full.  Two cheap filters run before the pair scan, and
+    Each candidate is a bitmask of J, unrolled over [0, 3n) into the view
+    the pair scan reads.  Two cheap filters run before the pair scan, and
     neither drops a set the scan would keep:
 
     * the pair (a, a), a the smallest nonzero member, is tested inline.  It
@@ -506,23 +520,23 @@ def enumerate_ring_supporting(n) -> list:
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
-    full = (1 << n) - 1
+    full, ones = (1 << n) - 1, (1 << 3 * n) - 1
     shifts = [n // p for p in _prime_factors(n)]
     found = []
     for mask in range(1, full + 1, 2):  # bit 0 set: 0 in J
-        dbl = mask | mask << n
+        tri = mask | mask << n | mask << 2 * n  # J unrolled over [0, 3n)
         rest = mask & ~1
         if rest:
             a = (rest & -rest).bit_length() - 1
-            aa = 2 * a % n
-            relevant = mask & dbl >> aa
-            in_j = dbl >> a
-            if relevant & ~in_j if mask >> aa & 1 else relevant & in_j:
+            relevant = mask & tri >> 2 * a
+            in_j = tri >> a
+            if relevant & ~in_j if tri >> 2 * a & 1 else relevant & in_j:
                 continue
-        if any(dbl >> t & full == mask for t in shifts):
+        view = (tri, ones)
+        if _shifts(view, (mask, full), shifts):
             continue
-        nonzero = [i for i in range(1, n) if mask >> i & 1]
-        if _pair_scan(n, mask, mask, nonzero, nonzero) is None:
+        nonzero = _bits(rest)
+        if _pair_scan(view, view, view, rest, 0, nonzero, nonzero) is None:
             found.append(frozenset([0, *nonzero]))
     found.sort(key=lambda j: (len(j), tuple(sorted(j))))
     return found
@@ -536,18 +550,12 @@ def reduce_mod_stabilizer(u: DegreeSet):
     """
     if u.form == FORM_WINDOWED:
         raise UnsupportedFormError("stabilizer reduction needs Full or Periodic")
-    if u.form == FORM_FULL:
-        return 1, frozenset({0})
     c = u.canonical()
     if c.form == FORM_FULL:
         return 1, frozenset({0})
-    n, J = c.period, c.residues
-    if n > 1:
-        stab = [d for d in range(1, n)
-                if frozenset((j + d) % n for j in J) == J]
-        if stab:
-            raise InternalConsistencyError("reduced set kept a nontrivial stabilizer")
-    return n, J
+    if len(_rotations(c, c)) > 1:
+        raise InternalConsistencyError("reduced set kept a nontrivial stabilizer")
+    return c.period, c.residues
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """The command-line interface, run in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from gradedsupport.cli import main, parse_monomial
+import gradedsupport
+from gradedsupport.cli import build_parser, main, parse_monomial
 from gradedsupport.constructions import (
     generic_pair_algebra,
     group_algebra,
@@ -157,6 +162,51 @@ def test_check_pair_left_side(capsys, tmp_path):
                    degree_set_to_json(U3.translate(1)))
     code, _, _ = run(capsys, "check-pair", u, s, "--side", "left")
     assert code == 0
+
+
+def test_check_set_with_a_huge_period_exits_2(capsys, tmp_path):
+    path = write_json(tmp_path / "u.json",
+                      degree_set_to_json(DegreeSet.periodic(10 ** 13, (0, 1))))
+    code, out, err = run(capsys, "check-set", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_check_pair_with_a_huge_common_period_exits_2_quickly(capsys,
+                                                              tmp_path):
+    s = write_json(tmp_path / "s.json",
+                   degree_set_to_json(DegreeSet.periodic(10007, (0,))))
+    u = write_json(tmp_path / "u.json",
+                   degree_set_to_json(DegreeSet.periodic(10009, (0,))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-pair", s, u)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "cap" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_successive_calls_match_separate_runs(capsys, tmp_path):
+    u = write_json(tmp_path / "u.json",
+                   degree_set_to_json(DegreeSet.periodic(4, (0, 1, 2))))
+    dual = ["make", "dual", "--vdim", "2", "--n", "2", "--window", "3"]
+    argvs = [["check-set", u, "--format", "json"], ["check-set", u],
+             dual + ["--rel", "x*y", "--format", "json"],
+             dual + ["--rel", "y*y", "--rel", "x*x"],
+             ["enumerate"]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(gradedsupport.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    separate = []
+    for argv in argvs:
+        p = subprocess.run([sys.executable, "-m", "gradedsupport.cli", *argv],
+                           capture_output=True, text=True, env=env)
+        separate.append((p.returncode, p.stdout))
+    assert [run(capsys, *argv)[:2] for argv in argvs] == separate
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------------------

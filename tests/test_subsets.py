@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedsupport import subsets
 from gradedsupport.errors import CapacityError, PreconditionError
 from gradedsupport.subsets import (
     DegreeSet,
@@ -14,6 +15,7 @@ from gradedsupport.subsets import (
     enumerate_ring_supporting,
     is_left_modular,
     is_right_modular,
+    is_right_premodular,
     is_ring_supporting,
     is_translation_of_interval,
     quotient_set,
@@ -330,3 +332,39 @@ def test_members_in_is_sorted_and_complete():
 def test_group_mismatch_is_rejected():
     with pytest.raises(PreconditionError):
         DegreeSet.periodic(3, (0,), Z).intersect(DegreeSet.periodic(3, (0,), Zn(3)))
+
+
+# ---------------------------------------------------------------------------
+# the scan-size cap
+
+
+def test_scan_cap_bounds_points_times_points_times_mask_bits(monkeypatch):
+    monkeypatch.setattr(subsets, "SCAN_CAP", 1000)
+    # {0} mod n: 1 x 1 points on 3n - 2 bits
+    assert is_ring_supporting(DegreeSet.periodic(334, (0,))).holds
+    with pytest.raises(CapacityError):
+        is_ring_supporting(DegreeSet.periodic(335, (0,)))
+    # two members on [-w, w]: 2 x 2 points on 6w + 1 bits
+    assert is_ring_supporting(DegreeSet.windowed((0, 5), (-41, 41))).holds
+    with pytest.raises(CapacityError):
+        is_ring_supporting(DegreeSet.windowed((0, 5), (-42, 42)))
+
+
+def test_scans_past_the_cap_are_refused_before_any_mask():
+    with pytest.raises(CapacityError):
+        is_ring_supporting(DegreeSet.periodic(10 ** 13, (0, 1)))
+    with pytest.raises(CapacityError):
+        is_ring_supporting(DegreeSet.windowed((0, 10 ** 15),
+                                              (-10 ** 15, 10 ** 15)))
+    with pytest.raises(CapacityError):  # common period 10007 * 10009
+        is_right_premodular(DegreeSet.periodic(10007, (0,)),
+                            DegreeSet.periodic(10009, (0,)))
+
+
+def test_a_huge_period_on_a_small_window_builds_small_masks():
+    s = DegreeSet.periodic(10 ** 12, (0, 5 * 10 ** 11))
+    u = DegreeSet.windowed((0, 1, 3), (-10, 10))
+    assert is_right_premodular(s, u).holds
+    got = is_right_premodular(DegreeSet.windowed((0, 1, 2), (-10, 10)),
+                              DegreeSet.periodic(10 ** 12, (0, 1)))
+    assert got.witness == (0, 1, 1)

@@ -1,24 +1,31 @@
-"""subsets against the triple-loop residue scans it replaced.
+"""subsets against the residue scans and stabilizer loops it replaced.
 
 The oracles below are the earlier implementations, kept as independent
 references: the periodic ring-supporting scan and the common-modulus right
-premodular scan, each a triple loop over residue membership tables, and the
-enumeration that rotated a bitmask once per shift and tested every pair of
-members.  The library runs one bitmask pair scan for all three.  These
-tests check that it returns the same Verdict (holds, witness and
-window_certified) and the same enumeration, byte for byte.
+premodular scan, each a triple loop over residue membership tables; the two
+windowed triple loops; the enumeration that rotated a bitmask once per
+shift and tested every pair of members; and the shift-by-shift stabilizer,
+quotient-set, canonical-period and intersection comprehensions.  The
+library decides every form with one bitmask pair scan and reads every
+shift off one helper.  These tests check that it returns the same Verdict
+(holds, witness and window_certified), the same enumeration and the same
+degree sets, value for value.
 """
 
 import hashlib
+import itertools
 import json
 from math import gcd
 
-from hypothesis import example, given, strategies as st
+import pytest
+from hypothesis import assume, example, given, strategies as st
 
+from gradedsupport.errors import InternalConsistencyError
 from gradedsupport.subsets import (DegreeSet, Verdict, Z, Zn,
                                    enumerate_ring_supporting,
                                    is_left_premodular, is_right_premodular,
-                                   is_ring_supporting)
+                                   is_ring_supporting, quotient_set,
+                                   reduce_mod_stabilizer, stabilizer)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +62,139 @@ def right_premodular_by_loops(s, u, mod):
                 if ms[(a + b + c) % mod] and ab != mu[(b + c) % mod]:
                     return Verdict(False, witness=(a, b, c))
     return Verdict(True)
+
+
+def ring_supporting_windowed_by_loops(u):
+    """The windowed branch of is_ring_supporting: sorted triples."""
+    els = sorted(u.elements)
+    for a, b, c in itertools.product(els, repeat=3):
+        total = u.try_contains(a + b + c)
+        ab = u.try_contains(a + b)
+        bc = u.try_contains(b + c)
+        if total is True and ab is not None and bc is not None and ab != bc:
+            return Verdict(False, window_certified=True, witness=(a, b, c))
+    return Verdict(True, window_certified=True)
+
+
+def right_premodular_windowed_by_loops(s, u):
+    """The windowed branch of is_right_premodular, on the common window."""
+    windows = [x.window for x in (s, u) if x.form == "windowed"]
+    lo = max(w[0] for w in windows)
+    hi = min(w[1] for w in windows)
+    s_in = [x for x in range(lo, hi + 1) if s.try_contains(x)]
+    u_in = [x for x in range(lo, hi + 1) if u.try_contains(x)]
+    for a in s_in:
+        for b in u_in:
+            ab = s.try_contains(a + b)
+            if ab is None:
+                continue
+            for c in u_in:
+                total = s.try_contains(a + b + c)
+                bc = u.try_contains(b + c)
+                if total is True and bc is not None and ab != bc:
+                    return Verdict(False, window_certified=True,
+                                   witness=(a, b, c))
+    return Verdict(True, window_certified=True)
+
+
+def right_premodular_any_form(s, u):
+    if "windowed" in (s.form, u.form):
+        return right_premodular_windowed_by_loops(s, u)
+    periods = [x.period for x in (s, u) if x.period is not None]
+    return right_premodular_by_loops(s, u, _lcm(*periods))
+
+
+def _shift_fixes(J, n, d):
+    return frozenset((j + d) % n for j in J) == J
+
+
+def canonical_by_comprehension(u):
+    """DegreeSet.canonical with the shift-by-shift stabilizer."""
+    if u.form != "periodic":
+        return u
+    n, J = u.period, u.residues
+    if len(J) == n:
+        return DegreeSet.full(u.group)
+    stab = [d for d in range(n) if _shift_fixes(J, n, d)]
+    d0 = n // len(stab)
+    if d0 == n or u.group.kind == "Zn":
+        return u
+    if d0 == 1:
+        return DegreeSet.full(u.group)
+    return DegreeSet.periodic(d0, frozenset(j % d0 for j in J), u.group)
+
+
+def stabilizer_by_comprehension(u):
+    if u.form == "full":
+        return u
+    if u.form == "periodic":
+        n, J = u.period, u.residues
+        good = [d for d in range(n) if _shift_fixes(J, n, d)]
+        if u.group.kind == "Zn":
+            return DegreeSet.periodic(n, good, u.group)
+        k = n // len(good)
+        return DegreeSet.periodic(k, {0}) if k > 1 else DegreeSet.full()
+    lo, hi = u.window
+    els = u.elements
+    good = []
+    for g in range(lo, hi + 1):
+        olo, ohi = max(lo, lo + g), min(hi, hi + g)
+        if olo > ohi:
+            continue
+        if all(((x - g) in els) == (x in els) for x in range(olo, ohi + 1)):
+            good.append(g)
+    return DegreeSet.windowed(good, (lo, hi))
+
+
+def quotient_set_by_tables(s, u):
+    """quotient_set without its modular self-check: membership tables."""
+    if s.form == "full" and u.form == "full":
+        return DegreeSet.full(s.group)
+    if "full" in (s.form, u.form):
+        return None
+    mod = _lcm(s.period, u.period)
+    ms = _members(s, mod)
+    mu = _members(u, mod)
+    good = [g for g in range(mod)
+            if all(mu[(c - g) % mod] == ms[c] for c in range(mod))]
+    if not good:
+        return None
+    if s.group.kind == "Zn":
+        return DegreeSet.periodic(mod, good, s.group)
+    return canonical_by_comprehension(DegreeSet.periodic(mod, good))
+
+
+def reduce_mod_stabilizer_by_comprehension(u):
+    c = canonical_by_comprehension(u)
+    if c.form == "full":
+        return 1, frozenset({0})
+    n, J = c.period, c.residues
+    if any(_shift_fixes(J, n, d) for d in range(1, n)):
+        raise InternalConsistencyError("reduced set kept a nontrivial stabilizer")
+    return n, J
+
+
+def intersect_by_points(s, u):
+    """DegreeSet.intersect, one point at a time."""
+    if "windowed" in (s.form, u.form):
+        windows = [x.window for x in (s, u) if x.form == "windowed"]
+        lo = max(w[0] for w in windows)
+        hi = min(w[1] for w in windows)
+        if lo > hi:
+            return None
+        return DegreeSet.windowed(
+            [x for x in range(lo, hi + 1)
+             if s.try_contains(x) and u.try_contains(x)], (lo, hi))
+    if s.form == "full":
+        return u
+    if u.form == "full":
+        return s
+    L = _lcm(s.period, u.period)
+    J = frozenset(c for c in range(L)
+                  if c % s.period in s.residues and c % u.period in u.residues)
+    if not J:
+        return None
+    return canonical_by_comprehension(DegreeSet.periodic(L, J, s.group))
 
 
 def _rotate_mask(mask, d, n, full):
@@ -202,3 +342,118 @@ def test_left_premodular_verdict_matches_negated_triple_loop(case):
     u, s, mod = case
     assert is_left_premodular(u, s) == \
         right_premodular_by_loops(s.negate(), u.negate(), mod)
+
+
+# ---------------------------------------------------------------------------
+# windowed and mixed forms against the windowed triple loops
+
+
+@st.composite
+def _windowed(draw, lo_min=-30, width_max=40, with_zero=False):
+    """A windowed set over Z whose window may start below 0."""
+    lo = draw(st.integers(lo_min, 5))
+    hi = lo + draw(st.integers(0, width_max))
+    if with_zero:
+        assume(lo <= 0 <= hi)
+    els = draw(st.lists(st.integers(lo, hi), max_size=hi - lo + 1,
+                        unique=True))
+    return DegreeSet.windowed([0, *els] if with_zero else els, (lo, hi))
+
+
+@st.composite
+def _any_form(draw):
+    kind = draw(st.sampled_from(["full", "periodic", "windowed",
+                                 "windowed"]))
+    if kind == "full":
+        return DegreeSet.full()
+    if kind == "periodic":
+        n = draw(st.integers(1, 8))
+        return DegreeSet.periodic(n, draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    return draw(_windowed())
+
+
+@given(_windowed(with_zero=True))
+@example(DegreeSet.windowed([x for x in range(-12, 13) if x % 3 in (0, 1)],
+                            (-12, 12)))
+@example(DegreeSet.windowed([-7, -3, 0, 2, 5], (-8, 6)))
+def test_windowed_ring_supporting_verdict_matches_triple_loop(u):
+    assert is_ring_supporting(u) == ring_supporting_windowed_by_loops(u)
+
+
+@given(_any_form(), _any_form())
+@example(DegreeSet.windowed([-5, -2, 0, 1], (-6, 2)),
+         DegreeSet.periodic(3, [0, 2]))
+@example(DegreeSet.full(), DegreeSet.windowed([-4, -1, 0, 3], (-4, 4)))
+def test_mixed_right_premodular_verdict_matches_triple_loop(s, u):
+    assert is_right_premodular(s, u) == right_premodular_any_form(s, u)
+
+
+@given(_any_form(), _any_form())
+def test_mixed_left_premodular_verdict_matches_negated_triple_loop(u, s):
+    assert is_left_premodular(u, s) == \
+        right_premodular_any_form(s.negate(), u.negate())
+
+
+@given(_windowed(), _windowed(), st.integers(1, 20))
+def test_disjoint_windows_scan_nothing(s, u, gap):
+    u = u.translate(s.window[1] + gap - u.window[0])  # u starts past s
+    want = Verdict(True, window_certified=True)
+    assert right_premodular_windowed_by_loops(s, u) == want
+    assert is_right_premodular(s, u) == want
+    assert is_right_premodular(u, s) == want
+
+
+# ---------------------------------------------------------------------------
+# shifts: stabilizers, quotient sets, canonical periods
+
+
+@st.composite
+def _periodic(draw, max_period=24):
+    n = draw(st.integers(1, max_period))
+    group = Zn(n) if draw(st.booleans()) else Z
+    return DegreeSet.periodic(n, draw(st.lists(
+        st.integers(0, n - 1), min_size=1, max_size=n, unique=True)), group)
+
+
+@given(_periodic())
+@example(DegreeSet.periodic(12, [0, 3, 4, 7, 8, 11]))
+@example(DegreeSet.periodic(6, [1, 4], Zn(6)))
+def test_canonical_stabilizer_and_reduction_match_comprehensions(u):
+    assert u.canonical() == canonical_by_comprehension(u)
+    assert stabilizer(u) == stabilizer_by_comprehension(u)
+    try:
+        want = reduce_mod_stabilizer_by_comprehension(u)
+    except InternalConsistencyError:  # Z/n sets keep their stabilizer
+        with pytest.raises(InternalConsistencyError):
+            reduce_mod_stabilizer(u)
+    else:
+        assert reduce_mod_stabilizer(u) == want
+
+
+@given(_periodic(12), st.integers(-30, 30), st.integers(1, 3),
+       st.booleans())
+@example(DegreeSet.periodic(6, [0, 1, 3, 4]), 2, 2, True)
+def test_quotient_set_matches_membership_tables(u, g, scale, translate):
+    # s = g + U (nonempty quotient), or an unrelated set of a multiple period
+    u = DegreeSet.periodic(u.period, u.residues | {0}, u.group)
+    if translate:
+        s = u.translate(g)
+    else:
+        m = u.period * scale if u.group.kind == "Z" else u.period
+        s = DegreeSet.periodic(m, {(g + k * k) % m for k in range(scale + 1)},
+                               u.group)
+    assert quotient_set(s, u) == quotient_set_by_tables(s, u)
+
+
+@given(_windowed(lo_min=-15, width_max=25))
+@example(DegreeSet.windowed([-4, -2, 0, 2, 4], (-4, 4)))
+def test_windowed_stabilizer_matches_overlap_loop(u):
+    assert stabilizer(u) == stabilizer_by_comprehension(u)
+
+
+@given(_any_form(), _any_form())
+@example(DegreeSet.windowed([0, 1], (0, 3)), DegreeSet.windowed([2], (2, 9)))
+@example(DegreeSet.windowed([0], (0, 1)), DegreeSet.windowed([5], (5, 6)))
+def test_intersection_matches_pointwise(s, u):
+    assert s.intersect(u) == intersect_by_points(s, u)
