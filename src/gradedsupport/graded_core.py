@@ -28,8 +28,7 @@ from __future__ import annotations
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, apply_row,
-                       kernel, matched_pairs, nullspace, pivot_reduce, rref,
-                       subspace_intersect)
+                       kernel, matched_pairs, nullspace, pivot_reduce, rref)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -754,43 +753,29 @@ def quotient_module(m: GradedModule, spaces: dict) -> GradedModule:
 def closure_under_action(m: GradedModule, seeds: dict) -> dict:
     """Smallest action-closed family of component subspaces containing seeds.
 
-    seeds maps degrees to lists of coordinate vectors.  Iterates one-step
-    images until dimensions stop growing; terminates because the total
-    dimension is bounded.
+    seeds maps degrees to lists of coordinate vectors.  Closed form:
+    span(seeds + seeds A), closed since (x b) a = x (b a); one pass over
+    (seed degree, u, j), one Subspace.from_vectors per degree.  The seeds
+    are spanned themselves, so the stored unit action is not relied on.
+    Assumes m is a module: associative, unital action (validate_module).
     """
     F = m.field
-    spaces = {d: Subspace.zero(F, m.component(d).dim) for d in m.degrees()}
-    for d, vecs in seeds.items():
-        if m.component(d).dim == 0 or not vecs:
+    vecs = {d: [] for d in m.degrees()}
+    for d, seed in seeds.items():
+        d = m.add_deg(d, 0)
+        if m.component(d).dim == 0 or not seed:
             continue
-        spaces[d] = Subspace.from_vectors(F, m.component(d).dim, vecs)
-    adegs = m.over.degrees()
-    changed = True
-    while changed:
-        changed = False
-        for d in m.degrees():
-            sp = spaces[d]
-            if sp.dim == 0:
+        vecs[d].extend(seed)
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            if m.component(t).dim == 0:
                 continue
-            for u in adegs:
-                t = m.add_deg(d, u)
-                tcomp = m.component(t)
-                if tcomp.dim == 0 or spaces[t].dim == tcomp.dim:
-                    continue
-                vecs = []
-                for j in range(m.over.component(u).dim):
-                    ra = m.right_action_matrix(d, u, j)
-                    if ra is None:
-                        continue
-                    vecs.extend(apply_row(F, r, ra) for r in sp.rows)
-                if not vecs:
-                    continue
-                new = Subspace.from_vectors(F, tcomp.dim,
-                                            list(spaces[t].rows) + vecs)
-                if new.dim > spaces[t].dim:
-                    spaces[t] = new
-                    changed = True
-    return spaces
+            for j in range(m.over.component(u).dim):
+                ra = m.right_action_matrix(d, u, j)
+                if ra is not None:
+                    vecs[t].extend(apply_row(F, r, ra) for r in seed)
+    return {d: Subspace.from_vectors(F, m.component(d).dim, v)
+            for d, v in vecs.items()}
 
 
 def _full_seeds(m: GradedModule, degrees):
@@ -833,48 +818,50 @@ def preimage_subspace(f: Matrix, w: Subspace) -> Subspace:
     return kernel(f @ comp)
 
 
+def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
+    """{x in M_d : x a evaluates to zero at every watched degree}.
+
+    evals maps each watched degree t to the evaluation applied there, a
+    matrix on M_t or None for the identity.  x must vanish under ev_t after
+    every basis vector a of A landing at t = d + u, and under ev_d itself
+    when d is watched.  One nullspace over the stacked columns.
+    """
+    F = m.field
+    dim = m.component(d).dim
+    cols = []
+    if d in evals:
+        ev = evals[d]
+        cols.extend(Subspace.full(F, dim).rows if ev is None
+                    else zip(*ev.entries))
+    for u in m.over.degrees():
+        t = m.add_deg(d, u)
+        if t not in evals or m.component(t).dim == 0:
+            continue
+        for j in range(m.over.component(u).dim):
+            ra = m.right_action_matrix(d, u, j)
+            if ra is not None:
+                if evals[t] is not None:
+                    ra = ra @ evals[t]
+                cols.extend(zip(*ra.entries))
+    return nullspace(F, cols, dim)
+
+
 def torsion_spaces(n: GradedModule, s: DegreeSet) -> dict:
     """Component subspaces of the largest submodule supported outside S.
 
-    Greatest fixed point: start with everything off S and repeatedly discard
-    vectors whose action image leaves the current family.  Degrees whose S
-    membership cannot be decided (outside a windowed S's window) count as
-    inside S, which keeps the result sound if possibly small.
+    Closed form: x in N_d lies in it exactly when d is off S and x a = 0 for
+    every basis vector a of A whose target d + u is not off S; closed since
+    (x b) a = x (b a).  One nullspace per off-S degree, zero elsewhere.
+    Degrees whose S membership cannot be decided (outside a windowed S's
+    window) count as inside S, which keeps the result sound if possibly
+    small.  Assumes n is a module: associative, unital action
+    (validate_module).
     """
     _check_set_group(n, s)
-    F = n.field
-    spaces = {}
-    for d in n.degrees():
-        dim = n.component(d).dim
-        off = s.try_contains(d) is False
-        spaces[d] = Subspace.full(F, dim) if off else Subspace.zero(F, dim)
-    adegs = n.over.degrees()
-    changed = True
-    while changed:
-        changed = False
-        for d in n.degrees():
-            sp = spaces[d]
-            if sp.dim == 0:
-                continue
-            for u in adegs:
-                t = n.add_deg(d, u)
-                if n.component(t).dim == 0:
-                    continue
-                for j in range(n.over.component(u).dim):
-                    ra = n.right_action_matrix(d, u, j)
-                    if ra is None:
-                        continue
-                    pre = preimage_subspace(ra, spaces[t])
-                    inter = subspace_intersect(sp, pre)
-                    if inter.dim < sp.dim:
-                        sp = inter
-                        spaces[d] = sp
-                        changed = True
-                        if sp.dim == 0:
-                            break
-                if sp.dim == 0:
-                    break
-    return spaces
+    inside = {t: None for t in n.degrees() if s.try_contains(t) is not False}
+    return {d: Subspace.zero(n.field, n.component(d).dim) if d in inside
+            else _vanishing_space(n, d, inside)
+            for d in n.degrees()}
 
 
 def torsion_submodule(n: GradedModule, s: DegreeSet) -> GradedModule:

@@ -14,11 +14,11 @@ over m in Q and u < v in U with v - u outside U, where mu_{m,u} is the
 action map X_m (x) A_u -> X_{m+u}.  When U is a translated interval pattern
 the family collapses to a short list of (u, v) pairs per m.
 
-The lift itself is built as the induced module (X_Q tensored over A_0 with
-A) modulo the action closure of the evaluation kernels, then reduced by its
-torsion.  Because every module here has genuinely finite support, all scans
-over "all m" or "all u < v" terminate and are exact, not window-limited:
-every skipped triple involves a zero component and holds vacuously.
+The lift is induced / W: the induced module (X_Q tensored over A_0 with A)
+modulo the vectors whose every product into S evaluates to zero in X.
+Because every module here has genuinely finite support, all scans over
+"all m" or "all u < v" terminate and are exact, not window-limited: every
+skipped triple involves a zero component and holds vacuously.
 
 Also here: the category equivalence harness (hom dimensions before and
 after killing agree), the membership conditions for regraded modules, and
@@ -37,12 +37,12 @@ from .constructions import _layout_module, projective_layout, \
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, Subspace, apply_row, kernel, rref
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          algebras_equal, closure_under_action,
-                          hom_space_basis, hom_space_dim, is_cogenerated_in,
-                          is_generated_in, is_generated_in_degrees_01,
-                          kill_support_algebra, kill_support_module,
-                          quotient_with_maps, regrade_algebra, torsion_spaces,
-                          validate_algebra)
+                          _vanishing_space, algebras_equal,
+                          closure_under_action, hom_space_basis,
+                          hom_space_dim, is_cogenerated_in, is_generated_in,
+                          is_generated_in_degrees_01, kill_support_algebra,
+                          kill_support_module, quotient_with_maps,
+                          regrade_algebra, torsion_quotient, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
 from .subsets import (DegreeSet, is_right_modular,
                       is_translation_of_interval, quotient_set)
@@ -86,8 +86,10 @@ def _resolve_algebra(x: GradedModule, a):
 
 
 def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
-                      a: GradedAlgebra):
-    """Common preconditions; returns the quotient set Q = (S : U)."""
+                      a: GradedAlgebra | None):
+    """Common preconditions, each decided once; returns the ambient algebra
+    and the quotient set Q = (S : U)."""
+    a = _resolve_algebra(x, a)
     q = _check_hypotheses_algebra_only(a, s, u)
     if not algebras_equal(x.over, kill_support_algebra(a, u)):
         raise PreconditionError(
@@ -106,7 +108,7 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
     if not is_generated_in(x, qdegs):
         raise PreconditionError(
             "module is not generated in quotient-set degrees")
-    return q
+    return a, q
 
 
 def _check_hypotheses_algebra_only(a, s, u):
@@ -206,7 +208,7 @@ def liftability_check(x: GradedModule, s: DegreeSet, u: DegreeSet,
     Quantifies over every m in (S : U) and every u < v in U with v - u
     outside U for which all involved components are nonzero.
     """
-    return _liftability(x, s, u, a, _all_triples)
+    return _liftability(x, u, *_check_hypotheses(x, s, u, a), _all_triples)
 
 
 def liftability_check_interval(x: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -217,18 +219,17 @@ def liftability_check_interval(x: GradedModule, s: DegreeSet, u: DegreeSet,
     for U = [-r, 0] + nZ all pairs n - r <= u < v <= n are.  Agrees with
     liftability_check wherever both apply.
     """
-    return _liftability(x, s, u, a, _interval_triples)
+    return _liftability(x, u, *_check_hypotheses(x, s, u, a),
+                        _interval_triples)
 
 
-def _liftability(x, s, u, a, triples):
+def _liftability(x, u, a, q, triples):
     """Check Ker(mu_{m,u}) A_{v-u} inside Ker(mu_{m,v}) on each (m, u, v).
 
-    The triples come from triples(u, a, qdegs).  At most one witness is
-    recorded per triple.  Triples whose components vanish hold vacuously and
-    are skipped without counting.
+    a and q = (S : U) come from _check_hypotheses, the triples from
+    triples(u, a, qdegs).  At most one witness is recorded per triple.
+    Triples whose components vanish hold vacuously and are skipped.
     """
-    a = _resolve_algebra(x, a)
-    q = _check_hypotheses(x, s, u, a)
     qdegs = [m for m in q.members_in(x.window[0], x.window[1])
              if x.component(m).dim]
     violations = []
@@ -313,13 +314,12 @@ def lift_module(x: GradedModule, s: DegreeSet, u: DegreeSet,
                 a: GradedAlgebra | None = None) -> GradedModule:
     """Construct the graded A-module M with M_S isomorphic to X.
 
-    Requires liftability_check to pass.  M is the quotient of the induced
-    module on one projective summand per generator of X by the action
-    closure of the evaluation kernels, reduced by torsion.  The returned
-    module is certified: killing it back gives X degreewise through an
-    explicit action-commuting isomorphism, it is generated in quotient-set
-    degrees and cogenerated in S-degrees; certification failure after a
-    passing check is an internal error, never a silent wrong answer.
+    Requires liftability_check to pass.  M is induced / W as built by
+    check_and_lift.  The returned module is certified: killing it back
+    gives X degreewise through an explicit action-commuting isomorphism, it
+    is generated in quotient-set degrees and cogenerated in S-degrees;
+    certification failure after a passing check is an internal error,
+    never a silent wrong answer.
     """
     report = check_and_lift(x, s, u, a)
     if not report.liftable:
@@ -332,12 +332,20 @@ def lift_module(x: GradedModule, s: DegreeSet, u: DegreeSet,
 
 def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
                    a: GradedAlgebra | None = None) -> LiftReport:
-    """liftability_check, then on success the certified lift in one report."""
-    a = _resolve_algebra(x, a)
-    report = liftability_check(x, s, u, a)
+    """liftability_check, then on success the certified lift in one report.
+
+    The lift is induced / W.  induced has one projective summand per basis
+    vector of X in Q-degrees and evaluates onto X_t at each t in S by ev_t.
+    W_d holds the x in induced_d with ev_t(x a) = 0 for every basis vector a
+    of A landing at t in S, and ev_d(x) = 0 when d is in S: the vectors
+    whose every product into S evaluates to zero.  W is action-closed
+    because (x b) a = x (b a), so one quotient builds the lift.  Assumes x
+    is a module (validate_module).
+    """
+    a, q = _check_hypotheses(x, s, u, a)
+    report = _liftability(x, u, a, q, _all_triples)
     if not report.liftable:
         return report
-    q = quotient_set(s, u)
     window = x.window
     F = a.field
     qdegs = [m for m in q.members_in(window[0], window[1])
@@ -354,7 +362,6 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
 
     sdegs = s.members_in(window[0], window[1])
     evals = {}
-    seeds = {}
     for t in sdegs:
         blocks = layout.get(t)
         if not blocks:
@@ -362,14 +369,9 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
         xdim = x.component(t).dim
         rows = _evaluation_rows(x, t, blocks, meta, xdim, F)
         evals[t] = Matrix(F, len(rows), xdim, rows)
-        ker = kernel(evals[t])
-        if ker.dim:
-            seeds[t] = [list(r) for r in ker.rows]
-
-    closure = closure_under_action(induced, seeds)
-    quotiented, _proj0, keep0 = quotient_with_maps(induced, closure)
-    torsion = torsion_spaces(quotiented, s)
-    lifted, _proj1, keep1 = quotient_with_maps(quotiented, torsion)
+    lifted, _project, keep = quotient_with_maps(
+        induced, {d: _vanishing_space(induced, d, evals)
+                  for d in induced.degrees()})
 
     # certification: an explicit isomorphism kill(M) -> X from evaluation
     iso = {}
@@ -385,13 +387,7 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
         if ev is None:
             raise InternalConsistencyError(
                 f"lift lost the generator blocks at degree {t}")
-        for w in closure.get(t, Subspace.zero(F, ev.rows)).rows:
-            if any(apply_row(F, w, ev)):
-                raise InternalConsistencyError(
-                    "a killed relation does not evaluate to zero although "
-                    "the liftability check passed")
-        kept = [keep0[t][i] for i in keep1[t]]
-        phi_rows = [ev.entries[kk] for kk in kept]
+        phi_rows = [ev.entries[kk] for kk in keep[t]]
         if _rank(F, phi_rows) != xdim:
             raise InternalConsistencyError(
                 f"evaluation is not bijective at degree {t}")
@@ -526,7 +522,7 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
         closed = closure_under_action(proj, seeds)
         module = quotient_with_maps(proj, closed)[0]
         if reduce_torsion:
-            module = quotient_with_maps(module, torsion_spaces(module, s))[0]
+            module = torsion_quotient(module, s)
         if module.total_dim():
             return module
     raise InternalConsistencyError("random module generation kept "
@@ -620,7 +616,6 @@ def equivalence_harness(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
         killed = hom_space_dim(kill_support_module(m, s, u, b),
                                kill_support_module(n, s, u, b))
         rows.append(HarnessSample(i, ambient, killed))
-    rows.sort(key=lambda r: r.index)
     return EquivalenceReport(seed=seed, samples=tuple(rows),
                              holds=all(r.equal for r in rows))
 

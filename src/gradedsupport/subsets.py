@@ -18,7 +18,7 @@ sums [0, 3m), so nothing is reduced mod m); with a Windowed set it runs on
 the intersection of the windows, skips what is unknown there, and the
 verdict carries window_certified=True.  SCAN_CAP caps its work, points a x
 points b x mask bits, before any mask is built (CapacityError).  _shifts
-reads the g with g + U = S off the same views.
+reads the g with g + U = S off the same views, capped at shifts x bits.
 
 Argument order conventions follow the module side the ring acts on: right
 pairs are written (S, U) with S the module support and U the ring set; left
@@ -297,9 +297,13 @@ def _shifts(s, u, shifts):
 def _rotations(s, u):
     """The g in [0, m) with g + U = S, m the common period, ascending.
 
-    Full/Periodic only.  Only g with g + u0 in S, u0 = min U, are tested.
+    Full/Periodic only.  Only g with g + u0 in S, u0 = min U, are tested:
+    one 2m-bit shift per member of S in [0, m), capped before any view.
     """
     m = _common_modulus(s, u)
+    n = _count_in(s, 0, m - 1)
+    _check_cap(n * 2 * m, f"the rotation scan tests {n} shifts on "
+                          f"{2 * m}-bit masks")
     s_view, u_view = _view(s, 0, 2 * m - 1), _view(u, 0, m - 1)
     u0 = (u_view[0] & -u_view[0]).bit_length() - 1
     in_s = _bits(s_view[0] & u_view[1])  # the members of S in [0, m)
@@ -310,6 +314,11 @@ def _rotations(s, u):
 # the pair scan
 
 SCAN_CAP = 10 ** 8
+
+
+def _check_cap(work, what):
+    if work > SCAN_CAP:
+        raise CapacityError(f"{what}, over the cap of {SCAN_CAP}")
 
 
 def _pair_scan(s2, s3, u2, c_mask, lo, a_order, bc_order):
@@ -358,10 +367,8 @@ def _scan(s, u, order=None) -> Verdict:
     na, nb = ((len(order),) * 2 if order is not None
               else (_count_in(s, lo, hi), _count_in(u, lo, hi)))
     width = 3 * (hi - lo) + 1
-    if na * nb * width > SCAN_CAP:
-        raise CapacityError(
-            f"the pair scan over [{lo}, {hi}] walks {na} x {nb} points on "
-            f"{width}-bit masks, over the cap of {SCAN_CAP}")
+    _check_cap(na * nb * width, f"the pair scan over [{lo}, {hi}] walks "
+                                f"{na} x {nb} points on {width}-bit masks")
     witness = None
     if na and nb:  # with no pair, even a width past the cap builds nothing
         c_mask = _view(u, lo, hi)[0]
@@ -443,8 +450,11 @@ def stabilizer(u: DegreeSet) -> DegreeSet:
         return DegreeSet.periodic(k, {0}) if k > 1 else DegreeSet.full()
     # g and -g compare the same overlapping part of the window
     lo, hi = u.window
+    width = hi - lo + 1
+    _check_cap(width * width, f"the stabilizer scan tests {width} shifts on "
+                              f"{width}-bit masks")
     view = _view(u, lo, hi)
-    fixed = set(_shifts(view, view, range(hi - lo + 1)))
+    fixed = set(_shifts(view, view, range(width)))
     return DegreeSet.windowed([g for g in range(lo, hi + 1) if abs(g) in fixed],
                               (lo, hi))
 

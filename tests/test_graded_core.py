@@ -34,6 +34,7 @@ from gradedsupport.graded_core import (
     validate_module,
 )
 from gradedsupport.constructions import (
+    free_module,
     group_algebra,
     present_module,
     regular_module,
@@ -421,6 +422,23 @@ def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
     # the quotient lives in degrees 0 and 1: only 0+0, 0+1 and 1+0 land there
     assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
     assert all(d + u in q.components for d, u in calls)
+
+
+def test_closure_spans_each_degree_once(monkeypatch):
+    a = truncated_polynomial(4)
+    f = a.field
+    m = free_module(a, [0, 0])
+    calls = []
+    span = Subspace.from_vectors
+
+    def counted(cls, field, ambient, vectors):
+        calls.append(ambient)
+        return span(field, ambient, vectors)
+
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(counted))
+    spaces = closure_under_action(m, {0: [[f.one(), f.zero()]]})
+    assert len(calls) == len(m.degrees())
+    assert [spaces[d].dim for d in m.degrees()] == [1, 1, 1, 1]
 
 
 def test_preimage_subspace_membership():

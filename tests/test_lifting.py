@@ -193,6 +193,36 @@ def test_lift_is_supported_in_translated_degrees():
     assert certified_isomorphism(back, x) is not None
 
 
+def test_check_and_lift_decides_the_pair_once_and_quotients_once(
+        monkeypatch):
+    import gradedsupport.lifting as lifting
+    import gradedsupport.subsets as subsets
+    a, b = killed_setup(field=GF(101))
+    x = kill_support_module(regular_module(a), U3, U3, b)
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    modular = subsets.is_right_modular
+    monkeypatch.setattr(lifting, "is_right_modular",
+                        counted("modular", modular))
+    monkeypatch.setattr(subsets, "is_right_modular",
+                        counted("modular", modular))
+    monkeypatch.setattr(lifting, "quotient_set",
+                        counted("quotient_set", subsets.quotient_set))
+    monkeypatch.setattr(lifting, "quotient_with_maps",
+                        counted("quotient", lifting.quotient_with_maps))
+    assert check_and_lift(x, U3, U3, a).liftable
+    # the hypothesis check, then quotient_set's own coset self-check
+    assert calls.count("modular") == 2
+    assert calls.count("quotient_set") == 1
+    assert calls.count("quotient") == 1
+
+
 # ---------------------------------------------------------------------------
 # isomorphism certificates
 

@@ -1,6 +1,7 @@
 """Degree subset predicates checked against definitional triple scans."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,6 +360,40 @@ def test_scans_past_the_cap_are_refused_before_any_mask():
     with pytest.raises(CapacityError):  # common period 10007 * 10009
         is_right_premodular(DegreeSet.periodic(10007, (0,)),
                             DegreeSet.periodic(10009, (0,)))
+
+
+def test_rotation_and_stabilizer_scans_are_capped(monkeypatch):
+    monkeypatch.setattr(subsets, "SCAN_CAP", 1000)
+    # {0, 1} mod n: 2 shifts on 2n-bit masks
+    assert stabilizer(DegreeSet.periodic(250, (0, 1))) \
+        == DegreeSet.periodic(250, {0})
+    with pytest.raises(CapacityError):
+        stabilizer(DegreeSet.periodic(251, (0, 1)))
+    # a window of width w: w shifts on w-bit masks
+    assert stabilizer(DegreeSet.windowed((0,), (-15, 15))).elements \
+        == frozenset({0})
+    with pytest.raises(CapacityError):
+        stabilizer(DegreeSet.windowed((0,), (-16, 15)))
+
+
+HUGE = DegreeSet.periodic(10 ** 13, (0, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stabilizer(HUGE),
+    lambda: HUGE.canonical(),
+    lambda: same_set(HUGE, HUGE),
+    lambda: quotient_set(HUGE, HUGE),
+    lambda: reduce_mod_stabilizer(HUGE),
+    lambda: stabilizer(DegreeSet.windowed((0, 10 ** 12),
+                                          (-10 ** 12, 10 ** 12))),
+], ids=["stabilizer", "canonical", "same_set", "quotient_set",
+        "reduce_mod_stabilizer", "windowed_stabilizer"])
+def test_shift_scans_past_the_cap_are_refused_quickly(call):
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_huge_period_on_a_small_window_builds_small_masks():
