@@ -618,29 +618,24 @@ def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
 # submodules, quotients, torsion
 
 
-def _tag_blocked_rows(comp: LabeledSpace, space: Subspace, field):
+def _tag_blocked_rows(comp: LabeledSpace, space: Subspace):
     """Basis of an A_0-stable subspace grouped by right tag.
 
-    Returns (rows, tags, pivots) with rows reduced per tag.  Blocks of
-    different tags have disjoint supports, so every pivot is a unit that is
-    zero in all other rows.  Raises if the subspace is not the direct sum of
-    its tag blocks, which cannot happen for action-closed subspaces of a
-    valid module.
+    Returns (rows, tags, pivots): the canonical rows by (pivot tag, pivot).
+    An A_0-stable subspace is the direct sum of its tag blocks, on disjoint
+    coordinates, so by uniqueness its canonical rows are the blocks' own.
+    Raises if a row mixes tags, exactly when the subspace is not A_0-stable
+    (never for action-closed subspaces of a valid module).
     """
-    if space.dim == 0:
-        return (), (), ()
-    z = field.zero()
-    rows, tags, pivots = [], [], []
-    for c in sorted(set(comp.right_tags)):
-        proj = [tuple(e if comp.right_tags[i] == c else z for i, e in enumerate(r))
-                for r in space.rows]
-        red, piv = rref(field, proj)
-        rows.extend(red)
-        tags.extend(c for _ in red)
-        pivots.extend(piv)
-    if len(rows) != space.dim:
-        raise InternalConsistencyError("subspace is not stable under the idempotents")
-    return tuple(rows), tuple(tags), tuple(pivots)
+    tags = comp.right_tags
+    for row, p in zip(space.rows, space.pivots):
+        if any(e and tags[i] != tags[p] for i, e in enumerate(row)):
+            raise InternalConsistencyError(
+                "subspace is not stable under the idempotents")
+    order = sorted(zip(space.rows, space.pivots),
+                   key=lambda rp: (tags[rp[1]], rp[1]))
+    return (tuple(r for r, _ in order), tuple(tags[p] for _, p in order),
+            tuple(p for _, p in order))
 
 
 def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
@@ -650,7 +645,7 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     for d, sp in spaces.items():
         if sp.dim == 0:
             continue
-        bases[d] = _tag_blocked_rows(m.component(d), sp, F)
+        bases[d] = _tag_blocked_rows(m.component(d), sp)
     comps = {d: LabeledSpace.module_component(tags)
              for d, (_, tags, _) in bases.items()}
 
@@ -664,21 +659,24 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
                 f"degree-{t} subspace")
         return tuple(got)
 
+    def image(d, u, i, j):
+        t = m.add_deg(d, u)
+        return _accumulate(F, m.component(t).dim, bases[d][0][i],
+                           lambda k: m.action_row(d, u, k, j))
+
     # pushes into every degree of m, so coords sees any that leave the spaces
-    action = _action_on(m, comps,
-                        lambda d, i, ra: apply_row(F, bases[d][0][i], ra),
-                        coords, m.components)
+    action = _action_on(m, comps, image, coords, m.components)
     return GradedModule(m.over, m.window, comps, action)
 
 
 def _action_on(m: GradedModule, comps, image, coords, targets) -> dict:
     """Action table of a module built from m on the components comps.
 
-    Basis vector i of comps[d] times a_j is image(d, i, ra) in m's
-    coordinates, ra being the matrix of x |-> x * a_j on m; coords(t, vec)
-    writes that vector in the basis of comps[t], empty when t is unlisted.
-    Only degrees d + u in targets are pushed into; nothing is built for the
-    others.
+    Basis vector i of comps[d] times a_j is image(d, u, i, j) in m's
+    coordinates, read from m's stored action rows; None means zero.
+    coords(t, vec) writes that vector in the basis of comps[t], empty when
+    t is unlisted.  Only degrees d + u in targets are pushed into; nothing
+    is built for the others.
     """
     F = m.field
     action = {}
@@ -688,14 +686,11 @@ def _action_on(m: GradedModule, comps, image, coords, targets) -> dict:
             if t not in targets:
                 continue
             tdim = comps[t].dim if t in comps else 0
-            pairs = matched_pairs(comps[d], m.over.component(u))
-            ras = {j: m.right_action_matrix(d, u, j)
-                   for j in {j for _, j in pairs}}
             out = []
-            for (i, j) in pairs:
-                ra = ras[j]
-                out.append((F.zero(),) * tdim if ra is None
-                           else coords(t, image(d, i, ra)))
+            for (i, j) in matched_pairs(comps[d], m.over.component(u)):
+                vec = image(d, u, i, j)
+                out.append((F.zero(),) * tdim if vec is None
+                           else coords(t, vec))
             if out and tdim:
                 action[(d, u)] = Matrix(F, len(out), tdim, out)
     return action
@@ -710,36 +705,31 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
 
     The quotient basis at each degree is the set of standard coordinates not
     used as pivots by the tag-blocked basis of W, ordered by tag, so the
-    result again has tag-pure basis vectors.
+    result again has tag-pure basis vectors.  Basis vector i times a_j is
+    the stored action row of coordinate keep[i], projected.
     """
     F = m.field
-    reducers = {}
+    reducers, comps = {}, {}
     for d in m.degrees():
         comp = m.component(d)
-        sp = spaces.get(d)
-        rows, _, pivots = (_tag_blocked_rows(comp, sp, F) if sp is not None
-                           else ((), (), ()))
-        taken = set(pivots)
-        keep = sorted((i for i in range(comp.dim) if i not in taken),
+        rows, _, pivots = _tag_blocked_rows(
+            comp, spaces.get(d, Subspace.zero(F, comp.dim)))
+        keep = sorted(set(range(comp.dim)) - set(pivots),
                       key=lambda i: (comp.right_tags[i], i))
         reducers[d] = (rows, pivots, keep)
-    comps = {}
-    for d, (rows, pivots, keep) in reducers.items():
         if keep:
-            comp = m.component(d)
             comps[d] = LabeledSpace.module_component(
                 tuple(comp.right_tags[i] for i in keep))
 
     def project(d, vec):
         rows, pivots, keep = reducers[d]
-        if not keep:
-            return ()
         v = pivot_reduce(F, rows, pivots, vec)[0]
         return tuple(v[i] for i in keep)
 
-    action = _action_on(m, comps,
-                        lambda d, i, ra: ra.entries[reducers[d][2][i]],
-                        project, comps)
+    action = _action_on(
+        m, comps,
+        lambda d, u, i, j: m.action_row(d, u, reducers[d][2][i], j),
+        project, comps)
     quotient = GradedModule(m.over, m.window, comps, action)
     keep_map = {d: tuple(keep) for d, (_, _, keep) in reducers.items()}
     return quotient, project, keep_map

@@ -37,12 +37,13 @@ from .constructions import _layout_module, projective_layout, \
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, Subspace, apply_row, kernel, rref
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
+                          _check_set_group, _complement_matrix,
                           _vanishing_space, algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in, is_generated_in,
                           is_generated_in_degrees_01, kill_support_algebra,
                           kill_support_module, quotient_with_maps,
-                          regrade_algebra, torsion_quotient, validate_algebra)
+                          regrade_algebra, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
 from .subsets import (DegreeSet, is_right_modular,
                       is_translation_of_interval, quotient_set)
@@ -170,12 +171,10 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
     act_v = x.action_matrix(m, xv)
     if ker.dim == 0 or act_v is None:
         return False, None
-    pairs_v = x.pairs(m, xv)
-    pos_v = {pair: idx for idx, pair in enumerate(pairs_v)}
+    pairs_v, pos_v = x._pairs_indexed(m, xv)
     for w in ker.rows:
         for ell in range(a.component(gap).dim):
             pushed = [z] * len(pairs_v)
-            moved = False
             for idx, (i, j) in enumerate(pairs_u):
                 c = w[idx]
                 if c == z:
@@ -192,9 +191,7 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
                             "multiplication broke tag matching while "
                             f"pushing a kernel element at {(m, xu, xv)}")
                     pushed[pos] = F.add(pushed[pos], F.mul(c, e))
-                    moved = True
-            if not moved:
-                continue
+            # a push that adds nothing is zero and never a witness
             out = apply_row(F, pushed, act_v)
             if any(e != z for e in out):
                 return True, tuple(pushed)
@@ -520,9 +517,18 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
                 continue
             seeds.setdefault(d, []).append(vec)
         closed = closure_under_action(proj, seeds)
-        module = quotient_with_maps(proj, closed)[0]
         if reduce_torsion:
-            module = torsion_quotient(module, s)
+            # the same quotient kills the torsion of proj / closed: off S,
+            # the x whose products into degrees not off S lie in closed
+            _check_set_group(proj, s)
+            inside = {t for t in proj.degrees()
+                      if s.try_contains(t) is not False}
+            evals = {t: _complement_matrix(F, closed[t].ambient, closed[t])
+                     for t in inside if closed[t].dim < closed[t].ambient}
+            closed = {d: closed[d] if d in inside
+                      else _vanishing_space(proj, d, evals)
+                      for d in proj.degrees()}
+        module = quotient_with_maps(proj, closed)[0]
         if module.total_dim():
             return module
     raise InternalConsistencyError("random module generation kept "
@@ -534,10 +540,12 @@ def random_category_module(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
                            max_relations=2) -> GradedModule:
     """A seeded random A-module generated in (S:U)-degrees, torsion-free.
 
-    Presentation: a projective module on random tagged generators in
-    quotient-set degrees, modulo the action closure of a few random
-    relation vectors, then reduced by torsion so the result is cogenerated
-    in S-degrees.  Deterministic in (seed, arguments).
+    Presentation: a projective module P on random tagged generators in
+    quotient-set degrees, modulo the action closure R of a few random
+    relation vectors and the torsion of P / R, so the result is cogenerated
+    in S-degrees.  One quotient of P by the torsion preimage builds it: R
+    at degrees not off S, and at the others the x whose products into
+    degrees not off S lie in R.  Deterministic in (seed, arguments).
     """
     return _random_presented(a, s, u, seed, window, max_gens, max_relations,
                              reduce_torsion=True)

@@ -37,6 +37,7 @@ from gradedsupport.constructions import (
     free_module,
     group_algebra,
     present_module,
+    quiver_algebra,
     regular_module,
     truncated_polynomial,
 )
@@ -411,17 +412,41 @@ def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
     spaces = {2: Subspace.from_vectors(f, 1, [[f.one()]]),
               3: Subspace.from_vectors(f, 1, [[f.one()]])}
     calls = []
-    build = GradedModule.right_action_matrix
+    read = GradedModule.action_row
 
-    def counted(self, d, u, j):
+    def counted(self, d, u, i, j):
         calls.append((d, u))
-        return build(self, d, u, j)
+        return read(self, d, u, i, j)
 
-    monkeypatch.setattr(GradedModule, "right_action_matrix", counted)
+    monkeypatch.setattr(GradedModule, "action_row", counted)
     q, _, _ = quotient_with_maps(m, spaces)
-    # the quotient lives in degrees 0 and 1: only 0+0, 0+1 and 1+0 land there
+    # the quotient lives in degrees 0 and 1: only 0+0, 0+1 and 1+0 land
+    # there, and each kept basis vector reads one stored action row
     assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
     assert all(d + u in q.components for d, u in calls)
+
+
+def test_quotient_and_submodule_read_tag_blocks_without_eliminating(
+        monkeypatch):
+    import gradedsupport.graded_core as graded_core
+    f = GF(3)
+    m = regular_module(quiver_algebra(2, [(0, 1), (1, 0)], [], 3, f))
+    # the closure of a vector mixing both tags: blocks of both tags at
+    # degrees 1, 2 and 3
+    spaces = closure_under_action(m, {1: [[f.one(), f.one()]]})
+    calls = []
+    elim = graded_core.rref
+
+    def counted(*args):
+        calls.append(args)
+        return elim(*args)
+
+    monkeypatch.setattr(graded_core, "rref", counted)
+    q, _, keep = quotient_with_maps(m, spaces)
+    sub = submodule_from_subspaces(m, spaces)
+    assert calls == []
+    assert q.dims() == {0: 2} and keep[0] == (0, 1)
+    assert sub.dims() == {1: 2, 2: 2, 3: 2}
 
 
 def test_closure_spans_each_degree_once(monkeypatch):

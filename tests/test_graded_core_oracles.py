@@ -10,24 +10,34 @@ off one pass: span(seeds + seeds A), one nullspace per off-S degree, and one
 quotient by the vectors whose every product into S evaluates to zero.
 These tests check that it returns the same subspace dicts, value for value,
 and the same lift reports.
+
+The module builders have oracles too: the tag blocks that eliminated once
+per tag and degree, which the library now reads off the canonical rows, and
+the torsion-free random module that divided by the relation closure and
+then by the torsion of that quotient, which the library builds as one
+quotient by the torsion preimage.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedsupport.constructions import (_layout_module, group_algebra,
                                          present_module, projective_layout,
-                                         quiver_algebra, regular_module,
-                                         truncated_polynomial)
+                                         projective_module, quiver_algebra,
+                                         regular_module, truncated_polynomial)
 from gradedsupport.errors import GradedSupportError, InternalConsistencyError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
-                                    apply_row, kernel, subspace_intersect)
-from gradedsupport.graded_core import (GradedModule, _vanishing_space,
-                                       closure_under_action,
+                                    apply_row, kernel, rref,
+                                    subspace_intersect)
+from gradedsupport.graded_core import (GradedModule, _tag_blocked_rows,
+                                       _vanishing_space, closure_under_action,
                                        kill_support_algebra,
                                        kill_support_module, modules_equal,
                                        preimage_subspace, quotient_with_maps,
-                                       shift_module, torsion_spaces)
+                                       shift_module, submodule_from_subspaces,
+                                       torsion_quotient, torsion_spaces)
 from gradedsupport.lifting import (LiftReport, _evaluation_rows,
                                    _generator_data, _rank,
                                    certified_isomorphism, check_and_lift,
@@ -156,6 +166,57 @@ def lift_by_two_quotients(x, s, u, a):
         raise InternalConsistencyError("left the category")
     return LiftReport(True, (), report.triples_checked, lifted, True, True,
                       True)
+
+
+def tag_blocks_by_rref(comp, space, field):
+    """Each tag's projection of the rows, eliminated on its own."""
+    if space.dim == 0:
+        return (), (), ()
+    z = field.zero()
+    rows, tags, pivots = [], [], []
+    for c in sorted(set(comp.right_tags)):
+        proj = [tuple(e if comp.right_tags[i] == c else z
+                      for i, e in enumerate(r)) for r in space.rows]
+        red, piv = rref(field, proj)
+        rows.extend(red)
+        tags.extend(c for _ in red)
+        pivots.extend(piv)
+    if len(rows) != space.dim:
+        raise InternalConsistencyError("not stable under the idempotents")
+    return tuple(rows), tuple(tags), tuple(pivots)
+
+
+def category_module_by_two_quotients(alg, s, u, seed, window=None,
+                                     max_gens=2, max_relations=2):
+    """random_category_module's draws, divided by the relation closure and
+    then by the torsion of that quotient."""
+    q = quotient_set(s, u)
+    window = tuple(window) if window is not None else alg.window
+    rng = random.Random(seed)
+    usable = q.members_in(window[0], window[1])
+    weights = [window[1] - m + 1 for m in usable]
+    F = alg.field
+    for _attempt in range(8):
+        gens = [(rng.choices(usable, weights)[0], rng.randrange(alg.k))
+                for _ in range(rng.randint(1, max_gens))]
+        proj = projective_module(alg, gens, window)
+        degrees = [d for d in proj.degrees() if d > min(m for m, _ in gens)]
+        seeds = {}
+        for _ in range(rng.randint(0, max_relations)):
+            if not degrees:
+                break
+            d = rng.choice(degrees)
+            vec = [F.from_int(rng.randrange(-3, 4))
+                   for _ in range(proj.component(d).dim)]
+            if all(e == F.zero() for e in vec):
+                continue
+            seeds.setdefault(d, []).append(vec)
+        closed = closure_by_fixed_point(proj, seeds)
+        module = quotient_with_maps(proj, closed)[0]
+        module = torsion_quotient(module, s)
+        if module.total_dim():
+            return module
+    raise InternalConsistencyError("only zero modules")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +366,72 @@ def test_vanishing_space_counts_x_itself_at_its_degree():
     assert _vanishing_space(m, 1, {1: ev}) == kernel(ev)
     assert _vanishing_space(m, 1, {1: None}).dim == 0
     assert _vanishing_space(m, 0, {1: ev}).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# quotients and submodules
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tag_blocks_match_per_tag_elimination(data):
+    # one vertex with two loops, or two vertices joined both ways
+    field = data.draw(st.sampled_from(FIELDS))
+    kind = data.draw(st.sampled_from(["loops", "cycle"]))
+    a = z_algebra(kind, data.draw(st.integers(1, 4)), field)
+    gens = data.draw(st.lists(st.tuples(st.integers(0, 2),
+                                        st.integers(0, a.k - 1)),
+                              min_size=1, max_size=3))
+    m = projective_module(a, gens)
+    seeds = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        d = data.draw(st.sampled_from(m.degrees()))
+        seeds.setdefault(d, []).append(
+            _vector(data.draw, field, m.component(d).dim))
+    spaces = closure_under_action(m, seeds)
+    for d, sp in spaces.items():
+        comp = m.component(d)
+        assert _tag_blocked_rows(comp, sp) \
+            == tag_blocks_by_rref(comp, sp, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(2, 4),
+       kind=st.sampled_from(["poly", "cycle"]), shift=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 31))
+def test_category_module_matches_the_two_quotient_draw(field, n, kind, shift,
+                                                      seed):
+    a = z_algebra(kind, 2 * n + 1, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(shift)
+    got = _outcome(lambda: random_category_module(a, s, u, seed))
+    want = _outcome(lambda: category_module_by_two_quotients(a, s, u, seed))
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+    else:
+        assert modules_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(FIELDS), top=st.integers(1, 3),
+       data=st.data())
+def test_subspaces_mixing_tags_are_refused(field, top, data):
+    m = projective_module(z_algebra("cycle", top, field),
+                          [(0, 0), (0, 1), (0, 0)])
+    d = data.draw(st.sampled_from(m.degrees()))
+    tags = m.component(d).right_tags
+    # nonzero at one coordinate of each tag: its span is not the sum of its
+    # tag blocks
+    vec = _vector(data.draw, field, len(tags))
+    for c in (0, 1):
+        i = data.draw(st.sampled_from([i for i, t in enumerate(tags)
+                                       if t == c]))
+        vec[i] = field.from_int(data.draw(st.sampled_from([1, -1])))
+    spaces = {d: Subspace.from_vectors(field, len(tags), [vec])}
+    with pytest.raises(InternalConsistencyError):
+        quotient_with_maps(m, spaces)
+    with pytest.raises(InternalConsistencyError):
+        submodule_from_subspaces(m, spaces)
 
 
 # ---------------------------------------------------------------------------

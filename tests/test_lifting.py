@@ -30,6 +30,7 @@ from gradedsupport.lifting import (
     lift_module,
     liftability_check,
     liftability_check_interval,
+    random_category_module,
     random_killed_module,
     random_presented_module,
     regraded_interval_conditions,
@@ -221,6 +222,25 @@ def test_check_and_lift_decides_the_pair_once_and_quotients_once(
     assert calls.count("modular") == 2
     assert calls.count("quotient_set") == 1
     assert calls.count("quotient") == 1
+
+
+def test_a_torsion_free_draw_quotients_once(monkeypatch):
+    import gradedsupport.graded_core as graded_core
+    import gradedsupport.lifting as lifting
+    a, _ = killed_setup(field=GF(101))
+    calls = []
+    quotient = graded_core.quotient_with_maps
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    # under both names, so a second quotient via torsion_quotient counts too
+    monkeypatch.setattr(lifting, "quotient_with_maps", counted)
+    monkeypatch.setattr(graded_core, "quotient_with_maps", counted)
+    m = random_category_module(a, U3.translate(1), U3, 5)
+    assert m.total_dim()
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
