@@ -14,7 +14,16 @@ Path algebra relations are lists of (coefficient, path) terms, a path being a
 tuple of arrow indices composing left to right.  Ideals are expanded degree
 by degree: I_m = P_1 I_{m-1} + I_{m-1} P_1 + R_m, with every relation first
 split into its endpoint blocks so all stored ideal vectors connect a single
-source to a single target.
+source to a single target.  Each degree's ideal is spanned from the previous
+degree's canonical rows, kept as {path index: coefficient} dicts, and the
+class of a path is read off the row pivoting at it.
+
+PATH_CAP bounds the paths a quiver algebra enumerates, the vertices and
+every path up to the top degree: they are counted per target vertex before
+any is built, and a larger count raises CapacityError.  The two-loop
+algebra of the equivalence harness has 2^(top + 1) - 1 of them, so the cap
+admits it up to top 16.  n_homogeneous_dual makes the same count over its
+loops before it lists the relation words, which are paths too.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, matched_pairs,
                        nullspace)
 from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
@@ -130,6 +139,32 @@ def generic_pair_algebra(g, h, field=QQ) -> GradedAlgebra:
 # path algebras with homogeneous relations
 
 
+PATH_CAP = 2 ** 17
+
+
+def _longest_path(num_vertices, arrows, top):
+    """The longest path length up to top, the paths counted by target vertex.
+
+    Raises CapacityError once the paths of length 0..m number more than
+    PATH_CAP; stops at the first length with no path.
+    """
+    ending = [1] * num_vertices
+    total = num_vertices
+    for m in range(1, top + 1):
+        grown = [0] * num_vertices
+        for s, t in arrows:
+            grown[t] += ending[s]
+        ending = grown
+        total += sum(ending)
+        if total > PATH_CAP:
+            raise CapacityError(
+                f"the quiver has {total} paths up to degree {m} (top {top}), "
+                f"over the cap of {PATH_CAP}")
+        if not any(ending):
+            return m - 1
+    return top
+
+
 def _path_source(arrows, p):
     return arrows[p[0]][0]
 
@@ -176,6 +211,7 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     for s, t in arrows:
         if not (0 <= s < num_vertices and 0 <= t < num_vertices):
             raise PreconditionError(f"arrow endpoint out of range: ({s}, {t})")
+    longest = _longest_path(num_vertices, arrows, top)
     F = field
     z = F.zero()
     rel_by_degree = {}
@@ -184,22 +220,19 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             rel_by_degree.setdefault(length, []).append(terms)
 
     paths = {1: [(a,) for a in range(len(arrows))]}
-    for m in range(2, top + 1):
+    for m in range(2, longest + 1):
         paths[m] = [p + (a,) for p in paths[m - 1]
                     for a in range(len(arrows)) if arrows[a][0] == _path_target(arrows, p)]
     index = {m: {p: i for i, p in enumerate(ps)} for m, ps in paths.items()}
 
     ideal = {}
-    for m in range(2, top + 1):
-        if m not in paths or not paths[m]:
-            continue
+    for m in range(2, longest + 1):
         dim = len(paths[m])
         vecs = []
         prev = ideal.get(m - 1)
-        if prev is not None and prev.dim:
-            for row in prev.rows:
-                terms = [(paths[m - 1][pi], coeff)
-                         for pi, coeff in enumerate(row) if coeff]
+        if prev is not None:
+            for row in prev.basis:
+                terms = [(paths[m - 1][pi], coeff) for pi, coeff in row.items()]
                 for a in range(len(arrows)):
                     left = {index[m][(a,) + p]: coeff for p, coeff in terms
                             if arrows[a][1] == _path_source(arrows, p)}
@@ -224,10 +257,8 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     comps = {0: LabeledSpace(num_vertices, tuple(range(num_vertices)),
                              tuple(range(num_vertices)))}
     basis_paths = {0: list(range(num_vertices))}  # degree 0: vertices
-    for m in range(1, top + 1):
-        ps = paths.get(m, [])
-        if not ps:
-            continue
+    for m in range(1, longest + 1):
+        ps = paths[m]
         sp = ideal.get(m)
         pivots = set(sp.pivots) if sp is not None else set()
         keep = [i for i in range(len(ps)) if i not in pivots]
@@ -284,6 +315,20 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
     """
     if v_dim < 1:
         raise PreconditionError("need at least one generator")
+    if v_dim > PATH_CAP:
+        raise CapacityError(
+            f"{v_dim} generators, over the path cap of {PATH_CAP}")
+    # the relation words are paths of the v_dim-loop quiver: refuse them
+    # before listing any
+    loops = [(0, 0)] * v_dim
+    _longest_path(1, loops, top)
+
+    def all_words(n):
+        if top < n:
+            raise PreconditionError(
+                f"the window top {top} cannot hold the degree-{n} relations")
+        return list(itertools.product(range(v_dim), repeat=n))
+
     F = field
     n = None if degree is None else int(degree)
     if n is not None and n < 2:
@@ -305,8 +350,8 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
             raise PreconditionError(
                 f"relation subspace lives in dimension "
                 f"{relations.ambient}, expected {v_dim ** n}")
-        words = list(itertools.product(range(v_dim), repeat=n))
-        rows = [list(row) for row in relations.rows]
+        words = all_words(n)
+        rows = list(relations.basis)
     else:
         for rel in relations:
             vec = None
@@ -320,7 +365,7 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
                         raise PreconditionError(
                             "relations must have degree >= 2")
                 if words is None:
-                    words = list(itertools.product(range(v_dim), repeat=n))
+                    words = all_words(n)
                     word_index = {w: i for i, w in enumerate(words)}
                 if len(path) != n:
                     raise PreconditionError(
@@ -335,16 +380,11 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
             raise PreconditionError("the dual of a free algebra needs its "
                                     "degree; pass degree=")
         if words is None:
-            words = list(itertools.product(range(v_dim), repeat=n))
-    if top < n:
-        raise PreconditionError(
-            f"the window top {top} cannot hold the degree-{n} relations")
+            words = all_words(n)
     perp = nullspace(F, rows, len(words))
     dual_rels = []
-    for row in perp.rows:
-        terms = [(c, words[i]) for i, c in enumerate(row) if c != F.zero()]
-        dual_rels.append(terms)
-    loops = [(0, 0)] * v_dim
+    for row in perp.basis:
+        dual_rels.append([(c, words[i]) for i, c in sorted(row.items())])
     return quiver_algebra(1, loops, dual_rels, top, field)
 
 

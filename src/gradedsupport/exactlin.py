@@ -12,30 +12,42 @@ M_f @ M_g.  This matches right-module actions, which is what the rest of the
 library computes with.
 
 Subspaces are stored as reduced row echelon bases, so two equal subspaces are
-structurally equal (same tuple of rows).
+structurally equal.  The basis rows are kept as dicts {column: value} of
+their nonzeros, sorted by pivot; Subspace.rows is the dense view of them,
+built on first use for the public API and JSON.
 
 One elimination kernel
 ----------------------
-rref is the only elimination step.  It takes rows as dense sequences, or as
-dicts {column: value} together with the column count, and is a sparse
-Gauss-Jordan elimination: it keeps each pivot row as a dict of its nonzeros,
-unit at its pivot and zero at every other pivot, reduces an incoming row only
-at the pivot columns it holds, and clears a new pivot's column from the
-earlier pivot rows.  Its output is the dense canonical basis whatever the
-input form.  Every other operation is one rref call plus a read-off of its
-pivots and free columns:
+_echelon is the only elimination.  It takes rows as dense sequences or as
+dicts {column: value} (zeros allowed, keys in any order), keeps every row as
+a dict of its nonzeros, and returns the canonical basis as dict rows and
+pivots, in two steps:
 
+- forward elimination (_forward) reduces each incoming row only at the
+  pivot columns it holds, and makes a row left nonzero unit at its leading
+  column, a new pivot.  No pivot is cleared from the earlier rows;
+- back-substitution (_back_substitute) clears the other pivots from a row,
+  taking the rows it needs in descending pivot order, each already
+  reduced.  It runs on a pivot row just before forward elimination
+  subtracts it, and once over the rest at the end, so a row is brought up
+  to date when it is used, not each time a new pivot appears.
+
+A rank needs only the forward step (_rank).  Every other operation is one
+_echelon call plus a read-off of its pivots and free columns:
+
+- rref is its dense view;
 - nullspace(field, rows, ncols) is {x : r . x = 0 for every row r}, one
-  basis vector per free column of rref(rows);
+  basis vector per free column;
 - kernel(M) is {v : v @ M = 0}, the nullspace of M's columns;
-- solve(M, b) reads a preimage off rref([M^T | b]);
+- solve(M, b) reads a preimage off the basis of [M^T | b];
 - subspace_intersect (Zassenhaus) keeps the right halves of the reduced rows
   whose left halves vanished, which are already in canonical form.
 
 Reducing a vector against rows with unit, cleared pivots (subspace
-membership, coordinates, quotient projections) goes through pivot_reduce.
-A unit vector e_i needs no reduction: Subspace.unit_residues reads e_i
-modulo the subspace off the row pivoting at i.
+membership, coordinates, quotient projections) goes through pivot_reduce,
+over each row's nonzeros.  A unit vector e_i needs no reduction:
+Subspace.unit_residues reads e_i modulo the subspace off the row pivoting
+at i.
 """
 
 from __future__ import annotations
@@ -299,6 +311,11 @@ def apply_row(field, vec, matrix):
     return acc
 
 
+def _entries(row):
+    """(column, value) pairs of a dense row or a {column: value} dict."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def _axpy(field, row, c, src, skip):
     """row -= c * src in place, over src's entries except column skip."""
     sub, mul = field.sub, field.mul
@@ -311,58 +328,124 @@ def _axpy(field, row, c, src, skip):
                 del row[j]
 
 
-def rref(field, rows, ncols=None):
-    """Reduced row echelon form.
+def _forward(field, rows, ncols):
+    """Forward elimination: returns (basis, fresh).
 
-    rows are dense sequences, or dicts {column: value} when ncols is given;
-    zero values in a dict are allowed and ignored.  Returns
-    (reduced_nonzero_rows, pivot_columns), both tuples of dense rows sorted
-    by pivot column, with pivots equal to 1 and cleared columns: the
-    canonical basis of the row space.
+    basis maps each pivot column to its row, a dict of nonzeros that is 1
+    at the pivot and 0 left of it.  Each incoming row is reduced only at
+    the pivots it holds, each by a row first brought up to date by
+    _back_substitute, so the subtractions bring in no other pivot; a row
+    left nonzero is scaled to a unit leading entry and pivots there.  No
+    pivot is cleared from the earlier rows: a row holds the pivots found
+    after it until it is next used.  fresh[p] is the pivot count when row
+    p last held no other pivot.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     one = field.one()
-    # pivot column -> row (as a dict of nonzeros) that is 1 there, 0 at every
-    # other pivot and 0 left of its pivot
-    basis = {}
+    basis, fresh = {}, {}
     for r in rows:
         if len(basis) == ncols:
             break
-        row = {j: v for j, v in (r.items() if isinstance(r, dict)
-                                 else enumerate(r)) if v}
-        # a pivot row is zero at the other pivots, so subtracting it changes
-        # no pivot column but its own
+        row = {j: v for j, v in _entries(r) if v}
         for p in [j for j in row if j in basis]:
-            _axpy(field, row, row.pop(p), basis[p], p)
-        if not row:
+            prow = basis[p]
+            if fresh[p] != len(basis) and len(prow) > 1:
+                prow = _back_substitute(field, basis, fresh, p)
+            _axpy(field, row, row.pop(p), prow, p)
+        if row:
+            col = min(row)
+            c = row[col]
+            if c != one:
+                inv = field.inv(c)
+                row = {j: field.mul(inv, v) for j, v in row.items()}
+            basis[col] = row
+            fresh[col] = len(basis)
+    return basis, fresh
+
+
+def _back_substitute(field, basis, fresh, p):
+    """Clear every other pivot from row p, in place, and return the row.
+
+    The pivots a row holds lie right of its own, so the rows clearing them
+    are brought up to date first, in descending pivot order: each then
+    holds no other pivot, and each pivot a row holds costs one subtraction
+    that brings in no new one.  fresh[q] == len(basis) marks a row holding
+    no other pivot, so a row is looked at again only once a pivot has been
+    found since it was last brought up to date.
+    """
+    n = len(basis)
+    stack = [p]
+    while stack:
+        q = stack[-1]
+        if fresh[q] == n:
+            stack.pop()
             continue
-        col = min(row)
-        inv = field.inv(row[col])
-        if inv != one:
-            row = {j: field.mul(inv, v) for j, v in row.items()}
-        for prow in basis.values():
-            if col in prow:
-                _axpy(field, prow, prow.pop(col), row, col)
-        basis[col] = row
-    pivots = tuple(sorted(basis))
+        row = basis[q]
+        held = [j for j in row if j != q and j in basis]
+        stale = [j for j in held if fresh[j] != n]
+        if stale:
+            stack += stale
+            continue
+        for j in held:
+            _axpy(field, row, row.pop(j), basis[j], j)
+        fresh[q] = n
+        stack.pop()
+    return basis[p]
+
+
+def _rank(field, rows, ncols=None):
+    """Rank of rows, read off forward elimination, with no final pass."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return len(_forward(field, rows, ncols)[0])
+
+
+def _echelon(field, rows, ncols):
+    """The canonical basis of the row space as (dict rows, pivots).
+
+    Forward elimination, then one back-substitution pass over the rows
+    still holding another pivot.  Rows come back sorted by pivot, 1 at it
+    and 0 at every other pivot.
+    """
+    basis, fresh = _forward(field, rows, ncols)
+    n = len(basis)
+    for p, row in basis.items():
+        if fresh[p] != n and len(row) > 1:
+            _back_substitute(field, basis, fresh, p)
+    pivots = sorted(basis)
+    return tuple(basis[p] for p in pivots), tuple(pivots)
+
+
+def _dense(row, ncols, z):
+    out = [z] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return tuple(out)
+
+
+def rref(field, rows, ncols=None):
+    """Reduced row echelon form, as dense rows.
+
+    rows are dense sequences, or dicts {column: value} when ncols is given;
+    zero values in a dict are allowed and ignored.  Returns
+    (reduced_nonzero_rows, pivot_columns), both tuples sorted by pivot
+    column, with pivots equal to 1 and cleared columns: the dense view of
+    _echelon's canonical basis.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    red, pivots = _echelon(field, rows, ncols)
     z = field.zero()
-    out = []
-    for p in pivots:
-        dense = [z] * ncols
-        for j, v in basis[p].items():
-            dense[j] = v
-        out.append(tuple(dense))
-    return tuple(out), pivots
+    return tuple(_dense(r, ncols, z) for r in red), pivots
 
 
 def pivot_reduce(field, rows, pivots, vec):
     """Subtract c * row at each pivot, c being vec's entry there.
 
     rows must carry unit pivots that are zero in every other row (a reduced
-    echelon basis, in any order).  Returns (remainder, coefficients): the
-    remainder is zero iff vec lies in the span, and then vec is the sum of
-    coefficient times row.
+    echelon basis, in any order), as {column: value} dicts or dense
+    sequences; vec is dense.  Returns (remainder, coefficients), both
+    lists: the remainder is zero iff vec lies in the span, and then vec is
+    the sum of coefficient times row.
     """
     sub, mul = field.sub, field.mul
     v = list(vec)
@@ -371,101 +454,144 @@ def pivot_reduce(field, rows, pivots, vec):
         c = v[p]
         coeffs.append(c)
         if c:
-            for j, e in enumerate(row):
+            for j, e in _entries(row):
                 if e:
                     v[j] = sub(v[j], mul(c, e))
     return v, coeffs
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of K^ambient with canonical RREF basis rows.
+    """A subspace of K^ambient with its canonical reduced echelon basis.
 
-    Structural equality coincides with subspace equality because the basis is
-    canonical.
+    basis holds the rows as dicts {column: value} of their nonzeros, sorted
+    by pivot, each unit at its pivot and zero at every other pivot; they
+    are shared, never to be mutated.  The basis is canonical, so equality
+    of (field, ambient, pivots, basis) is subspace equality.  rows is the
+    dense view of the same basis, tuples of length ambient, built on first
+    use for the public API and JSON.  The constructor takes the canonical
+    rows dense or as dicts.
     """
 
-    field: Field
-    ambient: int
-    rows: tuple
-    pivots: tuple
+    __slots__ = ("field", "ambient", "basis", "pivots", "_rows")
+
+    def __init__(self, field, ambient, rows, pivots):
+        self.field = field
+        self.ambient = ambient
+        self.basis = tuple({j: v for j, v in _entries(r) if v} for r in rows)
+        self.pivots = tuple(pivots)
+        self._rows = None
+
+    @classmethod
+    def _of(cls, field, ambient, basis, pivots):
+        """Wrap canonical dict rows as they are, with no copy."""
+        sp = cls.__new__(cls)
+        sp.field, sp.ambient = field, ambient
+        sp.basis, sp.pivots, sp._rows = basis, pivots, None
+        return sp
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
         """Span of vectors: dense sequences of length ambient, or dicts
         {coordinate: value}."""
-        vectors = [v if isinstance(v, dict) else tuple(v) for v in vectors]
+        rows = []
         for v in vectors:
-            if not isinstance(v, dict) and len(v) != ambient:
-                raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
-        r, p = rref(field, vectors, ambient)
-        return cls(field, ambient, r, p)
+            if not isinstance(v, dict):
+                v = tuple(v)
+                if len(v) != ambient:
+                    raise ShapeError(
+                        f"vector length {len(v)} vs ambient {ambient}")
+            rows.append(v)
+        return cls._of(field, ambient, *_echelon(field, rows, ambient))
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, (), ())
+        return cls._of(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient):
-        z, o = field.zero(), field.one()
-        rows = tuple(tuple(o if j == i else z for j in range(ambient)) for i in range(ambient))
-        return cls(field, ambient, rows, tuple(range(ambient)))
+        o = field.one()
+        return cls._of(field, ambient, tuple({i: o} for i in range(ambient)),
+                       tuple(range(ambient)))
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            z = self.field.zero()
+            self._rows = tuple(_dense(r, self.ambient, z) for r in self.basis)
+        return self._rows
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return (self.field == other.field and self.ambient == other.ambient
+                and self.pivots == other.pivots and self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.field, self.ambient, self.pivots))
+
+    def __repr__(self):
+        return (f"Subspace({self.field!r}, ambient={self.ambient}, "
+                f"pivots={self.pivots})")
 
     def reduce(self, vec):
         """Reduce vec modulo this subspace; 0 iff vec is a member."""
-        return pivot_reduce(self.field, self.rows, self.pivots, vec)[0]
+        return pivot_reduce(self.field, self.basis, self.pivots, vec)[0]
 
     def contains_vector(self, vec):
         return not any(self.reduce(vec))
 
     def coordinates(self, vec):
         """Coefficients of vec in the RREF basis; None if vec is outside."""
-        v, coeffs = pivot_reduce(self.field, self.rows, self.pivots, vec)
+        v, coeffs = pivot_reduce(self.field, self.basis, self.pivots, vec)
         return None if any(v) else coeffs
 
     def unit_residues(self):
         """Row i is e_i modulo this subspace, in the non-pivot coordinates.
 
         Read off the basis: e_i is its own residue when i is not a pivot
-        column, and e_i minus the row pivoting at i otherwise.
+        column, and e_i minus the row pivoting at i otherwise, whose other
+        nonzeros all sit at non-pivot columns.
         """
         F = self.field
         z, one, neg = F.zero(), F.one(), F.neg
-        row_at = dict(zip(self.pivots, self.rows))
-        keep = [i for i in range(self.ambient) if i not in row_at]
+        row_at = dict(zip(self.pivots, self.basis))
+        pos = {}
+        for i in range(self.ambient):
+            if i not in row_at:
+                pos[i] = len(pos)
         out = []
         for i in range(self.ambient):
+            res = [z] * len(pos)
             row = row_at.get(i)
-            out.append(tuple(one if j == i else z for j in keep)
-                       if row is None
-                       else tuple(neg(row[j]) if row[j] else z for j in keep))
+            if row is None:
+                res[pos[i]] = one
+            else:
+                for j, v in row.items():
+                    if j != i:
+                        res[pos[j]] = neg(v)
+            out.append(tuple(res))
         return out
 
 
 def nullspace(field, rows, ncols) -> Subspace:
     """{x in K^ncols : r . x = 0 for every row r}.
 
-    One basis vector per free column f of rref(rows): 1 at f and minus the
-    column-f entry of each reduced row at that row's pivot.
+    One basis vector per free column f of the canonical basis of rows: 1 at
+    f and minus the column-f entry of each basis row at that row's pivot.
     """
-    red, pivots = rref(field, rows, ncols)
+    red, pivots = _echelon(field, rows, ncols)
+    neg, o = field.neg, field.one()
     taken = set(pivots)
-    neg, z, o = field.neg, field.zero(), field.one()
-    basis = []
-    for f in range(ncols):
-        if f in taken:
-            continue
-        x = [z] * ncols
-        x[f] = o
-        for row, p in zip(red, pivots):
-            if row[f]:
-                x[p] = neg(row[f])
-        basis.append(x)
-    return Subspace.from_vectors(field, ncols, basis)
+    basis = {f: {f: o} for f in range(ncols) if f not in taken}
+    for row, p in zip(red, pivots):
+        for j, v in row.items():
+            if j != p:
+                basis[j][p] = neg(v)
+    return Subspace.from_vectors(field, ncols, list(basis.values()))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -481,23 +607,22 @@ def image(m: Matrix) -> Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient or a.field != b.field:
         raise ShapeError("subspace sum needs a common ambient space")
-    return Subspace.from_vectors(a.field, a.ambient, list(a.rows) + list(b.rows))
+    return Subspace.from_vectors(a.field, a.ambient, a.basis + b.basis)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus: reduce [[A|A],[B|0]]; null left blocks carry the intersection."""
     if a.ambient != b.ambient or a.field != b.field:
         raise ShapeError("subspace intersection needs a common ambient space")
-    F = a.field
-    z = F.zero()
     n = a.ambient
-    block = [list(r) + list(r) for r in a.rows]
-    block += [list(r) + [z] * n for r in b.rows]
-    red, pivots = rref(F, block)
+    block = [{**r, **{j + n: v for j, v in r.items()}} for r in a.basis]
+    red, pivots = _echelon(a.field, block + list(b.basis), 2 * n)
     # rows pivoting right of n have a zero left half; their right halves
     # are reduced, unit and cleared at pivot - n, hence canonical
-    rest = [(row[n:], p - n) for row, p in zip(red, pivots) if p >= n]
-    return Subspace(F, n, tuple(r for r, _ in rest), tuple(p for _, p in rest))
+    rest = [(row, p) for row, p in zip(red, pivots) if p >= n]
+    return Subspace._of(
+        a.field, n, tuple({j - n: v for j, v in r.items()} for r, _ in rest),
+        tuple(p - n for _, p in rest))
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
@@ -510,21 +635,23 @@ def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
 def solve(m: Matrix, b) -> list | None:
     """Some v with v @ m = b, or None if b is outside image(m).
 
-    Reads v off rref([m^T | b]): the free unknowns are 0 and each pivot
-    unknown takes its row's last entry; a pivot in the last column means
-    the system is inconsistent.
+    Reads v off the canonical basis of [m^T | b]: the free unknowns are 0
+    and each pivot unknown takes its row's last entry; a pivot in the last
+    column means the system is inconsistent.
     """
     b = tuple(b)
     if len(b) != m.cols:
         raise ShapeError(f"rhs length {len(b)} vs {m.cols} cols")
     F = m.field
     cols = zip(*m.entries) if m.rows else ((),) * m.cols
-    red, pivots = rref(F, [col + (e,) for col, e in zip(cols, b)])
+    red, pivots = _echelon(F, [col + (e,) for col, e in zip(cols, b)],
+                           m.rows + 1)
     if pivots and pivots[-1] == m.rows:
         return None
-    v = [F.zero()] * m.rows
+    z = F.zero()
+    v = [z] * m.rows
     for row, p in zip(red, pivots):
-        v[p] = row[-1]
+        v[p] = row.get(m.rows, z)
     return v
 
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
-from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, apply_row,
-                       kernel, matched_pairs, nullspace, pivot_reduce, rref)
+from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _entries,
+                       _rank, apply_row, kernel, matched_pairs, nullspace,
+                       pivot_reduce, rref)  # noqa: F401 (kept importable)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -363,11 +364,12 @@ def _assoc_witness(x):
 
 
 def _accumulate(field, tdim, coeffs, row_of):
-    """Sum of coeffs[m] * row_of(m) as a tuple of length tdim."""
+    """Sum of coeffs[m] * row_of(m) as a tuple of length tdim; coeffs is a
+    dense row, a dict {m: coefficient} or None."""
     z = field.zero()
     acc = [z] * tdim
     if coeffs is not None:
-        for m, c in enumerate(coeffs):
+        for m, c in _entries(coeffs):
             if c == z:
                 continue
             row = row_of(m)
@@ -391,8 +393,7 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
         m = a.mult_matrix(1, i - 1)
         if m is None:
             return False
-        span, _ = rref(a.field, list(m.entries))
-        if len(span) < a.component(i).dim:
+        if _rank(a.field, m.entries) < a.component(i).dim:
             return False
     return True
 
@@ -618,24 +619,32 @@ def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
 # submodules, quotients, torsion
 
 
-def _tag_blocked_rows(comp: LabeledSpace, space: Subspace):
+def _tag_blocks(comp: LabeledSpace, space: Subspace):
     """Basis of an A_0-stable subspace grouped by right tag.
 
-    Returns (rows, tags, pivots): the canonical rows by (pivot tag, pivot).
+    Returns (rows, tags, pivots): the canonical dict rows by (pivot tag,
+    pivot).
     An A_0-stable subspace is the direct sum of its tag blocks, on disjoint
     coordinates, so by uniqueness its canonical rows are the blocks' own.
     Raises if a row mixes tags, exactly when the subspace is not A_0-stable
     (never for action-closed subspaces of a valid module).
     """
     tags = comp.right_tags
-    for row, p in zip(space.rows, space.pivots):
-        if any(e and tags[i] != tags[p] for i, e in enumerate(row)):
+    for row, p in zip(space.basis, space.pivots):
+        if any(tags[i] != tags[p] for i in row):
             raise InternalConsistencyError(
                 "subspace is not stable under the idempotents")
-    order = sorted(zip(space.rows, space.pivots),
+    order = sorted(zip(space.basis, space.pivots),
                    key=lambda rp: (tags[rp[1]], rp[1]))
     return (tuple(r for r, _ in order), tuple(tags[p] for _, p in order),
             tuple(p for _, p in order))
+
+
+def _tag_blocked_rows(comp: LabeledSpace, space: Subspace):
+    """_tag_blocks with the rows dense, as in Subspace.rows."""
+    _, tags, pivots = _tag_blocks(comp, space)
+    dense = dict(zip(space.pivots, space.rows))
+    return tuple(dense[p] for p in pivots), tags, pivots
 
 
 def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
@@ -645,7 +654,7 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     for d, sp in spaces.items():
         if sp.dim == 0:
             continue
-        bases[d] = _tag_blocked_rows(m.component(d), sp)
+        bases[d] = _tag_blocks(m.component(d), sp)
     comps = {d: LabeledSpace.module_component(tags)
              for d, (_, tags, _) in bases.items()}
 
@@ -712,7 +721,7 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     reducers, comps = {}, {}
     for d in m.degrees():
         comp = m.component(d)
-        rows, _, pivots = _tag_blocked_rows(
+        rows, _, pivots = _tag_blocks(
             comp, spaces.get(d, Subspace.zero(F, comp.dim)))
         keep = sorted(set(range(comp.dim)) - set(pivots),
                       key=lambda i: (comp.right_tags[i], i))
@@ -791,10 +800,9 @@ def is_generated_in(m: GradedModule, degrees) -> bool:
 def _complement_matrix(field, ambient, space: Subspace):
     """Matrix of a projection K^ambient -> K^(ambient - dim) killing space.
 
-    None when the space is everything.
+    ambient x 0 when the space is everything: the projection onto nothing,
+    under which every vector vanishes.
     """
-    if space.dim == ambient:
-        return None
     return Matrix(field, ambient, ambient - space.dim, space.unit_residues())
 
 
@@ -802,17 +810,15 @@ def preimage_subspace(f: Matrix, w: Subspace) -> Subspace:
     """{x : x @ f in w}."""
     if f.cols != w.ambient:
         raise ShapeError("preimage target dimension mismatch")
-    comp = _complement_matrix(f.field, f.cols, w)
-    if comp is None:
-        return Subspace.full(f.field, f.rows)
-    return kernel(f @ comp)
+    return kernel(f @ _complement_matrix(f.field, f.cols, w))
 
 
 def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
     """{x in M_d : x a evaluates to zero at every watched degree}.
 
     evals maps each watched degree t to the evaluation applied there, a
-    matrix on M_t or None for the identity.  x must vanish under ev_t after
+    matrix on M_t or None for the identity; a matrix with no columns (the
+    complement of all of M_t) asks nothing.  x must vanish under ev_t after
     every basis vector a of A landing at t = d + u, and under ev_d itself
     when d is watched.  One nullspace over the stacked columns.
     """
@@ -821,7 +827,7 @@ def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
     cols = []
     if d in evals:
         ev = evals[d]
-        cols.extend(Subspace.full(F, dim).rows if ev is None
+        cols.extend(Subspace.full(F, dim).basis if ev is None
                     else zip(*ev.entries))
     for u in m.over.degrees():
         t = m.add_deg(d, u)
@@ -935,11 +941,11 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
                             equations.append(row)
     sols = nullspace(F, equations, total)
     out = []
-    for vec in sols.rows:
+    for vec in sols.basis:
         maps = {}
         for d, base in offset.items():
             md, nd = m.component(d).dim, n.component(d).dim
-            rows = [tuple(vec[base + i * nd + q] for q in range(nd))
+            rows = [tuple(vec.get(base + i * nd + q, z) for q in range(nd))
                     for i in range(md)]
             maps[d] = Matrix(F, md, nd, rows)
         out.append(maps)

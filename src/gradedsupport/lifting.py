@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .constructions import _layout_module, projective_layout, \
     projective_module, regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, Subspace, apply_row, kernel, rref
+from .exactlin import Matrix, Subspace, _rank, apply_row, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
                           _check_set_group, _complement_matrix,
                           _vanishing_space, algebras_equal,
@@ -172,13 +172,11 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
     if ker.dim == 0 or act_v is None:
         return False, None
     pairs_v, pos_v = x._pairs_indexed(m, xv)
-    for w in ker.rows:
+    for w in ker.basis:
         for ell in range(a.component(gap).dim):
             pushed = [z] * len(pairs_v)
-            for idx, (i, j) in enumerate(pairs_u):
-                c = w[idx]
-                if c == z:
-                    continue
+            for idx, c in w.items():
+                i, j = pairs_u[idx]
                 row = a.mult_row(au, gap, j, ell)
                 if row is None:
                     continue
@@ -301,10 +299,6 @@ def _evaluation_rows(x: GradedModule, t, blocks, meta, xdim, F):
             row = x.action_row(m, d, i, qq)
             rows.append(tuple(row) if row is not None else (z,) * xdim)
     return rows
-
-
-def _rank(F, rows):
-    return len(rref(F, rows)[1])
 
 
 def lift_module(x: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -524,7 +518,7 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
             inside = {t for t in proj.degrees()
                       if s.try_contains(t) is not False}
             evals = {t: _complement_matrix(F, closed[t].ambient, closed[t])
-                     for t in inside if closed[t].dim < closed[t].ambient}
+                     for t in inside}
             closed = {d: closed[d] if d in inside
                       else _vanishing_space(proj, d, evals)
                       for d in proj.degrees()}

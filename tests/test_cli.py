@@ -522,3 +522,29 @@ def test_make_rejects_a_composite_prime(capsys):
                          "--field", "GFp", "--p", "4")
     assert code == 2
     assert "not a prime" in err
+
+
+# ---------------------------------------------------------------------------
+# the quiver path cap
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-equivalence", "--window", "60"],
+    ["make", "quiver", "--vertices", "1", "--arrows", "0:0,0:0",
+     "--rel", "y*x", "--top", "60"],
+])
+def test_quiver_path_cap_refuses_before_enumerating(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "over the cap of" in err
+
+
+def test_make_dual_refuses_long_relations_before_listing_words(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "make", "dual", "--vdim", "2", "--n", "22",
+                         "--rel", "*".join(["x"] * 22), "--window", "22")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "over the cap of" in err

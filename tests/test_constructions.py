@@ -279,3 +279,38 @@ def test_present_module_rejects_bad_relation_length():
     f = a.field
     with pytest.raises(PreconditionError):
         present_module(a, [0], [(2, [f.one(), f.one()])])
+
+
+def test_path_cap_counts_paths_before_building_any():
+    from gradedsupport.constructions import PATH_CAP, _longest_path
+    from gradedsupport.errors import CapacityError
+    loops = [(0, 0), (0, 0)]
+    # the harness algebra at top 16 has 2^17 - 1 paths: just under the cap
+    assert 2 ** 17 - 1 <= PATH_CAP < 2 ** 18 - 1
+    assert _longest_path(1, loops, 16) == 16
+    with pytest.raises(CapacityError):
+        _longest_path(1, loops, 17)
+    with pytest.raises(CapacityError):
+        quiver_algebra(1, loops, [[(1, (1, 0))]], 10 ** 9)
+
+
+def test_acyclic_quiver_stops_at_its_longest_path():
+    # paths end at length 2 however high the window reaches
+    a = quiver_algebra(3, [(0, 1), (1, 2)], [], 10 ** 9, GF(3))
+    assert a.window == (0, 10 ** 9)
+    assert sorted(a.components) == [0, 1, 2]
+    b = quiver_algebra(3, [(0, 1), (1, 2)], [], 2, GF(3))
+    assert a.components == b.components and a.mult == b.mult
+
+
+def test_dual_refuses_its_words_before_listing_them():
+    from gradedsupport.errors import CapacityError
+    long_word = [[(1, (0,) * 22)]]
+    # 2^22 words of degree 22: the two-loop quiver is over the path cap
+    with pytest.raises(CapacityError):
+        n_homogeneous_dual(2, long_word, 22)
+    # a window below the relation degree is refused before any word too
+    with pytest.raises(PreconditionError, match="cannot hold"):
+        n_homogeneous_dual(2, long_word, 3)
+    with pytest.raises(CapacityError):
+        n_homogeneous_dual(10 ** 12, [[(1, (0, 0))]], 2)

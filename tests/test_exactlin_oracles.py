@@ -11,6 +11,13 @@ empty shapes included, with rows given dense or as {column: value} dicts.
 e_i modulo a subspace is read off the pivot rows; the old pivot_reduce of
 the unit vector is kept as the oracle for the projection matrix behind
 preimage_subspace and for the mult tables of quiver_algebra.
+
+The kernel itself is forward elimination and back-substitution on
+{column: value} rows, and Subspace keeps those rows.  The Gauss-Jordan
+elimination it replaced, which cleared each new pivot from every earlier
+row, is kept as one more oracle; the last section checks the kernel and
+every Subspace method against the dense oracles over GF(2), GF(3), GF(101)
+and Q.
 """
 
 from fractions import Fraction
@@ -21,10 +28,13 @@ from hypothesis import example, given, strategies as st
 from gradedsupport.constructions import (_path_source, _path_target,
                                          _split_relation, quiver_algebra)
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
-                                    apply_row, kernel, matched_pairs,
-                                    nullspace, pivot_reduce, rref, solve,
-                                    subspace_intersect)
-from gradedsupport.graded_core import _complement_matrix, preimage_subspace
+                                    _axpy, _echelon, _rank, apply_row, image,
+                                    kernel, matched_pairs, nullspace,
+                                    pivot_reduce, rref, solve,
+                                    subspace_contains, subspace_intersect,
+                                    subspace_sum)
+from gradedsupport.graded_core import (_complement_matrix, _vanishing_space,
+                                       preimage_subspace)
 
 FIELDS = [QQ, GF(101)]
 
@@ -274,8 +284,6 @@ def test_nullspace_of_dict_rows_matches_augmented_kernel(case):
 def old_complement_matrix(field, ambient, space):
     z = field.zero()
     keep = [i for i in range(ambient) if i not in set(space.pivots)]
-    if not keep:
-        return None
     rows = []
     for i in range(ambient):
         e = [z] * ambient
@@ -286,10 +294,7 @@ def old_complement_matrix(field, ambient, space):
 
 
 def old_preimage(f, w):
-    comp = old_complement_matrix(f.field, f.cols, w)
-    if comp is None:
-        return Subspace.full(f.field, f.rows)
-    return oracle_kernel(f @ comp)
+    return oracle_kernel(f @ old_complement_matrix(f.field, f.cols, w))
 
 
 @given(subspace_pairs())
@@ -396,5 +401,227 @@ QUIVERS = [
 def test_quiver_tables_match_pivot_reduced_paths(quiver, field):
     a = quiver_algebra(*quiver, field)
     comps, mult = old_quiver_tables(*quiver, field)
+    assert a.components == comps
+    assert a.mult == mult
+
+
+# ---------------------------------------------------------------------------
+# forward elimination, one back-substitution pass, and dict-row subspaces
+
+
+ALL_FIELDS = [GF(2), GF(3), GF(101), QQ]
+
+
+def gauss_jordan_rref(field, rows, ncols):
+    """The elimination the kernel replaced: reduce each incoming row at the
+    pivots it holds, then clear its new pivot from every earlier row."""
+    one = field.one()
+    basis = {}
+    for r in rows:
+        if len(basis) == ncols:
+            break
+        row = {j: v for j, v in (r.items() if isinstance(r, dict)
+                                 else enumerate(r)) if v}
+        for p in [j for j in row if j in basis]:
+            _axpy(field, row, row.pop(p), basis[p], p)
+        if not row:
+            continue
+        col = min(row)
+        inv = field.inv(row[col])
+        if inv != one:
+            row = {j: field.mul(inv, v) for j, v in row.items()}
+        for prow in basis.values():
+            if col in prow:
+                _axpy(field, prow, prow.pop(col), row, col)
+        basis[col] = row
+    pivots = tuple(sorted(basis))
+    z = field.zero()
+    return tuple(tuple(basis[p].get(j, z) for j in range(ncols))
+                 for p in pivots), pivots
+
+
+def dense_reduce(field, rows, pivots, vec):
+    """pivot_reduce on dense rows, one whole-row update per pivot."""
+    v = list(vec)
+    coeffs = []
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        coeffs.append(c)
+        if c != field.zero():
+            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v, coeffs
+
+
+@st.composite
+def row_forms(draw, max_dim=7):
+    """A sparse matrix over one of ALL_FIELDS and its rows as given to the
+    kernel: dense tuples, or dicts with shuffled keys, some explicit zeros
+    and empty dicts for zero rows."""
+    f = draw(st.sampled_from(ALL_FIELDS))
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    m = Matrix(f, nrows, ncols, draw(sparse_rows(f, nrows, ncols)))
+    if draw(st.booleans()):
+        return m, [tuple(r) for r in m.entries]
+    rows = []
+    for r in m.entries:
+        keys = [j for j, e in enumerate(r) if e or draw(st.booleans())]
+        rows.append({j: r[j] for j in draw(st.permutations(keys))})
+    return m, rows
+
+
+def form_examples(*rest):
+    """Also run on empty shapes, all-empty dicts and explicit zeros."""
+    def wrap(test):
+        for f in ALL_FIELDS:
+            for r, c in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+                test = example((Matrix.zero(f, r, c), [{}] * r), *rest)(test)
+                test = example((Matrix.zero(f, r, c),
+                                [(f.zero(),) * c] * r), *rest)(test)
+            test = example((Matrix.zero(f, 2, 3),
+                            [{0: f.zero()}, {2: f.zero(), 1: f.zero()}]),
+                           *rest)(test)
+        return test
+    return wrap
+
+
+def assert_canonical(sp):
+    """basis holds sorted unit pivots, no zeros, and clears other pivots."""
+    assert list(sp.pivots) == sorted(set(sp.pivots))
+    assert len(sp.basis) == len(sp.pivots) == sp.dim
+    for row, p in zip(sp.basis, sp.pivots):
+        assert isinstance(row, dict) and all(row.values())
+        assert row[p] == sp.field.one() and min(row) == p
+        assert not any(q in row for q in sp.pivots if q != p)
+
+
+def vectors(draw, field, n):
+    return [draw(sparse_rows(field, 1, n))[0]
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+@given(row_forms())
+@form_examples()
+def test_kernel_matches_gauss_jordan_and_dense_rref(case):
+    m, rows = case
+    F = m.field
+    want = dense_rref(F, m.entries)
+    assert rref(F, rows, m.cols) == want
+    assert gauss_jordan_rref(F, rows, m.cols) == want
+    red, pivots = _echelon(F, rows, m.cols)
+    assert_canonical(Subspace._of(F, m.cols, red, pivots))
+    assert tuple(tuple(r.get(j, F.zero()) for j in range(m.cols))
+                 for r in red) == want[0]
+    assert _rank(F, rows, m.cols) == len(want[1])
+
+
+@given(row_forms(), st.data())
+@form_examples(None)
+def test_subspace_methods_match_dense_oracles(case, data):
+    m, rows = case
+    F, n = m.field, m.cols
+    sp = Subspace.from_vectors(F, n, rows)
+    want = oracle_span(F, n, m.entries)
+    assert_canonical(sp)
+    assert sp == want and hash(sp) == hash(want)
+    assert sp.rows == want.rows and sp.pivots == want.pivots
+    assert sp.dim == len(want.rows)
+    # the constructor takes the canonical rows dense or as dicts
+    assert Subspace(F, n, sp.rows, sp.pivots) == sp
+    assert Subspace(F, n, sp.basis, sp.pivots) == sp
+    assert Subspace.zero(F, n) == oracle_span(F, n, [])
+    assert Subspace.full(F, n) == oracle_span(
+        F, n, Matrix.identity(F, n).entries)
+    assert Subspace.full(F, n).rows == Matrix.identity(F, n).entries
+    probes = [list(r) for r in m.entries] + (
+        vectors(data.draw, F, n) if data is not None else [])
+    for vec in probes:
+        rest, coeffs = dense_reduce(F, want.rows, want.pivots, vec)
+        assert sp.reduce(vec) == rest
+        assert pivot_reduce(F, sp.basis, sp.pivots, vec) == (rest, coeffs)
+        assert pivot_reduce(F, sp.rows, sp.pivots, vec) == (rest, coeffs)
+        inside = not any(e != F.zero() for e in rest)
+        assert sp.contains_vector(vec) == inside
+        assert sp.coordinates(vec) == (coeffs if inside else None)
+    units = old_complement_matrix(F, n, want)
+    assert sp.unit_residues() == list(units.entries)
+
+
+@given(row_forms())
+@form_examples()
+def test_nullspace_kernel_image_match_augmented_oracles(case):
+    m, rows = case
+    F = m.field
+    assert nullspace(F, rows, m.cols) == oracle_kernel(m.transpose())
+    assert kernel(m) == oracle_kernel(m)
+    assert image(m) == oracle_span(F, m.cols, m.entries)
+
+
+@st.composite
+def subspace_pairs_over_all_fields(draw, max_dim=6):
+    f = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(0, max_dim))
+    return tuple(oracle_span(f, n, draw(sparse_rows(
+        f, draw(st.integers(0, max_dim)), n))) for _ in range(2))
+
+
+@given(subspace_pairs_over_all_fields())
+def test_sum_intersection_containment_match_dense_oracles(pair):
+    a, b = pair
+    F, n = a.field, a.ambient
+    total = oracle_span(F, n, list(a.rows) + list(b.rows))
+    assert subspace_sum(a, b) == total
+    assert subspace_intersect(a, b) == oracle_intersect(a, b)
+    assert_canonical(subspace_intersect(a, b))
+    assert subspace_contains(a, b) == (total == a)
+    assert subspace_contains(total, a) and subspace_contains(total, b)
+
+
+@given(row_forms(), st.data())
+@form_examples(None)
+def test_solve_matches_augmented_solve_over_all_fields(case, data):
+    m, _ = case
+    F = m.field
+    if data is None:
+        b = [F.zero()] * m.cols
+    else:
+        b = data.draw(sparse_rows(F, 1, m.cols))[0]
+    got, want = solve(m, b), oracle_solve(m, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert apply_row(F, got, m) == list(b)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_full_complement_asks_no_condition(field):
+    # the complement of all of K^n is the projection onto nothing
+    full = Subspace.full(field, 3)
+    comp = _complement_matrix(field, 3, full)
+    assert (comp.rows, comp.cols) == (3, 0)
+    assert preimage_subspace(Matrix.identity(field, 3), full) == full
+    # handed to _vanishing_space it watches nothing at that degree
+    from gradedsupport.constructions import regular_module, \
+        truncated_polynomial
+    m = regular_module(truncated_polynomial(3, field=field))
+    dims = {t: m.component(t).dim for t in m.degrees()}
+    evals = {t: _complement_matrix(field, n, Subspace.full(field, n))
+             for t, n in dims.items()}
+    for d, n in dims.items():
+        assert _vanishing_space(m, d, evals) == Subspace.full(field, n)
+
+
+QUIVERS_TO_NINE = [
+    (1, [(0, 0), (0, 0)], [[(1, (1, 0))]]),
+    (2, [(0, 1), (1, 0)], [[(1, (0, 1))]]),
+    (1, [(0, 0), (0, 0)], [[(1, (0, 1)), (-1, (1, 0))]]),
+]
+
+
+@pytest.mark.parametrize("field,top", [(GF(2), 9), (GF(3), 9), (GF(101), 9),
+                                       (QQ, 8)], ids=repr)
+@pytest.mark.parametrize("quiver", QUIVERS_TO_NINE)
+def test_quiver_tables_match_dense_ideal_at_high_tops(quiver, field, top):
+    a = quiver_algebra(*quiver, top, field)
+    comps, mult = old_quiver_tables(*quiver, top, field)
     assert a.components == comps
     assert a.mult == mult
