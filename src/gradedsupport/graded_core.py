@@ -29,7 +29,7 @@ from .errors import (GradingViolationError, InternalConsistencyError, LabelError
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _entries,
                        _rank, apply_row, kernel, matched_pairs, nullspace,
-                       pivot_reduce, rref)  # noqa: F401 (kept importable)
+                       pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -640,13 +640,6 @@ def _tag_blocks(comp: LabeledSpace, space: Subspace):
             tuple(p for _, p in order))
 
 
-def _tag_blocked_rows(comp: LabeledSpace, space: Subspace):
-    """_tag_blocks with the rows dense, as in Subspace.rows."""
-    _, tags, pivots = _tag_blocks(comp, space)
-    dense = dict(zip(space.pivots, space.rows))
-    return tuple(dense[p] for p in pivots), tags, pivots
-
-
 def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     """The submodule with the given action-closed component subspaces."""
     F = m.field
@@ -831,7 +824,8 @@ def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
                     else zip(*ev.entries))
     for u in m.over.degrees():
         t = m.add_deg(d, u)
-        if t not in evals or m.component(t).dim == 0:
+        if (t not in evals or m.component(t).dim == 0
+                or (evals[t] is not None and evals[t].cols == 0)):
             continue
         for j in range(m.over.component(u).dim):
             ra = m.right_action_matrix(d, u, j)

@@ -31,7 +31,7 @@ from gradedsupport.errors import GradedSupportError, InternalConsistencyError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     apply_row, kernel, rref,
                                     subspace_intersect)
-from gradedsupport.graded_core import (GradedModule, _tag_blocked_rows,
+from gradedsupport.graded_core import (GradedModule, _tag_blocks,
                                        _vanishing_space, closure_under_action,
                                        kill_support_algebra,
                                        kill_support_module, modules_equal,
@@ -391,8 +391,10 @@ def test_tag_blocks_match_per_tag_elimination(data):
     spaces = closure_under_action(m, seeds)
     for d, sp in spaces.items():
         comp = m.component(d)
-        assert _tag_blocked_rows(comp, sp) \
-            == tag_blocks_by_rref(comp, sp, field)
+        rows, tags, pivots = _tag_blocks(comp, sp)
+        dense = tuple(tuple(r.get(i, field.zero()) for i in range(comp.dim))
+                      for r in rows)
+        assert (dense, tags, pivots) == tag_blocks_by_rref(comp, sp, field)
 
 
 @settings(max_examples=40, deadline=None)
