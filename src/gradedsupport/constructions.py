@@ -270,8 +270,9 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             tuple(_path_target(arrows, ps[i]) for i in keep))
         basis_paths[m] = [ps[i] for i in keep]
 
-    # the class of each path of degree m in the kept coordinates
-    residues = {m: ideal.get(m, Subspace.zero(F, len(paths[m]))).unit_residues()
+    # the class of a path of degree m in the kept coordinates, read only for
+    # the products the table looks up
+    residues = {m: ideal.get(m, Subspace.zero(F, len(paths[m])))
                 for m in comps if m}
 
     mult = {}
@@ -295,7 +296,7 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
                 if t == 0:
                     row = tuple(F.one() if v == word else z for v in basis_paths[0])
                 else:
-                    row = residues[t][index[t][word]]
+                    row = residues[t].unit_residue(index[t][word])
                 rows.append(row)
             mult[(g, h)] = Matrix(F, len(pairs), comps[t].dim, rows)
     unit = tuple(F.one() for _ in range(num_vertices))

@@ -46,12 +46,13 @@ _echelon call plus a read-off of its pivots and free columns:
 Reducing a vector against rows with unit, cleared pivots (subspace
 membership, coordinates, quotient projections) goes through pivot_reduce,
 over each row's nonzeros.  A unit vector e_i needs no reduction:
-Subspace.unit_residues reads e_i modulo the subspace off the row pivoting
+Subspace.unit_residue reads e_i modulo the subspace off the row pivoting
 at i.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -549,32 +550,29 @@ class Subspace:
         v, coeffs = pivot_reduce(self.field, self.basis, self.pivots, vec)
         return None if any(v) else coeffs
 
-    def unit_residues(self):
-        """Row i is e_i modulo this subspace, in the non-pivot coordinates.
+    def unit_residue(self, i):
+        """e_i modulo this subspace, in the non-pivot coordinates.
 
         Read off the basis: e_i is its own residue when i is not a pivot
         column, and e_i minus the row pivoting at i otherwise, whose other
-        nonzeros all sit at non-pivot columns.
+        nonzeros all sit at non-pivot columns.  Non-pivot column j is
+        coordinate j - (pivots below j).
         """
         F = self.field
-        z, one, neg = F.zero(), F.one(), F.neg
-        row_at = dict(zip(self.pivots, self.basis))
-        pos = {}
-        for i in range(self.ambient):
-            if i not in row_at:
-                pos[i] = len(pos)
-        out = []
-        for i in range(self.ambient):
-            res = [z] * len(pos)
-            row = row_at.get(i)
-            if row is None:
-                res[pos[i]] = one
-            else:
-                for j, v in row.items():
-                    if j != i:
-                        res[pos[j]] = neg(v)
-            out.append(tuple(res))
-        return out
+        pivots = self.pivots
+        res = [F.zero()] * (self.ambient - len(pivots))
+        r = bisect_left(pivots, i)
+        if r < len(pivots) and pivots[r] == i:
+            for j, v in self.basis[r].items():
+                if j != i:
+                    res[j - bisect_left(pivots, j)] = F.neg(v)
+        else:
+            res[i - r] = F.one()
+        return tuple(res)
+
+    def unit_residues(self):
+        """Row i is unit_residue(i)."""
+        return [self.unit_residue(i) for i in range(self.ambient)]
 
 
 def nullspace(field, rows, ncols) -> Subspace:

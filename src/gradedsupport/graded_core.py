@@ -12,7 +12,10 @@ over and the map is the action.  Both share one base class holding the
 components, the map table and the lookups on it.  Components absent from
 the dictionary are zero, and for Z-graded objects every component outside
 the window is zero by definition: the object is genuinely finite
-dimensional, not a truncated view of an unknown infinite one.
+dimensional, not a truncated view of an unknown infinite one.  Over Z/n,
+degrees are reduced mod n, and two components or two maps at one reduced
+degree are refused.  Actions are read only through the stored rows, by
+matched pair (i, j); no dense per-generator matrix x |-> x * a_j is built.
 
 The degree-0 part of an algebra carries the unit as an explicit coefficient
 vector.  With k >= 2 idempotents the degree-0 part must be exactly the k
@@ -28,10 +31,17 @@ from __future__ import annotations
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _entries,
-                       _rank, apply_row, kernel, matched_pairs, nullspace,
-                       pivot_reduce)
+                       _rank, kernel, matched_pairs, nullspace, pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
+
+
+def _claim(seen, key, what, group):
+    """Refuse a second entry at one degree key reduced mod n: it would
+    silently replace the first."""
+    if key in seen:
+        raise PreconditionError(f"two {what} at degree {key} of {group!r}")
+    seen.add(key)
 
 
 class _GradedObject:
@@ -55,11 +65,12 @@ class _GradedObject:
         self.group = group
         self.window = (lo, hi)
         self.field = field
-        comps = {}
+        comps, seen = {}, set()
         for d, c in components.items():
             d = int(d)
             if group.kind == "Zn":
                 d %= group.n
+                _claim(seen, d, "components", group)
             if c.dim == 0:
                 continue
             if not lo <= d <= hi:
@@ -71,10 +82,11 @@ class _GradedObject:
 
     def _store_maps(self, table):
         """Check every map's shape and field; keep the nonempty ones."""
-        stored = {}
+        stored, seen = {}, set()
         for (g, h), m in table.items():
             if self.group.kind == "Zn":
                 g, h = g % self.group.n, h % self.group.n
+                _claim(seen, (g, h), f"{self._map_name} maps", self.group)
             pairs = self.pairs(g, h)
             t = self.component(self.add_deg(g, h))
             if m.rows != len(pairs) or m.cols != t.dim:
@@ -136,17 +148,11 @@ class _GradedObject:
         r = self._pairs_indexed(g, h)[1].get((i, j))
         return None if r is None else m.entries[r]
 
-    def _right_map_matrix(self, g, h, j):
-        """Matrix of X_g -> X_{g+h}, x |-> x * a_j; None when zero."""
+    def _map_rows(self, g, h):
+        """((i, j), image of x_i * a_j) for each row of map (g, h); none
+        when the map is structurally zero."""
         m = self._map_matrix(g, h)
-        tdim = self.component(self.add_deg(g, h)).dim
-        if m is None or tdim == 0:
-            return None
-        index = self._pairs_indexed(g, h)[1]
-        zero_row = (self.field.zero(),) * tdim
-        rows = [m.entries[index[(i, j)]] if (i, j) in index else zero_row
-                for i in range(self.component(g).dim)]
-        return Matrix(self.field, len(rows), tdim, rows)
+        return () if m is None else zip(self.pairs(g, h), m.entries)
 
 
 class GradedAlgebra(_GradedObject):
@@ -181,7 +187,6 @@ class GradedAlgebra(_GradedObject):
 
     mult_matrix = _GradedObject._map_matrix
     mult_row = _GradedObject._map_row
-    right_mult_matrix = _GradedObject._right_map_matrix
 
 
 class KilledAlgebra(GradedAlgebra):
@@ -218,7 +223,6 @@ class GradedModule(_GradedObject):
 
     action_matrix = _GradedObject._map_matrix
     action_row = _GradedObject._map_row
-    right_action_matrix = _GradedObject._right_map_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +302,13 @@ def _tag_escape(x, both_sides):
     The right tag of x_i * a_j is that of a_j; for algebras the left tag is
     also checked against that of x_i (module left tags carry no action).
     """
-    z = x.field.zero()
     right = x._acting()
-    for (g, h), m in x._maps.items():
+    for (g, h) in x._maps:
         cg, ch = x.component(g), right.component(h)
         ct = x.component(x.add_deg(g, h))
-        for r, (i, j) in enumerate(x.pairs(g, h)):
-            for q in range(ct.dim):
-                if m.entries[r][q] != z and (
+        for (i, j), row in x._map_rows(g, h):
+            for q, e in enumerate(row):
+                if e and (
                         ct.right_tags[q] != ch.right_tags[j]
                         or both_sides and ct.left_tags[q] != cg.left_tags[i]):
                     return ("tags", g, h, i, j, q)
@@ -375,7 +378,9 @@ def _accumulate(field, tdim, coeffs, row_of):
             row = row_of(m)
             if row is None:
                 continue
-            acc = [field.add(x, field.mul(c, y)) for x, y in zip(acc, row)]
+            for q, y in enumerate(row):
+                if y:
+                    acc[q] = field.add(acc[q], field.mul(c, y))
     return tuple(acc)
 
 
@@ -747,7 +752,7 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
 
     seeds maps degrees to lists of coordinate vectors.  Closed form:
     span(seeds + seeds A), closed since (x b) a = x (b a); one pass over
-    (seed degree, u, j), one Subspace.from_vectors per degree.  The seeds
+    (seed degree, u), one Subspace.from_vectors per degree.  The seeds
     are spanned themselves, so the stored unit action is not relied on.
     Assumes m is a module: associative, unital action (validate_module).
     """
@@ -760,12 +765,12 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
         vecs[d].extend(seed)
         for u in m.over.degrees():
             t = m.add_deg(d, u)
-            if m.component(t).dim == 0:
-                continue
-            for j in range(m.over.component(u).dim):
-                ra = m.right_action_matrix(d, u, j)
-                if ra is not None:
-                    vecs[t].extend(apply_row(F, r, ra) for r in seed)
+            rows_by_j = {}  # j -> {i: x_i * a_j}
+            for (i, j), row in m._map_rows(d, u):
+                rows_by_j.setdefault(j, {})[i] = row
+            for rows in rows_by_j.values():
+                vecs[t].extend(_accumulate(F, m.component(t).dim, r, rows.get)
+                               for r in seed)
     return {d: Subspace.from_vectors(F, m.component(d).dim, v)
             for d, v in vecs.items()}
 
@@ -813,7 +818,8 @@ def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
     matrix on M_t or None for the identity; a matrix with no columns (the
     complement of all of M_t) asks nothing.  x must vanish under ev_t after
     every basis vector a of A landing at t = d + u, and under ev_d itself
-    when d is watched.  One nullspace over the stacked columns.
+    when d is watched.  Entry i of equation (j, c) is column c of
+    ev_t(x_i * a_j).  One nullspace over the stacked equations.
     """
     F = m.field
     dim = m.component(d).dim
@@ -824,15 +830,18 @@ def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
                     else zip(*ev.entries))
     for u in m.over.degrees():
         t = m.add_deg(d, u)
-        if (t not in evals or m.component(t).dim == 0
+        act = m.action_matrix(d, u)
+        if (t not in evals or act is None
                 or (evals[t] is not None and evals[t].cols == 0)):
             continue
-        for j in range(m.over.component(u).dim):
-            ra = m.right_action_matrix(d, u, j)
-            if ra is not None:
-                if evals[t] is not None:
-                    ra = ra @ evals[t]
-                cols.extend(zip(*ra.entries))
+        if evals[t] is not None:
+            act = act @ evals[t]
+        stacked = {}
+        for (i, j), row in zip(m.pairs(d, u), act.entries):
+            for c, e in enumerate(row):
+                if e:
+                    stacked.setdefault((j, c), {})[i] = e
+        cols.extend(stacked.values())
     return nullspace(F, cols, dim)
 
 
@@ -885,6 +894,8 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
     imposed for every module degree, algebra degree, and acting basis vector;
     unknowns exist only at degrees where both components are nonzero, and
     maps out of or into zero components contribute one-sided constraints.
+    Equation (d, u, i, j, c) is entry c of f_{d+u}(x_i a_j) - f_d(x_i) a_j,
+    built from the nonzeros of M's and N's stored action rows.
     """
     if not algebras_equal(m.over, n.over):
         raise PreconditionError("hom spaces need modules over the same algebra")
@@ -907,32 +918,23 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
             nt = n.component(t).dim
             if nt == 0:
                 continue
-            for j in range(m.over.component(u).dim):
-                tm = m.right_action_matrix(d, u, j)
-                tn = n.right_action_matrix(d, u, j) if nd else None
-                if tm is None and tn is None:
-                    continue
-                # the nonzeros of row i of tm and of column c of tn
-                tm_nz = tn_nz = None
-                if tm is not None and t in offset:
-                    tm_nz = [[(mm * nt, e) for mm, e in enumerate(r) if e]
-                             for r in tm.entries]
-                if tn is not None and d in offset:
-                    tn_nz = [[(q, tn.entries[q][c]) for q in range(nd)
-                              if tn.entries[q][c]] for c in range(nt)]
-                for i in range(md):
+            eqs = {}  # (j, i, c) -> equation; stored rows imply the unknowns
+            for (i, j), row in m._map_rows(d, u):
+                # f_t(x_i a_j)[c] = sum over k of row[k] f_t[k][c]
+                nz = [(offset[t] + k * nt, e) for k, e in enumerate(row) if e]
+                if nz:
                     for c in range(nt):
-                        row = {}
-                        if tm_nz is not None:
-                            base = offset[t] + c
-                            for k, coef in tm_nz[i]:
-                                row[base + k] = coef
-                        if tn_nz is not None:
-                            base = offset[d] + i * nd
-                            for q, coef in tn_nz[c]:
-                                row[base + q] = F.sub(row.get(base + q, z), coef)
-                        if row:
-                            equations.append(row)
+                        eqs[(j, i, c)] = {col + c: e for col, e in nz}
+            for (q, j), row in n._map_rows(d, u):
+                # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], every i
+                for c, e in enumerate(row):
+                    if e:
+                        ne = F.neg(e)
+                        for i in range(md):
+                            eq = eqs.setdefault((j, i, c), {})
+                            col = offset[d] + i * nd + q
+                            eq[col] = F.sub(eq[col], e) if col in eq else ne
+            equations.extend(eqs[key] for key in sorted(eqs))
     sols = nullspace(F, equations, total)
     out = []
     for vec in sols.basis:

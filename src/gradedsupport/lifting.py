@@ -37,7 +37,7 @@ from .constructions import _layout_module, projective_layout, \
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, Subspace, _rank, apply_row, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          _check_set_group, _complement_matrix,
+                          _accumulate, _check_set_group, _complement_matrix,
                           _vanishing_space, algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in, is_generated_in,
@@ -395,18 +395,17 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
             if phi_t2 is None or not x.in_window(t2):
                 continue
             xdim2 = x.component(t2).dim
-            mdim = lifted.component(t).dim
-            for j in range(a.component(ud).dim):
-                ra_m = lifted.right_action_matrix(t, ud, j)
-                if ra_m is None:
-                    ra_m = Matrix.zero(F, mdim, lifted.component(t2).dim)
-                ra_x = x.right_action_matrix(t, ud, j)
-                if ra_x is None:
-                    ra_x = Matrix.zero(F, x.component(t).dim, xdim2)
-                if ra_m @ phi_t2 != phi_t @ ra_x:
-                    raise InternalConsistencyError(
-                        "the evaluation map fails to commute with the "
-                        f"action at degrees ({t}, {ud})")
+            # (e_i a_j) phi_{t+u} = (e_i phi_t) a_j, from the stored rows
+            for i, phi_i in enumerate(phi_t.entries):
+                for j in range(a.component(ud).dim):
+                    lhs = _accumulate(F, xdim2, lifted.action_row(t, ud, i, j),
+                                      phi_t2.entries.__getitem__)
+                    rhs = _accumulate(F, xdim2, phi_i,
+                                      lambda k: x.action_row(t, ud, k, j))
+                    if lhs != rhs:
+                        raise InternalConsistencyError(
+                            "the evaluation map fails to commute with the "
+                            f"action at degrees ({t}, {ud})")
 
     generated = is_generated_in(lifted, q.members_in(window[0], window[1]))
     cogenerated = is_cogenerated_in(lifted, s).holds
@@ -691,8 +690,10 @@ def koszul_pipeline(a: GradedAlgebra, n, m=0):
     if a.group.kind != "Z" or a.window[0] != 0:
         raise PreconditionError("the pipeline needs a positively graded "
                                 "algebra over Z")
-    if n < 2:
-        raise PreconditionError("need period n >= 2")
+    if n < 3:
+        raise PreconditionError(
+            f"need period n >= 3, got {n}: below that U = nZ + {{0, 1}} is "
+            f"all of Z and kills nothing")
     top = a.window[1]
     if top < 2 * n:
         raise PreconditionError(

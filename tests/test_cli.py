@@ -233,6 +233,21 @@ def test_kill_rejects_a_non_ring_supporting_set(capsys, tmp_path):
     assert "not associative" in out
 
 
+def test_kill_refuses_aliased_cyclic_degrees(capsys, tmp_path):
+    # mult entries at (0, 0) and (3, 0) over Z/3 name one map; keeping the
+    # later, zero one would break the unit law without a word
+    obj = algebra_to_json(group_algebra(3))
+    obj["mult"].append({"g": 3, "h": 0, "matrix": {
+        "field": "Q", "rows": 1, "cols": 1, "entries": [["0"]]}})
+    alg = write_json(tmp_path / "a.json", obj)
+    u = write_json(tmp_path / "u.json",
+                   degree_set_to_json(DegreeSet.full(Zn(3))))
+    code, out, err = run(capsys, "kill", alg, u)
+    assert code == 2
+    assert out == ""
+    assert "two mult maps at degree (0, 0) of Z/3" in err
+
+
 def test_regrade_matches_the_library(capsys, tmp_path):
     a = truncated_polynomial(7, 1, window=(0, 6))
     b = kill_support_algebra(a, U3)
@@ -420,6 +435,15 @@ def test_koszul_pipeline_json_report(capsys):
     assert got["even_preimage_members"] == [0, 2, 4]
     assert all(v["holds"] for v in got["vanishing_pairs"])
     assert all(c["holds"] for c in got["conditions"])
+
+
+def test_koszul_pipeline_needs_period_at_least_3(capsys):
+    # the membership conditions use r = 1, so the period must exceed 2r
+    code, out, err = run(capsys, "koszul-pipeline", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "period n >= 3" in err
+    assert "2r" not in err
 
 
 def test_koszul_pipeline_window_too_small(capsys):

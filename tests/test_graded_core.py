@@ -280,6 +280,32 @@ def test_shift_wraps_over_finite_groups():
     assert modules_equal(shift_module(sh, 1), m)
 
 
+def test_cyclic_degree_aliases_are_refused():
+    # over Z/3 the degrees 3 and 0 name one component, and the pairs (3, 0)
+    # and (0, 0) one map: the second entry would silently replace the first
+    a = group_algebra(3, GF(5))
+    f = a.field
+    comps = dict(a.components)
+    comps[3] = comps[0]
+    with pytest.raises(PreconditionError, match="two components at degree 0"):
+        GradedAlgebra(a.group, a.window, 1, f, comps, a.mult, a.unit)
+    mult = dict(a.mult)
+    mult[(3, 0)] = Matrix.zero(f, 1, 1)
+    with pytest.raises(PreconditionError,
+                       match=r"two mult maps at degree \(0, 0\) of Z/3"):
+        GradedAlgebra(a.group, a.window, 1, f, a.components, mult, a.unit)
+    m = regular_module(a)
+    action = dict(m.action)
+    action[(1, 5)] = action[(1, 2)]
+    with pytest.raises(PreconditionError, match="two action maps"):
+        GradedModule(a, m.window, m.components, action)
+    # distinct residues are untouched
+    assert algebras_equal(
+        GradedAlgebra(a.group, a.window, 1, f, a.components,
+                      {(g + 3, h): mat for (g, h), mat in a.mult.items()},
+                      a.unit), a)
+
+
 # ---------------------------------------------------------------------------
 # torsion
 

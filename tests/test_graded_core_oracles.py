@@ -9,7 +9,13 @@ and then by the torsion of that quotient.  The library reads each of them
 off one pass: span(seeds + seeds A), one nullspace per off-S degree, and one
 quotient by the vectors whose every product into S evaluates to zero.
 These tests check that it returns the same subspace dicts, value for value,
-and the same lift reports.
+and the same lift reports.  Those oracles read the action through
+right_action_matrix, the dense per-generator view the library used to
+build; the library reads only the stored action rows.
+
+Hom spaces have an oracle too: the equations built from that dense view,
+one per acting basis vector, rescanned for nonzeros.  The library builds
+each equation from the nonzeros of the stored rows of both modules.
 
 The module builders have oracles too: the tag blocks that eliminated once
 per tag and degree, which the library now reads off the canonical rows, and
@@ -29,11 +35,11 @@ from gradedsupport.constructions import (_layout_module, group_algebra,
                                          regular_module, truncated_polynomial)
 from gradedsupport.errors import GradedSupportError, InternalConsistencyError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
-                                    apply_row, kernel, rref,
+                                    apply_row, kernel, nullspace, rref,
                                     subspace_intersect)
 from gradedsupport.graded_core import (GradedModule, _tag_blocks,
                                        _vanishing_space, closure_under_action,
-                                       kill_support_algebra,
+                                       hom_space_basis, kill_support_algebra,
                                        kill_support_module, modules_equal,
                                        preimage_subspace, quotient_with_maps,
                                        shift_module, submodule_from_subspaces,
@@ -48,6 +54,21 @@ from gradedsupport.subsets import DegreeSet, Z, Zn, quotient_set
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def right_action_matrix(m, g, h, j):
+    """Matrix of M_g -> M_{g+h}, x |-> x * a_j, zero rows padding the
+    unmatched x_i; None when zero.  The dense view of the action that the
+    library used to build, and the oracles below still read."""
+    mat = m.action_matrix(g, h)
+    tdim = m.component(m.add_deg(g, h)).dim
+    if mat is None or tdim == 0:
+        return None
+    index = {p: r for r, p in enumerate(m.pairs(g, h))}
+    zero_row = (m.field.zero(),) * tdim
+    rows = [mat.entries[index[(i, j)]] if (i, j) in index else zero_row
+            for i in range(m.component(g).dim)]
+    return Matrix(m.field, len(rows), tdim, rows)
 
 
 def closure_by_fixed_point(m, seeds):
@@ -72,7 +93,7 @@ def closure_by_fixed_point(m, seeds):
                     continue
                 vecs = []
                 for j in range(m.over.component(u).dim):
-                    ra = m.right_action_matrix(d, u, j)
+                    ra = right_action_matrix(m, d, u, j)
                     if ra is not None:
                         vecs.extend(apply_row(F, r, ra) for r in sp.rows)
                 if not vecs:
@@ -102,7 +123,7 @@ def torsion_by_fixed_point(n, s):
                 if spaces[d].dim == 0 or n.component(t).dim == 0:
                     continue
                 for j in range(n.over.component(u).dim):
-                    ra = n.right_action_matrix(d, u, j)
+                    ra = right_action_matrix(n, d, u, j)
                     if ra is None:
                         continue
                     inter = subspace_intersect(
@@ -166,6 +187,88 @@ def lift_by_two_quotients(x, s, u, a):
         raise InternalConsistencyError("left the category")
     return LiftReport(True, (), report.triples_checked, lifted, True, True,
                       True)
+
+
+def hom_basis_by_dense_equations(m, n):
+    """hom_space_basis with one equation per (d, u, j, i, c) read off the
+    dense right_action_matrix of each side, rescanned for nonzeros."""
+    F = m.field
+    z = F.zero()
+    offset = {}
+    total = 0
+    for d in sorted(set(m.degrees()) & set(n.degrees())):
+        offset[d] = total
+        total += m.component(d).dim * n.component(d).dim
+    if total == 0:
+        return []
+    equations = []
+    for d in m.degrees():
+        md = m.component(d).dim
+        nd = n.component(d).dim
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            nt = n.component(t).dim
+            if nt == 0:
+                continue
+            for j in range(m.over.component(u).dim):
+                tm = right_action_matrix(m, d, u, j)
+                tn = right_action_matrix(n, d, u, j) if nd else None
+                if tm is None and tn is None:
+                    continue
+                tm_nz = tn_nz = None
+                if tm is not None and t in offset:
+                    tm_nz = [[(mm * nt, e) for mm, e in enumerate(r) if e]
+                             for r in tm.entries]
+                if tn is not None and d in offset:
+                    tn_nz = [[(q, tn.entries[q][c]) for q in range(nd)
+                              if tn.entries[q][c]] for c in range(nt)]
+                for i in range(md):
+                    for c in range(nt):
+                        row = {}
+                        if tm_nz is not None:
+                            base = offset[t] + c
+                            for k, coef in tm_nz[i]:
+                                row[base + k] = coef
+                        if tn_nz is not None:
+                            base = offset[d] + i * nd
+                            for q, coef in tn_nz[c]:
+                                row[base + q] = F.sub(row.get(base + q, z),
+                                                      coef)
+                        if row:
+                            equations.append(row)
+    out = []
+    for vec in nullspace(F, equations, total).basis:
+        maps = {}
+        for d, base in offset.items():
+            md, nd = m.component(d).dim, n.component(d).dim
+            maps[d] = Matrix(F, md, nd, [
+                tuple(vec.get(base + i * nd + q, z) for q in range(nd))
+                for i in range(md)])
+        out.append(maps)
+    return out
+
+
+def commutes_with_action(m, n, f):
+    """Whether f_{d+u}(x a_j) = f_d(x) a_j for every basis x and a_j, with
+    the components of f that are absent read as zero."""
+    F = m.field
+
+    def dense(mat, rows, cols):
+        return Matrix.zero(F, rows, cols) if mat is None else mat
+
+    for d in m.degrees():
+        md, nd = m.component(d).dim, n.component(d).dim
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            mt, nt = m.component(t).dim, n.component(t).dim
+            for j in range(m.over.component(u).dim):
+                lhs = (dense(right_action_matrix(m, d, u, j), md, mt)
+                       @ dense(f.get(t), mt, nt))
+                rhs = (dense(f.get(d), md, nd)
+                       @ dense(right_action_matrix(n, d, u, j), nd, nt))
+                if lhs != rhs:
+                    return False
+    return True
 
 
 def tag_blocks_by_rref(comp, space, field):
@@ -239,28 +342,59 @@ def _vector(draw, field, dim):
     return [field.from_int(draw(st.integers(-2, 2))) for _ in range(dim)]
 
 
-@st.composite
-def presented_modules(draw):
-    """present_module over Z (generators at negative degrees too, then
-    shifted) or over Z/n, with a few random relations."""
-    field = draw(st.sampled_from(FIELDS))
-    if draw(st.booleans()):
-        a = group_algebra(draw(st.integers(1, 5)), field)
+def _presented_over(draw, a):
+    """present_module over a with a few random relations; over Z with
+    generators at negative degrees too, then maybe shifted."""
+    if a.group.kind == "Zn":
         gens = draw(st.lists(st.integers(0, a.group.n - 1), min_size=1,
                              max_size=3))
     else:
-        a = z_algebra(draw(st.sampled_from(["poly", "loops"])),
-                      draw(st.integers(1, 4)), field)
         gens = draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3))
     free = present_module(a, gens, [])
     relations = []
     for _ in range(draw(st.integers(0, 3))):
         d = draw(st.sampled_from(free.degrees()))
-        relations.append((d, _vector(draw, field, free.component(d).dim)))
+        relations.append((d, _vector(draw, a.field, free.component(d).dim)))
     m = present_module(a, gens, relations)
     if m.group.kind == "Z" and draw(st.booleans()):
         m = shift_module(m, draw(st.integers(-4, 4)))
     return m
+
+
+@st.composite
+def presented_modules(draw):
+    """present_module over Z or over Z/n, with a few random relations."""
+    field = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        a = group_algebra(draw(st.integers(1, 5)), field)
+    else:
+        a = z_algebra(draw(st.sampled_from(["poly", "loops"])),
+                      draw(st.integers(1, 4)), field)
+    return _presented_over(draw, a)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two modules over one algebra: presented over Z/n or Z, where the
+    independent shifts often leave one side zero where the other is not, or
+    projective over the two-vertex quiver, whose unmatched pairs (x_i, a_j)
+    still give equations."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(["Zn", "poly", "loops", "cycle"]))
+    if kind == "Zn":
+        a = group_algebra(draw(st.integers(1, 5)), field)
+    else:
+        a = z_algebra(kind, draw(st.integers(1, 4)), field)
+
+    def one():
+        if kind != "cycle":
+            return _presented_over(draw, a)
+        gens = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                             min_size=1, max_size=3))
+        m = projective_module(a, gens)
+        return shift_module(m, draw(st.integers(-2, 2)))
+
+    return one(), one()
 
 
 @st.composite
@@ -366,6 +500,33 @@ def test_vanishing_space_counts_x_itself_at_its_degree():
     assert _vanishing_space(m, 1, {1: ev}) == kernel(ev)
     assert _vanishing_space(m, 1, {1: None}).dim == 0
     assert _vanishing_space(m, 0, {1: ev}).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# hom spaces
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=module_pairs())
+def test_hom_basis_matches_the_dense_equations(pair):
+    m, n = pair
+    got = hom_space_basis(m, n)
+    assert got == hom_basis_by_dense_equations(m, n)
+    assert all(commutes_with_action(m, n, f) for f in got)
+
+
+def test_hom_with_one_sided_equations():
+    # K[x]/(x^3) and its simple module S at degree 0.  S -> A is zero (x
+    # kills S but not A_0), A -> S is the top, and A shifted by 2 maps onto
+    # A_2: each has degrees where only one side is nonzero
+    a = truncated_polynomial(3, field=GF(3))
+    s = present_module(a, [0], [(1, [a.field.one()])])
+    reg = regular_module(a)
+    for m, n, dim in ((s, reg, 0), (reg, s, 1), (shift_module(reg, 2), reg, 1)):
+        got = hom_space_basis(m, n)
+        assert got == hom_basis_by_dense_equations(m, n)
+        assert len(got) == dim
+        assert all(commutes_with_action(m, n, f) for f in got)
 
 
 # ---------------------------------------------------------------------------
