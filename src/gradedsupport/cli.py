@@ -22,8 +22,8 @@ from .errors import PreconditionError, SchemaError
 from .exactlin import GF, QQ
 from .graded_core import kill_support_algebra, regrade_algebra, \
     validate_algebra
-from .lifting import check_and_lift, equivalence_harness, koszul_pipeline, \
-    liftability_check, liftability_check_interval
+from .lifting import check_and_lift, check_period, equivalence_harness, \
+    koszul_pipeline, liftability_check, liftability_check_interval
 from .serialize import (algebra_from_json, algebra_to_json,
                         degree_set_from_json, degree_set_to_json,
                         module_from_json, module_to_json,
@@ -279,6 +279,7 @@ def cmd_verify_equivalence(args):
 
 
 def cmd_koszul_pipeline(args):
+    check_period(args.n)  # before the default algebra, built from n
     top = args.window if args.window is not None else 2 * args.n
     if args.alg:
         a = algebra_from_json(_load_json(args.alg))

@@ -11,25 +11,30 @@ presentations (free module modulo the submodule generated by relation
 vectors).
 
 Path algebra relations are lists of (coefficient, path) terms, a path being a
-tuple of arrow indices composing left to right.  Ideals are expanded degree
-by degree: I_m = P_1 I_{m-1} + I_{m-1} P_1 + R_m, with every relation first
-split into its endpoint blocks so all stored ideal vectors connect a single
-source to a single target.  Each degree's ideal is spanned from the previous
-degree's canonical rows, kept as {path index: coefficient} dicts, and the
-class of a path is read off the row pivoting at it.
+tuple of arrow indices composing left to right, split into endpoint blocks
+with equal paths merged.  The one-term blocks span a monomial ideal J, and
+only the paths through no word of J are listed: they are a basis of kQ/J
+(Anick 1986).  The other blocks span the rest of the ideal on them degree
+by degree, I_m = P_1 I_{m-1} + I_{m-1} P_1 + R_m, from the previous
+degree's canonical {path index: coefficient} rows, and the class of a path
+is read off the row pivoting at it.
 
-PATH_CAP bounds the paths a quiver algebra enumerates, the vertices and
-every path up to the top degree: they are counted per target vertex before
-any is built, and a larger count raises CapacityError.  The two-loop
-algebra of the equivalence harness has 2^(top + 1) - 1 of them, so the cap
-admits it up to top 16.  n_homogeneous_dual makes the same count over its
-loops before it lists the relation words, which are paths too.
+PATH_CAP bounds the vertices and paths a quiver algebra lists, and
+TABLE_CAP its mult table entries, the sum over (g, h) of the matched pairs
+times the paths of degree g + h.  Both are counted as the paths are listed,
+before any ideal or table is built, and a larger count raises
+CapacityError.  The two-loop harness algebra (yx = 0) has t + 1 paths in
+degree t, so TABLE_CAP admits it up to top 39.  n_homogeneous_dual counts
+every path over its loops against PATH_CAP before it lists the relation
+words.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 
 from .errors import CapacityError, PreconditionError
 from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, matched_pairs,
@@ -140,6 +145,7 @@ def generic_pair_algebra(g, h, field=QQ) -> GradedAlgebra:
 
 
 PATH_CAP = 2 ** 17
+TABLE_CAP = 2 ** 22
 
 
 def _longest_path(num_vertices, arrows, top):
@@ -165,6 +171,45 @@ def _longest_path(num_vertices, arrows, top):
     return top
 
 
+def _avoiding_paths(num_vertices, arrows, words, top):
+    """The paths of degree 1..top through no word of words, by degree.
+
+    Degree m extends degree m - 1 by one arrow, less the paths ending in a
+    word; every prefix of such a path avoids the words too, so the order is
+    that of the full path listing.  Stops at the first degree with no path,
+    and checks PATH_CAP and TABLE_CAP as each degree is listed.
+    """
+    def check(count, cap, what, m):
+        if count > cap:
+            raise CapacityError(f"the quiver's {what} up to degree {m} "
+                                f"(top {top}) are over the cap of {cap}")
+
+    total, entries = num_vertices, num_vertices ** 2
+    check(entries, TABLE_CAP, f"{entries} mult table entries", 0)
+    lengths = {len(w) for w in words}
+    # the paths of each degree counted by target and by source vertex
+    ends, starts = [Counter(range(num_vertices))], [Counter(range(num_vertices))]
+    paths = {}
+    for m in range(1, top + 1):
+        grown = ((a,) for a in range(len(arrows))) if m == 1 else (
+            p + (a,) for p in paths[m - 1] for a in range(len(arrows))
+            if arrows[a][0] == arrows[p[-1]][1])
+        level = list(itertools.islice(
+            (p for p in grown if not any(p[-n:] in words for n in lengths)),
+            PATH_CAP - total + 1))
+        if not level:
+            break
+        total += len(level)
+        check(total, PATH_CAP, "vertices and relation-avoiding paths", m)
+        paths[m] = level
+        ends.append(Counter(arrows[p[-1]][1] for p in level))
+        starts.append(Counter(arrows[p[0]][0] for p in level))
+        entries += len(level) * sum(e * starts[m - g][v] for g in range(m + 1)
+                                    for v, e in ends[g].items())
+        check(entries, TABLE_CAP, f"{entries} mult table entries", m)
+    return paths
+
+
 def _path_source(arrows, p):
     return arrows[p[0]][0]
 
@@ -174,7 +219,8 @@ def _path_target(arrows, p):
 
 
 def _split_relation(field, arrows, rel):
-    """Split a relation into endpoint-pure (degree, source, target, terms)."""
+    """Split a relation into endpoint-pure (degree, source, target, terms),
+    merging equal paths in a block and dropping the terms that cancel."""
     if not rel:
         raise PreconditionError("empty relation")
     blocks = {}
@@ -187,12 +233,17 @@ def _split_relation(field, arrows, rel):
             length = len(path)
         elif len(path) != length:
             raise PreconditionError("relation terms must share one degree")
+        if not all(0 <= a < len(arrows) for a in path):
+            raise PreconditionError(f"arrow index out of range in {path}")
         for a, b in zip(path, path[1:]):
             if arrows[a][1] != arrows[b][0]:
                 raise PreconditionError(f"path {path} is not composable")
         key = (_path_source(arrows, path), _path_target(arrows, path))
-        blocks.setdefault(key, []).append((_coerce(field, coeff), path))
-    return [(length, src, tgt, terms) for (src, tgt), terms in blocks.items()]
+        block = blocks.setdefault(key, {})
+        block[path] = field.add(block.get(path, field.zero()),
+                                _coerce(field, coeff))
+    return [(length, src, tgt, [(c, p) for p, c in block.items() if c])
+            for (src, tgt), block in blocks.items()]
 
 
 def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlgebra:
@@ -201,7 +252,8 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     arrows is a list of (source, target) vertex pairs; a path (a_1, ..., a_m)
     composes arrow a_1 first.  Degree = path length, left tag = source,
     right tag = target.  Relations (degree >= 2) generate a two-sided ideal
-    expanded degreewise, so no term ordering is involved.
+    expanded degreewise, so no term ordering is involved.  Only the paths
+    avoiding the one-term blocks are listed, and the others expand on them.
     """
     if num_vertices < 1:
         raise PreconditionError("a quiver needs at least one vertex")
@@ -211,54 +263,40 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     for s, t in arrows:
         if not (0 <= s < num_vertices and 0 <= t < num_vertices):
             raise PreconditionError(f"arrow endpoint out of range: ({s}, {t})")
-    longest = _longest_path(num_vertices, arrows, top)
     F = field
     z = F.zero()
-    rel_by_degree = {}
+    words, rel_by_degree = set(), {}
     for rel in relations:
         for length, _, _, terms in _split_relation(F, arrows, rel):
-            rel_by_degree.setdefault(length, []).append(terms)
-
-    paths = {1: [(a,) for a in range(len(arrows))]}
-    for m in range(2, longest + 1):
-        paths[m] = [p + (a,) for p in paths[m - 1]
-                    for a in range(len(arrows)) if arrows[a][0] == _path_target(arrows, p)]
+            if len(terms) == 1:
+                words.add(terms[0][1])
+            elif terms:
+                rel_by_degree.setdefault(length, []).append(terms)
+    paths = _avoiding_paths(num_vertices, arrows, words, top)
     index = {m: {p: i for i, p in enumerate(ps)} for m, ps in paths.items()}
 
+    # the ideal of the other blocks, on the coordinates of the avoiding paths
     ideal = {}
-    for m in range(2, longest + 1):
-        dim = len(paths[m])
+    for m in range(2, len(paths) + 1):
+        at = index[m]
         vecs = []
         prev = ideal.get(m - 1)
         if prev is not None:
             for row in prev.basis:
                 terms = [(paths[m - 1][pi], coeff) for pi, coeff in row.items()]
                 for a in range(len(arrows)):
-                    left = {index[m][(a,) + p]: coeff for p, coeff in terms
-                            if arrows[a][1] == _path_source(arrows, p)}
-                    right = {index[m][p + (a,)]: coeff for p, coeff in terms
-                             if _path_target(arrows, p) == arrows[a][0]}
+                    left = {at[w]: c for p, c in terms if (w := (a,) + p) in at}
+                    right = {at[w]: c for p, c in terms if (w := p + (a,)) in at}
                     vecs += [v for v in (left, right) if v]
         for terms in rel_by_degree.get(m, []):
-            vec = {}
-            for coeff, path in terms:
-                if path not in index[m]:
-                    raise PreconditionError(f"path {path} does not exist in the quiver")
-                i = index[m][path]
-                vec[i] = F.add(vec.get(i, z), coeff)
-            vecs.append(vec)
-        ideal[m] = Subspace.from_vectors(F, dim, vecs)
-    for m, terms in rel_by_degree.items():
-        if m > top:
-            continue  # relations above the window change nothing visible
-        if m not in ideal:
-            raise PreconditionError("relation at a degree with no paths")
+            vecs.append({at[p]: c for c, p in terms if p in at})
+        if vecs:
+            ideal[m] = Subspace.from_vectors(F, len(paths[m]), vecs)
 
     comps = {0: LabeledSpace(num_vertices, tuple(range(num_vertices)),
                              tuple(range(num_vertices)))}
-    basis_paths = {0: list(range(num_vertices))}  # degree 0: vertices
-    for m in range(1, longest + 1):
-        ps = paths[m]
+    basis_paths = {0: [()] * num_vertices}  # degree 0: the empty paths
+    for m, ps in paths.items():
         sp = ideal.get(m)
         pivots = set(sp.pivots) if sp is not None else set()
         keep = [i for i in range(len(ps)) if i not in pivots]
@@ -270,10 +308,14 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             tuple(_path_target(arrows, ps[i]) for i in keep))
         basis_paths[m] = [ps[i] for i in keep]
 
-    # the class of a path of degree m in the kept coordinates, read only for
-    # the products the table looks up
-    residues = {m: ideal.get(m, Subspace.zero(F, len(paths[m])))
-                for m in comps if m}
+    @functools.cache
+    def residue(t, word):
+        """The class of a path of degree t > 0 in the kept coordinates, read
+        only for the products the table looks up; zero through a word of J."""
+        if word not in index[t]:
+            return (z,) * comps[t].dim
+        return ideal.get(t, Subspace.zero(F, len(paths[t]))).unit_residue(
+            index[t][word])
 
     mult = {}
     degs = sorted(comps)
@@ -287,16 +329,11 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
                 continue
             rows = []
             for (i, j) in pairs:
-                if g == 0:
-                    word = basis_paths[h][j] if h else basis_paths[0][j]
-                elif h == 0:
-                    word = basis_paths[g][i]
+                if t == 0:  # e_i e_j = e_j, as i = j
+                    row = tuple(F.one() if v == j else z
+                                for v in range(num_vertices))
                 else:
-                    word = basis_paths[g][i] + basis_paths[h][j]
-                if t == 0:
-                    row = tuple(F.one() if v == word else z for v in basis_paths[0])
-                else:
-                    row = residues[t].unit_residue(index[t][word])
+                    row = residue(t, basis_paths[g][i] + basis_paths[h][j])
                 rows.append(row)
             mult[(g, h)] = Matrix(F, len(pairs), comps[t].dim, rows)
     unit = tuple(F.one() for _ in range(num_vertices))

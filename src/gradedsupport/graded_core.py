@@ -895,7 +895,8 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
     unknowns exist only at degrees where both components are nonzero, and
     maps out of or into zero components contribute one-sided constraints.
     Equation (d, u, i, j, c) is entry c of f_{d+u}(x_i a_j) - f_d(x_i) a_j,
-    built from the nonzeros of M's and N's stored action rows.
+    built from the nonzeros of M's and N's stored action rows, for x_i and
+    a_j tag-matched: f_d keeps tags, so the others vanish.
     """
     if not algebras_equal(m.over, n.over):
         raise PreconditionError("hom spaces need modules over the same algebra")
@@ -911,8 +912,11 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
     equations = []
     adegs = m.over.degrees()
     for d in m.degrees():
-        md = m.component(d).dim
         nd = n.component(d).dim
+        ntags = n.component(d).right_tags
+        same_tag = {}  # tag -> the i with that right tag in M_d
+        for i, tag in enumerate(m.component(d).right_tags):
+            same_tag.setdefault(tag, []).append(i)
         for u in adegs:
             t = m.add_deg(d, u)
             nt = n.component(t).dim
@@ -926,11 +930,12 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
                     for c in range(nt):
                         eqs[(j, i, c)] = {col + c: e for col, e in nz}
             for (q, j), row in n._map_rows(d, u):
-                # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], every i
+                # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], for
+                # the i tag-matched to a_j
                 for c, e in enumerate(row):
                     if e:
                         ne = F.neg(e)
-                        for i in range(md):
+                        for i in same_tag.get(ntags[q], ()):
                             eq = eqs.setdefault((j, i, c), {})
                             col = offset[d] + i * nd + q
                             eq[col] = F.sub(eq[col], e) if col in eq else ne

@@ -677,6 +677,14 @@ class PipelineReport:
         return self.holds
 
 
+def check_period(n):
+    """Refuse a pipeline period below 3."""
+    if n < 3:
+        raise PreconditionError(
+            f"need period n >= 3, got {n}: below that U = nZ + {{0, 1}} is "
+            f"all of Z and kills nothing")
+
+
 def koszul_pipeline(a: GradedAlgebra, n, m=0):
     """Kill to U = nZ + {0, 1}, regrade along delta, report the checks.
 
@@ -690,10 +698,7 @@ def koszul_pipeline(a: GradedAlgebra, n, m=0):
     if a.group.kind != "Z" or a.window[0] != 0:
         raise PreconditionError("the pipeline needs a positively graded "
                                 "algebra over Z")
-    if n < 3:
-        raise PreconditionError(
-            f"need period n >= 3, got {n}: below that U = nZ + {{0, 1}} is "
-            f"all of Z and kills nothing")
+    check_period(n)
     top = a.window[1]
     if top < 2 * n:
         raise PreconditionError(

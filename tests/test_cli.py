@@ -446,6 +446,16 @@ def test_koszul_pipeline_needs_period_at_least_3(capsys):
     assert "2r" not in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_koszul_pipeline_checks_the_period_before_building_the_dual(capsys,
+                                                                    n):
+    # the default algebra is the dual of K[x]/(x^n), which needs n >= 2
+    code, out, err = run(capsys, "koszul-pipeline", "--n", n)
+    assert code == 2 and out == ""
+    assert "need period n >= 3" in err
+    assert "relations must have degree" not in err
+
+
 def test_koszul_pipeline_window_too_small(capsys):
     code, _, err = run(capsys, "koszul-pipeline", "--n", "3",
                        "--window", "4")
@@ -523,6 +533,15 @@ def test_make_quiver_rejects_malformed_arrows(capsys):
     assert "src:tgt" in err
 
 
+def test_make_quiver_rejects_a_relation_through_a_missing_arrow(capsys):
+    # y is arrow 1 of a one-arrow quiver
+    code, out, err = run(capsys, "make", "quiver", "--vertices", "1",
+                         "--arrows", "0:0", "--rel", "x*y", "--top", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert "out of range" in err
+
+
 def test_monomials_parse_by_name_or_index():
     assert parse_monomial("x*y*x") == (0, 1, 0)
     assert parse_monomial("0*1*0") == (0, 1, 0)
@@ -549,7 +568,7 @@ def test_make_rejects_a_composite_prime(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the quiver path cap
+# the quiver caps
 
 
 @pytest.mark.parametrize("argv", [
@@ -558,11 +577,24 @@ def test_make_rejects_a_composite_prime(capsys):
      "--rel", "y*x", "--top", "60"],
 ])
 def test_quiver_path_cap_refuses_before_enumerating(capsys, argv):
+    # the relation-avoiding paths x^a y^b are few; the mult table they span
+    # is what the cap refuses, before any of it is built
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert "over the cap of" in err
+    assert "mult table entries" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "16"],
+    ["--n", "8"],
+])
+def test_equivalence_harness_runs_past_the_old_path_cap(capsys, argv):
+    code, got = run_json(capsys, "verify-equivalence", "--samples", "1",
+                         "--seed", "0", "--format", "json", *argv)
+    assert code == 0 and got["holds"]
 
 
 def test_make_dual_refuses_long_relations_before_listing_words(capsys):

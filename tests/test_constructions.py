@@ -282,16 +282,30 @@ def test_present_module_rejects_bad_relation_length():
 
 
 def test_path_cap_counts_paths_before_building_any():
-    from gradedsupport.constructions import PATH_CAP, _longest_path
+    from gradedsupport.constructions import (PATH_CAP, TABLE_CAP,
+                                             _avoiding_paths, _longest_path)
     from gradedsupport.errors import CapacityError
     loops = [(0, 0), (0, 0)]
-    # the harness algebra at top 16 has 2^17 - 1 paths: just under the cap
+    # the free two-loop quiver at top 16 has 2^17 - 1 paths: just under the
+    # cap, which n_homogeneous_dual's word listing keeps
     assert 2 ** 17 - 1 <= PATH_CAP < 2 ** 18 - 1
     assert _longest_path(1, loops, 16) == 16
     with pytest.raises(CapacityError):
         _longest_path(1, loops, 17)
-    with pytest.raises(CapacityError):
+    # the harness algebra (yx = 0) has the t + 1 avoiding paths x^a y^b in
+    # degree t, and its mult table sum over t <= top of (t + 1) C(t + 3, 3)
+    # entries: 3,973,802 at top 39, 4,479,783 at top 40
+    assert 3973802 <= TABLE_CAP < 4479783
+    paths = _avoiding_paths(1, loops, {(1, 0)}, 39)
+    assert [len(paths[m]) for m in (1, 2, 39)] == [2, 3, 40]
+    assert paths[2] == [(0, 0), (0, 1), (1, 1)]
+    with pytest.raises(CapacityError, match="over the cap of"):
+        _avoiding_paths(1, loops, {(1, 0)}, 40)
+    with pytest.raises(CapacityError, match="mult table entries"):
         quiver_algebra(1, loops, [[(1, (1, 0))]], 10 ** 9)
+    # a level of paths is cut off at the path cap while it is listed
+    with pytest.raises(CapacityError, match="relation-avoiding paths"):
+        _avoiding_paths(2, [(0, 1)] * 600 + [(1, 0)] * 600, set(), 2)
 
 
 def test_acyclic_quiver_stops_at_its_longest_path():

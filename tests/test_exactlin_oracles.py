@@ -26,7 +26,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gradedsupport.constructions import (_path_source, _path_target,
-                                         _split_relation, quiver_algebra)
+                                         quiver_algebra)
+from gradedsupport.errors import PreconditionError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     _axpy, _echelon, _rank, apply_row, image,
                                     kernel, matched_pairs, nullspace,
@@ -311,13 +312,30 @@ def test_preimage_matches_old_complement(f, data):
     assert preimage_subspace(f, w) == old_preimage(f, w)
 
 
+def old_split_relation(field, arrows, rel):
+    """(degree, terms) per endpoint block of a relation, equal paths left
+    unmerged; a malformed relation raises PreconditionError."""
+    paths = [tuple(p) for _, p in rel]
+    if not paths or len({len(p) for p in paths}) != 1 or len(paths[0]) < 2 \
+            or any(not 0 <= a < len(arrows) for p in paths for a in p) \
+            or any(arrows[a][1] != arrows[b][0]
+                   for p in paths for a, b in zip(p, p[1:])):
+        raise PreconditionError(f"malformed relation {rel}")
+    blocks = {}
+    for (c, _), p in zip(rel, paths):
+        blocks.setdefault((arrows[p[0]][0], arrows[p[-1]][1]), []).append(
+            (field.from_int(c) if isinstance(c, int) else c, p))
+    return [(len(paths[0]), terms) for terms in blocks.values()]
+
+
 def old_quiver_tables(num_vertices, arrows, relations, top, field):
     """Components and mult table of quiver_algebra as built with dense
-    ideal vectors and reduce_path = pivot_reduce of the unit vector."""
+    ideal vectors over every path and reduce_path = pivot_reduce of the
+    unit vector."""
     z, one = field.zero(), field.one()
     rel_by_degree = {}
     for rel in relations:
-        for length, _, _, terms in _split_relation(field, arrows, rel):
+        for length, terms in old_split_relation(field, arrows, rel):
             rel_by_degree.setdefault(length, []).append(terms)
     paths = {1: [(a,) for a in range(len(arrows))]}
     for m in range(2, top + 1):
@@ -625,3 +643,97 @@ def test_quiver_tables_match_dense_ideal_at_high_tops(quiver, field, top):
     comps, mult = old_quiver_tables(*quiver, top, field)
     assert a.components == comps
     assert a.mult == mult
+
+
+# ---------------------------------------------------------------------------
+# quiver algebras built over the relation-avoiding paths
+
+
+def all_paths(arrows, length):
+    paths = [(a,) for a in range(len(arrows))]
+    for _ in range(length - 1):
+        paths = [p + (a,) for p in paths for a in range(len(arrows))
+                 if arrows[a][0] == arrows[p[-1]][1]]
+    return paths
+
+
+BAD_TERMS = ["index", "negative", "composable", "length", "short", "empty"]
+
+
+@st.composite
+def random_quivers(draw):
+    """A quiver on 1-3 vertices and relation blocks that are monomial,
+    multi-term or cancel to zero, sometimes with one malformed relation.
+    The top is lowered until the dense oracle lists at most 150 paths."""
+    nv = draw(st.integers(1, 3))
+    vertex = st.integers(0, nv - 1)
+    arrows = draw(st.lists(st.tuples(vertex, vertex), min_size=2, max_size=4))
+    top = draw(st.integers(0, 8))
+    while top and sum(len(all_paths(arrows, m))
+                      for m in range(1, top + 1)) > 150:
+        top -= 1
+    coeff = st.integers(-3, 3)
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = all_paths(arrows, draw(st.integers(2, max(2, min(top, 4)))))
+        if not words:
+            continue
+        # terms that share their endpoints stay in one block
+        ends = sorted({(arrows[w[0]][0], arrows[w[-1]][1]) for w in words})
+        end = draw(st.sampled_from(ends))
+        block = [w for w in words
+                 if (arrows[w[0]][0], arrows[w[-1]][1]) == end]
+        pool = words if len(block) < 2 or draw(st.booleans()) else block
+        word = st.sampled_from(pool)
+        kind = draw(st.sampled_from(["monomial", "multi", "multi",
+                                     "zero-sum"]))
+        if kind == "monomial":
+            relations.append([(draw(st.sampled_from([-2, -1, 1, 2, 3])),
+                               draw(word))])
+        elif kind == "multi":
+            relations.append([(draw(coeff), w) for w in draw(st.lists(
+                word, min_size=min(2, len(pool)), max_size=4, unique=True))])
+        else:
+            p, c = draw(word), draw(coeff)
+            relations.append([(c, p), (-c, p)]
+                             + draw(st.lists(st.tuples(coeff, word),
+                                             max_size=1)))
+    bad = draw(st.sampled_from([None] * 4 + BAD_TERMS))
+    if bad is not None:
+        nonpath = [(a, b) for a in range(len(arrows))
+                   for b in range(len(arrows)) if arrows[a][1] != arrows[b][0]]
+        term = {"index": (0, len(arrows)), "negative": (-1, 0),
+                "composable": nonpath[0] if nonpath else (0, len(arrows)),
+                "short": (0,)}.get(bad)
+        if bad == "empty":
+            relations.append([])
+        elif bad == "length":
+            relations.append([(1, p) for p in all_paths(arrows, 2)[:1]]
+                             + [(1, (0,) * 3)])
+        else:
+            relations.append([(1, term)])
+    return nv, arrows, relations, top
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as e:  # the exception type is compared
+        return type(e)
+
+
+@given(random_quivers(), st.sampled_from(ALL_FIELDS))
+@example((1, [(0, 0), (0, 0)], [[(1, (0, 1)), (-1, (1, 0))],
+                                [(1, (0, 0, 0))]], 6), GF(2))
+@example((2, [(0, 1), (0, 1), (1, 0), (1, 1)],
+          [[(1, (0, 2)), (1, (1, 2)), (1, (0, 3))], [(2, (2, 0)), (1, (2, 0))],
+           [(1, (3, 3))]], 5), GF(3))
+@example((2, [(0, 1), (0, 1), (1, 0)], [[(1, (0, 2)), (1, (2, 1))]], 4), QQ)
+def test_quiver_algebra_matches_the_all_paths_construction(quiver, field):
+    got = outcome(quiver_algebra, *quiver, field)
+    want = outcome(old_quiver_tables, *quiver, field)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type), got
+        assert (got.components, got.mult) == want
