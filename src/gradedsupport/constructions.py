@@ -25,8 +25,8 @@ times the paths of degree g + h.  Both are counted as the paths are listed,
 before any ideal or table is built, and a larger count raises
 CapacityError.  The two-loop harness algebra (yx = 0) has t + 1 paths in
 degree t, so TABLE_CAP admits it up to top 39.  n_homogeneous_dual counts
-every path over its loops against PATH_CAP before it lists the relation
-words.
+the relation-degree words over its loops against PATH_CAP before it lists
+them.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ import math
 from collections import Counter
 
 from .errors import CapacityError, PreconditionError
-from .exactlin import (LabeledSpace, Matrix, QQ, Subspace, matched_pairs,
-                       nullspace)
+from .exactlin import LabeledSpace, Matrix, QQ, Subspace, nullspace
 from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
     quotient_module
 from .subsets import Z, Zn
@@ -264,7 +263,6 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
         if not (0 <= s < num_vertices and 0 <= t < num_vertices):
             raise PreconditionError(f"arrow endpoint out of range: ({s}, {t})")
     F = field
-    z = F.zero()
     words, rel_by_degree = set(), {}
     for rel in relations:
         for length, _, _, terms in _split_relation(F, arrows, rel):
@@ -310,13 +308,17 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
 
     @functools.cache
     def residue(t, word):
-        """The class of a path of degree t > 0 in the kept coordinates, read
-        only for the products the table looks up; zero through a word of J."""
+        """The class of a path of degree t > 0 in the kept coordinates as a
+        {col: value} row, read only for the products the table looks up;
+        zero through a word of J."""
         if word not in index[t]:
-            return (z,) * comps[t].dim
-        return ideal.get(t, Subspace.zero(F, len(paths[t]))).unit_residue(
+            return {}
+        res = ideal.get(t, Subspace.zero(F, len(paths[t]))).unit_residue(
             index[t][word])
+        return {q: v for q, v in enumerate(res) if v}
 
+    unit = tuple(F.one() for _ in range(num_vertices))
+    alg = GradedAlgebra(Z, (0, top), num_vertices, F, comps, {}, unit)
     mult = {}
     degs = sorted(comps)
     for g in degs:
@@ -324,20 +326,12 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             t = g + h
             if t > top or t not in comps:
                 continue
-            pairs = matched_pairs(comps[g], comps[h])
-            if not pairs:
-                continue
-            rows = []
-            for (i, j) in pairs:
-                if t == 0:  # e_i e_j = e_j, as i = j
-                    row = tuple(F.one() if v == j else z
-                                for v in range(num_vertices))
-                else:
-                    row = residue(t, basis_paths[g][i] + basis_paths[h][j])
-                rows.append(row)
-            mult[(g, h)] = Matrix(F, len(pairs), comps[t].dim, rows)
-    unit = tuple(F.one() for _ in range(num_vertices))
-    return GradedAlgebra(Z, (0, top), num_vertices, F, comps, mult, unit)
+            mult[(g, h)] = [
+                {j: F.one()} if t == 0  # e_i e_j = e_j, as i = j
+                else residue(t, basis_paths[g][i] + basis_paths[h][j])
+                for (i, j) in alg.pairs(g, h)]
+    alg._store_maps(mult)
+    return alg
 
 
 def n_homogeneous_dual(v_dim, relations, top, field=QQ,
@@ -356,15 +350,15 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
     if v_dim > PATH_CAP:
         raise CapacityError(
             f"{v_dim} generators, over the path cap of {PATH_CAP}")
-    # the relation words are paths of the v_dim-loop quiver: refuse them
-    # before listing any
+    # the relation words are the degree-n paths of the v_dim-loop quiver:
+    # all_words refuses them before listing any
     loops = [(0, 0)] * v_dim
-    _longest_path(1, loops, top)
 
     def all_words(n):
         if top < n:
             raise PreconditionError(
                 f"the window top {top} cannot hold the degree-{n} relations")
+        _longest_path(1, loops, n)
         return list(itertools.product(range(v_dim), repeat=n))
 
     F = field
@@ -431,10 +425,10 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
 
 
 def regular_module(a: GradedAlgebra) -> GradedModule:
-    """A as a right module over itself; action matrices are the mult maps."""
+    """A as a right module over itself; the action rows are the mult rows."""
     comps = {d: LabeledSpace.module_component(c.right_tags)
              for d, c in a.components.items()}
-    return GradedModule(a, a.window, comps, dict(a.mult))
+    return GradedModule(a, a.window, comps, a._maps)
 
 
 def free_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
@@ -513,8 +507,7 @@ def projective_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
 
 def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
     """The module whose action multiplies each generator block inside A."""
-    F = a.field
-    z = F.zero()
+    out = GradedModule(a, window, comps, {})
     action = {}
     for t, blocks in layout.items():
         locate = {}
@@ -530,26 +523,22 @@ def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
             if tblocks is None:
                 continue
             if tu not in tpos_cache:
-                tpos_cache[tu] = {b: (start, positions)
+                # block b's A-basis index -> its coordinate in comps[tu]
+                tpos_cache[tu] = {b: {qq: start + inner for inner, qq
+                                      in enumerate(positions)}
                                   for (b, d, start, positions) in tblocks}
             tinfo = tpos_cache[tu]
-            pairs = matched_pairs(comps[t], a.component(u))
-            if not pairs:
-                continue
-            tdim = comps[tu].dim
             rows = []
-            for (p, j) in pairs:
+            for (p, j) in out.pairs(t, u):
                 b, d, q = locate[p]
-                row = [z] * tdim
-                if b in tinfo:
-                    r = a.mult_row(d, u, q, j)
-                    if r is not None:
-                        start, positions = tinfo[b]
-                        for inner, qq in enumerate(positions):
-                            row[start + inner] = r[qq]
-                rows.append(row)
-            action[(t, u)] = Matrix(F, len(pairs), tdim, rows)
-    return GradedModule(a, window, comps, action)
+                at = tinfo.get(b)
+                r = a.mult_row(d, u, q, j) if at is not None else None
+                rows.append({at[qq]: v for qq, v in r.items() if qq in at}
+                            if r else {})
+            if rows:
+                action[(t, u)] = rows
+    out._store_maps(action)
+    return out
 
 
 def present_module(a: GradedAlgebra, gens, relations, window=None) -> GradedModule:

@@ -444,10 +444,19 @@ def pivot_reduce(field, rows, pivots, vec):
 
     rows must carry unit pivots that are zero in every other row (a reduced
     echelon basis, in any order), as {column: value} dicts or dense
-    sequences; vec is dense.  Returns (remainder, coefficients), both
-    lists: the remainder is zero iff vec lies in the span, and then vec is
-    the sum of coefficient times row.
+    sequences.  Returns (remainder, coefficients): the remainder is zero iff
+    vec lies in the span, and then vec is the sum of coefficient times row.
+    A dense vec gives a dense list remainder; a dict vec, which needs dict
+    rows, gives a dict of the remainder's nonzeros.
     """
+    if isinstance(vec, dict):
+        z = field.zero()
+        v = {j: x for j, x in vec.items() if x}
+        coeffs = [v.pop(p, z) for p in pivots]
+        for row, p, c in zip(rows, pivots, coeffs):
+            if c is not z:  # a popped entry, nonzero
+                _axpy(field, v, c, row, p)
+        return v, coeffs
     sub, mul = field.sub, field.mul
     v = list(vec)
     coeffs = []

@@ -4,9 +4,12 @@ Data model
 ----------
 An algebra and a right module are the same kind of data: per degree a
 LabeledSpace (basis vectors tagged with idempotent indices on both sides),
-and per degree pair (g, h) the matrix of a structure map on the tag-matched
-tensor basis of X_g x A_h, rows indexed by matched pairs in lexicographic
-order, columns by the basis of X_{g+h}.  For a GradedAlgebra X = A and the
+and per degree pair (g, h) a structure map on the tag-matched tensor basis
+of X_g x A_h, stored as one {col: value} row of nonzeros per matched pair,
+rows in lexicographic pair order, columns the basis of X_{g+h}.  The dense
+Matrix of a map is only a view, built on first use for .mult / .action /
+mult_matrix / action_matrix and validation; killing, shifting, regrading
+and serialization pass the rows through.  For a GradedAlgebra X = A and the
 map is the multiplication; for a GradedModule A is the algebra it lives
 over and the map is the action.  Both share one base class holding the
 components, the map table and the lookups on it.  Components absent from
@@ -15,7 +18,7 @@ the window is zero by definition: the object is genuinely finite
 dimensional, not a truncated view of an unknown infinite one.  Over Z/n,
 degrees are reduced mod n, and two components or two maps at one reduced
 degree are refused.  Actions are read only through the stored rows, by
-matched pair (i, j); no dense per-generator matrix x |-> x * a_j is built.
+matched pair (i, j).
 
 The degree-0 part of an algebra carries the unit as an explicit coefficient
 vector.  With k >= 2 idempotents the degree-0 part must be exactly the k
@@ -78,10 +81,11 @@ class _GradedObject:
             c.check_tags(k)
             comps[d] = c
         self.components = comps
-        self._pair_cache = {}
+        self._pair_cache, self._index_cache = {}, {}
 
     def _store_maps(self, table):
-        """Check every map's shape and field; keep the nonempty ones."""
+        """Check every map's shape, and a Matrix's field; keep the nonempty
+        ones as tuples of {col: value} rows, given so or read off a Matrix."""
         stored, seen = {}, set()
         for (g, h), m in table.items():
             if self.group.kind == "Zn":
@@ -89,15 +93,23 @@ class _GradedObject:
                 _claim(seen, (g, h), f"{self._map_name} maps", self.group)
             pairs = self.pairs(g, h)
             t = self.component(self.add_deg(g, h))
-            if m.rows != len(pairs) or m.cols != t.dim:
+            if isinstance(m, Matrix):
+                shape, rows = (m.rows, m.cols), tuple(
+                    {j: v for j, v in enumerate(r) if v} for r in m.entries)
+            else:
+                rows = tuple(m)
+                top = max(map(max, filter(None, rows)), default=-1)
+                shape = (len(rows), max(t.dim, top + 1))
+            if shape[0] != len(pairs) or shape[1] != t.dim:
                 raise ShapeError(
                     f"{self._map_name}({g},{h}) must be {len(pairs)}x{t.dim}, "
-                    f"got {m.rows}x{m.cols}")
-            if m.field != self.field:
+                    f"got {shape[0]}x{shape[1]}")
+            if isinstance(m, Matrix) and m.field != self.field:
                 raise ShapeError(f"{self._map_name} matrix over the wrong field")
-            if m.rows and m.cols:
-                stored[(g, h)] = m
+            if rows and t.dim:
+                stored[(g, h)] = rows
         self._maps = stored
+        self._views = {}
 
     def in_window(self, d):
         lo, hi = self.window
@@ -120,39 +132,57 @@ class _GradedObject:
     def total_dim(self):
         return sum(c.dim for c in self.components.values())
 
-    def _pairs_indexed(self, g, h):
-        key = (g, h)
-        got = self._pair_cache.get(key)
-        if got is None:
-            pairs = matched_pairs(self.component(g),
-                                  self._acting().component(h))
-            got = (pairs, {p: r for r, p in enumerate(pairs)})
-            self._pair_cache[key] = got
-        return got
-
     def pairs(self, g, h):
         """Matched basis pairs of X_g x A_h, the row order of map (g, h)."""
-        return self._pairs_indexed(g, h)[0]
+        got = self._pair_cache.get((g, h))
+        if got is None:
+            got = self._pair_cache[(g, h)] = matched_pairs(
+                self.component(g), self._acting().component(h))
+        return got
 
-    def _map_matrix(self, g, h):
-        """Stored matrix, or None when the map is structurally zero."""
+    def _pair_index(self, g, h):
+        """The row of each pair of pairs(g, h)."""
+        got = self._index_cache.get((g, h))
+        if got is None:
+            got = self._index_cache[(g, h)] = {
+                p: r for r, p in enumerate(self.pairs(g, h))}
+        return got
+
+    def _rows(self, g, h):
+        """Stored rows of map (g, h), () when it is structurally zero."""
         if self.group.kind == "Zn":
             g, h = g % self.group.n, h % self.group.n
-        return self._maps.get((g, h))
+        return self._maps.get((g, h), ())
+
+    def _map_matrix(self, g, h):
+        """Dense view of map (g, h), built once; None when it is zero."""
+        rows = self._rows(g, h)
+        if not rows:
+            return None
+        got = self._views.get((g, h))
+        if got is None:
+            cols = self.component(self.add_deg(g, h)).dim
+            z = self.field.zero()
+            got = self._views[(g, h)] = Matrix(self.field, len(rows), cols, [
+                [r.get(c, z) for c in range(cols)] for r in rows])
+        return got
+
+    def _dense_maps(self):
+        return {key: self._map_matrix(*key) for key in self._maps}
 
     def _map_row(self, g, h, i, j):
-        """Image of x_i * a_j as a vector over X_{g+h}; None when zero."""
-        m = self._map_matrix(g, h)
-        if m is None:
+        """Image of x_i * a_j as a {col: value} row; None when zero."""
+        rows = self._rows(g, h)
+        if not rows:
             return None
-        r = self._pairs_indexed(g, h)[1].get((i, j))
-        return None if r is None else m.entries[r]
+        r = self._pair_index(g, h).get((i, j))
+        return None if r is None else rows[r]
 
     def _map_rows(self, g, h):
         """((i, j), image of x_i * a_j) for each row of map (g, h); none
         when the map is structurally zero."""
-        m = self._map_matrix(g, h)
-        return () if m is None else zip(self.pairs(g, h), m.entries)
+        rows = self._rows(g, h)
+        return zip(self.pairs(g, h), rows) if rows else ()
 
 
 class GradedAlgebra(_GradedObject):
@@ -183,7 +213,7 @@ class GradedAlgebra(_GradedObject):
 
     @property
     def mult(self):
-        return self._maps
+        return self._dense_maps()
 
     mult_matrix = _GradedObject._map_matrix
     mult_row = _GradedObject._map_row
@@ -219,7 +249,7 @@ class GradedModule(_GradedObject):
 
     @property
     def action(self):
-        return self._maps
+        return self._dense_maps()
 
     action_matrix = _GradedObject._map_matrix
     action_row = _GradedObject._map_row
@@ -229,22 +259,24 @@ class GradedModule(_GradedObject):
 # structural equality
 
 
-def _live_maps(table):
-    return {key: m for key, m in table.items()
-            if m.rows and m.cols and not m.is_zero()}
+def _same_maps(x, y):
+    """Equal stored rows, a stored map of zero rows counting as absent."""
+    both = ((x._maps.get(key, ()), y._maps.get(key, ()))
+            for key in x._maps.keys() | y._maps.keys())
+    return all(r == s or not any(r) and not any(s) for r, s in both)
 
 
 def algebras_equal(a: GradedAlgebra, b: GradedAlgebra) -> bool:
-    return (a.group == b.group and a.window == b.window and a.k == b.k
-            and a.field == b.field and a.unit == b.unit
-            and a.components == b.components
-            and _live_maps(a.mult) == _live_maps(b.mult))
+    return a is b or (
+        a.group == b.group and a.window == b.window and a.k == b.k
+        and a.field == b.field and a.unit == b.unit
+        and a.components == b.components and _same_maps(a, b))
 
 
 def modules_equal(m: GradedModule, n: GradedModule) -> bool:
-    return (algebras_equal(m.over, n.over) and m.window == n.window
-            and m.components == n.components
-            and _live_maps(m.action) == _live_maps(n.action))
+    return m is n or (
+        algebras_equal(m.over, n.over) and m.window == n.window
+        and m.components == n.components and _same_maps(m, n))
 
 
 
@@ -307,9 +339,8 @@ def _tag_escape(x, both_sides):
         cg, ch = x.component(g), right.component(h)
         ct = x.component(x.add_deg(g, h))
         for (i, j), row in x._map_rows(g, h):
-            for q, e in enumerate(row):
-                if e and (
-                        ct.right_tags[q] != ch.right_tags[j]
+            for q in sorted(row):
+                if (ct.right_tags[q] != ch.right_tags[j]
                         or both_sides and ct.left_tags[q] != cg.left_tags[i]):
                     return ("tags", g, h, i, j, q)
     return None
@@ -318,12 +349,11 @@ def _tag_escape(x, both_sides):
 def _unit_side(x, unit, g, idx, left):
     """Whether the unit fixes basis vector idx of X_g from the given side."""
     F = x.field
-    dim = x.component(g).dim
     if left:
-        got = _accumulate(F, dim, unit, lambda pos: x._map_row(0, g, pos, idx))
+        got = _accumulate(F, unit, lambda pos: x._map_row(0, g, pos, idx))
     else:
-        got = _accumulate(F, dim, unit, lambda pos: x._map_row(g, 0, idx, pos))
-    return got == tuple(F.one() if t == idx else F.zero() for t in range(dim))
+        got = _accumulate(F, unit, lambda pos: x._map_row(g, 0, idx, pos))
+    return got == {idx: F.one()}
 
 
 def _assoc_witness(x):
@@ -356,32 +386,27 @@ def _assoc_witness(x):
                         for kk in range(cv.dim):
                             if cu.right_tags[j] != cv.left_tags[kk]:
                                 continue
-                            r1 = _accumulate(F, ct.dim, xa,
+                            r1 = _accumulate(F, xa,
                                              lambda m: x._map_row(su, v, m, kk))
                             ab = a.mult_row(u, v, j, kk) if cuv.dim else None
-                            r2 = _accumulate(F, ct.dim, ab,
+                            r2 = _accumulate(F, ab,
                                              lambda m: x._map_row(s, uv, i, m))
                             if r1 != r2:
                                 return ("assoc", (s, u, v), (i, j, kk))
     return None
 
 
-def _accumulate(field, tdim, coeffs, row_of):
-    """Sum of coeffs[m] * row_of(m) as a tuple of length tdim; coeffs is a
-    dense row, a dict {m: coefficient} or None."""
-    z = field.zero()
-    acc = [z] * tdim
-    if coeffs is not None:
-        for m, c in _entries(coeffs):
-            if c == z:
-                continue
-            row = row_of(m)
-            if row is None:
-                continue
-            for q, y in enumerate(row):
-                if y:
-                    acc[q] = field.add(acc[q], field.mul(c, y))
-    return tuple(acc)
+def _accumulate(field, coeffs, row_of):
+    """Sum of coeffs[m] * row_of(m) as a {col: value} dict of its nonzeros;
+    coeffs and the rows are dense, dicts {index: value} or None."""
+    add, mul = field.add, field.mul
+    acc = {}
+    for m, c in _entries(coeffs or ()):
+        row = row_of(m) if c else None
+        for q, y in _entries(row or ()):
+            if y:
+                acc[q] = add(acc[q], mul(c, y)) if q in acc else mul(c, y)
+    return {q: v for q, v in acc.items() if v}
 
 
 def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
@@ -395,10 +420,9 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
     for i in a.degrees():
         if i < 2:
             continue
-        m = a.mult_matrix(1, i - 1)
-        if m is None:
-            return False
-        if _rank(a.field, m.entries) < a.component(i).dim:
+        rows = a._rows(1, i - 1)
+        if not rows or _rank(a.field, rows, a.component(i).dim) \
+                < a.component(i).dim:
             return False
     return True
 
@@ -449,8 +473,8 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
 
 
 def _kept_maps(x, comps, acting):
-    """The maps of x between kept degrees comps, by acting degrees."""
-    return {(g, h): mat for (g, h), mat in x._maps.items()
+    """The stored rows of x between kept degrees comps, by acting degrees."""
+    return {(g, h): rows for (g, h), rows in x._maps.items()
             if g in comps and h in acting and x.add_deg(g, h) in comps}
 
 
@@ -461,7 +485,7 @@ def shift_module(m: GradedModule, g: int) -> GradedModule:
     else:
         window = (m.window[0] + g, m.window[1] + g)
     comps = {m.add_deg(d, g): c for d, c in m.components.items()}
-    action = {(m.add_deg(s, g), u): mat for (s, u), mat in m.action.items()}
+    action = {(m.add_deg(s, g), u): rows for (s, u), rows in m._maps.items()}
     return GradedModule(m.over, window, comps, action)
 
 
@@ -534,20 +558,20 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
     maps = {}
     for sigma in comps:
         for tau in taus:
-            mat = x._map_matrix(g + phi(sigma), phi(tau))
-            if mat is None:
+            rows = x._rows(g + phi(sigma), phi(tau))
+            if not rows:
                 continue
             st = sigma + tau
             total = phi(sigma) + phi(tau)
             if total not in img:
-                if not mat.is_zero():
+                if any(rows):
                     raise GradingViolationError(
                         f"{x._map_name} lands outside the image of the "
                         f"regrading map", witness=(sigma, tau))
                 continue
             if not lo <= st <= hi:
                 # the target exists in x but the new grading has no slot for it
-                if not mat.is_zero():
+                if any(rows):
                     raise GradingViolationError(
                         f"{x._map_name} leaves the regrading window",
                         witness=(sigma, tau))
@@ -555,7 +579,7 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
             if phi(st) != total:
                 raise InternalConsistencyError(
                     "pseudomorphism certificate violated during regrading")
-            maps[(sigma, tau)] = mat
+            maps[(sigma, tau)] = rows
     return (lo, hi), comps, maps
 
 
@@ -585,8 +609,7 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
         for tau in dom:
             if phi(sigma) + phi(tau) in img:
                 continue
-            mat = v.action_matrix(sigma, tau)
-            if mat is not None and not mat.is_zero():
+            if any(v._rows(sigma, tau)):
                 raise GradingViolationError(
                     "action violates the regrading vanishing pattern",
                     witness=(sigma, tau))
@@ -599,9 +622,9 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     window = (g + phi(lo), g + phi(hi))
     comps = {g + phi(sigma): v.component(sigma) for sigma in v.degrees()}
     action = {}
-    for (sigma, tau), mat in v.action.items():
+    for (sigma, tau), rows in v._maps.items():
         if phi(sigma) + phi(tau) in img:
-            action[(g + phi(sigma), phi(tau))] = mat
+            action[(g + phi(sigma), phi(tau))] = rows
     return GradedModule(algebra, window, comps, action)
 
 
@@ -616,7 +639,7 @@ def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
         c = bt.component(sigma)
         if c.dim:
             comps[phi(sigma)] = c
-    mult = {(phi(s), phi(t)): m for (s, t), m in bt.mult.items()}
+    mult = {(phi(s), phi(t)): rows for (s, t), rows in bt._maps.items()}
     return GradedAlgebra(bt.group, window, bt.k, bt.field, comps, mult, bt.unit)
 
 
@@ -660,47 +683,42 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
         # a push into an unlisted degree must land on zero
         rows, _, pivots = bases.get(t, ((), (), ()))
         rest, got = pivot_reduce(F, rows, pivots, vec)
-        if any(rest):
+        if rest:
             raise PreconditionError(
                 f"subspaces are not action-closed: a push leaves the "
                 f"degree-{t} subspace")
-        return tuple(got)
+        return {r: c for r, c in enumerate(got) if c}
 
     def image(d, u, i, j):
-        t = m.add_deg(d, u)
-        return _accumulate(F, m.component(t).dim, bases[d][0][i],
+        return _accumulate(F, bases[d][0][i],
                            lambda k: m.action_row(d, u, k, j))
 
     # pushes into every degree of m, so coords sees any that leave the spaces
-    action = _action_on(m, comps, image, coords, m.components)
-    return GradedModule(m.over, m.window, comps, action)
+    return _action_on(m, comps, image, coords, m.components)
 
 
-def _action_on(m: GradedModule, comps, image, coords, targets) -> dict:
-    """Action table of a module built from m on the components comps.
+def _action_on(m: GradedModule, comps, image, coords, targets):
+    """The module over m's algebra on the components comps.
 
-    Basis vector i of comps[d] times a_j is image(d, u, i, j) in m's
-    coordinates, read from m's stored action rows; None means zero.
-    coords(t, vec) writes that vector in the basis of comps[t], empty when
-    t is unlisted.  Only degrees d + u in targets are pushed into; nothing
-    is built for the others.
+    Basis vector i of comps[d] times a_j is image(d, u, i, j), a {col:
+    value} row in m's coordinates read from m's stored action rows, None or
+    empty when zero.  coords(t, vec) writes that vector as a row in the
+    basis of comps[t], empty when t is unlisted.  Only degrees d + u in
+    targets are pushed into; nothing is built for the others.
     """
-    F = m.field
+    out = GradedModule(m.over, m.window, comps, {})
     action = {}
     for d in comps:
         for u in m.over.degrees():
             t = m.add_deg(d, u)
             if t not in targets:
                 continue
-            tdim = comps[t].dim if t in comps else 0
-            out = []
-            for (i, j) in matched_pairs(comps[d], m.over.component(u)):
-                vec = image(d, u, i, j)
-                out.append((F.zero(),) * tdim if vec is None
-                           else coords(t, vec))
-            if out and tdim:
-                action[(d, u)] = Matrix(F, len(out), tdim, out)
-    return action
+            rows = tuple(coords(t, vec) if (vec := image(d, u, i, j)) else {}
+                         for (i, j) in out.pairs(d, u))
+            if rows and t in comps:
+                action[(d, u)] = rows
+    out._store_maps(action)
+    return out
 
 
 def quotient_with_maps(m: GradedModule, spaces: dict):
@@ -723,22 +741,25 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
             comp, spaces.get(d, Subspace.zero(F, comp.dim)))
         keep = sorted(set(range(comp.dim)) - set(pivots),
                       key=lambda i: (comp.right_tags[i], i))
-        reducers[d] = (rows, pivots, keep)
+        reducers[d] = (rows, pivots, keep,
+                       {i: pos for pos, i in enumerate(keep)})
         if keep:
             comps[d] = LabeledSpace.module_component(
                 tuple(comp.right_tags[i] for i in keep))
 
     def project(d, vec):
-        rows, pivots, keep = reducers[d]
+        """vec in quotient coordinates: dense for a dense vec, else a row."""
+        rows, pivots, keep, at = reducers[d]
         v = pivot_reduce(F, rows, pivots, vec)[0]
+        if isinstance(v, dict):
+            return {at[i]: c for i, c in v.items()}
         return tuple(v[i] for i in keep)
 
-    action = _action_on(
+    quotient = _action_on(
         m, comps,
         lambda d, u, i, j: m.action_row(d, u, reducers[d][2][i], j),
         project, comps)
-    quotient = GradedModule(m.over, m.window, comps, action)
-    keep_map = {d: tuple(keep) for d, (_, _, keep) in reducers.items()}
+    keep_map = {d: tuple(r[2]) for d, r in reducers.items()}
     return quotient, project, keep_map
 
 
@@ -769,8 +790,7 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
             for (i, j), row in m._map_rows(d, u):
                 rows_by_j.setdefault(j, {})[i] = row
             for rows in rows_by_j.values():
-                vecs[t].extend(_accumulate(F, m.component(t).dim, r, rows.get)
-                               for r in seed)
+                vecs[t].extend(_accumulate(F, r, rows.get) for r in seed)
     return {d: Subspace.from_vectors(F, m.component(d).dim, v)
             for d, v in vecs.items()}
 
@@ -780,7 +800,7 @@ def _full_seeds(m: GradedModule, degrees):
     for d in degrees:
         c = m.component(d)
         if c.dim:
-            seeds[d] = list(Subspace.full(m.field, c.dim).rows)
+            seeds[d] = list(Subspace.full(m.field, c.dim).basis)
     return seeds
 
 
@@ -830,17 +850,15 @@ def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
                     else zip(*ev.entries))
     for u in m.over.degrees():
         t = m.add_deg(d, u)
-        act = m.action_matrix(d, u)
-        if (t not in evals or act is None
-                or (evals[t] is not None and evals[t].cols == 0)):
+        if t not in evals or evals[t] is not None and evals[t].cols == 0:
             continue
-        if evals[t] is not None:
-            act = act @ evals[t]
+        ev = evals[t]
         stacked = {}
-        for (i, j), row in zip(m.pairs(d, u), act.entries):
-            for c, e in enumerate(row):
-                if e:
-                    stacked.setdefault((j, c), {})[i] = e
+        for (i, j), row in m._map_rows(d, u):
+            if ev is not None:
+                row = _accumulate(F, row, ev.entries.__getitem__)
+            for c, e in row.items():
+                stacked.setdefault((j, c), {})[i] = e
         cols.extend(stacked.values())
     return nullspace(F, cols, dim)
 
@@ -885,32 +903,29 @@ def is_cogenerated_in(n: GradedModule, s: DegreeSet) -> Verdict:
 # graded hom spaces
 
 
-def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
-    """Basis of the space of degree-0 module maps M -> N.
+def _hom_equations(m: GradedModule, n: GradedModule):
+    """(offset, total, equations) of the degree-0 module maps M -> N.
 
-    Each basis element is a dict degree -> Matrix giving the component of the
-    map in the two modules' bases.  Both modules must live over structurally
-    equal algebras.  The defining equations f_{s+u}(x a) = f_s(x) a are
-    imposed for every module degree, algebra degree, and acting basis vector;
-    unknowns exist only at degrees where both components are nonzero, and
-    maps out of or into zero components contribute one-sided constraints.
-    Equation (d, u, i, j, c) is entry c of f_{d+u}(x_i a_j) - f_d(x_i) a_j,
-    built from the nonzeros of M's and N's stored action rows, for x_i and
-    a_j tag-matched: f_d keeps tags, so the others vanish.
+    Both modules must live over structurally equal algebras.  The unknowns
+    of f_d are its entries from offset[d] on, total in all; they exist only
+    at degrees where both components are nonzero, and maps out of or into
+    zero components give one-sided constraints.  The defining equations
+    f_{s+u}(x a) = f_s(x) a are imposed for every module degree, algebra
+    degree, and acting basis vector: equation (d, u, i, j, c) is entry c of
+    f_{d+u}(x_i a_j) - f_d(x_i) a_j, built from the nonzeros of M's and N's
+    stored action rows, for x_i and a_j tag-matched: f_d keeps tags, so the
+    others vanish.
     """
     if not algebras_equal(m.over, n.over):
         raise PreconditionError("hom spaces need modules over the same algebra")
     F = m.field
-    z = F.zero()
     offset = {}
     total = 0
     for d in sorted(set(m.degrees()) & set(n.degrees())):
         offset[d] = total
         total += m.component(d).dim * n.component(d).dim
-    if total == 0:
-        return []
     equations = []
-    adegs = m.over.degrees()
+    adegs = m.over.degrees() if total else ()
     for d in m.degrees():
         nd = n.component(d).dim
         ntags = n.component(d).right_tags
@@ -925,24 +940,36 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
             eqs = {}  # (j, i, c) -> equation; stored rows imply the unknowns
             for (i, j), row in m._map_rows(d, u):
                 # f_t(x_i a_j)[c] = sum over k of row[k] f_t[k][c]
-                nz = [(offset[t] + k * nt, e) for k, e in enumerate(row) if e]
-                if nz:
+                if row:
+                    nz = [(offset[t] + k * nt, e) for k, e in row.items()]
                     for c in range(nt):
                         eqs[(j, i, c)] = {col + c: e for col, e in nz}
             for (q, j), row in n._map_rows(d, u):
                 # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], for
                 # the i tag-matched to a_j
-                for c, e in enumerate(row):
-                    if e:
-                        ne = F.neg(e)
-                        for i in same_tag.get(ntags[q], ()):
-                            eq = eqs.setdefault((j, i, c), {})
-                            col = offset[d] + i * nd + q
-                            eq[col] = F.sub(eq[col], e) if col in eq else ne
+                for c, e in row.items():
+                    ne = F.neg(e)
+                    for i in same_tag.get(ntags[q], ()):
+                        eq = eqs.setdefault((j, i, c), {})
+                        col = offset[d] + i * nd + q
+                        eq[col] = F.sub(eq[col], e) if col in eq else ne
             equations.extend(eqs[key] for key in sorted(eqs))
-    sols = nullspace(F, equations, total)
+    return offset, total, equations
+
+
+def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
+    """Basis of the space of degree-0 module maps M -> N.
+
+    Each basis element is a dict degree -> Matrix giving the component of the
+    map in the two modules' bases: the nullspace of _hom_equations.
+    """
+    offset, total, equations = _hom_equations(m, n)
+    if total == 0:
+        return []
+    F = m.field
+    z = F.zero()
     out = []
-    for vec in sols.basis:
+    for vec in nullspace(F, equations, total).basis:
         maps = {}
         for d, base in offset.items():
             md, nd = m.component(d).dim, n.component(d).dim
@@ -954,4 +981,6 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
 
 
 def hom_space_dim(m: GradedModule, n: GradedModule) -> int:
-    return len(hom_space_basis(m, n))
+    """dim Hom(M, N): the unknowns less the rank of the equations."""
+    offset, total, equations = _hom_equations(m, n)
+    return total - _rank(m.field, equations, total)

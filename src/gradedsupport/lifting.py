@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .constructions import _layout_module, projective_layout, \
     projective_module, regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, Subspace, _rank, apply_row, kernel
+from .exactlin import Matrix, _dense, _rank, nullspace
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
                           _accumulate, _check_set_group, _complement_matrix,
                           _vanishing_space, algebras_equal,
@@ -165,13 +165,15 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
         return None
     F = a.field
     z = F.zero()
-    act_u = x.action_matrix(m, xu)
-    ker = kernel(act_u) if act_u is not None \
-        else Subspace.full(F, len(pairs_u))
-    act_v = x.action_matrix(m, xv)
-    if ker.dim == 0 or act_v is None:
+    cols = {}  # the columns of mu_{m,xu}: Ker is their nullspace
+    for r, row in enumerate(x._rows(m, xu)):
+        for c, e in row.items():
+            cols.setdefault(c, {})[r] = e
+    ker = nullspace(F, list(cols.values()), len(pairs_u))
+    rows_v = x._rows(m, xv)
+    if ker.dim == 0 or not rows_v:
         return False, None
-    pairs_v, pos_v = x._pairs_indexed(m, xv)
+    pairs_v, pos_v = x.pairs(m, xv), x._pair_index(m, xv)
     for w in ker.basis:
         for ell in range(a.component(gap).dim):
             pushed = [z] * len(pairs_v)
@@ -180,9 +182,7 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
                 row = a.mult_row(au, gap, j, ell)
                 if row is None:
                     continue
-                for qq, e in enumerate(row):
-                    if e == z:
-                        continue
+                for qq, e in row.items():
                     pos = pos_v.get((i, qq))
                     if pos is None:
                         raise InternalConsistencyError(
@@ -190,8 +190,7 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
                             f"pushing a kernel element at {(m, xu, xv)}")
                     pushed[pos] = F.add(pushed[pos], F.mul(c, e))
             # a push that adds nothing is zero and never a witness
-            out = apply_row(F, pushed, act_v)
-            if any(e != z for e in out):
+            if _accumulate(F, pushed, rows_v.__getitem__):
                 return True, tuple(pushed)
     return True, None
 
@@ -296,8 +295,7 @@ def _evaluation_rows(x: GradedModule, t, blocks, meta, xdim, F):
     for (b, d, _start, positions) in blocks:
         m, i = meta[b]
         for qq in positions:
-            row = x.action_row(m, d, i, qq)
-            rows.append(tuple(row) if row is not None else (z,) * xdim)
+            rows.append(_dense(x.action_row(m, d, i, qq) or {}, xdim, z))
     return rows
 
 
@@ -394,13 +392,12 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
             phi_t2 = iso.get(t2)
             if phi_t2 is None or not x.in_window(t2):
                 continue
-            xdim2 = x.component(t2).dim
             # (e_i a_j) phi_{t+u} = (e_i phi_t) a_j, from the stored rows
             for i, phi_i in enumerate(phi_t.entries):
                 for j in range(a.component(ud).dim):
-                    lhs = _accumulate(F, xdim2, lifted.action_row(t, ud, i, j),
+                    lhs = _accumulate(F, lifted.action_row(t, ud, i, j),
                                       phi_t2.entries.__getitem__)
-                    rhs = _accumulate(F, xdim2, phi_i,
+                    rhs = _accumulate(F, phi_i,
                                       lambda k: x.action_row(t, ud, k, j))
                     if lhs != rhs:
                         raise InternalConsistencyError(
@@ -731,8 +728,8 @@ def koszul_pipeline(a: GradedAlgebra, n, m=0):
                 continue
             if phi(sigma) + phi(tau) in image:
                 continue
-            mat = regraded.mult_matrix(sigma, tau)
-            vanishing.append((sigma, tau, mat is None or mat.is_zero()))
+            vanishing.append((sigma, tau,
+                              not any(regraded._rows(sigma, tau))))
     regular = regular_module(regraded)
     conditions = regraded_interval_conditions(regular, a, n, r=1)
     holds = all(ok for (_s, _t, ok) in vanishing) \

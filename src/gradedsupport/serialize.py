@@ -245,10 +245,22 @@ def _components_from_json(raw, path):
     return comps
 
 
-def _maps_to_json(table) -> list:
+def _maps_to_json(x) -> list:
+    """x's stored maps in matrix_to_json's form, written from the rows."""
+    F = x.field
+    zero = _entry_to_json(F, F.zero())
     out = []
-    for (g, h) in sorted(table):
-        out.append({"g": g, "h": h, "matrix": matrix_to_json(table[(g, h)])})
+    for (g, h) in sorted(x._maps):
+        rows = x._maps[(g, h)]
+        cols = x.component(x.add_deg(g, h)).dim
+        entries = []
+        for r in rows:
+            entries.append([zero] * cols)
+            for c, v in r.items():
+                entries[-1][c] = _entry_to_json(F, v)
+        out.append({"g": g, "h": h, "matrix": {
+            **_field_keys(F), "rows": len(rows), "cols": cols,
+            "entries": entries}})
     return out
 
 
@@ -273,7 +285,7 @@ def algebra_to_json(a: GradedAlgebra) -> dict:
            "k": a.k}
     out.update(_field_keys(a.field))
     out["components"] = _components_to_json(a.components)
-    out["mult"] = _maps_to_json(a.mult)
+    out["mult"] = _maps_to_json(a)
     out["unit"] = [_entry_to_json(a.field, e) for e in a.unit]
     return out
 
@@ -296,7 +308,7 @@ def algebra_from_json(obj, path="") -> GradedAlgebra:
 def module_to_json(m: GradedModule) -> dict:
     return {"algebra": algebra_to_json(m.over), "window": list(m.window),
             "components": _components_to_json(m.components),
-            "action": _maps_to_json(m.action)}
+            "action": _maps_to_json(m)}
 
 
 def module_from_json(obj, path="") -> GradedModule:

@@ -604,3 +604,12 @@ def test_make_dual_refuses_long_relations_before_listing_words(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert "over the cap of" in err
+
+
+def test_make_dual_counts_only_its_relation_words_against_the_cap(capsys):
+    # the 2^18 - 1 paths over the two loops up to the window top are never
+    # listed: only the four words of degree 2 are, and the dual is monomial
+    code, out, err = run(capsys, "make", "dual", "--vdim", "2", "--n", "2",
+                         "--rel", "x*y", "--window", "17")
+    assert code == 0 and err == ""
+    assert "degree   1: dim 2" in out

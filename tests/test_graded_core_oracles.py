@@ -24,6 +24,7 @@ then by the torsion of that quotient, which the library builds as one
 quotient by the torsion preimage.
 """
 
+import json
 import random
 
 import pytest
@@ -35,20 +36,27 @@ from gradedsupport.constructions import (_layout_module, group_algebra,
                                          regular_module, truncated_polynomial)
 from gradedsupport.errors import GradedSupportError, InternalConsistencyError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
-                                    apply_row, kernel, nullspace, rref,
-                                    subspace_intersect)
-from gradedsupport.graded_core import (GradedModule, _tag_blocks,
-                                       _vanishing_space, closure_under_action,
-                                       hom_space_basis, kill_support_algebra,
+                                    apply_row, kernel, matched_pairs,
+                                    nullspace, rref, subspace_intersect)
+from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
+                                       _tag_blocks, _vanishing_space,
+                                       algebras_equal, closure_under_action,
+                                       hom_space_basis, hom_space_dim,
+                                       kill_support_algebra,
                                        kill_support_module, modules_equal,
                                        preimage_subspace, quotient_with_maps,
+                                       regrade_algebra, regrade_module,
                                        shift_module, submodule_from_subspaces,
-                                       torsion_quotient, torsion_spaces)
+                                       torsion_quotient, torsion_spaces,
+                                       un_regrade_module)
 from gradedsupport.lifting import (LiftReport, _evaluation_rows,
                                    _generator_data, _rank,
                                    certified_isomorphism, check_and_lift,
                                    liftability_check, random_category_module,
                                    random_killed_module)
+from gradedsupport.regrade_maps import delta_map
+from gradedsupport.serialize import (algebra_to_json, matrix_to_json,
+                                     module_to_json)
 from gradedsupport.subsets import DegreeSet, Z, Zn, quotient_set
 
 
@@ -655,3 +663,149 @@ def test_killed_regular_modules_lift_as_before(kind):
     got = check_and_lift(x, u, u, a)
     assert got.liftable
     assert _same_report(got, lift_by_two_quotients(x, u, u, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=module_pairs())
+def test_hom_dim_is_the_length_of_the_hom_basis(pair):
+    m, n = pair
+    assert hom_space_dim(m, n) == len(hom_space_basis(m, n))
+
+
+# ---------------------------------------------------------------------------
+# stored rows against dense tables
+#
+# One random table of dense entries builds each object twice: from Matrix
+# maps and from {col: value} rows of their nonzeros, written out here.  The
+# dense views must give back the Matrices, serialize must write what the
+# matrix writer writes for them, and every operation must agree on the two.
+# The tables are random, not modules, so only the two builds are compared.
+
+
+def _random_table(draw, field, comps, acting, window):
+    """(Matrix maps, the same maps as rows) over every nonempty (g, h) of
+    the window, the entries drawn from 0, 0, 1, -1 and 2."""
+    dense, sparse = {}, {}
+    for g in sorted(comps):
+        for h in sorted(acting):
+            t = g + h
+            if t not in comps or not window[0] <= t <= window[1]:
+                continue
+            pairs = matched_pairs(comps[g], acting[h])
+            if not pairs:
+                continue
+            entries = [[field.from_int(draw(st.sampled_from([0, 0, 1, -1, 2])))
+                        for _ in range(comps[t].dim)] for _ in pairs]
+            dense[(g, h)] = Matrix(field, len(pairs), comps[t].dim, entries)
+            sparse[(g, h)] = [{c: e for c, e in enumerate(row) if e}
+                              for row in entries]
+    return dense, sparse
+
+
+def _random_components(draw, k, degrees):
+    comps = {}
+    for d in degrees:
+        dim = draw(st.integers(0, 2))
+        if dim:
+            comps[d] = LabeledSpace(
+                dim, tuple(draw(st.integers(0, k - 1)) for _ in range(dim)),
+                tuple(draw(st.integers(0, k - 1)) for _ in range(dim)))
+    return comps
+
+
+@st.composite
+def dense_and_sparse_builds(draw):
+    """One random algebra and two random modules over it, each as (dense
+    table, built from the Matrices, built from the rows)."""
+    field = draw(st.sampled_from(FIELDS))
+    k = draw(st.integers(1, 2))
+    top = draw(st.integers(1, 4))
+    comps = _random_components(draw, k, range(1, top + 1))
+    comps[0] = (LabeledSpace(k, tuple(range(k)), tuple(range(k))) if k == 2
+                else LabeledSpace.untagged(draw(st.integers(1, 2))))
+    unit = (field.one(),) * k + (field.zero(),) * (comps[0].dim - k)
+    dense, sparse = _random_table(draw, field, comps, comps, (0, top))
+    algebra = (dense,) + tuple(
+        GradedAlgebra(Z, (0, top), k, field, comps, table, unit)
+        for table in (dense, sparse))
+    modules = []
+    for _ in range(2):
+        lo = draw(st.integers(-2, 1))
+        window = (lo, lo + draw(st.integers(0, 4)))
+        mcomps = _random_components(draw, k, range(window[0], window[1] + 1))
+        dense, sparse = _random_table(draw, field, mcomps, comps, window)
+        modules.append((dense,) + tuple(
+            GradedModule(a, window, mcomps, table)
+            for a, table in zip(algebra[1:], (dense, sparse))))
+    return algebra, modules
+
+
+def _json_by_matrix_writer(table):
+    """The maps of a JSON document as matrix_to_json writes the Matrices."""
+    return [{"g": g, "h": h, "matrix": matrix_to_json(table[(g, h)])}
+            for (g, h) in sorted(table)]
+
+
+def _module_result(f):
+    """f's outcome, with a module written out as JSON."""
+    got = _outcome(f)
+    return module_to_json(got) if isinstance(got, GradedModule) else got
+
+
+@settings(max_examples=80, deadline=None)
+@given(builds=dense_and_sparse_builds(), data=st.data())
+def test_rows_and_matrices_build_the_same_objects(builds, data):
+    (mult, a_dense, a_rows), modules = builds
+    assert a_dense.mult == a_rows.mult == mult
+    assert algebras_equal(a_dense, a_rows)
+    doc = algebra_to_json(a_dense)
+    assert json.dumps(doc) == json.dumps(algebra_to_json(a_rows))
+    assert doc["mult"] == _json_by_matrix_writer(mult)
+    for action, m_dense, m_rows in modules:
+        assert m_dense.action == m_rows.action == action
+        assert modules_equal(m_dense, m_rows)
+        doc = module_to_json(m_dense)
+        assert json.dumps(doc) == json.dumps(module_to_json(m_rows))
+        assert doc["action"] == _json_by_matrix_writer(action)
+    (_, m, m2), (_, n, n2) = modules
+    field = m.field
+
+    # closure, torsion and the quotient by the closure, with project
+    seeds = {}
+    for _ in range(data.draw(st.integers(0, 2)) if m.degrees() else 0):
+        d = data.draw(st.sampled_from(m.degrees()))
+        seeds.setdefault(d, []).append(
+            _vector(data.draw, field, m.component(d).dim))
+    closed = closure_under_action(m, seeds)
+    assert closed == closure_under_action(m2, seeds)
+    s = DegreeSet.periodic(2, (data.draw(st.integers(0, 1)),))
+    assert torsion_spaces(m, s) == torsion_spaces(m2, s)
+    got = _outcome(lambda: quotient_with_maps(m, closed))
+    want = _outcome(lambda: quotient_with_maps(m2, closed))
+    if isinstance(got, type) or isinstance(want, type):
+        assert got == want
+    else:
+        assert module_to_json(got[0]) == module_to_json(want[0])
+        assert got[2] == want[2]
+        for d in m.degrees():
+            vec = _vector(data.draw, field, m.component(d).dim)
+            out = got[1](d, vec)
+            assert isinstance(out, tuple) and out == want[1](d, vec)
+
+    got = _outcome(lambda: hom_space_basis(m, n))
+    assert got == _outcome(lambda: hom_space_basis(m2, n2))
+
+    # kill, regrade and un-regrade
+    u = DegreeSet.periodic(data.draw(st.integers(2, 4)), (0, 1))
+    shift = data.draw(st.integers(0, 2))
+    killed = [_module_result(lambda x=x: kill_support_module(
+        x, u.translate(shift), u)) for x in (m, m2)]
+    assert killed[0] == killed[1]
+    phi = delta_map(u, 0, (-2, 4))
+    for f in (lambda x: regrade_module(x, phi),
+              lambda x: un_regrade_module(regrade_module(x, phi), phi),
+              lambda x: un_regrade_module(x, phi)):
+        assert _module_result(lambda: f(m)) == _module_result(lambda: f(m2))
+    for f in (kill_support_algebra, lambda b, u: regrade_algebra(b, phi)):
+        assert _outcome(lambda: algebra_to_json(f(a_dense, u))) \
+            == _outcome(lambda: algebra_to_json(f(a_rows, u)))
