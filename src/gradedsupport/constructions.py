@@ -37,7 +37,8 @@ import math
 from collections import Counter
 
 from .errors import CapacityError, PreconditionError
-from .exactlin import LabeledSpace, Matrix, QQ, Subspace, nullspace
+from .exactlin import LabeledSpace, Matrix, QQ, Subspace, matched_pairs, \
+    nullspace
 from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
     quotient_module
 from .subsets import Z, Zn
@@ -317,8 +318,6 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             index[t][word])
         return {q: v for q, v in enumerate(res) if v}
 
-    unit = tuple(F.one() for _ in range(num_vertices))
-    alg = GradedAlgebra(Z, (0, top), num_vertices, F, comps, {}, unit)
     mult = {}
     degs = sorted(comps)
     for g in degs:
@@ -326,12 +325,12 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             t = g + h
             if t > top or t not in comps:
                 continue
-            mult[(g, h)] = [
-                {j: F.one()} if t == 0  # e_i e_j = e_j, as i = j
+            mult[(g, h)] = {
+                (i, j): {j: F.one()} if t == 0  # e_i e_j = e_j, as i = j
                 else residue(t, basis_paths[g][i] + basis_paths[h][j])
-                for (i, j) in alg.pairs(g, h)]
-    alg._store_maps(mult)
-    return alg
+                for (i, j) in matched_pairs(comps[g], comps[h])}
+    unit = tuple(F.one() for _ in range(num_vertices))
+    return GradedAlgebra(Z, (0, top), num_vertices, F, comps, mult, unit)
 
 
 def n_homogeneous_dual(v_dim, relations, top, field=QQ,
@@ -506,39 +505,32 @@ def projective_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
 
 
 def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
-    """The module whose action multiplies each generator block inside A."""
-    out = GradedModule(a, window, comps, {})
+    """The module whose action multiplies each generator block inside A.
+
+    Row (p, j) of map (t, u), for p the A_d basis vector q of block b, is
+    A's row (q, j) of map (d, u) kept on block b's positions at t + u.
+    A's map is read once per block.
+    """
+    # block b's A-basis index -> its coordinate in comps[t]
+    coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
+                 for (b, _, start, positions) in blocks}
+             for t, blocks in layout.items()}
     action = {}
     for t, blocks in layout.items():
-        locate = {}
-        for (b, d, start, positions) in blocks:
-            for inner, q in enumerate(positions):
-                locate[start + inner] = (b, d, q)
-        tpos_cache = {}
         for u in a.degrees():
             tu = a.group.add(t, u)
-            if a.group.kind == "Z" and not window[0] <= tu <= window[1]:
+            if tu not in layout:
                 continue
-            tblocks = layout.get(tu)
-            if tblocks is None:
-                continue
-            if tu not in tpos_cache:
-                # block b's A-basis index -> its coordinate in comps[tu]
-                tpos_cache[tu] = {b: {qq: start + inner for inner, qq
-                                      in enumerate(positions)}
-                                  for (b, d, start, positions) in tblocks}
-            tinfo = tpos_cache[tu]
-            rows = []
-            for (p, j) in out.pairs(t, u):
-                b, d, q = locate[p]
-                at = tinfo.get(b)
-                r = a.mult_row(d, u, q, j) if at is not None else None
-                rows.append({at[qq]: v for qq, v in r.items() if qq in at}
-                            if r else {})
-            if rows:
-                action[(t, u)] = rows
-    out._store_maps(action)
-    return out
+            rows = action[(t, u)] = {}
+            for (b, d, _, _) in blocks:
+                src, dst = coord[t][b], coord[tu].get(b)
+                if dst is None:
+                    continue
+                for (q, j), r in a._map_rows(d, u):
+                    if q in src:
+                        rows[(src[q], j)] = {dst[qq]: v for qq, v in r.items()
+                                             if qq in dst}
+    return GradedModule(a, window, comps, action)
 
 
 def present_module(a: GradedAlgebra, gens, relations, window=None) -> GradedModule:

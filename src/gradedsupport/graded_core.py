@@ -5,20 +5,22 @@ Data model
 An algebra and a right module are the same kind of data: per degree a
 LabeledSpace (basis vectors tagged with idempotent indices on both sides),
 and per degree pair (g, h) a structure map on the tag-matched tensor basis
-of X_g x A_h, stored as one {col: value} row of nonzeros per matched pair,
-rows in lexicographic pair order, columns the basis of X_{g+h}.  The dense
-Matrix of a map is only a view, built on first use for .mult / .action /
-mult_matrix / action_matrix and validation; killing, shifting, regrading
-and serialization pass the rows through.  For a GradedAlgebra X = A and the
-map is the multiplication; for a GradedModule A is the algebra it lives
-over and the map is the action.  Both share one base class holding the
-components, the map table and the lookups on it.  Components absent from
-the dictionary are zero, and for Z-graded objects every component outside
-the window is zero by definition: the object is genuinely finite
-dimensional, not a truncated view of an unknown infinite one.  Over Z/n,
-degrees are reduced mod n, and two components or two maps at one reduced
-degree are refused.  Actions are read only through the stored rows, by
-matched pair (i, j).
+of X_g x A_h.  A map is stored as a dict {(i, j): row} from a matched pair
+to the image of x_i * a_j, a {col: value} row of its nonzeros in the basis
+of X_{g+h}, holding the nonzero rows only.  A map that is present with no
+nonzero row is an empty dict, unlike an absent map, which has no entry at
+all.  Every action is read from these rows, one dict lookup per pair;
+killing, shifting, regrading and serialization pass them through.  The
+dense Matrix of a map, rows in lexicographic pair order, is only a view
+built on first use for .mult / .action / mult_matrix / action_matrix.  For
+a GradedAlgebra X = A and the map is the multiplication; for a
+GradedModule A is the algebra it lives over and the map is the action.
+Both share one base class holding the components, the map table and the
+lookups on it.  Components absent from the dictionary are zero, and for
+Z-graded objects every component outside the window is zero by
+definition: the object is genuinely finite dimensional, not a truncated
+view of an unknown infinite one.  Over Z/n, degrees are reduced mod n, and
+two components or two maps at one reduced degree are refused.
 
 The degree-0 part of an algebra carries the unit as an explicit coefficient
 vector.  With k >= 2 idempotents the degree-0 part must be exactly the k
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
-from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _entries,
-                       _rank, kernel, matched_pairs, nullspace, pivot_reduce)
+from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _dense,
+                       _entries, _rank, kernel, matched_pairs, nullspace,
+                       pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -81,32 +84,45 @@ class _GradedObject:
             c.check_tags(k)
             comps[d] = c
         self.components = comps
-        self._pair_cache, self._index_cache = {}, {}
+        self._pair_cache = {}
 
     def _store_maps(self, table):
-        """Check every map's shape, and a Matrix's field; keep the nonempty
-        ones as tuples of {col: value} rows, given so or read off a Matrix."""
+        """Check every map and keep each present one as the dict of its
+        nonzero rows.
+
+        A map is a Matrix with one row per pairs(g, h), or a dict keyed by
+        matched pair.  It is present when it has a nonzero row, or matched
+        pairs and a nonzero target.
+        """
         stored, seen = {}, set()
+        right = self._acting()
         for (g, h), m in table.items():
             if self.group.kind == "Zn":
                 g, h = g % self.group.n, h % self.group.n
                 _claim(seen, (g, h), f"{self._map_name} maps", self.group)
-            pairs = self.pairs(g, h)
-            t = self.component(self.add_deg(g, h))
+            dim = self.component(self.add_deg(g, h)).dim
             if isinstance(m, Matrix):
-                shape, rows = (m.rows, m.cols), tuple(
-                    {j: v for j, v in enumerate(r) if v} for r in m.entries)
+                pairs = self.pairs(g, h)
+                if (m.rows, m.cols) != (len(pairs), dim):
+                    raise ShapeError(
+                        f"{self._map_name}({g},{h}) must be {len(pairs)}x"
+                        f"{dim}, got {m.rows}x{m.cols}")
+                if m.field != self.field:
+                    raise ShapeError(f"{self._map_name} matrix over the wrong field")
+                rows = {p: row for p, r in zip(pairs, m.entries)
+                        if (row := {c: v for c, v in enumerate(r) if v})}
             else:
-                rows = tuple(m)
-                top = max(map(max, filter(None, rows)), default=-1)
-                shape = (len(rows), max(t.dim, top + 1))
-            if shape[0] != len(pairs) or shape[1] != t.dim:
-                raise ShapeError(
-                    f"{self._map_name}({g},{h}) must be {len(pairs)}x{t.dim}, "
-                    f"got {shape[0]}x{shape[1]}")
-            if isinstance(m, Matrix) and m.field != self.field:
-                raise ShapeError(f"{self._map_name} matrix over the wrong field")
-            if rows and t.dim:
+                cg, ch = self.component(g), right.component(h)
+                for i, j in m:
+                    if not (0 <= i < cg.dim and 0 <= j < ch.dim) \
+                            or cg.right_tags[i] != ch.left_tags[j]:
+                        raise ShapeError(f"{self._map_name}({g},{h}) keys "
+                                         f"{(i, j)}, not a matched pair")
+                rows = {p: r for p, r in m.items() if r}
+                if max(map(max, rows.values()), default=-1) >= dim:
+                    raise ShapeError(f"{self._map_name}({g},{h}) has a column "
+                                     f"beyond the {dim} of its target")
+            if rows or dim and self.pairs(g, h):
                 stored[(g, h)] = rows
         self._maps = stored
         self._views = {}
@@ -140,31 +156,24 @@ class _GradedObject:
                 self.component(g), self._acting().component(h))
         return got
 
-    def _pair_index(self, g, h):
-        """The row of each pair of pairs(g, h)."""
-        got = self._index_cache.get((g, h))
-        if got is None:
-            got = self._index_cache[(g, h)] = {
-                p: r for r, p in enumerate(self.pairs(g, h))}
-        return got
-
     def _rows(self, g, h):
-        """Stored rows of map (g, h), () when it is structurally zero."""
+        """The stored {(i, j): row} dict of map (g, h), None when absent."""
         if self.group.kind == "Zn":
             g, h = g % self.group.n, h % self.group.n
-        return self._maps.get((g, h), ())
+        return self._maps.get((g, h))
 
     def _map_matrix(self, g, h):
-        """Dense view of map (g, h), built once; None when it is zero."""
+        """Dense view of map (g, h), built once; None when it is absent."""
         rows = self._rows(g, h)
-        if not rows:
+        if rows is None:
             return None
         got = self._views.get((g, h))
         if got is None:
             cols = self.component(self.add_deg(g, h)).dim
-            z = self.field.zero()
-            got = self._views[(g, h)] = Matrix(self.field, len(rows), cols, [
-                [r.get(c, z) for c in range(cols)] for r in rows])
+            pairs = self.pairs(g, h)
+            got = self._views[(g, h)] = Matrix(self.field, len(pairs), cols, [
+                _dense(rows.get(p, {}), cols, self.field.zero())
+                for p in pairs])
         return got
 
     def _dense_maps(self):
@@ -172,17 +181,11 @@ class _GradedObject:
 
     def _map_row(self, g, h, i, j):
         """Image of x_i * a_j as a {col: value} row; None when zero."""
-        rows = self._rows(g, h)
-        if not rows:
-            return None
-        r = self._pair_index(g, h).get((i, j))
-        return None if r is None else rows[r]
+        return (self._rows(g, h) or {}).get((i, j))
 
     def _map_rows(self, g, h):
-        """((i, j), image of x_i * a_j) for each row of map (g, h); none
-        when the map is structurally zero."""
-        rows = self._rows(g, h)
-        return zip(self.pairs(g, h), rows) if rows else ()
+        """((i, j), image of x_i * a_j) for each nonzero row of map (g, h)."""
+        return (self._rows(g, h) or {}).items()
 
 
 class GradedAlgebra(_GradedObject):
@@ -260,10 +263,9 @@ class GradedModule(_GradedObject):
 
 
 def _same_maps(x, y):
-    """Equal stored rows, a stored map of zero rows counting as absent."""
-    both = ((x._maps.get(key, ()), y._maps.get(key, ()))
-            for key in x._maps.keys() | y._maps.keys())
-    return all(r == s or not any(r) and not any(s) for r, s in both)
+    """Equal stored rows, a map with no nonzero row counting as absent."""
+    return ({key: rows for key, rows in x._maps.items() if rows}
+            == {key: rows for key, rows in y._maps.items() if rows})
 
 
 def algebras_equal(a: GradedAlgebra, b: GradedAlgebra) -> bool:
@@ -298,7 +300,7 @@ def validate_algebra(a: GradedAlgebra) -> Verdict:
         return Verdict(False, False, witness,
                        reason="product escapes its tag block")
     if a.k >= 2:
-        if a.mult_matrix(0, 0) != Matrix.identity(F, a.k):
+        if a._rows(0, 0) != {(i, i): {i: F.one()} for i in range(a.k)}:
             return Verdict(False, False, ("degree0",),
                            reason="degree-0 product is not the split idempotent product")
         if a.unit != tuple(F.one() for _ in range(a.k)):
@@ -338,7 +340,7 @@ def _tag_escape(x, both_sides):
     for (g, h) in x._maps:
         cg, ch = x.component(g), right.component(h)
         ct = x.component(x.add_deg(g, h))
-        for (i, j), row in x._map_rows(g, h):
+        for (i, j), row in sorted(x._map_rows(g, h)):
             for q in sorted(row):
                 if (ct.right_tags[q] != ch.right_tags[j]
                         or both_sides and ct.left_tags[q] != cg.left_tags[i]):
@@ -370,25 +372,23 @@ def _assoc_witness(x):
         for u in adegs:
             cu = a.component(u)
             su = x.add_deg(s, u)
-            csu = x.component(su)
             for v in adegs:
                 cv = a.component(v)
                 uv = a.add_deg(u, v)
                 ct = x.component(x.add_deg(su, v))
                 if ct.dim == 0:
                     continue
-                cuv = a.component(uv)
                 for i in range(cs.dim):
                     for j in range(cu.dim):
                         if cs.right_tags[i] != cu.left_tags[j]:
                             continue
-                        xa = x._map_row(s, u, i, j) if csu.dim else None
+                        xa = x._map_row(s, u, i, j)
                         for kk in range(cv.dim):
                             if cu.right_tags[j] != cv.left_tags[kk]:
                                 continue
                             r1 = _accumulate(F, xa,
                                              lambda m: x._map_row(su, v, m, kk))
-                            ab = a.mult_row(u, v, j, kk) if cuv.dim else None
+                            ab = a.mult_row(u, v, j, kk)
                             r2 = _accumulate(F, ab,
                                              lambda m: x._map_row(s, uv, i, m))
                             if r1 != r2:
@@ -421,8 +421,8 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
         if i < 2:
             continue
         rows = a._rows(1, i - 1)
-        if not rows or _rank(a.field, rows, a.component(i).dim) \
-                < a.component(i).dim:
+        if not rows or _rank(a.field, list(rows.values()),
+                             a.component(i).dim) < a.component(i).dim:
             return False
     return True
 
@@ -559,19 +559,19 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
     for sigma in comps:
         for tau in taus:
             rows = x._rows(g + phi(sigma), phi(tau))
-            if not rows:
+            if rows is None:
                 continue
             st = sigma + tau
             total = phi(sigma) + phi(tau)
             if total not in img:
-                if any(rows):
+                if rows:
                     raise GradingViolationError(
                         f"{x._map_name} lands outside the image of the "
                         f"regrading map", witness=(sigma, tau))
                 continue
             if not lo <= st <= hi:
                 # the target exists in x but the new grading has no slot for it
-                if any(rows):
+                if rows:
                     raise GradingViolationError(
                         f"{x._map_name} leaves the regrading window",
                         witness=(sigma, tau))
@@ -609,7 +609,7 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
         for tau in dom:
             if phi(sigma) + phi(tau) in img:
                 continue
-            if any(v._rows(sigma, tau)):
+            if v._rows(sigma, tau):
                 raise GradingViolationError(
                     "action violates the regrading vanishing pattern",
                     witness=(sigma, tau))
@@ -706,19 +706,18 @@ def _action_on(m: GradedModule, comps, image, coords, targets):
     basis of comps[t], empty when t is unlisted.  Only degrees d + u in
     targets are pushed into; nothing is built for the others.
     """
-    out = GradedModule(m.over, m.window, comps, {})
     action = {}
-    for d in comps:
+    for d, cd in comps.items():
         for u in m.over.degrees():
             t = m.add_deg(d, u)
             if t not in targets:
                 continue
-            rows = tuple(coords(t, vec) if (vec := image(d, u, i, j)) else {}
-                         for (i, j) in out.pairs(d, u))
-            if rows and t in comps:
+            rows = {p: coords(t, vec)
+                    for p in matched_pairs(cd, m.over.component(u))
+                    if (vec := image(d, u, *p))}
+            if t in comps:
                 action[(d, u)] = rows
-    out._store_maps(action)
-    return out
+    return GradedModule(m.over, m.window, comps, action)
 
 
 def quotient_with_maps(m: GradedModule, spaces: dict):
@@ -815,48 +814,46 @@ def is_generated_in(m: GradedModule, degrees) -> bool:
     return all(spaces[d].dim == m.component(d).dim for d in m.degrees())
 
 
-def _complement_matrix(field, ambient, space: Subspace):
-    """Matrix of a projection K^ambient -> K^(ambient - dim) killing space.
-
-    ambient x 0 when the space is everything: the projection onto nothing,
-    under which every vector vanishes.
-    """
-    return Matrix(field, ambient, ambient - space.dim, space.unit_residues())
-
-
 def preimage_subspace(f: Matrix, w: Subspace) -> Subspace:
-    """{x : x @ f in w}."""
+    """{x : x @ f in w}: the kernel of f followed by the projection that
+    kills w, whose rows are w's unit residues (no columns when w is
+    everything)."""
     if f.cols != w.ambient:
         raise ShapeError("preimage target dimension mismatch")
-    return kernel(f @ _complement_matrix(f.field, f.cols, w))
+    return kernel(f @ Matrix(f.field, f.cols, f.cols - w.dim,
+                             w.unit_residues()))
 
 
 def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
     """{x in M_d : x a evaluates to zero at every watched degree}.
 
-    evals maps each watched degree t to the evaluation applied there, a
-    matrix on M_t or None for the identity; a matrix with no columns (the
-    complement of all of M_t) asks nothing.  x must vanish under ev_t after
-    every basis vector a of A landing at t = d + u, and under ev_d itself
-    when d is watched.  Entry i of equation (j, c) is column c of
-    ev_t(x_i * a_j).  One nullspace over the stacked equations.
+    evals maps each watched degree t to the evaluation applied there: its
+    rows, row i = ev_t(e_i) dense or as a {col: value} dict, or None for
+    the identity; rows that are all empty ask nothing.  x must vanish under
+    ev_t after every basis vector a of A landing at t = d + u, and under
+    ev_d itself when d is watched.  Entry i of equation (j, c) is column c
+    of ev_t(x_i * a_j).  One nullspace over the stacked equations.
     """
     F = m.field
     dim = m.component(d).dim
     cols = []
     if d in evals:
-        ev = evals[d]
-        cols.extend(Subspace.full(F, dim).basis if ev is None
-                    else zip(*ev.entries))
+        ev = evals[d] or [{q: F.one()} for q in range(dim)]
+        stacked = {}  # column c of ev_d is equation c
+        for i, row in enumerate(ev):
+            for c, e in _entries(row):
+                if e:
+                    stacked.setdefault(c, {})[i] = e
+        cols.extend(stacked.values())
     for u in m.over.degrees():
         t = m.add_deg(d, u)
-        if t not in evals or evals[t] is not None and evals[t].cols == 0:
+        if t not in evals or evals[t] is not None and not any(evals[t]):
             continue
         ev = evals[t]
         stacked = {}
         for (i, j), row in m._map_rows(d, u):
             if ev is not None:
-                row = _accumulate(F, row, ev.entries.__getitem__)
+                row = _accumulate(F, row, ev.__getitem__)
             for c, e in row.items():
                 stacked.setdefault((j, c), {})[i] = e
         cols.extend(stacked.values())
@@ -940,10 +937,9 @@ def _hom_equations(m: GradedModule, n: GradedModule):
             eqs = {}  # (j, i, c) -> equation; stored rows imply the unknowns
             for (i, j), row in m._map_rows(d, u):
                 # f_t(x_i a_j)[c] = sum over k of row[k] f_t[k][c]
-                if row:
-                    nz = [(offset[t] + k * nt, e) for k, e in row.items()]
-                    for c in range(nt):
-                        eqs[(j, i, c)] = {col + c: e for col, e in nz}
+                nz = [(offset[t] + k * nt, e) for k, e in row.items()]
+                for c in range(nt):
+                    eqs[(j, i, c)] = {col + c: e for col, e in nz}
             for (q, j), row in n._map_rows(d, u):
                 # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], for
                 # the i tag-matched to a_j

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from .constructions import _layout_module, projective_layout, \
     projective_module, regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, _dense, _rank, nullspace
+from .exactlin import Matrix, _rank, nullspace
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          _accumulate, _check_set_group, _complement_matrix,
-                          _vanishing_space, algebras_equal,
+                          _accumulate, _check_set_group, _vanishing_space,
+                          algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in, is_generated_in,
                           is_generated_in_degrees_01, kill_support_algebra,
@@ -165,33 +165,31 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
         return None
     F = a.field
     z = F.zero()
+    rows_u = x._rows(m, xu) or {}
     cols = {}  # the columns of mu_{m,xu}: Ker is their nullspace
-    for r, row in enumerate(x._rows(m, xu)):
-        for c, e in row.items():
+    for r, p in enumerate(pairs_u):
+        for c, e in rows_u.get(p, {}).items():
             cols.setdefault(c, {})[r] = e
     ker = nullspace(F, list(cols.values()), len(pairs_u))
     rows_v = x._rows(m, xv)
-    if ker.dim == 0 or not rows_v:
+    if ker.dim == 0 or rows_v is None:
         return False, None
-    pairs_v, pos_v = x.pairs(m, xv), x._pair_index(m, xv)
+    xtags, vtags = x.component(m).right_tags, b.component(xv).left_tags
     for w in ker.basis:
         for ell in range(a.component(gap).dim):
-            pushed = [z] * len(pairs_v)
+            pushed = {}  # (i, qq) -> entry of the pushed vector
             for idx, c in w.items():
                 i, j = pairs_u[idx]
-                row = a.mult_row(au, gap, j, ell)
-                if row is None:
-                    continue
-                for qq, e in row.items():
-                    pos = pos_v.get((i, qq))
-                    if pos is None:
+                for qq, e in (a.mult_row(au, gap, j, ell) or {}).items():
+                    if qq >= len(vtags) or vtags[qq] != xtags[i]:
                         raise InternalConsistencyError(
                             "multiplication broke tag matching while "
                             f"pushing a kernel element at {(m, xu, xv)}")
-                    pushed[pos] = F.add(pushed[pos], F.mul(c, e))
+                    pushed[(i, qq)] = F.add(pushed.get((i, qq), z),
+                                            F.mul(c, e))
             # a push that adds nothing is zero and never a witness
-            if _accumulate(F, pushed, rows_v.__getitem__):
-                return True, tuple(pushed)
+            if _accumulate(F, pushed, rows_v.get):
+                return True, tuple(pushed.get(p, z) for p in x.pairs(m, xv))
     return True, None
 
 
@@ -288,14 +286,13 @@ def _generator_data(x: GradedModule, qdegs):
     return gens, meta
 
 
-def _evaluation_rows(x: GradedModule, t, blocks, meta, xdim, F):
-    """Rows of the evaluation D_t -> X_t, generator block times A -> X."""
-    z = F.zero()
+def _evaluation_rows(x: GradedModule, blocks, meta):
+    """Rows of the evaluation D_t -> X_t, generator block times A -> X, as
+    {col: value} dicts."""
     rows = []
     for (b, d, _start, positions) in blocks:
         m, i = meta[b]
-        for qq in positions:
-            rows.append(_dense(x.action_row(m, d, i, qq) or {}, xdim, z))
+        rows.extend(x.action_row(m, d, i, qq) or {} for qq in positions)
     return rows
 
 
@@ -355,9 +352,7 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
         blocks = layout.get(t)
         if not blocks:
             continue
-        xdim = x.component(t).dim
-        rows = _evaluation_rows(x, t, blocks, meta, xdim, F)
-        evals[t] = Matrix(F, len(rows), xdim, rows)
+        evals[t] = _evaluation_rows(x, blocks, meta)
     lifted, _project, keep = quotient_with_maps(
         induced, {d: _vanishing_space(induced, d, evals)
                   for d in induced.degrees()})
@@ -376,11 +371,10 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
         if ev is None:
             raise InternalConsistencyError(
                 f"lift lost the generator blocks at degree {t}")
-        phi_rows = [ev.entries[kk] for kk in keep[t]]
-        if _rank(F, phi_rows) != xdim:
+        iso[t] = [ev[kk] for kk in keep[t]]
+        if _rank(F, iso[t], xdim) != xdim:
             raise InternalConsistencyError(
                 f"evaluation is not bijective at degree {t}")
-        iso[t] = Matrix(F, mdim, xdim, phi_rows)
 
     udegs = _u_degrees(u, a)
     for t in sdegs:
@@ -393,10 +387,10 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
             if phi_t2 is None or not x.in_window(t2):
                 continue
             # (e_i a_j) phi_{t+u} = (e_i phi_t) a_j, from the stored rows
-            for i, phi_i in enumerate(phi_t.entries):
+            for i, phi_i in enumerate(phi_t):
                 for j in range(a.component(ud).dim):
                     lhs = _accumulate(F, lifted.action_row(t, ud, i, j),
-                                      phi_t2.entries.__getitem__)
+                                      phi_t2.__getitem__)
                     rhs = _accumulate(F, phi_i,
                                       lambda k: x.action_row(t, ud, k, j))
                     if lhs != rhs:
@@ -513,8 +507,7 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
             _check_set_group(proj, s)
             inside = {t for t in proj.degrees()
                       if s.try_contains(t) is not False}
-            evals = {t: _complement_matrix(F, closed[t].ambient, closed[t])
-                     for t in inside}
+            evals = {t: closed[t].unit_residues() for t in inside}
             closed = {d: closed[d] if d in inside
                       else _vanishing_space(proj, d, evals)
                       for d in proj.degrees()}
@@ -729,7 +722,7 @@ def koszul_pipeline(a: GradedAlgebra, n, m=0):
             if phi(sigma) + phi(tau) in image:
                 continue
             vanishing.append((sigma, tau,
-                              not any(regraded._rows(sigma, tau))))
+                              not regraded._rows(sigma, tau)))
     regular = regular_module(regraded)
     conditions = regraded_interval_conditions(regular, a, n, r=1)
     holds = all(ok for (_s, _t, ok) in vanishing) \

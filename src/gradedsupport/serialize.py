@@ -254,12 +254,12 @@ def _maps_to_json(x) -> list:
         rows = x._maps[(g, h)]
         cols = x.component(x.add_deg(g, h)).dim
         entries = []
-        for r in rows:
+        for p in x.pairs(g, h):
             entries.append([zero] * cols)
-            for c, v in r.items():
+            for c, v in rows.get(p, {}).items():
                 entries[-1][c] = _entry_to_json(F, v)
         out.append({"g": g, "h": h, "matrix": {
-            **_field_keys(F), "rows": len(rows), "cols": cols,
+            **_field_keys(F), "rows": len(entries), "cols": cols,
             "entries": entries}})
     return out
 

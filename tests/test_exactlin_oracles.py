@@ -34,8 +34,7 @@ from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     pivot_reduce, rref, solve,
                                     subspace_contains, subspace_intersect,
                                     subspace_sum)
-from gradedsupport.graded_core import (_complement_matrix, _vanishing_space,
-                                       preimage_subspace)
+from gradedsupport.graded_core import _vanishing_space, preimage_subspace
 
 FIELDS = [QQ, GF(101)]
 
@@ -300,8 +299,10 @@ def old_preimage(f, w):
 
 @given(subspace_pairs())
 def test_complement_matrix_matches_pivot_reduction(pair):
+    # preimage_subspace projects by the unit residues as a matrix
     for w in pair:
-        assert _complement_matrix(w.field, w.ambient, w) \
+        assert Matrix(w.field, w.ambient, w.ambient - w.dim,
+                      w.unit_residues()) \
             == old_complement_matrix(w.field, w.ambient, w)
 
 
@@ -614,15 +615,14 @@ def test_solve_matches_augmented_solve_over_all_fields(case, data):
 def test_full_complement_asks_no_condition(field):
     # the complement of all of K^n is the projection onto nothing
     full = Subspace.full(field, 3)
-    comp = _complement_matrix(field, 3, full)
-    assert (comp.rows, comp.cols) == (3, 0)
+    assert full.unit_residues() == [()] * 3
     assert preimage_subspace(Matrix.identity(field, 3), full) == full
     # handed to _vanishing_space it watches nothing at that degree
     from gradedsupport.constructions import regular_module, \
         truncated_polynomial
     m = regular_module(truncated_polynomial(3, field=field))
     dims = {t: m.component(t).dim for t in m.degrees()}
-    evals = {t: _complement_matrix(field, n, Subspace.full(field, n))
+    evals = {t: Subspace.full(field, n).unit_residues()
              for t, n in dims.items()}
     for d, n in dims.items():
         assert _vanishing_space(m, d, evals) == Subspace.full(field, n)

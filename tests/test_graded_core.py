@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedsupport.errors import (GradingViolationError, PreconditionError)
-from gradedsupport.exactlin import GF, Matrix, QQ, Subspace
+from gradedsupport.errors import (GradingViolationError, PreconditionError,
+                                  ShapeError)
+from gradedsupport.exactlin import GF, LabeledSpace, Matrix, QQ, Subspace
 from gradedsupport.graded_core import (
     GradedAlgebra,
     GradedModule,
@@ -304,6 +305,28 @@ def test_cyclic_degree_aliases_are_refused():
         GradedAlgebra(a.group, a.window, 1, f, a.components,
                       {(g + 3, h): mat for (g, h), mat in a.mult.items()},
                       a.unit), a)
+
+
+def test_pair_keyed_tables_are_checked():
+    # the module vector x_0 has right tag 0, so of e_0, e_1 in A_0 only
+    # (0, 0) is a matched pair
+    a = quiver_algebra(2, [(0, 1), (1, 0)], [], 2)
+    one = a.field.one()
+    comps = {0: LabeledSpace.module_component((0,))}
+    good = GradedModule(a, (0, 0), comps, {(0, 0): {(0, 0): {0: one}}})
+    assert good.action == {(0, 0): Matrix.identity(a.field, 1)}
+    for rows, what in [({(0, 1): {0: one}}, r"keys \(0, 1\), not a matched"),
+                       ({(1, 0): {0: one}}, r"keys \(1, 0\), not a matched"),
+                       ({(-1, 0): {0: one}}, r"keys \(-1, 0\), not a"),
+                       ({(0, 2): {0: one}}, r"keys \(0, 2\), not a matched"),
+                       ({(0, 0): {1: one}}, "a column beyond the 1 of its")]:
+        with pytest.raises(ShapeError, match=what):
+            GradedModule(a, (0, 0), comps, {(0, 0): rows})
+    # the algebra's own table is checked the same way
+    mult = dict(a._maps)
+    mult[(1, 1)] = {a.pairs(1, 1)[0]: {a.component(2).dim: one}}
+    with pytest.raises(ShapeError, match=r"mult\(1,1\) has a column"):
+        GradedAlgebra(Z, a.window, 2, a.field, a.components, mult, a.unit)
 
 
 # ---------------------------------------------------------------------------

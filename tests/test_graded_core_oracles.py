@@ -48,7 +48,8 @@ from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        regrade_algebra, regrade_module,
                                        shift_module, submodule_from_subspaces,
                                        torsion_quotient, torsion_spaces,
-                                       un_regrade_module)
+                                       un_regrade_module, validate_algebra,
+                                       validate_module)
 from gradedsupport.lifting import (LiftReport, _evaluation_rows,
                                    _generator_data, _rank,
                                    certified_isomorphism, check_and_lift,
@@ -165,7 +166,8 @@ def lift_by_two_quotients(x, s, u, a):
         if not blocks:
             continue
         xdim = x.component(t).dim
-        rows = _evaluation_rows(x, t, blocks, meta, xdim, F)
+        rows = [[r.get(c, F.zero()) for c in range(xdim)]
+                for r in _evaluation_rows(x, blocks, meta)]
         evals[t] = Matrix(F, len(rows), xdim, rows)
         ker = kernel(evals[t])
         if ker.dim:
@@ -505,9 +507,10 @@ def test_vanishing_space_counts_x_itself_at_its_degree():
     f = m.field
     ev = Matrix.from_rows(f, [[f.one()], [f.zero()]])
     # no action to push through: only ev_1(x) = 0 cuts the space down
-    assert _vanishing_space(m, 1, {1: ev}) == kernel(ev)
+    assert _vanishing_space(m, 1, {1: ev.entries}) == kernel(ev)
+    assert _vanishing_space(m, 1, {1: [{0: f.one()}, {}]}) == kernel(ev)
     assert _vanishing_space(m, 1, {1: None}).dim == 0
-    assert _vanishing_space(m, 0, {1: ev}).dim == 2
+    assert _vanishing_space(m, 0, {1: ev.entries}).dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +679,19 @@ def test_hom_dim_is_the_length_of_the_hom_basis(pair):
 # stored rows against dense tables
 #
 # One random table of dense entries builds each object twice: from Matrix
-# maps and from {col: value} rows of their nonzeros, written out here.  The
-# dense views must give back the Matrices, serialize must write what the
-# matrix writer writes for them, and every operation must agree on the two.
-# The tables are random, not modules, so only the two builds are compared.
+# maps and from {(i, j): {col: value}} dicts of their rows keyed by matched
+# pair, written out here.  A map may be absent, or present with no nonzero
+# row, and the two stay apart.  The dense views must give back the
+# Matrices, serialize must write what the matrix writer writes for them,
+# and every operation must agree on the two.  The tables are random, not
+# modules, so only the two builds are compared.
 
 
 def _random_table(draw, field, comps, acting, window):
-    """(Matrix maps, the same maps as rows) over every nonempty (g, h) of
-    the window, the entries drawn from 0, 0, 1, -1 and 2."""
+    """(Matrix maps, the same maps keyed by pair) over the nonempty (g, h)
+    of the window.  Each map is absent, zero or drawn from 0, 0, 1, -1 and
+    2; a zero map is an empty dict, and a drawn one keeps its zero rows as
+    empty dicts, which the build drops."""
     dense, sparse = {}, {}
     for g in sorted(comps):
         for h in sorted(acting):
@@ -692,13 +699,16 @@ def _random_table(draw, field, comps, acting, window):
             if t not in comps or not window[0] <= t <= window[1]:
                 continue
             pairs = matched_pairs(comps[g], acting[h])
-            if not pairs:
+            kind = draw(st.sampled_from(["absent", "zero", "drawn", "drawn"]))
+            if not pairs or kind == "absent":
                 continue
-            entries = [[field.from_int(draw(st.sampled_from([0, 0, 1, -1, 2])))
+            values = [0, 0, 1, -1, 2] if kind == "drawn" else [0]
+            entries = [[field.from_int(draw(st.sampled_from(values)))
                         for _ in range(comps[t].dim)] for _ in pairs]
             dense[(g, h)] = Matrix(field, len(pairs), comps[t].dim, entries)
-            sparse[(g, h)] = [{c: e for c, e in enumerate(row) if e}
-                              for row in entries]
+            sparse[(g, h)] = {} if kind == "zero" else {
+                p: {c: e for c, e in enumerate(row) if e}
+                for p, row in zip(pairs, entries)}
     return dense, sparse
 
 
@@ -716,7 +726,7 @@ def _random_components(draw, k, degrees):
 @st.composite
 def dense_and_sparse_builds(draw):
     """One random algebra and two random modules over it, each as (dense
-    table, built from the Matrices, built from the rows)."""
+    table, built from the Matrices, built from the pair-keyed rows)."""
     field = draw(st.sampled_from(FIELDS))
     k = draw(st.integers(1, 2))
     top = draw(st.integers(1, 4))
@@ -761,12 +771,14 @@ def test_rows_and_matrices_build_the_same_objects(builds, data):
     doc = algebra_to_json(a_dense)
     assert json.dumps(doc) == json.dumps(algebra_to_json(a_rows))
     assert doc["mult"] == _json_by_matrix_writer(mult)
+    assert validate_algebra(a_dense) == validate_algebra(a_rows)
     for action, m_dense, m_rows in modules:
         assert m_dense.action == m_rows.action == action
         assert modules_equal(m_dense, m_rows)
         doc = module_to_json(m_dense)
         assert json.dumps(doc) == json.dumps(module_to_json(m_rows))
         assert doc["action"] == _json_by_matrix_writer(action)
+        assert validate_module(m_dense) == validate_module(m_rows)
     (_, m, m2), (_, n, n2) = modules
     field = m.field
 

@@ -22,6 +22,7 @@ from gradedsupport.graded_core import (
     validate_module,
 )
 from gradedsupport.lifting import (
+    _kernel_push,
     certified_isomorphism,
     check_and_lift,
     equivalence_harness,
@@ -111,6 +112,24 @@ def test_violation_vector_escapes_for_real():
     report = liftability_check(bad, U3, U3, a)
     _m, _u, _v, vec = report.violations[0]
     assert any(c != bad.field.zero() for c in vec)
+
+
+def test_absent_and_empty_maps_push_differently():
+    # mu_{0,1} is zero, so its kernel is all of X_0 (x) A_1.  When mu_{0,2}
+    # is absent the containment is not tested; when it is present with no
+    # nonzero row it is tested and holds.  A zero Matrix is the same map.
+    a = truncated_polynomial(3)
+    f = a.field
+    comps = {d: LabeledSpace.untagged(1) for d in range(3)}
+    zero = Matrix.zero(f, 1, 1)
+    for present in ({}, zero):
+        absent = GradedModule(a, (0, 2), comps, {(0, 1): present})
+        empty = GradedModule(a, (0, 2), comps,
+                             {(0, 1): present, (0, 2): present})
+        assert absent._rows(0, 2) is None
+        assert empty._rows(0, 2) == {}
+        assert _kernel_push(absent, a, 0, 1, 2, 1, 1) == (False, None)
+        assert _kernel_push(empty, a, 0, 1, 2, 1, 1) == (True, None)
 
 
 # ---------------------------------------------------------------------------
