@@ -11,6 +11,10 @@ lives in K^c.  Composition reads left to right: the matrix of f then g is
 M_f @ M_g.  This matches right-module actions, which is what the rest of the
 library computes with.
 
+A Matrix is stored as one dict {column: value} of nonzeros per row (nz);
+entries is the dense view, built on first use for the public API and JSON.
+Products, sums, kernels, images and solves all work on the dict rows.
+
 Subspaces are stored as reduced row echelon bases, so two equal subspaces are
 structurally equal.  The basis rows are kept as dicts {column: value} of
 their nonzeros, sorted by pivot; Subspace.rows is the dense view of them,
@@ -223,28 +227,34 @@ def GF(p):
 
 
 class Matrix:
-    """Dense exact matrix; entries is a tuple of row tuples."""
+    """Exact matrix: nz holds one {col: value} dict of nonzeros per row,
+    shared and never mutated; entries is the dense view, a tuple of row
+    tuples built on first use.  The constructor takes dense rows."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "nz", "_entries")
 
     def __init__(self, field, rows, cols, entries):
         entries = tuple(tuple(r) for r in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ShapeError(f"expected {rows}x{cols} entries")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        self.field, self.rows, self.cols, self._entries = field, rows, cols, None
+        self.nz = tuple({j: v for j, v in enumerate(r) if v} for r in entries)
+
+    @classmethod
+    def _of(cls, field, rows, cols, nz):
+        """Wrap rows x cols dict rows of nonzeros as they are, with no copy."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.nz, m._entries = field, rows, cols, nz, None
+        return m
 
     @classmethod
     def zero(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._of(field, rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        o = field.one()
+        return cls._of(field, n, n, tuple({i: o} for i in range(n)))
 
     @classmethod
     def from_rows(cls, field, rows, cols=None):
@@ -255,12 +265,22 @@ class Matrix:
             cols = len(rows[0])
         return cls(field, len(rows), cols, rows)
 
+    @property
+    def entries(self):
+        if self._entries is None:
+            z = self.field.zero()
+            self._entries = tuple(_dense(r, self.cols, z) for r in self.nz)
+        return self._entries
+
     def row(self, i):
         return self.entries[i]
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, v in r.items():
+                out[j][i] = v
+        return Matrix._of(self.field, self.cols, self.rows, tuple(out))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -269,30 +289,29 @@ class Matrix:
             raise ShapeError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Matrix(self.field, self.rows, other.cols,
-                      [apply_row(self.field, r, other) for r in self.entries])
+        return Matrix._of(self.field, self.rows, other.cols, tuple(
+            _accumulate(self.field, r, other.nz.__getitem__) for r in self.nz))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
             raise ShapeError("shape or field mismatch in matrix sum")
-        F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      [[F.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        o = self.field.one()
+        return Matrix._of(self.field, self.rows, self.cols, tuple(
+            _accumulate(self.field, (o, o), pair.__getitem__)
+            for pair in zip(self.nz, other.nz)))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.nz == other.nz)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols))
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(e == z for row in self.entries for e in row)
+        return not any(self.nz)
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
@@ -302,19 +321,26 @@ def apply_row(field, vec, matrix):
     """vec @ matrix for a plain sequence vec of length matrix.rows."""
     if len(vec) != matrix.rows:
         raise ShapeError(f"vector length {len(vec)} vs {matrix.rows} rows")
-    add, mul = field.add, field.mul
-    acc = [field.zero()] * matrix.cols
-    for a, row in zip(vec, matrix.entries):
-        if a:
-            for j, e in enumerate(row):
-                if e:
-                    acc[j] = add(acc[j], mul(a, e))
-    return acc
+    return list(_dense(_accumulate(field, vec, matrix.nz.__getitem__),
+                       matrix.cols, field.zero()))
 
 
 def _entries(row):
     """(column, value) pairs of a dense row or a {column: value} dict."""
     return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def _accumulate(field, coeffs, row_of):
+    """Sum of coeffs[m] * row_of(m) as a {col: value} dict of its nonzeros;
+    coeffs and the rows are dense, dicts {index: value} or None."""
+    add, mul = field.add, field.mul
+    acc = {}
+    for m, c in _entries(coeffs or ()):
+        row = row_of(m) if c else None
+        for q, y in _entries(row or ()):
+            if y:
+                acc[q] = add(acc[q], mul(c, y)) if q in acc else mul(c, y)
+    return {q: v for q, v in acc.items() if v}
 
 
 def _axpy(field, row, c, src, skip):
@@ -552,12 +578,13 @@ class Subspace:
         return pivot_reduce(self.field, self.basis, self.pivots, vec)[0]
 
     def contains_vector(self, vec):
-        return not any(self.reduce(vec))
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis; None if vec is outside."""
+        """Coefficients of vec in the RREF basis; None if vec is outside.
+        A dict remainder holds nonzeros only, so it is empty iff zero."""
         v, coeffs = pivot_reduce(self.field, self.basis, self.pivots, vec)
-        return None if any(v) else coeffs
+        return None if (v if isinstance(v, dict) else any(v)) else coeffs
 
     def unit_residue(self, i):
         """e_i modulo this subspace, in the non-pivot coordinates.
@@ -603,12 +630,12 @@ def nullspace(field, rows, ncols) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """{v in K^rows : v @ m = 0}: the nullspace of m's columns."""
-    return nullspace(m.field, list(zip(*m.entries)), m.rows)
+    return nullspace(m.field, m.transpose().nz, m.rows)
 
 
 def image(m: Matrix) -> Subspace:
     """Row space of m, i.e. the image of v |-> v @ m."""
-    return Subspace.from_vectors(m.field, m.cols, m.entries)
+    return Subspace.from_vectors(m.field, m.cols, m.nz)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -636,7 +663,7 @@ def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
     """True iff inner is a subspace of outer."""
     if outer.ambient != inner.ambient or outer.field != inner.field:
         raise ShapeError("containment needs a common ambient space")
-    return all(outer.contains_vector(r) for r in inner.rows)
+    return all(outer.contains_vector(r) for r in inner.basis)
 
 
 def solve(m: Matrix, b) -> list | None:
@@ -650,9 +677,8 @@ def solve(m: Matrix, b) -> list | None:
     if len(b) != m.cols:
         raise ShapeError(f"rhs length {len(b)} vs {m.cols} cols")
     F = m.field
-    cols = zip(*m.entries) if m.rows else ((),) * m.cols
-    red, pivots = _echelon(F, [col + (e,) for col, e in zip(cols, b)],
-                           m.rows + 1)
+    red, pivots = _echelon(F, [{**col, m.rows: e} for col, e
+                               in zip(m.transpose().nz, b)], m.rows + 1)
     if pivots and pivots[-1] == m.rows:
         return None
     z = F.zero()

@@ -11,8 +11,8 @@ of X_{g+h}, holding the nonzero rows only.  A map that is present with no
 nonzero row is an empty dict, unlike an absent map, which has no entry at
 all.  Every action is read from these rows, one dict lookup per pair;
 killing, shifting, regrading and serialization pass them through.  The
-dense Matrix of a map, rows in lexicographic pair order, is only a view
-built on first use for .mult / .action / mult_matrix / action_matrix.  For
+Matrix of a map, rows in lexicographic pair order, wraps the same rows for
+.mult / .action / mult_matrix / action_matrix.  For
 a GradedAlgebra X = A and the map is the multiplication; for a
 GradedModule A is the algebra it lives over and the map is the action.
 Both share one base class holding the components, the map table and the
@@ -33,9 +33,11 @@ All arithmetic is exact, over QQ or GF(p).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
-from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _dense,
+from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _accumulate,
                        _entries, _rank, kernel, matched_pairs, nullspace,
                        pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
@@ -109,8 +111,7 @@ class _GradedObject:
                         f"{dim}, got {m.rows}x{m.cols}")
                 if m.field != self.field:
                     raise ShapeError(f"{self._map_name} matrix over the wrong field")
-                rows = {p: row for p, r in zip(pairs, m.entries)
-                        if (row := {c: v for c, v in enumerate(r) if v})}
+                rows = {p: r for p, r in zip(pairs, m.nz) if r}
             else:
                 cg, ch = self.component(g), right.component(h)
                 for i, j in m:
@@ -125,7 +126,6 @@ class _GradedObject:
             if rows or dim and self.pairs(g, h):
                 stored[(g, h)] = rows
         self._maps = stored
-        self._views = {}
 
     def in_window(self, d):
         lo, hi = self.window
@@ -163,18 +163,14 @@ class _GradedObject:
         return self._maps.get((g, h))
 
     def _map_matrix(self, g, h):
-        """Dense view of map (g, h), built once; None when it is absent."""
+        """Map (g, h) as a Matrix on its stored rows; None when absent."""
         rows = self._rows(g, h)
         if rows is None:
             return None
-        got = self._views.get((g, h))
-        if got is None:
-            cols = self.component(self.add_deg(g, h)).dim
-            pairs = self.pairs(g, h)
-            got = self._views[(g, h)] = Matrix(self.field, len(pairs), cols, [
-                _dense(rows.get(p, {}), cols, self.field.zero())
-                for p in pairs])
-        return got
+        pairs = self.pairs(g, h)
+        return Matrix._of(self.field, len(pairs),
+                          self.component(self.add_deg(g, h)).dim,
+                          tuple(rows.get(p, {}) for p in pairs))
 
     def _dense_maps(self):
         return {key: self._map_matrix(*key) for key in self._maps}
@@ -396,19 +392,6 @@ def _assoc_witness(x):
     return None
 
 
-def _accumulate(field, coeffs, row_of):
-    """Sum of coeffs[m] * row_of(m) as a {col: value} dict of its nonzeros;
-    coeffs and the rows are dense, dicts {index: value} or None."""
-    add, mul = field.add, field.mul
-    acc = {}
-    for m, c in _entries(coeffs or ()):
-        row = row_of(m) if c else None
-        for q, y in _entries(row or ()):
-            if y:
-                acc[q] = add(acc[q], mul(c, y)) if q in acc else mul(c, y)
-    return {q: v for q, v in acc.items() if v}
-
-
 def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
     """Whether every component above degree 1 is spanned by degree-1 products.
 
@@ -600,19 +583,10 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     outside the window image of phi; otherwise the result would not be graded
     and a grading violation with witness (sigma, tau) is raised.  When the
     algebra to grade over is not supplied it is rebuilt by pushing V's
-    algebra forward along phi.
+    algebra forward along phi, whose products obey the same pattern.
     """
     _check_regrade(v, phi)
-    dom = list(phi.domain())
-    img = {phi(s): s for s in dom}
-    for sigma in v.degrees():
-        for tau in dom:
-            if phi(sigma) + phi(tau) in img:
-                continue
-            if v._rows(sigma, tau):
-                raise GradingViolationError(
-                    "action violates the regrading vanishing pattern",
-                    witness=(sigma, tau))
+    action = _pushed_maps(v, phi, g)
     if algebra is None:
         algebra = _push_forward_algebra(v.over, phi)
     lo = max(v.window[0], phi.window[0])
@@ -621,11 +595,27 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
         raise PreconditionError("the module window misses the map window")
     window = (g + phi(lo), g + phi(hi))
     comps = {g + phi(sigma): v.component(sigma) for sigma in v.degrees()}
-    action = {}
-    for (sigma, tau), rows in v._maps.items():
-        if phi(sigma) + phi(tau) in img:
-            action[(g + phi(sigma), phi(tau))] = rows
     return GradedModule(algebra, window, comps, action)
+
+
+def _pushed_maps(x, phi: WindowedMap, g: int = 0):
+    """x's maps moved from (sigma, tau) to (g + phi(sigma), phi(tau)).
+
+    The vanishing pattern: a map with phi(sigma) + phi(tau) outside the
+    window image of phi is dropped when it is zero and raises a grading
+    violation with witness (sigma, tau) otherwise, the least such pair
+    first.
+    """
+    img = {phi(s) for s in phi.domain()}
+    maps = {}
+    for (sigma, tau), rows in sorted(x._maps.items()):
+        if phi(sigma) + phi(tau) in img:
+            maps[(g + phi(sigma), phi(tau))] = rows
+        elif rows:
+            raise GradingViolationError(
+                f"{x._map_name} violates the regrading vanishing pattern",
+                witness=(sigma, tau))
+    return maps
 
 
 def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
@@ -639,8 +629,8 @@ def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
         c = bt.component(sigma)
         if c.dim:
             comps[phi(sigma)] = c
-    mult = {(phi(s), phi(t)): rows for (s, t), rows in bt._maps.items()}
-    return GradedAlgebra(bt.group, window, bt.k, bt.field, comps, mult, bt.unit)
+    return GradedAlgebra(bt.group, window, bt.k, bt.field, comps,
+                         _pushed_maps(bt, phi), bt.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -963,16 +953,16 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
     if total == 0:
         return []
     F = m.field
-    z = F.zero()
+    degs, bases = list(offset), list(offset.values())
     out = []
     for vec in nullspace(F, equations, total).basis:
-        maps = {}
-        for d, base in offset.items():
-            md, nd = m.component(d).dim, n.component(d).dim
-            rows = [tuple(vec.get(base + i * nd + q, z) for q in range(nd))
-                    for i in range(md)]
-            maps[d] = Matrix(F, md, nd, rows)
-        out.append(maps)
+        rows = {d: [{} for _ in range(m.component(d).dim)] for d in degs}
+        for col, v in vec.items():
+            d = degs[bisect_right(bases, col) - 1]
+            i, q = divmod(col - offset[d], n.component(d).dim)
+            rows[d][i][q] = v
+        out.append({d: Matrix._of(F, len(r), n.component(d).dim, tuple(r))
+                    for d, r in rows.items()})
     return out
 
 

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from .constructions import _layout_module, projective_layout, \
     projective_module, regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, _rank, nullspace
+from .exactlin import Matrix, _accumulate, _rank, nullspace
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          _accumulate, _check_set_group, _vanishing_space,
+                          _check_set_group, _vanishing_space,
                           algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in, is_generated_in,
@@ -430,16 +430,12 @@ def certified_isomorphism(m: GradedModule, n: GradedModule, seed=0,
     basis = hom_space_basis(m, n)
     if not basis:
         return None
-    degrees = sorted(m.degrees())
     F = m.field
 
     def invertible(candidate):
-        for d in degrees:
-            mat = candidate.get(d)
-            dim = m.component(d).dim
-            if mat is None or _rank(F, mat.entries) != dim:
-                return False
-        return True
+        # equal dims: every degree has a square map
+        return all(_rank(F, f.nz, f.cols) == f.rows
+                   for f in candidate.values())
 
     for candidate in basis:
         if invertible(candidate):
@@ -448,19 +444,9 @@ def certified_isomorphism(m: GradedModule, n: GradedModule, seed=0,
     span = max(7, len(basis) + 2)
     for _ in range(tries):
         coeffs = [F.from_int(rng.randrange(1, span)) for _ in basis]
-        candidate = {}
-        for d in degrees:
-            dim = m.component(d).dim
-            tdim = n.component(d).dim
-            acc = Matrix.zero(F, dim, tdim)
-            for c, f in zip(coeffs, basis):
-                mat = f.get(d)
-                if mat is None:
-                    continue
-                acc = acc + Matrix(F, dim, tdim,
-                                   [[F.mul(c, e) for e in row]
-                                    for row in mat.entries])
-            candidate[d] = acc
+        candidate = {d: Matrix._of(F, f.rows, f.cols, tuple(
+            _accumulate(F, coeffs, lambda k: basis[k][d].nz[i])
+            for i in range(f.rows))) for d, f in basis[0].items()}
         if invertible(candidate):
             return candidate
     return None

@@ -185,12 +185,19 @@ def _entry_from_json(field, value, path):
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    out = dict(_field_keys(m.field))
-    out["rows"] = m.rows
-    out["cols"] = m.cols
-    out["entries"] = [[_entry_to_json(m.field, e) for e in row]
-                      for row in m.entries]
-    return out
+    return _rows_to_json(m.field, m.nz, m.cols)
+
+
+def _rows_to_json(F, rows, cols) -> dict:
+    """A matrix's JSON form, its dense entries written from dict rows."""
+    zero = _entry_to_json(F, F.zero())
+    entries = []
+    for row in rows:
+        entries.append([zero] * cols)
+        for c, v in row.items():
+            entries[-1][c] = _entry_to_json(F, v)
+    return {**_field_keys(F), "rows": len(entries), "cols": cols,
+            "entries": entries}
 
 
 def matrix_from_json(obj, path="", field=None) -> Matrix:
@@ -201,14 +208,14 @@ def matrix_from_json(obj, path="", field=None) -> Matrix:
     raw = _get(obj, "entries", path, list)
     if len(raw) != rows:
         raise SchemaError(f"expected {rows} rows", _child(path, "entries"))
-    entries = []
+    nz = []
     for i, row in enumerate(raw):
         rpath = f"{_child(path, 'entries')}[{i}]"
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"expected a row of {cols} entries", rpath)
-        entries.append([_entry_from_json(field, e, f"{rpath}[{j}]")
-                        for j, e in enumerate(row)])
-    return Matrix(field, rows, cols, entries)
+        nz.append({j: v for j, e in enumerate(row)
+                   if (v := _entry_from_json(field, e, f"{rpath}[{j}]"))})
+    return Matrix._of(field, rows, cols, tuple(nz))
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +253,10 @@ def _components_from_json(raw, path):
 
 
 def _maps_to_json(x) -> list:
-    """x's stored maps in matrix_to_json's form, written from the rows."""
-    F = x.field
-    zero = _entry_to_json(F, F.zero())
-    out = []
-    for (g, h) in sorted(x._maps):
-        rows = x._maps[(g, h)]
-        cols = x.component(x.add_deg(g, h)).dim
-        entries = []
-        for p in x.pairs(g, h):
-            entries.append([zero] * cols)
-            for c, v in rows.get(p, {}).items():
-                entries[-1][c] = _entry_to_json(F, v)
-        out.append({"g": g, "h": h, "matrix": {
-            **_field_keys(F), "rows": len(entries), "cols": cols,
-            "entries": entries}})
-    return out
+    return [{"g": g, "h": h, "matrix": _rows_to_json(
+                x.field, [rows.get(p, {}) for p in x.pairs(g, h)],
+                x.component(x.add_deg(g, h)).dim)}
+            for (g, h), rows in sorted(x._maps.items())]
 
 
 def _maps_from_json(raw, path, field):

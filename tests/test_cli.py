@@ -248,6 +248,43 @@ def test_kill_refuses_aliased_cyclic_degrees(capsys, tmp_path):
     assert "two mult maps at degree (0, 0) of Z/3" in err
 
 
+def _zero_rows_beyond_the_window(mult):
+    # x^2 * x^2 lands in degree 4, outside the window: a 1x0 map
+    mult.append({"g": 2, "h": 2, "matrix": {
+        "field": "GF(p)", "p": 101, "rows": 0, "cols": 5, "entries": []}})
+
+
+def _extra_column(mult):
+    mult[0]["matrix"].update(cols=2, entries=[[1, 0]])
+
+
+def _extra_row(mult):
+    mult[0]["matrix"].update(rows=2, entries=[[1], [0]])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_zero_rows_beyond_the_window, "mult(2,2) must be 1x0, got 0x5"),
+    (_extra_column, "mult(0,0) must be 1x1, got 1x2"),
+    (_extra_row, "mult(0,0) must be 1x1, got 2x1"),
+])
+def test_kill_checks_the_declared_shape_of_each_map(capsys, tmp_path, edit,
+                                                    message):
+    # the JSON reader keeps each map's declared rows and cols, so a map whose
+    # shape misses its degree pair is refused, with or without entries
+    code, out, _ = run(capsys, "make", "trunc-poly", "--k", "3",
+                       "--field", "GFp", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["mult"][0]["g"] == obj["mult"][0]["h"] == 0
+    edit(obj["mult"])
+    alg = write_json(tmp_path / "a.json", obj)
+    u = write_json(tmp_path / "u.json", degree_set_to_json(U3))
+    code, out, err = run(capsys, "kill", alg, u)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_regrade_matches_the_library(capsys, tmp_path):
     a = truncated_polynomial(7, 1, window=(0, 6))
     b = kill_support_algebra(a, U3)

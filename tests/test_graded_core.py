@@ -602,6 +602,20 @@ def test_un_regrade_rejects_vanishing_violations():
     assert exc.value.witness == (1, 1)
 
 
+def test_un_regrade_checks_the_pushed_algebra_for_vanishing_violations():
+    # x * x lands at phi(1) + phi(1) = 2, outside the image {0, 1, 3, 4}:
+    # pushing K[x]/(x^4) forward breaks the same pattern as its modules
+    a = truncated_polynomial(4, 1, window=(0, 3))
+    phi = delta_map(DegreeSet.periodic(3, (0, 1), Z), 0, (0, 3))
+    simple = GradedModule(a, (0, 0), {0: LabeledSpace.module_component((0,))},
+                          {(0, 0): Matrix.identity(a.field, 1)})
+    assert validate_module(simple).holds
+    for x, what in ((simple, "mult"), (regular_module(a), "action")):
+        with pytest.raises(GradingViolationError, match=what) as exc:
+            un_regrade_module(x, phi)
+        assert exc.value.witness == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # generation predicates
 
