@@ -25,7 +25,7 @@ from .graded_core import kill_support_algebra, regrade_algebra, \
 from .lifting import check_and_lift, check_period, equivalence_harness, \
     koszul_pipeline, liftability_check, liftability_check_interval
 from .serialize import (algebra_from_json, algebra_to_json,
-                        degree_set_from_json, degree_set_to_json,
+                        degree_set_from_json, degree_set_to_json, dump_json,
                         module_from_json, module_to_json,
                         windowed_map_from_json)
 from .subsets import (DegreeSet, enumerate_ring_supporting, is_left_modular,
@@ -62,7 +62,7 @@ def _load_json(path):
 
 
 def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(dump_json(obj))
 
 
 def _verdict_json(v):
@@ -251,6 +251,8 @@ def _field(args):
 
 
 def cmd_verify_equivalence(args):
+    if args.samples < 1:  # before the default algebra is built
+        raise PreconditionError(f"--samples must be >= 1, got {args.samples}")
     field = _field(args)
     top = args.window if args.window is not None else 2 * args.n + 1
     if args.alg:

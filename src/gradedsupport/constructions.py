@@ -20,13 +20,15 @@ degree's canonical {path index: coefficient} rows, and the class of a path
 is read off the row pivoting at it.
 
 PATH_CAP bounds the vertices and paths a quiver algebra lists, and
-TABLE_CAP its mult table entries, the sum over (g, h) of the matched pairs
-times the paths of degree g + h.  Both are counted as the paths are listed,
-before any ideal or table is built, and a larger count raises
-CapacityError.  The two-loop harness algebra (yx = 0) has t + 1 paths in
-degree t, so TABLE_CAP admits it up to top 39.  n_homogeneous_dual counts
-the relation-degree words over its loops against PATH_CAP before it lists
-them.
+TABLE_CAP the weight of a mult table: its entries, the sum over (g, h) of
+the matched pairs times the dimension in degree g + h, plus MAP_WEIGHT
+for each (g, h) map, so that many tiny maps count too.  Quiver algebras
+count both as the paths are listed, group_algebra and
+truncated_polynomial from their size, before any ideal or table is
+built, and a larger count raises CapacityError.  The two-loop harness
+algebra (yx = 0) has t + 1 paths in degree t, so TABLE_CAP admits it up
+to top 39.  n_homogeneous_dual counts the relation-degree words over its
+loops against PATH_CAP before it lists them.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def group_algebra(n, field=QQ) -> GradedAlgebra:
     """K[Z/n] with its tautological cyclic grading; every component is K."""
     if n < 1:
         raise PreconditionError(f"modulus must be >= 1, got {n}")
+    _check_table(n * n, n * n, f"K[Z/{n}]")
     one = Matrix.identity(field, 1)
     comps = {d: LabeledSpace.untagged(1) for d in range(n)}
     mult = {(g, h): one for g in range(n) for h in range(n)}
@@ -71,6 +74,8 @@ def truncated_polynomial(nilpotency, gen_degree=1, window=None,
     """
     if nilpotency < 1:
         raise PreconditionError("nilpotency degree must be >= 1")
+    pairs = nilpotency * (nilpotency + 1) // 2  # i + j < nilpotency
+    _check_table(pairs, pairs, f"K[x]/(x^{nilpotency})")
     g = int(gen_degree)
     if g == 0:
         raise PreconditionError("generator degree must be nonzero")
@@ -146,6 +151,16 @@ def generic_pair_algebra(g, h, field=QQ) -> GradedAlgebra:
 
 PATH_CAP = 2 ** 17
 TABLE_CAP = 2 ** 22
+MAP_WEIGHT = 64
+
+
+def _check_table(maps, entries, what):
+    """Refuse a mult table whose entries, with MAP_WEIGHT more per map,
+    are over TABLE_CAP."""
+    if entries + MAP_WEIGHT * maps > TABLE_CAP:
+        raise CapacityError(
+            f"{what}: {entries} mult table entries, plus {MAP_WEIGHT} for "
+            f"each of {maps} maps, are over the cap of {TABLE_CAP}")
 
 
 def _longest_path(num_vertices, arrows, top):
@@ -177,15 +192,10 @@ def _avoiding_paths(num_vertices, arrows, words, top):
     Degree m extends degree m - 1 by one arrow, less the paths ending in a
     word; every prefix of such a path avoids the words too, so the order is
     that of the full path listing.  Stops at the first degree with no path,
-    and checks PATH_CAP and TABLE_CAP as each degree is listed.
+    and checks PATH_CAP and the table cap as each degree is listed.
     """
-    def check(count, cap, what, m):
-        if count > cap:
-            raise CapacityError(f"the quiver's {what} up to degree {m} "
-                                f"(top {top}) are over the cap of {cap}")
-
-    total, entries = num_vertices, num_vertices ** 2
-    check(entries, TABLE_CAP, f"{entries} mult table entries", 0)
+    total, entries, maps = num_vertices, num_vertices ** 2, 1
+    _check_table(maps, entries, f"the quiver up to degree 0 (top {top})")
     lengths = {len(w) for w in words}
     # the paths of each degree counted by target and by source vertex
     ends, starts = [Counter(range(num_vertices))], [Counter(range(num_vertices))]
@@ -200,13 +210,17 @@ def _avoiding_paths(num_vertices, arrows, words, top):
         if not level:
             break
         total += len(level)
-        check(total, PATH_CAP, "vertices and relation-avoiding paths", m)
+        if total > PATH_CAP:
+            raise CapacityError(
+                f"the quiver's vertices and relation-avoiding paths up to "
+                f"degree {m} (top {top}) are over the cap of {PATH_CAP}")
         paths[m] = level
         ends.append(Counter(arrows[p[-1]][1] for p in level))
         starts.append(Counter(arrows[p[0]][0] for p in level))
         entries += len(level) * sum(e * starts[m - g][v] for g in range(m + 1)
                                     for v, e in ends[g].items())
-        check(entries, TABLE_CAP, f"{entries} mult table entries", m)
+        maps += m + 1  # the (g, m - g) maps
+        _check_table(maps, entries, f"the quiver up to degree {m} (top {top})")
     return paths
 
 

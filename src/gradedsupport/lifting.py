@@ -580,8 +580,11 @@ def equivalence_harness(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
     in S-degrees and records dim Hom(M, N) against dim Hom(M_S, N_S); the
     two agree exactly when killing is an equivalence on that category.
     Samples are independent and derived from (seed, index), so the report
-    does not depend on evaluation order.
+    does not depend on evaluation order.  Needs samples >= 1: no sample is
+    no evidence.
     """
+    if samples < 1:
+        raise PreconditionError(f"samples must be >= 1, got {samples}")
     _check_hypotheses_algebra_only(a, s, u)
     b = kill_support_algebra(a, u)
     rows = []

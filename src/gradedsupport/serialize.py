@@ -6,13 +6,16 @@ matrix shapes) stays with the constructors, whose errors pass through.
 
 Rational entries are written as strings ("3", "-1/2") so the files stay
 exact; prime-field entries are plain integers.  Emission orders components
-by degree and maps by degree pair, so dumping with sorted keys gives a
-canonical byte form.
+by degree and maps by degree pair, so dump_json, the writer of every
+--format json output, gives a canonical byte form: that of
+json.dumps(obj, indent=2, sort_keys=True), byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import CapacityError, SchemaError
 from .exactlin import GF, LabeledSpace, Matrix, QQ
@@ -315,3 +318,44 @@ def module_from_json(obj, path="") -> GradedModule:
     action = _maps_from_json(_get(obj, "action", path),
                              _child(path, "action"), algebra.field)
     return GradedModule(algebra, window, comps, action)
+
+
+# ---------------------------------------------------------------------------
+# the indented text form
+
+
+def dump_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, errors too.
+
+    One recursive pass joining each container's parts once.  Python 3.10
+    and 3.11 indent in the pure-Python encoder, about half as fast on the
+    CLI's lift reports.
+    """
+    return _dump(obj, "\n")
+
+
+_int_repr = int.__repr__  # bound once: int leaves are most of the output
+
+
+def _dump(o, pad):
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is int:
+        return _int_repr(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        # sorted as dumps sorts; any other key is written as dumps writes it
+        parts = [(_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4])
+                 + ": " + _dump(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        parts = [_int_repr(v) if type(v) is int else _dump(v, inner)
+                 for v in o]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    return json.dumps(o)  # bool, None, floats, subclasses; raises as dumps

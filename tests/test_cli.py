@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gradedsupport
+from gradedsupport import cli
 from gradedsupport.cli import build_parser, main, parse_monomial
 from gradedsupport.constructions import (
     generic_pair_algebra,
@@ -34,6 +35,7 @@ from gradedsupport.serialize import (
     algebra_from_json,
     algebra_to_json,
     degree_set_to_json,
+    dump_json,
     module_from_json,
     module_to_json,
     windowed_map_to_json,
@@ -43,6 +45,17 @@ from gradedsupport.subsets import DegreeSet, Zn
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "enumerate"
 
 U3 = DegreeSet.periodic(3, (0, 1))
+
+
+@pytest.fixture(autouse=True)
+def json_output_matches_the_stdlib_encoder(monkeypatch):
+    """Every --format json output below is checked against its oracle."""
+    def checked(obj):
+        text = dump_json(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "dump_json", checked)
 
 
 def run(capsys, *argv):
@@ -445,6 +458,15 @@ def test_verify_equivalence_golden_stdout(capsys, fmt, want):
     assert (code, out, err) == (0, want, "")
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_equivalence_refuses_no_samples(capsys, samples):
+    # no sample is no evidence: "holds": true on [] would certify nothing
+    code, out, err = run(capsys, "verify-equivalence", "--samples", samples,
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert "--samples" in err
+
+
 def test_verify_equivalence_text_table(capsys):
     code, out, _ = run(capsys, "verify-equivalence", "--samples", "2")
     assert code == 0
@@ -650,3 +672,16 @@ def test_make_dual_counts_only_its_relation_words_against_the_cap(capsys):
                          "--rel", "x*y", "--window", "17")
     assert code == 0 and err == ""
     assert "degree   1: dim 2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["make", "group-zn", "--n", "100000"],
+    ["make", "trunc-poly", "--k", "100000"],
+])
+def test_table_cap_counts_the_maps_of_the_stock_algebras(capsys, argv):
+    # n^2 and k(k + 1)/2 maps of one entry each: refused before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "over the cap of" in err

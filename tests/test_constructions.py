@@ -1,6 +1,7 @@
 """Builders for the concrete algebras and modules used everywhere else."""
 
 import itertools
+import time
 
 import pytest
 
@@ -282,7 +283,7 @@ def test_present_module_rejects_bad_relation_length():
 
 
 def test_path_cap_counts_paths_before_building_any():
-    from gradedsupport.constructions import (PATH_CAP, TABLE_CAP,
+    from gradedsupport.constructions import (MAP_WEIGHT, PATH_CAP, TABLE_CAP,
                                              _avoiding_paths, _longest_path)
     from gradedsupport.errors import CapacityError
     loops = [(0, 0), (0, 0)]
@@ -294,8 +295,9 @@ def test_path_cap_counts_paths_before_building_any():
         _longest_path(1, loops, 17)
     # the harness algebra (yx = 0) has the t + 1 avoiding paths x^a y^b in
     # degree t, and its mult table sum over t <= top of (t + 1) C(t + 3, 3)
-    # entries: 3,973,802 at top 39, 4,479,783 at top 40
-    assert 3973802 <= TABLE_CAP < 4479783
+    # entries: 3,973,802 at top 39, 4,479,783 at top 40; each of the
+    # (top + 1)(top + 2) / 2 maps weighs MAP_WEIGHT entries more
+    assert 3973802 + MAP_WEIGHT * 820 <= TABLE_CAP < 4479783
     paths = _avoiding_paths(1, loops, {(1, 0)}, 39)
     assert [len(paths[m]) for m in (1, 2, 39)] == [2, 3, 40]
     assert paths[2] == [(0, 0), (0, 1), (1, 1)]
@@ -306,6 +308,30 @@ def test_path_cap_counts_paths_before_building_any():
     # a level of paths is cut off at the path cap while it is listed
     with pytest.raises(CapacityError, match="relation-avoiding paths"):
         _avoiding_paths(2, [(0, 1)] * 600 + [(1, 0)] * 600, set(), 2)
+
+
+def test_table_cap_weighs_every_map_before_building_any():
+    from gradedsupport.constructions import MAP_WEIGHT, TABLE_CAP
+    from gradedsupport.errors import CapacityError
+    # K[x] has (t + 1)(t + 2) / 2 maps of one entry up to top t, K[Z/n] has
+    # n^2: the entries alone stay far below the cap
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="over the cap of"):
+        quiver_algebra(1, [(0, 0)], [], 3000)
+    with pytest.raises(CapacityError, match="maps"):
+        group_algebra(100000)
+    with pytest.raises(CapacityError, match="maps"):
+        truncated_polynomial(100000)
+    assert time.perf_counter() - start < 1
+    # the first refused sizes: top 358, n = 255, nilpotency 359
+    assert (MAP_WEIGHT + 1) * 358 * 359 // 2 <= TABLE_CAP
+    assert (MAP_WEIGHT + 1) * 359 * 360 // 2 > TABLE_CAP
+    assert (MAP_WEIGHT + 1) * 254 ** 2 <= TABLE_CAP \
+        < (MAP_WEIGHT + 1) * 255 ** 2
+    with pytest.raises(CapacityError):
+        group_algebra(255)
+    with pytest.raises(CapacityError):
+        truncated_polynomial(359)
 
 
 def test_acyclic_quiver_stops_at_its_longest_path():

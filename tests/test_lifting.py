@@ -307,6 +307,13 @@ def test_harness_holds_and_reports_every_sample():
         assert r.hom_dim_ambient == r.hom_dim_killed
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_harness_refuses_to_hold_on_no_samples(samples):
+    a, _ = killed_setup()
+    with pytest.raises(PreconditionError, match="samples"):
+        equivalence_harness(a, U3, U3, samples=samples)
+
+
 def test_harness_is_reproducible():
     a, _ = killed_setup()
     first = equivalence_harness(a, U3, U3, samples=4, seed=3)

@@ -22,6 +22,7 @@ from gradedsupport.serialize import (
     algebra_to_json,
     degree_set_from_json,
     degree_set_to_json,
+    dump_json,
     field_from_json,
     group_from_json,
     group_to_json,
@@ -248,3 +249,80 @@ def test_field_loader_reports_an_unusable_prime_at_p(p):
         module_from_json({"algebra": a, "window": [0, 1],
                           "components": [], "action": []})
     assert e.value.path == "algebra.p"
+
+
+# ---------------------------------------------------------------------------
+# the indented writer against json.dumps(indent=2, sort_keys=True)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the int form"
+
+
+class _Str(str):
+    pass
+
+
+texts = st.text(max_size=6) | st.sampled_from(
+    ["", "\u2028", "\u2029", '"', "\\", "\x00\x1f\n\t\x7f", "é✓",
+     "\U0001f600"])
+floats = st.floats() | st.sampled_from(
+    [-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324])
+ints = st.integers() | st.integers(-10 ** 40, 10 ** 40)
+leaves = (st.none() | st.booleans() | ints | floats | texts
+          | ints.map(_Int) | texts.map(_Str))
+# dict keys of one type sort as json's do; mixed types raise on the sort
+key_types = st.sampled_from([texts, ints, floats, st.booleans(), st.none(),
+                             texts | ints | st.none()])
+unsupported = st.sampled_from([b"bytes", {1, 2}, 1j, object()])
+
+
+def _children(inner):
+    return (st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | key_types.flatmap(lambda keys: st.dictionaries(
+                keys, inner, max_size=4)))
+
+
+json_trees = st.recursive(leaves, _children, max_leaves=30)
+bad_trees = st.recursive(leaves | unsupported, lambda inner: _children(inner)
+                         | st.dictionaries(st.tuples(st.integers()), inner,
+                                           min_size=1, max_size=2),
+                         max_leaves=12)
+
+
+def _oracle(obj):
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@given(json_trees)
+def test_dump_json_is_byte_identical_to_the_indented_encoder(obj):
+    want = _oracle(obj)
+    if isinstance(want, str):
+        assert dump_json(obj) == want
+    else:  # mixed key types under sort_keys
+        with pytest.raises(want):
+            dump_json(obj)
+
+
+@given(bad_trees)
+def test_dump_json_raises_where_the_encoder_does(obj):
+    want = _oracle(obj)
+    if isinstance(want, str):
+        assert dump_json(obj) == want
+    else:
+        with pytest.raises(want):
+            dump_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": [{}, [[]]]}, "\u2028", 0, -1, True,
+    None, float("nan"), -0.0, {1: "int", 2.5: "float"}, {True: 1}, {None: 2},
+    {"é": ["\x00", '"\\']}, [10 ** 30, -(10 ** 30)],
+], ids=repr)
+def test_dump_json_edge_cases(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
