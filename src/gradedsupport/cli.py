@@ -61,6 +61,13 @@ def _load_json(path):
         raise SchemaError(f"invalid JSON in {path}: {e}")
 
 
+def _load_valid_algebra(path):
+    a = algebra_from_json(_load_json(path))
+    if not (v := validate_algebra(a)).holds:
+        raise PreconditionError(f"not an algebra: {path}, witness {v.witness}")
+    return a
+
+
 def _print_json(obj):
     print(dump_json(obj))
 
@@ -256,7 +263,7 @@ def cmd_verify_equivalence(args):
     field = _field(args)
     top = args.window if args.window is not None else 2 * args.n + 1
     if args.alg:
-        a = algebra_from_json(_load_json(args.alg))
+        a = _load_valid_algebra(args.alg)
     else:
         a = _default_harness_algebra(field, top)
     u = DegreeSet.periodic(args.n, (0, 1))
@@ -284,7 +291,7 @@ def cmd_koszul_pipeline(args):
     check_period(args.n)  # before the default algebra, built from n
     top = args.window if args.window is not None else 2 * args.n
     if args.alg:
-        a = algebra_from_json(_load_json(args.alg))
+        a = _load_valid_algebra(args.alg)
     else:
         # degreewise dual of K[x]/(x^n): one loop, relation x^n
         a = constructions.n_homogeneous_dual(

@@ -38,8 +38,8 @@ from bisect import bisect_right
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _accumulate,
-                       _entries, _rank, kernel, matched_pairs, nullspace,
-                       pivot_reduce)
+                       _echelon, _entries, _forward, _rank, kernel,
+                       matched_pairs, nullspace, pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -890,76 +890,85 @@ def is_cogenerated_in(n: GradedModule, s: DegreeSet) -> Verdict:
 # graded hom spaces
 
 
-def _hom_equations(m: GradedModule, n: GradedModule):
-    """(offset, total, equations) of the degree-0 module maps M -> N.
+def _hom_system(m: GradedModule, n: GradedModule):
+    """(unknowns, equations, sections) of Hom(M, N), M and N modules.
 
-    Both modules must live over structurally equal algebras.  The unknowns
-    of f_d are its entries from offset[d] on, total in all; they exist only
-    at degrees where both components are nonzero, and maps out of or into
-    zero components give one-sided constraints.  The defining equations
-    f_{s+u}(x a) = f_s(x) a are imposed for every module degree, algebra
-    degree, and acting basis vector: equation (d, u, i, j, c) is entry c of
-    f_{d+u}(x_i a_j) - f_d(x_i) a_j, built from the nonzeros of M's and N's
-    stored action rows, for x_i and a_j tag-matched: f_d keeps tags, so the
-    others vanish.
+    Generators at degree d: the coordinates of M_d off the pivots of the
+    sum of M_s A_{d-s} over M's degrees s < d.  They complement what lower
+    degrees generate, so by induction over M's degrees they span M; for A
+    graded in degrees >= 0 with A_0 the k idempotents they are a minimal
+    set (graded Nakayama).  Unknowns: the coordinates of each f(g) in
+    N_{deg g} with g's right tag.  At each
+    degree t of N, eliminating [Phi_t | I], Phi_t taking each matched pair
+    p = (g, a_j) to the stored row of g a_j, gives K_t = ker Phi_t and the
+    preimages of M_t's coordinates.  Equation (t, kappa, c) is entry c of
+    f(kappa) = sum kappa_p f(g) a_j; push[p] maps unknown v times dim N_t
+    plus c to its coefficient.  sections[t] = (push, preimages).
     """
     if not algebras_equal(m.over, n.over):
         raise PreconditionError("hom spaces need modules over the same algebra")
     F = m.field
-    offset = {}
-    total = 0
-    for d in sorted(set(m.degrees()) & set(n.degrees())):
-        offset[d] = total
-        total += m.component(d).dim * n.component(d).dim
-    equations = []
-    adegs = m.over.degrees() if total else ()
+    gens, unknowns = {}, 0  # degree -> {i: ((unknown, q), ...)}
     for d in m.degrees():
-        nd = n.component(d).dim
-        ntags = n.component(d).right_tags
-        same_tag = {}  # tag -> the i with that right tag in M_d
-        for i, tag in enumerate(m.component(d).right_tags):
-            same_tag.setdefault(tag, []).append(i)
-        for u in adegs:
-            t = m.add_deg(d, u)
-            nt = n.component(t).dim
-            if nt == 0:
-                continue
-            eqs = {}  # (j, i, c) -> equation; stored rows imply the unknowns
-            for (i, j), row in m._map_rows(d, u):
-                # f_t(x_i a_j)[c] = sum over k of row[k] f_t[k][c]
-                nz = [(offset[t] + k * nt, e) for k, e in row.items()]
-                for c in range(nt):
-                    eqs[(j, i, c)] = {col + c: e for col, e in nz}
-            for (q, j), row in n._map_rows(d, u):
-                # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], for
-                # the i tag-matched to a_j
-                for c, e in row.items():
-                    ne = F.neg(e)
-                    for i in same_tag.get(ntags[q], ()):
-                        eq = eqs.setdefault((j, i, c), {})
-                        col = offset[d] + i * nd + q
-                        eq[col] = F.sub(eq[col], e) if col in eq else ne
-            equations.extend(eqs[key] for key in sorted(eqs))
-    return offset, total, equations
+        pivots = _forward(F, [row for s in m.degrees() if s < d
+                              for _, row in m._map_rows(s, d - s)],
+                          m.component(d).dim)[0]
+        tags, nd = m.component(d).right_tags, n.component(d)
+        for i in range(m.component(d).dim):
+            if i not in pivots:
+                cols = [q for q in range(nd.dim) if nd.right_tags[q] == tags[i]]
+                gens.setdefault(d, {})[i] = tuple(enumerate(cols, unknowns))
+                unknowns += len(cols)
+    equations, sections = [], {}
+    for t in n.degrees() if unknowns else ():
+        mt, nt = m.component(t).dim, n.component(t).dim
+        rows, push = [], {}  # push is keyed by the pair's column p
+        for d, block in gens.items():
+            u = m.add_deg(t, -d)
+            for i, j in m.pairs(d, u):
+                if i in block:
+                    p = mt + len(rows)
+                    rows.append({**(m._map_row(d, u, i, j) or {}), p: F.one()})
+                    push[p] = {v * nt + c: e for v, q in block[i] for c, e
+                               in (n._map_row(d, u, q, j) or {}).items()}
+        red, pivots = _echelon(F, rows, mt + len(rows))
+        onto = bisect_right(pivots, mt - 1)
+        if onto < mt:
+            raise PreconditionError(f"M is not a module: M_{t} is not spanned")
+        sections[t] = push, red[:onto]
+        for kappa in red[onto:]:
+            eqs = {}  # c -> equation
+            for key, e in _accumulate(F, kappa, push.get).items():
+                eqs.setdefault(key % nt, {})[key // nt] = e
+            equations.extend(eqs.values())
+    return unknowns, equations, sections
 
 
 def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
-    """Basis of the space of degree-0 module maps M -> N.
-
-    Each basis element is a dict degree -> Matrix giving the component of the
-    map in the two modules' bases: the nullspace of _hom_equations.
+    """Basis of the space of degree-0 module maps M -> N, each a dict degree
+    -> Matrix in the two modules' bases: the solutions of _hom_system,
+    extended to every degree through the preimages, flattened in (d, i, q)
+    order and put in canonical echelon form.
     """
-    offset, total, equations = _hom_equations(m, n)
-    if total == 0:
-        return []
+    unknowns, equations, sections = _hom_system(m, n)
     F = m.field
-    degs, bases = list(offset), list(offset.values())
+    solutions = nullspace(F, equations, unknowns).basis
+    degs = sorted(set(m.degrees()) & set(n.degrees())) if solutions else ()
+    # slots[col] = (d, i, q) of a flattened column; spread[v] = v's map
+    slots, spread = [], [{} for _ in range(unknowns)]
+    for d in degs:
+        push, preimages = sections[d]
+        nd = n.component(d).dim
+        for i, pre in enumerate(preimages):
+            for key, e in _accumulate(F, pre, push.get).items():
+                spread[key // nd][len(slots) + i * nd + key % nd] = e
+        slots += [(d, i, q) for i in range(len(preimages)) for q in range(nd)]
     out = []
-    for vec in nullspace(F, equations, total).basis:
+    for vec in _echelon(F, [_accumulate(F, x, spread.__getitem__)
+                            for x in solutions], len(slots))[0]:
         rows = {d: [{} for _ in range(m.component(d).dim)] for d in degs}
         for col, v in vec.items():
-            d = degs[bisect_right(bases, col) - 1]
-            i, q = divmod(col - offset[d], n.component(d).dim)
+            d, i, q = slots[col]
             rows[d][i][q] = v
         out.append({d: Matrix._of(F, len(r), n.component(d).dim, tuple(r))
                     for d, r in rows.items()})
@@ -968,5 +977,5 @@ def hom_space_basis(m: GradedModule, n: GradedModule) -> list:
 
 def hom_space_dim(m: GradedModule, n: GradedModule) -> int:
     """dim Hom(M, N): the unknowns less the rank of the equations."""
-    offset, total, equations = _hom_equations(m, n)
-    return total - _rank(m.field, equations, total)
+    unknowns, equations, _ = _hom_system(m, n)
+    return unknowns - _rank(m.field, equations, unknowns)

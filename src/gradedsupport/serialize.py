@@ -262,7 +262,7 @@ def _maps_to_json(x) -> list:
             for (g, h), rows in sorted(x._maps.items())]
 
 
-def _maps_from_json(raw, path, field):
+def _maps_from_json(raw, path, field, parent):
     if not isinstance(raw, list):
         raise SchemaError("expected a list of degree-pair maps", path)
     table = {}
@@ -270,8 +270,11 @@ def _maps_from_json(raw, path, field):
         mpath = f"{path}[{i}]"
         g = _int(_get(item, "g", mpath), _child(mpath, "g"))
         h = _int(_get(item, "h", mpath), _child(mpath, "h"))
-        mat = matrix_from_json(_get(item, "matrix", mpath),
-                               _child(mpath, "matrix"), field)
+        obj, opath = _get(item, "matrix", mpath), _child(mpath, "matrix")
+        if any(_get(obj, key, opath, required=False) != parent.get(key)
+               for key in ("field", "p")):  # the parent's keys, as written
+            raise SchemaError("field differs from its parent's", opath)
+        mat = matrix_from_json(obj, opath, field)
         if (g, h) in table:
             raise SchemaError(f"duplicate degree pair ({g}, {h})", mpath)
         table[(g, h)] = mat
@@ -296,7 +299,7 @@ def algebra_from_json(obj, path="") -> GradedAlgebra:
     comps = _components_from_json(_get(obj, "components", path),
                                   _child(path, "components"))
     mult = _maps_from_json(_get(obj, "mult", path), _child(path, "mult"),
-                           field)
+                           field, obj)
     unit_raw = _get(obj, "unit", path, list)
     unit = tuple(_entry_from_json(field, e, f"{_child(path, 'unit')}[{i}]")
                  for i, e in enumerate(unit_raw))
@@ -316,7 +319,8 @@ def module_from_json(obj, path="") -> GradedModule:
     comps = _components_from_json(_get(obj, "components", path),
                                   _child(path, "components"))
     action = _maps_from_json(_get(obj, "action", path),
-                             _child(path, "action"), algebra.field)
+                             _child(path, "action"), algebra.field,
+                             obj["algebra"])
     return GradedModule(algebra, window, comps, action)
 
 

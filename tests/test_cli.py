@@ -473,6 +473,51 @@ def test_verify_equivalence_text_table(capsys):
     assert "holds: True" in out
 
 
+def _non_associative_x8(tmp_path):
+    """K[x]/(x^8) over Q with x * x^2 = 2 x^3, which is not associative."""
+    obj = algebra_to_json(truncated_polynomial(8))
+    [item] = [x for x in obj["mult"] if (x["g"], x["h"]) == (1, 2)]
+    item["matrix"]["entries"] = [["2"]]
+    return write_json(tmp_path / "a.json", obj)
+
+
+def test_verify_equivalence_refuses_an_algebra_that_fails_validation(
+        capsys, tmp_path):
+    # the harness would report "holds": false, a falsification of the
+    # equivalence, for an input that is not an algebra
+    alg = _non_associative_x8(tmp_path)
+    code, out, err = run(capsys, "verify-equivalence", "--alg", alg,
+                         "--samples", "2", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "not an algebra" in err and "('assoc', (1, 1, 1)" in err
+
+
+def test_koszul_pipeline_refuses_an_algebra_that_fails_validation(
+        capsys, tmp_path):
+    a = n_homogeneous_dual(1, [[(1, (0, 0, 0, 0))]], 8)
+    good = write_json(tmp_path / "good.json", algebra_to_json(a))
+    code, _, _ = run(capsys, "koszul-pipeline", "--alg", good, "--n", "4")
+    assert code == 0
+    obj = algebra_to_json(a)
+    obj["unit"] = ["2"]
+    bad = write_json(tmp_path / "bad.json", obj)
+    # the regraded algebra fails validation too, which is a bug when the
+    # input is an algebra, so the input is checked first
+    code, out, err = run(capsys, "koszul-pipeline", "--alg", bad, "--n", "4")
+    assert (code, out) == (2, "")
+    assert "not an algebra" in err and "unit-left" in err
+
+
+def test_a_map_with_another_field_exits_2(capsys, tmp_path):
+    obj = algebra_to_json(truncated_polynomial(3))
+    obj["mult"][0]["matrix"]["field"] = -1
+    alg = write_json(tmp_path / "a.json", obj)
+    u = write_json(tmp_path / "u.json", degree_set_to_json(U3))
+    code, out, err = run(capsys, "kill", alg, u)
+    assert (code, out) == (2, "")
+    assert "mult[0].matrix: field differs" in err
+
+
 def test_koszul_pipeline_text_report(capsys):
     code, out, _ = run(capsys, "koszul-pipeline", "--n", "3",
                        "--window", "6")

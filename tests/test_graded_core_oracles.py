@@ -13,9 +13,13 @@ and the same lift reports.  Those oracles read the action through
 right_action_matrix, the dense per-generator view the library used to
 build; the library reads only the stored action rows.
 
-Hom spaces have an oracle too: the equations built from that dense view,
-one per acting basis vector, rescanned for nonzeros.  The library builds
-each equation from the nonzeros of the stored rows of both modules.
+Hom spaces have two oracles.  One is the equations built from that dense
+view, one per acting basis vector, rescanned for nonzeros.  The other is
+the system the library solved before it read Hom off a presentation: every
+entry of every f_d an unknown, and f_{d+u}(x a) = f_d(x) a imposed for
+every basis x and a, built from the nonzeros of the stored rows of both
+modules.  The library takes as unknowns only the images of M's generators,
+with one equation per relation among them and coordinate of N.
 
 The module builders have oracles too: the tag blocks that eliminated once
 per tag and degree, which the library now reads off the canonical rows, and
@@ -34,7 +38,8 @@ from gradedsupport.constructions import (_layout_module, group_algebra,
                                          present_module, projective_layout,
                                          projective_module, quiver_algebra,
                                          regular_module, truncated_polynomial)
-from gradedsupport.errors import GradedSupportError, InternalConsistencyError
+from gradedsupport.errors import (GradedSupportError, InternalConsistencyError,
+                                   PreconditionError)
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     apply_row, kernel, matched_pairs,
                                     nullspace, rref, subspace_intersect)
@@ -256,6 +261,77 @@ def hom_basis_by_dense_equations(m, n):
                 for i in range(md)])
         out.append(maps)
     return out
+
+
+def hom_equations(m, n):
+    """(offset, total, equations) of the degree-0 module maps M -> N.
+
+    The unknowns of f_d are its entries from offset[d] on, total in all;
+    they exist only at degrees where both components are nonzero, and maps
+    out of or into zero components give one-sided constraints.  Equation
+    (d, u, i, j, c) is entry c of f_{d+u}(x_i a_j) - f_d(x_i) a_j, for every
+    module degree, algebra degree and tag-matched x_i and a_j, built from
+    the nonzeros of M's and N's stored action rows.
+    """
+    F = m.field
+    offset = {}
+    total = 0
+    for d in sorted(set(m.degrees()) & set(n.degrees())):
+        offset[d] = total
+        total += m.component(d).dim * n.component(d).dim
+    equations = []
+    adegs = m.over.degrees() if total else ()
+    for d in m.degrees():
+        nd = n.component(d).dim
+        ntags = n.component(d).right_tags
+        same_tag = {}  # tag -> the i with that right tag in M_d
+        for i, tag in enumerate(m.component(d).right_tags):
+            same_tag.setdefault(tag, []).append(i)
+        for u in adegs:
+            t = m.add_deg(d, u)
+            nt = n.component(t).dim
+            if nt == 0:
+                continue
+            eqs = {}  # (j, i, c) -> equation; stored rows imply the unknowns
+            for (i, j), row in m._map_rows(d, u):
+                # f_t(x_i a_j)[c] = sum over k of row[k] f_t[k][c]
+                nz = [(offset[t] + k * nt, e) for k, e in row.items()]
+                for c in range(nt):
+                    eqs[(j, i, c)] = {col + c: e for col, e in nz}
+            for (q, j), row in n._map_rows(d, u):
+                # (f_d(x_i) a_j)[c] = sum over q of f_d[i][q] row[c], for
+                # the i tag-matched to a_j
+                for c, e in row.items():
+                    ne = F.neg(e)
+                    for i in same_tag.get(ntags[q], ()):
+                        eq = eqs.setdefault((j, i, c), {})
+                        col = offset[d] + i * nd + q
+                        eq[col] = F.sub(eq[col], e) if col in eq else ne
+            equations.extend(eqs[key] for key in sorted(eqs))
+    return offset, total, equations
+
+
+def hom_basis_by_equations(m, n):
+    """The nullspace of hom_equations, one Matrix per degree."""
+    offset, total, equations = hom_equations(m, n)
+    if total == 0:
+        return []
+    F = m.field
+    z = F.zero()
+    out = []
+    for vec in nullspace(F, equations, total).basis:
+        out.append({d: Matrix(F, m.component(d).dim, n.component(d).dim, [
+            [vec.get(base + i * n.component(d).dim + q, z)
+             for q in range(n.component(d).dim)]
+            for i in range(m.component(d).dim)])
+            for d, base in offset.items()})
+    return out
+
+
+def hom_dim_by_equations(m, n):
+    """The unknowns of hom_equations less the rank of its equations."""
+    _, total, equations = hom_equations(m, n)
+    return total - _rank(m.field, equations, total)
 
 
 def commutes_with_action(m, n, f):
@@ -538,6 +614,100 @@ def test_hom_with_one_sided_equations():
         assert got == hom_basis_by_dense_equations(m, n)
         assert len(got) == dim
         assert all(commutes_with_action(m, n, f) for f in got)
+
+
+def dual_numbers_in_degree_0(field):
+    """K[y]/(y^2) (x) K[x]/(x^2) with deg y = 0 and deg x = 1: dim A_0 = 2
+    for one idempotent, so rad A_0 = K y is not seen by the grading."""
+    o = field.one()
+    comps = {0: LabeledSpace.untagged(2), 1: LabeledSpace.untagged(2)}
+    # basis 1, y at degree 0 and x, xy at degree 1
+    mult = {(0, 0): {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
+            (0, 1): {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
+            (1, 0): {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}}
+    return GradedAlgebra(Z, (0, 1), 1, field, comps, mult, (o, field.zero()))
+
+
+def _projective_quotient(draw, a):
+    """A projective over a with tagged generators at degrees -2..2, modulo
+    the submodule a few random vectors generate."""
+    gens = draw(st.lists(st.tuples(st.integers(-2, 2),
+                                   st.integers(0, a.k - 1)),
+                         min_size=1, max_size=3))
+    m = projective_module(a, gens)
+    seeds = {}
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.sampled_from(m.degrees()))
+        seeds.setdefault(d, []).append(
+            _vector(draw, a.field, m.component(d).dim))
+    return quotient_with_maps(m, closure_under_action(m, seeds))[0]
+
+
+@st.composite
+def hom_pairs(draw):
+    """Two modules over one algebra, over every field.
+
+    M's generators are a minimal set only over the algebras graded in
+    degrees >= 0 with A_0 the idempotents; Z/n, K[x]/(x^k) with deg x = -1
+    and the dual numbers in degree 0 cover the others.  Presented modules have generators at
+    negative degrees and shifts, so they are not generated in any (S:U)
+    degrees; the two-vertex quiver gives quotients of projectives with
+    tag-blocked components; category modules are generated in (S:U)
+    degrees, and killed modules live over A_U.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(["Zn", "poly", "neg", "loops", "dual",
+                                 "cycle", "category", "killed"]))
+    if kind in ("category", "killed"):
+        n = draw(st.integers(2, 4))
+        a = z_algebra(draw(st.sampled_from(["poly", "loops", "cycle"])),
+                      2 * n + 1, field)
+        u = DegreeSet.periodic(n, (0, 1))
+        s = u.translate(draw(st.integers(0, n - 1)))
+        seeds = [draw(st.integers(0, 2 ** 31)) for _ in range(2)]
+        if kind == "category":
+            return tuple(random_category_module(a, s, u, x) for x in seeds)
+        b = kill_support_algebra(a, u)
+        if draw(st.booleans()):
+            return tuple(random_killed_module(b, s, u, x) for x in seeds)
+        return tuple(kill_support_module(random_category_module(a, s, u, x),
+                                         s, u, b) for x in seeds)
+    if kind == "Zn":
+        a = group_algebra(draw(st.integers(1, 5)), field)
+    elif kind == "neg":
+        a = truncated_polynomial(draw(st.integers(1, 4)), -1, field=field)
+    elif kind == "dual":
+        a = dual_numbers_in_degree_0(field)
+    else:
+        a = z_algebra(kind, draw(st.integers(1, 4)), field)
+    if kind == "cycle":
+        return _projective_quotient(draw, a), _projective_quotient(draw, a)
+    return _presented_over(draw, a), _presented_over(draw, a)
+
+
+def test_dual_numbers_in_degree_0_are_an_algebra():
+    for field in FIELDS:
+        a = dual_numbers_in_degree_0(field)
+        assert validate_algebra(a).holds
+        assert validate_module(regular_module(a)).holds
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=hom_pairs())
+def test_hom_from_the_presentation_matches_the_equations_on_every_entry(pair):
+    m, n = pair
+    got = hom_space_basis(m, n)
+    assert got == hom_basis_by_equations(m, n)
+    assert hom_space_dim(m, n) == hom_dim_by_equations(m, n) == len(got)
+    assert all(commutes_with_action(m, n, f) for f in got)
+
+
+def test_hom_refuses_a_module_its_generators_do_not_span():
+    # every action zero, the unit's too: the generators of M_0 carry no
+    # image of themselves, so M is not presented by them
+    m = _zero_action_module(GF(3))
+    with pytest.raises(PreconditionError, match="not a module"):
+        hom_space_dim(m, regular_module(m.over))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,40 @@ def test_module_loader_reports_nested_paths():
     assert e.value.path == "algebra"
 
 
+@pytest.mark.parametrize("keys", [
+    {"field": -1},
+    {"field": "Q"},
+    {"p": 103},
+    {"field": "GF(101)"},  # the same field, written unlike the parent
+])
+def test_a_map_must_repeat_its_algebras_field_keys(keys):
+    obj = algebra_to_json(truncated_polynomial(3, 1, field=GF(101)))
+    obj["mult"][1]["matrix"].update(keys)
+    with pytest.raises(SchemaError) as e:
+        algebra_from_json(obj)
+    assert "field differs" in str(e.value)
+    assert e.value.path == "mult[1].matrix"
+
+
+@pytest.mark.parametrize("keys", [{"field": "Q"}, {"p": 103}])
+def test_an_action_map_must_repeat_its_algebras_field_keys(keys):
+    a = truncated_polynomial(3, 1, field=GF(101))
+    obj = module_to_json(present_module(a, [0], []))
+    obj["action"][0]["matrix"].update(keys)
+    with pytest.raises(SchemaError) as e:
+        module_from_json(obj)
+    assert e.value.path == "action[0].matrix"
+
+
+def test_maps_written_in_the_parents_shorthand_load():
+    obj = algebra_to_json(truncated_polynomial(3, 1, field=GF(11)))
+    for item in [obj] + [x["matrix"] for x in obj["mult"]]:
+        del item["p"]
+        item["field"] = "GF(11)"
+    assert algebras_equal(algebra_from_json(obj),
+                          truncated_polynomial(3, 1, field=GF(11)))
+
+
 @pytest.mark.parametrize("p", [4, 3317044064679887385961981])
 def test_field_loader_reports_an_unusable_prime_at_p(p):
     with pytest.raises(SchemaError) as e:
