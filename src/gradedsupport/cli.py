@@ -165,7 +165,7 @@ def cmd_check_pair(args):
 
 
 def cmd_kill(args):
-    a = algebra_from_json(_load_json(args.algebra_file))
+    a = _load_valid_algebra(args.algebra_file)
     u = degree_set_from_json(_load_json(args.set_file))
     killed = kill_support_algebra(a, u)
     verdict = validate_algebra(killed)

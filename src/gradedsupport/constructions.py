@@ -39,14 +39,17 @@ import math
 from collections import Counter
 
 from .errors import CapacityError, PreconditionError
-from .exactlin import LabeledSpace, Matrix, QQ, Subspace, matched_pairs, \
-    nullspace
+from .exactlin import LabeledSpace, Matrix, QQ, Subspace, integral, \
+    matched_pairs, nullspace
 from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
     quotient_module
 from .subsets import Z, Zn
 
 
 def _coerce(field, c):
+    """A caller's scalar as a field value: an int or an integral Fraction
+    through from_int, anything else as it is."""
+    c = integral(c)
     return field.from_int(c) if isinstance(c, int) else c
 
 

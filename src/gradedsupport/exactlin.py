@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and over prime fields.
 
-Everything here is exact: rationals are stdlib Fractions, GF(p) elements are
-ints in [0, p).  No floats anywhere.
+Everything here is exact: a rational is an int when it is integral and a
+stdlib Fraction otherwise, GF(p) elements are ints in [0, p).  No floats
+anywhere.
 
 Conventions
 -----------
@@ -91,23 +92,34 @@ class Field:
         raise NotImplementedError
 
 
+def integral(x):
+    """An integral Fraction as its int; any other value as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 class RationalField(Field):
+    """Q: integral values are ints, which skip Fraction's gcd, and every
+    operation hands an integral result back as an int."""
+
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
@@ -115,10 +127,10 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return integral(1 / Fraction(a))
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def __repr__(self):
         return "QQ"

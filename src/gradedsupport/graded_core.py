@@ -684,23 +684,23 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
                            lambda k: m.action_row(d, u, k, j))
 
     # pushes into every degree of m, so coords sees any that leave the spaces
-    return _action_on(m, comps, image, coords, m.components)
+    return _action_on(m, comps, image, coords)
 
 
-def _action_on(m: GradedModule, comps, image, coords, targets):
+def _action_on(m: GradedModule, comps, image, coords):
     """The module over m's algebra on the components comps.
 
     Basis vector i of comps[d] times a_j is image(d, u, i, j), a {col:
     value} row in m's coordinates read from m's stored action rows, None or
     empty when zero.  coords(t, vec) writes that vector as a row in the
-    basis of comps[t], empty when t is unlisted.  Only degrees d + u in
-    targets are pushed into; nothing is built for the others.
+    basis of comps[t], empty when t is unlisted.  Only degrees d + u of m
+    are pushed into: no action row lands anywhere else.
     """
     action = {}
     for d, cd in comps.items():
         for u in m.over.degrees():
             t = m.add_deg(d, u)
-            if t not in targets:
+            if t not in m.components:
                 continue
             rows = {p: coords(t, vec)
                     for p in matched_pairs(cd, m.over.component(u))
@@ -720,7 +720,11 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     The quotient basis at each degree is the set of standard coordinates not
     used as pivots by the tag-blocked basis of W, ordered by tag, so the
     result again has tag-pure basis vectors.  Basis vector i times a_j is
-    the stored action row of coordinate keep[i], projected.
+    the stored action row of coordinate keep[i] read through the classes of
+    its coordinates: a kept coordinate is itself, relabelled, and a pivot p
+    of W is minus the rest of W's row at p.  The pivot classes are tabled
+    once per target degree, and each map between quotient degrees is one
+    walk over its stored rows.
     """
     F = m.field
     reducers, comps = {}, {}
@@ -744,12 +748,34 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
             return {at[i]: c for i, c in v.items()}
         return tuple(v[i] for i in keep)
 
-    quotient = _action_on(
-        m, comps,
-        lambda d, u, i, j: m.action_row(d, u, reducers[d][2][i], j),
-        project, comps)
+    neg, mul, one = F.neg, F.mul, F.one()
+    classes = {}  # t -> {pivot p: class of e_p, in quotient coordinates}
+    for t in comps:
+        rows, pivots, _, at = reducers[t]
+        classes[t] = {p: {at[j]: neg(v) for j, v in row.items() if j != p}
+                      for row, p in zip(rows, pivots)}
+    action = {}
+    for d in comps:
+        src = reducers[d][3]
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            if t not in comps:
+                continue
+            at, cls = reducers[t][3], classes[t]
+            out = action[(d, u)] = {}
+            for (i, j), row in m._map_rows(d, u):
+                if i not in src:
+                    continue
+                if len(row) == 1:  # most rows of a projective
+                    (q, c), = row.items()
+                    img = ({at[q]: c} if q in at
+                           else {k: mul(c, v) for k, v in cls[q].items()})
+                else:
+                    img = _accumulate(
+                        F, row, lambda q: cls[q] if q in cls else {at[q]: one})
+                out[(src[i], j)] = img
     keep_map = {d: tuple(r[2]) for d, r in reducers.items()}
-    return quotient, project, keep_map
+    return GradedModule(m.over, m.window, comps, action), project, keep_map
 
 
 def quotient_module(m: GradedModule, spaces: dict) -> GradedModule:

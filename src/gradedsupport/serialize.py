@@ -5,7 +5,8 @@ into the offending value; semantic validation (window coverage, tag ranges,
 matrix shapes) stays with the constructors, whose errors pass through.
 
 Rational entries are written as strings ("3", "-1/2") so the files stay
-exact; prime-field entries are plain integers.  Emission orders components
+exact, and an integral one is read back as an int; prime-field entries are
+plain integers.  Emission orders components
 by degree and maps by degree pair, so dump_json, the writer of every
 --format json output, gives a canonical byte form: that of
 json.dumps(obj, indent=2, sort_keys=True), byte for byte.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import CapacityError, SchemaError
-from .exactlin import GF, LabeledSpace, Matrix, QQ
+from .exactlin import GF, LabeledSpace, Matrix, QQ, integral
 from .graded_core import GradedAlgebra, GradedModule
 from .regrade_maps import WindowedMap
 from .subsets import (DegreeSet, FORM_FULL, FORM_PERIODIC, FORM_WINDOWED,
@@ -177,13 +178,12 @@ def _entry_from_json(field, value, path):
     if field.name == "Q":
         if isinstance(value, str):
             try:
-                return Fraction(value)
+                return integral(Fraction(value))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"bad rational '{value}'", path)
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError("rational entries are strings or integers",
                               path)
-        return Fraction(value)
     return field.from_int(_int(value, path))
 
 

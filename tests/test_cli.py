@@ -492,6 +492,18 @@ def test_verify_equivalence_refuses_an_algebra_that_fails_validation(
     assert "not an algebra" in err and "('assoc', (1, 1, 1)" in err
 
 
+@pytest.mark.parametrize("u", [U3, DegreeSet.periodic(4, (0, 1, 2, 3))])
+def test_kill_refuses_an_algebra_that_fails_validation(capsys, tmp_path, u):
+    # killing off 3Z + {0, 1} printed a "killed algebra"; killing off all
+    # of Z reported "not associative" with exit 1, a falsification for an
+    # input that is not an algebra
+    alg = _non_associative_x8(tmp_path)
+    sets = write_json(tmp_path / "u.json", degree_set_to_json(u))
+    code, out, err = run(capsys, "kill", alg, sets)
+    assert (code, out) == (2, "")
+    assert "not an algebra" in err and "('assoc', (1, 1, 1)" in err
+
+
 def test_koszul_pipeline_refuses_an_algebra_that_fails_validation(
         capsys, tmp_path):
     a = n_homogeneous_dual(1, [[(1, (0, 0, 0, 0))]], 8)

@@ -18,6 +18,11 @@ elimination it replaced, which cleared each new pivot from every earlier
 row, is kept as one more oracle; the last section checks the kernel and
 every Subspace method against the dense oracles over GF(2), GF(3), GF(101)
 and Q.
+
+Over Q an integral value is an int.  The Fraction-only field it replaced
+is kept as FractionField, and a section of its own checks the field
+operations, rref, nullspace, solve and hom spaces against it, value for
+value, on inputs mixing ints and Fractions.
 """
 
 from fractions import Fraction
@@ -25,16 +30,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gradedsupport.constructions import (_path_source, _path_target,
-                                         quiver_algebra)
+from gradedsupport.constructions import (_coerce, _path_source,
+                                         _path_target, free_module,
+                                         present_module, quiver_algebra,
+                                         truncated_polynomial)
 from gradedsupport.errors import PreconditionError
-from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
-                                    _axpy, _echelon, _rank, apply_row, image,
-                                    kernel, matched_pairs, nullspace,
-                                    pivot_reduce, rref, solve,
-                                    subspace_contains, subspace_intersect,
-                                    subspace_sum)
-from gradedsupport.graded_core import _vanishing_space, preimage_subspace
+from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix,
+                                    RationalField, Subspace, _axpy, _echelon,
+                                    _rank, apply_row, image, integral, kernel,
+                                    matched_pairs, nullspace, pivot_reduce,
+                                    rref, solve, subspace_contains,
+                                    subspace_intersect, subspace_sum)
+from gradedsupport.graded_core import (_vanishing_space, hom_space_basis,
+                                       hom_space_dim, modules_equal,
+                                       preimage_subspace)
+from gradedsupport.lifting import random_category_module
+from gradedsupport.subsets import DegreeSet
 
 FIELDS = [QQ, GF(101)]
 
@@ -737,3 +748,163 @@ def test_quiver_algebra_matches_the_all_paths_construction(quiver, field):
     else:
         assert not isinstance(got, type), got
         assert (got.components, got.mult) == want
+
+
+# ---------------------------------------------------------------------------
+# integral rationals as ints, against Fraction-only arithmetic
+
+
+class FractionField(RationalField):
+    """Q as it was before integral values became ints: every value a
+    Fraction, and no result turned back into an int."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return 1 / Fraction(a)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+
+FRACTIONS = FractionField()
+
+
+def mixed_rationals():
+    """Zero, ints, integral Fractions and Fractions that are not."""
+    nums, dens = st.integers(-6, 6), st.integers(1, 4)
+    return st.one_of(st.just(0), nums,
+                     st.builds(lambda n, d: Fraction(n * d, d), nums, dens),
+                     st.builds(Fraction, nums, dens))
+
+
+def int_when_integral(values):
+    """Every value is an int or a Fraction that is not integral."""
+    return all(type(v) is int or v.denominator != 1 for v in values)
+
+
+def _nz_values(rows):
+    return [v for r in rows for v in r.values()]
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_elimination_over_int_rationals_matches_fraction_only(nrows, ncols,
+                                                              data):
+    entries = st.lists(mixed_rationals(), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    b = data.draw(entries)
+    as_fractions = [[Fraction(e) for e in r] for r in rows]
+    want = (rref(FRACTIONS, as_fractions, ncols),
+            nullspace(FRACTIONS, as_fractions, ncols),
+            solve(Matrix(FRACTIONS, nrows, ncols, as_fractions),
+                  [Fraction(e) for e in b]))
+    # as given, and as the library's own values, integral ones as ints
+    for given_rows, rhs in ((rows, b),
+                            ([[integral(e) for e in r] for r in rows],
+                             [integral(e) for e in b])):
+        got = (rref(QQ, given_rows, ncols), nullspace(QQ, given_rows, ncols),
+               solve(Matrix(QQ, nrows, ncols, given_rows), rhs))
+        assert got == want
+    # from the library's own values, every computed value is one too
+    red, space, x = got
+    assert int_when_integral([v for r in red[0] for v in r])
+    assert int_when_integral(_nz_values(space.basis))
+    assert int_when_integral(x or [])
+
+
+@st.composite
+def hom_recipes(draw):
+    """Two modules as a function of the field: presented modules over
+    K[x]/(x^k) or the two-loop quiver, with relations mixing ints and
+    Fractions, or seeded random category modules."""
+    kind = draw(st.sampled_from(["poly", "loops", "category"]))
+    top = draw(st.integers(1, 4))
+    if kind == "category":
+        n, shift = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+        seeds = [draw(st.integers(0, 2 ** 31)) for _ in range(2)]
+
+        def build(field):
+            a = truncated_polynomial(2 * n + 2, 1, window=(0, 2 * n + 1),
+                                     field=field)
+            u = DegreeSet.periodic(n, (0, 1))
+            return tuple(random_category_module(a, u.translate(shift), u, x)
+                         for x in seeds)
+        return build
+
+    def algebra(field):
+        if kind == "poly":
+            return truncated_polynomial(top + 1, 1, window=(0, top),
+                                        field=field)
+        return quiver_algebra(1, [(0, 0), (0, 0)], [[(1, (1, 0))]], top,
+                              field)
+
+    specs = []
+    for _ in range(2):
+        gens = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        free = free_module(algebra(QQ), gens)
+        relations = []
+        for _ in range(draw(st.integers(0, 3))):
+            d = draw(st.sampled_from(free.degrees()))
+            dim = free.component(d).dim
+            relations.append((d, draw(st.lists(mixed_rationals(),
+                                               min_size=dim, max_size=dim))))
+        specs.append((gens, relations))
+
+    def build(field):
+        a = algebra(field)
+        return tuple(present_module(a, g, r) for g, r in specs)
+    return build
+
+
+@given(hom_recipes())
+def test_hom_over_int_rationals_matches_fraction_only(build):
+    (m, n), (fm, fn) = build(QQ), build(FRACTIONS)
+    assert modules_equal(m, fm) and modules_equal(n, fn)
+    assert hom_space_dim(m, n) == hom_space_dim(fm, fn)
+    got = hom_space_basis(m, n)
+    assert got == hom_space_basis(fm, fn)
+    assert int_when_integral(
+        [v for x in (m, n) for key in x._maps
+         for v in _nz_values(x._rows(*key).values())]
+        + [v for f in got for mat in f.values() for v in _nz_values(mat.nz)])
+
+
+@given(mixed_rationals(), mixed_rationals())
+def test_field_operations_match_fraction_only(a, b):
+    for op in ("add", "sub", "mul"):
+        got = getattr(QQ, op)(a, b)
+        assert got == getattr(FRACTIONS, op)(Fraction(a), Fraction(b))
+        assert int_when_integral([got])
+    assert QQ.neg(a) == -a
+    if b:
+        assert QQ.inv(b) == FRACTIONS.inv(Fraction(b))
+        assert int_when_integral([QQ.inv(b)])
+
+
+def test_int_rationals_stay_ints():
+    assert type(QQ.mul(Fraction(2), Fraction(1, 2))) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.sub(Fraction(1, 2), Fraction(-3, 2))) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert (QQ.zero(), QQ.one(), QQ.from_int(-4)) == (0, 1, -4)
+    assert all(type(v) is int for v in (QQ.zero(), QQ.one(), QQ.from_int(-4)))
+    # a caller's scalar takes the same path
+    assert [type(_coerce(QQ, c)) for c in (Fraction(4, 2), 3, Fraction(1, 2))] \
+        == [int, int, Fraction]
+    assert _coerce(GF(5), Fraction(7)) == 2

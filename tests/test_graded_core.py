@@ -461,16 +461,16 @@ def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
     spaces = {2: Subspace.from_vectors(f, 1, [[f.one()]]),
               3: Subspace.from_vectors(f, 1, [[f.one()]])}
     calls = []
-    read = GradedModule.action_row
+    read = GradedModule._map_rows
 
-    def counted(self, d, u, i, j):
+    def counted(self, d, u):
         calls.append((d, u))
-        return read(self, d, u, i, j)
+        return read(self, d, u)
 
-    monkeypatch.setattr(GradedModule, "action_row", counted)
+    monkeypatch.setattr(GradedModule, "_map_rows", counted)
     q, _, _ = quotient_with_maps(m, spaces)
     # the quotient lives in degrees 0 and 1: only 0+0, 0+1 and 1+0 land
-    # there, and each kept basis vector reads one stored action row
+    # there, and the stored rows of each of those maps are walked once
     assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
     assert all(d + u in q.components for d, u in calls)
 

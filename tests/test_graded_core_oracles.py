@@ -26,6 +26,11 @@ per tag and degree, which the library now reads off the canonical rows, and
 the torsion-free random module that divided by the relation closure and
 then by the torsion of that quotient, which the library builds as one
 quotient by the torsion preimage.
+
+The quotient itself has an oracle: the one that read every matched pair of
+every map into a quotient degree and reduced each stored row against all
+of W's pivots.  The library walks each map's stored rows once, through a
+table of the pivots' classes per target degree.
 """
 
 import json
@@ -42,7 +47,8 @@ from gradedsupport.errors import (GradedSupportError, InternalConsistencyError,
                                    PreconditionError)
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     apply_row, kernel, matched_pairs,
-                                    nullspace, rref, subspace_intersect)
+                                    nullspace, pivot_reduce, rref,
+                                    subspace_intersect)
 from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        _tag_blocks, _vanishing_space,
                                        algebras_equal, closure_under_action,
@@ -373,6 +379,45 @@ def tag_blocks_by_rref(comp, space, field):
     if len(rows) != space.dim:
         raise InternalConsistencyError("not stable under the idempotents")
     return tuple(rows), tuple(tags), tuple(pivots)
+
+
+def quotient_by_pivot_reduction(m, spaces):
+    """quotient_with_maps as it read the action before its class tables:
+    every matched pair (x_keep[i], a_j) of every map into a quotient
+    degree, each stored row reduced by pivot_reduce over all of W's
+    pivots at its target.  Returns (quotient, project, keep)."""
+    F = m.field
+    reducers, comps = {}, {}
+    for d in m.degrees():
+        comp = m.component(d)
+        rows, _, pivots = _tag_blocks(
+            comp, spaces.get(d, Subspace.zero(F, comp.dim)))
+        keep = sorted(set(range(comp.dim)) - set(pivots),
+                      key=lambda i: (comp.right_tags[i], i))
+        reducers[d] = (rows, pivots, keep,
+                       {i: pos for pos, i in enumerate(keep)})
+        if keep:
+            comps[d] = LabeledSpace.module_component(
+                tuple(comp.right_tags[i] for i in keep))
+
+    def project(d, vec):
+        rows, pivots, keep, at = reducers[d]
+        v = pivot_reduce(F, rows, pivots, vec)[0]
+        if isinstance(v, dict):
+            return {at[i]: c for i, c in v.items()}
+        return tuple(v[i] for i in keep)
+
+    action = {}
+    for d, cd in comps.items():
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            if t in comps:
+                action[(d, u)] = {
+                    (i, j): project(t, vec)
+                    for i, j in matched_pairs(cd, m.over.component(u))
+                    if (vec := m.action_row(d, u, reducers[d][2][i], j))}
+    keep_map = {d: tuple(r[2]) for d, r in reducers.items()}
+    return GradedModule(m.over, m.window, comps, action), project, keep_map
 
 
 def category_module_by_two_quotients(alg, s, u, seed, window=None,
@@ -776,6 +821,59 @@ def test_subspaces_mixing_tags_are_refused(field, top, data):
         quotient_with_maps(m, spaces)
     with pytest.raises(InternalConsistencyError):
         submodule_from_subspaces(m, spaces)
+
+
+def _torsion_preimage(m, closed, s):
+    """random_category_module's quotient space: closed at degrees not off
+    S, and off S the x whose products into those degrees lie in closed."""
+    inside = {t for t in m.degrees() if s.try_contains(t) is not False}
+    evals = {t: closed[t].unit_residues() for t in inside}
+    return {d: closed[d] if d in inside else _vanishing_space(m, d, evals)
+            for d in m.degrees()}
+
+
+def _rescaled(draw, m):
+    """m on the basis lambda_i x_i for random nonzero lambda_i: x_i a_j =
+    sum v_q x_q becomes sum (lambda_i v_q / lambda_q) x_q, so one-entry
+    action rows carry scalars other than 1."""
+    F = m.field
+    lam = {d: [F.from_int(draw(st.integers(1, 5))) or F.one()
+               for _ in range(m.component(d).dim)] for d in m.degrees()}
+    action = {(g, h): {(i, j): {q: F.mul(F.mul(lam[g][i], v),
+                                         F.inv(lam[m.add_deg(g, h)][q]))
+                                for q, v in row.items()}
+                       for (i, j), row in m._map_rows(g, h)}
+              for g, h in m._maps}
+    return GradedModule(m.over, m.window, m.components, action)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=hom_pairs(), data=st.data())
+def test_quotient_matches_pivot_reduction_per_row(pair, data):
+    for m in pair:
+        if not m.degrees():
+            continue
+        if data.draw(st.booleans()):
+            m = _rescaled(data.draw, m)
+        seeds = {}
+        for _ in range(data.draw(st.integers(0, 3))):
+            d = data.draw(st.sampled_from(m.degrees()))
+            seeds.setdefault(d, []).append(
+                _vector(data.draw, m.field, m.component(d).dim))
+        spaces = closure_under_action(m, seeds)
+        if data.draw(st.booleans()):
+            spaces = _torsion_preimage(m, spaces, data.draw(degree_sets(m)))
+        got, project, keep = quotient_with_maps(m, spaces)
+        want, want_project, want_keep = quotient_by_pivot_reduction(m, spaces)
+        assert got.components == want.components
+        # every stored row, and the maps present with no nonzero row
+        assert got._maps == want._maps
+        assert keep == want_keep
+        for d in m.degrees():
+            vec = _vector(data.draw, m.field, m.component(d).dim)
+            assert project(d, vec) == want_project(d, vec)
+            row = {i: x for i, x in enumerate(vec) if x}
+            assert project(d, row) == want_project(d, row)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def test_rational_entries_serialize_as_strings():
     assert obj["entries"] == [["-1/2", "3"]]
 
 
+def test_integral_rational_entries_load_as_ints():
+    obj = {"field": "Q", "rows": 1, "cols": 5,
+           "entries": [["4/2", "1/2", "3", 7, "0"]]}
+    [row] = matrix_from_json(obj).nz
+    assert row == {0: 2, 1: Fraction(1, 2), 2: 3, 3: 7}
+    assert [type(row[j]) for j in range(4)] == [int, Fraction, int, int]
+    assert matrix_to_json(matrix_from_json(obj))["entries"] == [
+        ["2", "1/2", "3", "7", "0"]]
+
+
 def test_prime_field_matrices_round_trip():
     f = GF(7)
     m = Matrix.from_rows(f, [[f.from_int(3), f.from_int(6)]], 2)
