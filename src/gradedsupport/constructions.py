@@ -166,29 +166,6 @@ def _check_table(maps, entries, what):
             f"each of {maps} maps, are over the cap of {TABLE_CAP}")
 
 
-def _longest_path(num_vertices, arrows, top):
-    """The longest path length up to top, the paths counted by target vertex.
-
-    Raises CapacityError once the paths of length 0..m number more than
-    PATH_CAP; stops at the first length with no path.
-    """
-    ending = [1] * num_vertices
-    total = num_vertices
-    for m in range(1, top + 1):
-        grown = [0] * num_vertices
-        for s, t in arrows:
-            grown[t] += ending[s]
-        ending = grown
-        total += sum(ending)
-        if total > PATH_CAP:
-            raise CapacityError(
-                f"the quiver has {total} paths up to degree {m} (top {top}), "
-                f"over the cap of {PATH_CAP}")
-        if not any(ending):
-            return m - 1
-    return top
-
-
 def _avoiding_paths(num_vertices, arrows, words, top):
     """The paths of degree 1..top through no word of words, by degree.
 
@@ -367,14 +344,21 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
         raise CapacityError(
             f"{v_dim} generators, over the path cap of {PATH_CAP}")
     # the relation words are the degree-n paths of the v_dim-loop quiver:
-    # all_words refuses them before listing any
+    # all_words refuses them before listing any once its paths of degrees
+    # 0..m, 1 + v_dim + ... + v_dim^m of them, pass PATH_CAP for an m <= n
     loops = [(0, 0)] * v_dim
 
     def all_words(n):
         if top < n:
             raise PreconditionError(
                 f"the window top {top} cannot hold the degree-{n} relations")
-        _longest_path(1, loops, n)
+        total = 0
+        for m in range(n + 1):
+            total += v_dim ** m
+            if total > PATH_CAP:
+                raise CapacityError(
+                    f"the quiver has {total} paths up to degree {m} (top "
+                    f"{n}), over the cap of {PATH_CAP}")
         return list(itertools.product(range(v_dim), repeat=n))
 
     F = field

@@ -38,8 +38,8 @@ from bisect import bisect_right
 from .errors import (GradingViolationError, InternalConsistencyError, LabelError,
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _accumulate,
-                       _echelon, _entries, _forward, _rank, kernel,
-                       matched_pairs, nullspace, pivot_reduce)
+                       _echelon, _forward, _rank, kernel, matched_pairs,
+                       nullspace, pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular
 
@@ -400,15 +400,8 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
     """
     if a.group.kind != "Z" or a.window[0] != 0:
         return False
-    for i in a.degrees():
-        if i < 2:
-            continue
-        rows = a._rows(1, i - 1)
-        if not rows or _rank(a.field, list(rows.values()),
-                             a.component(i).dim) < a.component(i).dim:
-            return False
-    return True
-
+    return all(_rank(a.field, _generated_rows(a, [1], i), a.component(i).dim)
+               == a.component(i).dim for i in a.degrees() if i >= 2)
 
 # ---------------------------------------------------------------------------
 # killing supports
@@ -669,44 +662,29 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     comps = {d: LabeledSpace.module_component(tags)
              for d, (_, tags, _) in bases.items()}
 
-    def coords(t, vec):
-        # a push into an unlisted degree must land on zero
-        rows, _, pivots = bases.get(t, ((), (), ()))
-        rest, got = pivot_reduce(F, rows, pivots, vec)
-        if rest:
-            raise PreconditionError(
-                f"subspaces are not action-closed: a push leaves the "
-                f"degree-{t} subspace")
-        return {r: c for r, c in enumerate(got) if c}
-
-    def image(d, u, i, j):
-        return _accumulate(F, bases[d][0][i],
-                           lambda k: m.action_row(d, u, k, j))
-
-    # pushes into every degree of m, so coords sees any that leave the spaces
-    return _action_on(m, comps, image, coords)
-
-
-def _action_on(m: GradedModule, comps, image, coords):
-    """The module over m's algebra on the components comps.
-
-    Basis vector i of comps[d] times a_j is image(d, u, i, j), a {col:
-    value} row in m's coordinates read from m's stored action rows, None or
-    empty when zero.  coords(t, vec) writes that vector as a row in the
-    basis of comps[t], empty when t is unlisted.  Only degrees d + u of m
-    are pushed into: no action row lands anywhere else.
-    """
+    # basis vector i at d times a_j, from m's stored rows, is written in
+    # the basis at t = d + u; every degree t of m is pushed into, so a
+    # push leaving the spaces, or landing at an unlisted t, is refused
     action = {}
-    for d, cd in comps.items():
+    for d, (basis, _, _) in bases.items():
         for u in m.over.degrees():
             t = m.add_deg(d, u)
             if t not in m.components:
                 continue
-            rows = {p: coords(t, vec)
-                    for p in matched_pairs(cd, m.over.component(u))
-                    if (vec := image(d, u, *p))}
+            rows, _, pivots = bases.get(t, ((), (), ()))
+            out = {}
+            for i, j in matched_pairs(comps[d], m.over.component(u)):
+                vec = _accumulate(F, basis[i],
+                                  lambda k: m.action_row(d, u, k, j))
+                if vec:
+                    rest, got = pivot_reduce(F, rows, pivots, vec)
+                    if rest:
+                        raise PreconditionError(
+                            f"subspaces are not action-closed: a push "
+                            f"leaves the degree-{t} subspace")
+                    out[(i, j)] = {r: c for r, c in enumerate(got) if c}
             if t in comps:
-                action[(d, u)] = rows
+                action[(d, u)] = out
     return GradedModule(m.over, m.window, comps, action)
 
 
@@ -810,57 +788,53 @@ def closure_under_action(m: GradedModule, seeds: dict) -> dict:
             for d, v in vecs.items()}
 
 
-def _full_seeds(m: GradedModule, degrees):
-    seeds = {}
-    for d in degrees:
-        c = m.component(d)
-        if c.dim:
-            seeds[d] = list(Subspace.full(m.field, c.dim).basis)
-    return seeds
+def _generated_rows(x, degrees, d):
+    """The stored rows of every map (s, d - s), s in degrees: they span the
+    sum of X_s A_{d-s} over those s, the part of X_d they generate."""
+    return [row for s in degrees for _, row in x._map_rows(s, x.add_deg(d, -s))]
 
 
 def generated_submodule(m: GradedModule, degrees) -> GradedModule:
-    """The submodule generated by the full components at the given degrees."""
-    return submodule_from_subspaces(
-        m, closure_under_action(m, _full_seeds(m, degrees)))
+    """The submodule generated by the full components at the given degrees:
+    all of M_d at those degrees, and the span of M_s A_{d-s} over them at
+    every other degree d."""
+    degrees = {m.add_deg(s, 0) for s in degrees}
+    F = m.field
+    return submodule_from_subspaces(m, {
+        d: Subspace.full(F, dim) if d in degrees else
+        Subspace.from_vectors(F, dim, _generated_rows(m, degrees, d))
+        for d, dim in m.dims().items()})
 
 
 def is_generated_in(m: GradedModule, degrees) -> bool:
-    spaces = closure_under_action(m, _full_seeds(m, degrees))
-    return all(spaces[d].dim == m.component(d).dim for d in m.degrees())
+    """Whether the full components at the given degrees generate M: a rank
+    per other degree d of the rows spanning M_s A_{d-s}."""
+    degrees = {m.add_deg(s, 0) for s in degrees}
+    return all(d in degrees or _rank(m.field, _generated_rows(m, degrees, d),
+                                     dim) == dim
+               for d, dim in m.dims().items())
 
 
 def preimage_subspace(f: Matrix, w: Subspace) -> Subspace:
-    """{x : x @ f in w}: the kernel of f followed by the projection that
-    kills w, whose rows are w's unit residues (no columns when w is
-    everything)."""
+    """{x : x @ f in w}: the kernel of f's rows reduced modulo w."""
     if f.cols != w.ambient:
         raise ShapeError("preimage target dimension mismatch")
-    return kernel(f @ Matrix(f.field, f.cols, f.cols - w.dim,
-                             w.unit_residues()))
+    return kernel(Matrix._of(f.field, f.rows, f.cols,
+                             tuple(map(w.reduce, f.nz))))
 
 
 def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
     """{x in M_d : x a evaluates to zero at every watched degree}.
 
     evals maps each watched degree t to the evaluation applied there: its
-    rows, row i = ev_t(e_i) dense or as a {col: value} dict, or None for
-    the identity; rows that are all empty ask nothing.  x must vanish under
-    ev_t after every basis vector a of A landing at t = d + u, and under
-    ev_d itself when d is watched.  Entry i of equation (j, c) is column c
-    of ev_t(x_i * a_j).  One nullspace over the stacked equations.
+    rows, row i = ev_t(e_i) as a {col: value} dict, or None for the
+    identity; rows that are all empty ask nothing.  x must vanish under
+    ev_t after every basis vector a of A landing at t = d + u.  Entry i of
+    equation (j, c) is column c of ev_t(x_i * a_j).  One nullspace over the
+    stacked equations.
     """
     F = m.field
-    dim = m.component(d).dim
     cols = []
-    if d in evals:
-        ev = evals[d] or [{q: F.one()} for q in range(dim)]
-        stacked = {}  # column c of ev_d is equation c
-        for i, row in enumerate(ev):
-            for c, e in _entries(row):
-                if e:
-                    stacked.setdefault(c, {})[i] = e
-        cols.extend(stacked.values())
     for u in m.over.degrees():
         t = m.add_deg(d, u)
         if t not in evals or evals[t] is not None and not any(evals[t]):
@@ -873,24 +847,39 @@ def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
             for c, e in row.items():
                 stacked.setdefault((j, c), {})[i] = e
         cols.extend(stacked.values())
-    return nullspace(F, cols, dim)
+    return nullspace(F, cols, m.component(d).dim)
 
 
-def torsion_spaces(n: GradedModule, s: DegreeSet) -> dict:
-    """Component subspaces of the largest submodule supported outside S.
+def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
+    """Component subspaces of the preimage in n of the largest submodule of
+    n / W supported outside S, for W = modulo an action-closed family of
+    component subspaces; None is W = 0, the torsion of n itself.
 
-    Closed form: x in N_d lies in it exactly when d is off S and x a = 0 for
-    every basis vector a of A whose target d + u is not off S; closed since
-    (x b) a = x (b a).  One nullspace per off-S degree, zero elsewhere.
+    Closed form: W_d at each degree d not off S, and off S the x with x a
+    in W_t for every basis vector a of A whose target t = d + u is not off
+    S; closed since (x b) a = x (b a).  One nullspace per off-S degree, over
+    the classes modulo W_t of the stored rows: the class of e_i is itself
+    off W_t's pivots and, at a pivot, minus the rest of W_t's row there.
     Degrees whose S membership cannot be decided (outside a windowed S's
     window) count as inside S, which keeps the result sound if possibly
     small.  Assumes n is a module: associative, unital action
     (validate_module).
     """
     _check_set_group(n, s)
-    inside = {t: None for t in n.degrees() if s.try_contains(t) is not False}
-    return {d: Subspace.zero(n.field, n.component(d).dim) if d in inside
-            else _vanishing_space(n, d, inside)
+    F = n.field
+    if modulo is None:
+        modulo = {d: Subspace.zero(F, n.component(d).dim) for d in n.degrees()}
+    evals = {}  # degree not off S -> class of each e_i; None: W_t = 0
+    for t in n.degrees():
+        if s.try_contains(t) is False:
+            continue
+        w, ev = modulo[t], None
+        if w.dim:
+            ev = [{i: F.one()} for i in range(w.ambient)]
+            for row, p in zip(w.basis, w.pivots):
+                ev[p] = {j: F.neg(v) for j, v in row.items() if j != p}
+        evals[t] = ev
+    return {d: modulo[d] if d in evals else _vanishing_space(n, d, evals)
             for d in n.degrees()}
 
 
@@ -936,8 +925,8 @@ def _hom_system(m: GradedModule, n: GradedModule):
     F = m.field
     gens, unknowns = {}, 0  # degree -> {i: ((unknown, q), ...)}
     for d in m.degrees():
-        pivots = _forward(F, [row for s in m.degrees() if s < d
-                              for _, row in m._map_rows(s, d - s)],
+        pivots = _forward(F, _generated_rows(m, [s for s in m.degrees()
+                                                 if s < d], d),
                           m.component(d).dim)[0]
         tags, nd = m.component(d).right_tags, n.component(d)
         for i in range(m.component(d).dim):

@@ -35,15 +35,14 @@ from dataclasses import dataclass
 from .constructions import _layout_module, projective_layout, \
     projective_module, regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, _accumulate, _rank, nullspace
+from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          _check_set_group, _vanishing_space,
-                          algebras_equal,
-                          closure_under_action, hom_space_basis,
-                          hom_space_dim, is_cogenerated_in, is_generated_in,
-                          is_generated_in_degrees_01, kill_support_algebra,
-                          kill_support_module, quotient_with_maps,
-                          regrade_algebra, validate_algebra)
+                          algebras_equal, closure_under_action,
+                          hom_space_basis, hom_space_dim, is_cogenerated_in,
+                          is_generated_in, is_generated_in_degrees_01,
+                          kill_support_algebra, kill_support_module,
+                          quotient_with_maps, regrade_algebra,
+                          torsion_spaces, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
 from .subsets import (DegreeSet, is_right_modular,
                       is_translation_of_interval, quotient_set)
@@ -165,12 +164,8 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
         return None
     F = a.field
     z = F.zero()
-    rows_u = x._rows(m, xu) or {}
-    cols = {}  # the columns of mu_{m,xu}: Ker is their nullspace
-    for r, p in enumerate(pairs_u):
-        for c, e in rows_u.get(p, {}).items():
-            cols.setdefault(c, {})[r] = e
-    ker = nullspace(F, list(cols.values()), len(pairs_u))
+    # an absent mu_{m,xu} lands in a zero component: its kernel is everything
+    ker = kernel(x.action_matrix(m, xu) or Matrix.zero(F, len(pairs_u), 0))
     rows_v = x._rows(m, xv)
     if ker.dim == 0 or rows_v is None:
         return False, None
@@ -322,11 +317,11 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
 
     The lift is induced / W.  induced has one projective summand per basis
     vector of X in Q-degrees and evaluates onto X_t at each t in S by ev_t.
-    W_d holds the x in induced_d with ev_t(x a) = 0 for every basis vector a
-    of A landing at t in S, and ev_d(x) = 0 when d is in S: the vectors
-    whose every product into S evaluates to zero.  W is action-closed
-    because (x b) a = x (b a), so one quotient builds the lift.  Assumes x
-    is a module (validate_module).
+    W is the torsion preimage (torsion_spaces) of induced modulo the action
+    closure K of the kernels of the ev_t: K_t at t in S, and off S the x
+    whose every product into S lies in K.  For a liftable X, K_t is ker ev_t
+    itself at each t in S, which the dimension check below certifies, so
+    one quotient builds the lift.  Assumes x is a module (validate_module).
     """
     a, q = _check_hypotheses(x, s, u, a)
     report = _liftability(x, u, a, q, _all_triples)
@@ -347,15 +342,13 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     induced = _layout_module(a, pwindow, pcomps, layout)
 
     sdegs = s.members_in(window[0], window[1])
-    evals = {}
-    for t in sdegs:
-        blocks = layout.get(t)
-        if not blocks:
-            continue
-        evals[t] = _evaluation_rows(x, blocks, meta)
-    lifted, _project, keep = quotient_with_maps(
-        induced, {d: _vanishing_space(induced, d, evals)
-                  for d in induced.degrees()})
+    evals = {t: _evaluation_rows(x, layout[t], meta) for t in sdegs
+             if layout.get(t)}
+    kernels = {t: kernel(Matrix._of(F, len(ev), x.component(t).dim,
+                                    tuple(ev))).basis
+               for t, ev in evals.items()}
+    lifted, _project, keep = quotient_with_maps(induced, torsion_spaces(
+        induced, s, closure_under_action(induced, kernels)))
 
     # certification: an explicit isomorphism kill(M) -> X from evaluation
     iso = {}
@@ -488,15 +481,8 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
             seeds.setdefault(d, []).append(vec)
         closed = closure_under_action(proj, seeds)
         if reduce_torsion:
-            # the same quotient kills the torsion of proj / closed: off S,
-            # the x whose products into degrees not off S lie in closed
-            _check_set_group(proj, s)
-            inside = {t for t in proj.degrees()
-                      if s.try_contains(t) is not False}
-            evals = {t: closed[t].unit_residues() for t in inside}
-            closed = {d: closed[d] if d in inside
-                      else _vanishing_space(proj, d, evals)
-                      for d in proj.degrees()}
+            # the same quotient kills the torsion of proj / closed
+            closed = torsion_spaces(proj, s, closed)
         module = quotient_with_maps(proj, closed)[0]
         if module.total_dim():
             return module

@@ -284,15 +284,19 @@ def test_present_module_rejects_bad_relation_length():
 
 def test_path_cap_counts_paths_before_building_any():
     from gradedsupport.constructions import (MAP_WEIGHT, PATH_CAP, TABLE_CAP,
-                                             _avoiding_paths, _longest_path)
+                                             _avoiding_paths)
     from gradedsupport.errors import CapacityError
     loops = [(0, 0), (0, 0)]
     # the free two-loop quiver at top 16 has 2^17 - 1 paths: just under the
     # cap, which n_homogeneous_dual's word listing keeps
     assert 2 ** 17 - 1 <= PATH_CAP < 2 ** 18 - 1
-    assert _longest_path(1, loops, 16) == 16
-    with pytest.raises(CapacityError):
-        _longest_path(1, loops, 17)
+    # degree-16 words are listed, and the second relation is refused for
+    # its degree; degree-17 words are refused before any is listed
+    x16 = [(1, (0,) * 16)]
+    with pytest.raises(PreconditionError, match="share one degree"):
+        n_homogeneous_dual(2, [x16, [(1, (0, 1))]], 16)
+    with pytest.raises(CapacityError, match="262143 paths up to degree 17"):
+        n_homogeneous_dual(2, [[(1, (0,) * 17)]], 17)
     # the harness algebra (yx = 0) has the t + 1 avoiding paths x^a y^b in
     # degree t, and its mult table sum over t <= top of (t + 1) C(t + 3, 3)
     # entries: 3,973,802 at top 39, 4,479,783 at top 40; each of the

@@ -310,7 +310,7 @@ def old_preimage(f, w):
 
 @given(subspace_pairs())
 def test_complement_matrix_matches_pivot_reduction(pair):
-    # preimage_subspace projects by the unit residues as a matrix
+    # the unit residues as a matrix are the old complement projection
     for w in pair:
         assert Matrix(w.field, w.ambient, w.ambient - w.dim,
                       w.unit_residues()) \
@@ -628,13 +628,13 @@ def test_full_complement_asks_no_condition(field):
     full = Subspace.full(field, 3)
     assert full.unit_residues() == [()] * 3
     assert preimage_subspace(Matrix.identity(field, 3), full) == full
-    # handed to _vanishing_space it watches nothing at that degree
+    # handed to _vanishing_space as rows, each class empty, it watches
+    # nothing at that degree
     from gradedsupport.constructions import regular_module, \
         truncated_polynomial
     m = regular_module(truncated_polynomial(3, field=field))
     dims = {t: m.component(t).dim for t in m.degrees()}
-    evals = {t: Subspace.full(field, n).unit_residues()
-             for t, n in dims.items()}
+    evals = {t: [{}] * n for t, n in dims.items()}
     for d, n in dims.items():
         assert _vanishing_space(m, d, evals) == Subspace.full(field, n)
 

@@ -25,7 +25,17 @@ The module builders have oracles too: the tag blocks that eliminated once
 per tag and degree, which the library now reads off the canonical rows, and
 the torsion-free random module that divided by the relation closure and
 then by the torsion of that quotient, which the library builds as one
-quotient by the torsion preimage.
+quotient by the torsion preimage.  That preimage has an oracle of its own:
+the nullspace of the dense per-generator action matrices times the dense
+unit residues modulo the relation closure, which the library read until it
+took each class off the closure's canonical rows, and the random module
+built on it.
+
+Generation has the oracle the library used before it read generation off
+the stored rows: the action closure of the full components at the given
+degrees, compared with the whole module for is_generated_in and turned into
+a submodule for generated_submodule.  The library takes, per degree, the
+rank or the span of the stored rows of the maps from those degrees.
 
 The quotient itself has an oracle: the one that read every matched pair of
 every map into a quotient degree and reduced each stored row against all
@@ -52,7 +62,8 @@ from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
 from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        _tag_blocks, _vanishing_space,
                                        algebras_equal, closure_under_action,
-                                       hom_space_basis, hom_space_dim,
+                                       generated_submodule, hom_space_basis,
+                                       hom_space_dim, is_generated_in,
                                        kill_support_algebra,
                                        kill_support_module, modules_equal,
                                        preimage_subspace, quotient_with_maps,
@@ -152,6 +163,42 @@ def torsion_by_fixed_point(n, s):
                         spaces[d] = inter
                         changed = True
     return spaces
+
+
+def generated_by_closure(m, degrees):
+    """The action closure of the full components at the given degrees."""
+    seeds = {}
+    for d in degrees:
+        c = m.component(d)
+        if c.dim:
+            seeds[d] = list(Subspace.full(m.field, c.dim).basis)
+    return closure_under_action(m, seeds)
+
+
+def torsion_preimage_by_dense_residues(m, closed, s):
+    """closed at degrees not off S; off S the x with x a_j zero modulo
+    closed at each of them, as the nullspace of every dense
+    right_action_matrix times the dense unit residues there."""
+    F = m.field
+    inside = {t for t in m.degrees() if s.try_contains(t) is not False}
+    out = {}
+    for d in m.degrees():
+        if d in inside:
+            out[d] = closed[d]
+            continue
+        eqs = []
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            if t not in inside:
+                continue
+            w = closed[t]
+            res = Matrix(F, w.ambient, w.ambient - w.dim, w.unit_residues())
+            for j in range(m.over.component(u).dim):
+                ra = right_action_matrix(m, d, u, j)
+                if ra is not None:
+                    eqs.extend((ra @ res).transpose().entries)
+        out[d] = nullspace(F, eqs, m.component(d).dim)
+    return out
 
 
 def lift_by_two_quotients(x, s, u, a):
@@ -420,10 +467,29 @@ def quotient_by_pivot_reduction(m, spaces):
     return GradedModule(m.over, m.window, comps, action), project, keep_map
 
 
-def category_module_by_two_quotients(alg, s, u, seed, window=None,
-                                     max_gens=2, max_relations=2):
+def category_module_by_two_quotients(alg, s, u, seed):
     """random_category_module's draws, divided by the relation closure and
     then by the torsion of that quotient."""
+    def divide(proj, seeds):
+        closed = closure_by_fixed_point(proj, seeds)
+        return torsion_quotient(quotient_with_maps(proj, closed)[0], s)
+    return _category_draws(divide, alg, s, u, seed)
+
+
+def category_module_by_dense_residues(alg, s, u, seed):
+    """random_category_module's draws, divided once by the dense-residue
+    torsion preimage of the relation closure."""
+    def divide(proj, seeds):
+        closed = closure_under_action(proj, seeds)
+        return quotient_with_maps(proj, torsion_preimage_by_dense_residues(
+            proj, closed, s))[0]
+    return _category_draws(divide, alg, s, u, seed)
+
+
+def _category_draws(divide, alg, s, u, seed, window=None, max_gens=2,
+                    max_relations=2):
+    """random_category_module's draws of a projective and relation seeds,
+    each divided by divide(proj, seeds) until a nonzero module comes."""
     q = quotient_set(s, u)
     window = tuple(window) if window is not None else alg.window
     rng = random.Random(seed)
@@ -445,9 +511,7 @@ def category_module_by_two_quotients(alg, s, u, seed, window=None,
             if all(e == F.zero() for e in vec):
                 continue
             seeds.setdefault(d, []).append(vec)
-        closed = closure_by_fixed_point(proj, seeds)
-        module = quotient_with_maps(proj, closed)[0]
-        module = torsion_quotient(module, s)
+        module = divide(proj, seeds)
         if module.total_dim():
             return module
     raise InternalConsistencyError("only zero modules")
@@ -621,17 +685,23 @@ def test_closure_keeps_the_seeds_without_a_unit_action():
     got = closure_under_action(m, seeds)
     assert got == closure_by_fixed_point(m, seeds)
     assert [got[d].dim for d in range(3)] == [0, 1, 0]
+    # generation too keeps the generating components themselves
+    assert is_generated_in(m, [0, 1, 2]) and not is_generated_in(m, [0, 1])
+    assert modules_equal(generated_submodule(m, [1]), submodule_from_subspaces(
+        m, generated_by_closure(m, [1])))
 
 
 def test_vanishing_space_counts_x_itself_at_its_degree():
     m = _zero_action_module(GF(3))
     f = m.field
     ev = Matrix.from_rows(f, [[f.one()], [f.zero()]])
-    # no action to push through: only ev_1(x) = 0 cuts the space down
-    assert _vanishing_space(m, 1, {1: ev.entries}) == kernel(ev)
-    assert _vanishing_space(m, 1, {1: [{0: f.one()}, {}]}) == kernel(ev)
-    assert _vanishing_space(m, 1, {1: None}).dim == 0
-    assert _vanishing_space(m, 0, {1: ev.entries}).dim == 2
+    full = Subspace.full(f, 2)
+    # no action to push through: off S nothing cuts the space down, and at
+    # the degree inside S only x itself, which must lie in W_1 = ker ev_1
+    got = torsion_spaces(m, DegreeSet.windowed([1], (0, 2)), {1: kernel(ev)})
+    assert [got[d] for d in range(3)] == [full, kernel(ev), full]
+    assert _vanishing_space(m, 0, {1: ev.nz}) == full
+    assert _vanishing_space(m, 0, {1: None}) == full
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +871,23 @@ def test_category_module_matches_the_two_quotient_draw(field, n, kind, shift,
         assert modules_equal(got, want)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["poly", "loops", "cycle"])
+def test_category_module_matches_the_dense_residue_build(field, kind):
+    # S = U and three translates S != U, on fixed seeds
+    for n, shift in ((3, 0), (3, 2), (4, 1), (5, 2)):
+        a = z_algebra(kind, 2 * n + 1, field)
+        u = DegreeSet.periodic(n, (0, 1))
+        s = u.translate(shift)
+        for seed in range(4):
+            got = _outcome(lambda: random_category_module(a, s, u, seed))
+            want = _outcome(
+                lambda: category_module_by_dense_residues(a, s, u, seed))
+            assert isinstance(got, type) == isinstance(want, type)
+            assert got == want if isinstance(got, type) \
+                else modules_equal(got, want)
+
+
 @settings(max_examples=30, deadline=None)
 @given(field=st.sampled_from(FIELDS), top=st.integers(1, 3),
        data=st.data())
@@ -823,15 +910,6 @@ def test_subspaces_mixing_tags_are_refused(field, top, data):
         submodule_from_subspaces(m, spaces)
 
 
-def _torsion_preimage(m, closed, s):
-    """random_category_module's quotient space: closed at degrees not off
-    S, and off S the x whose products into those degrees lie in closed."""
-    inside = {t for t in m.degrees() if s.try_contains(t) is not False}
-    evals = {t: closed[t].unit_residues() for t in inside}
-    return {d: closed[d] if d in inside else _vanishing_space(m, d, evals)
-            for d in m.degrees()}
-
-
 def _rescaled(draw, m):
     """m on the basis lambda_i x_i for random nonzero lambda_i: x_i a_j =
     sum v_q x_q becomes sum (lambda_i v_q / lambda_q) x_q, so one-entry
@@ -845,6 +923,47 @@ def _rescaled(draw, m):
                        for (i, j), row in m._map_rows(g, h)}
               for g, h in m._maps}
     return GradedModule(m.over, m.window, m.components, action)
+
+
+def _relation_closure(draw, m):
+    """The action closure of a few random vectors of m."""
+    seeds = {}
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.sampled_from(m.degrees()))
+        seeds.setdefault(d, []).append(
+            _vector(draw, m.field, m.component(d).dim))
+    return closure_under_action(m, seeds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=hom_pairs(), data=st.data())
+def test_generation_matches_the_closure_of_full_seeds(pair, data):
+    for m in pair:
+        if not m.degrees():
+            continue
+        m = quotient_with_maps(m, _relation_closure(data.draw, m))[0]
+        degrees = data.draw(degree_sets(m)).members_in(*m.window)
+        spaces = generated_by_closure(m, degrees)
+        assert is_generated_in(m, degrees) == all(
+            spaces[d].dim == m.component(d).dim for d in m.degrees())
+        assert modules_equal(generated_submodule(m, degrees),
+                             submodule_from_subspaces(m, spaces))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=hom_pairs(), data=st.data())
+def test_torsion_preimage_matches_the_dense_residues(pair, data):
+    for m in pair:
+        if not m.degrees():
+            continue
+        closed = _relation_closure(data.draw, m)
+        s = data.draw(degree_sets(m))
+        assert torsion_spaces(m, s, closed) \
+            == torsion_preimage_by_dense_residues(m, closed, s)
+        zero = {d: Subspace.zero(m.field, m.component(d).dim)
+                for d in m.degrees()}
+        assert torsion_spaces(m, s) == torsion_spaces(m, s, zero) \
+            == torsion_preimage_by_dense_residues(m, zero, s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -862,7 +981,7 @@ def test_quotient_matches_pivot_reduction_per_row(pair, data):
                 _vector(data.draw, m.field, m.component(d).dim))
         spaces = closure_under_action(m, seeds)
         if data.draw(st.booleans()):
-            spaces = _torsion_preimage(m, spaces, data.draw(degree_sets(m)))
+            spaces = torsion_spaces(m, data.draw(degree_sets(m)), spaces)
         got, project, keep = quotient_with_maps(m, spaces)
         want, want_project, want_keep = quotient_by_pivot_reduction(m, spaces)
         assert got.components == want.components
