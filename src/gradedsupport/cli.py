@@ -21,7 +21,7 @@ from . import constructions
 from .errors import PreconditionError, SchemaError
 from .exactlin import GF, QQ
 from .graded_core import kill_support_algebra, regrade_algebra, \
-    validate_algebra
+    validate_algebra, validate_module
 from .lifting import check_and_lift, check_period, equivalence_harness, \
     koszul_pipeline, liftability_check, liftability_check_interval
 from .serialize import (algebra_from_json, algebra_to_json,
@@ -61,11 +61,16 @@ def _load_json(path):
         raise SchemaError(f"invalid JSON in {path}: {e}")
 
 
-def _load_valid_algebra(path):
-    a = algebra_from_json(_load_json(path))
-    if not (v := validate_algebra(a)).holds:
-        raise PreconditionError(f"not an algebra: {path}, witness {v.witness}")
-    return a
+_VALIDATED = {"an algebra": (algebra_from_json, validate_algebra),
+              "a module": (module_from_json, validate_module)}
+
+
+def _load_valid(path, what):
+    parse, validate = _VALIDATED[what]
+    obj = parse(_load_json(path))
+    if not (v := validate(obj)).holds:
+        raise PreconditionError(f"not {what}: {path}, witness {v.witness}")
+    return obj
 
 
 def _print_json(obj):
@@ -165,7 +170,7 @@ def cmd_check_pair(args):
 
 
 def cmd_kill(args):
-    a = _load_valid_algebra(args.algebra_file)
+    a = _load_valid(args.algebra_file, "an algebra")
     u = degree_set_from_json(_load_json(args.set_file))
     killed = kill_support_algebra(a, u)
     verdict = validate_algebra(killed)
@@ -220,7 +225,7 @@ def _print_lift_report(args, report, include_module):
 
 
 def _load_lift_inputs(args):
-    x = module_from_json(_load_json(args.module_file))
+    x = _load_valid(args.module_file, "a module")
     s = degree_set_from_json(_load_json(args.s_file))
     u = degree_set_from_json(_load_json(args.u_file))
     a = algebra_from_json(_load_json(args.algebra_file))
@@ -263,7 +268,7 @@ def cmd_verify_equivalence(args):
     field = _field(args)
     top = args.window if args.window is not None else 2 * args.n + 1
     if args.alg:
-        a = _load_valid_algebra(args.alg)
+        a = _load_valid(args.alg, "an algebra")
     else:
         a = _default_harness_algebra(field, top)
     u = DegreeSet.periodic(args.n, (0, 1))
@@ -291,7 +296,7 @@ def cmd_koszul_pipeline(args):
     check_period(args.n)  # before the default algebra, built from n
     top = args.window if args.window is not None else 2 * args.n
     if args.alg:
-        a = _load_valid_algebra(args.alg)
+        a = _load_valid(args.alg, "an algebra")
     else:
         # degreewise dual of K[x]/(x^n): one loop, relation x^n
         a = constructions.n_homogeneous_dual(

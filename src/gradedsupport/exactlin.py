@@ -64,40 +64,12 @@ from fractions import Fraction
 from .errors import CapacityError, LabelError, ShapeError
 
 
-class Field:
-    """Common interface for the two scalar domains."""
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-
 def integral(x):
     """An integral Fraction as its int; any other value as it is."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-class RationalField(Field):
+class RationalField:
     """Q: integral values are ints, which skip Fraction's gcd, and every
     operation hands an integral result back as an int."""
 
@@ -172,7 +144,7 @@ def _is_prime(p):
     return True
 
 
-class PrimeField(Field):
+class PrimeField:
     """GF(p) for prime p < PRIME_BOUND; elements are ints reduced into [0, p).
 
     A composite p raises ValueError; p >= PRIME_BOUND raises CapacityError

@@ -37,8 +37,9 @@ from .constructions import _layout_module, projective_layout, \
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          algebras_equal, closure_under_action,
-                          hom_space_basis, hom_space_dim, is_cogenerated_in,
+                          _vanishing_space, algebras_equal,
+                          closure_under_action, hom_space_basis,
+                          hom_space_dim, is_cogenerated_in,
                           is_generated_in, is_generated_in_degrees_01,
                           kill_support_algebra, kill_support_module,
                           quotient_with_maps, regrade_algebra,
@@ -88,7 +89,7 @@ def _resolve_algebra(x: GradedModule, a):
 def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
                       a: GradedAlgebra | None):
     """Common preconditions, each decided once; returns the ambient algebra
-    and the quotient set Q = (S : U)."""
+    and the Q-degrees at which x is nonzero, Q = (S : U)."""
     a = _resolve_algebra(x, a)
     q = _check_hypotheses_algebra_only(a, s, u)
     if not algebras_equal(x.over, kill_support_algebra(a, u)):
@@ -104,11 +105,12 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
         if not inside:
             raise PreconditionError(
                 f"module has a nonzero component at degree {d} outside S")
-    qdegs = q.members_in(x.window[0], x.window[1])
+    qdegs = [m for m in q.members_in(x.window[0], x.window[1])
+             if x.component(m).dim]
     if not is_generated_in(x, qdegs):
         raise PreconditionError(
             "module is not generated in quotient-set degrees")
-    return a, q
+    return a, qdegs
 
 
 def _check_hypotheses_algebra_only(a, s, u):
@@ -143,12 +145,12 @@ def _u_degrees(u: DegreeSet, a: GradedAlgebra):
 # the kernel-containment scan
 
 
-def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
+def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, gap):
     """Test Ker(mu_{m,xu}) A_gap inside Ker(mu_{m,xv}) on the module x.
 
     mu_{m,d} is the action X_m (x) B_d -> X_{m+d} of x over its algebra B.
     A kernel vector is pushed into X_m (x) B_xv by the products
-    A_au x A_gap -> A_{au+gap} of the ambient algebra, whose basis is that of
+    A_xu x A_gap -> A_{xu+gap} of the ambient algebra, whose basis is that of
     B_xv.  Returns None when a component or the matched pairs of
     X_m (x) B_xu vanish, so the condition does not arise.  Otherwise returns
     (tested, witness): tested is False when the kernel or mu_{m,xv} is zero
@@ -175,7 +177,7 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, au, gap):
             pushed = {}  # (i, qq) -> entry of the pushed vector
             for idx, c in w.items():
                 i, j = pairs_u[idx]
-                for qq, e in (a.mult_row(au, gap, j, ell) or {}).items():
+                for qq, e in (a.mult_row(xu, gap, j, ell) or {}).items():
                     if qq >= len(vtags) or vtags[qq] != xtags[i]:
                         raise InternalConsistencyError(
                             "multiplication broke tag matching while "
@@ -210,21 +212,19 @@ def liftability_check_interval(x: GradedModule, s: DegreeSet, u: DegreeSet,
                         _interval_triples)
 
 
-def _liftability(x, u, a, q, triples):
+def _liftability(x, u, a, qdegs, triples):
     """Check Ker(mu_{m,u}) A_{v-u} inside Ker(mu_{m,v}) on each (m, u, v).
 
-    a and q = (S : U) come from _check_hypotheses, the triples from
-    triples(u, a, qdegs).  At most one witness is recorded per triple.
-    Triples whose components vanish hold vacuously and are skipped.
+    a and the nonzero Q-degrees qdegs come from _check_hypotheses, the
+    triples from triples(u, a, qdegs).  At most one witness is recorded per
+    triple.  Triples whose components vanish hold vacuously and are skipped.
     """
-    qdegs = [m for m in q.members_in(x.window[0], x.window[1])
-             if x.component(m).dim]
     violations = []
     checked = 0
     for (m, ud, v) in triples(u, a, qdegs):
         if not x.in_window(m + v):
             continue
-        got = _kernel_push(x, a, m, ud, v, ud, v - ud)
+        got = _kernel_push(x, a, m, ud, v, v - ud)
         if got is None or not got[0]:
             continue
         checked += 1
@@ -317,20 +317,18 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
 
     The lift is induced / W.  induced has one projective summand per basis
     vector of X in Q-degrees and evaluates onto X_t at each t in S by ev_t.
-    W is the torsion preimage (torsion_spaces) of induced modulo the action
-    closure K of the kernels of the ev_t: K_t at t in S, and off S the x
-    whose every product into S lies in K.  For a liftable X, K_t is ker ev_t
-    itself at each t in S, which the dimension check below certifies, so
-    one quotient builds the lift.  Assumes x is a module (validate_module).
+    W is the x whose every product into S evaluates to zero, one vanishing
+    scan per degree: a submodule since (x b) a = x (b a), with W_t inside
+    ker ev_t at t in S.  The dimension and rank checks below certify
+    W_t = ker ev_t, whatever the containment scan found, so one quotient
+    builds the lift.  Assumes x is a module (validate_module).
     """
-    a, q = _check_hypotheses(x, s, u, a)
-    report = _liftability(x, u, a, q, _all_triples)
+    a, qdegs = _check_hypotheses(x, s, u, a)
+    report = _liftability(x, u, a, qdegs, _all_triples)
     if not report.liftable:
         return report
     window = x.window
     F = a.field
-    qdegs = [m for m in q.members_in(window[0], window[1])
-             if x.component(m).dim]
     if not qdegs:
         empty = GradedModule(a, window, {}, {})
         return LiftReport(liftable=True, violations=(),
@@ -344,11 +342,8 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     sdegs = s.members_in(window[0], window[1])
     evals = {t: _evaluation_rows(x, layout[t], meta) for t in sdegs
              if layout.get(t)}
-    kernels = {t: kernel(Matrix._of(F, len(ev), x.component(t).dim,
-                                    tuple(ev))).basis
-               for t, ev in evals.items()}
-    lifted, _project, keep = quotient_with_maps(induced, torsion_spaces(
-        induced, s, closure_under_action(induced, kernels)))
+    lifted, _project, keep = quotient_with_maps(induced, {
+        d: _vanishing_space(induced, d, evals) for d in induced.degrees()})
 
     # certification: an explicit isomorphism kill(M) -> X from evaluation
     iso = {}
@@ -391,7 +386,8 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
                             "the evaluation map fails to commute with the "
                             f"action at degrees ({t}, {ud})")
 
-    generated = is_generated_in(lifted, q.members_in(window[0], window[1]))
+    # Q lies in S, where the lift has X's dimensions: the same degrees
+    generated = is_generated_in(lifted, qdegs)
     cogenerated = is_cogenerated_in(lifted, s).holds
     if not (generated and cogenerated):
         raise InternalConsistencyError(
@@ -406,12 +402,11 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
 # isomorphism certification between ambient modules
 
 
-def certified_isomorphism(m: GradedModule, n: GradedModule, seed=0,
-                          tries=25):
+def certified_isomorphism(m: GradedModule, n: GradedModule):
     """A degreewise invertible homomorphism m -> n, or None.
 
     Solves for the full hom space, then looks for an invertible element:
-    each basis element first, then seeded random combinations.  Sound but
+    each basis element first, then 25 seeded random combinations.  Sound but
     one-sided: None means no certificate was found, not a proof that none
     exists (over a large field a random combination succeeds with high
     probability whenever the modules are isomorphic).
@@ -433,9 +428,9 @@ def certified_isomorphism(m: GradedModule, n: GradedModule, seed=0,
     for candidate in basis:
         if invertible(candidate):
             return candidate
-    rng = random.Random(seed)
+    rng = random.Random(0)
     span = max(7, len(basis) + 2)
-    for _ in range(tries):
+    for _ in range(25):
         coeffs = [F.from_int(rng.randrange(1, span)) for _ in basis]
         candidate = {d: Matrix._of(F, f.rows, f.cols, tuple(
             _accumulate(F, coeffs, lambda k: basis[k][d].nz[i])
@@ -449,8 +444,12 @@ def certified_isomorphism(m: GradedModule, n: GradedModule, seed=0,
 # seeded random modules in the generated/cogenerated category
 
 
-def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
-                      reduce_torsion, relation_degrees="any"):
+# generators and relation vectors drawn per random module, at most
+_MAX_GENS = _MAX_RELATIONS = 2
+
+
+def _random_presented(alg, s, u, seed, window, reduce_torsion,
+                      relation_degrees="any"):
     q = quotient_set(s, u)
     if q is None:
         raise PreconditionError("the quotient set (S : U) is empty")
@@ -464,13 +463,13 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
     F = alg.field
     for _attempt in range(8):
         gens = [(rng.choices(usable, weights)[0], rng.randrange(alg.k))
-                for _ in range(rng.randint(1, max_gens))]
+                for _ in range(rng.randint(1, _MAX_GENS))]
         proj = projective_module(alg, gens, window)
         degrees = [d for d in proj.degrees() if d > min(m for m, _ in gens)]
         if relation_degrees == "quotient":
             degrees = [d for d in degrees if q.try_contains(d)]
         seeds = {}
-        for _ in range(rng.randint(0, max_relations)):
+        for _ in range(rng.randint(0, _MAX_RELATIONS)):
             if not degrees:
                 break
             d = rng.choice(degrees)
@@ -491,8 +490,7 @@ def _random_presented(alg, s, u, seed, window, max_gens, max_relations,
 
 
 def random_category_module(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
-                           seed, window=None, max_gens=2,
-                           max_relations=2) -> GradedModule:
+                           seed, window=None) -> GradedModule:
     """A seeded random A-module generated in (S:U)-degrees, torsion-free.
 
     Presentation: a projective module P on random tagged generators in
@@ -502,34 +500,29 @@ def random_category_module(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
     at degrees not off S, and at the others the x whose products into
     degrees not off S lie in R.  Deterministic in (seed, arguments).
     """
-    return _random_presented(a, s, u, seed, window, max_gens, max_relations,
-                             reduce_torsion=True)
+    return _random_presented(a, s, u, seed, window, reduce_torsion=True)
 
 
 def random_killed_module(b: GradedAlgebra, s: DegreeSet, u: DegreeSet,
-                         seed, window=None, max_gens=2,
-                         max_relations=2) -> GradedModule:
+                         seed, window=None) -> GradedModule:
     """A seeded random module over the killed algebra, generated in (S:U).
 
     Unlike killing a random ambient module, presentations taken directly
     over A_U need not be liftable, so these exercise both branches of the
     liftability checks.
     """
-    return _random_presented(b, s, u, seed, window, max_gens, max_relations,
-                             reduce_torsion=False)
+    return _random_presented(b, s, u, seed, window, reduce_torsion=False)
 
 
 def random_presented_module(b: GradedAlgebra, s: DegreeSet, u: DegreeSet,
-                            seed, window=None, max_gens=2,
-                            max_relations=2) -> GradedModule:
+                            seed, window=None) -> GradedModule:
     """A seeded random module over the killed algebra presented in (S:U).
 
     Generators and relation degrees both lie in the quotient set, which is
     exactly the shape the lifted category is guaranteed to contain, so
     every module produced here passes the liftability check.
     """
-    return _random_presented(b, s, u, seed, window, max_gens, max_relations,
-                             reduce_torsion=False,
+    return _random_presented(b, s, u, seed, window, reduce_torsion=False,
                              relation_degrees="quotient")
 
 
@@ -559,7 +552,7 @@ class EquivalenceReport:
 
 
 def equivalence_harness(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
-                        samples=20, seed=0, window=None) -> EquivalenceReport:
+                        samples=20, seed=0) -> EquivalenceReport:
     """Compare hom dimensions before and after killing on random pairs.
 
     For each sample draws M, N generated in (S:U)-degrees and cogenerated
@@ -576,8 +569,8 @@ def equivalence_harness(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
     rows = []
     for i in range(samples):
         rng = random.Random(seed * 1000003 + i)
-        m = random_category_module(a, s, u, rng, window)
-        n = random_category_module(a, s, u, rng, window)
+        m = random_category_module(a, s, u, rng)
+        n = random_category_module(a, s, u, rng)
         ambient = hom_space_dim(m, n)
         killed = hom_space_dim(kill_support_module(m, s, u, b),
                                kill_support_module(n, s, u, b))
@@ -606,7 +599,7 @@ def regraded_interval_conditions(v: GradedModule, a: GradedAlgebra, n, r=1):
     for sigma in range(v.window[0], v.window[1] + 1):
         if sigma % (r + 1) or v.component(sigma).dim == 0:
             continue
-        got = _kernel_push(v, a, sigma, r, r + 1, r, n - r)
+        got = _kernel_push(v, a, sigma, r, r + 1, n - r)
         if got is not None:
             out.append((sigma, got[1] is None, got[1]))
     return tuple(out)
@@ -673,12 +666,8 @@ def koszul_pipeline(a: GradedAlgebra, n, m=0):
     _check_hypotheses_algebra_only(a, s, u)
 
     b = kill_support_algebra(a, u)
-    sigma_top = 0
-    while True:
-        j, i = divmod(sigma_top + 1, 2)
-        if n * j + i > top:
-            break
-        sigma_top += 1
+    # the largest sigma with delta(sigma) = n (sigma // 2) + sigma % 2 <= top
+    sigma_top = 2 * (top // n) + min(top % n, 1)
     phi = delta_map(u, 0, (0, sigma_top))
     regraded = regrade_algebra(b, phi)
     verdict = validate_algebra(regraded)

@@ -383,6 +383,25 @@ def test_lift_text_mode_reports_the_certificate(capsys, tmp_path):
     assert "certified" in out
 
 
+@pytest.mark.parametrize("command", ["lift", "lift-check"])
+@pytest.mark.parametrize("h, witness", [
+    (0, "('unit', 0, 0)"), (1, "('assoc', (0, 1, 3), (0, 0, 0))")])
+def test_lift_commands_refuse_a_module_that_fails_validation(
+        capsys, tmp_path, command, h, witness):
+    # the CI round-trip inputs with entry [0][0] of the (0, h) action map
+    # set to 1000000: lift ended in a traceback, lift-check in "liftable"
+    a = truncated_polynomial(8, 1, window=(0, 7), field=GF(101))
+    obj = module_to_json(regular_module(kill_support_algebra(a, U3)))
+    [item] = [m for m in obj["action"] if (m["g"], m["h"]) == (0, h)]
+    item["matrix"]["entries"][0][0] = 1000000
+    xf = write_json(tmp_path / "x.json", obj)
+    uf = write_json(tmp_path / "u.json", degree_set_to_json(U3))
+    af = write_json(tmp_path / "a.json", algebra_to_json(a))
+    code, out, err = run(capsys, command, xf, uf, uf, af, "--format", "json")
+    assert (code, out) == (2, "")
+    assert f"not a module: {xf}, witness {witness}" in err
+
+
 # ---------------------------------------------------------------------------
 # the harness and pipeline commands
 

@@ -9,7 +9,10 @@ and then by the torsion of that quotient.  The library reads each of them
 off one pass: span(seeds + seeds A), one nullspace per off-S degree, and one
 quotient by the vectors whose every product into S evaluates to zero.
 These tests check that it returns the same subspace dicts, value for value,
-and the same lift reports.  Those oracles read the action through
+and the same lift reports.  The lift has a second oracle, the one the
+library ran before it read W off one vanishing scan: its own closure of the
+evaluation kernels and its torsion preimage modulo that closure, which must
+give the same lift with the same kept coordinates.  Those oracles read the action through
 right_action_matrix, the dense per-generator view the library used to
 build; the library reads only the stored action rows.
 
@@ -49,6 +52,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedsupport import lifting
 from gradedsupport.constructions import (_layout_module, group_algebra,
                                          present_module, projective_layout,
                                          projective_module, quiver_algebra,
@@ -255,6 +259,31 @@ def lift_by_two_quotients(x, s, u, a):
         raise InternalConsistencyError("left the category")
     return LiftReport(True, (), report.triples_checked, lifted, True, True,
                       True)
+
+
+def lift_by_closed_kernels(x, s, u, a):
+    """The lift and the coordinates its quotient kept, with W the torsion
+    preimage modulo the action closure of the evaluation kernels at the
+    S-degrees; None when the containment scan rejects x."""
+    if not liftability_check(x, s, u, a).liftable:
+        return None
+    F = a.field
+    qdegs = [m for m in quotient_set(s, u).members_in(*x.window)
+             if x.component(m).dim]
+    if not qdegs:
+        return GradedModule(a, x.window, {}, {}), None
+    gens, meta = _generator_data(x, qdegs)
+    pwindow, pcomps, layout = projective_layout(a, gens, x.window)
+    induced = _layout_module(a, pwindow, pcomps, layout)
+    kernels = {}
+    for t in s.members_in(*x.window):
+        if layout.get(t):
+            ev = _evaluation_rows(x, layout[t], meta)
+            kernels[t] = kernel(Matrix._of(F, len(ev), x.component(t).dim,
+                                           tuple(ev))).basis
+    lifted, _, keep = quotient_with_maps(induced, torsion_spaces(
+        induced, s, closure_under_action(induced, kernels)))
+    return lifted, keep
 
 
 def hom_basis_by_dense_equations(m, n):
@@ -1043,6 +1072,71 @@ def test_lift_matches_the_two_quotient_construction(field, n, kind, shift,
     if field in (GF(101), QQ) and not isinstance(got, type) and got.liftable:
         back = kill_support_module(got.lift, s, u, b)
         assert certified_isomorphism(back, x) is not None
+
+
+def _lift_and_keep(x, s, u, a):
+    """check_and_lift's lift and the coordinates its quotient kept (None
+    when it builds no quotient), or None when x does not lift."""
+    kept = []
+
+    def recording(m, spaces):
+        got = quotient_with_maps(m, spaces)
+        kept.append(got[2])
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting, "quotient_with_maps", recording)
+        report = check_and_lift(x, s, u, a)
+    if not report.liftable:
+        assert report.lift is None
+        return None
+    return report.lift, kept[0] if kept else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS), n=st.integers(3, 5),
+       kind=st.sampled_from(["poly", "loops", "cycle"]),
+       shift=st.integers(0, 4), killed=st.booleans(),
+       seed=st.integers(0, 2 ** 31))
+def test_lift_matches_the_closed_kernel_quotient(field, n, kind, shift,
+                                                 killed, seed):
+    a = z_algebra(kind, 2 * n + 1, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(shift)
+    b = kill_support_algebra(a, u)
+    if killed:
+        x = random_killed_module(b, s, u, seed)
+    else:
+        x = kill_support_module(random_category_module(a, s, u, seed), s, u, b)
+    got = _outcome(lambda: _lift_and_keep(x, s, u, a))
+    want = _outcome(lambda: lift_by_closed_kernels(x, s, u, a))
+    if got is None or want is None or isinstance(want, type):
+        assert got == want
+        return
+    assert modules_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_a_forced_containment_pass_never_returns_a_lift():
+    # the certificates vouch for the lift on their own: with the scan
+    # forced to pass, every module it rejects ends in an internal error
+    field = GF(101)
+    rejected = 0
+    for n in (3, 4, 5):
+        a = z_algebra("poly", 2 * n + 1, field)
+        u = DegreeSet.periodic(n, (0, 1))
+        b = kill_support_algebra(a, u)
+        for seed in range(60):
+            x = random_killed_module(b, u, u, seed)
+            if liftability_check(x, u, u, a).liftable:
+                continue
+            rejected += 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lifting, "_liftability",
+                           lambda *_: LiftReport(True, ()))
+                with pytest.raises(InternalConsistencyError):
+                    check_and_lift(x, u, u, a)
+    assert rejected >= 30
 
 
 @pytest.mark.parametrize("kind", ["poly", "loops", "cycle"])

@@ -128,8 +128,8 @@ def test_absent_and_empty_maps_push_differently():
                              {(0, 1): present, (0, 2): present})
         assert absent._rows(0, 2) is None
         assert empty._rows(0, 2) == {}
-        assert _kernel_push(absent, a, 0, 1, 2, 1, 1) == (False, None)
-        assert _kernel_push(empty, a, 0, 1, 2, 1, 1) == (True, None)
+        assert _kernel_push(absent, a, 0, 1, 2, 1) == (False, None)
+        assert _kernel_push(empty, a, 0, 1, 2, 1) == (True, None)
 
 
 # ---------------------------------------------------------------------------
