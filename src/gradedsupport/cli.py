@@ -28,8 +28,8 @@ from .serialize import (algebra_from_json, algebra_to_json,
                         degree_set_from_json, degree_set_to_json, dump_json,
                         module_from_json, module_to_json,
                         windowed_map_from_json)
-from .subsets import (DegreeSet, enumerate_ring_supporting, is_left_modular,
-                      is_right_modular, is_ring_supporting)
+from .subsets import (ENUMERATION_CAP, DegreeSet, enumerate_ring_supporting,
+                      is_left_modular, is_right_modular, is_ring_supporting)
 
 _VAR_NAMES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -132,6 +132,9 @@ def _emit_algebra(args, a):
 def cmd_enumerate(args):
     if args.n is None and args.max_n is None:
         raise PreconditionError("pass --n or --max-n")
+    if args.max_n is not None and not 1 <= args.max_n <= ENUMERATION_CAP:
+        raise PreconditionError(f"--max-n must lie in 1..{ENUMERATION_CAP} "
+                                f"(the enumeration cap), got {args.max_n}")
     values = [args.n] if args.max_n is None else range(1, args.max_n + 1)
     results = []
     for n in values:
@@ -408,8 +411,9 @@ def build_parser():
 
     p = sub.add_parser("enumerate",
                        help="ring-supporting residue sets mod n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, dest="max_n")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--n", type=int)
+    one.add_argument("--max-n", type=int, dest="max_n")
     _add_format(p)
     p.set_defaults(func=cmd_enumerate)
 

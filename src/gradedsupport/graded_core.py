@@ -120,7 +120,8 @@ class _GradedObject:
                         raise ShapeError(f"{self._map_name}({g},{h}) keys "
                                          f"{(i, j)}, not a matched pair")
                 rows = {p: r for p, r in m.items() if r}
-                if max(map(max, rows.values()), default=-1) >= dim:
+                cols = set().union(*rows.values())  # one pass over the rows
+                if cols and not (min(cols) >= 0 and max(cols) < dim):
                     raise ShapeError(f"{self._map_name}({g},{h}) has a column "
                                      f"beyond the {dim} of its target")
             if rows or dim and self.pairs(g, h):

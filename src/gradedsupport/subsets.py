@@ -28,7 +28,9 @@ pairs are written (U, S) with the ring set first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from .errors import (CapacityError, InternalConsistencyError, PreconditionError,
                      UnsupportedFormError, WindowViolationError)
@@ -493,63 +495,56 @@ def quotient_set(s: DegreeSet, u: DegreeSet):
 ENUMERATION_CAP = 16
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, ascending."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + [n] if n > 1 else out
-
-
 def enumerate_ring_supporting(n) -> list:
     """All J in Z/n with 0 in J, J ring-supporting, trivial stabilizer.
 
     Sorted by cardinality then lexicographically on the sorted residue
     tuple.  For n = 1 the answer [{0}] stands for U = Z.
 
-    Each candidate is a bitmask of J, unrolled over [0, 3n) into the view
-    the pair scan reads.  Two cheap filters run before the pair scan, and
-    neither drops a set the scan would keep:
+    The candidates J_m = {0} u {k+1 : bit k of m}, m < 2^(n-1), are
+    bit-sliced: bit m of planes[x] is set iff x is in J_m, so one AND, OR
+    or XOR of planes evaluates a membership formula on every candidate at
+    once; planes[k+1] repeats 2^k zeros and 2^k ones.  J_m is dropped when
 
-    * the pair (a, a), a the smallest nonzero member, is tested inline.  It
-      is one of the pairs the scan walks, so a set failing it fails the
-      scan.  The scan walks the nonzero members only: with 0 in J, a pair
-      with a = 0 or b = 0 has an empty breaking mask, and c = 0 never
-      breaks a pair.
-    * the stabilizer is tested only at the shifts n/p, p a prime dividing
-      n.  The stabilizer is a subgroup of Z/n; a nontrivial one contains
-      an element of some prime order p, and the subgroup of order p is
-      generated by n/p.
+    * a, b, c, a+b+c lie in J and exactly one of a+b, b+c does.  Triples
+      with a zero never break (b = 0 puts a+b and b+c at a and c, a = 0 at
+      b and a+b+c), and the condition is symmetric in a and c, so nonzero
+      a <= c are walked, grouped by s = a+b: both[c] has c and s+c in J,
+      differ[y] exactly one of s and y.
+    * a proper divisor d of n fixes J: a nonzero g fixing J generates the
+      subgroup that gcd(g, n) does.
     """
     if n < 1:
         raise PreconditionError(f"modulus must be >= 1, got {n}")
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
-    full, ones = (1 << n) - 1, (1 << 3 * n) - 1
-    shifts = [n // p for p in _prime_factors(n)]
-    found = []
-    for mask in range(1, full + 1, 2):  # bit 0 set: 0 in J
-        tri = mask | mask << n | mask << 2 * n  # J unrolled over [0, 3n)
-        rest = mask & ~1
-        if rest:
-            a = (rest & -rest).bit_length() - 1
-            relevant = mask & tri >> 2 * a
-            in_j = tri >> a
-            if relevant & ~in_j if tri >> 2 * a & 1 else relevant & in_j:
-                continue
-        view = (tri, ones)
-        if _shifts(view, (mask, full), shifts):
-            continue
-        nonzero = _bits(rest)
-        if _pair_scan(view, view, view, rest, 0, nonzero, nonzero) is None:
-            found.append(frozenset([0, *nonzero]))
-    found.sort(key=lambda j: (len(j), tuple(sorted(j))))
-    return found
+    planes = [1]  # over the one candidate m = 0, then doubled: w -> 2w
+    for k in range(n - 1):  # J_(m + w) is J_m plus the residue k+1
+        w = 1 << k
+        planes = [p | p << w for p in planes] + [((1 << w) - 1) << w]
+    bad = 0
+    for s in range(n):
+        both = [planes[c] & planes[(s + c) % n] for c in range(n)]
+        differ = [planes[s] ^ p for p in planes]
+        for b in range(1, n):
+            if a := (s - b) % n:
+                bad |= planes[a] & planes[b] & reduce(
+                    or_, [both[c] & differ[(b + c) % n] for c in range(a, n)])
+    good = planes[0] & ~bad
+    for d in (d for d in range(1, n) if n % d == 0):
+        good &= reduce(or_, [planes[x] ^ planes[(x + d) % n] for x in range(n)])
+    # lists, not tuples: thousands of freed tuples stay on their free lists
+    # and fragment the heap, so peak RSS would creep up from call to call
+    low = [[0, *(k + 1 for k in _bits(t))] for t in range(8)]
+    found = []  # m = 8i + t: t holds residues 1..3 and i the rest
+    for i, byte in enumerate(good.to_bytes(1 << n >> 4 or 1, "little")):
+        if byte:
+            high = [k + 4 for k in _bits(i)]
+            found += [low[t] + high for t in _bits(byte)]
+    found.sort()
+    found.sort(key=len)  # stable: by size, then lexicographically
+    return list(map(frozenset, found))
 
 
 def reduce_mod_stabilizer(u: DegreeSet):

@@ -109,6 +109,31 @@ def test_enumerate_without_n_is_a_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_enumerate_refuses_a_max_n_below_one(capsys, max_n):
+    code, out, err = run(capsys, "enumerate", "--max-n", max_n,
+                         "--format", "json")
+    assert (code, out) == (2, "")
+    assert f"--max-n must lie in 1..16 (the enumeration cap), got {max_n}" \
+        in err
+
+
+def test_enumerate_refuses_n_together_with_max_n(capsys):
+    with pytest.raises(SystemExit) as usage_error:  # argparse exits 2
+        main(["enumerate", "--n", "3", "--max-n", "2"])
+    assert usage_error.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument --n" in err
+
+
+def test_enumerate_checks_the_cap_before_enumerating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_ring_supporting", calls.append)
+    code, out, err = run(capsys, "enumerate", "--max-n", "17")
+    assert (code, out, calls) == (2, "", [])
+    assert "--max-n must lie in 1..16 (the enumeration cap), got 17" in err
+
+
 # ---------------------------------------------------------------------------
 # check-set and check-pair
 

@@ -329,6 +329,24 @@ def test_pair_keyed_tables_are_checked():
         GradedAlgebra(Z, a.window, 2, a.field, a.components, mult, a.unit)
 
 
+def test_a_negative_column_is_refused_like_one_past_the_target():
+    # the dense view would read column -1 as the last column of the target
+    a = quiver_algebra(2, [(0, 1), (1, 0)], [], 2)
+    one = a.field.one()
+    comps = {0: LabeledSpace.module_component((0,)),
+             1: LabeledSpace.module_component((1,))}
+    for col in (-1, 1):
+        action = {(0, 0): {(0, 0): {0: one}},
+                  (0, 1): {(0, 0): {col: one}}}
+        with pytest.raises(ShapeError, match=r"action\(0,1\) has a column "
+                                             "beyond the 1 of its target"):
+            GradedModule(a, (0, 1), comps, action)
+    mult = dict(a._maps)
+    mult[(1, 1)] = {a.pairs(1, 1)[0]: {-1: one}}
+    with pytest.raises(ShapeError, match=r"mult\(1,1\) has a column"):
+        GradedAlgebra(Z, a.window, 2, a.field, a.components, mult, a.unit)
+
+
 # ---------------------------------------------------------------------------
 # torsion
 

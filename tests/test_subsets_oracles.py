@@ -4,12 +4,14 @@ The oracles below are the earlier implementations, kept as independent
 references: the periodic ring-supporting scan and the common-modulus right
 premodular scan, each a triple loop over residue membership tables; the two
 windowed triple loops; the enumeration that rotated a bitmask once per
-shift and tested every pair of members; and the shift-by-shift stabilizer,
-quotient-set, canonical-period and intersection comprehensions.  The
-library decides every form with one bitmask pair scan and reads every
-shift off one helper.  These tests check that it returns the same Verdict
-(holds, witness and window_certified), the same enumeration and the same
-degree sets, value for value.
+shift and tested every pair of members, and the per-mask pair scan that
+followed it; and the shift-by-shift stabilizer, quotient-set,
+canonical-period and intersection comprehensions.  The library decides
+every form with one bitmask pair scan, reads every shift off one helper
+and enumerates all candidates of a modulus at once on bit planes.  These
+tests check that it returns the same Verdict (holds, witness and
+window_certified), the same enumeration and the same degree sets, value
+for value.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from gradedsupport.errors import InternalConsistencyError
-from gradedsupport.subsets import (DegreeSet, Verdict, Z, Zn,
+from gradedsupport.subsets import (ENUMERATION_CAP, DegreeSet, Verdict, Z,
+                                   Zn, _bits, _pair_scan, _shifts,
                                    enumerate_ring_supporting,
                                    is_left_premodular, is_right_premodular,
                                    is_ring_supporting, quotient_set,
@@ -229,6 +232,44 @@ def enumerate_by_rotations(n):
     return found
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def enumerate_by_pair_scan(n):
+    """The per-mask enumeration before the bit planes: per candidate, the
+    pair (a, a) inline, the stabilizer at the shifts n/p and one pair scan
+    over the nonzero members."""
+    full, ones = (1 << n) - 1, (1 << 3 * n) - 1
+    shifts = [n // p for p in _prime_factors(n)]
+    found = []
+    for mask in range(1, full + 1, 2):  # bit 0 set: 0 in J
+        tri = mask | mask << n | mask << 2 * n  # J unrolled over [0, 3n)
+        rest = mask & ~1
+        if rest:
+            a = (rest & -rest).bit_length() - 1
+            relevant = mask & tri >> 2 * a
+            in_j = tri >> a
+            if relevant & ~in_j if tri >> 2 * a & 1 else relevant & in_j:
+                continue
+        view = (tri, ones)
+        if _shifts(view, (mask, full), shifts):
+            continue
+        nonzero = _bits(rest)
+        if _pair_scan(view, view, view, rest, 0, nonzero, nonzero) is None:
+            found.append(frozenset([0, *nonzero]))
+    found.sort(key=lambda j: (len(j), tuple(sorted(j))))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -236,6 +277,12 @@ def enumerate_by_rotations(n):
 def test_enumeration_matches_rotation_loop():
     for n in range(1, 13):
         assert enumerate_ring_supporting(n) == enumerate_by_rotations(n)
+
+
+def test_bit_planes_match_the_per_mask_pair_scan():
+    # n = 1..4 fit a plane in one byte; n = 16 is the cap
+    for n in range(1, ENUMERATION_CAP + 1):
+        assert enumerate_ring_supporting(n) == enumerate_by_pair_scan(n)
 
 
 # count and SHA-256 of json.dumps([sorted(j) ...], separators=(",", ":"))
