@@ -23,22 +23,17 @@ built on first use for the public API and JSON.
 
 One elimination kernel
 ----------------------
-_echelon is the only elimination.  It takes rows as dense sequences or as
-dicts {column: value} (zeros allowed, keys in any order), keeps every row as
-a dict of its nonzeros, and returns the canonical basis as dict rows and
-pivots, in two steps:
+_forward is the only elimination, one Gauss-Jordan loop.  It takes rows as
+dense sequences or as dicts {column: value} (zeros allowed, keys in any
+order), keeps every row as a dict of its nonzeros, and reduces each
+incoming row at the pivot columns it holds.  A row left nonzero is made
+unit at its leading column, a new pivot, and that column is cleared from
+the earlier pivot rows, so the rows held are always the canonical basis
+of what was read so far.
 
-- forward elimination (_forward) reduces each incoming row only at the
-  pivot columns it holds, and makes a row left nonzero unit at its leading
-  column, a new pivot.  No pivot is cleared from the earlier rows;
-- back-substitution (_back_substitute) clears the other pivots from a row,
-  taking the rows it needs in descending pivot order, each already
-  reduced.  It runs on a pivot row just before forward elimination
-  subtracts it, and once over the rest at the end, so a row is brought up
-  to date when it is used, not each time a new pivot appears.
-
-A rank needs only the forward step (_rank).  Every other operation is one
-_echelon call plus a read-off of its pivots and free columns:
+A rank is the number of pivots (_rank).  _echelon sorts the basis by
+pivot, and every other operation is one _echelon call plus a read-off of
+its pivots and free columns:
 
 - rref is its dense view;
 - nullspace(field, rows, ncols) is {x : r . x = 0 for every row r}, one
@@ -340,88 +335,45 @@ def _axpy(field, row, c, src, skip):
 
 
 def _forward(field, rows, ncols):
-    """Forward elimination: returns (basis, fresh).
+    """Gauss-Jordan elimination: the canonical basis as {pivot: row}.
 
-    basis maps each pivot column to its row, a dict of nonzeros that is 1
-    at the pivot and 0 left of it.  Each incoming row is reduced only at
-    the pivots it holds, each by a row first brought up to date by
-    _back_substitute, so the subtractions bring in no other pivot; a row
-    left nonzero is scaled to a unit leading entry and pivots there.  No
-    pivot is cleared from the earlier rows: a row holds the pivots found
-    after it until it is next used.  fresh[p] is the pivot count when row
-    p last held no other pivot.
+    Each incoming row is reduced at the pivots it holds; a row left
+    nonzero is scaled to a unit leading entry, its column is cleared from
+    the earlier pivot rows, and it pivots there.  Every row in the dict is
+    a dict of nonzeros, 1 at its pivot and 0 at every other pivot.
     """
     one = field.one()
-    basis, fresh = {}, {}
+    basis = {}
     for r in rows:
         if len(basis) == ncols:
             break
         row = {j: v for j, v in _entries(r) if v}
         for p in [j for j in row if j in basis]:
-            prow = basis[p]
-            if fresh[p] != len(basis) and len(prow) > 1:
-                prow = _back_substitute(field, basis, fresh, p)
-            _axpy(field, row, row.pop(p), prow, p)
+            _axpy(field, row, row.pop(p), basis[p], p)
         if row:
             col = min(row)
             c = row[col]
             if c != one:
                 inv = field.inv(c)
                 row = {j: field.mul(inv, v) for j, v in row.items()}
+            for prow in basis.values():
+                if col in prow:
+                    _axpy(field, prow, prow.pop(col), row, col)
             basis[col] = row
-            fresh[col] = len(basis)
-    return basis, fresh
-
-
-def _back_substitute(field, basis, fresh, p):
-    """Clear every other pivot from row p, in place, and return the row.
-
-    The pivots a row holds lie right of its own, so the rows clearing them
-    are brought up to date first, in descending pivot order: each then
-    holds no other pivot, and each pivot a row holds costs one subtraction
-    that brings in no new one.  fresh[q] == len(basis) marks a row holding
-    no other pivot, so a row is looked at again only once a pivot has been
-    found since it was last brought up to date.
-    """
-    n = len(basis)
-    stack = [p]
-    while stack:
-        q = stack[-1]
-        if fresh[q] == n:
-            stack.pop()
-            continue
-        row = basis[q]
-        held = [j for j in row if j != q and j in basis]
-        stale = [j for j in held if fresh[j] != n]
-        if stale:
-            stack += stale
-            continue
-        for j in held:
-            _axpy(field, row, row.pop(j), basis[j], j)
-        fresh[q] = n
-        stack.pop()
-    return basis[p]
+    return basis
 
 
 def _rank(field, rows, ncols=None):
-    """Rank of rows, read off forward elimination, with no final pass."""
+    """Rank of rows: the number of pivots elimination finds."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    return len(_forward(field, rows, ncols)[0])
+    return len(_forward(field, rows, ncols))
 
 
 def _echelon(field, rows, ncols):
-    """The canonical basis of the row space as (dict rows, pivots).
-
-    Forward elimination, then one back-substitution pass over the rows
-    still holding another pivot.  Rows come back sorted by pivot, 1 at it
-    and 0 at every other pivot.
-    """
-    basis, fresh = _forward(field, rows, ncols)
-    n = len(basis)
-    for p, row in basis.items():
-        if fresh[p] != n and len(row) > 1:
-            _back_substitute(field, basis, fresh, p)
+    """The canonical basis of the row space as (dict rows, pivots), sorted
+    by pivot."""
+    basis = _forward(field, rows, ncols)
     pivots = sorted(basis)
     return tuple(basis[p] for p in pivots), tuple(pivots)
 

@@ -518,7 +518,7 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
     has no slot in the new window, raises a grading violation with witness
     (sigma, tau).
     """
-    img = {phi(s) for s in phi.domain()}
+    img = phi.image()
     for d in x.degrees():
         if d - g not in img:
             raise PreconditionError(
@@ -600,7 +600,7 @@ def _pushed_maps(x, phi: WindowedMap, g: int = 0):
     violation with witness (sigma, tau) otherwise, the least such pair
     first.
     """
-    img = {phi(s) for s in phi.domain()}
+    img = phi.image()
     maps = {}
     for (sigma, tau), rows in sorted(x._maps.items()):
         if phi(sigma) + phi(tau) in img:
@@ -928,7 +928,7 @@ def _hom_system(m: GradedModule, n: GradedModule):
     for d in m.degrees():
         pivots = _forward(F, _generated_rows(m, [s for s in m.degrees()
                                                  if s < d], d),
-                          m.component(d).dim)[0]
+                          m.component(d).dim)
         tags, nd = m.component(d).right_tags, n.component(d)
         for i in range(m.component(d).dim):
             if i not in pivots:

@@ -3,7 +3,8 @@
 A WindowedMap stores phi on a finite domain window.  The pseudomorphism
 property (phi(0) = 0, injective, and phi(a) + phi(b) in Im(phi) forces
 phi(a+b) = phi(a) + phi(b)) can only be certified on the window, so the
-checker returns a window-certified Verdict.
+checker returns a window-certified Verdict.  Its additivity scan walks
+every pair of window points, so PAIR_CAP bounds the pairs it will take on.
 
 delta_map builds the increasing enumeration of a periodic set anchored at a
 chosen image of 0: for U with canonical period n and residues
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, UnsupportedFormError, WindowViolationError
+from .errors import (CapacityError, PreconditionError, UnsupportedFormError,
+                     WindowViolationError)
 from .subsets import (FORM_FULL, FORM_PERIODIC, DegreeSet, Verdict)
 
 
@@ -104,11 +106,16 @@ def delta_map(u: DegreeSet, s0: int, window) -> WindowedMap:
     return WindowedMap.from_function(phi, window)
 
 
+PAIR_CAP = 10 ** 6
+
+
 def is_pseudomorphism(phi: WindowedMap) -> Verdict:
     """Window-certified check of the regrading-map axioms.
 
     Witnesses: ("zero",) if phi(0) != 0 or 0 is outside the window,
-    (a, b) for an injectivity collision or an additivity failure.
+    (a, b) for an injectivity collision or an additivity failure.  An
+    injective map whose window has more than PAIR_CAP pairs raises
+    CapacityError before the additivity scan.
     """
     lo, hi = phi.window
     if not lo <= 0 <= hi:
@@ -124,6 +131,10 @@ def is_pseudomorphism(phi: WindowedMap) -> Verdict:
             return Verdict(False, window_certified=True, witness=(seen[v], k),
                            reason="not injective")
         seen[v] = k
+    pairs = len(seen) ** 2
+    if pairs > PAIR_CAP:
+        raise CapacityError(f"the additivity scan walks {pairs} pairs of "
+                            f"window points, over the cap of {PAIR_CAP}")
     img = seen
     for a in phi.domain():
         fa = phi(a)

@@ -618,7 +618,7 @@ def structure_decompose(u: DegreeSet) -> IntervalDecomposition:
         return IntervalDecomposition(KIND_ALL)
     if u.form == FORM_PERIODIC:
         c = u.canonical()
-        if c.form == FORM_FULL or (c.group.kind == "Zn" and len(c.residues) == c.period):
+        if c.form == FORM_FULL:
             return IntervalDecomposition(KIND_ALL)
         n, J = c.period, c.residues
         runs = _cyclic_runs(J, n)
@@ -689,7 +689,7 @@ def is_translation_of_interval(u: DegreeSet):
         raise UnsupportedFormError(
             "interval-translation recognition needs Full or Periodic forms")
     c = u.canonical()
-    if c.form == FORM_FULL or (c.group.kind == "Zn" and len(c.residues) == c.period):
+    if c.form == FORM_FULL:
         raise PreconditionError("the whole group is excluded (needs period >= 2)")
     n, J = (c.period, c.residues)
     r = len(J) - 1

@@ -30,7 +30,8 @@ from gradedsupport.graded_core import (
     modules_equal,
     regrade_algebra,
 )
-from gradedsupport.regrade_maps import delta_map
+from gradedsupport import regrade_maps
+from gradedsupport.regrade_maps import WindowedMap, delta_map
 from gradedsupport.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -332,6 +333,36 @@ def test_regrade_matches_the_library(capsys, tmp_path):
     code, got = run_json(capsys, "regrade", alg, mp, "--format", "json")
     assert code == 0
     assert algebras_equal(algebra_from_json(got), regrade_algebra(b, phi))
+
+
+def test_regrade_admits_a_map_at_the_pair_cap_and_refuses_one_past_it(
+        capsys, tmp_path, monkeypatch):
+    # a map on the window (0, 4) has 5 x 5 = 25 pairs to scan
+    a = truncated_polynomial(7, 1, window=(0, 6))
+    b = kill_support_algebra(a, U3)
+    alg = write_json(tmp_path / "b.json", algebra_to_json(b))
+    mp = write_json(tmp_path / "phi.json",
+                    windowed_map_to_json(delta_map(U3, 0, (0, 4))))
+    monkeypatch.setattr(regrade_maps, "PAIR_CAP", 25)
+    code, _ = run_json(capsys, "regrade", alg, mp, "--format", "json")
+    assert code == 0
+    monkeypatch.setattr(regrade_maps, "PAIR_CAP", 24)
+    code, out, err = run(capsys, "regrade", alg, mp, "--format", "json")
+    assert code == 2 and out == ""
+    assert "25 pairs of window points, over the cap of 24" in err
+
+
+def test_regrade_refuses_a_long_map_before_the_pair_scan(capsys, tmp_path):
+    # 8,001 points: a scan of their 64,016,001 pairs would take minutes
+    alg = write_json(tmp_path / "a.json", algebra_to_json(
+        truncated_polynomial(3)))
+    mp = write_json(tmp_path / "phi.json", windowed_map_to_json(
+        WindowedMap.identity((-4000, 4000))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "regrade", alg, mp)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "64016001 pairs of window points, over the cap of" in err
 
 
 # ---------------------------------------------------------------------------

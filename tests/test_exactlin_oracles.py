@@ -12,12 +12,11 @@ e_i modulo a subspace is read off the pivot rows; the old pivot_reduce of
 the unit vector is kept as the oracle for the projection matrix behind
 preimage_subspace and for the mult tables of quiver_algebra.
 
-The kernel itself is forward elimination and back-substitution on
-{column: value} rows, and Subspace keeps those rows.  The Gauss-Jordan
-elimination it replaced, which cleared each new pivot from every earlier
-row, is kept as one more oracle; the last section checks the kernel and
-every Subspace method against the dense oracles over GF(2), GF(3), GF(101)
-and Q.
+The kernel itself is one Gauss-Jordan loop on {column: value} rows, and
+Subspace keeps those rows.  gauss_jordan_rref restates that loop apart
+from the library, as one more oracle; the last section checks the kernel
+and every Subspace method against the dense oracles over GF(2), GF(3),
+GF(101) and Q.
 
 Over Q an integral value is an int.  The Fraction-only field it replaced
 is kept as FractionField, and a section of its own checks the field
@@ -436,15 +435,15 @@ def test_quiver_tables_match_pivot_reduced_paths(quiver, field):
 
 
 # ---------------------------------------------------------------------------
-# forward elimination, one back-substitution pass, and dict-row subspaces
+# the Gauss-Jordan loop and dict-row subspaces
 
 
 ALL_FIELDS = [GF(2), GF(3), GF(101), QQ]
 
 
 def gauss_jordan_rref(field, rows, ncols):
-    """The elimination the kernel replaced: reduce each incoming row at the
-    pivots it holds, then clear its new pivot from every earlier row."""
+    """The kernel's loop, restated: reduce each incoming row at the pivots
+    it holds, then clear its new pivot from every earlier row."""
     one = field.one()
     basis = {}
     for r in rows:

@@ -10,7 +10,7 @@ from gradedsupport.constructions import (
     regular_module,
     truncated_polynomial,
 )
-from gradedsupport.errors import PreconditionError
+from gradedsupport.errors import PreconditionError, UnsupportedFormError
 from gradedsupport.exactlin import GF, LabeledSpace, Matrix
 from gradedsupport.graded_core import (
     GradedModule,
@@ -37,7 +37,7 @@ from gradedsupport.lifting import (
     regraded_interval_conditions,
 )
 from gradedsupport.regrade_maps import delta_map
-from gradedsupport.subsets import DegreeSet
+from gradedsupport.subsets import DegreeSet, is_right_modular
 
 U3 = DegreeSet.periodic(3, (0, 1))
 
@@ -169,6 +169,20 @@ def test_interval_checker_needs_an_interval():
     with pytest.raises(PreconditionError):
         liftability_check_interval(regular_module(kill_support_algebra(a, u)),
                                    u, u, a)
+
+
+W3 = DegreeSet.windowed(U3.members_in(-6, 6), (-6, 6))
+
+
+@pytest.mark.parametrize("s, u", [(W3, U3), (U3, W3)])
+@pytest.mark.parametrize("check", [liftability_check, check_and_lift])
+def test_checkers_refuse_a_windowed_s_or_u(check, s, u):
+    # the windowed pairs are right modular on their windows; the quotient
+    # set (S : U) is what refuses them, before any module support is read
+    assert is_right_modular(s, u).holds
+    a, b = killed_setup(top=5)
+    with pytest.raises(UnsupportedFormError):
+        check(regular_module(b), s, u, a)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,17 @@ def test_structure_decompose_shapes():
     assert structure_decompose(DegreeSet.full()).kind == "all_of_z"
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_residue_of_zn_is_the_whole_group(n):
+    # canonical() makes an every-residue set Full, so the whole-group
+    # branches see it through its form alone
+    u = DegreeSet.periodic(n, range(n), Zn(n))
+    assert u.canonical().form == "full"
+    assert structure_decompose(u).kind == "all_of_z"
+    with pytest.raises(PreconditionError):
+        is_translation_of_interval(u)
+
+
 # ---------------------------------------------------------------------------
 # set plumbing
 
