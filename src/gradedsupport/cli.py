@@ -24,9 +24,8 @@ from .graded_core import kill_support_algebra, regrade_algebra, \
     validate_algebra, validate_module
 from .lifting import check_and_lift, check_period, equivalence_harness, \
     koszul_pipeline, liftability_check, liftability_check_interval
-from .serialize import (algebra_from_json, algebra_to_json,
-                        degree_set_from_json, degree_set_to_json, dump_json,
-                        module_from_json, module_to_json,
+from .serialize import (algebra_from_json, degree_set_from_json,
+                        degree_set_to_json, dump_json, module_from_json,
                         windowed_map_from_json)
 from .subsets import (ENUMERATION_CAP, DegreeSet, enumerate_ring_supporting,
                       is_left_modular, is_right_modular, is_ring_supporting)
@@ -57,7 +56,10 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise PreconditionError(f"no such file: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:  # a directory, a file without read permission
+        raise PreconditionError(f"cannot read {path}: {e.strerror}")
+    except (ValueError, RecursionError) as e:
+        # a syntax error, an int too long to read, or nesting too deep
         raise SchemaError(f"invalid JSON in {path}: {e}")
 
 
@@ -119,7 +121,7 @@ def _module_text(m):
 
 def _emit_algebra(args, a):
     if args.format == "json":
-        _print_json(algebra_to_json(a))
+        _print_json(a)
     else:
         print(_algebra_text(a))
     return 0
@@ -203,7 +205,7 @@ def _lift_report_json(report, include_module):
            "generated_certified": report.generated_certified,
            "cogenerated_certified": report.cogenerated_certified}
     if include_module and report.lift is not None:
-        out["module"] = module_to_json(report.lift)
+        out["module"] = report.lift
     return out
 
 
@@ -245,7 +247,7 @@ def cmd_lift(args):
     x, s, u, a = _load_lift_inputs(args)
     report = check_and_lift(x, s, u, a)
     if report.liftable and args.format == "json" and not args.full_report:
-        _print_json(module_to_json(report.lift))
+        _print_json(report.lift)
         return 0
     return _print_lift_report(args, report, include_module=True)
 
@@ -317,7 +319,7 @@ def cmd_koszul_pipeline(args):
             "conditions": [{"sigma": sg, "holds": ok,
                             "witness": [str(e) for e in w] if w else None}
                            for (sg, ok, w) in report.conditions],
-            "regraded": algebra_to_json(regraded),
+            "regraded": regraded,
             "even_preimage": degree_set_to_json(even)})
         return 0 if report.holds else 1
     print(f"regraded algebra on window {report.regraded_window}, dims "

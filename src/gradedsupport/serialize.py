@@ -1,15 +1,24 @@
 """JSON forms for degree sets, windowed maps, matrices, algebras, modules.
 
-Loaders validate shape and types and raise SchemaError with a dotted path
-into the offending value; semantic validation (window coverage, tag ranges,
-matrix shapes) stays with the constructors, whose errors pass through.
+Writing.  dump_json, the writer of every --format json output, gives the
+canonical byte form json.dumps(obj, indent=2, sort_keys=True), byte for
+byte.  A GradedAlgebra or GradedModule anywhere in obj stands for its JSON
+form, the dict that algebra_to_json or module_to_json returns: components
+by degree, then one {g, h, matrix} object per stored map in degree-pair
+order.  dump_json writes the map table straight from the stored dict rows
+without building that dict, and renders the text of each distinct matrix
+once per call.  Rational entries are written as strings ("3", "-1/2") so
+the files stay exact; prime-field entries are plain integers.
 
-Rational entries are written as strings ("3", "-1/2") so the files stay
-exact, and an integral one is read back as an int; prime-field entries are
-plain integers.  Emission orders components
-by degree and maps by degree pair, so dump_json, the writer of every
---format json output, gives a canonical byte form: that of
-json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+Reading.  Loaders check shape and types and raise SchemaError with a dotted
+path into the offending value, such as "action[3].matrix.entries[0][1]".
+A path is carried as a tuple of its keys and indices and joined into text
+only when an error is raised.  Each matrix row is read in one pass, a
+plain int over GF(p) reduced in place, and each distinct rational string
+is parsed once per call; an integral rational is read back as an int, and
+exponent forms such as "1e9" are refused, since Fraction would expand them.
+Semantic validation (window coverage, tag ranges, matrix shapes) stays
+with the constructors, whose errors pass through.
 """
 
 from __future__ import annotations
@@ -26,40 +35,60 @@ from .subsets import (DegreeSet, FORM_FULL, FORM_PERIODIC, FORM_WINDOWED,
                       GradedGroup, Z, Zn)
 
 
-def _child(path, key):
-    return f"{path}.{key}" if path else str(key)
+def _parts(path):
+    """A loader's path argument as a tuple of keys: a dotted string from a
+    caller, or the tuple another loader passes down."""
+    return path if type(path) is tuple else (path,)
 
 
-def _get(obj, key, path, kind=None, required=True):
+def _path(*parts):
+    """The dotted path of parts, for an error: a key joins with '.', an int
+    index is written [i]."""
+    out = ""
+    for p in parts:
+        out = f"{out}[{p}]" if type(p) is int else f"{out}.{p}" if out else p
+    return out
+
+
+def _get(obj, key, at, kind=None, required=True):
     if not isinstance(obj, dict):
-        raise SchemaError("expected an object", path)
+        raise SchemaError("expected an object", _path(*at))
     if key not in obj:
         if required:
-            raise SchemaError(f"missing key '{key}'", path)
+            raise SchemaError(f"missing key '{key}'", _path(*at))
         return None
     value = obj[key]
     if kind is not None and not isinstance(value, kind):
         # bool is an int subtype; never accept it where numbers are meant
-        raise SchemaError(f"'{key}' has the wrong type", _child(path, key))
+        raise SchemaError(f"'{key}' has the wrong type", _path(*at, key))
     return value
 
 
-def _int(value, path):
+def _int(value, at):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError("expected an integer", path)
+        raise SchemaError("expected an integer", _path(*at))
     return value
 
 
-def _int_list(value, path):
+def _get_int(obj, key, at):
+    if type(obj) is dict and type(value := obj.get(key)) is int:
+        return value
+    return _int(_get(obj, key, at), (*at, key))
+
+
+def _int_list(value, at):
     if not isinstance(value, list):
-        raise SchemaError("expected a list of integers", path)
-    return [_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        raise SchemaError("expected a list of integers", _path(*at))
+    for i, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaError("expected an integer", _path(*at, i))
+    return value
 
 
-def _pair(value, path):
-    got = _int_list(value, path)
+def _pair(value, at):
+    got = _int_list(value, at)
     if len(got) != 2:
-        raise SchemaError("expected a pair [lo, hi]", path)
+        raise SchemaError("expected a pair [lo, hi]", _path(*at))
     return (got[0], got[1])
 
 
@@ -74,12 +103,13 @@ def group_to_json(group: GradedGroup) -> dict:
 
 
 def group_from_json(obj, path="group") -> GradedGroup:
-    kind = _get(obj, "kind", path, str)
+    at = _parts(path)
+    kind = _get(obj, "kind", at, str)
     if kind == "Z":
         return Z
     if kind == "Zn":
-        return Zn(_int(_get(obj, "n", path), _child(path, "n")))
-    raise SchemaError(f"unknown group kind '{kind}'", _child(path, "kind"))
+        return Zn(_get_int(obj, "n", at))
+    raise SchemaError(f"unknown group kind '{kind}'", _path(*at, "kind"))
 
 
 def degree_set_to_json(s: DegreeSet) -> dict:
@@ -94,21 +124,20 @@ def degree_set_to_json(s: DegreeSet) -> dict:
 
 
 def degree_set_from_json(obj, path="") -> DegreeSet:
-    group = group_from_json(_get(obj, "group", path), _child(path, "group"))
-    form = _get(obj, "form", path, str)
+    at = _parts(path)
+    group = group_from_json(_get(obj, "group", at), (*at, "group"))
+    form = _get(obj, "form", at, str)
     if form == FORM_FULL:
         return DegreeSet.full(group)
     if form == FORM_PERIODIC:
-        period = _int(_get(obj, "n", path), _child(path, "n"))
-        residues = _int_list(_get(obj, "residues", path),
-                             _child(path, "residues"))
+        period = _get_int(obj, "n", at)
+        residues = _int_list(_get(obj, "residues", at), (*at, "residues"))
         return DegreeSet.periodic(period, residues, group)
     if form == FORM_WINDOWED:
-        elements = _int_list(_get(obj, "elements", path),
-                             _child(path, "elements"))
-        window = _pair(_get(obj, "window", path), _child(path, "window"))
+        elements = _int_list(_get(obj, "elements", at), (*at, "elements"))
+        window = _pair(_get(obj, "window", at), (*at, "window"))
         return DegreeSet.windowed(elements, window, group)
-    raise SchemaError(f"unknown form '{form}'", _child(path, "form"))
+    raise SchemaError(f"unknown form '{form}'", _path(*at, "form"))
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +151,21 @@ def windowed_map_to_json(phi: WindowedMap) -> dict:
 
 
 def windowed_map_from_json(obj, path="") -> WindowedMap:
-    window = _pair(_get(obj, "window", path), _child(path, "window"))
-    raw = _get(obj, "values", path, list)
+    at = _parts(path)
+    window = _pair(_get(obj, "window", at), (*at, "window"))
+    raw = _get(obj, "values", at, list)
     pairs = []
     for i, item in enumerate(raw):
-        got = _int_list(item, f"{_child(path, 'values')}[{i}]")
+        got = _int_list(item, (*at, "values", i))
         if len(got) != 2:
             raise SchemaError("expected [argument, value]",
-                              f"{_child(path, 'values')}[{i}]")
+                              _path(*at, "values", i))
         pairs.append((got[0], got[1]))
     phi = WindowedMap.from_pairs(pairs)
     if phi.window != window:
         raise SchemaError(
             f"declared window {list(window)} does not match the values",
-            _child(path, "window"))
+            _path(*at, "window"))
     return phi
 
 
@@ -150,22 +180,22 @@ def _field_keys(field) -> dict:
 
 
 def field_from_json(obj, path="") -> object:
-    name = _get(obj, "field", path, str)
+    at = _parts(path)
+    name = _get(obj, "field", at, str)
     if name == "Q":
         return QQ
     if name == "GF(p)":
-        ppath = _child(path, "p")
-        p = _int(_get(obj, "p", path), ppath)
+        p = _get_int(obj, "p", at)
         try:
             return GF(p)
         except (ValueError, CapacityError) as e:
-            raise SchemaError(str(e), ppath)
+            raise SchemaError(str(e), _path(*at, "p"))
     if name.startswith("GF(") and name.endswith(")"):
         try:
             return GF(int(name[3:-1]))
         except ValueError:
             pass
-    raise SchemaError(f"unknown field '{name}'", _child(path, "field"))
+    raise SchemaError(f"unknown field '{name}'", _path(*at, "field"))
 
 
 def _entry_to_json(field, e):
@@ -174,17 +204,25 @@ def _entry_to_json(field, e):
     return e
 
 
-def _entry_from_json(field, value, path):
+def _entry(field, value, rationals, *at):
+    """One entry at path `at` read as a field element; `rationals` holds
+    the strings parsed so far in this call."""
     if field.name == "Q":
         if isinstance(value, str):
-            try:
-                return integral(Fraction(value))
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError(f"bad rational '{value}'", path)
+            got = rationals.get(value)
+            if got is None:
+                try:
+                    # Fraction would expand an exponent to 10**exponent
+                    if "e" in value or "E" in value:
+                        raise ValueError(value)
+                    got = rationals[value] = integral(Fraction(value))
+                except (ValueError, ZeroDivisionError):
+                    raise SchemaError(f"bad rational '{value}'", _path(*at))
+            return got
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError("rational entries are strings or integers",
-                              path)
-    return field.from_int(_int(value, path))
+                              _path(*at))
+    return field.from_int(_int(value, at))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -206,18 +244,28 @@ def _rows_to_json(F, rows, cols) -> dict:
 def matrix_from_json(obj, path="", field=None) -> Matrix:
     if field is None:
         field = field_from_json(obj, path)
-    rows = _int(_get(obj, "rows", path), _child(path, "rows"))
-    cols = _int(_get(obj, "cols", path), _child(path, "cols"))
-    raw = _get(obj, "entries", path, list)
+    return _matrix(obj, _parts(path), field, {})
+
+
+def _matrix(obj, at, field, rationals):
+    rows = _get_int(obj, "rows", at)
+    cols = _get_int(obj, "cols", at)
+    raw = _get(obj, "entries", at, list)
     if len(raw) != rows:
-        raise SchemaError(f"expected {rows} rows", _child(path, "entries"))
+        raise SchemaError(f"expected {rows} rows", _path(*at, "entries"))
+    p = getattr(field, "p", None)
     nz = []
     for i, row in enumerate(raw):
-        rpath = f"{_child(path, 'entries')}[{i}]"
         if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"expected a row of {cols} entries", rpath)
-        nz.append({j: v for j, e in enumerate(row)
-                   if (v := _entry_from_json(field, e, f"{rpath}[{j}]"))})
+            raise SchemaError(f"expected a row of {cols} entries",
+                              _path(*at, "entries", i))
+        got = {}
+        for j, e in enumerate(row):  # a plain int over GF(p) read in place
+            v = e % p if p and type(e) is int else \
+                _entry(field, e, rationals, *at, "entries", i, j)
+            if v:
+                got[j] = v
+        nz.append(got)
     return Matrix._of(field, rows, cols, tuple(nz))
 
 
@@ -235,92 +283,107 @@ def _components_to_json(components) -> list:
     return out
 
 
-def _components_from_json(raw, path):
+def _components_from_json(raw, at):
     if not isinstance(raw, list):
-        raise SchemaError("expected a list of components", path)
+        raise SchemaError("expected a list of components", _path(*at))
     comps = {}
     for i, item in enumerate(raw):
-        cpath = f"{path}[{i}]"
-        d = _int(_get(item, "degree", cpath), _child(cpath, "degree"))
-        dim = _int(_get(item, "dim", cpath), _child(cpath, "dim"))
-        left = _int_list(_get(item, "left_tags", cpath),
-                         _child(cpath, "left_tags"))
-        right = _int_list(_get(item, "right_tags", cpath),
-                          _child(cpath, "right_tags"))
+        cat = (*at, i)
+        d = _get_int(item, "degree", cat)
+        dim = _get_int(item, "dim", cat)
+        left = _int_list(_get(item, "left_tags", cat), (*cat, "left_tags"))
+        right = _int_list(_get(item, "right_tags", cat),
+                          (*cat, "right_tags"))
         if len(left) != dim or len(right) != dim:
-            raise SchemaError("tag lists must have length dim", cpath)
+            raise SchemaError("tag lists must have length dim", _path(*cat))
         if d in comps:
-            raise SchemaError(f"duplicate degree {d}", cpath)
+            raise SchemaError(f"duplicate degree {d}", _path(*cat))
         comps[d] = LabeledSpace(dim, tuple(left), tuple(right))
     return comps
 
 
-def _maps_to_json(x) -> list:
-    return [{"g": g, "h": h, "matrix": _rows_to_json(
-                x.field, [rows.get(p, {}) for p in x.pairs(g, h)],
-                x.component(x.add_deg(g, h)).dim)}
-            for (g, h), rows in sorted(x._maps.items())]
-
-
-def _maps_from_json(raw, path, field, parent):
+def _maps_from_json(raw, at, field, parent, rationals):
     if not isinstance(raw, list):
-        raise SchemaError("expected a list of degree-pair maps", path)
+        raise SchemaError("expected a list of degree-pair maps", _path(*at))
+    keys = parent.get("field"), parent.get("p")  # the parent's, as written
     table = {}
     for i, item in enumerate(raw):
-        mpath = f"{path}[{i}]"
-        g = _int(_get(item, "g", mpath), _child(mpath, "g"))
-        h = _int(_get(item, "h", mpath), _child(mpath, "h"))
-        obj, opath = _get(item, "matrix", mpath), _child(mpath, "matrix")
-        if any(_get(obj, key, opath, required=False) != parent.get(key)
-               for key in ("field", "p")):  # the parent's keys, as written
-            raise SchemaError("field differs from its parent's", opath)
-        mat = matrix_from_json(obj, opath, field)
+        it = (*at, i)
+        g = _get_int(item, "g", it)
+        h = _get_int(item, "h", it)
+        obj, mat = _get(item, "matrix", it), (*it, "matrix")
+        if (_get(obj, "field", mat, required=False), obj.get("p")) != keys:
+            raise SchemaError("field differs from its parent's", _path(*mat))
+        m = _matrix(obj, mat, field, rationals)
         if (g, h) in table:
-            raise SchemaError(f"duplicate degree pair ({g}, {h})", mpath)
-        table[(g, h)] = mat
+            raise SchemaError(f"duplicate degree pair ({g}, {h})",
+                              _path(*it))
+        table[(g, h)] = m
     return table
 
 
+def _stored_maps(x):
+    """(g, h, rows, cols) for each stored map of x in degree-pair order, its
+    rows those of pairs(g, h)."""
+    for (g, h), rows in sorted(x._maps.items()):
+        yield (g, h, [rows.get(p, {}) for p in x.pairs(g, h)],
+               x.component(x.add_deg(g, h)).dim)
+
+
+def _form(x, table):
+    """The JSON form of an algebra or module around its map table; a
+    module's algebra is the object itself."""
+    comps = _components_to_json(x.components)
+    if isinstance(x, GradedModule):
+        return {"algebra": x.over, "window": list(x.window),
+                "components": comps, "action": table}
+    return {"group": group_to_json(x.group), "window": list(x.window),
+            "k": x.k, **_field_keys(x.field), "components": comps,
+            "mult": table, "unit": [_entry_to_json(x.field, e)
+                                    for e in x.unit]}
+
+
+def _maps_to_json(x) -> list:
+    return [{"g": g, "h": h, "matrix": _rows_to_json(x.field, rows, cols)}
+            for g, h, rows, cols in _stored_maps(x)]
+
+
 def algebra_to_json(a: GradedAlgebra) -> dict:
-    out = {"group": group_to_json(a.group), "window": list(a.window),
-           "k": a.k}
-    out.update(_field_keys(a.field))
-    out["components"] = _components_to_json(a.components)
-    out["mult"] = _maps_to_json(a)
-    out["unit"] = [_entry_to_json(a.field, e) for e in a.unit]
-    return out
+    return _form(a, _maps_to_json(a))
 
 
 def algebra_from_json(obj, path="") -> GradedAlgebra:
-    group = group_from_json(_get(obj, "group", path), _child(path, "group"))
-    window = _pair(_get(obj, "window", path), _child(path, "window"))
-    k = _int(_get(obj, "k", path), _child(path, "k"))
-    field = field_from_json(obj, path)
-    comps = _components_from_json(_get(obj, "components", path),
-                                  _child(path, "components"))
-    mult = _maps_from_json(_get(obj, "mult", path), _child(path, "mult"),
-                           field, obj)
-    unit_raw = _get(obj, "unit", path, list)
-    unit = tuple(_entry_from_json(field, e, f"{_child(path, 'unit')}[{i}]")
-                 for i, e in enumerate(unit_raw))
+    return _algebra(obj, _parts(path), {})
+
+
+def _algebra(obj, at, rationals):
+    group = group_from_json(_get(obj, "group", at), (*at, "group"))
+    window = _pair(_get(obj, "window", at), (*at, "window"))
+    k = _get_int(obj, "k", at)
+    field = field_from_json(obj, at)
+    comps = _components_from_json(_get(obj, "components", at),
+                                  (*at, "components"))
+    mult = _maps_from_json(_get(obj, "mult", at), (*at, "mult"), field, obj,
+                           rationals)
+    unit = [_entry(field, e, rationals, *at, "unit", i)
+            for i, e in enumerate(_get(obj, "unit", at, list))]
     return GradedAlgebra(group, window, k, field, comps, mult, unit)
 
 
 def module_to_json(m: GradedModule) -> dict:
-    return {"algebra": algebra_to_json(m.over), "window": list(m.window),
-            "components": _components_to_json(m.components),
-            "action": _maps_to_json(m)}
+    out = _form(m, _maps_to_json(m))
+    out["algebra"] = algebra_to_json(m.over)
+    return out
 
 
 def module_from_json(obj, path="") -> GradedModule:
-    algebra = algebra_from_json(_get(obj, "algebra", path),
-                                _child(path, "algebra"))
-    window = _pair(_get(obj, "window", path), _child(path, "window"))
-    comps = _components_from_json(_get(obj, "components", path),
-                                  _child(path, "components"))
-    action = _maps_from_json(_get(obj, "action", path),
-                             _child(path, "action"), algebra.field,
-                             obj["algebra"])
+    at, rationals = _parts(path), {}
+    algebra = _algebra(_get(obj, "algebra", at), (*at, "algebra"), rationals)
+    window = _pair(_get(obj, "window", at), (*at, "window"))
+    comps = _components_from_json(_get(obj, "components", at),
+                                  (*at, "components"))
+    action = _maps_from_json(_get(obj, "action", at), (*at, "action"),
+                             algebra.field, obj["algebra"], rationals)
     return GradedModule(algebra, window, comps, action)
 
 
@@ -329,37 +392,66 @@ def module_from_json(obj, path="") -> GradedModule:
 
 
 def dump_json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, errors too.
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, errors too,
+    where a GradedAlgebra or GradedModule stands for its JSON form.
 
     One recursive pass joining each container's parts once.  Python 3.10
     and 3.11 indent in the pure-Python encoder, about half as fast on the
     CLI's lift reports.
     """
-    return _dump(obj, "\n")
+    return _dump(obj, "\n", {})
+
+
+class _Text(str):
+    """Text already in dump_json's form, written as it is."""
 
 
 _int_repr = int.__repr__  # bound once: int leaves are most of the output
 
 
-def _dump(o, pad):
+def _dump(o, pad, memo):
     t = type(o)
     if t is str:
         return _quote(o)
     if t is int:
         return _int_repr(o)
+    if t is _Text:
+        return o
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = pad + "  "
         # sorted as dumps sorts; any other key is written as dumps writes it
         parts = [(_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4])
-                 + ": " + _dump(v, inner) for k, v in sorted(o.items())]
+                 + ": " + _dump(v, inner, memo) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(parts) + pad + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = pad + "  "
-        parts = [_int_repr(v) if type(v) is int else _dump(v, inner)
+        parts = [_int_repr(v) if type(v) is int else _dump(v, inner, memo)
                  for v in o]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if isinstance(o, (GradedAlgebra, GradedModule)):
+        return _dump(_form(o, _Text(_table_text(o, pad + "  ", memo))), pad,
+                     memo)
     return json.dumps(o)  # bool, None, floats, subclasses; raises as dumps
+
+
+def _table_text(x, pad, memo):
+    """x's map table at indent pad, as dump_json writes _maps_to_json(x)."""
+    item, key = pad + "  ", pad + "    "
+    parts = [f'{{{key}"g": {g},{key}"h": {h},{key}"matrix": '
+             + _matrix_text(x.field, rows, cols, key, memo) + item + "}"
+             for g, h, rows, cols in _stored_maps(x)]
+    return "[" + item + ("," + item).join(parts) + pad + "]" if parts else "[]"
+
+
+def _matrix_text(field, rows, cols, pad, memo):
+    """The text of _rows_to_json(field, rows, cols) at indent pad; each
+    distinct one is rendered once per dump_json call."""
+    key = (field.name, pad, cols, tuple(map(tuple, map(dict.items, rows))))
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _dump(_rows_to_json(field, rows, cols), pad, memo)
+    return text

@@ -42,6 +42,7 @@ from gradedsupport.serialize import (
     windowed_map_to_json,
 )
 from gradedsupport.subsets import DegreeSet, Zn
+from test_serialize import old_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "enumerate"
 
@@ -50,10 +51,12 @@ U3 = DegreeSet.periodic(3, (0, 1))
 
 @pytest.fixture(autouse=True)
 def json_output_matches_the_stdlib_encoder(monkeypatch):
-    """Every --format json output below is checked against its oracle."""
+    """Every --format json output below is checked against its oracle; an
+    algebra or module in it stands for its JSON form from the old writer."""
     def checked(obj):
         text = dump_json(obj)
-        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        assert text == json.dumps(obj, indent=2, sort_keys=True,
+                                  default=old_to_json)
         return text
 
     monkeypatch.setattr(cli, "dump_json", checked)
@@ -170,12 +173,50 @@ def test_check_set_missing_file(capsys, tmp_path):
     assert "no such file" in err
 
 
+def test_check_set_refuses_a_directory(capsys, tmp_path):
+    # open() raised IsADirectoryError: a traceback and exit 1
+    code, out, err = run(capsys, "check-set", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"cannot read {tmp_path}" in err
+
+
 def test_check_set_invalid_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "check-set", str(path))
     assert code == 2
     assert "invalid JSON" in err
+
+
+HUGE = "1" * 5000  # past the 4,300 digits json reads into an int
+
+
+@pytest.mark.parametrize("command", ["check-set", "lift"])
+def test_an_integer_too_long_to_read_is_invalid_json(capsys, tmp_path,
+                                                      command):
+    # json.load raised a plain ValueError: a traceback and exit 1
+    if command == "check-set":
+        text = ('{"group": {"kind": "Z"}, "form": "windowed", "elements": ['
+                + HUGE + '], "window": [0, 3]}')
+        argv = [str(tmp_path / "bad.json")]
+    else:
+        xf, sf, uf, af, _, _ = lift_files(tmp_path)
+        text = Path(xf).read_text(encoding="utf-8")
+        text = text.replace('"entries": [[', '"entries": [[' + HUGE + ", ", 1)
+        argv = [str(tmp_path / "bad.json"), sf, uf, af]
+    (tmp_path / "bad.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert f"invalid JSON in {argv[0]}" in err
+
+
+def test_json_nested_too_deep_to_read_is_invalid_json(capsys, tmp_path):
+    # json.load raised RecursionError: a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, "check-set", str(path))
+    assert (code, out) == (2, "")
+    assert f"invalid JSON in {path}" in err
 
 
 def test_check_pair_holds_for_a_translate(capsys, tmp_path):
@@ -456,6 +497,22 @@ def test_lift_commands_refuse_a_module_that_fails_validation(
     code, out, err = run(capsys, command, xf, uf, uf, af, "--format", "json")
     assert (code, out) == (2, "")
     assert f"not a module: {xf}, witness {witness}" in err
+
+
+@pytest.mark.parametrize("value", ["1e20000000", "1e-20000000"])
+def test_a_rational_in_exponent_form_is_refused_at_once(capsys, tmp_path,
+                                                          value):
+    # Fraction expands the exponent: Fraction("1e20000000") alone runs for
+    # about half a minute
+    obj = algebra_to_json(truncated_polynomial(4))
+    obj["mult"][1]["matrix"]["entries"][0][0] = value
+    alg = write_json(tmp_path / "a.json", obj)
+    u = write_json(tmp_path / "u.json", degree_set_to_json(U3))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kill", alg, u, "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"mult[1].matrix.entries[0][0]: bad rational '{value}'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,7 @@ def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
 def test_quotient_and_submodule_read_tag_blocks_without_eliminating(
         monkeypatch):
     import gradedsupport.exactlin as exactlin
+    import gradedsupport.graded_core as graded_core
     f = GF(3)
     m = regular_module(quiver_algebra(2, [(0, 1), (1, 0)], [], 3, f))
     # the closure of a vector mixing both tags: blocks of both tags at
@@ -509,7 +510,9 @@ def test_quotient_and_submodule_read_tag_blocks_without_eliminating(
         calls.append(args)
         return elim(*args)
 
+    # graded_core holds its own name for it, which _hom_system calls
     monkeypatch.setattr(exactlin, "_forward", counted)
+    monkeypatch.setattr(graded_core, "_forward", counted)
     q, _, keep = quotient_with_maps(m, spaces)
     sub = submodule_from_subspaces(m, spaces)
     assert calls == []

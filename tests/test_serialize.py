@@ -13,10 +13,12 @@ from gradedsupport.constructions import (
     truncated_polynomial,
     zero_sum_pair_algebra,
 )
-from gradedsupport.errors import SchemaError
-from gradedsupport.exactlin import GF, Matrix, QQ
-from gradedsupport.graded_core import algebras_equal, modules_equal
-from gradedsupport.regrade_maps import WindowedMap
+from gradedsupport.errors import CapacityError, SchemaError
+from gradedsupport.exactlin import GF, LabeledSpace, Matrix, QQ, integral
+from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
+                                       algebras_equal, kill_support_algebra,
+                                       modules_equal, regrade_algebra)
+from gradedsupport.regrade_maps import WindowedMap, delta_map
 from gradedsupport.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -34,6 +36,7 @@ from gradedsupport.serialize import (
     windowed_map_to_json,
 )
 from gradedsupport.subsets import DegreeSet, Z, Zn, same_set
+from test_graded_core_oracles import FIELDS, hom_pairs, z_algebra
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12)
@@ -148,12 +151,42 @@ def test_integral_rational_entries_load_as_ints():
         ["2", "1/2", "3", "7", "0"]]
 
 
+def test_decimal_rationals_load_and_exponents_are_refused():
+    obj = {"field": "Q", "rows": 1, "cols": 4,
+           "entries": [["0.25", "-1.5", "2.0", "-1/2"]]}
+    [row] = matrix_from_json(obj).nz
+    assert row == {0: Fraction(1, 4), 1: Fraction(-3, 2), 2: 2,
+                   3: Fraction(-1, 2)}
+    assert type(row[2]) is int
+    for value in ("1e3", "1E3", "1e-3", "2.5e+1", "1/2e3"):
+        obj["entries"][0][2] = value
+        with pytest.raises(SchemaError) as e:
+            matrix_from_json(obj)
+        assert e.value.path == "entries[0][2]"
+        assert str(e.value) == f"entries[0][2]: bad rational '{value}'"
+
+
 def test_prime_field_matrices_round_trip():
     f = GF(7)
     m = Matrix.from_rows(f, [[f.from_int(3), f.from_int(6)]], 2)
     obj = matrix_to_json(m)
     assert obj["field"] == "GF(p)" and obj["p"] == 7
     assert matrix_from_json(obj) == m
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, [], {}])
+def test_a_rational_entry_of_another_type_names_the_entry(value):
+    obj = {"field": "Q", "rows": 1, "cols": 2, "entries": [["1", value]]}
+    with pytest.raises(SchemaError) as e:
+        matrix_from_json(obj)
+    assert str(e.value) == \
+        "entries[0][1]: rational entries are strings or integers"
+
+
+def test_prime_field_entries_are_read_mod_p():
+    obj = {"field": "GF(p)", "p": 7, "rows": 2, "cols": 3,
+           "entries": [[9, -1, 7], [0, 0, 0]]}
+    assert matrix_from_json(obj).nz == ({0: 2, 1: 6}, {})
 
 
 def test_bad_rational_string_names_the_entry():
@@ -370,3 +403,367 @@ def test_dump_json_raises_where_the_encoder_does(obj):
 ], ids=repr)
 def test_dump_json_edge_cases(obj):
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the writer and reader before they worked on dict rows, unchanged
+# but for names.  The writer built every matrix's dense dict form before
+# json.dumps-style text was written from it; the reader built a path string
+# for every value it read.
+
+
+def old_entry_to_json(field, e):
+    if field.name == "Q":
+        return str(e)
+    return e
+
+
+def old_field_keys(field):
+    if field.name == "Q":
+        return {"field": "Q"}
+    return {"field": "GF(p)", "p": field.p}
+
+
+def old_rows_to_json(F, rows, cols):
+    zero = old_entry_to_json(F, F.zero())
+    entries = []
+    for row in rows:
+        entries.append([zero] * cols)
+        for c, v in row.items():
+            entries[-1][c] = old_entry_to_json(F, v)
+    return {**old_field_keys(F), "rows": len(entries), "cols": cols,
+            "entries": entries}
+
+
+def old_maps_to_json(x):
+    return [{"g": g, "h": h, "matrix": old_rows_to_json(
+                x.field, [rows.get(p, {}) for p in x.pairs(g, h)],
+                x.component(x.add_deg(g, h)).dim)}
+            for (g, h), rows in sorted(x._maps.items())]
+
+
+def old_components_to_json(components):
+    out = []
+    for d in sorted(components):
+        comp = components[d]
+        out.append({"degree": d, "dim": comp.dim,
+                    "left_tags": list(comp.left_tags),
+                    "right_tags": list(comp.right_tags)})
+    return out
+
+
+def old_algebra_to_json(a):
+    out = {"group": group_to_json(a.group), "window": list(a.window),
+           "k": a.k}
+    out.update(old_field_keys(a.field))
+    out["components"] = old_components_to_json(a.components)
+    out["mult"] = old_maps_to_json(a)
+    out["unit"] = [old_entry_to_json(a.field, e) for e in a.unit]
+    return out
+
+
+def old_module_to_json(m):
+    return {"algebra": old_algebra_to_json(m.over), "window": list(m.window),
+            "components": old_components_to_json(m.components),
+            "action": old_maps_to_json(m)}
+
+
+def old_to_json(x):
+    """The old JSON form of an algebra, module or matrix; usable as
+    json.dumps' default, so it raises TypeError on anything else."""
+    if isinstance(x, GradedModule):
+        return old_module_to_json(x)
+    if isinstance(x, GradedAlgebra):
+        return old_algebra_to_json(x)
+    if isinstance(x, Matrix):
+        return old_rows_to_json(x.field, x.nz, x.cols)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
+                    f"serializable")
+
+
+def _child(path, key):
+    return f"{path}.{key}" if path else str(key)
+
+
+def _get(obj, key, path, kind=None, required=True):
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", path)
+    if key not in obj:
+        if required:
+            raise SchemaError(f"missing key '{key}'", path)
+        return None
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"'{key}' has the wrong type", _child(path, key))
+    return value
+
+
+def _int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError("expected an integer", path)
+    return value
+
+
+def _int_list(value, path):
+    if not isinstance(value, list):
+        raise SchemaError("expected a list of integers", path)
+    return [_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _pair(value, path):
+    got = _int_list(value, path)
+    if len(got) != 2:
+        raise SchemaError("expected a pair [lo, hi]", path)
+    return (got[0], got[1])
+
+
+def old_group_from_json(obj, path="group"):
+    kind = _get(obj, "kind", path, str)
+    if kind == "Z":
+        return Z
+    if kind == "Zn":
+        return Zn(_int(_get(obj, "n", path), _child(path, "n")))
+    raise SchemaError(f"unknown group kind '{kind}'", _child(path, "kind"))
+
+
+def old_field_from_json(obj, path=""):
+    name = _get(obj, "field", path, str)
+    if name == "Q":
+        return QQ
+    if name == "GF(p)":
+        ppath = _child(path, "p")
+        p = _int(_get(obj, "p", path), ppath)
+        try:
+            return GF(p)
+        except (ValueError, CapacityError) as e:
+            raise SchemaError(str(e), ppath)
+    if name.startswith("GF(") and name.endswith(")"):
+        try:
+            return GF(int(name[3:-1]))
+        except ValueError:
+            pass
+    raise SchemaError(f"unknown field '{name}'", _child(path, "field"))
+
+
+def old_entry_from_json(field, value, path):
+    if field.name == "Q":
+        if isinstance(value, str):
+            try:
+                return integral(Fraction(value))
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"bad rational '{value}'", path)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError("rational entries are strings or integers",
+                              path)
+    return field.from_int(_int(value, path))
+
+
+def old_matrix_from_json(obj, path="", field=None):
+    if field is None:
+        field = old_field_from_json(obj, path)
+    rows = _int(_get(obj, "rows", path), _child(path, "rows"))
+    cols = _int(_get(obj, "cols", path), _child(path, "cols"))
+    raw = _get(obj, "entries", path, list)
+    if len(raw) != rows:
+        raise SchemaError(f"expected {rows} rows", _child(path, "entries"))
+    nz = []
+    for i, row in enumerate(raw):
+        rpath = f"{_child(path, 'entries')}[{i}]"
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"expected a row of {cols} entries", rpath)
+        nz.append({j: v for j, e in enumerate(row)
+                   if (v := old_entry_from_json(field, e, f"{rpath}[{j}]"))})
+    return Matrix._of(field, rows, cols, tuple(nz))
+
+
+def old_components_from_json(raw, path):
+    if not isinstance(raw, list):
+        raise SchemaError("expected a list of components", path)
+    comps = {}
+    for i, item in enumerate(raw):
+        cpath = f"{path}[{i}]"
+        d = _int(_get(item, "degree", cpath), _child(cpath, "degree"))
+        dim = _int(_get(item, "dim", cpath), _child(cpath, "dim"))
+        left = _int_list(_get(item, "left_tags", cpath),
+                         _child(cpath, "left_tags"))
+        right = _int_list(_get(item, "right_tags", cpath),
+                          _child(cpath, "right_tags"))
+        if len(left) != dim or len(right) != dim:
+            raise SchemaError("tag lists must have length dim", cpath)
+        if d in comps:
+            raise SchemaError(f"duplicate degree {d}", cpath)
+        comps[d] = LabeledSpace(dim, tuple(left), tuple(right))
+    return comps
+
+
+def old_maps_from_json(raw, path, field, parent):
+    if not isinstance(raw, list):
+        raise SchemaError("expected a list of degree-pair maps", path)
+    table = {}
+    for i, item in enumerate(raw):
+        mpath = f"{path}[{i}]"
+        g = _int(_get(item, "g", mpath), _child(mpath, "g"))
+        h = _int(_get(item, "h", mpath), _child(mpath, "h"))
+        obj, opath = _get(item, "matrix", mpath), _child(mpath, "matrix")
+        if any(_get(obj, key, opath, required=False) != parent.get(key)
+               for key in ("field", "p")):
+            raise SchemaError("field differs from its parent's", opath)
+        mat = old_matrix_from_json(obj, opath, field)
+        if (g, h) in table:
+            raise SchemaError(f"duplicate degree pair ({g}, {h})", mpath)
+        table[(g, h)] = mat
+    return table
+
+
+def old_algebra_from_json(obj, path=""):
+    group = old_group_from_json(_get(obj, "group", path),
+                                _child(path, "group"))
+    window = _pair(_get(obj, "window", path), _child(path, "window"))
+    k = _int(_get(obj, "k", path), _child(path, "k"))
+    field = old_field_from_json(obj, path)
+    comps = old_components_from_json(_get(obj, "components", path),
+                                     _child(path, "components"))
+    mult = old_maps_from_json(_get(obj, "mult", path), _child(path, "mult"),
+                              field, obj)
+    unit_raw = _get(obj, "unit", path, list)
+    unit = tuple(old_entry_from_json(field, e,
+                                     f"{_child(path, 'unit')}[{i}]")
+                 for i, e in enumerate(unit_raw))
+    return GradedAlgebra(group, window, k, field, comps, mult, unit)
+
+
+def old_module_from_json(obj, path=""):
+    algebra = old_algebra_from_json(_get(obj, "algebra", path),
+                                    _child(path, "algebra"))
+    window = _pair(_get(obj, "window", path), _child(path, "window"))
+    comps = old_components_from_json(_get(obj, "components", path),
+                                     _child(path, "components"))
+    action = old_maps_from_json(_get(obj, "action", path),
+                                _child(path, "action"), algebra.field,
+                                obj["algebra"])
+    return GradedModule(algebra, window, comps, action)
+
+
+# ---------------------------------------------------------------------------
+# the row-level writer and the lazy-path reader against the oracles
+
+
+def _with_fractions(m, q):
+    """m with every stored value times q: the same shapes, and Fraction
+    entries over Q (not a module any more, which the writer never asks)."""
+    return GradedModule(m.over, m.window, m.components, {
+        key: {p: {c: integral(v * q) for c, v in row.items()}
+              for p, row in rows.items()}
+        for key, rows in m._maps.items()})
+
+
+@st.composite
+def graded_objects(draw):
+    """A hom_pairs() module, its algebra, a killed or regraded algebra, or
+    a module with Fraction entries."""
+    m = draw(hom_pairs())[0]
+    kind = draw(st.sampled_from(["module", "algebra", "killed", "regraded",
+                                 "fractions"]))
+    if kind == "module":
+        return m
+    if kind == "algebra":
+        return m.over
+    if kind == "fractions":
+        return _with_fractions(m, draw(rationals.filter(
+            lambda q: q.denominator > 1))) if m.field is QQ else m
+    n = draw(st.integers(2, 4))
+    u = DegreeSet.periodic(n, (0, 1))
+    a = z_algebra(draw(st.sampled_from(["poly", "loops", "cycle"])),
+                  2 * n + 1, draw(st.sampled_from(FIELDS)))
+    b = kill_support_algebra(a, u)
+    return b if kind == "killed" else regrade_algebra(
+        b, delta_map(u, 0, (0, 5)))  # onto the 6 degrees of U in 0..2n+1
+
+
+def _clear(tree):
+    """Empty every list and dict of a JSON tree in place."""
+    for v in tree.values() if isinstance(tree, dict) else tree:
+        if isinstance(v, (dict, list)):
+            _clear(v)
+    tree.clear()
+
+
+@given(graded_objects(), st.data())
+def test_dump_json_writes_graded_objects_as_the_old_writer(x, data):
+    want = old_to_json(x)
+    assert dump_json(x) == json.dumps(want, indent=2, sort_keys=True)
+    to_json = module_to_json if isinstance(x, GradedModule) \
+        else algebra_to_json
+    got = to_json(x)
+    assert json.dumps(got) == json.dumps(want)  # key order included
+    _clear(got)  # shares nothing with the next call's tree
+    assert json.dumps(to_json(x)) == json.dumps(want)
+    # nested at other indents, next to a second object and a plain value
+    other = data.draw(graded_objects())
+    tree = {"x": [x, {"y": other}], "z": x, "w": [1, "a"]}
+    assert dump_json(tree) == json.dumps(tree, indent=2, sort_keys=True,
+                                         default=old_to_json)
+
+
+@given(graded_objects())
+def test_matrix_to_json_matches_the_old_writer(x):
+    for key in x._maps:
+        m = x._map_matrix(*key)
+        assert matrix_to_json(m) == old_to_json(m)
+
+
+# single-entry mutations: a value replaced, a key or element removed, or a
+# list element repeated
+junk = st.sampled_from([
+    None, True, False, -1, 0, 1, 2, 7, 10 ** 30, 1.5, "0", "1", "-1/2",
+    "4/2", "3/", "1/0", "0.25", "x", "Q", "GF(p)", "GF(7)", [], {}, [0],
+    [0, 1], [[0]], {"kind": "Z"}])
+
+
+def _locations(tree):
+    """(container, key) of every value in a JSON tree."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) \
+            else range(len(node)) if isinstance(node, list) else ()
+        for k in keys:
+            out.append((node, k))
+            stack.append(node[k])
+    return out
+
+
+def _mutate(data, tree):
+    where, key = data.draw(st.sampled_from(_locations(tree)))
+    how = data.draw(st.sampled_from(["replace", "remove", "repeat"]))
+    if how == "replace":
+        where[key] = data.draw(junk)
+    elif how == "remove":
+        del where[key]
+    elif isinstance(where, list):
+        where.append(json.loads(json.dumps(where[key])))
+    return tree
+
+
+def _outcome(read, obj):
+    try:
+        return read(obj)
+    except Exception as e:
+        return (type(e), str(e), getattr(e, "path", None))
+
+
+@given(graded_objects(), st.data())
+def test_readers_match_the_old_reader_on_mutated_json(x, data):
+    module = isinstance(x, GradedModule)
+    read, old_read = ((module_from_json, old_module_from_json) if module
+                      else (algebra_from_json, old_algebra_from_json))
+    tree = old_to_json(x)
+    if data.draw(st.booleans()):
+        tree = _mutate(data, tree)
+    got, want = _outcome(read, tree), _outcome(old_read, tree)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        same = modules_equal if module else algebras_equal
+        assert not isinstance(got, tuple) and same(got, want)
+        assert got.field is want.field
