@@ -63,12 +63,10 @@ def _load_json(path):
         raise SchemaError(f"invalid JSON in {path}: {e}")
 
 
-_VALIDATED = {"an algebra": (algebra_from_json, validate_algebra),
-              "a module": (module_from_json, validate_module)}
-
-
 def _load_valid(path, what):
-    parse, validate = _VALIDATED[what]
+    # the names are read at each call, so a rebinding of them is seen
+    parse, validate = {"an algebra": (algebra_from_json, validate_algebra),
+                       "a module": (module_from_json, validate_module)}[what]
     obj = parse(_load_json(path))
     if not (v := validate(obj)).holds:
         raise PreconditionError(f"not {what}: {path}, witness {v.witness}")
@@ -536,10 +534,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PreconditionError as e:
+    except (SchemaError, PreconditionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

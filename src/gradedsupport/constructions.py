@@ -17,7 +17,9 @@ only the paths through no word of J are listed: they are a basis of kQ/J
 (Anick 1986).  The other blocks span the rest of the ideal on them degree
 by degree, I_m = P_1 I_{m-1} + I_{m-1} P_1 + R_m, from the previous
 degree's canonical {path index: coefficient} rows, and the class of a path
-is read off the row pivoting at it.
+is read off the row pivoting at it.  _split_relation is the one relation
+parser: n_homogeneous_dual reads its relation lists through it on the
+one-vertex quiver of v_dim loops, whose degree-n paths are the words.
 
 PATH_CAP bounds the vertices and paths a quiver algebra lists, and
 TABLE_CAP the weight of a mult table: its entries, the sum over (g, h) of
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 
 from .errors import CapacityError, PreconditionError
@@ -365,16 +366,15 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
     n = None if degree is None else int(degree)
     if n is not None and n < 2:
         raise PreconditionError("the relation degree must be at least 2")
-    rows = []
-    words = None
-    word_index = None
+    rows, words = [], None
     if isinstance(relations, Subspace):
         if relations.field is not F:
             raise PreconditionError("relation subspace is over another field")
         if n is None:
-            n = round(math.log(relations.ambient, v_dim)) if v_dim > 1 \
-                else None
-            if n is None or v_dim ** n != relations.ambient or n < 2:
+            n = 2  # the least n >= 2 with v_dim^n >= the ambient dimension
+            while v_dim > 1 and v_dim ** n < relations.ambient:
+                n += 1
+            if v_dim == 1 or v_dim ** n != relations.ambient:
                 raise PreconditionError(
                     "cannot infer the relation degree from a subspace of "
                     f"dimension {relations.ambient}; pass degree=")
@@ -382,41 +382,27 @@ def n_homogeneous_dual(v_dim, relations, top, field=QQ,
             raise PreconditionError(
                 f"relation subspace lives in dimension "
                 f"{relations.ambient}, expected {v_dim ** n}")
-        words = all_words(n)
         rows = list(relations.basis)
     else:
         for rel in relations:
-            vec = None
-            for coeff, path in rel:
-                path = tuple(int(a) for a in path)
-                if any(a < 0 or a >= v_dim for a in path):
-                    raise PreconditionError(f"letter out of range in {path}")
-                if n is None:
-                    n = len(path)
-                    if n < 2:
-                        raise PreconditionError(
-                            "relations must have degree >= 2")
-                if words is None:
-                    words = all_words(n)
-                    word_index = {w: i for i, w in enumerate(words)}
-                if len(path) != n:
+            # one vertex, so one block per relation; an empty one is zero
+            for length, _, _, terms in (_split_relation(F, loops, rel)
+                                        if rel else ()):
+                n = length if n is None else n
+                words = words or all_words(n)
+                if length != n:
                     raise PreconditionError(
                         "all relations must share one degree")
-                if vec is None:
-                    vec = [F.zero()] * len(words)
-                vec[word_index[path]] = F.add(vec[word_index[path]],
-                                              _coerce(F, coeff))
-            if vec is not None:
-                rows.append(vec)
+                # a word's index in the lexicographic listing: its letters
+                # as base-v_dim digits
+                rows.append({functools.reduce(lambda i, a: i * v_dim + a,
+                                              p, 0): c for c, p in terms})
         if n is None:
             raise PreconditionError("the dual of a free algebra needs its "
                                     "degree; pass degree=")
-        if words is None:
-            words = all_words(n)
-    perp = nullspace(F, rows, len(words))
-    dual_rels = []
-    for row in perp.basis:
-        dual_rels.append([(c, words[i]) for i, c in sorted(row.items())])
+    words = words or all_words(n)
+    dual_rels = [[(c, words[i]) for i, c in sorted(row.items())]
+                 for row in nullspace(F, rows, len(words)).basis]
     return quiver_algebra(1, loops, dual_rels, top, field)
 
 

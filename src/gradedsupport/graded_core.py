@@ -359,37 +359,36 @@ def _assoc_witness(x):
     """First basis triple with (x a) b != x (a b), or None.
 
     x ranges over the object, a and b over the algebra acting on it; for an
-    algebra the two coincide.  Witness: ("assoc", (s, u, v), (i, j, k)).
+    algebra the two coincide.  (i, j) walks x.pairs(s, u) and k the matches
+    of j in a.pairs(u, v); a triple with x_i a_j = a_j a_k = 0 holds.
+    Witness: ("assoc", (s, u, v), (i, j, k)).
     """
     a = x._acting()
     F = x.field
     adegs = a.degrees()
     for s in x.degrees():
-        cs = x.component(s)
         for u in adegs:
-            cu = a.component(u)
             su = x.add_deg(s, u)
+            xa_rows = x._rows(s, u) or {}
             for v in adegs:
-                cv = a.component(v)
-                uv = a.add_deg(u, v)
-                ct = x.component(x.add_deg(su, v))
-                if ct.dim == 0:
+                if x.component(x.add_deg(su, v)).dim == 0:
                     continue
-                for i in range(cs.dim):
-                    for j in range(cu.dim):
-                        if cs.right_tags[i] != cu.left_tags[j]:
+                uv = a.add_deg(u, v)
+                xa_b, ab_rows = x._rows(su, v) or {}, a._rows(u, v) or {}
+                x_ab = x._rows(s, uv) or {}
+                ks = {}
+                for j, kk in a.pairs(u, v):
+                    ks.setdefault(j, []).append(kk)
+                for i, j in x.pairs(s, u):
+                    xa = xa_rows.get((i, j))
+                    for kk in ks.get(j, ()):
+                        ab = ab_rows.get((j, kk))
+                        if xa is None and ab is None:
                             continue
-                        xa = x._map_row(s, u, i, j)
-                        for kk in range(cv.dim):
-                            if cu.right_tags[j] != cv.left_tags[kk]:
-                                continue
-                            r1 = _accumulate(F, xa,
-                                             lambda m: x._map_row(su, v, m, kk))
-                            ab = a.mult_row(u, v, j, kk)
-                            r2 = _accumulate(F, ab,
-                                             lambda m: x._map_row(s, uv, i, m))
-                            if r1 != r2:
-                                return ("assoc", (s, u, v), (i, j, kk))
+                        if (_accumulate(F, xa, lambda m: xa_b.get((m, kk)))
+                                != _accumulate(F, ab,
+                                               lambda m: x_ab.get((i, m)))):
+                            return ("assoc", (s, u, v), (i, j, kk))
     return None
 
 
@@ -412,6 +411,15 @@ def _check_set_group(obj, s: DegreeSet):
     if s.group != obj.group:
         raise PreconditionError(
             f"degree set over {s.group!r} cannot grade an object over {obj.group!r}")
+
+
+def _check_modular_pair(s: DegreeSet, u: DegreeSet):
+    """Refuse an (S, U) that is not a right modular pair."""
+    verdict = is_right_modular(s, u)
+    if not verdict.holds:
+        raise PreconditionError(
+            f"(S, U) is not a right modular pair: {verdict.reason} fails, "
+            f"witness {verdict.witness}")
 
 
 def kill_support_algebra(a: GradedAlgebra, u: DegreeSet) -> KilledAlgebra:
@@ -437,11 +445,7 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
     condition making the killed action associative for every module.
     """
     _check_set_group(m, s)
-    verdict = is_right_modular(s, u)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"(S, U) is not a right modular pair: {verdict.reason} fails, "
-            f"witness {verdict.witness}")
+    _check_modular_pair(s, u)
     if algebra is None:
         algebra = kill_support_algebra(m.over, u)
     comps = {d: c for d, c in m.components.items() if s.contains(d)}
@@ -486,8 +490,7 @@ def regrade_algebra(b: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
 
     Requires every nonzero component of B to sit inside the window image of
     phi, so the new grading sees all of B.  Products between image degrees
-    that land outside the image are necessarily zero under that hypothesis;
-    a nonzero one raises a grading violation with witness (sigma, tau).
+    that land outside the image are necessarily zero under that hypothesis.
     """
     _check_regrade(b, phi)
     return _regraded_algebra(b, phi)
@@ -514,9 +517,9 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
     Component sigma is X_{g + phi(sigma)} and the map at (sigma, tau) is the
     map of x at (g + phi(sigma), phi(tau)).  Only positions whose image falls
     inside x's window are certified by x, so the new window is clipped to
-    them.  A nonzero map whose value sum leaves the image, or whose target
-    has no slot in the new window, raises a grading violation with witness
-    (sigma, tau).
+    them.  A map whose value sum leaves the image is zero, its target being
+    off g + Im(phi); a nonzero map whose target has no slot in the new
+    window raises a grading violation with witness (sigma, tau).
     """
     img = phi.image()
     for d in x.degrees():
@@ -536,15 +539,8 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
     for sigma in comps:
         for tau in taus:
             rows = x._rows(g + phi(sigma), phi(tau))
-            if rows is None:
-                continue
-            st = sigma + tau
-            total = phi(sigma) + phi(tau)
-            if total not in img:
-                if rows:
-                    raise GradingViolationError(
-                        f"{x._map_name} lands outside the image of the "
-                        f"regrading map", witness=(sigma, tau))
+            st, total = sigma + tau, phi(sigma) + phi(tau)
+            if rows is None or total not in img:
                 continue
             if not lo <= st <= hi:
                 # the target exists in x but the new grading has no slot for it
@@ -583,13 +579,19 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     action = _pushed_maps(v, phi, g)
     if algebra is None:
         algebra = _push_forward_algebra(v.over, phi)
-    lo = max(v.window[0], phi.window[0])
-    hi = min(v.window[1], phi.window[1])
-    if lo > hi:
-        raise PreconditionError("the module window misses the map window")
-    window = (g + phi(lo), g + phi(hi))
+    window = _pushed_window(v, phi, "module", g)
     comps = {g + phi(sigma): v.component(sigma) for sigma in v.degrees()}
     return GradedModule(algebra, window, comps, action)
+
+
+def _pushed_window(x, phi: WindowedMap, what, g: int = 0):
+    """g + phi of the ends of x's window met with phi's; what names x in
+    the refusal of an empty meet."""
+    lo = max(x.window[0], phi.window[0])
+    hi = min(x.window[1], phi.window[1])
+    if lo > hi:
+        raise PreconditionError(f"the {what} window misses the map window")
+    return g + phi(lo), g + phi(hi)
 
 
 def _pushed_maps(x, phi: WindowedMap, g: int = 0):
@@ -613,11 +615,7 @@ def _pushed_maps(x, phi: WindowedMap, g: int = 0):
 
 
 def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
-    lo = max(bt.window[0], phi.window[0])
-    hi = min(bt.window[1], phi.window[1])
-    if lo > hi:
-        raise PreconditionError("the algebra window misses the map window")
-    window = (phi(lo), phi(hi))
+    window = _pushed_window(bt, phi, "algebra")
     comps = {}
     for sigma in phi.domain():
         c = bt.component(sigma)

@@ -37,6 +37,7 @@ from .constructions import _layout_module, projective_layout, \
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
+                          _check_modular_pair, _tag_escape,
                           _vanishing_space, algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in,
@@ -45,8 +46,7 @@ from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
                           quotient_with_maps, regrade_algebra,
                           torsion_spaces, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
-from .subsets import (DegreeSet, is_right_modular,
-                      is_translation_of_interval, quotient_set)
+from .subsets import DegreeSet, is_translation_of_interval, quotient_set
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,11 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
     and the Q-degrees at which x is nonzero, Q = (S : U)."""
     a = _resolve_algebra(x, a)
     q = _check_hypotheses_algebra_only(a, s, u)
+    # the scan leans on tag matching in A's products, not only in x's
+    witness = _tag_escape(a, both_sides=True)
+    if witness is not None:
+        raise PreconditionError(f"not an algebra: the ambient product escapes "
+                                f"its tag block, witness {witness}")
     if not algebras_equal(x.over, kill_support_algebra(a, u)):
         raise PreconditionError(
             "the module is not over the support-killed form of the given "
@@ -121,11 +126,12 @@ def _check_hypotheses_algebra_only(a, s, u):
     if not is_generated_in_degrees_01(a):
         raise PreconditionError(
             "the ambient algebra must be generated in degrees 0 and 1")
-    verdict = is_right_modular(s, u)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"(S, U) is not a right modular pair: {verdict.reason} fails, "
-            f"witness {verdict.witness}")
+    _check_modular_pair(s, u)
+    return _quotient_set(s, u)
+
+
+def _quotient_set(s, u):
+    """(S : U), refused when empty."""
     q = quotient_set(s, u)
     if q is None:
         raise PreconditionError("the quotient set (S : U) is empty")
@@ -439,9 +445,7 @@ _MAX_GENS = _MAX_RELATIONS = 2
 
 def _random_presented(alg, s, u, seed, window, reduce_torsion,
                       relation_degrees="any"):
-    q = quotient_set(s, u)
-    if q is None:
-        raise PreconditionError("the quotient set (S : U) is empty")
+    q = _quotient_set(s, u)
     window = tuple(window) if window is not None else alg.window
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     usable = q.members_in(window[0], window[1])

@@ -42,6 +42,7 @@ from gradedsupport.serialize import (
     windowed_map_to_json,
 )
 from gradedsupport.subsets import DegreeSet, Zn
+from test_lifting import tag_escaping_lift_inputs
 from test_serialize import old_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "enumerate"
@@ -497,6 +498,35 @@ def test_lift_commands_refuse_a_module_that_fails_validation(
     code, out, err = run(capsys, command, xf, uf, uf, af, "--format", "json")
     assert (code, out) == (2, "")
     assert f"not a module: {xf}, witness {witness}" in err
+
+
+@pytest.mark.parametrize("command", ["lift", "lift-check"])
+def test_lift_commands_refuse_an_ambient_product_escaping_its_tags(
+        capsys, tmp_path, command):
+    # both ended in InternalConsistencyError, exit 1, read as "not liftable"
+    a, x = tag_escaping_lift_inputs()
+    xf = write_json(tmp_path / "x.json", module_to_json(x))
+    uf = write_json(tmp_path / "u.json", degree_set_to_json(U3))
+    af = write_json(tmp_path / "a.json", algebra_to_json(a))
+    code, out, err = run(capsys, command, xf, uf, uf, af, "--format", "json")
+    assert (code, out) == (2, "")
+    assert ("error: not an algebra: the ambient product escapes its tag "
+            "block, witness ('tags', 1, 2, 0, 1, 1)") in err
+
+
+def test_loaders_are_looked_up_at_each_call(monkeypatch, capsys, tmp_path):
+    # a tracer rebinds cli's names after import; the lift path must call
+    # the rebound reader and validator, not the ones bound at import
+    xf, sf, uf, af, _, _ = lift_files(tmp_path)
+    calls = []
+    for name in ("module_from_json", "validate_module"):
+        def counted(*args, _f=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run(capsys, "lift-check", xf, sf, uf, af)
+    assert code == 0
+    assert calls == ["module_from_json", "validate_module"]
 
 
 @pytest.mark.parametrize("value", ["1e20000000", "1e-20000000"])

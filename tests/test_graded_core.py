@@ -30,6 +30,7 @@ from gradedsupport.graded_core import (
     submodule_from_subspaces,
     torsion_quotient,
     torsion_spaces,
+    torsion_submodule,
     un_regrade_module,
     validate_algebra,
     validate_module,
@@ -42,7 +43,8 @@ from gradedsupport.constructions import (
     regular_module,
     truncated_polynomial,
 )
-from gradedsupport.regrade_maps import delta_map, is_pseudomorphism
+from gradedsupport.regrade_maps import (WindowedMap, delta_map,
+                                        is_pseudomorphism)
 from gradedsupport.subsets import DegreeSet, Z, Zn
 
 
@@ -380,6 +382,21 @@ def test_torsion_quotient_is_torsion_free_and_cogenerated():
     assert {d: c.dim for d, c in q.components.items()} == {0: 1, 1: 1}
 
 
+def test_torsion_submodule_is_the_socle_off_s():
+    # K[x]/(x^6): x^5 sits at 5, off S, and kills x; x^2 does not, as
+    # x^2 * x = x^3 lands at 3 in S
+    f = GF(3)
+    s = DegreeSet.periodic(3, (0, 1), Z)
+    m = regular_module(truncated_polynomial(6, 1, field=f))
+    t = torsion_submodule(m, s)
+    assert validate_module(t).holds
+    assert t.dims() == {5: 1}
+    assert t.action_matrix(5, 0) == Matrix.identity(f, 1)
+    verdict = is_cogenerated_in(m, s)
+    assert not verdict.holds and verdict.witness == ((5, 1),)
+    assert is_cogenerated_in(torsion_quotient(m, s), s).holds
+
+
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -635,6 +652,56 @@ def test_un_regrade_checks_the_pushed_algebra_for_vanishing_violations():
         with pytest.raises(GradingViolationError, match=what) as exc:
             un_regrade_module(x, phi)
         assert exc.value.witness == (1, 1)
+
+
+def _short_window_map():
+    """phi(-1) = 2, phi(0) = 0, phi(1) = 1: a pseudomorphism, as -1 + 1 = 0
+    sums to 3, off the image, and 1 + 1 = 2 lies past its window, although
+    phi(1) + phi(1) = phi(-1)."""
+    phi = WindowedMap((-1, 1), (2, 0, 1))
+    assert is_pseudomorphism(phi).holds
+    return phi
+
+
+def test_regrade_refuses_a_product_past_the_regrading_window():
+    # K[x]/(x^3): x * x = x^2 lands on phi(-1), but the new grading has no
+    # slot at 1 + 1 = 2 for it
+    a = truncated_polynomial(3, 1, window=(0, 2))
+    phi = _short_window_map()
+    with pytest.raises(GradingViolationError,
+                       match="mult leaves the regrading window") as exc:
+        regrade_algebra(a, phi)
+    assert exc.value.witness == (1, 1)
+    with pytest.raises(GradingViolationError,
+                       match="action leaves the regrading window") as exc:
+        regrade_module(regular_module(a), phi, algebra=a)
+    assert exc.value.witness == (1, 1)
+
+
+def test_regrade_cannot_meet_a_nonzero_product_off_the_image():
+    # a nonzero product lands on a nonzero component, and every component
+    # lies in g + Im(phi): x^2 at degree 2 is refused before any map is read
+    a = truncated_polynomial(3, 1, window=(0, 2))
+    phi = delta_map(DegreeSet.periodic(3, (0, 1), Z), 0, (0, 2))
+    for g, what in ((0, "degree 2"), (1, "degree 3")):
+        with pytest.raises(PreconditionError, match=f"{what} lies outside"):
+            regrade_module(shift_module(regular_module(a), g), phi, g, a)
+
+
+def test_un_regrade_refuses_a_module_window_that_misses_the_map():
+    from gradedsupport.graded_core import _pushed_window
+    a, u, b, phi = _compressed_setup()
+    zero = GradedModule(b, (7, 9), {}, {})
+    with pytest.raises(PreconditionError,
+                       match="the module window misses the map window"):
+        un_regrade_module(zero, phi, 0, a)
+    # an algebra's window holds 0, as a pseudomorphism's does, so only a map
+    # that is none meets the algebra's refusal
+    with pytest.raises(PreconditionError,
+                       match="the algebra window misses the map window"):
+        _pushed_window(b, WindowedMap((7, 8), (0, 1)), "algebra")
+    assert _pushed_window(zero, WindowedMap((8, 12), (0, 1, 3, 4, 6)),
+                          "module", 2) == (2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from gradedsupport.constructions import (
 from gradedsupport.errors import PreconditionError, UnsupportedFormError
 from gradedsupport.exactlin import GF, LabeledSpace, Matrix
 from gradedsupport.graded_core import (
+    GradedAlgebra,
     GradedModule,
     kill_support_algebra,
     kill_support_module,
     modules_equal,
     regrade_module,
     shift_module,
+    validate_algebra,
     validate_module,
 )
 from gradedsupport.lifting import (
@@ -37,7 +39,8 @@ from gradedsupport.lifting import (
     regraded_interval_conditions,
 )
 from gradedsupport.regrade_maps import delta_map
-from gradedsupport.subsets import DegreeSet, is_right_modular
+from gradedsupport.subsets import (DegreeSet, is_right_modular,
+                                   is_translation_of_interval)
 
 U3 = DegreeSet.periodic(3, (0, 1))
 
@@ -163,6 +166,33 @@ def test_shifting_by_the_period_preserves_the_verdict():
         assert before == after
 
 
+@pytest.mark.parametrize("n, residues", [
+    (4, (0, 3)), (5, (0, 3, 4)),  # U = [-r, 0] + nZ for r = 1, 2
+    (3, (0,)), (5, (0,)),  # r = 0: U is a subgroup, and nothing is checked
+])
+@pytest.mark.parametrize("quiver", [False, True])
+def test_checkers_agree_on_the_other_interval_shapes(n, residues, quiver):
+    u = DegreeSet.periodic(n, residues)
+    shape = is_translation_of_interval(u)
+    assert (shape.orientation == "left") == (len(residues) > 1)
+    if quiver:
+        a = quiver_algebra(2, [(0, 1), (1, 0)], [], 2 * n + 1, GF(101))
+    else:
+        a = truncated_polynomial(2 * n + 2, 1, window=(0, 2 * n + 1),
+                                 field=GF(101))
+    b = kill_support_algebra(a, u)
+    verdicts = []
+    for seed in range(12):
+        x = random_killed_module(b, u, u, seed)
+        interval = liftability_check_interval(x, u, u, a)
+        assert interval.liftable == liftability_check(x, u, u, a).liftable
+        verdicts.append(interval.liftable)
+        if shape.r == 0:
+            assert interval.triples_checked == 0
+    # both verdicts occur for the left intervals; a subgroup lifts them all
+    assert set(verdicts) == ({True} if shape.r == 0 else {True, False})
+
+
 def test_interval_checker_needs_an_interval():
     a = truncated_polynomial(6, 1, window=(0, 5))
     u = DegreeSet.periodic(5, (0, 2))
@@ -227,8 +257,63 @@ def test_lift_is_supported_in_translated_degrees():
     assert certified_isomorphism(back, x) is not None
 
 
+def test_the_ambient_algebra_defaults_to_what_was_killed():
+    a, b = killed_setup(field=GF(101))
+    x = random_killed_module(b, U3, U3, 3)
+    assert liftability_check(x, U3, U3) == liftability_check(x, U3, U3, a)
+    assert modules_equal(check_and_lift(x, U3, U3).lift,
+                         check_and_lift(x, U3, U3, a).lift)
+    # an algebra that does not remember what it was killed from
+    y = GradedModule(a, x.window, x.components, {})
+    with pytest.raises(PreconditionError, match="ambient algebra is required"):
+        liftability_check(y, U3, U3)
+
+
+def test_the_zero_module_lifts_to_the_zero_module():
+    a, b = killed_setup(field=GF(101))
+    report = check_and_lift(GradedModule(b, b.window, {}, {}), U3, U3, a)
+    assert report.liftable and report.violations == ()
+    assert report.isomorphism_certified and report.generated_certified \
+        and report.cogenerated_certified
+    assert report.lift.over is a and report.lift.total_dim() == 0
+
+
+def tag_escaping_lift_inputs():
+    """An ambient algebra whose product escapes its tag block, and a valid
+    module over its killed form.
+
+    Over the two-vertex quiver a: 0 -> 1, b: 1 -> 0, the two rows of the
+    (1, 2) mult map are swapped, so a * ba lands on bab, whose right tag 0
+    is not that of ba.  U = S = {0, 1} + 3Z keeps A_1 and drops A_2, so the
+    killed algebra does not see the swap.
+    """
+    good = quiver_algebra(2, [(0, 1), (1, 0)], [], 7, GF(101))
+    mult = {key: dict(rows) for key, rows in good._maps.items()}
+    mult[(1, 2)] = {(0, 1): mult[(1, 2)][(1, 0)],
+                    (1, 0): mult[(1, 2)][(0, 1)]}
+    a = GradedAlgebra(good.group, good.window, good.k, good.field,
+                      good.components, mult, good.unit)
+    x = random_killed_module(kill_support_algebra(a, U3), U3, U3, 0)
+    assert validate_module(x).holds
+    return a, x
+
+
+@pytest.mark.parametrize("check", [liftability_check,
+                                   liftability_check_interval, check_and_lift])
+def test_checkers_refuse_an_ambient_product_escaping_its_tags(check):
+    # the scan pushed a kernel vector through a * ba and raised
+    # InternalConsistencyError: x's own products never meet A_2
+    a, x = tag_escaping_lift_inputs()
+    assert validate_algebra(a).witness == ("tags", 1, 2, 0, 1, 1)
+    with pytest.raises(PreconditionError,
+                       match=r"escapes its tag block, witness "
+                             r"\('tags', 1, 2, 0, 1, 1\)"):
+        check(x, U3, U3, a)
+
+
 def test_check_and_lift_decides_the_pair_once_and_quotients_once(
         monkeypatch):
+    import gradedsupport.graded_core as graded_core
     import gradedsupport.lifting as lifting
     import gradedsupport.subsets as subsets
     a, b = killed_setup(field=GF(101))
@@ -241,8 +326,9 @@ def test_check_and_lift_decides_the_pair_once_and_quotients_once(
             return f(*args)
         return wrapper
 
+    # graded_core owns the refusal of a pair that is not right modular
     modular = subsets.is_right_modular
-    monkeypatch.setattr(lifting, "is_right_modular",
+    monkeypatch.setattr(graded_core, "is_right_modular",
                         counted("modular", modular))
     monkeypatch.setattr(subsets, "is_right_modular",
                         counted("modular", modular))

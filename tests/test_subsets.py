@@ -305,6 +305,34 @@ def test_structure_decompose_shapes():
     assert structure_decompose(DegreeSet.full()).kind == "all_of_z"
 
 
+@pytest.mark.parametrize("n, residues, intervals, r", [
+    (5, (0, 1, 3), ((0, 1), (3, 3)), 1),
+    # the zero interval is [-1, 0]: 2 is lifted past it, 4 is its left end
+    (5, (0, 2, 4), ((-1, 0), (2, 2)), 1),
+    (7, (0, 2), ((0, 0), (2, 2)), 0),
+])
+def test_structure_decompose_splits_a_period_into_its_intervals(
+        n, residues, intervals, r):
+    d = structure_decompose(DegreeSet.periodic(n, residues, Z))
+    assert (d.kind, d.intervals, d.zero_radius, d.window_certified) \
+        == ("finite_interval_union", intervals, r, False)
+
+
+@pytest.mark.parametrize("elements, window, kind, intervals, r", [
+    (range(-2, 3), (-2, 2), "all_of_z", (), None),
+    ((0, 2, 3, 4), (0, 4), "submonoid_of_n", (), None),
+    ((0, -2, -3, -4), (-4, 0), "submonoid_of_neg_n", (), None),
+    ((0, 1, 5, 6), (-1, 7), "finite_interval_union", ((0, 1), (5, 6)), 1),
+    ((-5, 0, 5), (-6, 6), "finite_interval_union",
+     ((-5, -5), (0, 0), (5, 5)), 0),
+])
+def test_structure_decompose_classifies_what_a_window_shows(
+        elements, window, kind, intervals, r):
+    d = structure_decompose(DegreeSet.windowed(elements, window))
+    assert (d.kind, d.intervals, d.zero_radius, d.window_certified) \
+        == (kind, intervals, r, True)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_residue_of_zn_is_the_whole_group(n):
     # canonical() makes an every-residue set Full, so the whole-group
