@@ -40,10 +40,10 @@ import itertools
 from collections import Counter
 
 from .errors import CapacityError, PreconditionError
-from .exactlin import LabeledSpace, Matrix, QQ, Subspace, integral, \
-    matched_pairs, nullspace
-from .graded_core import GradedAlgebra, GradedModule, closure_under_action, \
-    quotient_module
+from .exactlin import LabeledSpace, QQ, Subspace, integral, matched_pairs, \
+    nullspace
+from .graded_core import GradedAlgebra, GradedModule, _checked_parts, \
+    closure_under_action, quotient_module
 from .subsets import Z, Zn
 
 
@@ -63,10 +63,10 @@ def group_algebra(n, field=QQ) -> GradedAlgebra:
     if n < 1:
         raise PreconditionError(f"modulus must be >= 1, got {n}")
     _check_table(n * n, n * n, f"K[Z/{n}]")
-    one = Matrix.identity(field, 1)
+    one = {(0, 0): {0: field.one()}}
     comps = {d: LabeledSpace.untagged(1) for d in range(n)}
     mult = {(g, h): one for g in range(n) for h in range(n)}
-    return GradedAlgebra(Zn(n), (0, n - 1), 1, field, comps, mult, (field.one(),))
+    return GradedAlgebra._of(Zn(n), (0, n - 1), 1, field, comps, mult, (field.one(),))
 
 
 def truncated_polynomial(nilpotency, gen_degree=1, window=None,
@@ -90,13 +90,13 @@ def truncated_polynomial(nilpotency, gen_degree=1, window=None,
     elif not (window[0] <= lo and hi <= window[1]):
         raise PreconditionError(
             f"window {window} does not cover the support [{lo}, {hi}]")
-    one = Matrix.identity(field, 1)
+    one = {(0, 0): {0: field.one()}}
     comps = {d: LabeledSpace.untagged(1) for d in degrees}
     mult = {(i * g, j * g): one
             for i in range(nilpotency) for j in range(nilpotency)
             if i + j < nilpotency}
-    return GradedAlgebra(Z, tuple(window), 1, field, comps, mult,
-                         (field.one(),))
+    return GradedAlgebra._of(Z, (int(window[0]), int(window[1])), 1, field,
+                             comps, mult, (field.one(),))
 
 
 def zero_sum_pair_algebra(g, field=QQ) -> GradedAlgebra:
@@ -109,23 +109,21 @@ def zero_sum_pair_algebra(g, field=QQ) -> GradedAlgebra:
     if g == 0:
         raise PreconditionError("the two generator degrees must be nonzero")
     F = field
-    o, z = F.one(), F.zero()
+    o = F.one()
     comps = {
         0: LabeledSpace.untagged(2),   # basis (1, xy)
         g: LabeledSpace.untagged(1),   # x
         -g: LabeledSpace.untagged(1),  # y
     }
+    by_one = {(0, 0): {0: o}}  # 1 * x = x, x * 1 = x, and so for y
     mult = {
-        (0, 0): Matrix(F, 4, 2, [(o, z), (z, o), (z, o), (z, z)]),
-        (0, g): Matrix(F, 2, 1, [(o,), (z,)]),
-        (g, 0): Matrix(F, 2, 1, [(o,), (z,)]),
-        (0, -g): Matrix(F, 2, 1, [(o,), (z,)]),
-        (-g, 0): Matrix(F, 2, 1, [(o,), (z,)]),
-        (g, -g): Matrix(F, 1, 2, [(z, o)]),
-        # y x = 0 and both squares vanish, so nothing else is stored
+        (0, 0): {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},  # 1, xy
+        (0, g): by_one, (g, 0): by_one, (0, -g): by_one, (-g, 0): by_one,
+        (g, -g): {(0, 0): {1: o}},  # x y = xy
+        # y x = 0 and xy xy, x^2, y^2 vanish, so nothing else is stored
     }
     lo, hi = min(0, g, -g), max(0, g, -g)
-    return GradedAlgebra(Z, (lo, hi), 1, F, comps, mult, (o, z))
+    return GradedAlgebra._of(Z, (lo, hi), 1, F, comps, mult, (o, F.zero()))
 
 
 def generic_pair_algebra(g, h, field=QQ) -> GradedAlgebra:
@@ -139,14 +137,14 @@ def generic_pair_algebra(g, h, field=QQ) -> GradedAlgebra:
         raise PreconditionError(
             "degrees must be nonzero, distinct, and not opposite")
     F = field
-    one = Matrix.identity(F, 1)
+    one = {(0, 0): {0: F.one()}}
     comps = {d: LabeledSpace.untagged(1) for d in (0, g, h, g + h)}
     mult = {(0, d): one for d in (0, g, h, g + h)}
     mult.update({(d, 0): one for d in (g, h, g + h)})
     mult[(g, h)] = one  # x y = xy; every other nonunit product vanishes
     lo = min(0, g, h, g + h)
     hi = max(0, g, h, g + h)
-    return GradedAlgebra(Z, (lo, hi), 1, F, comps, mult, (F.one(),))
+    return GradedAlgebra._of(Z, (lo, hi), 1, F, comps, mult, (F.one(),))
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +316,13 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     for g in degs:
         for h in degs:
             t = g + h
-            if t > top or t not in comps:
-                continue
-            mult[(g, h)] = {
-                (i, j): {j: F.one()} if t == 0  # e_i e_j = e_j, as i = j
-                else residue(t, basis_paths[g][i] + basis_paths[h][j])
-                for (i, j) in matched_pairs(comps[g], comps[h])}
+            pairs = matched_pairs(comps[g], comps[h]) if t in comps else ()
+            if pairs:  # e_i e_j = e_j below, as i = j
+                mult[(g, h)] = {(i, j): row for i, j in pairs if (
+                    row := {j: F.one()} if t == 0
+                    else residue(t, basis_paths[g][i] + basis_paths[h][j]))}
     unit = tuple(F.one() for _ in range(num_vertices))
-    return GradedAlgebra(Z, (0, top), num_vertices, F, comps, mult, unit)
+    return GradedAlgebra._of(Z, (0, top), num_vertices, F, comps, mult, unit)
 
 
 def n_homogeneous_dual(v_dim, relations, top, field=QQ,
@@ -414,7 +411,7 @@ def regular_module(a: GradedAlgebra) -> GradedModule:
     """A as a right module over itself; the action rows are the mult rows."""
     comps = {d: LabeledSpace.module_component(c.right_tags)
              for d, c in a.components.items()}
-    return GradedModule(a, a.window, comps, a._maps)
+    return GradedModule._of(a, a.window, comps, a._maps)
 
 
 def free_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
@@ -496,8 +493,10 @@ def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
 
     Row (p, j) of map (t, u), for p the A_d basis vector q of block b, is
     A's row (q, j) of map (d, u) kept on block b's positions at t + u.
-    A's map is read once per block.
+    A's map is read once per block; the window is checked as a
+    constructor checks it.
     """
+    window = _checked_parts(a.group, window, a.k, {})[0]
     # block b's A-basis index -> its coordinate in comps[t]
     coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
                  for (b, _, start, positions) in blocks}
@@ -508,16 +507,18 @@ def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
             tu = a.group.add(t, u)
             if tu not in layout:
                 continue
-            rows = action[(t, u)] = {}
+            rows = {}
             for (b, d, _, _) in blocks:
                 src, dst = coord[t][b], coord[tu].get(b)
                 if dst is None:
                     continue
                 for (q, j), r in a._map_rows(d, u):
-                    if q in src:
-                        rows[(src[q], j)] = {dst[qq]: v for qq, v in r.items()
-                                             if qq in dst}
-    return GradedModule(a, window, comps, action)
+                    if q in src and (row := {dst[qq]: v for qq, v in r.items()
+                                             if qq in dst}):
+                        rows[(src[q], j)] = row
+            if rows or matched_pairs(comps[t], a.component(u)):
+                action[(t, u)] = rows
+    return GradedModule._of(a, window, comps, action)
 
 
 def present_module(a: GradedAlgebra, gens, relations, window=None) -> GradedModule:

@@ -7,20 +7,24 @@ LabeledSpace (basis vectors tagged with idempotent indices on both sides),
 and per degree pair (g, h) a structure map on the tag-matched tensor basis
 of X_g x A_h.  A map is stored as a dict {(i, j): row} from a matched pair
 to the image of x_i * a_j, a {col: value} row of its nonzeros in the basis
-of X_{g+h}, holding the nonzero rows only.  A map that is present with no
-nonzero row is an empty dict, unlike an absent map, which has no entry at
-all.  Every action is read from these rows, one dict lookup per pair;
-killing, shifting, regrading and serialization pass them through.  The
-Matrix of a map, rows in lexicographic pair order, wraps the same rows for
-.mult / .action / mult_matrix / action_matrix.  For
-a GradedAlgebra X = A and the map is the multiplication; for a
-GradedModule A is the algebra it lives over and the map is the action.
-Both share one base class holding the components, the map table and the
-lookups on it.  Components absent from the dictionary are zero, and for
-Z-graded objects every component outside the window is zero by
-definition: the object is genuinely finite dimensional, not a truncated
-view of an unknown infinite one.  Over Z/n, degrees are reduced mod n, and
-two components or two maps at one reduced degree are refused.
+of X_{g+h}, holding the nonzero rows only.  A map is present when it has a
+nonzero row, or matched pairs and a nonzero target, so it may be an empty
+dict; any other map has no entry at all.  Every action is read from these
+rows, one dict lookup per pair.  The Matrix of a map, rows in lexicographic
+pair order, wraps the same rows for .mult / .action / mult_matrix /
+action_matrix.  For a GradedAlgebra X = A and the map is the
+multiplication; for a GradedModule A is the algebra it lives over and the
+map is the action.  Both share one base class holding the components, the
+map table and the lookups on it.  Components absent from the dictionary are
+zero, and for Z-graded objects every component outside the window is zero
+by definition: the object is genuinely finite dimensional, not a truncated
+view of an unknown infinite one.  Over Z/n, degrees are reduced mod n.
+
+Objects are built on one of two paths.  The checked path, the public
+constructors that the JSON readers call, checks every field and map, and
+refuses two components or two maps at one reduced degree.  The trusted
+path, _of, is for this library's builders only, whose tables are in stored
+form by construction, and keeps them with no copy and no check.
 
 The degree-0 part of an algebra carries the unit as an explicit coefficient
 vector.  With k >= 2 idempotents the degree-0 part must be exactly the k
@@ -52,6 +56,32 @@ def _claim(seen, key, what, group):
     seen.add(key)
 
 
+def _checked_parts(group, window, k, components):
+    """The window as ints and the nonzero components by reduced degree."""
+    lo, hi = int(window[0]), int(window[1])
+    if group.kind == "Zn":
+        if (lo, hi) != (0, group.n - 1):
+            raise PreconditionError(
+                f"cyclic gradings carry the full window (0, {group.n - 1})")
+    elif lo > hi:
+        raise PreconditionError(f"empty window [{lo}, {hi}]")
+    if k < 1:
+        raise PreconditionError("at least one idempotent is required")
+    comps, seen = {}, set()
+    for d, c in components.items():
+        d = int(d)
+        if group.kind == "Zn":
+            d %= group.n
+            _claim(seen, d, "components", group)
+        if c.dim == 0:
+            continue
+        if not lo <= d <= hi:
+            raise PreconditionError(f"component at degree {d} outside window")
+        c.check_tags(k)
+        comps[d] = c
+    return (lo, hi), comps
+
+
 class _GradedObject:
     """Graded components plus one table of structure maps X_g x A_h -> X_{g+h}.
 
@@ -60,42 +90,18 @@ class _GradedObject:
     one a module lives over.
     """
 
-    def __init__(self, group, window, k, field, components):
-        lo, hi = int(window[0]), int(window[1])
-        if group.kind == "Zn":
-            if (lo, hi) != (0, group.n - 1):
-                raise PreconditionError(
-                    f"cyclic gradings carry the full window (0, {group.n - 1})")
-        elif lo > hi:
-            raise PreconditionError(f"empty window [{lo}, {hi}]")
-        if k < 1:
-            raise PreconditionError("at least one idempotent is required")
-        self.group = group
-        self.window = (lo, hi)
-        self.field = field
-        comps, seen = {}, set()
-        for d, c in components.items():
-            d = int(d)
-            if group.kind == "Zn":
-                d %= group.n
-                _claim(seen, d, "components", group)
-            if c.dim == 0:
-                continue
-            if not lo <= d <= hi:
-                raise PreconditionError(f"component at degree {d} outside window")
-            c.check_tags(k)
-            comps[d] = c
-        self.components = comps
-        self._pair_cache = {}
+    @classmethod
+    def _of(cls, *args):
+        """cls(*args) on the trusted path: _fields sets the fields as given
+        and keeps the table with no copy and no check."""
+        x = cls.__new__(cls)
+        x._fields(*args)
+        return x
 
     def _store_maps(self, table):
-        """Check every map and keep each present one as the dict of its
-        nonzero rows.
-
-        A map is a Matrix with one row per pairs(g, h), or a dict keyed by
-        matched pair.  It is present when it has a nonzero row, or matched
-        pairs and a nonzero target.
-        """
+        """The checked path's table: check every map and keep each present
+        one as the dict of its nonzero rows.  A map is a Matrix with one row
+        per pairs(g, h), or a dict keyed by matched pair."""
         stored, seen = {}, set()
         right = self._acting()
         for (g, h), m in table.items():
@@ -191,11 +197,10 @@ class GradedAlgebra(_GradedObject):
     _map_name = "mult"
 
     def __init__(self, group, window, k, field, components, mult, unit):
-        super().__init__(group, window, k, field, components)
-        self.k = k
-        if 0 not in self.components:
+        window, components = _checked_parts(group, window, k, components)
+        if 0 not in components:
             raise PreconditionError("the degree-0 component must be nonzero")
-        a0 = self.components[0]
+        a0 = components[0]
         if k >= 2:
             if a0.dim != k or a0.left_tags != tuple(range(k)) \
                     or a0.right_tags != tuple(range(k)):
@@ -205,16 +210,19 @@ class GradedAlgebra(_GradedObject):
         unit = tuple(unit)
         if len(unit) != a0.dim:
             raise ShapeError("unit vector length must match the degree-0 dimension")
-        self.unit = unit
+        # GradedAlgebra's own: a KilledAlgebra's _fields takes other arguments
+        GradedAlgebra._fields(self, group, window, k, field, components, {}, unit)
         self._store_maps(mult)
+
+    def _fields(self, group, window, k, field, components, mult, unit):
+        self.group, self.window, self.k, self.field = group, window, k, field
+        self.components, self._maps, self.unit = components, mult, unit
+        self._pair_cache = {}
 
     def _acting(self):
         return self
 
-    @property
-    def mult(self):
-        return self._dense_maps()
-
+    mult = property(_GradedObject._dense_maps)
     mult_matrix = _GradedObject._map_matrix
     mult_row = _GradedObject._map_row
 
@@ -230,8 +238,12 @@ class KilledAlgebra(GradedAlgebra):
     def __init__(self, base, support, components, mult):
         super().__init__(base.group, base.window, base.k, base.field,
                          components, mult, base.unit)
-        self.base = base
-        self.support = support
+        self.base, self.support = base, support
+
+    def _fields(self, base, support, components, mult):
+        super()._fields(base.group, base.window, base.k, base.field,
+                        components, mult, base.unit)
+        self.base, self.support = base, support
 
 
 class GradedModule(_GradedObject):
@@ -240,17 +252,19 @@ class GradedModule(_GradedObject):
     _map_name = "action"
 
     def __init__(self, over, window, components, action):
-        self.over = over
-        super().__init__(over.group, window, over.k, over.field, components)
+        self._fields(over, *_checked_parts(over.group, window, over.k,
+                                           components), {})
         self._store_maps(action)
+
+    def _fields(self, over, window, components, action):
+        self.over, self.group, self.window = over, over.group, window
+        self.field, self.components, self._maps = over.field, components, action
+        self._pair_cache = {}
 
     def _acting(self):
         return self.over
 
-    @property
-    def action(self):
-        return self._dense_maps()
-
+    action = property(_GradedObject._dense_maps)
     action_matrix = _GradedObject._map_matrix
     action_row = _GradedObject._map_row
 
@@ -276,7 +290,6 @@ def modules_equal(m: GradedModule, n: GradedModule) -> bool:
     return m is n or (
         algebras_equal(m.over, n.over) and m.window == n.window
         and m.components == n.components and _same_maps(m, n))
-
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +447,7 @@ def kill_support_algebra(a: GradedAlgebra, u: DegreeSet) -> KilledAlgebra:
     if not u.contains(0):
         raise PreconditionError("killing keeps the unit, so 0 must lie in U")
     comps = {d: c for d, c in a.components.items() if u.contains(d)}
-    return KilledAlgebra(a, u, comps, _kept_maps(a, comps, comps))
+    return KilledAlgebra._of(a, u, comps, _kept_maps(a, comps, comps))
 
 
 def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
@@ -442,15 +455,16 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
     """M_S over A_U: keep components in S, kill actions landing outside S.
 
     Requires (S, U) to be a right modular pair, which is exactly the
-    condition making the killed action associative for every module.
+    condition making the killed action associative for every module.  A
+    given algebra must be kill_support_algebra(m.over, u).
     """
     _check_set_group(m, s)
     _check_modular_pair(s, u)
     if algebra is None:
         algebra = kill_support_algebra(m.over, u)
     comps = {d: c for d, c in m.components.items() if s.contains(d)}
-    return GradedModule(algebra, m.window, comps,
-                        _kept_maps(m, comps, algebra.components))
+    return GradedModule._of(algebra, m.window, comps,
+                            _kept_maps(m, comps, algebra.components))
 
 
 def _kept_maps(x, comps, acting):
@@ -461,14 +475,11 @@ def _kept_maps(x, comps, acting):
 
 def shift_module(m: GradedModule, g: int) -> GradedModule:
     """Degree shift: shift(M, g)_h = M_{h-g}."""
-    if m.group.kind == "Zn":
-        window = m.window
-    else:
-        window = (m.window[0] + g, m.window[1] + g)
+    lo, hi = m.window
+    window = m.window if m.group.kind == "Zn" else (lo + g, hi + g)
     comps = {m.add_deg(d, g): c for d, c in m.components.items()}
     action = {(m.add_deg(s, g), u): rows for (s, u), rows in m._maps.items()}
-    return GradedModule(m.over, window, comps, action)
-
+    return GradedModule._of(m.over, window, comps, action)
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +509,18 @@ def regrade_algebra(b: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
 
 def _regraded_algebra(b, phi):
     window, comps, mult = _regraded_parts(b, phi, 0)
-    return GradedAlgebra(b.group, window, b.k, b.field, comps, mult, b.unit)
+    return GradedAlgebra._of(b.group, window, b.k, b.field, comps, mult, b.unit)
 
 
 def regrade_module(x: GradedModule, phi: WindowedMap, g: int = 0,
                    algebra: GradedAlgebra | None = None) -> GradedModule:
-    """New grading with component sigma = X_{g + phi(sigma)}."""
+    """New grading with component sigma = X_{g + phi(sigma)}; a given
+    algebra must be regrade_algebra(x.over, phi)."""
     _check_regrade(x, phi)
     if algebra is None:
         algebra = _regraded_algebra(x.over, phi)
     window, comps, action = _regraded_parts(x, phi, g)
-    return GradedModule(algebra, window, comps, action)
+    return GradedModule._of(algebra, window, comps, action)
 
 
 def _regraded_parts(x, phi: WindowedMap, g: int):
@@ -527,12 +539,12 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
             raise PreconditionError(
                 f"nonzero component at degree {d} lies outside "
                 f"{g} + Im(phi)")
-    lo, hi = _clipped_positions(phi, x.window, g)
-    comps = {}
-    for sigma in range(lo, hi + 1):
-        c = x.component(g + phi(sigma))
-        if c.dim:
-            comps[sigma] = c
+    positions = [s for s in phi.domain() if x.in_window(g + phi(s))]
+    if not positions:
+        raise PreconditionError("the regrading map misses the window")
+    lo, hi = positions[0], positions[-1]
+    comps = {s: c for s in range(lo, hi + 1)
+             if (c := x.component(g + phi(s))).dim}
     right = x._acting()
     taus = [t for t in phi.domain() if right.component(phi(t)).dim]
     maps = {}
@@ -556,15 +568,6 @@ def _regraded_parts(x, phi: WindowedMap, g: int):
     return (lo, hi), comps, maps
 
 
-def _clipped_positions(phi: WindowedMap, window, g: int = 0):
-    """Positions whose phi-image falls inside the target window."""
-    lo, hi = window
-    positions = [s for s in phi.domain() if lo <= g + phi(s) <= hi]
-    if not positions:
-        raise PreconditionError("the regrading map misses the window")
-    return positions[0], positions[-1]
-
-
 def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
                       algebra: GradedAlgebra | None = None) -> GradedModule:
     """Inverse of regrade_module on modules satisfying the vanishing pattern.
@@ -573,7 +576,8 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     outside the window image of phi; otherwise the result would not be graded
     and a grading violation with witness (sigma, tau) is raised.  When the
     algebra to grade over is not supplied it is rebuilt by pushing V's
-    algebra forward along phi, whose products obey the same pattern.
+    algebra forward along phi, whose products obey the same pattern; a
+    supplied one must be that algebra.
     """
     _check_regrade(v, phi)
     action = _pushed_maps(v, phi, g)
@@ -581,17 +585,18 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
         algebra = _push_forward_algebra(v.over, phi)
     window = _pushed_window(v, phi, "module", g)
     comps = {g + phi(sigma): v.component(sigma) for sigma in v.degrees()}
-    return GradedModule(algebra, window, comps, action)
+    return GradedModule._of(algebra, window, comps, action)
 
 
 def _pushed_window(x, phi: WindowedMap, what, g: int = 0):
-    """g + phi of the ends of x's window met with phi's; what names x in
-    the refusal of an empty meet."""
+    """g + the least and greatest value of phi on x's window met with phi's,
+    which hold every pushed component; what names x if the meet is empty."""
     lo = max(x.window[0], phi.window[0])
     hi = min(x.window[1], phi.window[1])
     if lo > hi:
         raise PreconditionError(f"the {what} window misses the map window")
-    return g + phi(lo), g + phi(hi)
+    values = [phi(s) for s in range(lo, hi + 1)]
+    return g + min(values), g + max(values)
 
 
 def _pushed_maps(x, phi: WindowedMap, g: int = 0):
@@ -616,13 +621,9 @@ def _pushed_maps(x, phi: WindowedMap, g: int = 0):
 
 def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
     window = _pushed_window(bt, phi, "algebra")
-    comps = {}
-    for sigma in phi.domain():
-        c = bt.component(sigma)
-        if c.dim:
-            comps[phi(sigma)] = c
-    return GradedAlgebra(bt.group, window, bt.k, bt.field, comps,
-                         _pushed_maps(bt, phi), bt.unit)
+    comps = {phi(s): c for s in phi.domain() if (c := bt.component(s)).dim}
+    return GradedAlgebra._of(bt.group, window, bt.k, bt.field, comps,
+                             _pushed_maps(bt, phi), bt.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +654,8 @@ def _tag_blocks(comp: LabeledSpace, space: Subspace):
 def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     """The submodule with the given action-closed component subspaces."""
     F = m.field
-    bases = {}
-    for d, sp in spaces.items():
-        if sp.dim == 0:
-            continue
-        bases[d] = _tag_blocks(m.component(d), sp)
+    bases = {d: _tag_blocks(m.component(d), sp)
+             for d, sp in spaces.items() if sp.dim}
     comps = {d: LabeledSpace.module_component(tags)
              for d, (_, tags, _) in bases.items()}
 
@@ -668,11 +666,9 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     for d, (basis, _, _) in bases.items():
         for u in m.over.degrees():
             t = m.add_deg(d, u)
-            if t not in m.components:
-                continue
             rows, _, pivots = bases.get(t, ((), (), ()))
-            out = {}
-            for i, j in matched_pairs(comps[d], m.over.component(u)):
+            out, pairs = {}, matched_pairs(comps[d], m.over.component(u))
+            for i, j in pairs:
                 vec = _accumulate(F, basis[i],
                                   lambda k: m.action_row(d, u, k, j))
                 if vec:
@@ -682,9 +678,9 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
                             f"subspaces are not action-closed: a push "
                             f"leaves the degree-{t} subspace")
                     out[(i, j)] = {r: c for r, c in enumerate(got) if c}
-            if t in comps:
+            if t in comps and pairs:
                 action[(d, u)] = out
-    return GradedModule(m.over, m.window, comps, action)
+    return GradedModule._of(m.over, m.window, comps, action)
 
 
 def quotient_with_maps(m: GradedModule, spaces: dict):
@@ -739,7 +735,7 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
             if t not in comps:
                 continue
             at, cls = reducers[t][3], classes[t]
-            out = action[(d, u)] = {}
+            out = {}
             for (i, j), row in m._map_rows(d, u):
                 if i not in src:
                     continue
@@ -750,9 +746,12 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
                 else:
                     img = _accumulate(
                         F, row, lambda q: cls[q] if q in cls else {at[q]: one})
-                out[(src[i], j)] = img
+                if img:
+                    out[(src[i], j)] = img
+            if out or matched_pairs(comps[d], m.over.component(u)):
+                action[(d, u)] = out
     keep_map = {d: tuple(r[2]) for d, r in reducers.items()}
-    return GradedModule(m.over, m.window, comps, action), project, keep_map
+    return GradedModule._of(m.over, m.window, comps, action), project, keep_map
 
 
 def quotient_module(m: GradedModule, spaces: dict) -> GradedModule:

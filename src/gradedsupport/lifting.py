@@ -325,7 +325,7 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     window = x.window
     F = a.field
     if not qdegs:
-        empty = GradedModule(a, window, {}, {})
+        empty = GradedModule._of(a, window, {}, {})
         return LiftReport(liftable=True, violations=(),
                           triples_checked=report.triples_checked, lift=empty,
                           isomorphism_certified=True, generated_certified=True,

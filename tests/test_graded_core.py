@@ -1,6 +1,8 @@
 """Killing, shifting, torsion, hom spaces and regrading on small algebras."""
 
+import inspect
 import itertools
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,16 +37,19 @@ from gradedsupport.graded_core import (
     validate_algebra,
     validate_module,
 )
+from gradedsupport import constructions, graded_core
 from gradedsupport.constructions import (
     free_module,
     group_algebra,
     present_module,
+    projective_module,
     quiver_algebra,
     regular_module,
     truncated_polynomial,
 )
 from gradedsupport.regrade_maps import (WindowedMap, delta_map,
                                         is_pseudomorphism)
+from gradedsupport.serialize import dump_json
 from gradedsupport.subsets import DegreeSet, Z, Zn
 
 
@@ -704,6 +709,18 @@ def test_un_regrade_refuses_a_module_window_that_misses_the_map():
                           "module", 2) == (2, 3)
 
 
+def test_un_regrade_inverts_a_regrade_along_a_map_that_is_not_increasing():
+    # phi(-1) = 2 > phi(1) = 1: the window pushed back is g + the values of
+    # phi on the met window, 0..2, which holds every pushed component
+    a = truncated_polynomial(2, 1, window=(0, 2))
+    phi = _short_window_map()
+    v = regrade_module(regular_module(a), phi)
+    assert v.window == (-1, 1) and v.dims() == {0: 1, 1: 1}
+    back = un_regrade_module(v, phi)
+    assert back.window == (0, 2)
+    assert modules_equal(back, regular_module(a))
+
+
 # ---------------------------------------------------------------------------
 # generation predicates
 
@@ -719,3 +736,91 @@ def test_is_generated_in_detects_generator_degrees():
     assert is_generated_in(m, [0])
     assert not is_generated_in(m, [1])
     assert is_generated_in(shift_module(m, 2), [2])
+
+
+# ---------------------------------------------------------------------------
+# the trusted path: the tests' fixture checks every _of build (conftest.py)
+
+
+def _mutant(monkeypatch, module, name, old, new):
+    """Replace module.name by a copy whose source reads new for old."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+@pytest.mark.parametrize("module, name, old, new, build, error", [
+    # a column one past the target: 1 * x^2 lands on column 1 of A_2
+    (constructions, "_layout_module", "{dst[qq]: v", "{dst[qq] + 1: v",
+     lambda a: free_module(a, [0]), "has a column beyond the 1"),
+    # an unmatched key: x^0 * a_1 where A_1 has the one basis vector a_0
+    (graded_core, "quotient_with_maps", "out[(src[i], j)]",
+     "out[(src[i], j + 1)]",
+     lambda a: present_module(a, [0], [(2, (1,))]), "not a matched pair"),
+])
+def test_the_fixture_refuses_a_mutant_builder(monkeypatch, module, name, old,
+                                              new, build, error):
+    a = truncated_polynomial(3)
+    _mutant(monkeypatch, module, name, old, new)
+    with pytest.raises(ShapeError, match=error):
+        build(a)
+
+
+def test_the_fixture_checks_reduced_cyclic_degree_keys(monkeypatch):
+    a = group_algebra(4)
+    m = shift_module(regular_module(a), 6)
+    assert set(m._maps) == set(itertools.product(range(4), repeat=2))
+    assert m.components == regular_module(a).components
+    # keys left unreduced are stored reduced by the checked path
+    _mutant(monkeypatch, graded_core, "shift_module",
+            "(m.add_deg(s, g), u)", "(s + g, u)")
+    with pytest.raises(AssertionError, match="differs from the checked path"):
+        graded_core.shift_module(regular_module(a), 6)
+
+
+def _checked_copy(x):
+    """x through the checked path, handed a Matrix at every degree pair with
+    a nonzero target, zero where x stores none: the checked path decides
+    which maps are present."""
+    table = {}
+    for g in x.degrees():
+        for h in x._acting().degrees():
+            dim = x.component(x.add_deg(g, h)).dim
+            if dim:
+                table[(g, h)] = x._map_matrix(g, h) or Matrix.zero(
+                    x.field, len(x.pairs(g, h)), dim)
+    return GradedModule(x.over, x.window, x.components, table)
+
+
+def test_present_and_absent_maps_at_two_vertices():
+    # arrows a: 0 -> 1 and b: 1 -> 0 with ab = 0, so A_2 is ba alone, whose
+    # left tag is 1; with no relation every A_u holds paths from both
+    # vertices and every (d, u) has matched pairs
+    a = quiver_algebra(2, [(0, 1), (1, 0)], [[(1, (0, 1))]], 4)
+    F = a.field
+    p = projective_module(a, [(0, 0), (1, 1)])  # e_0 A + e_1 A(-1)
+    # P_1 = (a, e_1); W_1 = span(a) holds e_0 * a, so map (0, 1) of P / W
+    # has its matched pair and a nonzero target but only a zero row
+    q = quotient_with_maps(p, {1: Subspace.from_vectors(
+        F, 2, [(F.one(), F.zero())])})[0]
+    u = DegreeSet.periodic(5, (0, 1, 2), Z)
+    killed = kill_support_module(q, u, u)
+    for x in (p, q, killed):
+        # P_0 = e_0 has right tag 0: no matched pair with A_2, but a target
+        assert x.component(2).dim and not x.pairs(0, 2)
+        assert (0, 2) not in x._maps
+        checked = _checked_copy(x)
+        assert checked._maps == x._maps
+        assert dump_json(checked) == dump_json(x)
+    for x in (q, killed):
+        assert x.pairs(0, 1) == [(0, 0)] and x._maps[(0, 1)] == {}
+    assert killed.degrees() == [0, 1, 2] and (2, 1) not in killed._maps
+
+
+def test_a_builder_refuses_an_empty_window():
+    a = truncated_polynomial(3)
+    for build in (free_module, projective_module):
+        with pytest.raises(PreconditionError, match=r"empty window \[5, 3\]"):
+            build(a, [(0, 0)] if build is projective_module else [0], (5, 3))
