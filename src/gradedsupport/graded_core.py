@@ -45,7 +45,7 @@ from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _accumulate,
                        _echelon, _forward, _rank, kernel, matched_pairs,
                        nullspace, pivot_reduce)
 from .regrade_maps import WindowedMap, is_pseudomorphism
-from .subsets import DegreeSet, Verdict, is_right_modular
+from .subsets import DegreeSet, Verdict, is_right_modular, same_set
 
 
 def _claim(seen, key, what, group):
@@ -125,7 +125,8 @@ class _GradedObject:
                             or cg.right_tags[i] != ch.left_tags[j]:
                         raise ShapeError(f"{self._map_name}({g},{h}) keys "
                                          f"{(i, j)}, not a matched pair")
-                rows = {p: r for p, r in m.items() if r}
+                rows = {p: nz for p, r in m.items()
+                        if (nz := {c: v for c, v in r.items() if v})}
                 cols = set().union(*rows.values())  # one pass over the rows
                 if cols and not (min(cols) >= 0 and max(cols) < dim):
                     raise ShapeError(f"{self._map_name}({g},{h}) has a column "
@@ -305,7 +306,7 @@ def validate_algebra(a: GradedAlgebra) -> Verdict:
     ("unit-left"|"unit-right", g, i), ("assoc", (g, h, l), (i, j, k)).
     """
     F = a.field
-    witness = _tag_escape(a, both_sides=True)
+    witness = _tag_escape(a)
     if witness is not None:
         return Verdict(False, False, witness,
                        reason="product escapes its tag block")
@@ -318,9 +319,9 @@ def validate_algebra(a: GradedAlgebra) -> Verdict:
                            reason="unit must be the sum of the idempotents")
     for g in a.degrees():
         for idx in range(a.component(g).dim):
-            if not _unit_side(a, a.unit, g, idx, left=True):
+            if not _unit_side(a, g, idx, left=True):
                 return Verdict(False, False, ("unit-left", g, idx))
-            if not _unit_side(a, a.unit, g, idx, left=False):
+            if not _unit_side(a, g, idx, left=False):
                 return Verdict(False, False, ("unit-right", g, idx))
     witness = _assoc_witness(a)
     return Verdict(witness is None, False, witness)
@@ -328,25 +329,26 @@ def validate_algebra(a: GradedAlgebra) -> Verdict:
 
 def validate_module(mod: GradedModule) -> Verdict:
     """Tag compatibility, unit action, and action associativity."""
-    witness = _tag_escape(mod, both_sides=False)
+    witness = _tag_escape(mod)
     if witness is not None:
         return Verdict(False, False, witness,
                        reason="action escapes its tag block")
     for s in mod.degrees():
         for idx in range(mod.component(s).dim):
-            if not _unit_side(mod, mod.over.unit, s, idx, left=False):
+            if not _unit_side(mod, s, idx, left=False):
                 return Verdict(False, False, ("unit", s, idx))
     witness = _assoc_witness(mod)
     return Verdict(witness is None, False, witness)
 
 
-def _tag_escape(x, both_sides):
+def _tag_escape(x):
     """First nonzero map entry landing on a basis vector with other tags.
 
     The right tag of x_i * a_j is that of a_j; for algebras the left tag is
     also checked against that of x_i (module left tags carry no action).
     """
     right = x._acting()
+    both_sides = right is x
     for (g, h) in x._maps:
         cg, ch = x.component(g), right.component(h)
         ct = x.component(x.add_deg(g, h))
@@ -358,9 +360,9 @@ def _tag_escape(x, both_sides):
     return None
 
 
-def _unit_side(x, unit, g, idx, left):
-    """Whether the unit fixes basis vector idx of X_g from the given side."""
-    F = x.field
+def _unit_side(x, g, idx, left):
+    """Whether the acting algebra's unit fixes basis vector idx of X_g."""
+    F, unit = x.field, x._acting().unit
     if left:
         got = _accumulate(F, unit, lambda pos: x._map_row(0, g, pos, idx))
     else:
@@ -456,12 +458,18 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
 
     Requires (S, U) to be a right modular pair, which is exactly the
     condition making the killed action associative for every module.  A
-    given algebra must be kill_support_algebra(m.over, u).
+    given algebra must be kill_support_algebra(m.over, u): one that is not a
+    KilledAlgebra with base m.over and support U is refused.
     """
     _check_set_group(m, s)
     _check_modular_pair(s, u)
     if algebra is None:
         algebra = kill_support_algebra(m.over, u)
+    elif not (isinstance(algebra, KilledAlgebra)
+              and algebras_equal(algebra.base, m.over)
+              and (algebra.support == u or same_set(algebra.support, u))):
+        raise PreconditionError("the given algebra is not the module's "
+                                "algebra killed to U")
     comps = {d: c for d, c in m.components.items() if s.contains(d)}
     return GradedModule._of(algebra, m.window, comps,
                             _kept_maps(m, comps, algebra.components))
@@ -583,17 +591,18 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     action = _pushed_maps(v, phi, g)
     if algebra is None:
         algebra = _push_forward_algebra(v.over, phi)
-    window = _pushed_window(v, phi, "module", g)
+    window = _pushed_window(v, phi, g)
     comps = {g + phi(sigma): v.component(sigma) for sigma in v.degrees()}
     return GradedModule._of(algebra, window, comps, action)
 
 
-def _pushed_window(x, phi: WindowedMap, what, g: int = 0):
+def _pushed_window(x, phi: WindowedMap, g: int = 0):
     """g + the least and greatest value of phi on x's window met with phi's,
-    which hold every pushed component; what names x if the meet is empty."""
+    which hold every pushed component."""
     lo = max(x.window[0], phi.window[0])
     hi = min(x.window[1], phi.window[1])
     if lo > hi:
+        what = "algebra" if x._acting() is x else "module"
         raise PreconditionError(f"the {what} window misses the map window")
     values = [phi(s) for s in range(lo, hi + 1)]
     return g + min(values), g + max(values)
@@ -620,7 +629,7 @@ def _pushed_maps(x, phi: WindowedMap, g: int = 0):
 
 
 def _push_forward_algebra(bt: GradedAlgebra, phi: WindowedMap) -> GradedAlgebra:
-    window = _pushed_window(bt, phi, "algebra")
+    window = _pushed_window(bt, phi)
     comps = {phi(s): c for s in phi.domain() if (c := bt.component(s)).dim}
     return GradedAlgebra._of(bt.group, window, bt.k, bt.field, comps,
                              _pushed_maps(bt, phi), bt.unit)

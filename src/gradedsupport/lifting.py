@@ -32,8 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .constructions import _layout_module, projective_layout, \
-    projective_module, regular_module
+from .constructions import _layout, _layout_module, projective_module, \
+    regular_module
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
@@ -93,7 +93,7 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
     a = _resolve_algebra(x, a)
     q = _check_hypotheses_algebra_only(a, s, u)
     # the scan leans on tag matching in A's products, not only in x's
-    witness = _tag_escape(a, both_sides=True)
+    witness = _tag_escape(a)
     if witness is not None:
         raise PreconditionError(f"not an algebra: the ambient product escapes "
                                 f"its tag block, witness {witness}")
@@ -324,14 +324,9 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
         return report
     window = x.window
     F = a.field
-    if not qdegs:
-        empty = GradedModule._of(a, window, {}, {})
-        return LiftReport(liftable=True, violations=(),
-                          triples_checked=report.triples_checked, lift=empty,
-                          isomorphism_certified=True, generated_certified=True,
-                          cogenerated_certified=True)
+    # x's tags were checked when it was built; no generators, a zero lift
     gens, meta = _generator_data(x, qdegs)
-    pwindow, pcomps, layout = projective_layout(a, gens, window)
+    pwindow, pcomps, layout = _layout(a, gens, window)
     induced = _layout_module(a, pwindow, pcomps, layout)
 
     sdegs = s.members_in(window[0], window[1])

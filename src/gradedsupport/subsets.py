@@ -190,8 +190,6 @@ class DegreeSet:
         d0 = n // len(stab)
         if set(stab) != {i * d0 for i in range(len(stab))}:
             raise InternalConsistencyError("stabilizer is not a subgroup")
-        if d0 == n:
-            return self
         reduced = frozenset(j % d0 for j in J)
         if len(reduced) * len(stab) != len(J):
             raise InternalConsistencyError("stabilizer reduction miscounted")
@@ -395,8 +393,6 @@ def is_ring_supporting(u: DegreeSet) -> Verdict:
     """
     if u.try_contains(0) is not True:
         raise PreconditionError("a ring-supporting candidate must contain 0")
-    if u.form == FORM_FULL:
-        return Verdict(True)
     return _scan(u, u, list(u.residues) if u.form == FORM_PERIODIC else None)
 
 
@@ -464,28 +460,21 @@ def stabilizer(u: DegreeSet) -> DegreeSet:
 def quotient_set(s: DegreeSet, u: DegreeSet):
     """(S : U) = {g : g + U = S}; None when empty.
 
-    When nonempty and (S, U) is right modular, the result is a single coset
-    m + stabilizer(U); that identity is verified here before returning.
+    For every S and U a nonempty (S : U) is one coset g + (U : U): g' + U = S
+    = g + U exactly when g' - g fixes U.  It is built from the least rotation
+    g in [0, m), m the common period, and checked against all of them.
     """
     _check_same_group(s, u)
     if s.form == FORM_WINDOWED or u.form == FORM_WINDOWED:
         raise UnsupportedFormError("quotient sets need Full or Periodic forms")
-    if s.form == FORM_FULL and u.form == FORM_FULL:
-        return DegreeSet.full(s.group)
-    if s.form == FORM_FULL or u.form == FORM_FULL:
+    if (s.form == FORM_FULL) != (u.form == FORM_FULL):
         return None  # a proper periodic set is never a translate of everything
     good = _rotations(s, u)
     if not good:
         return None
-    mod = _common_modulus(s, u)
-    if s.group.kind == "Zn":
-        result = DegreeSet.periodic(mod, good, s.group)
-    else:
-        result = DegreeSet.periodic(mod, good).canonical()
-    if is_right_modular(s, u).holds:
-        if not same_set(result, stabilizer(u).translate(min(good))):
-            raise InternalConsistencyError(
-                "(S:U) is not a coset of (U:U) for a modular pair")
+    result = stabilizer(u).translate(good[0])
+    if result.members_in(0, _common_modulus(s, u) - 1) != good:
+        raise InternalConsistencyError("(S:U) is not a coset of (U:U)")
     return result
 
 
@@ -614,12 +603,10 @@ def structure_decompose(u: DegreeSet) -> IntervalDecomposition:
     if not verdict.holds:
         raise PreconditionError(
             f"structure classification needs a ring-supporting set; witness {verdict.witness}")
-    if u.form == FORM_FULL:
+    c = u.canonical()
+    if c.form == FORM_FULL:
         return IntervalDecomposition(KIND_ALL)
-    if u.form == FORM_PERIODIC:
-        c = u.canonical()
-        if c.form == FORM_FULL:
-            return IntervalDecomposition(KIND_ALL)
+    if c.form == FORM_PERIODIC:
         n, J = c.period, c.residues
         runs = _cyclic_runs(J, n)
         zero_run = None

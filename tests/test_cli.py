@@ -314,6 +314,19 @@ def test_kill_rejects_a_non_ring_supporting_set(capsys, tmp_path):
     assert "not associative" in out
 
 
+def test_kill_reports_a_non_associative_killed_algebra_as_json(capsys,
+                                                               tmp_path):
+    a = truncated_polynomial(8, 1, window=(0, 7), field=GF(101))
+    alg = write_json(tmp_path / "a.json", algebra_to_json(a))
+    u = write_json(tmp_path / "u.json",
+                   degree_set_to_json(DegreeSet.periodic(5, (0, 2, 3))))
+    code, got = run_json(capsys, "kill", alg, u, "--format", "json")
+    assert code == 1
+    assert got == {"holds": False, "verdict": {
+        "holds": False, "reason": None, "window_certified": False,
+        "witness": ["assoc", [2, 2, 3], [0, 0, 0]]}}
+
+
 def test_kill_refuses_aliased_cyclic_degrees(capsys, tmp_path):
     # mult entries at (0, 0) and (3, 0) over Z/3 name one map; keeping the
     # later, zero one would break the unit law without a word
@@ -772,6 +785,13 @@ def test_make_witness_cases(capsys):
     assert algebras_equal(algebra_from_json(got), generic_pair_algebra(1, 2))
 
 
+def test_make_witness_iv_needs_h(capsys):
+    code, out, err = run(capsys, "make", "witness", "--case", "iv",
+                         "--g", "1")
+    assert (code, out) == (2, "")
+    assert "case iv needs --h" in err
+
+
 def test_make_witness_iii_rejects_mismatched_degrees(capsys):
     code, _, err = run(capsys, "make", "witness", "--case", "iii",
                        "--g", "2", "--h", "3")
@@ -793,6 +813,19 @@ def test_make_dual_needs_a_relation(capsys):
                        "--window", "4")
     assert code == 2
     assert "--rel" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--vdim", "1", "--n", "2", "--rel", "x*y"],
+     "monomial uses a generator outside vdim=1"),
+    (["--vdim", "2", "--n", "3", "--rel", "x*y"],
+     "relation '0*1' does not have tensor degree 3"),
+])
+def test_make_dual_refuses_a_relation_that_does_not_fit(capsys, argv,
+                                                        message):
+    code, out, err = run(capsys, "make", "dual", *argv, "--window", "4")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_make_quiver(capsys):

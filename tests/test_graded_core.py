@@ -182,6 +182,28 @@ def test_validate_module_catches_a_tag_escape():
     assert verdict.reason == "action escapes its tag block"
 
 
+def test_a_checked_dict_row_keeps_its_nonzero_entries_only():
+    from gradedsupport.exactlin import LabeledSpace
+    a = quiver_algebra(2, [(0, 1), (1, 0)], [], 3, GF(101))
+    comps = {0: LabeledSpace.module_component((0,)),
+             1: LabeledSpace.module_component((1, 0))}
+    action = {(0, 0): {(0, 0): {0: 1}},
+              (1, 0): {(0, 1): {0: 1}, (1, 0): {1: 1}}}
+    modules = [GradedModule(a, (0, 1), comps,
+                            {**action, (0, 1): {(0, 0): row}})
+               for row in ({0: 1, 1: 0}, {0: 1})]
+    # the explicit zero at column 1, right tag 0, is no entry: no escape
+    assert validate_module(modules[0]).holds
+    assert modules[0]._maps == modules[1]._maps
+    t = truncated_polynomial(3)
+    comp = {0: LabeledSpace.module_component((0,))}
+    as_dict = GradedModule(t, (0, 0), comp, {(0, 0): {(0, 0): {0: 0}}})
+    as_matrix = GradedModule(t, (0, 0), comp,
+                             {(0, 0): Matrix(t.field, 1, 1, [(0,)])})
+    assert as_dict._maps == {(0, 0): {}}
+    assert modules_equal(as_dict, as_matrix)
+
+
 def test_validate_module_catches_a_broken_unit():
     a = truncated_polynomial(2)
     m = regular_module(a)
@@ -266,6 +288,26 @@ def test_kill_module_requires_a_modular_pair():
     u = DegreeSet.periodic(3, (0, 1), Z)
     with pytest.raises(PreconditionError):
         kill_support_module(regular_module(a), s, u)
+
+
+def test_kill_module_refuses_an_algebra_killed_from_elsewhere():
+    a = truncated_polynomial(3)
+    m = regular_module(a)
+    full = DegreeSet.full()
+    u = DegreeSet.periodic(3, (0, 1), Z)
+    other = quiver_algebra(2, [(0, 1), (1, 0)], [], 3, GF(101))
+    for wrong in (kill_support_algebra(other, full),  # another base
+                  kill_support_algebra(a, u),  # another support
+                  a):  # no ancestry at all
+        with pytest.raises(PreconditionError,
+                           match="not the module's algebra killed to U"):
+            kill_support_module(m, full, full, wrong)
+    # an equal base and the same set in another form are the same algebra
+    b = kill_support_algebra(truncated_polynomial(3),
+                             DegreeSet.periodic(2, (0, 1)))
+    assert b.base is not a and b.support != full
+    assert modules_equal(kill_support_module(m, full, full, b),
+                         kill_support_module(m, full, full))
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +746,9 @@ def test_un_regrade_refuses_a_module_window_that_misses_the_map():
     # that is none meets the algebra's refusal
     with pytest.raises(PreconditionError,
                        match="the algebra window misses the map window"):
-        _pushed_window(b, WindowedMap((7, 8), (0, 1)), "algebra")
+        _pushed_window(b, WindowedMap((7, 8), (0, 1)))
     assert _pushed_window(zero, WindowedMap((8, 12), (0, 1, 3, 4, 6)),
-                          "module", 2) == (2, 3)
+                          2) == (2, 3)
 
 
 def test_un_regrade_inverts_a_regrade_along_a_map_that_is_not_increasing():

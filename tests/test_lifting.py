@@ -337,8 +337,8 @@ def test_check_and_lift_decides_the_pair_once_and_quotients_once(
     monkeypatch.setattr(lifting, "quotient_with_maps",
                         counted("quotient", lifting.quotient_with_maps))
     assert check_and_lift(x, U3, U3, a).liftable
-    # the hypothesis check, then quotient_set's own coset self-check
-    assert calls.count("modular") == 2
+    # the hypothesis check only: quotient_set builds its coset with no scan
+    assert calls.count("modular") == 1
     assert calls.count("quotient_set") == 1
     assert calls.count("quotient") == 1
 

@@ -252,6 +252,13 @@ def test_quotient_set_empty_when_not_a_translate():
     assert quotient_set(s, u) is None
 
 
+def test_quotient_set_of_full_and_a_proper_set_is_empty_before_any_scan():
+    # the rotation scan would test 20011 shifts on 40022-bit masks, past
+    # SCAN_CAP: exactly one Full set is refused first
+    assert quotient_set(DegreeSet.full(), DegreeSet.periodic(20011, {0})) \
+        is None
+
+
 def test_quotient_set_members_translate_exactly():
     u = DegreeSet.periodic(5, (0, 3, 4), Z)
     s = u.translate(2)
