@@ -247,6 +247,9 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     right tag = target.  Relations (degree >= 2) generate a two-sided ideal
     expanded degreewise, so no term ordering is involved.  Only the paths
     avoiding the one-term blocks are listed, and the others expand on them.
+    At a degree the other blocks never reach, every degree of a monomial
+    algebra, a path's class is its own coordinate and no residue vector is
+    built.
     """
     if num_vertices < 1:
         raise PreconditionError("a quiver needs at least one vertex")
@@ -304,12 +307,15 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     def residue(t, word):
         """The class of a path of degree t > 0 in the kept coordinates as a
         {col: value} row, read only for the products the table looks up;
-        zero through a word of J."""
-        if word not in index[t]:
+        zero through a word of J, and the path's own coordinate at a degree
+        with no ideal."""
+        i = index[t].get(word)
+        if i is None:
             return {}
-        res = ideal.get(t, Subspace.zero(F, len(paths[t]))).unit_residue(
-            index[t][word])
-        return {q: v for q, v in enumerate(res) if v}
+        sp = ideal.get(t)
+        if sp is None:
+            return {i: F.one()}
+        return {q: v for q, v in enumerate(sp.unit_residue(i)) if v}
 
     mult = {}
     degs = sorted(comps)
@@ -494,18 +500,31 @@ def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
     Row (p, j) of map (t, u), for p the A_d basis vector q of block b, is
     A's row (q, j) of map (d, u) kept on block b's positions at t + u.
     A's map is read once per block; the window is checked as a
-    constructor checks it.
+    constructor checks it.  Where comps[t] and comps[t + u] are each one
+    block of one generator holding all of A_d and A_{d+u}, those rows are
+    A's own, and the module stores A's row dict of map (d, u) itself.
     """
     window = _checked_parts(a.group, window, a.k, {})[0]
     # block b's A-basis index -> its coordinate in comps[t]
     coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
                  for (b, _, start, positions) in blocks}
              for t, blocks in layout.items()}
+    whole = {}  # t -> (b, d) where comps[t] is block b alone, all of A_d
+    for t, blocks in layout.items():
+        if len(blocks) == 1 and len(blocks[0][3]) == a.component(
+                blocks[0][1]).dim:
+            whole[t] = blocks[0][:2]
     action = {}
     for t, blocks in layout.items():
         for u in a.degrees():
             tu = a.group.add(t, u)
             if tu not in layout:
+                continue
+            if t in whole and tu in whole and whole[t][0] == whole[tu][0]:
+                # comps[t] has A_d's tags, so map (t, u) is present exactly
+                # when A's map (d, u) is
+                if (rows := a._rows(whole[t][1], u)) is not None:
+                    action[(t, u)] = rows
                 continue
             rows = {}
             for (b, d, _, _) in blocks:

@@ -26,10 +26,27 @@ One elimination kernel
 _forward is the only elimination, one Gauss-Jordan loop.  It takes rows as
 dense sequences or as dicts {column: value} (zeros allowed, keys in any
 order), keeps every row as a dict of its nonzeros, and reduces each
-incoming row at the pivot columns it holds.  A row left nonzero is made
-unit at its leading column, a new pivot, and that column is cleared from
-the earlier pivot rows, so the rows held are always the canonical basis
-of what was read so far.
+incoming row at the pivot columns it holds.  A row left nonzero becomes a
+new pivot at its leading column, and that column is cleared from the
+earlier pivot rows, so the rows held always span what was read so far, in
+echelon form with every pivot column cleared from the other rows.
+
+The field supplies the steps that differ, as four _gj_* methods: how an
+incoming row enters, how a column is cleared, how a new pivot row is
+normalised, and how the held rows become the canonical basis.
+
+- Over Q the rows are integers, after Bareiss, "Sylvester's identity and
+  multistep integer-preserving Gaussian elimination", Math. Comp. 22
+  (1968), with gcd normalisation in place of his exact division.  An
+  incoming row is multiplied by the lcm of its denominators once.  Every
+  held row is primitive, with a positive pivot that need not be 1.  To
+  clear column j of a row holding c there against a row with pivot a,
+  g = gcd(a, c) and row := (a/g) row - (c/g) src, the scaling skipped when
+  a/g = 1; a new pivot row, and an earlier row after its clearing, is
+  divided by the gcd of its entries.  On return each row is divided by its
+  pivot once, so Fractions are made only for the canonical basis.
+- Over GF(p) every held row has a unit pivot, and clearing subtracts c
+  times it, mod p.
 
 A rank is the number of pivots (_rank).  _echelon sorts the basis by
 pivot, and every other operation is one _echelon call plus a read-off of
@@ -55,6 +72,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CapacityError, LabelError, ShapeError
 
@@ -98,6 +116,52 @@ class RationalField:
 
     def from_int(self, n):
         return n
+
+    # _forward's steps over Q: primitive integer rows with positive pivots
+
+    def _gj_row(self, r):
+        """The nonzeros of an incoming row times the lcm of their
+        denominators, as ints."""
+        row = {j: v for j, v in _entries(r) if v}
+        if not all(map(int.__instancecheck__, row.values())):  # a Fraction
+            den = lcm(*[v.denominator for v in row.values()])
+            row = {j: v.numerator * (den // v.denominator)
+                   for j, v in row.items()}
+        return row
+
+    def _gj_clear(self, row, src, col):
+        """row with column col cleared by src: (a/g) row - (c/g) src, for a
+        src's pivot at col, c row's entry there and g = gcd(a, c)."""
+        a, c = src[col], row.pop(col)
+        g = gcd(a, c)
+        if g != a:
+            a //= g
+            row = {j: a * v for j, v in row.items()}
+        c //= g
+        for j, e in src.items():
+            if j != col:
+                v = row.get(j, 0) - c * e
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        return row
+
+    def _gj_pivot(self, row, col):
+        """row divided by the gcd of its entries, positive at col."""
+        g = gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        return row if g == 1 else {j: v // g for j, v in row.items()}
+
+    def _gj_basis(self, basis):
+        """Each row divided by its pivot: an int where integral."""
+        for p, row in basis.items():
+            a = row[p]
+            if a != 1:
+                basis[p] = {j: v // a if v % a == 0 else Fraction(v, a)
+                            for j, v in row.items()}
+        return basis
 
     def __repr__(self):
         return "QQ"
@@ -181,6 +245,35 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.p
+
+    # _forward's steps over GF(p): unit pivots, arithmetic mod p inline
+
+    def _gj_row(self, r):
+        """The nonzeros of an incoming row."""
+        return {j: v for j, v in _entries(r) if v}
+
+    def _gj_clear(self, row, src, col):
+        """row - c src for src's unit pivot at col, c row's entry there."""
+        c, p = row.pop(col), self.p
+        for j, e in src.items():
+            if j != col:
+                v = (row.get(j, 0) - c * e) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        return row
+
+    def _gj_pivot(self, row, col):
+        """row scaled to 1 at col."""
+        c = row[col]
+        if c == 1:
+            return row
+        inv, p = self.inv(c), self.p
+        return {j: inv * v % p for j, v in row.items()}
+
+    def _gj_basis(self, basis):
+        return basis
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -338,29 +431,26 @@ def _forward(field, rows, ncols):
     """Gauss-Jordan elimination: the canonical basis as {pivot: row}.
 
     Each incoming row is reduced at the pivots it holds; a row left
-    nonzero is scaled to a unit leading entry, its column is cleared from
-    the earlier pivot rows, and it pivots there.  Every row in the dict is
-    a dict of nonzeros, 1 at its pivot and 0 at every other pivot.
+    nonzero is normalised by the field, its column is cleared from the
+    earlier pivot rows, and it pivots there.  Every row returned is a dict
+    of nonzeros, 1 at its pivot and 0 at every other pivot.
     """
-    one = field.one()
     basis = {}
     for r in rows:
         if len(basis) == ncols:
             break
-        row = {j: v for j, v in _entries(r) if v}
+        row = field._gj_row(r)
         for p in [j for j in row if j in basis]:
-            _axpy(field, row, row.pop(p), basis[p], p)
+            row = field._gj_clear(row, basis[p], p)
         if row:
             col = min(row)
-            c = row[col]
-            if c != one:
-                inv = field.inv(c)
-                row = {j: field.mul(inv, v) for j, v in row.items()}
-            for prow in basis.values():
+            row = field._gj_pivot(row, col)
+            for p, prow in basis.items():
                 if col in prow:
-                    _axpy(field, prow, prow.pop(col), row, col)
+                    basis[p] = field._gj_pivot(field._gj_clear(prow, row, col),
+                                               p)
             basis[col] = row
-    return basis
+    return field._gj_basis(basis)
 
 
 def _rank(field, rows, ncols=None):

@@ -468,7 +468,9 @@ def quotient_set(s: DegreeSet, u: DegreeSet):
     if s.form == FORM_WINDOWED or u.form == FORM_WINDOWED:
         raise UnsupportedFormError("quotient sets need Full or Periodic forms")
     if (s.form == FORM_FULL) != (u.form == FORM_FULL):
-        return None  # a proper periodic set is never a translate of everything
+        x = u if s.form == FORM_FULL else s
+        if len(x.residues) < x.period:
+            return None  # a proper periodic set is no translate of everything
     good = _rotations(s, u)
     if not good:
         return None

@@ -477,6 +477,25 @@ def test_lift_emits_the_lifted_module(capsys, tmp_path):
     assert modules_equal(kill_support_module(lifted, U3, U3, b), x)
 
 
+def test_lift_takes_the_whole_group_against_every_residue(capsys, tmp_path):
+    # S = Z and U = 2Z + {0, 1} are one set, so (S : U) = Z is not empty:
+    # killing is the identity, and the lift is the regular module
+    a = truncated_polynomial(4, 1, window=(0, 3))
+    s, u = DegreeSet.full(), DegreeSet.periodic(2, (0, 1))
+    b = kill_support_algebra(a, u)
+    x = kill_support_module(regular_module(a), u, u, b)
+    code, got = run_json(
+        capsys, "lift", write_json(tmp_path / "x.json", module_to_json(x)),
+        write_json(tmp_path / "s.json", degree_set_to_json(s)),
+        write_json(tmp_path / "u.json", degree_set_to_json(u)),
+        write_json(tmp_path / "a.json", algebra_to_json(a)),
+        "--format", "json")
+    assert code == 0
+    lifted = module_from_json(got)
+    assert modules_equal(lifted, regular_module(a))
+    assert modules_equal(kill_support_module(lifted, s, u, b), x)
+
+
 def test_lift_full_report_embeds_the_module(capsys, tmp_path):
     xf, sf, uf, af, _, _ = lift_files(tmp_path)
     code, got = run_json(capsys, "lift", xf, sf, uf, af,

@@ -13,15 +13,19 @@ the unit vector is kept as the oracle for the projection matrix behind
 preimage_subspace and for the mult tables of quiver_algebra.
 
 The kernel itself is one Gauss-Jordan loop on {column: value} rows, and
-Subspace keeps those rows.  gauss_jordan_rref restates that loop apart
-from the library, as one more oracle; the last section checks the kernel
-and every Subspace method against the dense oracles over GF(2), GF(3),
-GF(101) and Q.
+Subspace keeps those rows.  Over Q it works on primitive integer rows;
+gauss_jordan_forward is the loop as it was before, with unit pivots
+through the field's own operations, kept as one more oracle.  The kernel
+must return its canonical basis dict for dict, over Q with huge and
+non-integral entries too, and stop reading rows at the same full rank.
+The last section checks the kernel and every Subspace method against the
+dense oracles over GF(2), GF(3), GF(101) and Q.
 
 Over Q an integral value is an int.  The Fraction-only field it replaced
-is kept as FractionField, and a section of its own checks the field
-operations, rref, nullspace, solve and hom spaces against it, value for
-value, on inputs mixing ints and Fractions.
+is kept as FractionField, eliminating with the earlier unit-pivot steps,
+and a section of its own checks the field operations, rref, nullspace,
+solve and hom spaces against it, value for value, on inputs mixing ints
+and Fractions.
 """
 
 from fractions import Fraction
@@ -36,7 +40,8 @@ from gradedsupport.constructions import (_coerce, _path_source,
 from gradedsupport.errors import PreconditionError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix,
                                     RationalField, Subspace, _axpy, _echelon,
-                                    _rank, apply_row, image, integral, kernel,
+                                    _entries, _forward, _rank, apply_row,
+                                    image, integral, kernel,
                                     matched_pairs, nullspace, pivot_reduce,
                                     rref, solve, subspace_contains,
                                     subspace_intersect, subspace_sum)
@@ -441,28 +446,34 @@ def test_quiver_tables_match_pivot_reduced_paths(quiver, field):
 ALL_FIELDS = [GF(2), GF(3), GF(101), QQ]
 
 
-def gauss_jordan_rref(field, rows, ncols):
-    """The kernel's loop, restated: reduce each incoming row at the pivots
-    it holds, then clear its new pivot from every earlier row."""
+def gauss_jordan_forward(field, rows, ncols):
+    """The kernel's loop before integer rows: reduce each incoming row at
+    the pivots it holds, scale it to a unit pivot, then clear its column
+    from every earlier row, all through the field's own operations."""
     one = field.one()
     basis = {}
     for r in rows:
         if len(basis) == ncols:
             break
-        row = {j: v for j, v in (r.items() if isinstance(r, dict)
-                                 else enumerate(r)) if v}
+        row = {j: v for j, v in _entries(r) if v}
         for p in [j for j in row if j in basis]:
             _axpy(field, row, row.pop(p), basis[p], p)
-        if not row:
-            continue
-        col = min(row)
-        inv = field.inv(row[col])
-        if inv != one:
-            row = {j: field.mul(inv, v) for j, v in row.items()}
-        for prow in basis.values():
-            if col in prow:
-                _axpy(field, prow, prow.pop(col), row, col)
-        basis[col] = row
+        if row:
+            col = min(row)
+            c = row[col]
+            if c != one:
+                inv = field.inv(c)
+                row = {j: field.mul(inv, v) for j, v in row.items()}
+            for prow in basis.values():
+                if col in prow:
+                    _axpy(field, prow, prow.pop(col), row, col)
+            basis[col] = row
+    return basis
+
+
+def gauss_jordan_rref(field, rows, ncols):
+    """gauss_jordan_forward's basis as dense rows, sorted by pivot."""
+    basis = gauss_jordan_forward(field, rows, ncols)
     pivots = tuple(sorted(basis))
     z = field.zero()
     return tuple(tuple(basis[p].get(j, z) for j in range(ncols))
@@ -537,11 +548,70 @@ def test_kernel_matches_gauss_jordan_and_dense_rref(case):
     want = dense_rref(F, m.entries)
     assert rref(F, rows, m.cols) == want
     assert gauss_jordan_rref(F, rows, m.cols) == want
+    assert _forward(F, rows, m.cols) == gauss_jordan_forward(F, rows, m.cols)
     red, pivots = _echelon(F, rows, m.cols)
     assert_canonical(Subspace._of(F, m.cols, red, pivots))
     assert tuple(tuple(r.get(j, F.zero()) for j in range(m.cols))
                  for r in red) == want[0]
     assert _rank(F, rows, m.cols) == len(want[1])
+
+
+def rationals_past_1e20():
+    """Zero, small and huge ints, and Fractions with small or huge parts."""
+    small, dens = st.integers(-6, 6), st.integers(1, 6)
+    huge = st.builds(lambda m, sign: sign * m, st.integers(10 ** 20, 10 ** 24),
+                     st.sampled_from([1, -1]))
+    return st.one_of(st.just(0), small, huge, st.builds(Fraction, small, dens),
+                     st.builds(Fraction, huge, dens),
+                     st.builds(Fraction, small, huge))
+
+
+@st.composite
+def q_row_forms(draw, max_dim=6):
+    """ncols and rows over Q, dense or as dicts with shuffled keys and some
+    explicit zeros; often more rows than columns, so that elimination can
+    reach full rank with rows left unread."""
+    ncols = draw(st.integers(0, max_dim))
+    rows = []
+    for _ in range(draw(st.integers(0, max_dim + 3))):
+        dense = draw(st.lists(rationals_past_1e20(), min_size=ncols,
+                              max_size=ncols))
+        if draw(st.booleans()):
+            rows.append(tuple(dense))
+        else:
+            keys = [j for j, e in enumerate(dense) if e or draw(st.booleans())]
+            rows.append({j: dense[j] for j in draw(st.permutations(keys))})
+    return ncols, rows
+
+
+def read_counted(rows, read):
+    """rows as an iterator that appends each row to read as it is taken."""
+    for r in rows:
+        read.append(r)
+        yield r
+
+
+@given(q_row_forms())
+@example((2, [{1: 10 ** 20, 0: 0}, (Fraction(3, 10 ** 21), 7),
+              (Fraction(1, 3), 5)]))
+@example((3, [(2, 4, 6), {2: Fraction(-9, 4), 0: 3}, (0, 10 ** 22, 1)]))
+def test_integer_rows_over_q_match_the_unit_pivot_loop(case):
+    ncols, rows = case
+    read, read_before = [], []
+    got = _forward(QQ, read_counted(rows, read), ncols)
+    want = gauss_jordan_forward(QQ, read_counted(rows, read_before), ncols)
+    assert got == want
+    assert len(read) == len(read_before)
+    assert int_when_integral(_nz_values(got.values()))
+    assert all(row[p] == 1 for p, row in got.items())
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_elimination_stops_reading_at_full_rank(field):
+    # a row after full rank is not reduced: as a row, None would raise
+    o = field.one()
+    assert _forward(field, [{0: o, 1: o}, {1: o}, None], 2) == {
+        0: {0: o}, 1: {1: o}}
 
 
 @given(row_forms(), st.data())
@@ -779,6 +849,25 @@ class FractionField(RationalField):
 
     def from_int(self, n):
         return Fraction(n)
+
+    # elimination with the unit-pivot steps of gauss_jordan_forward
+
+    def _gj_row(self, r):
+        return {j: v for j, v in _entries(r) if v}
+
+    def _gj_clear(self, row, src, col):
+        _axpy(self, row, row.pop(col), src, col)
+        return row
+
+    def _gj_pivot(self, row, col):
+        c = row[col]
+        if c == self.one():
+            return row
+        inv = self.inv(c)
+        return {j: self.mul(inv, v) for j, v in row.items()}
+
+    def _gj_basis(self, basis):
+        return basis
 
 
 FRACTIONS = FractionField()

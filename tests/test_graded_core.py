@@ -794,9 +794,11 @@ def _mutant(monkeypatch, module, name, old, new):
 
 
 @pytest.mark.parametrize("module, name, old, new, build, error", [
-    # a column one past the target: 1 * x^2 lands on column 1 of A_2
+    # a column one past the target: with two generators no component is
+    # one block, so every row is copied, and 1 * 1 in the second block
+    # lands on column 2 of the two-dimensional degree 0
     (constructions, "_layout_module", "{dst[qq]: v", "{dst[qq] + 1: v",
-     lambda a: free_module(a, [0]), "has a column beyond the 1"),
+     lambda a: free_module(a, [0, 0]), "has a column beyond the 2"),
     # an unmatched key: x^0 * a_1 where A_1 has the one basis vector a_0
     (graded_core, "quotient_with_maps", "out[(src[i], j)]",
      "out[(src[i], j + 1)]",
@@ -808,6 +810,26 @@ def test_the_fixture_refuses_a_mutant_builder(monkeypatch, module, name, old,
     _mutant(monkeypatch, module, name, old, new)
     with pytest.raises(ShapeError, match=error):
         build(a)
+
+
+@pytest.mark.parametrize("a, gens", [
+    (truncated_polynomial(3), [(0, 0)]),
+    (quiver_algebra(1, [(0, 0), (0, 0)], [[(1, (1, 0))]], 5), [(2, 0)]),
+    (group_algebra(4), [(1, 0)]),
+], ids=["trunc", "two-loop", "Z/4"])
+def test_a_one_generator_projective_stores_the_algebras_rows(a, gens):
+    # each component is the one block A_{t - g}, so map (t, u) is A's map
+    # (t - g, u), the same dict; the autouse fixture has checked the build
+    # against the checked path
+    p = projective_module(a, gens)
+    g = gens[0][0]
+    assert set(p._maps) == {(p.add_deg(d, g), u) for d, u in a._maps}
+    for (t, u), rows in p._maps.items():
+        assert rows is a._rows(t - g, u)
+    # two generators in one degree: every row is copied
+    two = free_module(a, [g, g])
+    assert all(rows is not a._rows(t - g, u)
+               for (t, u), rows in two._maps.items())
 
 
 def test_the_fixture_checks_reduced_cyclic_degree_keys(monkeypatch):

@@ -259,6 +259,20 @@ def test_quotient_set_of_full_and_a_proper_set_is_empty_before_any_scan():
         is None
 
 
+def test_quotient_set_of_full_and_a_periodic_set_of_every_residue_is_full():
+    # 2Z + {0, 1} is Z, so every g has g + U = S, in both orders
+    every = DegreeSet.periodic(2, (0, 1))
+    assert quotient_set(DegreeSet.full(), every) == DegreeSet.full()
+    assert quotient_set(every, DegreeSet.full()) == DegreeSet.full()
+    g = Zn(4)
+    every = DegreeSet.periodic(4, range(4), g)
+    for s, u in [(DegreeSet.full(g), every), (every, DegreeSet.full(g))]:
+        assert same_set(quotient_set(s, u), DegreeSet.full(g))
+    # one residue short of the period is still no translate of Z
+    assert quotient_set(DegreeSet.full(), DegreeSet.periodic(3, (0, 1))) \
+        is None
+
+
 def test_quotient_set_members_translate_exactly():
     u = DegreeSet.periodic(5, (0, 3, 4), Z)
     s = u.translate(2)
