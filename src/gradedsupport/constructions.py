@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from collections import Counter
 
 from .errors import CapacityError, PreconditionError
@@ -315,7 +316,8 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
         sp = ideal.get(t)
         if sp is None:
             return {i: F.one()}
-        return {q: v for q, v in enumerate(sp.unit_residue(i)) if v}
+        return {j - bisect_left(sp.pivots, j): v
+                for j, v in sp.reduce({i: F.one()}).items()}
 
     mult = {}
     degs = sorted(comps)

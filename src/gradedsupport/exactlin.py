@@ -60,11 +60,12 @@ its pivots and free columns:
 - subspace_intersect (Zassenhaus) keeps the right halves of the reduced rows
   whose left halves vanished, which are already in canonical form.
 
-Reducing a vector against rows with unit, cleared pivots (subspace
-membership, coordinates, quotient projections) goes through pivot_reduce,
-over each row's nonzeros.  A unit vector e_i needs no reduction:
-Subspace.unit_residue reads e_i modulo the subspace off the row pivoting
-at i.
+Every vector is read modulo a subspace through one table,
+Subspace.classes: each pivot p maps to e_p modulo the subspace, minus the
+rest of the row pivoting at p, and any other e_j is its own class.  The
+class of a vector is _accumulate over its entries and that table: reduce,
+coordinates, contains_vector and unit_residue here, and the quotients,
+torsion, submodules and quiver residues built on them.
 """
 
 from __future__ import annotations
@@ -415,18 +416,6 @@ def _accumulate(field, coeffs, row_of):
     return {q: v for q, v in acc.items() if v}
 
 
-def _axpy(field, row, c, src, skip):
-    """row -= c * src in place, over src's entries except column skip."""
-    sub, mul = field.sub, field.mul
-    for j, e in src.items():
-        if j != skip:
-            v = sub(row[j], mul(c, e)) if j in row else field.neg(mul(c, e))
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
-
 def _forward(field, rows, ncols):
     """Gauss-Jordan elimination: the canonical basis as {pivot: row}.
 
@@ -491,37 +480,6 @@ def rref(field, rows, ncols=None):
     return tuple(_dense(r, ncols, z) for r in red), pivots
 
 
-def pivot_reduce(field, rows, pivots, vec):
-    """Subtract c * row at each pivot, c being vec's entry there.
-
-    rows must carry unit pivots that are zero in every other row (a reduced
-    echelon basis, in any order), as {column: value} dicts or dense
-    sequences.  Returns (remainder, coefficients): the remainder is zero iff
-    vec lies in the span, and then vec is the sum of coefficient times row.
-    A dense vec gives a dense list remainder; a dict vec, which needs dict
-    rows, gives a dict of the remainder's nonzeros.
-    """
-    if isinstance(vec, dict):
-        z = field.zero()
-        v = {j: x for j, x in vec.items() if x}
-        coeffs = [v.pop(p, z) for p in pivots]
-        for row, p, c in zip(rows, pivots, coeffs):
-            if c is not z:  # a popped entry, nonzero
-                _axpy(field, v, c, row, p)
-        return v, coeffs
-    sub, mul = field.sub, field.mul
-    v = list(vec)
-    coeffs = []
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        coeffs.append(c)
-        if c:
-            for j, e in _entries(row):
-                if e:
-                    v[j] = sub(v[j], mul(c, e))
-    return v, coeffs
-
-
 class Subspace:
     """A subspace of K^ambient with its canonical reduced echelon basis.
 
@@ -530,25 +488,25 @@ class Subspace:
     are shared, never to be mutated.  The basis is canonical, so equality
     of (field, ambient, pivots, basis) is subspace equality.  rows is the
     dense view of the same basis, tuples of length ambient, built on first
-    use for the public API and JSON.  The constructor takes the canonical
-    rows dense or as dicts.
+    use for the public API and JSON, and so is the class table classes().
+    The constructor takes the canonical rows dense or as dicts.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_rows")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_rows", "_classes")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
         self.ambient = ambient
         self.basis = tuple({j: v for j, v in _entries(r) if v} for r in rows)
         self.pivots = tuple(pivots)
-        self._rows = None
+        self._rows = self._classes = None
 
     @classmethod
     def _of(cls, field, ambient, basis, pivots):
         """Wrap canonical dict rows as they are, with no copy."""
         sp = cls.__new__(cls)
         sp.field, sp.ambient = field, ambient
-        sp.basis, sp.pivots, sp._rows = basis, pivots, None
+        sp.basis, sp.pivots, sp._rows, sp._classes = basis, pivots, None, None
         return sp
 
     @classmethod
@@ -599,37 +557,51 @@ class Subspace:
         return (f"Subspace({self.field!r}, ambient={self.ambient}, "
                 f"pivots={self.pivots})")
 
+    def classes(self):
+        """{pivot p: e_p modulo this subspace}, minus the rest of the row
+        pivoting at p, as a {col: value} dict of its nonzeros; any other e_j
+        is its own class.  Shared, never to be mutated."""
+        if self._classes is None:
+            neg = self.field.neg
+            self._classes = {p: {j: neg(v) for j, v in row.items() if j != p}
+                             for row, p in zip(self.basis, self.pivots)}
+        return self._classes
+
+    def _residue(self, vec):
+        """vec modulo this subspace as a {col: value} dict of its nonzeros,
+        all at non-pivot columns."""
+        cls, one = self.classes(), self.field.one()
+        return _accumulate(self.field, vec,
+                           lambda j: cls[j] if j in cls else {j: one})
+
     def reduce(self, vec):
-        """Reduce vec modulo this subspace; 0 iff vec is a member."""
-        return pivot_reduce(self.field, self.basis, self.pivots, vec)[0]
+        """Reduce vec modulo this subspace; 0 iff vec is a member.  A dense
+        vec gives a dense list, a dict vec a dict of the nonzeros."""
+        rest = self._residue(vec)
+        if isinstance(vec, dict):
+            return rest
+        return list(_dense(rest, self.ambient, self.field.zero()))
 
     def contains_vector(self, vec):
-        return self.coordinates(vec) is not None
+        return not self._residue(vec)
 
     def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis; None if vec is outside.
-        A dict remainder holds nonzeros only, so it is empty iff zero."""
-        v, coeffs = pivot_reduce(self.field, self.basis, self.pivots, vec)
-        return None if (v if isinstance(v, dict) else any(v)) else coeffs
+        """Coefficients of vec in the RREF basis, its entries at the pivots;
+        None if vec is outside."""
+        if self._residue(vec):
+            return None
+        if isinstance(vec, dict):
+            z = self.field.zero()
+            return [vec.get(p) or z for p in self.pivots]
+        return [vec[p] for p in self.pivots]
 
     def unit_residue(self, i):
-        """e_i modulo this subspace, in the non-pivot coordinates.
-
-        Read off the basis: e_i is its own residue when i is not a pivot
-        column, and e_i minus the row pivoting at i otherwise, whose other
-        nonzeros all sit at non-pivot columns.  Non-pivot column j is
-        coordinate j - (pivots below j).
-        """
-        F = self.field
-        pivots = self.pivots
+        """e_i modulo this subspace, in the non-pivot coordinates: its class,
+        non-pivot column j being coordinate j - (pivots below j)."""
+        F, pivots = self.field, self.pivots
         res = [F.zero()] * (self.ambient - len(pivots))
-        r = bisect_left(pivots, i)
-        if r < len(pivots) and pivots[r] == i:
-            for j, v in self.basis[r].items():
-                if j != i:
-                    res[j - bisect_left(pivots, j)] = F.neg(v)
-        else:
-            res[i - r] = F.one()
+        for j, v in self._residue({i: F.one()}).items():
+            res[j - bisect_left(pivots, j)] = v
         return tuple(res)
 
     def unit_residues(self):

@@ -43,7 +43,7 @@ from .errors import (GradingViolationError, InternalConsistencyError, LabelError
                      PreconditionError, ShapeError)
 from .exactlin import (LabeledSpace, Matrix, Subspace, ZERO_SPACE, _accumulate,
                        _echelon, _forward, _rank, kernel, matched_pairs,
-                       nullspace, pivot_reduce)
+                       nullspace)
 from .regrade_maps import WindowedMap, is_pseudomorphism
 from .subsets import DegreeSet, Verdict, is_right_modular, same_set
 
@@ -675,18 +675,18 @@ def submodule_from_subspaces(m: GradedModule, spaces: dict) -> GradedModule:
     for d, (basis, _, _) in bases.items():
         for u in m.over.degrees():
             t = m.add_deg(d, u)
-            rows, _, pivots = bases.get(t, ((), (), ()))
+            pivots = bases[t][2] if t in bases else ()
             out, pairs = {}, matched_pairs(comps[d], m.over.component(u))
             for i, j in pairs:
                 vec = _accumulate(F, basis[i],
                                   lambda k: m.action_row(d, u, k, j))
                 if vec:
-                    rest, got = pivot_reduce(F, rows, pivots, vec)
-                    if rest:
+                    if not pivots or not spaces[t].contains_vector(vec):
                         raise PreconditionError(
                             f"subspaces are not action-closed: a push "
                             f"leaves the degree-{t} subspace")
-                    out[(i, j)] = {r: c for r, c in enumerate(got) if c}
+                    out[(i, j)] = {r: vec[p] for r, p in enumerate(pivots)
+                                   if p in vec}
             if t in comps and pairs:
                 action[(d, u)] = out
     return GradedModule._of(m.over, m.window, comps, action)
@@ -700,66 +700,60 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     ambient coordinates whose classes form the quotient basis at degree d.
 
     The quotient basis at each degree is the set of standard coordinates not
-    used as pivots by the tag-blocked basis of W, ordered by tag, so the
-    result again has tag-pure basis vectors.  Basis vector i times a_j is
-    the stored action row of coordinate keep[i] read through the classes of
-    its coordinates: a kept coordinate is itself, relabelled, and a pivot p
-    of W is minus the rest of W's row at p.  The pivot classes are tabled
-    once per target degree, and each map between quotient degrees is one
-    walk over its stored rows.
+    used as pivots by W, ordered by tag, so the result again has tag-pure
+    basis vectors (_tag_blocks refuses a W that is not A_0-stable).
+    project(d, vec) is W_d.reduce(vec) on the kept coordinates.  Basis
+    vector i times a_j is the stored action row of coordinate keep[i] read
+    the same way at its target t; a one-entry row, most rows of a
+    projective, is a kept coordinate or a multiple of a pivot's class in
+    W_t.classes().  Each map between quotient degrees is one walk over its
+    stored rows.
     """
     F = m.field
-    reducers, comps = {}, {}
+    keeps, reads, comps = {}, {}, {}
     for d in m.degrees():
         comp = m.component(d)
-        rows, _, pivots = _tag_blocks(
-            comp, spaces.get(d, Subspace.zero(F, comp.dim)))
-        keep = sorted(set(range(comp.dim)) - set(pivots),
-                      key=lambda i: (comp.right_tags[i], i))
-        reducers[d] = (rows, pivots, keep,
-                       {i: pos for pos, i in enumerate(keep)})
+        sp = spaces.get(d, Subspace.zero(F, comp.dim))
+        _tag_blocks(comp, sp)
+        keep = keeps[d] = sorted(set(range(comp.dim)) - set(sp.pivots),
+                                 key=lambda i: (comp.right_tags[i], i))
+        reads[d] = {i: pos for pos, i in enumerate(keep)}, sp
         if keep:
             comps[d] = LabeledSpace.module_component(
                 tuple(comp.right_tags[i] for i in keep))
 
     def project(d, vec):
         """vec in quotient coordinates: dense for a dense vec, else a row."""
-        rows, pivots, keep, at = reducers[d]
-        v = pivot_reduce(F, rows, pivots, vec)[0]
+        at, sp = reads[d]
+        v = sp.reduce(vec)
         if isinstance(v, dict):
             return {at[i]: c for i, c in v.items()}
-        return tuple(v[i] for i in keep)
+        return tuple(v[i] for i in keeps[d])
 
-    neg, mul, one = F.neg, F.mul, F.one()
-    classes = {}  # t -> {pivot p: class of e_p, in quotient coordinates}
-    for t in comps:
-        rows, pivots, _, at = reducers[t]
-        classes[t] = {p: {at[j]: neg(v) for j, v in row.items() if j != p}
-                      for row, p in zip(rows, pivots)}
+    mul = F.mul
+    classes = {t: reads[t][1].classes() for t in comps}
     action = {}
     for d in comps:
-        src = reducers[d][3]
+        src = reads[d][0]
         for u in m.over.degrees():
             t = m.add_deg(d, u)
             if t not in comps:
                 continue
-            at, cls = reducers[t][3], classes[t]
-            out = {}
+            (at, sp), cls, out = reads[t], classes[t], {}
             for (i, j), row in m._map_rows(d, u):
                 if i not in src:
                     continue
-                if len(row) == 1:  # most rows of a projective
+                if len(row) == 1:
                     (q, c), = row.items()
                     img = ({at[q]: c} if q in at
-                           else {k: mul(c, v) for k, v in cls[q].items()})
+                           else {at[k]: mul(c, v) for k, v in cls[q].items()})
                 else:
-                    img = _accumulate(
-                        F, row, lambda q: cls[q] if q in cls else {at[q]: one})
+                    img = {at[k]: v for k, v in sp.reduce(row).items()}
                 if img:
                     out[(src[i], j)] = img
             if out or matched_pairs(comps[d], m.over.component(u)):
                 action[(d, u)] = out
-    keep_map = {d: tuple(r[2]) for d, r in reducers.items()}
+    keep_map = {d: tuple(keep) for d, keep in keeps.items()}
     return GradedModule._of(m.over, m.window, comps, action), project, keep_map
 
 
@@ -865,8 +859,7 @@ def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
     Closed form: W_d at each degree d not off S, and off S the x with x a
     in W_t for every basis vector a of A whose target t = d + u is not off
     S; closed since (x b) a = x (b a).  One nullspace per off-S degree, over
-    the classes modulo W_t of the stored rows: the class of e_i is itself
-    off W_t's pivots and, at a pivot, minus the rest of W_t's row there.
+    the classes modulo W_t of the stored rows, read through W_t.classes().
     Degrees whose S membership cannot be decided (outside a windowed S's
     window) count as inside S, which keeps the result sound if possibly
     small.  Assumes n is a module: associative, unital action
@@ -876,15 +869,15 @@ def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
     F = n.field
     if modulo is None:
         modulo = {d: Subspace.zero(F, n.component(d).dim) for d in n.degrees()}
+    one = F.one()
     evals = {}  # degree not off S -> class of each e_i; None: W_t = 0
     for t in n.degrees():
         if s.try_contains(t) is False:
             continue
         w, ev = modulo[t], None
         if w.dim:
-            ev = [{i: F.one()} for i in range(w.ambient)]
-            for row, p in zip(w.basis, w.pivots):
-                ev[p] = {j: F.neg(v) for j, v in row.items() if j != p}
+            cls = w.classes()
+            ev = [cls[i] if i in cls else {i: one} for i in range(w.ambient)]
         evals[t] = ev
     return {d: modulo[d] if d in evals else _vanishing_space(n, d, evals)
             for d in n.degrees()}

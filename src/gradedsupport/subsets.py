@@ -462,20 +462,21 @@ def quotient_set(s: DegreeSet, u: DegreeSet):
 
     For every S and U a nonempty (S : U) is one coset g + (U : U): g' + U = S
     = g + U exactly when g' - g fixes U.  It is built from the least rotation
-    g in [0, m), m the common period, and checked against all of them.
+    g in [0, m), m the common period, and checked against all of them.  A
+    translate of U has as many members as U in [0, m), so sets of unequal
+    density answer None before any scan.
     """
     _check_same_group(s, u)
     if s.form == FORM_WINDOWED or u.form == FORM_WINDOWED:
         raise UnsupportedFormError("quotient sets need Full or Periodic forms")
-    if (s.form == FORM_FULL) != (u.form == FORM_FULL):
-        x = u if s.form == FORM_FULL else s
-        if len(x.residues) < x.period:
-            return None  # a proper periodic set is no translate of everything
+    m = _common_modulus(s, u)
+    if _count_in(s, 0, m - 1) != _count_in(u, 0, m - 1):
+        return None
     good = _rotations(s, u)
     if not good:
         return None
     result = stabilizer(u).translate(good[0])
-    if result.members_in(0, _common_modulus(s, u) - 1) != good:
+    if result.members_in(0, m - 1) != good:
         raise InternalConsistencyError("(S:U) is not a coset of (U:U)")
     return result
 

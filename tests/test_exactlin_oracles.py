@@ -8,8 +8,10 @@ tests check that it gives the same subspaces (structural Subspace equality)
 on random sparse matrices over Q and GF(101), zero rows, zero columns and
 empty shapes included, with rows given dense or as {column: value} dicts.
 
-e_i modulo a subspace is read off the pivot rows; the old pivot_reduce of
-the unit vector is kept as the oracle for the projection matrix behind
+The library reads every vector modulo a subspace through its class table,
+Subspace.classes.  pivot_reduce, which subtracts the basis rows one pivot
+at a time with _axpy, is kept here as the oracle: for reduce, coordinates,
+contains_vector and unit_residue, for the projection matrix behind
 preimage_subspace and for the mult tables of quiver_algebra.
 
 The kernel itself is one Gauss-Jordan loop on {column: value} rows, and
@@ -39,10 +41,10 @@ from gradedsupport.constructions import (_coerce, _path_source,
                                          truncated_polynomial)
 from gradedsupport.errors import PreconditionError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix,
-                                    RationalField, Subspace, _axpy, _echelon,
+                                    RationalField, Subspace, _echelon,
                                     _entries, _forward, _rank, apply_row,
                                     image, integral, kernel,
-                                    matched_pairs, nullspace, pivot_reduce,
+                                    matched_pairs, nullspace,
                                     rref, solve, subspace_contains,
                                     subspace_intersect, subspace_sum)
 from gradedsupport.graded_core import (_vanishing_space, hom_space_basis,
@@ -446,6 +448,49 @@ def test_quiver_tables_match_pivot_reduced_paths(quiver, field):
 ALL_FIELDS = [GF(2), GF(3), GF(101), QQ]
 
 
+def _axpy(field, row, c, src, skip):
+    """row -= c * src in place, over src's entries except column skip."""
+    sub, mul = field.sub, field.mul
+    for j, e in src.items():
+        if j != skip:
+            v = sub(row[j], mul(c, e)) if j in row else field.neg(mul(c, e))
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def pivot_reduce(field, rows, pivots, vec):
+    """Subtract c * row at each pivot, c being vec's entry there.
+
+    rows must carry unit pivots that are zero in every other row (a reduced
+    echelon basis, in any order), as {column: value} dicts or dense
+    sequences.  Returns (remainder, coefficients): the remainder is zero iff
+    vec lies in the span, and then vec is the sum of coefficient times row.
+    A dense vec gives a dense list remainder; a dict vec, which needs dict
+    rows, gives a dict of the remainder's nonzeros.
+    """
+    if isinstance(vec, dict):
+        z = field.zero()
+        v = {j: x for j, x in vec.items() if x}
+        coeffs = [v.pop(p, z) for p in pivots]
+        for row, p, c in zip(rows, pivots, coeffs):
+            if c is not z:  # a popped entry, nonzero
+                _axpy(field, v, c, row, p)
+        return v, coeffs
+    sub, mul = field.sub, field.mul
+    v = list(vec)
+    coeffs = []
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        coeffs.append(c)
+        if c:
+            for j, e in _entries(row):
+                if e:
+                    v[j] = sub(v[j], mul(c, e))
+    return v, coeffs
+
+
 def gauss_jordan_forward(field, rows, ncols):
     """The kernel's loop before integer rows: reduce each incoming row at
     the pivots it holds, scale it to a unit pivot, then clear its column
@@ -612,6 +657,45 @@ def test_elimination_stops_reading_at_full_rank(field):
     o = field.one()
     assert _forward(field, [{0: o, 1: o}, {1: o}, None], 2) == {
         0: {0: o}, 1: {1: o}}
+
+
+@st.composite
+def subspace_probes(draw, max_dim=7):
+    """A subspace over one of ALL_FIELDS, and vectors to read modulo it:
+    random ones and members, each dense and as a dict with shuffled keys
+    and some explicit zeros."""
+    f = draw(st.sampled_from(ALL_FIELDS))
+    n = draw(st.integers(0, max_dim))
+    sp = Subspace.from_vectors(f, n, draw(sparse_rows(
+        f, draw(st.integers(0, max_dim)), n)))
+    vecs = vectors(draw, f, n)
+    for coeffs in draw(sparse_rows(f, draw(st.integers(0, 2)), sp.dim)):
+        vecs.append(apply_row(f, coeffs, Matrix(f, sp.dim, n, sp.rows)))
+    probes = []
+    for v in vecs:
+        keys = [j for j, e in enumerate(v) if e or draw(st.booleans())]
+        probes += [v, {j: v[j] for j in draw(st.permutations(keys))}]
+    return sp, probes
+
+
+@given(subspace_probes())
+def test_reads_modulo_a_subspace_match_pivot_reduce(case):
+    # every read goes through Subspace.classes; pivot_reduce subtracts the
+    # basis rows one pivot at a time
+    sp, probes = case
+    F, n = sp.field, sp.ambient
+    for vec in probes:
+        rest, coeffs = pivot_reduce(F, sp.basis, sp.pivots, vec)
+        inside = not (rest if isinstance(vec, dict) else any(rest))
+        assert sp.reduce(vec) == rest
+        assert sp.contains_vector(vec) == inside
+        assert sp.coordinates(vec) == (coeffs if inside else None)
+    for i in range(n):
+        e = [F.zero()] * n
+        e[i] = F.one()
+        rest = pivot_reduce(F, sp.basis, sp.pivots, e)[0]
+        assert sp.unit_residue(i) == tuple(
+            v for j, v in enumerate(rest) if j not in sp.pivots)
 
 
 @given(row_forms(), st.data())

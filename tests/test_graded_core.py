@@ -536,6 +536,23 @@ def test_quotient_with_maps_coordinate_contract():
             assert out == expected
 
 
+def test_class_tables_are_shared_and_left_unchanged():
+    # torsion_spaces and quotient_with_maps both read W's class tables,
+    # which are shared with W: neither may write into them
+    a = quiver_algebra(1, [(0, 0), (0, 0)], [], 4)
+    f = a.field
+    m = regular_module(a)
+    closed = closure_under_action(m, {1: [[f.one(), f.from_int(2)]]})
+    tables = {d: w.classes() for d, w in closed.items()}
+    before = {d: {p: dict(c) for p, c in t.items()} for d, t in tables.items()}
+    assert any(c for t in before.values() for c in t.values())
+    torsion_spaces(m, DegreeSet.periodic(2, {0}), closed)
+    quotient_with_maps(m, closed)
+    for d, w in closed.items():
+        assert w.classes() is tables[d]
+        assert tables[d] == before[d]
+
+
 def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
     a = truncated_polynomial(4)
     f = a.field

@@ -259,6 +259,16 @@ def test_quotient_set_of_full_and_a_proper_set_is_empty_before_any_scan():
         is None
 
 
+def test_quotient_set_of_sets_of_unequal_density_is_empty_before_any_scan():
+    # every residue of 20011 but one against {0}: the rotation scan would
+    # test 20010 shifts on 40022-bit masks, past SCAN_CAP, but a translate
+    # of U has one member per period
+    s = DegreeSet.periodic(20011, range(1, 20011))
+    u = DegreeSet.periodic(20011, {0})
+    assert quotient_set(s, u) is None
+    assert quotient_set(u, s) is None
+
+
 def test_quotient_set_of_full_and_a_periodic_set_of_every_residue_is_full():
     # 2Z + {0, 1} is Z, so every g has g + U = S, in both orders
     every = DegreeSet.periodic(2, (0, 1))

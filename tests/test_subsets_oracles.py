@@ -150,12 +150,9 @@ def stabilizer_by_comprehension(u):
 
 
 def quotient_set_by_tables(s, u):
-    """quotient_set without its modular self-check: membership tables."""
-    if s.form == "full" and u.form == "full":
-        return DegreeSet.full(s.group)
-    if "full" in (s.form, u.form):
-        return None
-    mod = _lcm(s.period, u.period)
+    """quotient_set without its modular self-check: membership tables, a
+    Full set counting as period 1 with residue 0."""
+    mod = _lcm(s.period or 1, u.period or 1)
     ms = _members(s, mod)
     mu = _members(u, mod)
     good = [g for g in range(mod)
@@ -163,6 +160,10 @@ def quotient_set_by_tables(s, u):
     if not good:
         return None
     if s.group.kind == "Zn":
+        # not canonicalised over Z/n: a coset of (U : U), which is Full
+        # for a Full U
+        if u.form == "full":
+            return DegreeSet.full(s.group)
         return DegreeSet.periodic(mod, good, s.group)
     return canonical_by_comprehension(DegreeSet.periodic(mod, good))
 
@@ -479,10 +480,14 @@ def test_canonical_stabilizer_and_reduction_match_comprehensions(u):
 
 
 @given(_periodic(12), st.integers(-30, 30), st.integers(1, 3),
-       st.booleans())
-@example(DegreeSet.periodic(6, [0, 1, 3, 4]), 2, 2, True)
-def test_quotient_set_matches_membership_tables(u, g, scale, translate):
-    # s = g + U (nonempty quotient), or an unrelated set of a multiple period
+       st.booleans(), st.sampled_from([None, "s", "u"]))
+@example(DegreeSet.periodic(6, [0, 1, 3, 4]), 2, 2, True, None)
+@example(DegreeSet.periodic(2, [0, 1]), 0, 1, True, "s")
+@example(DegreeSet.periodic(4, [0, 1, 2, 3], Zn(4)), 0, 1, True, "u")
+@example(DegreeSet.periodic(6, [0, 3]), 1, 1, True, "u")
+def test_quotient_set_matches_membership_tables(u, g, scale, translate, full):
+    # s = g + U (nonempty quotient), or an unrelated set of a multiple
+    # period; then S or U may be replaced by Full
     u = DegreeSet.periodic(u.period, u.residues | {0}, u.group)
     if translate:
         s = u.translate(g)
@@ -490,6 +495,10 @@ def test_quotient_set_matches_membership_tables(u, g, scale, translate):
         m = u.period * scale if u.group.kind == "Z" else u.period
         s = DegreeSet.periodic(m, {(g + k * k) % m for k in range(scale + 1)},
                                u.group)
+    if full == "s":
+        s = DegreeSet.full(u.group)
+    elif full == "u":
+        u = DegreeSet.full(u.group)
     assert quotient_set(s, u) == quotient_set_by_tables(s, u)
 
 
