@@ -93,10 +93,7 @@ def delta_map(u: DegreeSet, s0: int, window) -> WindowedMap:
     if u.try_contains(0) is not True:
         raise PreconditionError("enumeration is anchored at 0, which must lie in U")
     c = u.canonical()
-    if c.form == FORM_FULL:
-        n, offsets = 1, (0,)
-    else:
-        n, offsets = c.period, tuple(sorted(c.residues))
+    n, offsets = c.period, tuple(sorted(c.residues))
     t = len(offsets)
 
     def phi(x):

@@ -2,7 +2,8 @@
 
 A DegreeSet is one of:
 
-* Full: all of the grading group.
+* Full: all of the grading group, stored as period 1 with residue 0 over
+  Z and Z/n alike; the form only names it (repr, JSON, classification).
 * Periodic(period n, residues J): the union of the classes nZ + j, j in J.
   Over the cyclic group Z/n the period must equal n and the set is just J.
 * Windowed(elements, window): an explicit finite set, only certified on its
@@ -19,6 +20,8 @@ the intersection of the windows, skips what is unknown there, and the
 verdict carries window_certified=True.  SCAN_CAP caps its work, points a x
 points b x mask bits, before any mask is built (CapacityError).  _shifts
 reads the g with g + U = S off the same views, capped at shifts x bits.
+canonical, stabilizer and reduce_mod_stabilizer all read (U : U) off one
+owner, _period(U), the least d with d + U = U.
 
 Argument order conventions follow the module side the ring acts on: right
 pairs are written (S, U) with S the module support and U the ring set; left
@@ -27,7 +30,7 @@ pairs are written (U, S) with the ring set first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import lcm
 from operator import or_
@@ -97,7 +100,7 @@ class DegreeSet:
 
     @classmethod
     def full(cls, group=Z):
-        return cls(group, FORM_FULL)
+        return cls(group, FORM_FULL, period=1, residues=frozenset({0}))
 
     @classmethod
     def periodic(cls, period, residues, group=Z):
@@ -129,9 +132,7 @@ class DegreeSet:
 
     def try_contains(self, x):
         """Membership, or None when x is outside a windowed form's window."""
-        if self.form == FORM_FULL:
-            return True
-        if self.form == FORM_PERIODIC:
+        if self.form != FORM_WINDOWED:
             return x % self.period in self.residues
         lo, hi = self.window
         if x < lo or x > hi:
@@ -147,9 +148,7 @@ class DegreeSet:
 
     def members_in(self, lo, hi):
         """Sorted members in [lo, hi], silently clipped to the window."""
-        if self.form == FORM_FULL:
-            return list(range(lo, hi + 1))
-        if self.form == FORM_PERIODIC:
+        if self.form != FORM_WINDOWED:
             return [x for x in range(lo, hi + 1) if x % self.period in self.residues]
         wlo, whi = self.window
         return sorted(e for e in self.elements if max(lo, wlo) <= e <= min(hi, whi))
@@ -157,47 +156,32 @@ class DegreeSet:
     # -- structure helpers --------------------------------------------------
 
     def negate(self):
-        """{-x : x in this set}."""
-        if self.form == FORM_FULL:
-            return self
-        if self.form == FORM_PERIODIC:
+        """{-x : x in this set}, in the same form."""
+        if self.form != FORM_WINDOWED:
             n = self.period
-            return DegreeSet.periodic(n, {(-r) % n for r in self.residues}, self.group)
+            return replace(self, residues=frozenset((-r) % n for r in self.residues))
         lo, hi = self.window
         return DegreeSet.windowed({-e for e in self.elements}, (-hi, -lo))
 
     def translate(self, g):
-        """{x + g : x in this set}."""
+        """{x + g : x in this set}, in the same form."""
         g = int(g)
-        if self.form == FORM_FULL:
-            return self
-        if self.form == FORM_PERIODIC:
+        if self.form != FORM_WINDOWED:
             n = self.period
-            return DegreeSet.periodic(n, {(r + g) % n for r in self.residues},
-                                      self.group)
+            return replace(self, residues=frozenset((r + g) % n for r in self.residues))
         lo, hi = self.window
         return DegreeSet.windowed({e + g for e in self.elements},
                                   (lo + g, hi + g))
 
     def canonical(self):
-        """Reduce to the minimal-period form; every-residue sets become Full."""
+        """Reduce to the least period, Full if it is 1; Z/n keeps period n."""
         if self.form != FORM_PERIODIC:
             return self
-        n, J = self.period, self.residues
-        if len(J) == n:
+        d = _period(self)
+        if d == 1:
             return DegreeSet.full(self.group)
-        stab = _rotations(self, self)
-        d0 = n // len(stab)
-        if set(stab) != {i * d0 for i in range(len(stab))}:
-            raise InternalConsistencyError("stabilizer is not a subgroup")
-        reduced = frozenset(j % d0 for j in J)
-        if len(reduced) * len(stab) != len(J):
-            raise InternalConsistencyError("stabilizer reduction miscounted")
-        if self.group.kind == "Zn":
-            return self
-        if d0 == 1:
-            return DegreeSet.full(self.group)
-        return DegreeSet.periodic(d0, reduced, self.group)
+        m = self.group.n or d
+        return DegreeSet.periodic(m, {j % m for j in self.residues}, self.group)
 
     def intersect(self, other):
         """Set intersection; None when empty.  Windowed results stay windowed."""
@@ -235,7 +219,7 @@ def same_set(a: DegreeSet, b: DegreeSet) -> bool:
 
 def _common_modulus(*sets):
     """The lcm of the periods of Full/Periodic sets, a Full set's being 1."""
-    return lcm(*(s.period or 1 for s in sets))
+    return lcm(*(s.period for s in sets))
 
 
 def _check_same_group(*sets):
@@ -249,9 +233,7 @@ def _check_same_group(*sets):
 def _view(x, lo, hi):
     """(members, known) masks of x over [lo, hi]: bit i is the degree lo + i."""
     ones = (1 << (hi - lo + 1)) - 1
-    if x.form == FORM_FULL:
-        return ones, ones
-    if x.form == FORM_PERIODIC:
+    if x.form != FORM_WINDOWED:
         n = x.period
         members = sum(1 << p for r in x.residues
                       if (p := (r - lo) % n) <= hi - lo)
@@ -278,9 +260,7 @@ def _bits(mask, lo=0):
 
 def _count_in(x, lo, hi):
     """How many members x has in [lo, hi], without listing them."""
-    if x.form == FORM_FULL:
-        return hi - lo + 1
-    if x.form == FORM_PERIODIC:
+    if x.form != FORM_WINDOWED:
         n = x.period
         return sum((hi - r) // n - (lo - 1 - r) // n for r in x.residues)
     return sum(lo <= e <= hi for e in x.elements)
@@ -308,6 +288,19 @@ def _rotations(s, u):
     u0 = (u_view[0] & -u_view[0]).bit_length() - 1
     in_s = _bits(s_view[0] & u_view[1])  # the members of S in [0, m)
     return _shifts(s_view, u_view, sorted((x - u0) % m for x in in_s))
+
+
+def _period(u):
+    """The least d > 0 with d + U = U, U Full or Periodic, so (U : U) is
+    generated by d: the one scan of U's rotations, checked to be a subgroup."""
+    n = u.period
+    if len(u.residues) == n:
+        return 1
+    stab = _rotations(u, u)
+    d = n // len(stab)
+    if stab != list(range(0, n, d)):
+        raise InternalConsistencyError("stabilizer is not a subgroup")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ def is_ring_supporting(u: DegreeSet) -> Verdict:
     """
     if u.try_contains(0) is not True:
         raise PreconditionError("a ring-supporting candidate must contain 0")
-    return _scan(u, u, list(u.residues) if u.form == FORM_PERIODIC else None)
+    return _scan(u, u, list(u.residues) if u.form != FORM_WINDOWED else None)
 
 
 def is_right_premodular(s: DegreeSet, u: DegreeSet) -> Verdict:
@@ -433,19 +426,18 @@ def is_left_modular(u: DegreeSet, s: DegreeSet) -> Verdict:
 
 
 def stabilizer(u: DegreeSet) -> DegreeSet:
-    """(U : U) = {g : g + U = U}, always a subgroup.
+    """(U : U) = {g : g + U = U}, always a subgroup, from d = _period(U).
 
-    Full -> Full; Periodic over Z -> kZ as Periodic(k, {0}); over Z/n the
-    residue subgroup.  Windowed forms get a window-certified approximation.
+    Full when d = 1, also over Z/n; else dZ as Periodic(d, {0}), over Z/n
+    the residues 0, d, 2d, ...  Windowed forms get a window-certified
+    approximation.
     """
-    if u.form == FORM_FULL:
-        return u
-    if u.form == FORM_PERIODIC:
-        good = _rotations(u, u)
-        if u.group.kind == "Zn":
-            return DegreeSet.periodic(u.period, good, u.group)
-        k = u.period // len(good)
-        return DegreeSet.periodic(k, {0}) if k > 1 else DegreeSet.full()
+    if u.form != FORM_WINDOWED:
+        d = _period(u)
+        if d == 1:
+            return DegreeSet.full(u.group)
+        m = u.group.n or d
+        return DegreeSet.periodic(m, range(0, m, d), u.group)
     # g and -g compare the same overlapping part of the window
     lo, hi = u.window
     width = hi - lo + 1
@@ -540,19 +532,14 @@ def enumerate_ring_supporting(n) -> list:
 
 
 def reduce_mod_stabilizer(u: DegreeSet):
-    """Canonical pair (n, J): (U:U) = nZ and J = image of U in Z/n.
-
-    Full reduces to (1, {0}).  The reduced residue set always has trivial
-    stabilizer; that is re-checked here.
+    """Canonical pair (d, J mod d), d = _period(U): (U : U) is generated by d
+    and J mod d, the image of U in Z/d, has trivial stabilizer.  Z/n sets
+    are answered like Z sets; Full reduces to (1, {0}).
     """
     if u.form == FORM_WINDOWED:
         raise UnsupportedFormError("stabilizer reduction needs Full or Periodic")
-    c = u.canonical()
-    if c.form == FORM_FULL:
-        return 1, frozenset({0})
-    if len(_rotations(c, c)) > 1:
-        raise InternalConsistencyError("reduced set kept a nontrivial stabilizer")
-    return c.period, c.residues
+    d = _period(u)
+    return d, frozenset(j % d for j in u.residues)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ import itertools
 import json
 from math import gcd
 
-import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from gradedsupport.errors import InternalConsistencyError
 from gradedsupport.subsets import (ENUMERATION_CAP, DegreeSet, Verdict, Z,
                                    Zn, _bits, _pair_scan, _shifts,
                                    enumerate_ring_supporting,
@@ -133,10 +131,11 @@ def stabilizer_by_comprehension(u):
     if u.form == "periodic":
         n, J = u.period, u.residues
         good = [d for d in range(n) if _shift_fixes(J, n, d)]
+        if len(good) == n:  # every shift fixes J, in either group
+            return DegreeSet.full(u.group)
         if u.group.kind == "Zn":
             return DegreeSet.periodic(n, good, u.group)
-        k = n // len(good)
-        return DegreeSet.periodic(k, {0}) if k > 1 else DegreeSet.full()
+        return DegreeSet.periodic(n // len(good), {0})
     lo, hi = u.window
     els = u.elements
     good = []
@@ -159,23 +158,21 @@ def quotient_set_by_tables(s, u):
             if all(mu[(c - g) % mod] == ms[c] for c in range(mod))]
     if not good:
         return None
-    if s.group.kind == "Zn":
-        # not canonicalised over Z/n: a coset of (U : U), which is Full
-        # for a Full U
-        if u.form == "full":
-            return DegreeSet.full(s.group)
+    if len(good) == mod:  # every rotation is good, in either group
+        return DegreeSet.full(s.group)
+    if s.group.kind == "Zn":  # not canonicalised over Z/n: a coset of (U : U)
         return DegreeSet.periodic(mod, good, s.group)
     return canonical_by_comprehension(DegreeSet.periodic(mod, good))
 
 
 def reduce_mod_stabilizer_by_comprehension(u):
-    c = canonical_by_comprehension(u)
-    if c.form == "full":
+    """(d0, J mod d0) over Z and Z/n alike, d0 = n / (number of fixing
+    shifts)."""
+    if u.form == "full":
         return 1, frozenset({0})
-    n, J = c.period, c.residues
-    if any(_shift_fixes(J, n, d) for d in range(1, n)):
-        raise InternalConsistencyError("reduced set kept a nontrivial stabilizer")
-    return n, J
+    n, J = u.period, u.residues
+    d0 = n // sum(_shift_fixes(J, n, d) for d in range(n))
+    return d0, frozenset(j % d0 for j in J)
 
 
 def intersect_by_points(s, u):
@@ -467,16 +464,13 @@ def _periodic(draw, max_period=24):
 @given(_periodic())
 @example(DegreeSet.periodic(12, [0, 3, 4, 7, 8, 11]))
 @example(DegreeSet.periodic(6, [1, 4], Zn(6)))
+@example(DegreeSet.periodic(4, range(4), Zn(4)))
+@example(DegreeSet.periodic(4, [0, 2], Zn(4)))
+@example(DegreeSet.periodic(1, [0], Zn(1)))
 def test_canonical_stabilizer_and_reduction_match_comprehensions(u):
     assert u.canonical() == canonical_by_comprehension(u)
     assert stabilizer(u) == stabilizer_by_comprehension(u)
-    try:
-        want = reduce_mod_stabilizer_by_comprehension(u)
-    except InternalConsistencyError:  # Z/n sets keep their stabilizer
-        with pytest.raises(InternalConsistencyError):
-            reduce_mod_stabilizer(u)
-    else:
-        assert reduce_mod_stabilizer(u) == want
+    assert reduce_mod_stabilizer(u) == reduce_mod_stabilizer_by_comprehension(u)
 
 
 @given(_periodic(12), st.integers(-30, 30), st.integers(1, 3),
