@@ -21,6 +21,15 @@ is read off the row pivoting at it.  _split_relation is the one relation
 parser: n_homogeneous_dual reads its relation lists through it on the
 one-vertex quiver of v_dim loops, whose degree-n paths are the words.
 
+The mult table is read off the listed paths.  A product of basis paths
+p.q is the class of the concatenation w, or zero when w passes through a
+word of J.  At a degree t the other blocks never reach, every degree of a
+monomial algebra, each listed path w is a basis path, and row (p, q) of
+map (g, t - g) is w's own coordinate for each split w = p.q into two
+basis paths: the pairs with a zero product are never visited.  At a degree
+with an ideal the table reads the class of the concatenation of each
+tag-matched pair of basis paths, each path's class reduced once.
+
 PATH_CAP bounds the vertices and paths a quiver algebra lists, and
 TABLE_CAP the weight of a mult table: its entries, the sum over (g, h) of
 the matched pairs times the dimension in degree g + h, plus MAP_WEIGHT
@@ -38,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from collections import Counter
 
 from .errors import CapacityError, PreconditionError
 from .exactlin import LabeledSpace, QQ, Subspace, integral, matched_pairs, \
@@ -169,24 +177,35 @@ def _check_table(maps, entries, what):
 def _avoiding_paths(num_vertices, arrows, words, top):
     """The paths of degree 1..top through no word of words, by degree.
 
-    Degree m extends degree m - 1 by one arrow, less the paths ending in a
-    word; every prefix of such a path avoids the words too, so the order is
-    that of the full path listing.  Stops at the first degree with no path,
-    and checks PATH_CAP and the table cap as each degree is listed.
+    Degree m extends each path of degree m - 1 by the arrows leaving its
+    target, in arrow order, less the paths ending in a word; every prefix
+    of such a path avoids the words too, so each degree is listed in
+    lexicographic order.  Stops at the first degree with no path, and
+    checks PATH_CAP and the table cap as each degree is listed.
     """
     total, entries, maps = num_vertices, num_vertices ** 2, 1
     _check_table(maps, entries, f"the quiver up to degree 0 (top {top})")
     lengths = {len(w) for w in words}
+    leaving = [[] for _ in range(num_vertices)]
+    for a, (src, _) in enumerate(arrows):
+        leaving[src].append(a)
     # the paths of each degree counted by target and by source vertex
-    ends, starts = [Counter(range(num_vertices))], [Counter(range(num_vertices))]
+    ends, starts = [[1] * num_vertices], [[1] * num_vertices]
     paths = {}
+    prev = [()]
     for m in range(1, top + 1):
-        grown = ((a,) for a in range(len(arrows))) if m == 1 else (
-            p + (a,) for p in paths[m - 1] for a in range(len(arrows))
-            if arrows[a][0] == arrows[p[-1]][1])
-        level = list(itertools.islice(
-            (p for p in grown if not any(p[-n:] in words for n in lengths)),
-            PATH_CAP - total + 1))
+        room = PATH_CAP - total + 1  # one more path than fits is refused
+        level = []
+        for p in prev:
+            for a in (leaving[arrows[p[-1]][1]] if p else range(len(arrows))):
+                w = p + (a,)
+                for n in lengths:
+                    if w[-n:] in words:
+                        break
+                else:
+                    level.append(w)
+            if len(level) >= room:
+                break
         if not level:
             break
         total += len(level)
@@ -194,11 +213,15 @@ def _avoiding_paths(num_vertices, arrows, words, top):
             raise CapacityError(
                 f"the quiver's vertices and relation-avoiding paths up to "
                 f"degree {m} (top {top}) are over the cap of {PATH_CAP}")
-        paths[m] = level
-        ends.append(Counter(arrows[p[-1]][1] for p in level))
-        starts.append(Counter(arrows[p[0]][0] for p in level))
-        entries += len(level) * sum(e * starts[m - g][v] for g in range(m + 1)
-                                    for v, e in ends[g].items())
+        paths[m] = prev = level
+        end, start = [0] * num_vertices, [0] * num_vertices
+        for p in level:
+            end[arrows[p[-1]][1]] += 1
+            start[arrows[p[0]][0]] += 1
+        ends.append(end)
+        starts.append(start)
+        entries += len(level) * sum(e * s for g in range(m + 1)
+                                    for e, s in zip(ends[g], starts[m - g]))
         maps += m + 1  # the (g, m - g) maps
         _check_table(maps, entries, f"the quiver up to degree {m} (top {top})")
     return paths
@@ -249,8 +272,11 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     expanded degreewise, so no term ordering is involved.  Only the paths
     avoiding the one-term blocks are listed, and the others expand on them.
     At a degree the other blocks never reach, every degree of a monomial
-    algebra, a path's class is its own coordinate and no residue vector is
-    built.
+    algebra, the products are read off the splits of the listed paths into
+    two basis paths, a path's class being its own coordinate; at a degree
+    with an ideal, off the tag-matched pairs of basis paths, through the
+    class of their concatenation.  Products with the degree-0 idempotents
+    are the basis paths themselves.
     """
     if num_vertices < 1:
         raise PreconditionError("a quiver needs at least one vertex")
@@ -292,43 +318,65 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     comps = {0: LabeledSpace(num_vertices, tuple(range(num_vertices)),
                              tuple(range(num_vertices)))}
     basis_paths = {0: [()] * num_vertices}  # degree 0: the empty paths
+    coord = {}  # degree m > 0 -> {basis path: its coordinate}
     for m, ps in paths.items():
-        sp = ideal.get(m)
-        pivots = set(sp.pivots) if sp is not None else set()
-        keep = [i for i in range(len(ps)) if i not in pivots]
-        if not keep:
+        if m in ideal:
+            pivots = set(ideal[m].pivots)
+            keep = [p for i, p in enumerate(ps) if i not in pivots]
+            coord[m] = {p: i for i, p in enumerate(keep)}
+        else:
+            keep, coord[m] = ps, index[m]
+        if keep:
+            comps[m] = LabeledSpace(
+                len(keep), tuple(_path_source(arrows, p) for p in keep),
+                tuple(_path_target(arrows, p) for p in keep))
+            basis_paths[m] = keep
+
+    one = F.one()
+    # At a degree t with no ideal every listed path w is kept, and the
+    # product of basis paths p, q is w = pq or zero when pq passes through
+    # a word: row (p, q) of map (g, t - g) is w's own coordinate, for
+    # each split of w into two basis paths.
+    split = {}
+    for t, ps in paths.items():
+        if t in ideal:
             continue
-        comps[m] = LabeledSpace(
-            len(keep),
-            tuple(_path_source(arrows, ps[i]) for i in keep),
-            tuple(_path_target(arrows, ps[i]) for i in keep))
-        basis_paths[m] = [ps[i] for i in keep]
+        by_g = split[t] = [{} for _ in range(t)]
+        for k, w in enumerate(ps):
+            row = {k: one}
+            for g in range(1, t):
+                if (i := coord[g].get(w[:g])) is not None and (
+                        j := coord[t - g].get(w[g:])) is not None:
+                    by_g[g][(i, j)] = row
 
     @functools.cache
     def residue(t, word):
-        """The class of a path of degree t > 0 in the kept coordinates as a
-        {col: value} row, read only for the products the table looks up;
-        zero through a word of J, and the path's own coordinate at a degree
-        with no ideal."""
+        """The class of a path of degree t, a degree with an ideal, in the
+        kept coordinates as a {col: value} row; zero through a word of J."""
         i = index[t].get(word)
         if i is None:
             return {}
-        sp = ideal.get(t)
-        if sp is None:
-            return {i: F.one()}
+        sp = ideal[t]
         return {j - bisect_left(sp.pivots, j): v
-                for j, v in sp.reduce({i: F.one()}).items()}
+                for j, v in sp.reduce({i: one}).items()}
 
     mult = {}
     degs = sorted(comps)
     for g in degs:
+        right = set(comps[g].right_tags)
         for h in degs:
             t = g + h
-            pairs = matched_pairs(comps[g], comps[h]) if t in comps else ()
-            if pairs:  # e_i e_j = e_j below, as i = j
-                mult[(g, h)] = {(i, j): row for i, j in pairs if (
-                    row := {j: F.one()} if t == 0
-                    else residue(t, basis_paths[g][i] + basis_paths[h][j]))}
+            if t not in comps or right.isdisjoint(comps[h].left_tags):
+                continue
+            if g == 0 or h == 0:  # e_i b = b and b e_j = b, a basis path b
+                mult[(g, h)] = {(i, j): {j if g == 0 else i: one}
+                                for i, j in matched_pairs(comps[g], comps[h])}
+            elif t in split:
+                mult[(g, h)] = split[t][g]
+            else:
+                mult[(g, h)] = {(i, j): row for i, j in matched_pairs(
+                    comps[g], comps[h]) if (row := residue(
+                        t, basis_paths[g][i] + basis_paths[h][j]))}
     unit = tuple(F.one() for _ in range(num_vertices))
     return GradedAlgebra._of(Z, (0, top), num_vertices, F, comps, mult, unit)
 

@@ -64,13 +64,12 @@ Every vector is read modulo a subspace through one table,
 Subspace.classes: each pivot p maps to e_p modulo the subspace, minus the
 rest of the row pivoting at p, and any other e_j is its own class.  The
 class of a vector is _accumulate over its entries and that table: reduce,
-coordinates, contains_vector and unit_residue here, and the quotients,
-torsion, submodules and quiver residues built on them.
+coordinates and contains_vector here, and the quotients, torsion,
+submodules and quiver residues built on them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -390,14 +389,6 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
 
 
-def apply_row(field, vec, matrix):
-    """vec @ matrix for a plain sequence vec of length matrix.rows."""
-    if len(vec) != matrix.rows:
-        raise ShapeError(f"vector length {len(vec)} vs {matrix.rows} rows")
-    return list(_dense(_accumulate(field, vec, matrix.nz.__getitem__),
-                       matrix.cols, field.zero()))
-
-
 def _entries(row):
     """(column, value) pairs of a dense row or a {column: value} dict."""
     return row.items() if isinstance(row, dict) else enumerate(row)
@@ -594,19 +585,6 @@ class Subspace:
             z = self.field.zero()
             return [vec.get(p) or z for p in self.pivots]
         return [vec[p] for p in self.pivots]
-
-    def unit_residue(self, i):
-        """e_i modulo this subspace, in the non-pivot coordinates: its class,
-        non-pivot column j being coordinate j - (pivots below j)."""
-        F, pivots = self.field, self.pivots
-        res = [F.zero()] * (self.ambient - len(pivots))
-        for j, v in self._residue({i: F.one()}).items():
-            res[j - bisect_left(pivots, j)] = v
-        return tuple(res)
-
-    def unit_residues(self):
-        """Row i is unit_residue(i)."""
-        return [self.unit_residue(i) for i in range(self.ambient)]
 
 
 def nullspace(field, rows, ncols) -> Subspace:

@@ -415,8 +415,17 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
     """
     if a.group.kind != "Z" or a.window[0] != 0:
         return False
-    return all(_rank(a.field, _generated_rows(a, [1], i), a.component(i).dim)
-               == a.component(i).dim for i in a.degrees() if i >= 2)
+    return all(_spans(a.field, _generated_rows(a, [1], i), a.component(i).dim)
+               for i in a.degrees() if i >= 2)
+
+
+def _spans(field, rows, dim):
+    """Whether rows span all dim coordinates: at once when their one-entry
+    rows reach every column, as a path algebra's products of basis paths
+    do, else by a rank."""
+    if len({j for r in rows if len(r) == 1 for j, v in r.items() if v}) == dim:
+        return True
+    return _rank(field, rows, dim) == dim
 
 # ---------------------------------------------------------------------------
 # killing supports
@@ -470,6 +479,11 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
               and (algebra.support == u or same_set(algebra.support, u))):
         raise PreconditionError("the given algebra is not the module's "
                                 "algebra killed to U")
+    return _kill_module(m, s, algebra)
+
+
+def _kill_module(m: GradedModule, s: DegreeSet, algebra: KilledAlgebra):
+    """kill_support_module for an (S, U) and an algebra already checked."""
     comps = {d: c for d, c in m.components.items() if s.contains(d)}
     return GradedModule._of(algebra, m.window, comps,
                             _kept_maps(m, comps, algebra.components))

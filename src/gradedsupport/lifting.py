@@ -37,14 +37,13 @@ from .constructions import _layout, _layout_module, projective_module, \
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          _check_modular_pair, _tag_escape,
+                          _check_modular_pair, _kill_module, _tag_escape,
                           _vanishing_space, algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in,
                           is_generated_in, is_generated_in_degrees_01,
-                          kill_support_algebra, kill_support_module,
-                          quotient_with_maps, regrade_algebra,
-                          torsion_spaces, validate_algebra)
+                          kill_support_algebra, quotient_with_maps,
+                          regrade_algebra, torsion_spaces, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
 from .subsets import DegreeSet, is_translation_of_interval, quotient_set
 
@@ -439,8 +438,11 @@ _MAX_GENS = _MAX_RELATIONS = 2
 
 
 def _random_presented(alg, s, u, seed, window, reduce_torsion,
-                      relation_degrees="any"):
-    q = _quotient_set(s, u)
+                      relation_degrees="any", q=None):
+    """The random modules' one builder; q is (S : U) when the caller has
+    already decided it."""
+    if q is None:
+        q = _quotient_set(s, u)
     window = tuple(window) if window is not None else alg.window
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     usable = q.members_in(window[0], window[1])
@@ -549,19 +551,23 @@ def equivalence_harness(a: GradedAlgebra, s: DegreeSet, u: DegreeSet,
     Samples are independent and derived from (seed, index), so the report
     does not depend on evaluation order.  Needs samples >= 1: no sample is
     no evidence.
+
+    The hypotheses on A and (S, U) are decided once per run, before any
+    sample: each sample builds its modules with that run's Q = (S : U)
+    and kills them with no second modular-pair scan, exactly as
+    random_category_module and kill_support_module would.
     """
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
-    _check_hypotheses_algebra_only(a, s, u)
+    q = _check_hypotheses_algebra_only(a, s, u)
     b = kill_support_algebra(a, u)
     rows = []
     for i in range(samples):
         rng = random.Random(seed * 1000003 + i)
-        m = random_category_module(a, s, u, rng)
-        n = random_category_module(a, s, u, rng)
+        m = _random_presented(a, s, u, rng, None, reduce_torsion=True, q=q)
+        n = _random_presented(a, s, u, rng, None, reduce_torsion=True, q=q)
         ambient = hom_space_dim(m, n)
-        killed = hom_space_dim(kill_support_module(m, s, u, b),
-                               kill_support_module(n, s, u, b))
+        killed = hom_space_dim(_kill_module(m, s, b), _kill_module(n, s, b))
         rows.append(HarnessSample(i, ambient, killed))
     return EquivalenceReport(seed=seed, samples=tuple(rows),
                              holds=all(r.equal for r in rows))

@@ -583,7 +583,8 @@ def _cyclic_runs(J, n):
 def structure_decompose(u: DegreeSet) -> IntervalDecomposition:
     """Classify a ring-supporting set.
 
-    Periodic sets are reduced to their canonical period n and split into the
+    Periodic sets are reduced modulo their stabilizer to (n, J), the same
+    over Z and Z/n (reduce_mod_stabilizer), and J is split into the
     maximal integer intervals of one fundamental domain, anchored so the
     interval through 0 is [0, r] or [-r, 0] with 2r < n; both constraints are
     enforced and a violation on a ring-supporting input is an internal error.
@@ -593,11 +594,10 @@ def structure_decompose(u: DegreeSet) -> IntervalDecomposition:
     if not verdict.holds:
         raise PreconditionError(
             f"structure classification needs a ring-supporting set; witness {verdict.witness}")
-    c = u.canonical()
-    if c.form == FORM_FULL:
-        return IntervalDecomposition(KIND_ALL)
-    if c.form == FORM_PERIODIC:
-        n, J = c.period, c.residues
+    if u.form != FORM_WINDOWED:
+        n, J = reduce_mod_stabilizer(u)
+        if n == 1:
+            return IntervalDecomposition(KIND_ALL)
         runs = _cyclic_runs(J, n)
         zero_run = None
         others = []
@@ -657,18 +657,18 @@ def structure_decompose(u: DegreeSet) -> IntervalDecomposition:
 def is_translation_of_interval(u: DegreeSet):
     """Match U against union-of-translates-of-one-interval shapes.
 
-    Returns IntervalTranslation(orientation, n, r) when the canonical form of
-    U is [0, r] + nZ (right) or [-r, 0] + nZ (left) with 0 <= 2r < n, else
+    Returns IntervalTranslation(orientation, n, r) when U reduced modulo
+    its stabilizer (reduce_mod_stabilizer, the same over Z and Z/n) is
+    [0, r] + nZ (right) or [-r, 0] + nZ (left) with 0 <= 2r < n, else
     None.  r = 0 is reported as right.  U = Z is outside the pattern's
     hypotheses (its stabilizer index is 1) and raises.
     """
     if u.form == FORM_WINDOWED:
         raise UnsupportedFormError(
             "interval-translation recognition needs Full or Periodic forms")
-    c = u.canonical()
-    if c.form == FORM_FULL:
+    n, J = reduce_mod_stabilizer(u)
+    if n == 1:
         raise PreconditionError("the whole group is excluded (needs period >= 2)")
-    n, J = (c.period, c.residues)
     r = len(J) - 1
     if 2 * r >= n:
         return None

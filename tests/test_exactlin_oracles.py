@@ -12,7 +12,9 @@ The library reads every vector modulo a subspace through its class table,
 Subspace.classes.  pivot_reduce, which subtracts the basis rows one pivot
 at a time with _axpy, is kept here as the oracle: for reduce, coordinates,
 contains_vector and unit_residue, for the projection matrix behind
-preimage_subspace and for the mult tables of quiver_algebra.
+preimage_subspace and for the mult tables of quiver_algebra.  apply_row
+(vec @ matrix as a dense list) and unit_residue(s) (e_i modulo a subspace
+as a dense tuple) live here too: only the tests read vectors that way.
 
 The kernel itself is one Gauss-Jordan loop on {column: value} rows, and
 Subspace keeps those rows.  Over Q it works on primitive integer rows;
@@ -30,6 +32,7 @@ solve and hom spaces against it, value for value, on inputs mixing ints
 and Fractions.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -39,11 +42,11 @@ from gradedsupport.constructions import (_coerce, _path_source,
                                          _path_target, free_module,
                                          present_module, quiver_algebra,
                                          truncated_polynomial)
-from gradedsupport.errors import PreconditionError
+from gradedsupport.errors import PreconditionError, ShapeError
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix,
-                                    RationalField, Subspace, _echelon,
-                                    _entries, _forward, _rank, apply_row,
-                                    image, integral, kernel,
+                                    RationalField, Subspace, _accumulate,
+                                    _dense, _echelon, _entries, _forward,
+                                    _rank, image, integral, kernel,
                                     matched_pairs, nullspace,
                                     rref, solve, subspace_contains,
                                     subspace_intersect, subspace_sum)
@@ -92,6 +95,29 @@ def dense_rref(field, rows):
         if rank == len(work):
             break
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+def apply_row(field, vec, matrix):
+    """vec @ matrix for a plain sequence vec of length matrix.rows."""
+    if len(vec) != matrix.rows:
+        raise ShapeError(f"vector length {len(vec)} vs {matrix.rows} rows")
+    return list(_dense(_accumulate(field, vec, matrix.nz.__getitem__),
+                       matrix.cols, field.zero()))
+
+
+def unit_residue(sp, i):
+    """e_i modulo the subspace sp, in the non-pivot coordinates: its class,
+    non-pivot column j being coordinate j - (pivots below j)."""
+    F, pivots = sp.field, sp.pivots
+    res = [F.zero()] * (sp.ambient - len(pivots))
+    for j, v in sp._residue({i: F.one()}).items():
+        res[j - bisect_left(pivots, j)] = v
+    return tuple(res)
+
+
+def unit_residues(sp):
+    """Row i is unit_residue(i)."""
+    return [unit_residue(sp, i) for i in range(sp.ambient)]
 
 
 def oracle_span(field, ambient, vectors):
@@ -319,7 +345,7 @@ def test_complement_matrix_matches_pivot_reduction(pair):
     # the unit residues as a matrix are the old complement projection
     for w in pair:
         assert Matrix(w.field, w.ambient, w.ambient - w.dim,
-                      w.unit_residues()) \
+                      unit_residues(w)) \
             == old_complement_matrix(w.field, w.ambient, w)
 
 
@@ -694,7 +720,7 @@ def test_reads_modulo_a_subspace_match_pivot_reduce(case):
         e = [F.zero()] * n
         e[i] = F.one()
         rest = pivot_reduce(F, sp.basis, sp.pivots, e)[0]
-        assert sp.unit_residue(i) == tuple(
+        assert unit_residue(sp, i) == tuple(
             v for j, v in enumerate(rest) if j not in sp.pivots)
 
 
@@ -727,7 +753,7 @@ def test_subspace_methods_match_dense_oracles(case, data):
         assert sp.contains_vector(vec) == inside
         assert sp.coordinates(vec) == (coeffs if inside else None)
     units = old_complement_matrix(F, n, want)
-    assert sp.unit_residues() == list(units.entries)
+    assert unit_residues(sp) == list(units.entries)
 
 
 @given(row_forms())
@@ -779,7 +805,7 @@ def test_solve_matches_augmented_solve_over_all_fields(case, data):
 def test_full_complement_asks_no_condition(field):
     # the complement of all of K^n is the projection onto nothing
     full = Subspace.full(field, 3)
-    assert full.unit_residues() == [()] * 3
+    assert unit_residues(full) == [()] * 3
     assert preimage_subspace(Matrix.identity(field, 3), full) == full
     # handed to _vanishing_space as rows, each class empty, it watches
     # nothing at that degree

@@ -60,8 +60,8 @@ from gradedsupport.constructions import (_layout_module, group_algebra,
 from gradedsupport.errors import (GradedSupportError, InternalConsistencyError,
                                    PreconditionError)
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
-                                    apply_row, kernel, matched_pairs,
-                                    nullspace, rref, subspace_intersect)
+                                    kernel, matched_pairs, nullspace, rref,
+                                    subspace_intersect)
 from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        _tag_blocks, _vanishing_space,
                                        algebras_equal, closure_under_action,
@@ -84,7 +84,7 @@ from gradedsupport.regrade_maps import delta_map
 from gradedsupport.serialize import (algebra_to_json, matrix_to_json,
                                      module_to_json)
 from gradedsupport.subsets import DegreeSet, Z, Zn, quotient_set
-from test_exactlin_oracles import pivot_reduce
+from test_exactlin_oracles import apply_row, pivot_reduce, unit_residues
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def torsion_preimage_by_dense_residues(m, closed, s):
             if t not in inside:
                 continue
             w = closed[t]
-            res = Matrix(F, w.ambient, w.ambient - w.dim, w.unit_residues())
+            res = Matrix(F, w.ambient, w.ambient - w.dim, unit_residues(w))
             for j in range(m.over.component(u).dim):
                 ra = right_action_matrix(m, d, u, j)
                 if ra is not None:

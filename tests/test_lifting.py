@@ -1,5 +1,9 @@
 """Liftability criteria, the lift construction, and the regraded category."""
 
+import random
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +15,12 @@ from gradedsupport.constructions import (
     truncated_polynomial,
 )
 from gradedsupport.errors import PreconditionError, UnsupportedFormError
-from gradedsupport.exactlin import GF, LabeledSpace, Matrix
+from gradedsupport import lifting, subsets
+from gradedsupport.exactlin import GF, QQ, LabeledSpace, Matrix
 from gradedsupport.graded_core import (
     GradedAlgebra,
     GradedModule,
+    hom_space_dim,
     kill_support_algebra,
     kill_support_module,
     modules_equal,
@@ -24,6 +30,7 @@ from gradedsupport.graded_core import (
     validate_module,
 )
 from gradedsupport.lifting import (
+    HarnessSample,
     _kernel_push,
     certified_isomorphism,
     check_and_lift,
@@ -420,6 +427,87 @@ def test_harness_is_reproducible():
     second = equivalence_harness(a, U3, U3, samples=4, seed=3)
     assert [(r.hom_dim_ambient, r.hom_dim_killed) for r in first.samples] \
         == [(r.hom_dim_ambient, r.hom_dim_killed) for r in second.samples]
+
+
+HARNESS_ALGEBRAS = {
+    # the CLI's default harness algebra for period n: two loops, yx = 0
+    "two-loop": lambda n, field: quiver_algebra(
+        1, [(0, 0), (0, 0)], [[(1, (1, 0))]], 2 * n + 1, field),
+    # the two-vertex cycle of the CI harness step
+    "two-vertex": lambda n, field: quiver_algebra(
+        2, [(0, 1), (1, 0)], [], 7, field),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("algebra", sorted(HARNESS_ALGEBRAS))
+@pytest.mark.parametrize("translate", [0, 2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_harness_samples_are_the_public_composition(n, translate, algebra,
+                                                    field):
+    # the harness decides (S, U) once and kills through the unchecked
+    # body; each sample must still be what the public functions give
+    a = HARNESS_ALGEBRAS[algebra](n, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(translate)
+    b = kill_support_algebra(a, u)
+    for seed in range(10):
+        report = equivalence_harness(a, s, u, samples=2, seed=seed)
+        want = []
+        for i in range(2):
+            rng = random.Random(seed * 1000003 + i)
+            m = random_category_module(a, s, u, rng)
+            x = random_category_module(a, s, u, rng)
+            want.append(HarnessSample(
+                i, hom_space_dim(m, x),
+                hom_space_dim(kill_support_module(m, s, u, b),
+                              kill_support_module(x, s, u, b))))
+        assert report.samples == tuple(want)
+
+
+def _count_calls(mp, names, counts):
+    """Count the calls of the named subsets functions wherever a
+    gradedsupport module binds them."""
+    modules = [m for k, m in sys.modules.items()
+               if k == "gradedsupport" or k.startswith("gradedsupport.")]
+    for name in names:
+        original = getattr(subsets, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                mp.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 5])
+def test_harness_decides_the_pair_once_per_run(samples):
+    a = HARNESS_ALGEBRAS["two-loop"](3, QQ)
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, ("is_right_modular", "quotient_set"), counts)
+        equivalence_harness(a, U3.translate(2), U3, samples=samples)
+    assert counts == {"is_right_modular": 1, "quotient_set": 1}
+
+
+@pytest.mark.parametrize("s, u, message", [
+    (U3, DegreeSet.periodic(5, (0, 2, 3)),
+     "ring_supporting fails, witness (2, 2, 3)"),
+    (DegreeSet.full(), U3, "premodular fails, witness (0, 1, 1)"),
+])
+def test_harness_refuses_a_non_modular_pair_before_any_sample(s, u, message):
+    a, _ = killed_setup()
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting, "_random_presented", no_sample)
+        with pytest.raises(PreconditionError) as err:
+            equivalence_harness(a, s, u, samples=3)
+    assert str(err.value) == f"(S, U) is not a right modular pair: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,21 @@ def test_interval_translation_subgroup_has_radius_zero():
     assert got == IntervalTranslation("right", 4, 0)
 
 
+@pytest.mark.parametrize("group", [Z, Zn(4)], ids=repr)
+def test_interval_translation_reads_a_set_modulo_its_stabilizer(group):
+    # {0, 2} + 4Z and {0, 2} in Z/4 are both 2Z + {0} reduced, in both
+    # groups alike
+    got = is_translation_of_interval(DegreeSet.periodic(4, [0, 2], group))
+    assert got == IntervalTranslation("right", 2, 0)
+
+
+@pytest.mark.parametrize("group", [Z, Zn(4)], ids=repr)
+def test_structure_decompose_reads_a_set_modulo_its_stabilizer(group):
+    d = structure_decompose(DegreeSet.periodic(4, [0, 2], group))
+    assert (d.kind, d.intervals, d.zero_radius) \
+        == ("finite_interval_union", ((0, 0),), 0)
+
+
 def test_structure_decompose_shapes():
     u = DegreeSet.periodic(3, (0, 1), Z)
     d = structure_decompose(u)
@@ -393,8 +408,8 @@ def test_structure_decompose_classifies_what_a_window_shows(
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_residue_of_zn_is_the_whole_group(n):
-    # canonical() makes an every-residue set Full, so the whole-group
-    # branches see it through its form alone
+    # an every-residue set reduces to period 1 modulo its stabilizer, and
+    # canonical() makes it Full
     u = DegreeSet.periodic(n, range(n), Zn(n))
     assert u.canonical().form == "full"
     assert structure_decompose(u).kind == "all_of_z"
