@@ -49,12 +49,13 @@ normalised, and how the held rows become the canonical basis.
   times it, mod p.
 
 A rank is the number of pivots (_rank).  _echelon sorts the basis by
-pivot, and every other operation is one _echelon call plus a read-off of
+pivot, and every other operation is one elimination plus a read-off of
 its pivots and free columns:
 
 - rref is its dense view;
 - nullspace(field, rows, ncols) is {x : r . x = 0 for every row r}, one
-  basis vector per free column;
+  basis vector per free column of an elimination with the columns
+  reversed, which makes these vectors the canonical basis;
 - kernel(M) is {v : v @ M = 0}, the nullspace of M's columns;
 - solve(M, b) reads a preimage off the basis of [M^T | b];
 - subspace_intersect (Zassenhaus) keeps the right halves of the reduced rows
@@ -400,10 +401,11 @@ def _accumulate(field, coeffs, row_of):
     add, mul = field.add, field.mul
     acc = {}
     for m, c in _entries(coeffs or ()):
-        row = row_of(m) if c else None
-        for q, y in _entries(row or ()):
-            if y:
-                acc[q] = add(acc[q], mul(c, y)) if q in acc else mul(c, y)
+        if c and (row := row_of(m)):
+            for q, y in (row.items() if isinstance(row, dict)
+                         else enumerate(row)):
+                if y:
+                    acc[q] = add(acc[q], mul(c, y)) if q in acc else mul(c, y)
     return {q: v for q, v in acc.items() if v}
 
 
@@ -590,18 +592,22 @@ class Subspace:
 def nullspace(field, rows, ncols) -> Subspace:
     """{x in K^ncols : r . x = 0 for every row r}.
 
-    One basis vector per free column f of the canonical basis of rows: 1 at
-    f and minus the column-f entry of each basis row at that row's pivot.
+    One elimination with the columns reversed, so each basis row pivots at
+    its last column.  The null vector of free column f is 1 at f and minus
+    the column-f entry of each basis row at that row's pivot, all of them
+    after f: so the vectors are already the canonical basis, pivoting at
+    the free columns.
     """
-    red, pivots = _echelon(field, rows, ncols)
+    last = ncols - 1
+    basis = _forward(field, ({last - j: v for j, v in _entries(r)}
+                             for r in rows), ncols)
     neg, o = field.neg, field.one()
-    taken = set(pivots)
-    basis = {f: {f: o} for f in range(ncols) if f not in taken}
-    for row, p in zip(red, pivots):
-        for j, v in row.items():
-            if j != p:
-                basis[j][p] = neg(v)
-    return Subspace.from_vectors(field, ncols, list(basis.values()))
+    null = {f: {f: o} for f in range(ncols) if last - f not in basis}
+    for rp, row in basis.items():
+        for rj, v in row.items():
+            if rj != rp:
+                null[last - rj][last - rp] = neg(v)
+    return Subspace._of(field, ncols, tuple(null.values()), tuple(null))
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -5,14 +5,17 @@ Data model
 An algebra and a right module are the same kind of data: per degree a
 LabeledSpace (basis vectors tagged with idempotent indices on both sides),
 and per degree pair (g, h) a structure map on the tag-matched tensor basis
-of X_g x A_h.  A map is stored as a dict {(i, j): row} from a matched pair
-to the image of x_i * a_j, a {col: value} row of its nonzeros in the basis
-of X_{g+h}, holding the nonzero rows only.  A map is present when it has a
-nonzero row, or matched pairs and a nonzero target, so it may be an empty
-dict; any other map has no entry at all.  Every action is read from these
-rows, one dict lookup per pair.  The Matrix of a map, rows in lexicographic
-pair order, wraps the same rows for .mult / .action / mult_matrix /
-action_matrix.  For a GradedAlgebra X = A and the map is the
+of X_g x A_h, listed by pairs(g, h).  That list depends only on the right
+tags of X_g and the left tags of A_h, so an object keeps one list per such
+tag shape and shares it between all its degree pairs of that shape: the
+lists are read-only.  A map is stored as a dict {(i, j): row} from a
+matched pair to the image of x_i * a_j, a {col: value} row of its nonzeros
+in the basis of X_{g+h}, holding the nonzero rows only.  A map is present
+when it has a nonzero row, or matched pairs and a nonzero target, so it
+may be an empty dict; any other map has no entry at all.  Every action is
+read from these rows, one dict lookup per pair.  The Matrix of a map, rows
+in lexicographic pair order, wraps the same rows for .mult / .action /
+mult_matrix / action_matrix.  For a GradedAlgebra X = A and the map is the
 multiplication; for a GradedModule A is the algebra it lives over and the
 map is the action.  Both share one base class holding the components, the
 map table and the lookups on it.  Components absent from the dictionary are
@@ -103,19 +106,20 @@ class _GradedObject:
         one as the dict of its nonzero rows.  A map is a Matrix with one row
         per pairs(g, h), or a dict keyed by matched pair."""
         stored, seen = {}, set()
-        right = self._acting()
+        right, field, zn = self._acting(), self.field, self.group.n
         for (g, h), m in table.items():
-            if self.group.kind == "Zn":
-                g, h = g % self.group.n, h % self.group.n
+            if zn is not None:
+                g, h = g % zn, h % zn
                 _claim(seen, (g, h), f"{self._map_name} maps", self.group)
             dim = self.component(self.add_deg(g, h)).dim
+            pairs = self.pairs(g, h)
             if isinstance(m, Matrix):
-                pairs = self.pairs(g, h)
                 if (m.rows, m.cols) != (len(pairs), dim):
                     raise ShapeError(
                         f"{self._map_name}({g},{h}) must be {len(pairs)}x"
                         f"{dim}, got {m.rows}x{m.cols}")
-                if m.field != self.field:
+                # identity first: PrimeField.__eq__ is Python-level
+                if m.field is not field and m.field != field:
                     raise ShapeError(f"{self._map_name} matrix over the wrong field")
                 rows = {p: r for p, r in zip(pairs, m.nz) if r}
             else:
@@ -131,7 +135,7 @@ class _GradedObject:
                 if cols and not (min(cols) >= 0 and max(cols) < dim):
                     raise ShapeError(f"{self._map_name}({g},{h}) has a column "
                                      f"beyond the {dim} of its target")
-            if rows or dim and self.pairs(g, h):
+            if rows or dim and pairs:
                 stored[(g, h)] = rows
         self._maps = stored
 
@@ -157,11 +161,19 @@ class _GradedObject:
         return sum(c.dim for c in self.components.values())
 
     def pairs(self, g, h):
-        """Matched basis pairs of X_g x A_h, the row order of map (g, h)."""
-        got = self._pair_cache.get((g, h))
+        """Matched basis pairs of X_g x A_h, the row order of map (g, h):
+        cached under (g, h) and under the tag shape, whose list is shared
+        and read-only (see the module docstring)."""
+        cache = self._pair_cache
+        got = cache.get((g, h))
         if got is None:
-            got = self._pair_cache[(g, h)] = matched_pairs(
-                self.component(g), self._acting().component(h))
+            x, a = self.component(g), self._acting().component(h)
+            # the tag tuples, not the LabeledSpaces, whose hash is Python's
+            shape = x.right_tags, a.left_tags
+            got = cache.get(shape)
+            if got is None:
+                got = cache[shape] = matched_pairs(x, a)
+            cache[(g, h)] = got
         return got
 
     def _rows(self, g, h):
@@ -346,17 +358,29 @@ def _tag_escape(x):
 
     The right tag of x_i * a_j is that of a_j; for algebras the left tag is
     also checked against that of x_i (module left tags carry no action).
+    With one tag value in all components nothing can escape; else one
+    unsorted pass over the stored rows, and only the first map holding an
+    escape has its rows sorted, to name the least (i, j) and q there.
     """
     right = x._acting()
     both_sides = right is x
-    for (g, h) in x._maps:
-        cg, ch = x.component(g), right.component(h)
+    tags = set()
+    for c in (*x.components.values(), *right.components.values()):
+        tags.update(c.left_tags, c.right_tags)
+    if len(tags) < 2:
+        return None
+    for (g, h), rows in x._maps.items():
         ct = x.component(x.add_deg(g, h))
-        for (i, j), row in sorted(x._map_rows(g, h)):
-            for q in sorted(row):
-                if (ct.right_tags[q] != ch.right_tags[j]
-                        or both_sides and ct.left_tags[q] != cg.left_tags[i]):
-                    return ("tags", g, h, i, j, q)
+        hr, gl = right.component(h).right_tags, x.component(g).left_tags
+
+        def escapes(i, j, q):
+            return (ct.right_tags[q] != hr[j]
+                    or both_sides and ct.left_tags[q] != gl[i])
+
+        if any(escapes(i, j, q) for (i, j), row in rows.items() for q in row):
+            return next(("tags", g, h, i, j, q)
+                        for (i, j), row in sorted(rows.items())
+                        for q in sorted(row) if escapes(i, j, q))
     return None
 
 
@@ -375,25 +399,34 @@ def _assoc_witness(x):
 
     x ranges over the object, a and b over the algebra acting on it; for an
     algebra the two coincide.  (i, j) walks x.pairs(s, u) and k the matches
-    of j in a.pairs(u, v); a triple with x_i a_j = a_j a_k = 0 holds.
-    Witness: ("assoc", (s, u, v), (i, j, k)).
+    of j in a.pairs(u, v); a triple with x_i a_j = a_j a_k = 0 holds, and
+    so does every triple of (s, u, v) when X_{s+u+v} = 0 or both maps x_i a_j
+    and a_j a_k are absent.  Witness: ("assoc", (s, u, v), (i, j, k)).
     """
     a = x._acting()
     F = x.field
+    # every degree below is a stored, hence reduced, one: read maps directly
+    comps, add, x_rows = x.components, x.group.add, x._maps.get
     adegs = a.degrees()
+    blocks = {}  # (u, v) -> (u + v, a's rows, the k matching each j)
     for s in x.degrees():
         for u in adegs:
-            su = x.add_deg(s, u)
-            xa_rows = x._rows(s, u) or {}
+            su = add(s, u)
+            xa_rows = x_rows((s, u)) or {}
             for v in adegs:
-                if x.component(x.add_deg(su, v)).dim == 0:
+                if add(su, v) not in comps:
                     continue
-                uv = a.add_deg(u, v)
-                xa_b, ab_rows = x._rows(su, v) or {}, a._rows(u, v) or {}
-                x_ab = x._rows(s, uv) or {}
-                ks = {}
-                for j, kk in a.pairs(u, v):
-                    ks.setdefault(j, []).append(kk)
+                block = blocks.get((u, v))
+                if block is None:
+                    ks = {}
+                    for j, kk in a.pairs(u, v):
+                        ks.setdefault(j, []).append(kk)
+                    block = blocks[(u, v)] = (add(u, v),
+                                              a._maps.get((u, v)) or {}, ks)
+                uv, ab_rows, ks = block
+                if not (xa_rows or ab_rows):
+                    continue
+                xa_b, x_ab = x_rows((su, v)) or {}, x_rows((s, uv)) or {}
                 for i, j in x.pairs(s, u):
                     xa = xa_rows.get((i, j))
                     for kk in ks.get(j, ()):
@@ -476,7 +509,7 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
         algebra = kill_support_algebra(m.over, u)
     elif not (isinstance(algebra, KilledAlgebra)
               and algebras_equal(algebra.base, m.over)
-              and (algebra.support == u or same_set(algebra.support, u))):
+              and same_set(algebra.support, u)):
         raise PreconditionError("the given algebra is not the module's "
                                 "algebra killed to U")
     return _kill_module(m, s, algebra)

@@ -5,18 +5,24 @@ canonical byte form json.dumps(obj, indent=2, sort_keys=True), byte for
 byte.  A GradedAlgebra or GradedModule anywhere in obj stands for its JSON
 form, the dict that algebra_to_json or module_to_json returns: components
 by degree, then one {g, h, matrix} object per stored map in degree-pair
-order.  dump_json writes the map table straight from the stored dict rows
-without building that dict, and renders the text of each distinct matrix
-once per call.  Rational entries are written as strings ("3", "-1/2") so
-the files stay exact; prime-field entries are plain integers.
+order.  dump_json writes the components and the map table straight from
+the stored components and dict rows without building those dicts, and
+renders the text of each distinct matrix once per call.  Rational entries
+are written as strings ("3", "-1/2") so the files stay exact; prime-field
+entries are plain integers.
 
 Reading.  Loaders check shape and types and raise SchemaError with a dotted
 path into the offending value, such as "action[3].matrix.entries[0][1]".
 A path is carried as a tuple of its keys and indices and joined into text
-only when an error is raised.  Each matrix row is read in one pass, a
-plain int over GF(p) reduced in place, and each distinct rational string
-is parsed once per call; an integral rational is read back as an int, and
-exponent forms such as "1e9" are refused, since Fraction would expand them.
+only when an error is raised.  A well-formed component or map item is read
+in one pass: int keys where ints are meant, the parent's field keys, and
+rows of plain ints over GF(p) or, over Q, of strings this call has already
+parsed, straight into the Matrix rows.  Any other item is read again key by
+key, which raises the same error at the same path as ever.  There each
+matrix row is read in one pass, a plain int over GF(p) reduced in place,
+and each distinct rational string is parsed once per call; an integral
+rational is read back as an int, and exponent forms such as "1e9" are
+refused, since Fraction would expand them.
 Semantic validation (window coverage, tag ranges, matrix shapes) stays
 with the constructors, whose errors pass through.
 """
@@ -288,6 +294,15 @@ def _components_from_json(raw, at):
         raise SchemaError("expected a list of components", _path(*at))
     comps = {}
     for i, item in enumerate(raw):
+        # one pass for a well-formed item; any other is read key by key
+        if (type(item) is dict and type(d := item.get("degree")) is int
+                and type(dim := item.get("dim")) is int
+                and type(left := item.get("left_tags")) is list
+                and type(right := item.get("right_tags")) is list
+                and len(left) == dim == len(right) and d not in comps
+                and {*map(type, left), *map(type, right)} <= {int}):
+            comps[d] = LabeledSpace(dim, tuple(left), tuple(right))
+            continue
         cat = (*at, i)
         d = _get_int(item, "degree", cat)
         dim = _get_int(item, "dim", cat)
@@ -302,12 +317,48 @@ def _components_from_json(raw, at):
     return comps
 
 
+def _plain_rows(raw, cols, p, rationals):
+    """The nonzeros of each row of raw, or None unless every row is a list
+    of cols entries, each a plain int over GF(p) or, over Q (p None), a
+    string already parsed into rationals."""
+    nz = []
+    for row in raw:
+        if type(row) is not list or len(row) != cols:
+            return None
+        got = {}
+        for j, e in enumerate(row):
+            if type(e) is int and p:
+                e %= p
+            elif type(e) is str and p is None and e in rationals:
+                e = rationals[e]
+            else:
+                return None
+            if e:
+                got[j] = e
+        nz.append(got)
+    return tuple(nz)
+
+
 def _maps_from_json(raw, at, field, parent, rationals):
     if not isinstance(raw, list):
         raise SchemaError("expected a list of degree-pair maps", _path(*at))
     keys = parent.get("field"), parent.get("p")  # the parent's, as written
+    p = getattr(field, "p", None)
     table = {}
     for i, item in enumerate(raw):
+        # one pass for a well-formed item; any other is read key by key
+        if (type(item) is dict and type(g := item.get("g")) is int
+                and type(h := item.get("h")) is int
+                and type(obj := item.get("matrix")) is dict
+                and (obj.get("field"), obj.get("p")) == keys
+                and type(rows := obj.get("rows")) is int
+                and type(cols := obj.get("cols")) is int
+                and type(raw_rows := obj.get("entries")) is list
+                and len(raw_rows) == rows and (g, h) not in table
+                and (nz := _plain_rows(raw_rows, cols, p, rationals))
+                is not None):
+            table[(g, h)] = Matrix._of(field, rows, cols, nz)
+            continue
         it = (*at, i)
         g = _get_int(item, "g", it)
         h = _get_int(item, "h", it)
@@ -322,18 +373,9 @@ def _maps_from_json(raw, at, field, parent, rationals):
     return table
 
 
-def _stored_maps(x):
-    """(g, h, rows, cols) for each stored map of x in degree-pair order, its
-    rows those of pairs(g, h)."""
-    for (g, h), rows in sorted(x._maps.items()):
-        yield (g, h, [rows.get(p, {}) for p in x.pairs(g, h)],
-               x.component(x.add_deg(g, h)).dim)
-
-
-def _form(x, table):
-    """The JSON form of an algebra or module around its map table; a
-    module's algebra is the object itself."""
-    comps = _components_to_json(x.components)
+def _form(x, table, comps):
+    """The JSON form of an algebra or module around the forms of its map
+    table and components; a module's algebra is the object itself."""
     if isinstance(x, GradedModule):
         return {"algebra": x.over, "window": list(x.window),
                 "components": comps, "action": table}
@@ -344,12 +386,16 @@ def _form(x, table):
 
 
 def _maps_to_json(x) -> list:
-    return [{"g": g, "h": h, "matrix": _rows_to_json(x.field, rows, cols)}
-            for g, h, rows, cols in _stored_maps(x)]
+    """One {g, h, matrix} per stored map in degree-pair order, its rows
+    those of pairs(g, h)."""
+    return [{"g": g, "h": h, "matrix": _rows_to_json(
+        x.field, [rows.get(p, {}) for p in x.pairs(g, h)],
+        x.component(x.add_deg(g, h)).dim)}
+        for (g, h), rows in sorted(x._maps.items())]
 
 
 def algebra_to_json(a: GradedAlgebra) -> dict:
-    return _form(a, _maps_to_json(a))
+    return _form(a, _maps_to_json(a), _components_to_json(a.components))
 
 
 def algebra_from_json(obj, path="") -> GradedAlgebra:
@@ -371,7 +417,7 @@ def _algebra(obj, at, rationals):
 
 
 def module_to_json(m: GradedModule) -> dict:
-    out = _form(m, _maps_to_json(m))
+    out = _form(m, _maps_to_json(m), _components_to_json(m.components))
     out["algebra"] = algebra_to_json(m.over)
     return out
 
@@ -433,17 +479,38 @@ def _dump(o, pad, memo):
                  for v in o]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     if isinstance(o, (GradedAlgebra, GradedModule)):
-        return _dump(_form(o, _Text(_table_text(o, pad + "  ", memo))), pad,
-                     memo)
+        inner = pad + "  "
+        return _dump(_form(o, _Text(_table_text(o, inner, memo)),
+                           _Text(_components_text(o.components, inner,
+                                                  memo))),
+                     pad, memo)
     return json.dumps(o)  # bool, None, floats, subclasses; raises as dumps
+
+
+def _components_text(components, pad, memo):
+    """The components at indent pad, as dump_json writes
+    _components_to_json(components)."""
+    item, key = pad + "  ", pad + "    "
+    parts = [f'{{{key}"degree": {d},{key}"dim": {c.dim},{key}"left_tags": '
+             f'{_dump(c.left_tags, key, memo)},{key}"right_tags": '
+             f'{_dump(c.right_tags, key, memo)}{item}}}'
+             for d, c in sorted(components.items())]
+    return "[" + item + ("," + item).join(parts) + pad + "]" if parts else "[]"
 
 
 def _table_text(x, pad, memo):
     """x's map table at indent pad, as dump_json writes _maps_to_json(x)."""
     item, key = pad + "  ", pad + "    "
-    parts = [f'{{{key}"g": {g},{key}"h": {h},{key}"matrix": '
-             + _matrix_text(x.field, rows, cols, key, memo) + item + "}"
-             for g, h, rows, cols in _stored_maps(x)]
+    field, pairs, add = x.field, x.pairs, x.group.add
+    dims = {d: c.dim for d, c in x.components.items()}
+    head, tail = key + '"matrix": ', item + "}"
+    empty, parts = {}, []
+    for (g, h), rows in sorted(x._maps.items()):
+        parts.append(f'{{{key}"g": {g},{key}"h": {h},{head}'
+                     + _matrix_text(field, [rows.get(p, empty)
+                                            for p in pairs(g, h)],
+                                    dims.get(add(g, h), 0), key, memo)
+                     + tail)
     return "[" + item + ("," + item).join(parts) + pad + "]" if parts else "[]"
 
 

@@ -3,7 +3,8 @@
 A DegreeSet is one of:
 
 * Full: all of the grading group, stored as period 1 with residue 0 over
-  Z and Z/n alike; the form only names it (repr, JSON, classification).
+  Z and Z/n alike; the form only names it (repr, JSON, classification),
+  so == and the hash leave it out and Full equals Periodic(1, {0}).
 * Periodic(period n, residues J): the union of the classes nZ + j, j in J.
   Over the cyclic group Z/n the period must equal n and the set is just J.
 * Windowed(elements, window): an explicit finite set, only certified on its
@@ -30,7 +31,7 @@ pairs are written (U, S) with the ring set first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import lcm
 from operator import or_
@@ -90,7 +91,7 @@ FORM_WINDOWED = "windowed"
 @dataclass(frozen=True)
 class DegreeSet:
     group: GradedGroup
-    form: str
+    form: str = field(compare=False)  # a name only: see the module docstring
     period: int | None = None
     residues: frozenset | None = None
     elements: frozenset | None = None

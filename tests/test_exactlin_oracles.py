@@ -25,6 +25,11 @@ non-integral entries too, and stop reading rows at the same full rank.
 The last section checks the kernel and every Subspace method against the
 dense oracles over GF(2), GF(3), GF(101) and Q.
 
+nullspace reads the null vectors off one elimination with the columns
+reversed, where they are already canonical.  two_pass_nullspace, which
+read them off the usual elimination and put them in canonical form by a
+second one, is kept as its oracle.
+
 Over Q an integral value is an int.  The Fraction-only field it replaced
 is kept as FractionField, eliminating with the earlier unit-pivot steps,
 and a section of its own checks the field operations, rref, nullspace,
@@ -683,6 +688,48 @@ def test_elimination_stops_reading_at_full_rank(field):
     o = field.one()
     assert _forward(field, [{0: o, 1: o}, {1: o}, None], 2) == {
         0: {0: o}, 1: {1: o}}
+
+
+def two_pass_nullspace(field, rows, ncols):
+    """nullspace as it was: the null vectors of the canonical basis of rows,
+    one per free column, put in canonical form by a second elimination."""
+    red, pivots = _echelon(field, rows, ncols)
+    neg, o = field.neg, field.one()
+    taken = set(pivots)
+    basis = {f: {f: o} for f in range(ncols) if f not in taken}
+    for row, p in zip(red, pivots):
+        for j, v in row.items():
+            if j != p:
+                basis[j][p] = neg(v)
+    return Subspace.from_vectors(field, ncols, list(basis.values()))
+
+
+def _typed(sp):
+    """sp's basis with each value's type: an integral rational is an int."""
+    return [{j: (type(v), v) for j, v in row.items()} for row in sp.basis]
+
+
+@given(row_forms(), st.data())
+@form_examples(None)
+def test_nullspace_from_one_elimination_matches_the_two_pass_one(case, data):
+    m, rows = case
+    F, n = m.field, m.cols
+    if data is not None:
+        # full rank, duplicate rows, or the rows twice with the identity
+        how = data.draw(st.sampled_from(["as drawn", "full rank",
+                                         "duplicates", "with identity"]))
+        o = F.one()
+        if how == "full rank":
+            rows = [{j: o} for j in data.draw(st.permutations(range(n)))]
+        elif how == "duplicates":
+            rows = list(rows) + list(rows)
+        elif how == "with identity":
+            rows = list(rows) + [{j: o} for j in range(n)] + list(rows)
+    got, want = nullspace(F, rows, n), two_pass_nullspace(F, rows, n)
+    assert got == want and _typed(got) == _typed(want)
+    assert_canonical(got)
+    if data is None:  # rank 0: the whole space
+        assert got == Subspace.full(F, n)
 
 
 @st.composite

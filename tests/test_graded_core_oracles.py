@@ -44,6 +44,12 @@ The quotient itself has an oracle: the one that read every matched pair of
 every map into a quotient degree and reduced each stored row against all
 of W's pivots.  The library walks each map's stored rows once, through a
 table of the pivots' classes per target degree.
+
+The tag scan keeps the oracle that sorted every map's rows and entries
+before testing them; the library makes one unsorted pass and sorts only
+the map where it finds an escape.  Pair lists are cached per degree pair
+and shared by tag shape; every cached list must equal a fresh
+matched_pairs, also after a whole lift has read them.
 """
 
 import json
@@ -63,7 +69,8 @@ from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     kernel, matched_pairs, nullspace, rref,
                                     subspace_intersect)
 from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
-                                       _tag_blocks, _vanishing_space,
+                                       _tag_blocks, _tag_escape,
+                                       _vanishing_space,
                                        algebras_equal, closure_under_action,
                                        generated_submodule, hom_space_basis,
                                        hom_space_dim, is_generated_in,
@@ -81,8 +88,8 @@ from gradedsupport.lifting import (LiftReport, _evaluation_rows,
                                    liftability_check, random_category_module,
                                    random_killed_module)
 from gradedsupport.regrade_maps import delta_map
-from gradedsupport.serialize import (algebra_to_json, matrix_to_json,
-                                     module_to_json)
+from gradedsupport.serialize import (algebra_to_json, dump_json,
+                                     matrix_to_json, module_to_json)
 from gradedsupport.subsets import DegreeSet, Z, Zn, quotient_set
 from test_exactlin_oracles import apply_row, pivot_reduce, unit_residues
 
@@ -1302,3 +1309,144 @@ def test_rows_and_matrices_build_the_same_objects(builds, data):
     for f in (kill_support_algebra, lambda b, u: regrade_algebra(b, phi)):
         assert _outcome(lambda: algebra_to_json(f(a_dense, u))) \
             == _outcome(lambda: algebra_to_json(f(a_rows, u)))
+
+
+# ---------------------------------------------------------------------------
+# the tag scan and the shared pair lists
+
+
+def tag_escape_by_sorted_rows(x):
+    """_tag_escape as it was: every map's rows and entries sorted."""
+    right = x._acting()
+    both_sides = right is x
+    for (g, h) in x._maps:
+        cg, ch = x.component(g), right.component(h)
+        ct = x.component(x.add_deg(g, h))
+        for (i, j), row in sorted(x._map_rows(g, h)):
+            for q in sorted(row):
+                if (ct.right_tags[q] != ch.right_tags[j]
+                        or both_sides and ct.left_tags[q] != cg.left_tags[i]):
+                    return ("tags", g, h, i, j, q)
+    return None
+
+
+def _any_rows(draw, field, group, comps, acting):
+    """Maps on the matched pairs of comps x acting whose rows may land on
+    any column of the target, whatever its tags: some absent, some zero."""
+    table = {}
+    for g in sorted(comps):
+        for h in sorted(acting):
+            t = group.add(g, h)
+            pairs = matched_pairs(comps[g], acting[h])
+            if t not in comps or not pairs or draw(st.booleans()):
+                continue
+            cols = st.sets(st.integers(0, comps[t].dim - 1), max_size=2)
+            table[(g, h)] = {p: {c: field.one() for c in draw(cols)}
+                             for p in pairs}
+    return table
+
+
+@st.composite
+def tagged_objects(draw, retag=True):
+    """An algebra, or a module over one, over Z or Z/n with k = 1-3 tags,
+    its rows landing anywhere; or a valid module over the two-vertex quiver.
+    Then, with retag, maybe one component re-tagged at random, in range or
+    out (in place, so that the pair cache no longer applies)."""
+    field = draw(st.sampled_from(FIELDS))
+    k = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(2, 4))
+        u = DegreeSet.periodic(n, (0, 1))
+        x = random_killed_module(kill_support_algebra(
+            z_algebra("cycle", 2 * n + 1, field), u), u, u,
+            draw(st.integers(0, 2 ** 31)))
+    else:
+        n = draw(st.sampled_from([None, 2, 3]))
+        group, top = (Z, draw(st.integers(1, 3))) if n is None \
+            else (Zn(n), n - 1)
+        comps = _random_components(draw, k, range(1, top + 1))
+        comps[0] = (LabeledSpace(k, tuple(range(k)), tuple(range(k)))
+                    if k >= 2 else LabeledSpace.untagged(1))
+        x = GradedAlgebra(group, (0, top), k, field, comps,
+                          _any_rows(draw, field, group, comps, comps),
+                          (field.one(),) * k)
+        if draw(st.booleans()):
+            mcomps = _random_components(draw, k, range(top + 1))
+            x = GradedModule(x, (0, top), mcomps,
+                             _any_rows(draw, field, group, mcomps, comps))
+    if retag and x.components and draw(st.booleans()):
+        d = draw(st.sampled_from(sorted(x.components)))
+        dim = x.components[d].dim
+        tags = st.lists(st.integers(0, k), min_size=dim, max_size=dim)
+        x.components[d] = LabeledSpace(dim, tuple(draw(tags)),
+                                       tuple(draw(tags)))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=tagged_objects())
+def test_tag_scan_names_the_sorted_scans_witness(x):
+    assert _tag_escape(x) == tag_escape_by_sorted_rows(x)
+    if x._acting() is not x:
+        assert _tag_escape(x.over) == tag_escape_by_sorted_rows(x.over)
+
+
+def test_tag_scan_names_the_least_entry_of_the_first_bad_map():
+    # two escapes in one map: the sorted scan's, not the first row stored
+    field = GF(3)
+    c = LabeledSpace(2, (0, 1), (0, 1))
+    a = GradedAlgebra(Z, (0, 1), 2, field,
+                      {0: LabeledSpace(2, (0, 1), (0, 1)), 1: c},
+                      {(0, 0): {(0, 0): {0: 1}, (1, 1): {1: 1}},
+                       (1, 0): {(1, 1): {0: 1}, (0, 0): {1: 1}}}, (1, 1))
+    assert tag_escape_by_sorted_rows(a) == ("tags", 1, 0, 0, 0, 1)
+    assert _tag_escape(a) == ("tags", 1, 0, 0, 0, 1)
+
+
+def _stale_pair_lists(*objects):
+    """Each cached pair list that differs from a fresh matched_pairs: by
+    degree pair, and by the tag shape of a shared list."""
+    bad = []
+    for x in objects:
+        for key, got in x._pair_cache.items():
+            if type(key[0]) is tuple:
+                rt, lt = key
+                want = matched_pairs(LabeledSpace.module_component(rt),
+                                     LabeledSpace.module_component(lt))
+            else:
+                want = matched_pairs(x.component(key[0]),
+                                     x._acting().component(key[1]))
+            if got != want:
+                bad.append((x, key))
+    return bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=tagged_objects(retag=False), data=st.data())
+def test_pair_lists_match_matched_pairs(x, data):
+    a = x._acting()
+    degs = st.integers(-2, 4)
+    for _ in range(data.draw(st.integers(1, 12))):
+        g, h = data.draw(degs), data.draw(degs)
+        assert x.pairs(g, h) == matched_pairs(x.component(g), a.component(h))
+    assert not _stale_pair_lists(x, a)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+@pytest.mark.parametrize("kind", ["poly", "loops", "cycle"])
+def test_pair_lists_stay_fresh_through_a_whole_lift(field, kind):
+    n = 3
+    a = z_algebra(kind, 2 * n + 1, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    b = kill_support_algebra(a, u)
+    for seed in range(3):
+        x = kill_support_module(random_category_module(a, u, u, seed), u, u,
+                                b)
+        assert validate_module(x).holds and validate_algebra(a).holds
+        report = check_and_lift(x, u, u, a)
+        assert report.lift is not None
+        dump_json({"module": report.lift, "x": x})
+        lift = report.lift
+        shared = [key for key in a._pair_cache if type(key[0]) is tuple]
+        assert shared and lift._pair_cache and x._pair_cache
+        assert not _stale_pair_lists(a, b, x, lift)

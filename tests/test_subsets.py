@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedsupport import subsets
 from gradedsupport.errors import CapacityError, PreconditionError
+from gradedsupport.serialize import degree_set_to_json
 from gradedsupport.subsets import (
     DegreeSet,
     IntervalTranslation,
@@ -29,6 +30,11 @@ from gradedsupport.subsets import (
 
 # ---------------------------------------------------------------------------
 # oracles, straight from the definitions
+
+
+def as_stored(s):
+    """A degree set with its form, which == leaves out."""
+    return s, getattr(s, "form", None)
 
 
 def ring_supporting_by_scan(n, residues):
@@ -243,10 +249,30 @@ def test_reduce_mod_stabilizer_answers_over_zn_as_over_z():
         == (3, frozenset({1}))
 
 
+@pytest.mark.parametrize("group", [Z, Zn(1)], ids=repr)
+def test_full_and_period_one_are_one_set(group):
+    full, one = DegreeSet.full(group), DegreeSet.periodic(1, [0], group)
+    assert full == one and hash(full) == hash(one) and len({full, one}) == 1
+    assert same_set(full, one)
+    # the group still counts, and the stored form is what repr and JSON name
+    other = Zn(1) if group == Z else Z
+    assert full != DegreeSet.full(other) and one != DegreeSet.full(other)
+    assert as_stored(full) != as_stored(one)
+    assert repr(full) == f"DegreeSet.full({group!r})"
+    assert repr(one) == "DegreeSet.periodic(1, [0])"
+    assert [degree_set_to_json(x)["form"] for x in (full, one)] \
+        == ["full", "periodic"]
+    if group == Z:  # Z written with period 2: the same set, another value
+        two = DegreeSet.periodic(2, [0, 1])
+        assert full != two and same_set(full, two)
+
+
 def test_stabilizer_of_every_residue_of_zn_is_full():
     g = Zn(4)
-    assert stabilizer(DegreeSet.periodic(4, range(4), g)) == DegreeSet.full(g)
-    assert stabilizer(DegreeSet.full(g)) == DegreeSet.full(g)
+    assert as_stored(stabilizer(DegreeSet.periodic(4, range(4), g))) \
+        == as_stored(DegreeSet.full(g))
+    assert as_stored(stabilizer(DegreeSet.full(g))) \
+        == as_stored(DegreeSet.full(g))
     assert stabilizer(DegreeSet.periodic(4, [0, 2], g)) \
         == DegreeSet.periodic(4, [0, 2], g)
 
@@ -258,8 +284,8 @@ def test_full_over_a_large_cyclic_group_scans_one_point():
     start = time.perf_counter()
     assert is_ring_supporting(full).holds
     assert is_right_modular(full, full).holds
-    assert quotient_set(full, full) == full
-    assert stabilizer(full) == full
+    assert as_stored(quotient_set(full, full)) == as_stored(full)
+    assert as_stored(stabilizer(full)) == as_stored(full)
     assert time.perf_counter() - start < 1.0
 
 
@@ -299,12 +325,14 @@ def test_quotient_set_of_sets_of_unequal_density_is_empty_before_any_scan():
 def test_quotient_set_of_full_and_a_periodic_set_of_every_residue_is_full():
     # 2Z + {0, 1} is Z, so every g has g + U = S, in both orders
     every = DegreeSet.periodic(2, (0, 1))
-    assert quotient_set(DegreeSet.full(), every) == DegreeSet.full()
-    assert quotient_set(every, DegreeSet.full()) == DegreeSet.full()
+    assert as_stored(quotient_set(DegreeSet.full(), every)) \
+        == as_stored(DegreeSet.full())
+    assert as_stored(quotient_set(every, DegreeSet.full())) \
+        == as_stored(DegreeSet.full())
     g = Zn(4)
     every = DegreeSet.periodic(4, range(4), g)
     for s, u in [(DegreeSet.full(g), every), (every, DegreeSet.full(g))]:
-        assert quotient_set(s, u) == DegreeSet.full(g)
+        assert as_stored(quotient_set(s, u)) == as_stored(DegreeSet.full(g))
     # one residue short of the period is still no translate of Z
     assert quotient_set(DegreeSet.full(), DegreeSet.periodic(3, (0, 1))) \
         is None

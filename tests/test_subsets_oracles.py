@@ -12,6 +12,10 @@ and enumerates all candidates of a modulus at once on bit planes.  These
 tests check that it returns the same Verdict (holds, witness and
 window_certified), the same enumeration and the same degree sets, value
 for value.
+
+The last section holds no oracle but a parity: one residue set as a
+Periodic set over Z and over Z/n must get the same answers from every
+entry point, read mod n, and the same refusals.
 """
 
 import hashlib
@@ -19,18 +23,29 @@ import itertools
 import json
 from math import gcd
 
-from hypothesis import assume, example, given, strategies as st
+from dataclasses import replace
+
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gradedsupport.subsets import (ENUMERATION_CAP, DegreeSet, Verdict, Z,
                                    Zn, _bits, _pair_scan, _shifts,
                                    enumerate_ring_supporting,
-                                   is_left_premodular, is_right_premodular,
-                                   is_ring_supporting, quotient_set,
-                                   reduce_mod_stabilizer, stabilizer)
+                                   is_left_modular, is_left_premodular,
+                                   is_right_modular, is_right_premodular,
+                                   is_ring_supporting,
+                                   is_translation_of_interval, quotient_set,
+                                   reduce_mod_stabilizer, stabilizer,
+                                   structure_decompose)
 
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def as_stored(s):
+    """A degree set with its form, which == leaves out: the oracles name
+    Full and Periodic as the library does."""
+    return s, getattr(s, "form", None)
 
 
 def _members(s, modulus):
@@ -468,8 +483,8 @@ def _periodic(draw, max_period=24):
 @example(DegreeSet.periodic(4, [0, 2], Zn(4)))
 @example(DegreeSet.periodic(1, [0], Zn(1)))
 def test_canonical_stabilizer_and_reduction_match_comprehensions(u):
-    assert u.canonical() == canonical_by_comprehension(u)
-    assert stabilizer(u) == stabilizer_by_comprehension(u)
+    assert as_stored(u.canonical()) == as_stored(canonical_by_comprehension(u))
+    assert as_stored(stabilizer(u)) == as_stored(stabilizer_by_comprehension(u))
     assert reduce_mod_stabilizer(u) == reduce_mod_stabilizer_by_comprehension(u)
 
 
@@ -493,7 +508,8 @@ def test_quotient_set_matches_membership_tables(u, g, scale, translate, full):
         s = DegreeSet.full(u.group)
     elif full == "u":
         u = DegreeSet.full(u.group)
-    assert quotient_set(s, u) == quotient_set_by_tables(s, u)
+    assert as_stored(quotient_set(s, u)) \
+        == as_stored(quotient_set_by_tables(s, u))
 
 
 @given(_windowed(lo_min=-15, width_max=25))
@@ -506,4 +522,68 @@ def test_windowed_stabilizer_matches_overlap_loop(u):
 @example(DegreeSet.windowed([0, 1], (0, 3)), DegreeSet.windowed([2], (2, 9)))
 @example(DegreeSet.windowed([0], (0, 1)), DegreeSet.windowed([5], (5, 6)))
 def test_intersection_matches_pointwise(s, u):
-    assert s.intersect(u) == intersect_by_points(s, u)
+    assert as_stored(s.intersect(u)) == as_stored(intersect_by_points(s, u))
+
+
+# ---------------------------------------------------------------------------
+# Z against Z/n: one residue set, one answer
+
+PARITY_CHECKS = {
+    "is_ring_supporting": lambda s, u: is_ring_supporting(u),
+    "is_right_premodular": is_right_premodular,
+    "is_right_modular": is_right_modular,
+    "is_left_premodular": lambda s, u: is_left_premodular(u, s),
+    "is_left_modular": lambda s, u: is_left_modular(u, s),
+    "quotient_set": quotient_set,
+    "stabilizer": lambda s, u: stabilizer(u),
+    "canonical": lambda s, u: u.canonical(),
+    "reduce_mod_stabilizer": lambda s, u: reduce_mod_stabilizer(u),
+    "is_translation_of_interval": lambda s, u: is_translation_of_interval(u),
+    "structure_decompose": lambda s, u: structure_decompose(u),
+}
+RING_SUPPORTING = {n: enumerate_ring_supporting(n) for n in range(1, 13)}
+
+
+def _read_mod(f, n):
+    """f's answer with its degrees read mod n: a verdict's witness, a
+    degree set as its form and its members in [0, n); a refusal as its
+    type and message."""
+    try:
+        got = f()
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(got, Verdict) and got.witness is not None:
+        return replace(got, witness=tuple(w % n for w in got.witness))
+    if isinstance(got, DegreeSet):
+        return got.form, tuple(got.members_in(0, n - 1))
+    return got
+
+
+@st.composite
+def _residue_pairs(draw):
+    """n and residue sets (K, J) of Z/n: J ring-supporting or any set, most
+    often with 0; K a translate of J or any set."""
+    n = draw(st.integers(1, 12))
+    any_set = st.sets(st.integers(0, n - 1), min_size=1)
+    if draw(st.booleans()):
+        j = set(draw(st.sampled_from(RING_SUPPORTING[n])))
+    else:
+        j = draw(any_set) | ({0} if draw(st.booleans()) else set())
+    t = draw(st.integers(0, n - 1))
+    k = {(x + t) % n for x in j} if draw(st.booleans()) else draw(any_set)
+    return n, k, j
+
+
+@settings(max_examples=300)
+@given(_residue_pairs())
+@example((4, {0, 1, 2, 3}, {0, 1, 2, 3}))  # every residue: Full's answers
+@example((4, {1, 3}, {0, 2}))              # (U : U) = 2Z, larger than 4Z
+@example((6, {2, 3}, {0, 1}))
+@example((1, {0}, {0}))
+def test_z_and_zn_answer_alike(case):
+    n, k, j = case
+    over_z = DegreeSet.periodic(n, k), DegreeSet.periodic(n, j)
+    over_zn = DegreeSet.periodic(n, k, Zn(n)), DegreeSet.periodic(n, j, Zn(n))
+    for name, f in PARITY_CHECKS.items():
+        assert _read_mod(lambda: f(*over_z), n) \
+            == _read_mod(lambda: f(*over_zn), n), name
