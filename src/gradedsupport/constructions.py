@@ -21,14 +21,16 @@ is read off the row pivoting at it.  _split_relation is the one relation
 parser: n_homogeneous_dual reads its relation lists through it on the
 one-vertex quiver of v_dim loops, whose degree-n paths are the words.
 
-The mult table is read off the listed paths.  A product of basis paths
-p.q is the class of the concatenation w, or zero when w passes through a
-word of J.  At a degree t the other blocks never reach, every degree of a
-monomial algebra, each listed path w is a basis path, and row (p, q) of
-map (g, t - g) is w's own coordinate for each split w = p.q into two
-basis paths: the pairs with a zero product are never visited.  At a degree
-with an ideal the table reads the class of the concatenation of each
-tag-matched pair of basis paths, each path's class reduced once.
+The mult table is read off the listed paths, at every degree.  A product
+of basis paths p.q is the class of the concatenation w, or zero when w
+passes through a word of J, so row (p, q) of map (g, t - g) is w's class
+for each split w = p.q of a listed path into two basis paths, and the
+pairs with a zero product are never visited.  At a degree with no ideal
+the class of w is its own coordinate; at a degree with one it is w's row
+in the ideal's class table (Subspace.classes), or w's own coordinate off
+the pivots, relabelled onto the kept coordinates, and empty when w lies in
+the ideal.  The paths are listed in lexicographic order and the kept ones
+are a subsequence of it, so each map's rows come in (p, q) order.
 
 PATH_CAP bounds the vertices and paths a quiver algebra lists, and
 TABLE_CAP the weight of a mult table: its entries, the sum over (g, h) of
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
 
 from .errors import CapacityError, PreconditionError
 from .exactlin import LabeledSpace, QQ, Subspace, integral, matched_pairs, \
@@ -271,12 +272,9 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
     right tag = target.  Relations (degree >= 2) generate a two-sided ideal
     expanded degreewise, so no term ordering is involved.  Only the paths
     avoiding the one-term blocks are listed, and the others expand on them.
-    At a degree the other blocks never reach, every degree of a monomial
-    algebra, the products are read off the splits of the listed paths into
-    two basis paths, a path's class being its own coordinate; at a degree
-    with an ideal, off the tag-matched pairs of basis paths, through the
-    class of their concatenation.  Products with the degree-0 idempotents
-    are the basis paths themselves.
+    Every product of basis paths is read off the splits of the listed paths
+    into two basis paths, as the class of the path split; products with the
+    degree-0 idempotents are the basis paths themselves.
     """
     if num_vertices < 1:
         raise PreconditionError("a quiver needs at least one vertex")
@@ -317,7 +315,6 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
 
     comps = {0: LabeledSpace(num_vertices, tuple(range(num_vertices)),
                              tuple(range(num_vertices)))}
-    basis_paths = {0: [()] * num_vertices}  # degree 0: the empty paths
     coord = {}  # degree m > 0 -> {basis path: its coordinate}
     for m, ps in paths.items():
         if m in ideal:
@@ -330,35 +327,25 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             comps[m] = LabeledSpace(
                 len(keep), tuple(_path_source(arrows, p) for p in keep),
                 tuple(_path_target(arrows, p) for p in keep))
-            basis_paths[m] = keep
 
     one = F.one()
-    # At a degree t with no ideal every listed path w is kept, and the
-    # product of basis paths p, q is w = pq or zero when pq passes through
-    # a word: row (p, q) of map (g, t - g) is w's own coordinate, for
-    # each split of w into two basis paths.
+    # row (p, q) of map (g, t - g) is the class of w = pq, for each split
+    # of a listed path w into two basis paths p, q: w's own coordinate off
+    # the ideal's pivots, else its row in the class table, relabelled onto
+    # the kept coordinates; a w in the ideal adds no row
     split = {}
     for t, ps in paths.items():
-        if t in ideal:
-            continue
+        at, cls = coord[t], ideal[t].classes() if t in ideal else {}
         by_g = split[t] = [{} for _ in range(t)]
         for k, w in enumerate(ps):
-            row = {k: one}
+            row = {at[ps[j]]: v for j, v in cls[k].items()} if k in cls \
+                else {at[w]: one}
+            if not row:
+                continue
             for g in range(1, t):
                 if (i := coord[g].get(w[:g])) is not None and (
                         j := coord[t - g].get(w[g:])) is not None:
                     by_g[g][(i, j)] = row
-
-    @functools.cache
-    def residue(t, word):
-        """The class of a path of degree t, a degree with an ideal, in the
-        kept coordinates as a {col: value} row; zero through a word of J."""
-        i = index[t].get(word)
-        if i is None:
-            return {}
-        sp = ideal[t]
-        return {j - bisect_left(sp.pivots, j): v
-                for j, v in sp.reduce({i: one}).items()}
 
     mult = {}
     degs = sorted(comps)
@@ -371,12 +358,8 @@ def quiver_algebra(num_vertices, arrows, relations, top, field=QQ) -> GradedAlge
             if g == 0 or h == 0:  # e_i b = b and b e_j = b, a basis path b
                 mult[(g, h)] = {(i, j): {j if g == 0 else i: one}
                                 for i, j in matched_pairs(comps[g], comps[h])}
-            elif t in split:
-                mult[(g, h)] = split[t][g]
             else:
-                mult[(g, h)] = {(i, j): row for i, j in matched_pairs(
-                    comps[g], comps[h]) if (row := residue(
-                        t, basis_paths[g][i] + basis_paths[h][j]))}
+                mult[(g, h)] = split[t][g]
     unit = tuple(F.one() for _ in range(num_vertices))
     return GradedAlgebra._of(Z, (0, top), num_vertices, F, comps, mult, unit)
 

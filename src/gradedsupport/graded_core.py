@@ -844,22 +844,18 @@ def _generated_rows(x, degrees, d):
 
 def generated_submodule(m: GradedModule, degrees) -> GradedModule:
     """The submodule generated by the full components at the given degrees:
-    all of M_d at those degrees, and the span of M_s A_{d-s} over them at
-    every other degree d."""
-    degrees = {m.add_deg(s, 0) for s in degrees}
-    F = m.field
-    return submodule_from_subspaces(m, {
-        d: Subspace.full(F, dim) if d in degrees else
-        Subspace.from_vectors(F, dim, _generated_rows(m, degrees, d))
-        for d, dim in m.dims().items()})
+    the action closure of their unit vectors."""
+    one = m.field.one()
+    return submodule_from_subspaces(m, closure_under_action(m, {
+        d: [{i: one} for i in range(m.component(d).dim)] for d in degrees}))
 
 
 def is_generated_in(m: GradedModule, degrees) -> bool:
-    """Whether the full components at the given degrees generate M: a rank
-    per other degree d of the rows spanning M_s A_{d-s}."""
+    """Whether the full components at the given degrees generate M: the rows
+    spanning M_s A_{d-s} span M_d at every other degree d (_spans)."""
     degrees = {m.add_deg(s, 0) for s in degrees}
-    return all(d in degrees or _rank(m.field, _generated_rows(m, degrees, d),
-                                     dim) == dim
+    return all(d in degrees or _spans(m.field, _generated_rows(m, degrees, d),
+                                      dim)
                for d, dim in m.dims().items())
 
 

@@ -91,11 +91,7 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
     and the Q-degrees at which x is nonzero, Q = (S : U)."""
     a = _resolve_algebra(x, a)
     q = _check_hypotheses_algebra_only(a, s, u)
-    # the scan leans on tag matching in A's products, not only in x's
-    witness = _tag_escape(a)
-    if witness is not None:
-        raise PreconditionError(f"not an algebra: the ambient product escapes "
-                                f"its tag block, witness {witness}")
+    _check_ambient_tags(a)
     if not algebras_equal(x.over, kill_support_algebra(a, u)):
         raise PreconditionError(
             "the module is not over the support-killed form of the given "
@@ -127,6 +123,16 @@ def _check_hypotheses_algebra_only(a, s, u):
             "the ambient algebra must be generated in degrees 0 and 1")
     _check_modular_pair(s, u)
     return _quotient_set(s, u)
+
+
+def _check_ambient_tags(a):
+    """Refuse an ambient algebra whose product escapes its tag blocks: the
+    kernel push leans on tag matching in A's products, not only in the
+    module's."""
+    witness = _tag_escape(a)
+    if witness is not None:
+        raise PreconditionError(f"not an algebra: the ambient product escapes "
+                                f"its tag block, witness {witness}")
 
 
 def _quotient_set(s, u):
@@ -171,19 +177,13 @@ def _kernel_push(x: GradedModule, a: GradedAlgebra, m, xu, xv, gap):
     rows_v = x._rows(m, xv)
     if ker.dim == 0 or rows_v is None:
         return False, None
-    xtags, vtags = x.component(m).right_tags, b.component(xv).left_tags
     for w in ker.basis:
         for ell in range(a.component(gap).dim):
-            pushed = {}  # (i, qq) -> entry of the pushed vector
-            for idx, c in w.items():
-                i, j = pairs_u[idx]
-                for qq, e in (a.mult_row(xu, gap, j, ell) or {}).items():
-                    if qq >= len(vtags) or vtags[qq] != xtags[i]:
-                        raise InternalConsistencyError(
-                            "multiplication broke tag matching while "
-                            f"pushing a kernel element at {(m, xu, xv)}")
-                    pushed[(i, qq)] = F.add(pushed.get((i, qq), z),
-                                            F.mul(c, e))
+            # entry (i, qq) of the push: x_i (x) a_j a_ell, j from pair idx;
+            # A keeps its tag blocks, so each lands on a pair of (m, xv)
+            pushed = _accumulate(F, w, lambda idx: {
+                (pairs_u[idx][0], qq): e for qq, e in
+                (a.mult_row(xu, gap, pairs_u[idx][1], ell) or {}).items()})
             # a push that adds nothing is zero and never a witness
             if _accumulate(F, pushed, rows_v.get):
                 return True, tuple(pushed.get(p, z) for p in x.pairs(m, xv))
@@ -586,9 +586,12 @@ def regraded_interval_conditions(v: GradedModule, a: GradedAlgebra, n, r=1):
     sigma in (r+1)Z, ask that multiplying Ker(mu_{sigma,r}) into A_{n-r}
     lands in Ker(mu_{sigma,r+1}).  Returns a tuple of
     (sigma, holds, witness) with witness None when the condition holds.
+    An A whose product escapes its tag blocks is refused, as the
+    liftability checks refuse it.
     """
     if n < 2 or not 0 < r or 2 * r >= n:
         raise PreconditionError("need 0 < 2r < n")
+    _check_ambient_tags(a)
     out = []
     for sigma in range(v.window[0], v.window[1] + 1):
         if sigma % (r + 1) or v.component(sigma).dim == 0:

@@ -37,8 +37,12 @@ built on it.
 Generation has the oracle the library used before it read generation off
 the stored rows: the action closure of the full components at the given
 degrees, compared with the whole module for is_generated_in and turned into
-a submodule for generated_submodule.  The library takes, per degree, the
-rank or the span of the stored rows of the maps from those degrees.
+a submodule for generated_submodule.  is_generated_in decides, per degree,
+whether the stored rows of the maps from those degrees span it (_spans);
+generated_submodule is the action closure of the unit vectors there.  The
+submodules of two-vertex projectives, generated, torsion or closed, are
+also checked against their dense products, on each subspace's canonical
+rows ordered by (tag, pivot).
 
 The quotient itself has an oracle: the one that read every matched pair of
 every map into a quotient degree and reduced each stored row against all
@@ -80,6 +84,7 @@ from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        regrade_algebra, regrade_module,
                                        shift_module, submodule_from_subspaces,
                                        torsion_quotient, torsion_spaces,
+                                       torsion_submodule,
                                        un_regrade_module, validate_algebra,
                                        validate_module)
 from gradedsupport.lifting import (LiftReport, _evaluation_rows,
@@ -984,6 +989,95 @@ def test_generation_matches_the_closure_of_full_seeds(pair, data):
             spaces[d].dim == m.component(d).dim for d in m.degrees())
         assert modules_equal(generated_submodule(m, degrees),
                              submodule_from_subspaces(m, spaces))
+
+
+def submodule_by_dense_products(m, spaces):
+    """The submodule on action-closed spaces, densely: at each degree d the
+    canonical rows of W_d ordered by (right tag, pivot), and each product
+    b_i a_j through the dense action, written in the target's ordered rows
+    by its entries at their pivots and summed back to check.  Returns
+    ({d: tags}, {(d, u, i, j): coordinates}), zero products left out."""
+    F = m.field
+    bases = {}
+    for d, sp in spaces.items():
+        tags = m.component(d).right_tags
+        if sp.dim:
+            bases[d] = sorted(zip(sp.rows, sp.pivots),
+                              key=lambda rp: (tags[rp[1]], rp[1]))
+    products = {}
+    for d, basis in bases.items():
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            for j in range(m.over.component(u).dim):
+                ra = right_action_matrix(m, d, u, j)
+                for i, (b, _) in enumerate(basis):
+                    got = apply_row(F, b, ra) if ra is not None else ()
+                    if not any(got):
+                        continue
+                    coords = tuple(got[p] for _, p in bases[t])
+                    back = [F.zero()] * len(got)
+                    for c, (row, _) in zip(coords, bases[t]):
+                        back = [F.add(x, F.mul(c, y)) for x, y in zip(back, row)]
+                    assert back == got, "a product leaves the subspaces"
+                    products[(d, u, i, j)] = coords
+    tags = {d: tuple(m.component(d).right_tags[p] for _, p in basis)
+            for d, basis in bases.items()}
+    return tags, products
+
+
+def _dense_products(sub):
+    """({d: tags}, {(d, u, i, j): coordinates}) of a module's stored rows,
+    zero products left out."""
+    z = sub.field.zero()
+    products = {}
+    for (d, u), rows in sub._maps.items():
+        dim = sub.component(sub.add_deg(d, u)).dim
+        for (i, j), row in rows.items():
+            if row:
+                products[(d, u, i, j)] = tuple(row.get(q, z)
+                                               for q in range(dim))
+    return ({d: c.right_tags for d, c in sub.components.items()}, products)
+
+
+# two-vertex quivers whose projectives hold both tags at one degree, in an
+# order that is not the order of the tags: the loops a, b and x: 0 -> 1,
+# y: 1 -> 0 with xy = aa = 0, the cycle x, y, and a pair of parallel
+# arrows x, z: 0 -> 1 with xy = zy
+TWO_VERTEX_QUIVERS = [
+    ([(0, 1), (1, 0), (0, 0), (1, 1)], [[(1, (0, 1))], [(1, (2, 2))]], 4),
+    ([(0, 1), (1, 0)], [], 5),
+    ([(0, 1), (1, 0), (0, 1)], [[(1, (0, 1)), (-1, (2, 1))]], 4),
+]
+
+
+@pytest.mark.parametrize("quiver", TWO_VERTEX_QUIVERS)
+@pytest.mark.parametrize("gens", [[(0, 1), (0, 0)], [(0, 0), (1, 1)],
+                                  [(0, 1), (1, 0), (2, 1)]])
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_submodules_of_two_vertex_projectives_are_ordered_by_tag(
+        quiver, gens, field):
+    # generated, torsion and closure submodules: each a module, on the
+    # subspaces' canonical rows ordered by (tag, pivot), acting as m does
+    a = quiver_algebra(2, *quiver, field)
+    m = projective_module(a, gens)
+    rng = random.Random(repr((quiver, gens)))
+    cases = [(generated_submodule(m, degrees),
+              generated_by_closure(m, degrees))
+             for degrees in ([1], [0, 2], [1, 2], [2])]
+    cases += [(torsion_submodule(m, s), torsion_by_fixed_point(m, s))
+              for s in (DegreeSet.periodic(3, (0, 1)),
+                        DegreeSet.periodic(2, (1,)),
+                        DegreeSet.periodic(3, (1, 2)))]
+    for _ in range(4):
+        seeds = {}
+        for d in rng.sample(m.degrees(), 2):
+            seeds[d] = [[field.from_int(rng.randrange(-2, 3))
+                         for _ in range(m.component(d).dim)]]
+        spaces = closure_by_fixed_point(m, seeds)
+        cases.append((submodule_from_subspaces(m, spaces), spaces))
+    for sub, spaces in cases:
+        assert validate_module(sub).holds
+        assert _dense_products(sub) == submodule_by_dense_products(m, spaces)
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,10 +16,11 @@ from gradedsupport.constructions import (
 )
 from gradedsupport.errors import PreconditionError, UnsupportedFormError
 from gradedsupport import lifting, subsets
-from gradedsupport.exactlin import GF, QQ, LabeledSpace, Matrix
+from gradedsupport.exactlin import GF, QQ, LabeledSpace, Matrix, _rank
 from gradedsupport.graded_core import (
     GradedAlgebra,
     GradedModule,
+    hom_space_basis,
     hom_space_dim,
     kill_support_algebra,
     kill_support_module,
@@ -318,6 +319,17 @@ def test_checkers_refuse_an_ambient_product_escaping_its_tags(check):
         check(x, U3, U3, a)
 
 
+def test_regraded_conditions_refuse_an_ambient_product_escaping_its_tags():
+    # unguarded, the condition at sigma = 2 pushed a kernel vector through
+    # the swapped map (1, 2) and raised InternalConsistencyError
+    a, x = tag_escaping_lift_inputs()
+    v = regrade_module(x, delta_map(U3, 0, (0, 5)))
+    with pytest.raises(PreconditionError,
+                       match=r"escapes its tag block, witness "
+                             r"\('tags', 1, 2, 0, 1, 1\)"):
+        regraded_interval_conditions(v, a, 3)
+
+
 def test_check_and_lift_decides_the_pair_once_and_quotients_once(
         monkeypatch):
     import gradedsupport.graded_core as graded_core
@@ -463,6 +475,72 @@ def test_harness_samples_are_the_public_composition(n, translate, algebra,
                 hom_space_dim(kill_support_module(m, s, u, b),
                               kill_support_module(x, s, u, b))))
         assert report.samples == tuple(want)
+
+
+def _harness_pairs(a, s, u, samples, seed):
+    """The harness' report and its (M, N, M_S, N_S) per sample, recorded
+    from the two hom_space_dim calls it makes for each."""
+    calls = []
+
+    def recorded(x, y):
+        calls.append((x, y))
+        return hom_space_dim(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting, "hom_space_dim", recorded)
+        report = equivalence_harness(a, s, u, samples=samples, seed=seed)
+    return report, [calls[k] + calls[k + 1] for k in range(0, len(calls), 2)]
+
+
+def kill_is_bijective_on_homs(m, n, s, m_s, n_s):
+    """Whether killing maps Hom(M, N) onto Hom(M_S, N_S) bijectively: on
+    morphisms it restricts a map to the degrees in S, so it is injective
+    when the restrictions of a basis of Hom(M, N) keep its rank, and then
+    bijective when the two hom dimensions agree."""
+    basis = hom_space_basis(m, n)
+    rows = []
+    for f in basis:
+        flat = [e for d in sorted(f) if s.contains(d)
+                for row in f[d].entries for e in row]
+        rows.append({c: e for c, e in enumerate(flat) if e})
+    ncols = max((max(r) + 1 for r in rows if r), default=0)
+    return _rank(m.field, rows, ncols) == len(basis) \
+        == hom_space_dim(m_s, n_s)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("n, translate, samples", [
+    (3, 0, 10), (4, 0, 10), (5, 0, 10), (5, 2, 10), (8, 0, 10), (12, 0, 6)])
+def test_killing_is_bijective_on_the_harness_homs(n, translate, samples,
+                                                  field):
+    # equal hom dimensions are necessary for the equivalence; that the
+    # restriction to S is bijective on a basis is the functor itself
+    a = HARNESS_ALGEBRAS["two-loop"](n, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(translate)
+    report, pairs = _harness_pairs(a, s, u, samples, seed=0)
+    assert report.holds and len(pairs) == samples
+    assert any(r.hom_dim_ambient for r in report.samples)
+    for m, x, m_s, x_s in pairs:
+        assert kill_is_bijective_on_homs(m, x, s, m_s, x_s)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("n, translate", [(3, 0), (5, 2), (8, 0)])
+def test_killing_is_not_bijective_on_a_module_off_the_category(n, translate,
+                                                               field):
+    # the simple module at a degree off S: its one endomorphism restricts
+    # to zero, and its killed form is zero
+    a = HARNESS_ALGEBRAS["two-loop"](n, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(translate)
+    d = next(d for d in range(n) if not s.contains(d))
+    simple = GradedModule(a, (d, d), {d: LabeledSpace.module_component((0,))},
+                          {(d, 0): {(0, 0): {0: field.one()}}})
+    assert validate_module(simple).holds
+    killed = kill_support_module(simple, s, u, kill_support_algebra(a, u))
+    assert hom_space_dim(simple, simple) == 1
+    assert not kill_is_bijective_on_homs(simple, simple, s, killed, killed)
 
 
 def _count_calls(mp, names, counts):

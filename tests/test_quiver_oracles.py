@@ -6,7 +6,8 @@ against the last one's target, and the mult table looks up the residue of
 the concatenation of every tag-matched pair of basis paths.  They are the
 library's code as it was, but for reading PATH_CAP from constructions, so
 that one patch moves the caps of both builds.  The library reads each
-product off the split of a listed path instead; these tests check that
+product off the split of a listed path instead, at the degrees with a
+relation ideal through its class table; these tests check that
 both give the same components, unit and mult table, keys and rows in the
 same order, on quivers of 1-3 vertices with monomial and multi-term
 relations over Q, GF(3) and GF(101), and that with small caps both refuse
@@ -24,12 +25,12 @@ from hypothesis import given, settings, strategies as st
 from gradedsupport import constructions
 from gradedsupport.constructions import (_check_table, _path_source,
                                          _path_target, _split_relation,
-                                         quiver_algebra)
+                                         quiver_algebra, regular_module)
 from gradedsupport.errors import CapacityError, PreconditionError
 from gradedsupport.exactlin import GF, QQ, LabeledSpace, Subspace, _rank, \
     matched_pairs
 from gradedsupport.graded_core import GradedAlgebra, _generated_rows, \
-    is_generated_in_degrees_01
+    is_generated_in, is_generated_in_degrees_01, submodule_from_subspaces
 from gradedsupport.subsets import Z
 
 FIELDS = [QQ, GF(3), GF(101)]
@@ -242,12 +243,18 @@ def test_split_read_matches_the_pair_read(quiver, field):
 @settings(max_examples=50)
 @given(quivers(), st.sampled_from(FIELDS))
 def test_generation_in_degrees_0_and_1_matches_the_rank(quiver, field):
-    # is_generated_in_degrees_01 skips the rank when the one-entry product
-    # rows reach every column; the rank of every degree is the reference
+    # is_generated_in_degrees_01 and is_generated_in skip the rank when the
+    # one-entry product rows reach every column; the rank of every degree
+    # is the reference.  A is generated in degrees 0 and 1 exactly when its
+    # right ideal A_{>=1} is generated by A_1, on a tag-ordered basis.
     a = quiver_algebra(*quiver, field)
-    assert is_generated_in_degrees_01(a) == all(
-        _rank(field, _generated_rows(a, [1], i), a.component(i).dim)
-        == a.component(i).dim for i in a.degrees() if i >= 2)
+    want = all(_rank(field, _generated_rows(a, [1], i), a.component(i).dim)
+               == a.component(i).dim for i in a.degrees() if i >= 2)
+    assert is_generated_in_degrees_01(a) == want
+    plus = submodule_from_subspaces(regular_module(a), {
+        d: Subspace.full(field, a.component(d).dim)
+        for d in a.degrees() if d >= 1})
+    assert is_generated_in(plus, [1]) == want
 
 
 # PATH_CAP from 3 up: the vertices alone fit, as the real caps ensure (a

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedsupport.constructions import (
@@ -549,6 +549,9 @@ def old_entry_from_json(field, value, path):
     if field.name == "Q":
         if isinstance(value, str):
             try:
+                # an exponent would expand to 10**exponent
+                if "e" in value or "E" in value:
+                    raise ValueError(value)
                 return integral(Fraction(value))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"bad rational '{value}'", path)
@@ -712,11 +715,16 @@ def test_matrix_to_json_matches_the_old_writer(x):
         assert matrix_to_json(m) == old_to_json(m)
 
 
+# rational strings in exponent form, which both readers refuse: Fraction
+# would expand them to 10**exponent
+EXPONENTS = ["1e3", "2E5", "1e999999"]
+
 # single-entry mutations: a value replaced, a key or element removed, or a
 # list element repeated
 junk = st.sampled_from([
     None, True, False, -1, 0, 1, 2, 7, 10 ** 30, 1.5, "0", "1", "-1/2",
-    "4/2", "3/", "1/0", "0.25", "x", "Q", "GF(p)", "GF(7)", [], {}, [0],
+    "4/2", "3/", "1/0", "0.25", *EXPONENTS, "x", "Q", "GF(p)", "GF(7)",
+    [], {}, [0],
     [0, 1], [[0]], {"kind": "Z"}])
 
 
@@ -756,7 +764,8 @@ def _outcome(read, obj):
 # key, to the same error or, for an int over Q or a new rational string, to
 # the same matrix
 FAST_PATH_EXITS = ["bool entry", "non-int after ints", "int over Q",
-                   "new rational", "short later row", "duplicate pair",
+                   "new rational", "exponent", "short later row",
+                   "duplicate pair",
                    "field keys", "rows not pairs", "bool tag",
                    "duplicate degree"]
 
@@ -795,12 +804,12 @@ def _leave_the_fast_path(data, tree, how):
     elif how == "short later row" and full:
         full[-1].pop()
     elif full:
-        # exponent forms are left out: the old reader took them
         values = {"bool entry": st.booleans(),
                   "non-int after ints": st.sampled_from([1.5, None, [], "x"]),
                   "int over Q": st.integers(-3, 3),
                   "new rational": st.sampled_from(["17/19", "-23", "0",
-                                                   "1/0"])}[how]
+                                                   "1/0", *EXPONENTS]),
+                  "exponent": st.sampled_from(EXPONENTS)}[how]
         data.draw(st.sampled_from(full))[-1] = data.draw(values)
     return tree
 
@@ -808,9 +817,6 @@ def _leave_the_fast_path(data, tree, how):
 @settings(max_examples=300)
 @given(graded_objects(), st.data())
 def test_readers_match_the_old_reader_on_mutated_json(x, data):
-    module = isinstance(x, GradedModule)
-    read, old_read = ((module_from_json, old_module_from_json) if module
-                      else (algebra_from_json, old_algebra_from_json))
     tree = old_to_json(x)
     how = data.draw(st.sampled_from(["as written", "mutated"]
                                     + FAST_PATH_EXITS))
@@ -818,6 +824,23 @@ def test_readers_match_the_old_reader_on_mutated_json(x, data):
         tree = _mutate(data, tree)
     elif how != "as written":
         tree = _leave_the_fast_path(data, tree, how)
+    _assert_read_as_the_old_reader(x, tree)
+
+
+@settings(max_examples=40)
+@given(graded_objects(), st.data())
+def test_readers_refuse_exponents_over_q_as_the_old_reader_does(x, data):
+    # over Q a new rational string is parsed where the one-pass read meets
+    # it; an exponent form must be refused there as the old reader does
+    assume(x.field is QQ)
+    tree = _leave_the_fast_path(data, old_to_json(x), "exponent")
+    _assert_read_as_the_old_reader(x, tree)
+
+
+def _assert_read_as_the_old_reader(x, tree):
+    module = isinstance(x, GradedModule)
+    read, old_read = ((module_from_json, old_module_from_json) if module
+                      else (algebra_from_json, old_algebra_from_json))
     got, want = _outcome(read, tree), _outcome(old_read, tree)
     if isinstance(want, tuple):
         assert got == want
