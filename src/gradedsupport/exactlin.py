@@ -397,13 +397,12 @@ def _entries(row):
 
 def _accumulate(field, coeffs, row_of):
     """Sum of coeffs[m] * row_of(m) as a {col: value} dict of its nonzeros;
-    coeffs and the rows are dense, dicts {index: value} or None."""
+    coeffs are dense, a dict {index: value} or None; rows are dicts or None."""
     add, mul = field.add, field.mul
     acc = {}
     for m, c in _entries(coeffs or ()):
         if c and (row := row_of(m)):
-            for q, y in (row.items() if isinstance(row, dict)
-                         else enumerate(row)):
+            for q, y in row.items():
                 if y:
                     acc[q] = add(acc[q], mul(c, y)) if q in acc else mul(c, y)
     return {q: v for q, v in acc.items() if v}

@@ -52,8 +52,8 @@ from .subsets import DegreeSet, Verdict, is_right_modular, same_set
 
 
 def _claim(seen, key, what, group):
-    """Refuse a second entry at one degree key reduced mod n: it would
-    silently replace the first."""
+    """Refuse a second entry at one degree key, reduced mod n over Z/n:
+    it would silently replace the first."""
     if key in seen:
         raise PreconditionError(f"two {what} at degree {key} of {group!r}")
     seen.add(key)
@@ -75,7 +75,7 @@ def _checked_parts(group, window, k, components):
         d = int(d)
         if group.kind == "Zn":
             d %= group.n
-            _claim(seen, d, "components", group)
+        _claim(seen, d, "components", group)
         if c.dim == 0:
             continue
         if not lo <= d <= hi:
@@ -358,9 +358,10 @@ def _tag_escape(x):
 
     The right tag of x_i * a_j is that of a_j; for algebras the left tag is
     also checked against that of x_i (module left tags carry no action).
-    With one tag value in all components nothing can escape; else one
-    unsorted pass over the stored rows, and only the first map holding an
-    escape has its rows sorted, to name the least (i, j) and q there.
+    With one tag value in all components nothing can escape; else one scan
+    of the stored maps, each map's rows and entries in sorted order, returns
+    the first escape it meets: the least (i, j) and q of the first map
+    holding one.
     """
     right = x._acting()
     both_sides = right is x
@@ -372,15 +373,11 @@ def _tag_escape(x):
     for (g, h), rows in x._maps.items():
         ct = x.component(x.add_deg(g, h))
         hr, gl = right.component(h).right_tags, x.component(g).left_tags
-
-        def escapes(i, j, q):
-            return (ct.right_tags[q] != hr[j]
-                    or both_sides and ct.left_tags[q] != gl[i])
-
-        if any(escapes(i, j, q) for (i, j), row in rows.items() for q in row):
-            return next(("tags", g, h, i, j, q)
-                        for (i, j), row in sorted(rows.items())
-                        for q in sorted(row) if escapes(i, j, q))
+        for (i, j), row in sorted(rows.items()):
+            for q in sorted(row):
+                if (ct.right_tags[q] != hr[j]
+                        or both_sides and ct.left_tags[q] != gl[i]):
+                    return ("tags", g, h, i, j, q)
     return None
 
 

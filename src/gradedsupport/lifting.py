@@ -587,11 +587,22 @@ def regraded_interval_conditions(v: GradedModule, a: GradedAlgebra, n, r=1):
     lands in Ker(mu_{sigma,r+1}).  Returns a tuple of
     (sigma, holds, witness) with witness None when the condition holds.
     An A whose product escapes its tag blocks is refused, as the
-    liftability checks refuse it.
+    liftability checks refuse it, and so is a v not over A_U regraded.
     """
     if n < 2 or not 0 < r or 2 * r >= n:
         raise PreconditionError("need 0 < 2r < n")
     _check_ambient_tags(a)
+    u = DegreeSet.periodic(n, range(r + 1))
+    regraded = regrade_algebra(kill_support_algebra(a, u),
+                               delta_map(u, 0, v.over.window))
+    if not algebras_equal(v.over, regraded):
+        raise PreconditionError("the module is not over the regrading of "
+                                "the support-killed form of the given algebra")
+    return _interval_conditions(v, a, n, r)
+
+
+def _interval_conditions(v, a, n, r):
+    """The conditions' loop, for a v known to be over A_U regraded."""
     out = []
     for sigma in range(v.window[0], v.window[1] + 1):
         if sigma % (r + 1) or v.component(sigma).dim == 0:
@@ -685,7 +696,7 @@ def koszul_pipeline(a: GradedAlgebra, n, m=0):
             vanishing.append((sigma, tau,
                               not regraded._rows(sigma, tau)))
     regular = regular_module(regraded)
-    conditions = regraded_interval_conditions(regular, a, n, r=1)
+    conditions = _interval_conditions(regular, a, n, 1)
     holds = all(ok for (_s, _t, ok) in vanishing) \
         and all(ok for (_s, ok, _w) in conditions)
     report = PipelineReport(

@@ -14,15 +14,15 @@ entries are plain integers.
 Reading.  Loaders check shape and types and raise SchemaError with a dotted
 path into the offending value, such as "action[3].matrix.entries[0][1]".
 A path is carried as a tuple of its keys and indices and joined into text
-only when an error is raised.  A well-formed component or map item is read
-in one pass: int keys where ints are meant, the parent's field keys, and
-rows of plain ints over GF(p) or, over Q, of strings this call has already
-parsed, straight into the Matrix rows.  Any other item is read again key by
-key, which raises the same error at the same path as ever.  There each
-matrix row is read in one pass, a plain int over GF(p) reduced in place,
-and each distinct rational string is parsed once per call; an integral
-rational is read back as an int, and exponent forms such as "1e9" are
-refused, since Fraction would expand them.
+only when an error is raised.  Only map items have a one-pass read: a
+well-formed one, with int keys where ints are meant, the parent's field
+keys, and rows of plain ints over GF(p) or, over Q, of strings this call
+has already parsed, goes straight into the Matrix rows.  Every component,
+and any other map item, is read key by key, which raises the same error at
+the same path as ever.  There each matrix row is read in one pass, a
+plain int over GF(p) reduced in place, and each distinct rational string is
+parsed once per call; an integral rational is read back as an int, and
+exponent forms such as "1e9" are refused, since Fraction would expand them.
 Semantic validation (window coverage, tag ranges, matrix shapes) stays
 with the constructors, whose errors pass through.
 """
@@ -294,15 +294,6 @@ def _components_from_json(raw, at):
         raise SchemaError("expected a list of components", _path(*at))
     comps = {}
     for i, item in enumerate(raw):
-        # one pass for a well-formed item; any other is read key by key
-        if (type(item) is dict and type(d := item.get("degree")) is int
-                and type(dim := item.get("dim")) is int
-                and type(left := item.get("left_tags")) is list
-                and type(right := item.get("right_tags")) is list
-                and len(left) == dim == len(right) and d not in comps
-                and {*map(type, left), *map(type, right)} <= {int}):
-            comps[d] = LabeledSpace(dim, tuple(left), tuple(right))
-            continue
         cat = (*at, i)
         d = _get_int(item, "degree", cat)
         dim = _get_int(item, "dim", cat)

@@ -356,6 +356,17 @@ def test_cyclic_degree_aliases_are_refused():
                       a.unit), a)
 
 
+def test_two_components_at_one_degree_are_refused_over_z():
+    # int() reads 1 and "1" as one degree: over Z the later component
+    # silently replaced the earlier, where Z/n refused the same input
+    c1 = LabeledSpace.module_component((0,))
+    c2 = LabeledSpace.module_component((0, 0))
+    for a in (truncated_polynomial(3), group_algebra(3)):
+        with pytest.raises(PreconditionError,
+                           match=f"two components at degree 1 of {a.group!r}$"):
+            GradedModule(a, (0, 2), {1: c1, "1": c2}, {})
+
+
 def test_pair_keyed_tables_are_checked():
     # the module vector x_0 has right tag 0, so of e_0, e_1 in A_0 only
     # (0, 0) is a matched pair

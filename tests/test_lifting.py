@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gradedsupport.constructions import (
     n_homogeneous_dual,
+    projective_module,
     quiver_algebra,
     regular_module,
     truncated_polynomial,
@@ -27,6 +28,7 @@ from gradedsupport.graded_core import (
     modules_equal,
     regrade_module,
     shift_module,
+    torsion_quotient,
     validate_algebra,
     validate_module,
 )
@@ -48,7 +50,7 @@ from gradedsupport.lifting import (
 )
 from gradedsupport.regrade_maps import delta_map
 from gradedsupport.subsets import (DegreeSet, is_right_modular,
-                                   is_translation_of_interval)
+                                   is_translation_of_interval, quotient_set)
 
 U3 = DegreeSet.periodic(3, (0, 1))
 
@@ -543,6 +545,61 @@ def test_killing_is_not_bijective_on_a_module_off_the_category(n, translate,
     assert not kill_is_bijective_on_homs(simple, simple, s, killed, killed)
 
 
+def generator_failures(a, s, u, degrees):
+    """The pairs ((q, v), (q', v')) on which the projective generators of
+    the category fail to represent M -> M_q e_v, q over degrees.
+
+    T(q, v) is e_v A(-q) modulo its largest submodule supported off S.  For
+    q in Q = (S : U) it lies in the category and represents M -> M_q e_v
+    there, so dim Hom(T(q, v), T(q', v')) is the number of basis vectors of
+    T(q', v')_q with right tag v, killing is bijective on that hom space,
+    and T(q, v)_S represents N -> N_q e_v on the killed side.  Run over
+    every q of Q in the window, the check is exhaustive in the window and
+    needs no seed; it is necessary for the equivalence, not a proof of it.
+    """
+    b = kill_support_algebra(a, u)
+    gens = {}
+    for q in degrees:
+        for v in range(a.k):
+            t = torsion_quotient(projective_module(a, [(q, v)]), s)
+            gens[(q, v)] = t, kill_support_module(t, s, u, b)
+    bad = []
+    for (q, v), (x, x_s) in gens.items():
+        for key, (y, y_s) in gens.items():
+            if not (hom_space_dim(x, y) == y.component(q).right_tags.count(v)
+                    and kill_is_bijective_on_homs(x, y, s, x_s, y_s)):
+                bad.append(((q, v), key))
+    return bad
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("algebra", sorted(HARNESS_ALGEBRAS))
+@pytest.mark.parametrize("n, translate", [(3, 0), (4, 0), (5, 0), (8, 0),
+                                          (5, 2)])
+def test_projective_generators_represent_their_degrees(n, translate,
+                                                       algebra, field):
+    a = HARNESS_ALGEBRAS[algebra](n, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(translate)
+    degrees = quotient_set(s, u).members_in(*a.window)
+    assert degrees
+    assert generator_failures(a, s, u, degrees) == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("n, translate, q", [(3, 0, 2), (5, 2, 4),
+                                             (8, 0, 2)])
+def test_a_generator_off_the_quotient_set_fails_to_represent(n, translate,
+                                                             q, field):
+    # q + U is not inside S, so T(q, 0) leaves the category: its top is
+    # killed, and its one endomorphism with it
+    a = HARNESS_ALGEBRAS["two-loop"](n, field)
+    u = DegreeSet.periodic(n, (0, 1))
+    s = u.translate(translate)
+    assert not s.contains(q)
+    assert generator_failures(a, s, u, [q]) == [((q, 0), (q, 0))]
+
+
 def _count_calls(mp, names, counts):
     """Count the calls of the named subsets functions wherever a
     gradedsupport module binds them."""
@@ -610,6 +667,21 @@ def test_witness_module_fails_the_regraded_conditions():
     sigma, holds, witness = [c for c in conditions if not c[1]][0]
     assert sigma == 0 and witness is not None
     assert in_lifted_category(regrade_module(good, phi), a, 3, 1)
+
+
+def test_conditions_refuse_a_module_over_another_algebras_regrading():
+    # the conditions push v's kernel vectors through a's products on the
+    # basis of v's algebra; for another a they read one algebra's rows on
+    # the other's basis and reported three holding conditions
+    a = HARNESS_ALGEBRAS["two-loop"](3, QQ)
+    regraded, _even, report = koszul_pipeline(a, 3)
+    v = regular_module(regraded)
+    assert regraded_interval_conditions(v, a, 3) == report.conditions == (
+        (0, True, None), (2, True, None), (4, True, None))
+    other = truncated_polynomial(8, window=(0, 7))
+    for check in (regraded_interval_conditions, in_lifted_category):
+        with pytest.raises(PreconditionError, match="not over the regrading"):
+            check(v, other, 3)
 
 
 def test_conditions_reject_bad_parameters():

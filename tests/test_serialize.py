@@ -760,9 +760,10 @@ def _outcome(read, obj):
         return (type(e), str(e), getattr(e, "path", None))
 
 
-# each way out of the readers' one-pass read: the item is read again key by
-# key, to the same error or, for an int over Q or a new rational string, to
-# the same matrix
+# each way out of the map reader's one-pass read: the item is read again
+# key by key, to the same error or, for an int over Q or a new rational
+# string, to the same matrix; "bool tag" and "duplicate degree" break a
+# component, whose only read is key by key, and must raise the same error
 FAST_PATH_EXITS = ["bool entry", "non-int after ints", "int over Q",
                    "new rational", "exponent", "short later row",
                    "duplicate pair",
