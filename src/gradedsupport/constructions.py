@@ -573,6 +573,58 @@ def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
     return GradedModule._of(a, window, comps, action)
 
 
+class _LayoutModule(GradedModule):
+    """_layout_module's module read through its layout, with no table.
+
+    coord[t][b] takes each A-basis index kept by block b of component t
+    to its coordinate.  Map (t, u) is built on first read, as
+    _layout_module builds it.  quotient_with_maps and the lift's vanishing
+    scan read A's rows through layout and coord instead.  Only the random
+    modules' projectives (lifting._random_presented) and the lift's
+    induced module are one, and neither is returned.
+    """
+
+    def __init__(self, a, window, comps, layout):
+        self._fields(a, _checked_parts(a.group, window, a.k, {})[0], comps,
+                     {})
+        self.layout, self._read = layout, {}
+        self.coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
+                          for (b, _, start, positions) in blocks}
+                      for t, blocks in layout.items()}
+        self._whole = {}  # t -> (b, d) where comps[t] is block b, all of A_d
+        for t, blocks in layout.items():
+            if len(blocks) == 1 and len(blocks[0][3]) == a.component(
+                    blocks[0][1]).dim:
+                self._whole[t] = blocks[0][:2]
+
+    def _rows(self, t, u):
+        if self.group.kind == "Zn":
+            t, u = t % self.group.n, u % self.group.n
+        if (t, u) not in self._read:
+            self._read[(t, u)] = self._layout_rows(t, u)
+        return self._read[(t, u)]
+
+    def _layout_rows(self, t, u):
+        a, coord, whole = self.over, self.coord, self._whole
+        tu = a.group.add(t, u)
+        if t not in coord or tu not in coord or u not in a.components:
+            return None
+        if t in whole and tu in whole and whole[t][0] == whole[tu][0]:
+            return a._rows(whole[t][1], u)
+        rows = {}
+        for (b, d, _, _) in self.layout[t]:
+            src, dst = coord[t][b], coord[tu].get(b)
+            if dst is None:
+                continue
+            for (q, j), r in a._map_rows(d, u):
+                if q in src and (row := {dst[qq]: v for qq, v in r.items()
+                                         if qq in dst}):
+                    rows[(src[q], j)] = row
+        if rows or matched_pairs(self.components[t], a.component(u)):
+            return rows
+        return None
+
+
 def present_module(a: GradedAlgebra, gens, relations, window=None) -> GradedModule:
     """Free module on gens modulo the submodule generated by relations.
 

@@ -10,9 +10,14 @@ tags of X_g and the left tags of A_h, so an object keeps one list per such
 tag shape and shares it between all its degree pairs of that shape: the
 lists are read-only.  A map is stored as a dict {(i, j): row} from a
 matched pair to the image of x_i * a_j, a {col: value} row of its nonzeros
-in the basis of X_{g+h}, holding the nonzero rows only.  A map is present
-when it has a nonzero row, or matched pairs and a nonzero target, so it
-may be an empty dict; any other map has no entry at all.  Every action is
+in the basis of X_{g+h}, holding the nonzero rows only.  Rows are
+read-only and may be shared, within a map and between objects: kill,
+shift and regrade pass the row dicts through, a quiver algebra stores one
+row per path class for all its splits, and a quotient one image row per
+target coordinate for all the one-entry rows with coefficient 1 that land
+there; nothing writes a stored row.  A map is present when it has a
+nonzero row, or matched pairs and a nonzero target, so it may be an empty
+dict; any other map has no entry at all.  Every action is
 read from these rows, one dict lookup per pair.  The Matrix of a map, rows
 in lexicographic pair order, wraps the same rows for .mult / .action /
 mult_matrix / action_matrix.  For a GradedAlgebra X = A and the map is the
@@ -230,7 +235,7 @@ class GradedAlgebra(_GradedObject):
     def _fields(self, group, window, k, field, components, mult, unit):
         self.group, self.window, self.k, self.field = group, window, k, field
         self.components, self._maps, self.unit = components, mult, unit
-        self._pair_cache = {}
+        self._pair_cache, self._generated_01 = {}, None
 
     def _acting(self):
         return self
@@ -405,7 +410,6 @@ def _assoc_witness(x):
     # every degree below is a stored, hence reduced, one: read maps directly
     comps, add, x_rows = x.components, x.group.add, x._maps.get
     adegs = a.degrees()
-    blocks = {}  # (u, v) -> (u + v, a's rows, the k matching each j)
     for s in x.degrees():
         for u in adegs:
             su = add(s, u)
@@ -413,16 +417,12 @@ def _assoc_witness(x):
             for v in adegs:
                 if add(su, v) not in comps:
                     continue
-                block = blocks.get((u, v))
-                if block is None:
-                    ks = {}
-                    for j, kk in a.pairs(u, v):
-                        ks.setdefault(j, []).append(kk)
-                    block = blocks[(u, v)] = (add(u, v),
-                                              a._maps.get((u, v)) or {}, ks)
-                uv, ab_rows, ks = block
+                uv, ab_rows = add(u, v), a._maps.get((u, v)) or {}
                 if not (xa_rows or ab_rows):
                     continue
+                ks = {}  # j -> the k matching it
+                for j, kk in a.pairs(u, v):
+                    ks.setdefault(j, []).append(kk)
                 xa_b, x_ab = x_rows((su, v)) or {}, x_rows((s, uv)) or {}
                 for i, j in x.pairs(s, u):
                     xa = xa_rows.get((i, j))
@@ -442,11 +442,14 @@ def is_generated_in_degrees_01(a: GradedAlgebra) -> bool:
 
     Only meaningful for Z-graded algebras whose window starts at 0: checks
     surjectivity of A_1 x A_{i-1} -> A_i for every stored degree i >= 2.
+    Then A_i = A_1^i, so A_{u+v} = A_u A_v for u, v >= 0, which
+    torsion_spaces and _hom_system use.  Decided once per algebra object.
     """
-    if a.group.kind != "Z" or a.window[0] != 0:
-        return False
-    return all(_spans(a.field, _generated_rows(a, [1], i), a.component(i).dim)
-               for i in a.degrees() if i >= 2)
+    if a._generated_01 is None:
+        a._generated_01 = a.group.kind == "Z" and a.window[0] == 0 and all(
+            _spans(a.field, _generated_rows(a, [1], i), a.component(i).dim)
+            for i in a.degrees() if i >= 2)
+    return a._generated_01
 
 
 def _spans(field, rows, dim):
@@ -746,12 +749,17 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     The quotient basis at each degree is the set of standard coordinates not
     used as pivots by W, ordered by tag, so the result again has tag-pure
     basis vectors (_tag_blocks refuses a W that is not A_0-stable).
-    project(d, vec) is W_d.reduce(vec) on the kept coordinates.  Basis
-    vector i times a_j is the stored action row of coordinate keep[i] read
-    the same way at its target t; a one-entry row, most rows of a
-    projective, is a kept coordinate or a multiple of a pivot's class in
-    W_t.classes().  Each map between quotient degrees is one walk over its
-    stored rows.
+    project(d, vec) is W_d.reduce(vec) on the kept coordinates.
+
+    Basis vector i times a_j is the stored action row of coordinate keep[i]
+    read the same way at its target t, one walk per map over the rows of
+    the kept coordinates.  The image of e_q at t, {i: 1} for q = keep[i]
+    or else q's row in W_t.classes() on the kept coordinates, is built
+    once and shared (see the module docstring): a one-entry row {q: c},
+    most rows of a projective, is that image, times c when c != 1, and a
+    longer row sums the images of its entries.  A module read through its
+    layout has no stored rows: the walk reads A's rows of map (d - m_b, u)
+    block by block, relabelled through the block's coordinates.
     """
     F = m.field
     keeps, reads, comps = {}, {}, {}
@@ -774,27 +782,51 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
             return {at[i]: c for i, c in v.items()}
         return tuple(v[i] for i in keeps[d])
 
-    mul = F.mul
-    classes = {t: reads[t][1].classes() for t in comps}
+    one, mul = F.one(), F.mul
+    layout = getattr(m, "layout", None)  # a constructions._LayoutModule
+    # parts[t]: (block, degree of the rows read, {index: kept position}),
+    # one block of all coordinates unless m has a layout; images[t][block]
+    # takes an index at t to the image of its coordinate
+    parts, images = {}, {}
+    for t in comps:
+        at, sp = reads[t]
+        cls = sp.classes()
+        image = [{at[q]: one} if q in at else
+                 {at[k]: v for k, v in cls[q].items()}
+                 for q in range(m.component(t).dim)]
+        if layout:
+            parts[t] = [(b, e, kept) for (b, e, _, _) in m.layout[t]
+                        if (kept := {q: at[c] for q, c in m.coord[t][b].items()
+                                     if c in at})]
+            images[t] = {b: {q: image[c] for q, c in coord.items()}
+                         for b, coord in m.coord[t].items()}
+        else:
+            parts[t] = [(None, t, at)]
+            images[t] = {None: dict(enumerate(image))}
+    reader = m.over if layout else m
     action = {}
     for d in comps:
-        src = reads[d][0]
         for u in m.over.degrees():
             t = m.add_deg(d, u)
             if t not in comps:
                 continue
-            (at, sp), cls, out = reads[t], classes[t], {}
-            for (i, j), row in m._map_rows(d, u):
-                if i not in src:
+            out = {}
+            for b, e, src in parts[d]:
+                img = images[t].get(b)
+                if img is None:
                     continue
-                if len(row) == 1:
-                    (q, c), = row.items()
-                    img = ({at[q]: c} if q in at
-                           else {at[k]: mul(c, v) for k, v in cls[q].items()})
-                else:
-                    img = {at[k]: v for k, v in sp.reduce(row).items()}
-                if img:
-                    out[(src[i], j)] = img
+                for (i, j), row in reader._map_rows(e, u):
+                    if i not in src:
+                        continue
+                    if len(row) == 1:
+                        (q, c), = row.items()
+                        got = img.get(q)
+                        if got and c != one:
+                            got = {k: mul(c, v) for k, v in got.items()}
+                    else:
+                        got = _accumulate(F, row, img.get)
+                    if got:
+                        out[(src[i], j)] = got
             if out or matched_pairs(comps[d], m.over.component(u)):
                 action[(d, u)] = out
     keep_map = {d: tuple(keep) for d, keep in keeps.items()}
@@ -904,6 +936,13 @@ def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
     window) count as inside S, which keeps the result sound if possibly
     small.  Assumes n is a module: associative, unital action
     (validate_module).
+
+    When A is generated in degrees 0 and 1 (is_generated_in_degrees_01),
+    only the first degree t0 > d not off S is watched.  A_i = A_1^i, so
+    A_{t-d} = A_{t0-d} A_{t-t0} for every later t; if x A_{t0-d} lies in
+    W_{t0}, then x A_{t-d} lies in W_{t0} A_{t-t0}, inside W_t as W is a
+    submodule.  Where n_{t0} = 0 nothing is asked: x A_{t0-d} = 0 there,
+    and so x A_{t-d} = 0 for every later t.
     """
     _check_set_group(n, s)
     F = n.field
@@ -919,7 +958,16 @@ def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
             cls = w.classes()
             ev = [cls[i] if i in cls else {i: one} for i in range(w.ambient)]
         evals[t] = ev
-    return {d: modulo[d] if d in evals else _vanishing_space(n, d, evals)
+    cut = is_generated_in_degrees_01(n.over)
+
+    def watched(d):
+        if not cut:
+            return evals
+        t = next((t for t in range(d + 1, n.window[1] + 1)
+                  if s.try_contains(t) is not False), None)
+        return {t: evals[t]} if t in evals else {}
+
+    return {d: modulo[d] if d in evals else _vanishing_space(n, d, watched(d))
             for d in n.degrees()}
 
 
@@ -952,8 +1000,11 @@ def _hom_system(m: GradedModule, n: GradedModule):
     sum of M_s A_{d-s} over M's degrees s < d.  They complement what lower
     degrees generate, so by induction over M's degrees they span M; for A
     graded in degrees >= 0 with A_0 the k idempotents they are a minimal
-    set (graded Nakayama).  Unknowns: the coordinates of each f(g) in
-    N_{deg g} with g's right tag.  At each
+    set (graded Nakayama).  When A is generated in degrees 0 and 1
+    (is_generated_in_degrees_01) that sum is M_{d-1} A_1, whose rows alone
+    are read: for s < d - 1, A_{d-s} = A_{d-s-1} A_1, so M_s A_{d-s} lies
+    in M_{d-1} A_1, and the pivots depend on the span only.  Unknowns: the
+    coordinates of each f(g) in N_{deg g} with g's right tag.  At each
     degree t of N, eliminating [Phi_t | I], Phi_t taking each matched pair
     p = (g, a_j) to the stored row of g a_j, gives K_t = ker Phi_t and the
     preimages of M_t's coordinates.  Equation (t, kappa, c) is entry c of
@@ -962,12 +1013,11 @@ def _hom_system(m: GradedModule, n: GradedModule):
     """
     if not algebras_equal(m.over, n.over):
         raise PreconditionError("hom spaces need modules over the same algebra")
-    F = m.field
+    F, low = m.field, is_generated_in_degrees_01(m.over)
     gens, unknowns = {}, 0  # degree -> {i: ((unknown, q), ...)}
     for d in m.degrees():
-        pivots = _forward(F, _generated_rows(m, [s for s in m.degrees()
-                                                 if s < d], d),
-                          m.component(d).dim)
+        pivots = _forward(F, _generated_rows(m, [d - 1] if low else [
+            s for s in m.degrees() if s < d], d), m.component(d).dim)
         tags, nd = m.component(d).right_tags, n.component(d)
         for i in range(m.component(d).dim):
             if i not in pivots:

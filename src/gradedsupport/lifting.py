@@ -32,13 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .constructions import _layout, _layout_module, projective_module, \
+from .constructions import _LayoutModule, _layout, projective_layout, \
     regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, _accumulate, _rank, kernel
+from .exactlin import Matrix, _accumulate, _rank, kernel, nullspace
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
                           _check_modular_pair, _kill_module, _tag_escape,
-                          _vanishing_space, algebras_equal,
+                          algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in,
                           is_generated_in, is_generated_in_degrees_01,
@@ -285,6 +285,41 @@ def _evaluation_rows(x: GradedModule, blocks, meta):
     return rows
 
 
+def _induced_vanishing_spaces(induced: _LayoutModule, evals: dict) -> dict:
+    """{d: _vanishing_space(induced, d, evals)} for every degree d of the
+    induced module, read through its layout; each evals[t] lists rows.
+
+    Row (p, j) of the induced module, for p the A-basis vector q of block
+    b, is A's row (q, j) kept on block b's positions at t, so ev_t of it is
+    A's row pushed through block b's evaluation rows at t, indexed by
+    A-basis vector: one _accumulate per stored row of A, no induced row.
+    """
+    a, F, coord = induced.over, induced.field, induced.coord
+    # t -> block -> A-basis index -> ev_t of its coordinate
+    by_block = {t: {b: {q: ev[c] for q, c in cb.items()}
+                    for b, cb in coord[t].items()}
+                for t, ev in evals.items() if any(ev)}
+    spaces = {}
+    for d in induced.degrees():
+        cols = []
+        for u in a.degrees():
+            ev_t = by_block.get(induced.add_deg(d, u))
+            if ev_t is None:
+                continue
+            stacked = {}  # (j, c) -> the equation's entries
+            for (b, e, _, _) in induced.layout[d]:
+                ev, src = ev_t.get(b), coord[d][b]
+                if ev is None:
+                    continue
+                for (q, j), row in a._map_rows(e, u):
+                    if (i := src.get(q)) is not None:
+                        for c, v in _accumulate(F, row, ev.get).items():
+                            stacked.setdefault((j, c), {})[i] = v
+            cols.extend(stacked.values())
+        spaces[d] = nullspace(F, cols, induced.component(d).dim)
+    return spaces
+
+
 def lift_module(x: GradedModule, s: DegreeSet, u: DegreeSet,
                 a: GradedAlgebra | None = None) -> GradedModule:
     """Construct the graded A-module M with M_S isomorphic to X.
@@ -326,13 +361,13 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     # x's tags were checked when it was built; no generators, a zero lift
     gens, meta = _generator_data(x, qdegs)
     pwindow, pcomps, layout = _layout(a, gens, window)
-    induced = _layout_module(a, pwindow, pcomps, layout)
+    induced = _LayoutModule(a, pwindow, pcomps, layout)
 
     sdegs = s.members_in(window[0], window[1])
     evals = {t: _evaluation_rows(x, layout[t], meta) for t in sdegs
              if layout.get(t)}
-    lifted, _project, keep = quotient_with_maps(induced, {
-        d: _vanishing_space(induced, d, evals) for d in induced.degrees()})
+    lifted, _project, keep = quotient_with_maps(
+        induced, _induced_vanishing_spaces(induced, evals))
 
     # certification: an explicit isomorphism kill(M) -> X from evaluation
     iso = {}
@@ -454,7 +489,7 @@ def _random_presented(alg, s, u, seed, window, reduce_torsion,
     for _attempt in range(8):
         gens = [(rng.choices(usable, weights)[0], rng.randrange(alg.k))
                 for _ in range(rng.randint(1, _MAX_GENS))]
-        proj = projective_module(alg, gens, window)
+        proj = _LayoutModule(alg, *projective_layout(alg, gens, window))
         degrees = [d for d in proj.degrees() if d > min(m for m, _ in gens)]
         if relation_degrees == "quotient":
             degrees = [d for d in degrees if q.try_contains(d)]

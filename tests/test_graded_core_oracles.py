@@ -800,8 +800,8 @@ def _projective_quotient(draw, a):
 
 
 @st.composite
-def hom_pairs(draw):
-    """Two modules over one algebra, over every field.
+def hom_pairs(draw, field=None):
+    """Two modules over one algebra, over the given field or any of FIELDS.
 
     M's generators are a minimal set only over the algebras graded in
     degrees >= 0 with A_0 the idempotents; Z/n, K[x]/(x^k) with deg x = -1
@@ -811,7 +811,8 @@ def hom_pairs(draw):
     tag-blocked components; category modules are generated in (S:U)
     degrees, and killed modules live over A_U.
     """
-    field = draw(st.sampled_from(FIELDS))
+    if field is None:
+        field = draw(st.sampled_from(FIELDS))
     kind = draw(st.sampled_from(["Zn", "poly", "neg", "loops", "dual",
                                  "cycle", "category", "killed"]))
     if kind in ("category", "killed"):
