@@ -485,15 +485,21 @@ def projective_layout(a: GradedAlgebra, gens, window=None):
 
 
 def _layout(a: GradedAlgebra, gens, window):
-    """projective_layout for checked gens; a tag of None keeps all of A."""
+    """projective_layout for checked gens; a tag of None keeps all of A.
+
+    Over Z only the degrees m + d, m a generator degree and d a degree of
+    A, can hold a block, so those in the window are the ones listed: the
+    cost follows the generators and A, not the width of the window.
+    """
     if a.group.kind == "Zn":
         window = a.window
-        degrees = list(range(a.group.n))
+        degrees = range(a.group.n)
     else:
         if window is None:
             window = (min(m for m, _ in gens) + a.window[0],
                       max(m for m, _ in gens) + a.window[1])
-        degrees = list(range(window[0], window[1] + 1))
+        degrees = sorted({t for m, _ in gens for d in a.components
+                          if window[0] <= (t := m + d) <= window[1]})
     comps = {}
     layout = {}
     for t in degrees:
@@ -528,74 +534,49 @@ def projective_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
 
 
 def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
-    """The module whose action multiplies each generator block inside A.
-
-    Row (p, j) of map (t, u), for p the A_d basis vector q of block b, is
-    A's row (q, j) of map (d, u) kept on block b's positions at t + u.
-    A's map is read once per block; the window is checked as a
-    constructor checks it.  Where comps[t] and comps[t + u] are each one
-    block of one generator holding all of A_d and A_{d+u}, those rows are
-    A's own, and the module stores A's row dict of map (d, u) itself.
-    """
-    window = _checked_parts(a.group, window, a.k, {})[0]
-    # block b's A-basis index -> its coordinate in comps[t]
-    coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
-                 for (b, _, start, positions) in blocks}
-             for t, blocks in layout.items()}
-    whole = {}  # t -> (b, d) where comps[t] is block b alone, all of A_d
-    for t, blocks in layout.items():
-        if len(blocks) == 1 and len(blocks[0][3]) == a.component(
-                blocks[0][1]).dim:
-            whole[t] = blocks[0][:2]
-    action = {}
-    for t, blocks in layout.items():
-        for u in a.degrees():
-            tu = a.group.add(t, u)
-            if tu not in layout:
-                continue
-            if t in whole and tu in whole and whole[t][0] == whole[tu][0]:
-                # comps[t] has A_d's tags, so map (t, u) is present exactly
-                # when A's map (d, u) is
-                if (rows := a._rows(whole[t][1], u)) is not None:
-                    action[(t, u)] = rows
-                continue
-            rows = {}
-            for (b, d, _, _) in blocks:
-                src, dst = coord[t][b], coord[tu].get(b)
-                if dst is None:
-                    continue
-                for (q, j), r in a._map_rows(d, u):
-                    if q in src and (row := {dst[qq]: v for qq, v in r.items()
-                                             if qq in dst}):
-                        rows[(src[q], j)] = row
-            if rows or matched_pairs(comps[t], a.component(u)):
-                action[(t, u)] = rows
-    return GradedModule._of(a, window, comps, action)
+    """The module whose action multiplies each generator block inside A:
+    every map of its _LayoutModule, stored as a table."""
+    view = _LayoutModule(a, window, comps, layout)
+    action = {(t, u): rows for t in comps for u in a.degrees()
+              if (rows := view._layout_rows(t, u)) is not None}
+    return GradedModule._of(a, view.window, comps, action)
 
 
 class _LayoutModule(GradedModule):
-    """_layout_module's module read through its layout, with no table.
+    """The module of a layout, read through it: one block per generator.
 
-    coord[t][b] takes each A-basis index kept by block b of component t
-    to its coordinate.  Map (t, u) is built on first read, as
-    _layout_module builds it.  quotient_with_maps and the lift's vanishing
-    scan read A's rows through layout and coord instead.  Only the random
-    modules' projectives (lifting._random_presented) and the lift's
-    induced module are one, and neither is returned.
+    Block b of component t holds the A_d basis vectors that generator b
+    keeps (layout[t]'s positions) at coordinates start, start + 1, ...;
+    _blocks gives it as (b, A, d, {A-basis index: coordinate}), built here
+    once.  _layout_rows is the one row builder: row (p, j) of map (t, u),
+    for p the A_d basis vector q of block b, is A's row (q, j) of map
+    (d, u) kept on block b's coordinates at t + u, A's map read once per
+    block.  Where components t and t + u are each one block of one
+    generator holding all of A_d and A_{d+u}, map (t, u) is A's row dict
+    of map (d, u) itself.  Maps are built on first read; quotient_with_maps,
+    and the vanishing scan under any evaluation but the identity, read the
+    blocks instead.  _layout_module stores
+    every map as the table of projective_module, free_module and
+    present_module; only the random modules' projectives
+    (lifting._random_presented) and the lift's induced module stay read
+    through their layout, and neither is returned.
     """
 
     def __init__(self, a, window, comps, layout):
         self._fields(a, _checked_parts(a.group, window, a.k, {})[0], comps,
                      {})
-        self.layout, self._read = layout, {}
-        self.coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
-                          for (b, _, start, positions) in blocks}
-                      for t, blocks in layout.items()}
+        self._read, self._by_degree = {}, {}
         self._whole = {}  # t -> (b, d) where comps[t] is block b, all of A_d
         for t, blocks in layout.items():
+            self._by_degree[t] = [
+                (b, a, d, {q: start + n for n, q in enumerate(positions)})
+                for b, d, start, positions in blocks]
             if len(blocks) == 1 and len(blocks[0][3]) == a.component(
                     blocks[0][1]).dim:
                 self._whole[t] = blocks[0][:2]
+
+    def _blocks(self, t):
+        return self._by_degree.get(t, ())
 
     def _rows(self, t, u):
         if self.group.kind == "Zn":
@@ -605,15 +586,18 @@ class _LayoutModule(GradedModule):
         return self._read[(t, u)]
 
     def _layout_rows(self, t, u):
-        a, coord, whole = self.over, self.coord, self._whole
+        a, blocks, whole = self.over, self._by_degree, self._whole
         tu = a.group.add(t, u)
-        if t not in coord or tu not in coord or u not in a.components:
+        if t not in blocks or tu not in blocks or u not in a.components:
             return None
         if t in whole and tu in whole and whole[t][0] == whole[tu][0]:
+            # comps[t] has A_d's tags, so map (t, u) is present exactly
+            # when A's map (d, u) is
             return a._rows(whole[t][1], u)
+        into = {b: coord for b, _, _, coord in blocks[tu]}
         rows = {}
-        for (b, d, _, _) in self.layout[t]:
-            src, dst = coord[t][b], coord[tu].get(b)
+        for b, _, d, src in blocks[t]:
+            dst = into.get(b)
             if dst is None:
                 continue
             for (q, j), r in a._map_rows(d, u):

@@ -282,6 +282,15 @@ class GradedModule(_GradedObject):
     def _acting(self):
         return self.over
 
+    def _blocks(self, t):
+        """How component t is read: ((key, reader, degree, coord), ...).
+        A block's rows at t are reader's rows of map (degree, u), coord
+        taking each reader index the block keeps to its coordinate at t; the
+        same key names the same block at every degree.  A module stored as
+        a table is one block of itself."""
+        n = range(self.component(t).dim)
+        return ((None, self, t, dict(zip(n, n))),)
+
     action = property(_GradedObject._dense_maps)
     action_matrix = _GradedObject._map_matrix
     action_row = _GradedObject._map_row
@@ -751,15 +760,15 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     basis vectors (_tag_blocks refuses a W that is not A_0-stable).
     project(d, vec) is W_d.reduce(vec) on the kept coordinates.
 
-    Basis vector i times a_j is the stored action row of coordinate keep[i]
-    read the same way at its target t, one walk per map over the rows of
-    the kept coordinates.  The image of e_q at t, {i: 1} for q = keep[i]
-    or else q's row in W_t.classes() on the kept coordinates, is built
-    once and shared (see the module docstring): a one-entry row {q: c},
-    most rows of a projective, is that image, times c when c != 1, and a
-    longer row sums the images of its entries.  A module read through its
-    layout has no stored rows: the walk reads A's rows of map (d - m_b, u)
-    block by block, relabelled through the block's coordinates.
+    Basis vector i times a_j is the row of coordinate keep[i] read the
+    same way at its target t, one walk per map over the rows of the kept
+    coordinates, block by block (GradedModule._blocks): a module read
+    through its layout has a block per generator, read off A, and a table
+    is one block of itself.  The image of e_q at t, {i: 1} for q = keep[i]
+    or else q's row in W_t.classes() on the kept coordinates, is built once
+    and shared (see the module docstring): a one-entry row {q: c}, most
+    rows of a projective, is that image, times c when c != 1, and a longer
+    row sums the images of its entries.
     """
     F = m.field
     keeps, reads, comps = {}, {}, {}
@@ -783,27 +792,18 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
         return tuple(v[i] for i in keeps[d])
 
     one, mul = F.one(), F.mul
-    layout = getattr(m, "layout", None)  # a constructions._LayoutModule
-    # parts[t]: (block, degree of the rows read, {index: kept position}),
-    # one block of all coordinates unless m has a layout; images[t][block]
-    # takes an index at t to the image of its coordinate
-    parts, images = {}, {}
+    # images[t]: the image of each coordinate by block; parts[d]: the blocks
+    # at d on their kept indices
+    images, parts = {}, {}
     for t in comps:
         at, sp = reads[t]
         cls = sp.classes()
-        image = [{at[q]: one} if q in at else
-                 {at[k]: v for k, v in cls[q].items()}
-                 for q in range(m.component(t).dim)]
-        if layout:
-            parts[t] = [(b, e, kept) for (b, e, _, _) in m.layout[t]
-                        if (kept := {q: at[c] for q, c in m.coord[t][b].items()
-                                     if c in at})]
-            images[t] = {b: {q: image[c] for q, c in coord.items()}
-                         for b, coord in m.coord[t].items()}
-        else:
-            parts[t] = [(None, t, at)]
-            images[t] = {None: dict(enumerate(image))}
-    reader = m.over if layout else m
+        images[t] = _by_block(m, t, [
+            {at[q]: one} if q in at else {at[k]: v for k, v in cls[q].items()}
+            for q in range(m.component(t).dim)])
+        parts[t] = [(key, reader, e, src) for key, reader, e, coord
+                    in m._blocks(t) if (src := {q: at[c] for q, c
+                                                in coord.items() if c in at})]
     action = {}
     for d in comps:
         for u in m.over.degrees():
@@ -811,8 +811,8 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
             if t not in comps:
                 continue
             out = {}
-            for b, e, src in parts[d]:
-                img = images[t].get(b)
+            for key, reader, e, src in parts[d]:
+                img = images[t].get(key)
                 if img is None:
                     continue
                 for (i, j), row in reader._map_rows(e, u):
@@ -831,6 +831,12 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
                 action[(d, u)] = out
     keep_map = {d: tuple(keep) for d, keep in keeps.items()}
     return GradedModule._of(m.over, m.window, comps, action), project, keep_map
+
+
+def _by_block(m, t, rows):
+    """rows, one per coordinate of M_t, by block of M_t and reader index."""
+    return {key: {q: rows[c] for q, c in coord.items()}
+            for key, _, _, coord in m._blocks(t)}
 
 
 def quotient_module(m: GradedModule, spaces: dict) -> GradedModule:
@@ -896,31 +902,50 @@ def preimage_subspace(f: Matrix, w: Subspace) -> Subspace:
                              tuple(map(w.reduce, f.nz))))
 
 
-def _vanishing_space(m: GradedModule, d, evals: dict) -> Subspace:
-    """{x in M_d : x a evaluates to zero at every watched degree}.
+def _vanishing_spaces(m: GradedModule, evals: dict, watch: dict) -> dict:
+    """{d: {x in M_d : x a evaluates to zero at every degree d watches}}.
 
-    evals maps each watched degree t to the evaluation applied there: its
-    rows, row i = ev_t(e_i) as a {col: value} dict, or None for the
-    identity; rows that are all empty ask nothing.  x must vanish under
-    ev_t after every basis vector a of A landing at t = d + u.  Entry i of
-    equation (j, c) is column c of ev_t(x_i * a_j).  One nullspace over the
-    stacked equations.
+    watch maps each degree d to the degrees it watches, evals each watched
+    degree t to the evaluation applied there: its rows, row i = ev_t(e_i)
+    as a {col: value} dict, or None for the identity; rows that are all
+    empty ask nothing.  x must vanish under ev_t after every basis vector
+    a of A landing at t = d + u.  Entry i of equation (j, c) is column c
+    of ev_t(x_i * a_j).  Under the identity that is M's own row (i, j);
+    any other ev_t is put by block once per t (_by_block), and M is read
+    through its blocks as quotient_with_maps reads it, each of a block's
+    rows summed over its block's evaluation rows at t.  One nullspace per
+    degree over the stacked equations.
     """
     F = m.field
-    cols = []
-    for u in m.over.degrees():
-        t = m.add_deg(d, u)
-        if t not in evals or evals[t] is not None and not any(evals[t]):
-            continue
-        ev = evals[t]
-        stacked = {}
-        for (i, j), row in m._map_rows(d, u):
-            if ev is not None:
-                row = _accumulate(F, row, ev.__getitem__)
-            for c, e in row.items():
-                stacked.setdefault((j, c), {})[i] = e
-        cols.extend(stacked.values())
-    return nullspace(F, cols, m.component(d).dim)
+    asks = {t for t, ev in evals.items() if ev is None or any(ev)}
+    images = {}  # t -> ev_t by block, or None for the identity
+    spaces = {}
+    for d, watched in watch.items():
+        blocks, cols = None, []
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            if t not in watched or t not in asks:
+                continue
+            if t not in images:
+                images[t] = evals[t] and _by_block(m, t, evals[t])
+            ev_t, stacked = images[t], {}
+            if ev_t is None:  # the identity: M's own rows
+                for (i, j), row in m._map_rows(d, u):
+                    for c, v in row.items():
+                        stacked.setdefault((j, c), {})[i] = v
+            else:
+                blocks = blocks or m._blocks(d)
+                for key, reader, e, src in blocks:
+                    ev = ev_t.get(key)
+                    if ev is None:
+                        continue
+                    for (q, j), row in reader._map_rows(e, u):
+                        if (i := src.get(q)) is not None:
+                            for c, v in _accumulate(F, row, ev.get).items():
+                                stacked.setdefault((j, c), {})[i] = v
+            cols.extend(stacked.values())
+        spaces[d] = nullspace(F, cols, m.component(d).dim)
+    return spaces
 
 
 def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
@@ -931,7 +956,8 @@ def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
     Closed form: W_d at each degree d not off S, and off S the x with x a
     in W_t for every basis vector a of A whose target t = d + u is not off
     S; closed since (x b) a = x (b a).  One nullspace per off-S degree, over
-    the classes modulo W_t of the stored rows, read through W_t.classes().
+    the classes modulo W_t of n's rows, read through W_t.classes() in the
+    one vanishing scan (_vanishing_spaces).
     Degrees whose S membership cannot be decided (outside a windowed S's
     window) count as inside S, which keeps the result sound if possibly
     small.  Assumes n is a module: associative, unital action
@@ -965,10 +991,11 @@ def torsion_spaces(n: GradedModule, s: DegreeSet, modulo=None) -> dict:
             return evals
         t = next((t for t in range(d + 1, n.window[1] + 1)
                   if s.try_contains(t) is not False), None)
-        return {t: evals[t]} if t in evals else {}
+        return (t,) if t in evals else ()
 
-    return {d: modulo[d] if d in evals else _vanishing_space(n, d, watched(d))
-            for d in n.degrees()}
+    spaces = _vanishing_spaces(n, evals, {d: watched(d) for d in n.degrees()
+                                          if d not in evals})
+    return {d: modulo[d] if d in evals else spaces[d] for d in n.degrees()}
 
 
 def torsion_submodule(n: GradedModule, s: DegreeSet) -> GradedModule:

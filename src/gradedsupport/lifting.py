@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from .constructions import _LayoutModule, _layout, projective_layout, \
     regular_module
 from .errors import InternalConsistencyError, PreconditionError
-from .exactlin import Matrix, _accumulate, _rank, kernel, nullspace
+from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
                           _check_modular_pair, _kill_module, _tag_escape,
-                          algebras_equal,
+                          _vanishing_spaces, algebras_equal,
                           closure_under_action, hom_space_basis,
                           hom_space_dim, is_cogenerated_in,
                           is_generated_in, is_generated_in_degrees_01,
@@ -100,8 +100,7 @@ def _check_hypotheses(x: GradedModule, s: DegreeSet, u: DegreeSet,
         if not s.contains(d):
             raise PreconditionError(
                 f"module has a nonzero component at degree {d} outside S")
-    qdegs = [m for m in q.members_in(x.window[0], x.window[1])
-             if x.component(m).dim]
+    qdegs = [m for m in x.degrees() if q.try_contains(m)]
     if not is_generated_in(x, qdegs):
         raise PreconditionError(
             "module is not generated in quotient-set degrees")
@@ -285,41 +284,6 @@ def _evaluation_rows(x: GradedModule, blocks, meta):
     return rows
 
 
-def _induced_vanishing_spaces(induced: _LayoutModule, evals: dict) -> dict:
-    """{d: _vanishing_space(induced, d, evals)} for every degree d of the
-    induced module, read through its layout; each evals[t] lists rows.
-
-    Row (p, j) of the induced module, for p the A-basis vector q of block
-    b, is A's row (q, j) kept on block b's positions at t, so ev_t of it is
-    A's row pushed through block b's evaluation rows at t, indexed by
-    A-basis vector: one _accumulate per stored row of A, no induced row.
-    """
-    a, F, coord = induced.over, induced.field, induced.coord
-    # t -> block -> A-basis index -> ev_t of its coordinate
-    by_block = {t: {b: {q: ev[c] for q, c in cb.items()}
-                    for b, cb in coord[t].items()}
-                for t, ev in evals.items() if any(ev)}
-    spaces = {}
-    for d in induced.degrees():
-        cols = []
-        for u in a.degrees():
-            ev_t = by_block.get(induced.add_deg(d, u))
-            if ev_t is None:
-                continue
-            stacked = {}  # (j, c) -> the equation's entries
-            for (b, e, _, _) in induced.layout[d]:
-                ev, src = ev_t.get(b), coord[d][b]
-                if ev is None:
-                    continue
-                for (q, j), row in a._map_rows(e, u):
-                    if (i := src.get(q)) is not None:
-                        for c, v in _accumulate(F, row, ev.get).items():
-                            stacked.setdefault((j, c), {})[i] = v
-            cols.extend(stacked.values())
-        spaces[d] = nullspace(F, cols, induced.component(d).dim)
-    return spaces
-
-
 def lift_module(x: GradedModule, s: DegreeSet, u: DegreeSet,
                 a: GradedAlgebra | None = None) -> GradedModule:
     """Construct the graded A-module M with M_S isomorphic to X.
@@ -347,10 +311,14 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     The lift is induced / W.  induced has one projective summand per basis
     vector of X in Q-degrees and evaluates onto X_t at each t in S by ev_t.
     W is the x whose every product into S evaluates to zero, one vanishing
-    scan per degree: a submodule since (x b) a = x (b a), with W_t inside
-    ker ev_t at t in S.  The dimension and rank checks below certify
-    W_t = ker ev_t, whatever the containment scan found, so one quotient
-    builds the lift.  Assumes x is a module (validate_module).
+    scan over every degree (graded_core._vanishing_spaces): a submodule
+    since (x b) a = x (b a), with W_t inside ker ev_t at t in S.  The
+    dimension and rank checks below certify W_t = ker ev_t, whatever the
+    containment scan found, so one quotient builds the lift.  induced is
+    read through its generator blocks, so neither W nor the quotient
+    builds its table.  Only the degrees where X or induced is nonzero are
+    visited, so the cost does not grow with the width of X's window.
+    Assumes x is a module (validate_module).
     """
     a, qdegs = _check_hypotheses(x, s, u, a)
     report = _liftability(x, u, a, qdegs, _all_triples)
@@ -363,11 +331,12 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     pwindow, pcomps, layout = _layout(a, gens, window)
     induced = _LayoutModule(a, pwindow, pcomps, layout)
 
-    sdegs = s.members_in(window[0], window[1])
+    # the S-degrees where X or induced is nonzero: both are zero elsewhere
+    sdegs = [t for t in sorted({*x.degrees(), *layout}) if s.try_contains(t)]
     evals = {t: _evaluation_rows(x, layout[t], meta) for t in sdegs
-             if layout.get(t)}
-    lifted, _project, keep = quotient_with_maps(
-        induced, _induced_vanishing_spaces(induced, evals))
+             if t in layout}
+    lifted, _project, keep = quotient_with_maps(induced, _vanishing_spaces(
+        induced, evals, {d: evals for d in induced.degrees()}))
 
     # certification: an explicit isomorphism kill(M) -> X from evaluation
     iso = {}

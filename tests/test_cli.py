@@ -513,6 +513,50 @@ def test_lift_text_mode_reports_the_certificate(capsys, tmp_path):
     assert "certified" in out
 
 
+def test_lift_work_follows_x_not_the_width_of_its_window(capsys, tmp_path,
+                                                        monkeypatch):
+    # the killed regular module of K[x]/(x^7), its window widened from
+    # [0, 6]: lift and lift-check list only the degrees where X or the
+    # induced module can be nonzero, so each answers as on [0, 6]
+    xf, sf, uf, af, _, x = lift_files(tmp_path)
+    want = {cmd: run_json(capsys, cmd, xf, sf, uf, af, "--format", "json")
+            for cmd in ("lift", "lift-check")}
+
+    def widened(width):
+        doc = module_to_json(x)
+        doc["window"] = [0, width]
+        return write_json(tmp_path / f"x{width}.json", doc)
+
+    def same(cmd, got, width):
+        code, doc = got
+        if cmd == "lift":  # the lift keeps X's window
+            assert doc["window"] == [0, width]
+            doc = {**doc, "window": [0, 6]}
+        return (code, doc) == want[cmd]
+
+    # a fresh process at [0, 10^6], well inside 5 s
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(gradedsupport.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    for cmd in ("lift", "lift-check"):
+        p = subprocess.run([sys.executable, "-m", "gradedsupport.cli", cmd,
+                            widened(10 ** 6), sf, uf, af, "--format", "json"],
+                           capture_output=True, text=True, env=env, timeout=5)
+        assert same(cmd, (p.returncode, json.loads(p.stdout)), 10 ** 6)
+    # at [0, 10^12] no degree set is listed over the window at all
+    members_in = DegreeSet.members_in
+
+    def bounded(self, lo, hi):
+        assert hi - lo < 10 ** 4, f"listed the members of [{lo}, {hi}]"
+        return members_in(self, lo, hi)
+
+    monkeypatch.setattr(DegreeSet, "members_in", bounded)
+    for cmd in ("lift", "lift-check"):
+        got = run_json(capsys, cmd, widened(10 ** 12), sf, uf, af,
+                       "--format", "json")
+        assert same(cmd, got, 10 ** 12)
+
+
 @pytest.mark.parametrize("command", ["lift", "lift-check"])
 @pytest.mark.parametrize("h, witness", [
     (0, "('unit', 0, 0)"), (1, "('assoc', (0, 1, 3), (0, 0, 0))")])

@@ -267,6 +267,21 @@ def test_projective_layout_blocks_partition_the_components():
         assert starts == sorted(starts)
 
 
+@pytest.mark.parametrize("window", [(1, 3), (-2, 9), (0, 10 ** 12),
+                                    (-10 ** 12, 10 ** 12), (5, 3)])
+def test_a_layout_lists_only_the_degrees_its_generators_reach(window):
+    # generator degrees plus A's degrees, cut to the window: a window of
+    # any width costs what the degrees it holds cost
+    a = quiver_algebra(2, [(0, 1), (1, 0)], [], 4)
+    gens = [(0, 0), (1, 1), (3, 0)]
+    _, comps, layout = projective_layout(a, gens)
+    got_window, got_comps, got_layout = projective_layout(a, gens, window)
+    lo, hi = window
+    assert got_window == window
+    assert got_comps == {t: c for t, c in comps.items() if lo <= t <= hi}
+    assert got_layout == {t: b for t, b in layout.items() if lo <= t <= hi}
+
+
 def test_present_module_quotients_by_generated_relations():
     a = truncated_polynomial(4)
     f = a.field

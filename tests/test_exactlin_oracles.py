@@ -55,7 +55,7 @@ from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix,
                                     matched_pairs, nullspace,
                                     rref, solve, subspace_contains,
                                     subspace_intersect, subspace_sum)
-from gradedsupport.graded_core import (_vanishing_space, hom_space_basis,
+from gradedsupport.graded_core import (_vanishing_spaces, hom_space_basis,
                                        hom_space_dim, modules_equal,
                                        preimage_subspace)
 from gradedsupport.lifting import random_category_module
@@ -854,15 +854,15 @@ def test_full_complement_asks_no_condition(field):
     full = Subspace.full(field, 3)
     assert unit_residues(full) == [()] * 3
     assert preimage_subspace(Matrix.identity(field, 3), full) == full
-    # handed to _vanishing_space as rows, each class empty, it watches
+    # handed to _vanishing_spaces as rows, each class empty, it watches
     # nothing at that degree
     from gradedsupport.constructions import regular_module, \
         truncated_polynomial
     m = regular_module(truncated_polynomial(3, field=field))
     dims = {t: m.component(t).dim for t in m.degrees()}
     evals = {t: [{}] * n for t, n in dims.items()}
-    for d, n in dims.items():
-        assert _vanishing_space(m, d, evals) == Subspace.full(field, n)
+    assert _vanishing_spaces(m, evals, dict.fromkeys(dims, evals)) == {
+        d: Subspace.full(field, n) for d, n in dims.items()}
 
 
 QUIVERS_TO_NINE = [

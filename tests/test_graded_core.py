@@ -822,10 +822,11 @@ def _mutant(monkeypatch, module, name, old, new):
 
 
 @pytest.mark.parametrize("module, name, old, new, build, error", [
-    # a column one past the target: with two generators no component is
-    # one block, so every row is copied, and 1 * 1 in the second block
-    # lands on column 2 of the two-dimensional degree 0
-    (constructions, "_layout_module", "{dst[qq]: v", "{dst[qq] + 1: v",
+    # a column one past the target from the one row builder: with two
+    # generators no component is one block, so every row is copied, and
+    # 1 * 1 in the second block lands on column 2 of the two-dimensional
+    # degree 0
+    (constructions, "_LayoutModule", "{dst[qq]: v", "{dst[qq] + 1: v",
      lambda a: free_module(a, [0, 0]), "has a column beyond the 2"),
     # an unmatched key: x^0 * a_1 where A_1 has the one basis vector a_0
     (graded_core, "quotient_with_maps", "out[(src[i], j)]",

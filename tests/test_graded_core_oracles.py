@@ -74,7 +74,7 @@ from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     subspace_intersect)
 from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        _tag_blocks, _tag_escape,
-                                       _vanishing_space,
+                                       _vanishing_spaces,
                                        algebras_equal, closure_under_action,
                                        generated_submodule, hom_space_basis,
                                        hom_space_dim, is_generated_in,
@@ -741,8 +741,8 @@ def test_vanishing_space_counts_x_itself_at_its_degree():
     # the degree inside S only x itself, which must lie in W_1 = ker ev_1
     got = torsion_spaces(m, DegreeSet.windowed([1], (0, 2)), {1: kernel(ev)})
     assert [got[d] for d in range(3)] == [full, kernel(ev), full]
-    assert _vanishing_space(m, 0, {1: ev.nz}) == full
-    assert _vanishing_space(m, 0, {1: None}) == full
+    assert _vanishing_spaces(m, {1: ev.nz}, {0: (1,)}) == {0: full}
+    assert _vanishing_spaces(m, {1: None}, {0: (1,)}) == {0: full}
 
 
 # ---------------------------------------------------------------------------

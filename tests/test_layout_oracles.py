@@ -1,14 +1,20 @@
-"""Projectives read through their layout, against the tables they replace.
+"""Modules read through their generator blocks, against the tables they
+replace.
 
-The harness's random modules and the lift's induced module are read
-through their layout (constructions._LayoutModule): each map built from A's
-rows on first read, and the quotient walking A's rows block by block
-through one shared image row per target coordinate.  The oracles are the
-paths the library took before: the full table of _layout_module, which
-projective_module and free_module still return, quotiented by the same W
-and reduced pair by pair against W's pivots;
-_vanishing_space on that table for the lift's vanishing scan; and the scans
-of torsion_spaces and _hom_system that read every degree, kept here as
+Every module is read through GradedModule._blocks: a table is one block of
+itself, and a module read through its layout (constructions._LayoutModule),
+the harness's random modules and the lift's induced module, has one block
+per generator, read off A.  _LayoutModule._layout_rows is the one row
+builder, and _layout_module stores its maps as the table of
+projective_module, free_module and present_module.  quotient_with_maps and
+the one vanishing scan, graded_core._vanishing_spaces, walk A's rows block
+by block through one shared image row per target coordinate.  The oracles
+are the paths the library took before: layout_module_by_blocks, the table
+built with its own coordinates per block; vanishing_space, the scan of one
+degree over a module's stored rows; induced_vanishing_spaces, that scan
+rewritten for a layout; quotient_with_maps on the table, reduced pair by
+pair against W's pivots too; and the scans of torsion_spaces and
+_hom_system that read every degree, kept here as
 torsion_spaces_by_full_scan and hom_system_by_all_lower_rows, for the cuts
 that algebras generated in degrees 0 and 1 allow.  The shared rows are
 checked never to be written: every stored row and class table met in a
@@ -24,12 +30,15 @@ from hypothesis import given, settings, strategies as st
 
 from gradedsupport import graded_core, lifting
 from gradedsupport.constructions import (_LayoutModule, _layout,
-                                         _layout_module, group_algebra,
-                                         projective_layout, quiver_algebra)
+                                         _layout_module, free_module,
+                                         group_algebra, present_module,
+                                         projective_layout, projective_module,
+                                         quiver_algebra)
 from gradedsupport.exactlin import (QQ, GF, Subspace, _accumulate, _echelon,
-                                    _forward)
-from gradedsupport.graded_core import (_generated_rows,
-                                       _hom_system, _vanishing_space,
+                                    _forward, matched_pairs, nullspace)
+from gradedsupport.graded_core import (GradedModule, _checked_parts,
+                                       _generated_rows, _hom_system,
+                                       _vanishing_spaces,
                                        algebras_equal, closure_under_action,
                                        is_generated_in_degrees_01,
                                        kill_support_algebra,
@@ -37,7 +46,7 @@ from gradedsupport.graded_core import (_generated_rows,
                                        torsion_spaces)
 from gradedsupport.errors import PreconditionError
 from gradedsupport.lifting import (_evaluation_rows, _generator_data,
-                                   _induced_vanishing_spaces, check_and_lift,
+                                   check_and_lift,
                                    equivalence_harness, random_category_module,
                                    random_killed_module)
 from gradedsupport.serialize import dump_json
@@ -48,7 +57,108 @@ from test_graded_core_oracles import (FIELDS, _vector, degree_sets, hom_pairs,
 
 
 # ---------------------------------------------------------------------------
-# oracles: the full scans the cuts replace
+# oracles: the paths the block reads and the cuts replace
+
+
+def layout_module_by_blocks(a, window, comps, layout):
+    """The module whose action multiplies each generator block inside A,
+    built with its own coordinates and its own loop per block.
+
+    Row (p, j) of map (t, u), for p the A_d basis vector q of block b, is
+    A's row (q, j) of map (d, u) kept on block b's positions at t + u.
+    Where comps[t] and comps[t + u] are each one block of one generator
+    holding all of A_d and A_{d+u}, the module stores A's row dict of map
+    (d, u) itself.
+    """
+    window = _checked_parts(a.group, window, a.k, {})[0]
+    coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
+                 for (b, _, start, positions) in blocks}
+             for t, blocks in layout.items()}
+    whole = {}  # t -> (b, d) where comps[t] is block b alone, all of A_d
+    for t, blocks in layout.items():
+        if len(blocks) == 1 and len(blocks[0][3]) == a.component(
+                blocks[0][1]).dim:
+            whole[t] = blocks[0][:2]
+    action = {}
+    for t, blocks in layout.items():
+        for u in a.degrees():
+            tu = a.group.add(t, u)
+            if tu not in layout:
+                continue
+            if t in whole and tu in whole and whole[t][0] == whole[tu][0]:
+                if (rows := a._rows(whole[t][1], u)) is not None:
+                    action[(t, u)] = rows
+                continue
+            rows = {}
+            for (b, d, _, _) in blocks:
+                src, dst = coord[t][b], coord[tu].get(b)
+                if dst is None:
+                    continue
+                for (q, j), r in a._map_rows(d, u):
+                    if q in src and (row := {dst[qq]: v for qq, v in r.items()
+                                             if qq in dst}):
+                        rows[(src[q], j)] = row
+            if rows or matched_pairs(comps[t], a.component(u)):
+                action[(t, u)] = rows
+    return GradedModule._of(a, window, comps, action)
+
+
+def vanishing_space(m, d, evals):
+    """{x in M_d : x a evaluates to zero at every watched degree}, read off
+    m's stored rows.
+
+    evals maps each watched degree t to its rows, row i = ev_t(e_i), or
+    None for the identity; rows that are all empty ask nothing.  Entry i of
+    equation (j, c) is column c of ev_t(x_i * a_j).
+    """
+    F = m.field
+    cols = []
+    for u in m.over.degrees():
+        t = m.add_deg(d, u)
+        if t not in evals or evals[t] is not None and not any(evals[t]):
+            continue
+        ev = evals[t]
+        stacked = {}
+        for (i, j), row in m._map_rows(d, u):
+            if ev is not None:
+                row = _accumulate(F, row, ev.__getitem__)
+            for c, e in row.items():
+                stacked.setdefault((j, c), {})[i] = e
+        cols.extend(stacked.values())
+    return nullspace(F, cols, m.component(d).dim)
+
+
+def induced_vanishing_spaces(a, comps, layout, evals):
+    """{d: vanishing_space(induced, d, evals)} for every degree d of the
+    module of a layout, read off A's rows through the layout; each evals[t]
+    lists rows.  ev_t of a row is A's row pushed through its block's
+    evaluation rows at t, indexed by A-basis vector."""
+    F = a.field
+    coord = {t: {b: {q: start + n for n, q in enumerate(positions)}
+                 for (b, _, start, positions) in blocks}
+             for t, blocks in layout.items()}
+    by_block = {t: {b: {q: ev[c] for q, c in cb.items()}
+                    for b, cb in coord[t].items()}
+                for t, ev in evals.items() if any(ev)}
+    spaces = {}
+    for d in sorted(comps):
+        cols = []
+        for u in a.degrees():
+            ev_t = by_block.get(a.add_deg(d, u))
+            if ev_t is None:
+                continue
+            stacked = {}
+            for (b, e, _, _) in layout[d]:
+                ev, src = ev_t.get(b), coord[d][b]
+                if ev is None:
+                    continue
+                for (q, j), row in a._map_rows(e, u):
+                    if (i := src.get(q)) is not None:
+                        for c, v in _accumulate(F, row, ev.get).items():
+                            stacked.setdefault((j, c), {})[i] = v
+            cols.extend(stacked.values())
+        spaces[d] = nullspace(F, cols, comps[d].dim)
+    return spaces
 
 
 def torsion_spaces_by_full_scan(n, s, modulo=None):
@@ -67,7 +177,7 @@ def torsion_spaces_by_full_scan(n, s, modulo=None):
             cls = w.classes()
             ev = [cls[i] if i in cls else {i: one} for i in range(w.ambient)]
         evals[t] = ev
-    return {d: modulo[d] if d in evals else _vanishing_space(n, d, evals)
+    return {d: modulo[d] if d in evals else vanishing_space(n, d, evals)
             for d in n.degrees()}
 
 
@@ -143,21 +253,26 @@ def _algebra(draw, field):
 @st.composite
 def layouts(draw):
     """(A, window, comps, layout) of 1-3 generators over Z or Z/n, each
-    tagged e_c A or, for a free module, all of A."""
+    tagged e_c A or, for a free module, all of A; over Z the window is the
+    default one or drawn, and may cut generators off or reach past them."""
     a = _algebra(draw, draw(st.sampled_from(FIELDS)))
     degs = (st.integers(0, a.group.n - 1) if a.group.kind == "Zn"
             else st.integers(-2, 2))
+    window = None
+    if a.group.kind == "Z" and draw(st.booleans()):
+        lo = draw(st.integers(-4, 4))
+        window = (lo, lo + draw(st.integers(0, 8)))
     if draw(st.booleans()):
         gens = draw(st.lists(st.tuples(degs, st.integers(0, a.k - 1)),
                              min_size=1, max_size=3))
-        return (a, *projective_layout(a, gens))
+        return (a, *projective_layout(a, gens, window))
     gens = draw(st.lists(degs, min_size=1, max_size=3))
-    return (a, *_layout(a, [(g, None) for g in gens], None))
+    return (a, *_layout(a, [(g, None) for g in gens], window))
 
 
 def _seeds(draw, m):
     seeds = {}
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if m.degrees() else 0):
         d = draw(st.sampled_from(m.degrees()))
         seeds.setdefault(d, []).append(
             _vector(draw, m.field, m.component(d).dim))
@@ -173,15 +288,16 @@ def _seeds(draw, m):
 def test_layout_quotient_matches_the_table_quotient(lay, data):
     a, window, comps, layout = lay
     view, table = _LayoutModule(a, window, comps, layout), \
-        _layout_module(a, window, comps, layout)
-    # closure and torsion read the view's rows built on first read
+        layout_module_by_blocks(a, window, comps, layout)
+    # closure reads the view's rows built on first read, torsion its blocks
     seeds = _seeds(data.draw, table)
     spaces = closure_under_action(table, seeds)
     assert closure_under_action(view, seeds) == spaces
     if data.draw(st.booleans()):
         s = data.draw(degree_sets(table))
-        want = torsion_spaces(table, s, spaces)
+        want = torsion_spaces_by_full_scan(table, s, spaces)
         assert torsion_spaces(view, s, spaces) == want
+        assert torsion_spaces(table, s, spaces) == want
         spaces = want
     got, project, keep = quotient_with_maps(view, spaces)
     want, want_project, want_keep = quotient_with_maps(table, spaces)
@@ -201,12 +317,57 @@ def test_layout_quotient_matches_the_table_quotient(lay, data):
 @given(lay=layouts())
 def test_layout_rows_match_the_layout_module(lay):
     a, window, comps, layout = lay
-    view, table = _LayoutModule(a, window, comps, layout), \
-        _layout_module(a, window, comps, layout)
-    assert view.window == table.window and view.components == comps
+    view = _LayoutModule(a, window, comps, layout)
+    table = _layout_module(a, window, comps, layout)
+    want = layout_module_by_blocks(a, window, comps, layout)
+    assert view.window == table.window == want.window
+    assert view.components == table.components == comps
     read = {(t, u): rows for t in view.degrees() for u in a.degrees()
             if (rows := view._rows(t, u)) is not None}
-    assert read == table._maps
+    # the same maps in the same order, A's own row dicts where it keeps them
+    assert list(read.items()) == list(table._maps.items()) \
+        == list(want._maps.items())
+    own = {id(rows) for rows in a._maps.values()}
+    assert [id(rows) in own for rows in table._maps.values()] \
+        == [id(rows) in own for rows in want._maps.values()]
+
+
+def _evals(draw, m):
+    """An evaluation at some degrees of m: real rows of a random width,
+    None (the identity), or rows that are all empty."""
+    F, evals = m.field, {}
+    for t in m.degrees():
+        dim, kind = m.component(t).dim, draw(st.sampled_from(
+            ["rows", "rows", "identity", "empty", "unwatched"]))
+        if kind == "rows":
+            width = draw(st.integers(1, 3))
+            evals[t] = [{c: v for c, v in enumerate(_vector(draw, F, width))
+                         if v} for _ in range(dim)]
+        elif kind == "identity":
+            evals[t] = None
+        elif kind == "empty":
+            evals[t] = [{}] * dim
+    return evals
+
+
+@settings(max_examples=150, deadline=None)
+@given(lay=layouts(), data=st.data())
+def test_vanishing_scan_matches_the_single_degree_scan(lay, data):
+    a, window, comps, layout = lay
+    view = _LayoutModule(a, window, comps, layout)
+    table = layout_module_by_blocks(a, window, comps, layout)
+    evals = _evals(data.draw, table)
+    # each degree watches all of evals or a part of it
+    watch = {d: evals if data.draw(st.booleans()) else data.draw(
+        st.sets(st.sampled_from(sorted(evals))) if evals else st.just(set()))
+        for d in table.degrees()}
+    want = {d: vanishing_space(table, d, {t: evals[t] for t in watched})
+            for d, watched in watch.items()}
+    assert _vanishing_spaces(view, evals, watch) == want
+    assert _vanishing_spaces(table, evals, watch) == want
+    if evals and all(ev is not None for ev in evals.values()):
+        assert induced_vanishing_spaces(a, comps, layout, evals) == \
+            _vanishing_spaces(view, evals, dict.fromkeys(comps, evals))
 
 
 def test_no_layout_module_leaves_the_builders():
@@ -216,7 +377,10 @@ def test_no_layout_module_leaves_the_builders():
     m = random_category_module(a, u, u, 3)
     report = check_and_lift(kill_support_module(m, u, u, b), u, u, a)
     assert report.liftable
-    assert type(m) is type(report.lift) is graded_core.GradedModule
+    built = [projective_module(a, [(0, 0), (1, 1)]), free_module(a, [0, 2]),
+             present_module(a, [0, 1], [(2, [1, 0, 0, 1])])]
+    for x in (m, report.lift, *built):
+        assert type(x) is graded_core.GradedModule
 
 
 def _lift_inputs(field, n, kind, shift, killed, seed):
@@ -246,11 +410,11 @@ def test_induced_vanishing_spaces_match_the_induced_table(field, n, kind,
     window, comps, layout = _layout(a, gens, x.window)
     evals = {t: _evaluation_rows(x, layout[t], meta)
              for t in s.members_in(*x.window) if layout.get(t)}
-    table = _layout_module(a, window, comps, layout)
-    got = _induced_vanishing_spaces(
-        _LayoutModule(a, window, comps, layout), evals)
-    assert got == {d: _vanishing_space(table, d, evals)
-                   for d in table.degrees()}
+    table = layout_module_by_blocks(a, window, comps, layout)
+    got = _vanishing_spaces(_LayoutModule(a, window, comps, layout), evals,
+                            dict.fromkeys(comps, evals))
+    assert got == induced_vanishing_spaces(a, comps, layout, evals) \
+        == {d: vanishing_space(table, d, evals) for d in table.degrees()}
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +425,7 @@ def test_induced_vanishing_spaces_match_the_induced_table(field, n, kind,
 @given(data=st.data())
 def test_torsion_cut_matches_the_full_scan(data):
     m = data.draw(st.one_of(modules, st.builds(
-        lambda lay: _layout_module(*lay), layouts())))
+        lambda lay: layout_module_by_blocks(*lay), layouts())))
     if not m.degrees():
         return
     s = data.draw(degree_sets(m))
