@@ -104,7 +104,7 @@ def _algebra_text(a):
     for d in sorted(a.degrees()):
         comp = a.component(d)
         lines.append(f"  degree {d:>3}: dim {comp.dim}")
-    lines.append(f"  stored products: {len(a._maps)}")
+    lines.append(f"  stored products: {len(a._table())}")
     return "\n".join(lines)
 
 
@@ -113,7 +113,7 @@ def _module_text(m):
              f"[{m.window[0]}, {m.window[1]}]  field {m.field.name}"]
     for d in sorted(m.degrees()):
         lines.append(f"  degree {d:>3}: dim {m.component(d).dim}")
-    lines.append(f"  stored action maps: {len(m._maps)}")
+    lines.append(f"  stored action maps: {len(m._table())}")
     return "\n".join(lines)
 
 

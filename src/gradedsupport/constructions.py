@@ -52,8 +52,8 @@ import itertools
 from .errors import CapacityError, PreconditionError
 from .exactlin import LabeledSpace, QQ, Subspace, integral, matched_pairs, \
     nullspace
-from .graded_core import GradedAlgebra, GradedModule, _checked_parts, \
-    closure_under_action, quotient_module
+from .graded_core import GradedAlgebra, GradedModule, _LazyModule, \
+    _checked_parts, closure_under_action, quotient_module
 from .subsets import Z, Zn
 
 
@@ -450,7 +450,7 @@ def regular_module(a: GradedAlgebra) -> GradedModule:
     """A as a right module over itself; the action rows are the mult rows."""
     comps = {d: LabeledSpace.module_component(c.right_tags)
              for d, c in a.components.items()}
-    return GradedModule._of(a, a.window, comps, a._maps)
+    return GradedModule._of(a, a.window, comps, a._table())
 
 
 def free_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
@@ -537,40 +537,44 @@ def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
     """The module whose action multiplies each generator block inside A:
     every map of its _LayoutModule, stored as a table."""
     view = _LayoutModule(a, window, comps, layout)
-    action = {(t, u): rows for t in comps for u in a.degrees()
-              if (rows := view._layout_rows(t, u)) is not None}
-    return GradedModule._of(a, view.window, comps, action)
+    return GradedModule._of(a, view.window, comps, view._table())
 
 
-class _LayoutModule(GradedModule):
+class _LayoutModule(_LazyModule):
     """The module of a layout, read through it: one block per generator.
 
     Block b of component t holds the A_d basis vectors that generator b
     keeps (layout[t]'s positions) at coordinates start, start + 1, ...;
     _blocks gives it as (b, A, d, {A-basis index: coordinate}), built here
-    once.  _layout_rows is the one row builder: row (p, j) of map (t, u),
-    for p the A_d basis vector q of block b, is A's row (q, j) of map
-    (d, u) kept on block b's coordinates at t + u, A's map read once per
-    block.  Where components t and t + u are each one block of one
-    generator holding all of A_d and A_{d+u}, map (t, u) is A's row dict
-    of map (d, u) itself.  Maps are built on first read; quotient_with_maps,
-    and the vanishing scan under any evaluation but the identity, read the
-    blocks instead.  _layout_module stores
-    every map as the table of projective_module, free_module and
-    present_module; only the random modules' projectives
+    once.  _build is the one row builder: row (p, j) of map (t, u), for p
+    the A_d basis vector q of block b, is A's row (q, j) of map (d, u) kept
+    on block b's coordinates at t + u, A's map read once per block.  Where
+    components t and t + u are each one block of one generator holding all
+    of A_d and A_{d+u}, map (t, u) is A's row dict of map (d, u) itself.
+    It builds each map on first read, the one mechanism (_LazyModule) it
+    shares with every quotient and the view killed from one; a quotient of
+    it (quotient_with_maps), and the vanishing scan under any evaluation
+    but the identity, read the blocks instead.  _layout_module forces every
+    map into the table of projective_module, free_module and
+    present_module's free module; only the random modules' projectives
     (lifting._random_presented) and the lift's induced module stay read
-    through their layout, and neither is returned.
+    through their layout, and neither is returned: a quotient of one keeps
+    only its blocks, which read A's rows.
     """
 
     def __init__(self, a, window, comps, layout):
-        self._fields(a, _checked_parts(a.group, window, a.k, {})[0], comps,
-                     {})
-        self._read, self._by_degree = {}, {}
+        super().__init__(a, _checked_parts(a.group, window, a.k, {})[0], comps)
+        self._by_degree = {}
         self._whole = {}  # t -> (b, d) where comps[t] is block b, all of A_d
+        coords = {}  # one read-only coord dict per (start, positions)
         for t, blocks in layout.items():
-            self._by_degree[t] = [
-                (b, a, d, {q: start + n for n, q in enumerate(positions)})
-                for b, d, start, positions in blocks]
+            self._by_degree[t] = by_block = []
+            for b, d, start, positions in blocks:
+                coord = coords.get((start, positions))
+                if coord is None:
+                    coord = coords[(start, positions)] = {
+                        q: start + n for n, q in enumerate(positions)}
+                by_block.append((b, a, d, coord))
             if len(blocks) == 1 and len(blocks[0][3]) == a.component(
                     blocks[0][1]).dim:
                 self._whole[t] = blocks[0][:2]
@@ -578,14 +582,7 @@ class _LayoutModule(GradedModule):
     def _blocks(self, t):
         return self._by_degree.get(t, ())
 
-    def _rows(self, t, u):
-        if self.group.kind == "Zn":
-            t, u = t % self.group.n, u % self.group.n
-        if (t, u) not in self._read:
-            self._read[(t, u)] = self._layout_rows(t, u)
-        return self._read[(t, u)]
-
-    def _layout_rows(self, t, u):
+    def _build(self, t, u):
         a, blocks, whole = self.over, self._by_degree, self._whole
         tu = a.group.add(t, u)
         if t not in blocks or tu not in blocks or u not in a.components:

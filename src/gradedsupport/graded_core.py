@@ -17,7 +17,12 @@ row per path class for all its splits, and a quotient one image row per
 target coordinate for all the one-entry rows with coefficient 1 that land
 there; nothing writes a stored row.  A map is present when it has a
 nonzero row, or matched pairs and a nonzero target, so it may be an empty
-dict; any other map has no entry at all.  Every action is
+dict; any other map has no entry at all.  A quotient, and a module read
+through its generator layout, builds each map the first time it is read
+(_LazyModule), and killing such a module gives a view that reads each kept
+map through to it; _table() lists every present map, and so builds them
+all, which the JSON writers, validate_module, modules_equal and the CLI
+summaries do, while _rows reads one.  Every action is
 read from these rows, one dict lookup per pair.  The Matrix of a map, rows
 in lexicographic pair order, wraps the same rows for .mult / .action /
 mult_matrix / action_matrix.  For a GradedAlgebra X = A and the map is the
@@ -32,7 +37,9 @@ Objects are built on one of two paths.  The checked path, the public
 constructors that the JSON readers call, checks every field and map, and
 refuses two components or two maps at one reduced degree.  The trusted
 path, _of, is for this library's builders only, whose tables are in stored
-form by construction, and keeps them with no copy and no check.
+form by construction, and keeps them with no copy and no check.  A
+_LazyModule is given its components only, and builds its maps in stored
+form as they are read.
 
 The degree-0 part of an algebra carries the unit as an explicit coefficient
 vector.  With k >= 2 idempotents the degree-0 part must be exactly the k
@@ -181,6 +188,11 @@ class _GradedObject:
             cache[(g, h)] = got
         return got
 
+    def _table(self):
+        """The present maps {(g, h): rows}, keys reduced over Z/n, in stored
+        order; read-only.  With _rows, the one way any map table is read."""
+        return self._maps
+
     def _rows(self, g, h):
         """The stored {(i, j): row} dict of map (g, h), None when absent."""
         if self.group.kind == "Zn":
@@ -198,7 +210,7 @@ class _GradedObject:
                           tuple(rows.get(p, {}) for p in pairs))
 
     def _dense_maps(self):
-        return {key: self._map_matrix(*key) for key in self._maps}
+        return {key: self._map_matrix(*key) for key in self._table()}
 
     def _map_row(self, g, h, i, j):
         """Image of x_i * a_j as a {col: value} row; None when zero."""
@@ -296,14 +308,62 @@ class GradedModule(_GradedObject):
     action_row = _GradedObject._map_row
 
 
+_UNREAD = object()  # a map _LazyModule has not built yet
+
+
+class _LazyModule(GradedModule):
+    """A module whose map (g, h) is built the first time it is read.
+
+    Subclasses give _build(g, h): the stored rows of map (g, h) on reduced
+    degrees, or None when the map is absent.  _rows keeps each answer, so
+    every map is built at most once.  A map can be present only where g
+    and g + h are components and h is a degree of the algebra, so _table
+    builds exactly those, once: it forces the whole table, as the writers,
+    validate_module, modules_equal and the summaries do, and then _release
+    drops what only builds needed.  The components are given when the
+    module is built.
+    """
+
+    def __init__(self, over, window, components):
+        self._fields(over, window, components, None)
+        self._read, self._forced = {}, None
+
+    def _rows(self, g, h):
+        if self.group.kind == "Zn":
+            g, h = g % self.group.n, h % self.group.n
+        rows = self._read.get((g, h), _UNREAD)
+        if rows is _UNREAD:
+            rows = self._read[(g, h)] = self._build(g, h)
+        return rows
+
+    def _table(self):
+        if self._forced is None:
+            comps, add, read = self.components, self.group.add, self._read
+            self._forced = forced = {}
+            for g in self.degrees():
+                for h in self.over.degrees():
+                    if add(g, h) in comps:
+                        rows = read.get((g, h), _UNREAD)
+                        if rows is _UNREAD:
+                            rows = self._rows(g, h)
+                        if rows is not None:
+                            forced[(g, h)] = rows
+            self._release()
+        return self._forced
+
+    def _release(self):
+        """Drop the state only _build reads: every map that can be present
+        is built, and _build refuses any other key before reading it."""
+
+
 # ---------------------------------------------------------------------------
 # structural equality
 
 
 def _same_maps(x, y):
     """Equal stored rows, a map with no nonzero row counting as absent."""
-    return ({key: rows for key, rows in x._maps.items() if rows}
-            == {key: rows for key, rows in y._maps.items() if rows})
+    return ({key: rows for key, rows in x._table().items() if rows}
+            == {key: rows for key, rows in y._table().items() if rows})
 
 
 def algebras_equal(a: GradedAlgebra, b: GradedAlgebra) -> bool:
@@ -384,7 +444,7 @@ def _tag_escape(x):
         tags.update(c.left_tags, c.right_tags)
     if len(tags) < 2:
         return None
-    for (g, h), rows in x._maps.items():
+    for (g, h), rows in x._table().items():
         ct = x.component(x.add_deg(g, h))
         hr, gl = right.component(h).right_tags, x.component(g).left_tags
         for (i, j), row in sorted(rows.items()):
@@ -417,7 +477,8 @@ def _assoc_witness(x):
     a = x._acting()
     F = x.field
     # every degree below is a stored, hence reduced, one: read maps directly
-    comps, add, x_rows = x.components, x.group.add, x._maps.get
+    x_rows, a_rows = x._table().get, a._table().get
+    comps, add = x.components, x.group.add
     adegs = a.degrees()
     for s in x.degrees():
         for u in adegs:
@@ -426,7 +487,7 @@ def _assoc_witness(x):
             for v in adegs:
                 if add(su, v) not in comps:
                     continue
-                uv, ab_rows = add(u, v), a._maps.get((u, v)) or {}
+                uv, ab_rows = add(u, v), a_rows((u, v)) or {}
                 if not (xa_rows or ab_rows):
                     continue
                 ks = {}  # j -> the k matching it
@@ -525,16 +586,41 @@ def kill_support_module(m: GradedModule, s: DegreeSet, u: DegreeSet,
 
 
 def _kill_module(m: GradedModule, s: DegreeSet, algebra: KilledAlgebra):
-    """kill_support_module for an (S, U) and an algebra already checked."""
+    """kill_support_module for an (S, U) and an algebra already checked.
+
+    A table's kept maps are stored as a table; a module that builds its
+    maps on first read is killed to a view that reads each kept map
+    through to it, so a map nobody reads is built by neither."""
     comps = {d: c for d, c in m.components.items() if s.contains(d)}
+    if isinstance(m, _LazyModule):
+        return _KilledView(m, algebra, comps)
     return GradedModule._of(algebra, m.window, comps,
                             _kept_maps(m, comps, algebra.components))
 
 
 def _kept_maps(x, comps, acting):
     """The stored rows of x between kept degrees comps, by acting degrees."""
-    return {(g, h): rows for (g, h), rows in x._maps.items()
+    return {(g, h): rows for (g, h), rows in x._table().items()
             if g in comps and h in acting and x.add_deg(g, h) in comps}
+
+
+class _KilledView(_LazyModule):
+    """M_S of a module m that builds its maps on first read: the kept
+    components, and each kept map read from m when first read itself."""
+
+    def __init__(self, m, algebra, comps):
+        super().__init__(algebra, m.window, comps)
+        self._parent = m
+
+    def _release(self):
+        self._parent = None
+
+    def _build(self, g, h):
+        comps = self.components
+        if g in comps and h in self.over.components \
+                and self.add_deg(g, h) in comps:
+            return self._parent._rows(g, h)
+        return None
 
 
 def shift_module(m: GradedModule, g: int) -> GradedModule:
@@ -542,7 +628,7 @@ def shift_module(m: GradedModule, g: int) -> GradedModule:
     lo, hi = m.window
     window = m.window if m.group.kind == "Zn" else (lo + g, hi + g)
     comps = {m.add_deg(d, g): c for d, c in m.components.items()}
-    action = {(m.add_deg(s, g), u): rows for (s, u), rows in m._maps.items()}
+    action = {(m.add_deg(s, g), u): rows for (s, u), rows in m._table().items()}
     return GradedModule._of(m.over, window, comps, action)
 
 
@@ -674,7 +760,7 @@ def _pushed_maps(x, phi: WindowedMap, g: int = 0):
     """
     img = phi.image()
     maps = {}
-    for (sigma, tau), rows in sorted(x._maps.items()):
+    for (sigma, tau), rows in sorted(x._table().items()):
         if phi(sigma) + phi(tau) in img:
             maps[(g + phi(sigma), phi(tau))] = rows
         elif rows:
@@ -757,27 +843,24 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
 
     The quotient basis at each degree is the set of standard coordinates not
     used as pivots by W, ordered by tag, so the result again has tag-pure
-    basis vectors (_tag_blocks refuses a W that is not A_0-stable).
+    basis vectors (_tag_blocks refuses a W that is not A_0-stable; with one
+    idempotent every tag is 0 and there is nothing to refuse).
     project(d, vec) is W_d.reduce(vec) on the kept coordinates.
 
-    Basis vector i times a_j is the row of coordinate keep[i] read the
-    same way at its target t, one walk per map over the rows of the kept
-    coordinates, block by block (GradedModule._blocks): a module read
-    through its layout has a block per generator, read off A, and a table
-    is one block of itself.  The image of e_q at t, {i: 1} for q = keep[i]
-    or else q's row in W_t.classes() on the kept coordinates, is built once
-    and shared (see the module docstring): a one-entry row {q: c}, most
-    rows of a projective, is that image, times c when c != 1, and a longer
-    row sums the images of its entries.
+    The components, project and keep are built here; each map of the
+    quotient is built the first time it is read (_QuotientModule), and the
+    writers, validate_module, modules_equal and the summaries read, so
+    build, every map.
     """
-    F = m.field
+    F, tagged = m.field, m.over.k > 1
     keeps, reads, comps = {}, {}, {}
     for d in m.degrees():
         comp = m.component(d)
         sp = spaces.get(d, Subspace.zero(F, comp.dim))
-        _tag_blocks(comp, sp)
-        keep = keeps[d] = sorted(set(range(comp.dim)) - set(sp.pivots),
-                                 key=lambda i: (comp.right_tags[i], i))
+        keep = keeps[d] = sorted(set(range(comp.dim)) - set(sp.pivots))
+        if tagged:  # with one idempotent every tag is 0: nothing to do
+            _tag_blocks(comp, sp)
+            keep.sort(key=comp.right_tags.__getitem__)  # stable: by tag, i
         reads[d] = {i: pos for pos, i in enumerate(keep)}, sp
         if keep:
             comps[d] = LabeledSpace.module_component(
@@ -791,52 +874,86 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
             return {at[i]: c for i, c in v.items()}
         return tuple(v[i] for i in keeps[d])
 
-    one, mul = F.one(), F.mul
-    # images[t]: the image of each coordinate by block; parts[d]: the blocks
-    # at d on their kept indices
-    images, parts = {}, {}
-    for t in comps:
-        at, sp = reads[t]
-        cls = sp.classes()
-        images[t] = _by_block(m, t, [
-            {at[q]: one} if q in at else {at[k]: v for k, v in cls[q].items()}
-            for q in range(m.component(t).dim)])
-        parts[t] = [(key, reader, e, src) for key, reader, e, coord
-                    in m._blocks(t) if (src := {q: at[c] for q, c
-                                                in coord.items() if c in at})]
-    action = {}
-    for d in comps:
-        for u in m.over.degrees():
-            t = m.add_deg(d, u)
-            if t not in comps:
-                continue
-            out = {}
-            for key, reader, e, src in parts[d]:
-                img = images[t].get(key)
-                if img is None:
-                    continue
-                for (i, j), row in reader._map_rows(e, u):
-                    if i not in src:
-                        continue
-                    if len(row) == 1:
-                        (q, c), = row.items()
-                        got = img.get(q)
-                        if got and c != one:
-                            got = {k: mul(c, v) for k, v in got.items()}
-                    else:
-                        got = _accumulate(F, row, img.get)
-                    if got:
-                        out[(src[i], j)] = got
-            if out or matched_pairs(comps[d], m.over.component(u)):
-                action[(d, u)] = out
     keep_map = {d: tuple(keep) for d, keep in keeps.items()}
-    return GradedModule._of(m.over, m.window, comps, action), project, keep_map
+    return _QuotientModule(m, comps, {d: reads[d] for d in comps}), project, \
+        keep_map
 
 
-def _by_block(m, t, rows):
-    """rows, one per coordinate of M_t, by block of M_t and reader index."""
+class _QuotientModule(_LazyModule):
+    """M / W as quotient_with_maps builds it, each map on first read.
+
+    Basis vector i times a_j is the row of coordinate keep[i] read the
+    same way at its target t, one walk of map (d, u) over the rows of the
+    kept coordinates, block by block (GradedModule._blocks): a module read
+    through its layout has a block per generator, read off A, and a table
+    is one block of itself.  The image of e_q at t, {i: 1} for q = keep[i]
+    or else q's row in W_t.classes() on the kept coordinates, is built once
+    per t, the first time a map into t is built, and shared (see the module
+    docstring): a one-entry row {q: c}, most rows of a projective, is that
+    image, times c when c != 1, and a longer row sums the images of its
+    entries.  The blocks of d on their kept indices are likewise built once
+    per d.  M's blocks at the kept degrees are read once, when the quotient
+    is built, and M itself is not kept.  A map is present by the rule of
+    the module docstring.
+    """
+
+    def __init__(self, m, comps, reads):
+        super().__init__(m.over, m.window, comps)
+        # _images[t]: the image of each coordinate by block; _parts[d]: the
+        # blocks at d on their kept indices
+        self._blocks_of = {d: m._blocks(d) for d in comps}
+        self._reads, self._images, self._parts = reads, {}, {}
+
+    def _release(self):
+        self._blocks_of = self._reads = self._images = self._parts = None
+
+    def _build(self, d, u):
+        comps = self.components
+        t = self.group.add(d, u)
+        if d not in comps or t not in comps or u not in self.over.components:
+            return None
+        F = self.field
+        one, mul = F.one(), F.mul
+        img_t = self._images.get(t)
+        if img_t is None:
+            at, sp = self._reads[t]
+            cls = sp.classes()
+            img_t = self._images[t] = _by_block(self._blocks_of[t], [
+                {at[q]: one} if q in at
+                else {at[k]: v for k, v in cls[q].items()}
+                for q in range(sp.ambient)])
+        parts = self._parts.get(d)
+        if parts is None:
+            at = self._reads[d][0]
+            parts = self._parts[d] = [
+                (key, reader, e, src) for key, reader, e, coord
+                in self._blocks_of[d] if (src := {q: at[c] for q, c
+                                                  in coord.items() if c in at})]
+        out = {}
+        for key, reader, e, src in parts:
+            img = img_t.get(key)
+            if img is None:
+                continue
+            for (i, j), row in reader._map_rows(e, u):
+                if i not in src:
+                    continue
+                if len(row) == 1:
+                    (q, c), = row.items()
+                    got = img.get(q)
+                    if got and c != one:
+                        got = {k: mul(c, v) for k, v in got.items()}
+                else:
+                    got = _accumulate(F, row, img.get)
+                if got:
+                    out[(src[i], j)] = got
+        return out if out or self.pairs(d, u) else None
+
+
+def _by_block(blocks, rows):
+    """rows, one per coordinate of a component, by its blocks (as
+    GradedModule._blocks gives them) and reader index."""
     return {key: {q: rows[c] for q, c in coord.items()}
-            for key, _, _, coord in m._blocks(t)}
+            for key, _, _, coord in blocks}
 
 
 def quotient_module(m: GradedModule, spaces: dict) -> GradedModule:
@@ -927,7 +1044,7 @@ def _vanishing_spaces(m: GradedModule, evals: dict, watch: dict) -> dict:
             if t not in watched or t not in asks:
                 continue
             if t not in images:
-                images[t] = evals[t] and _by_block(m, t, evals[t])
+                images[t] = evals[t] and _by_block(m._blocks(t), evals[t])
             ev_t, stacked = images[t], {}
             if ev_t is None:  # the identity: M's own rows
                 for (i, j), row in m._map_rows(d, u):

@@ -382,7 +382,7 @@ def _maps_to_json(x) -> list:
     return [{"g": g, "h": h, "matrix": _rows_to_json(
         x.field, [rows.get(p, {}) for p in x.pairs(g, h)],
         x.component(x.add_deg(g, h)).dim)}
-        for (g, h), rows in sorted(x._maps.items())]
+        for (g, h), rows in sorted(x._table().items())]
 
 
 def algebra_to_json(a: GradedAlgebra) -> dict:
@@ -496,7 +496,7 @@ def _table_text(x, pad, memo):
     dims = {d: c.dim for d, c in x.components.items()}
     head, tail = key + '"matrix": ', item + "}"
     empty, parts = {}, []
-    for (g, h), rows in sorted(x._maps.items()):
+    for (g, h), rows in sorted(x._table().items()):
         parts.append(f'{{{key}"g": {g},{key}"h": {h},{head}'
                      + _matrix_text(field, [rows.get(p, empty)
                                             for p in pairs(g, h)],

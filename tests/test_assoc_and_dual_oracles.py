@@ -200,7 +200,7 @@ def _rebuilt(x, maps, over=None):
 
 def _with_entry(x, g, h, p, q, v):
     """x with entry q of pair p's row in map (g, h) set to the int v."""
-    maps = {key: dict(rows) for key, rows in x._maps.items()}
+    maps = {key: dict(rows) for key, rows in x._table().items()}
     row = dict(maps.setdefault((g, h), {}).get(p, {}))
     row[q] = x.field.from_int(v)
     maps[(g, h)][p] = {c: e for c, e in row.items() if e}
@@ -236,7 +236,7 @@ def test_module_witness_matches_the_tag_testing_scan(pair, data):
     if data.draw(st.booleans()):
         x = _mutant(data.draw, m)
     else:  # the same action over a mutant of its algebra
-        x = _rebuilt(m, m._maps, over=_mutant(data.draw, m.over))
+        x = _rebuilt(m, m._table(), over=_mutant(data.draw, m.over))
     assert _assoc_witness(x) == assoc_witness_by_tag_tests(x)
 
 

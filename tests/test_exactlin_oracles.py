@@ -1124,7 +1124,7 @@ def test_hom_over_int_rationals_matches_fraction_only(build):
     got = hom_space_basis(m, n)
     assert got == hom_space_basis(fm, fn)
     assert int_when_integral(
-        [v for x in (m, n) for key in x._maps
+        [v for x in (m, n) for key in x._table()
          for v in _nz_values(x._rows(*key).values())]
         + [v for f in got for mat in f.values() for v in _nz_values(mat.nz)])
 

@@ -574,15 +574,23 @@ def test_quotient_builds_action_matrices_only_for_kept_targets(monkeypatch):
     read = GradedModule._map_rows
 
     def counted(self, d, u):
-        calls.append((d, u))
+        if self is m:
+            calls.append((d, u))
         return read(self, d, u)
 
     monkeypatch.setattr(GradedModule, "_map_rows", counted)
     q, _, _ = quotient_with_maps(m, spaces)
-    # the quotient lives in degrees 0 and 1: only 0+0, 0+1 and 1+0 land
-    # there, and the stored rows of each of those maps are walked once
-    assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
-    assert all(d + u in q.components for d, u in calls)
+    # no map is built until one is read
+    assert calls == []
+    # the quotient lives in degrees 0 and 1: forced, only 0+0, 0+1 and 1+0
+    # land there, and the stored rows of each of those maps are walked once
+    keys = list(q._table())
+    assert sorted(calls) == sorted(keys) == [(0, 0), (0, 1), (1, 0)]
+    # every map is kept: a second read walks nothing
+    calls.clear()
+    assert list(q._table()) == keys
+    assert [q._rows(*key) for key in keys] == list(q._table().values())
+    assert dump_json(q) and q.action and calls == []
 
 
 def test_quotient_and_submodule_read_tag_blocks_without_eliminating(
@@ -829,9 +837,11 @@ def _mutant(monkeypatch, module, name, old, new):
     (constructions, "_LayoutModule", "{dst[qq]: v", "{dst[qq] + 1: v",
      lambda a: free_module(a, [0, 0]), "has a column beyond the 2"),
     # an unmatched key: x^0 * a_1 where A_1 has the one basis vector a_0
-    (graded_core, "quotient_with_maps", "out[(src[i], j)]",
+    # (the quotient builds its maps on first read: the writer reads them)
+    (graded_core, "_QuotientModule", "out[(src[i], j)]",
      "out[(src[i], j + 1)]",
-     lambda a: present_module(a, [0], [(2, (1,))]), "not a matched pair"),
+     lambda a: dump_json(present_module(a, [0], [(2, (1,))])),
+     "not a matched pair"),
 ])
 def test_the_fixture_refuses_a_mutant_builder(monkeypatch, module, name, old,
                                               new, build, error):
@@ -903,13 +913,13 @@ def test_present_and_absent_maps_at_two_vertices():
     for x in (p, q, killed):
         # P_0 = e_0 has right tag 0: no matched pair with A_2, but a target
         assert x.component(2).dim and not x.pairs(0, 2)
-        assert (0, 2) not in x._maps
+        assert (0, 2) not in x._table() and x._rows(0, 2) is None
         checked = _checked_copy(x)
-        assert checked._maps == x._maps
+        assert checked._maps == x._table()
         assert dump_json(checked) == dump_json(x)
     for x in (q, killed):
-        assert x.pairs(0, 1) == [(0, 0)] and x._maps[(0, 1)] == {}
-    assert killed.degrees() == [0, 1, 2] and (2, 1) not in killed._maps
+        assert x.pairs(0, 1) == [(0, 0)] and x._rows(0, 1) == {}
+    assert killed.degrees() == [0, 1, 2] and (2, 1) not in killed._table()
 
 
 def test_a_builder_refuses_an_empty_window():

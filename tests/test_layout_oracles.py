@@ -4,22 +4,23 @@ replace.
 Every module is read through GradedModule._blocks: a table is one block of
 itself, and a module read through its layout (constructions._LayoutModule),
 the harness's random modules and the lift's induced module, has one block
-per generator, read off A.  _LayoutModule._layout_rows is the one row
-builder, and _layout_module stores its maps as the table of
-projective_module, free_module and present_module.  quotient_with_maps and
-the one vanishing scan, graded_core._vanishing_spaces, walk A's rows block
-by block through one shared image row per target coordinate.  The oracles
-are the paths the library took before: layout_module_by_blocks, the table
-built with its own coordinates per block; vanishing_space, the scan of one
-degree over a module's stored rows; induced_vanishing_spaces, that scan
-rewritten for a layout; quotient_with_maps on the table, reduced pair by
-pair against W's pivots too; and the scans of torsion_spaces and
-_hom_system that read every degree, kept here as
-torsion_spaces_by_full_scan and hom_system_by_all_lower_rows, for the cuts
-that algebras generated in degrees 0 and 1 allow.  The shared rows are
-checked never to be written: every stored row and class table met in a
-harness sample, a lift and a JSON dump is compared with a copy taken when
-it was built.
+per generator, read off A.  _LayoutModule._build is the one row builder,
+and _layout_module stores its maps as the table of projective_module,
+free_module and present_module's free module.  quotient_with_maps and the
+one vanishing scan, graded_core._vanishing_spaces, walk A's rows block by
+block through one shared image row per target coordinate; the quotient
+walks each map the first time it is read.  The oracles are the paths the
+library took before: layout_module_by_blocks, the table built with its own
+coordinates per block; vanishing_space, the scan of one degree over a
+module's stored rows; induced_vanishing_spaces, that scan rewritten for a
+layout; quotient_by_eager_walk, the quotient that walked every map when it
+was built; quotient_with_maps on the table, reduced pair by pair against
+W's pivots too; and the scans of torsion_spaces and _hom_system that read
+every degree, kept here as torsion_spaces_by_full_scan and
+hom_system_by_all_lower_rows, for the cuts that algebras generated in
+degrees 0 and 1 allow.  The shared rows are checked never to be written:
+every stored row and class table met in a harness sample, a lift and a JSON
+dump is compared with a copy taken when it was built.
 """
 
 import copy
@@ -34,11 +35,12 @@ from gradedsupport.constructions import (_LayoutModule, _layout,
                                          group_algebra, present_module,
                                          projective_layout, projective_module,
                                          quiver_algebra)
-from gradedsupport.exactlin import (QQ, GF, Subspace, _accumulate, _echelon,
-                                    _forward, matched_pairs, nullspace)
+from gradedsupport.exactlin import (QQ, GF, LabeledSpace, Subspace,
+                                    _accumulate, _echelon, _forward,
+                                    matched_pairs, nullspace)
 from gradedsupport.graded_core import (GradedModule, _checked_parts,
                                        _generated_rows, _hom_system,
-                                       _vanishing_spaces,
+                                       _tag_blocks, _vanishing_spaces,
                                        algebras_equal, closure_under_action,
                                        is_generated_in_degrees_01,
                                        kill_support_algebra,
@@ -161,6 +163,72 @@ def induced_vanishing_spaces(a, comps, layout, evals):
     return spaces
 
 
+def quotient_by_eager_walk(m, spaces):
+    """quotient_with_maps as it built every map with the module: one walk
+    per map into a quotient degree, over the rows of the kept coordinates
+    block by block, each target's image rows built up front."""
+    F = m.field
+    keeps, reads, comps = {}, {}, {}
+    for d in m.degrees():
+        comp = m.component(d)
+        sp = spaces.get(d, Subspace.zero(F, comp.dim))
+        _tag_blocks(comp, sp)
+        keep = keeps[d] = sorted(set(range(comp.dim)) - set(sp.pivots),
+                                 key=lambda i: (comp.right_tags[i], i))
+        reads[d] = {i: pos for pos, i in enumerate(keep)}, sp
+        if keep:
+            comps[d] = LabeledSpace.module_component(
+                tuple(comp.right_tags[i] for i in keep))
+
+    def project(d, vec):
+        at, sp = reads[d]
+        v = sp.reduce(vec)
+        if isinstance(v, dict):
+            return {at[i]: c for i, c in v.items()}
+        return tuple(v[i] for i in keeps[d])
+
+    one, mul = F.one(), F.mul
+    images, parts = {}, {}
+    for t in comps:
+        at, sp = reads[t]
+        cls = sp.classes()
+        rows = [{at[q]: one} if q in at
+                else {at[k]: v for k, v in cls[q].items()}
+                for q in range(m.component(t).dim)]
+        images[t] = {key: {q: rows[c] for q, c in coord.items()}
+                     for key, _, _, coord in m._blocks(t)}
+        parts[t] = [(key, reader, e, src) for key, reader, e, coord
+                    in m._blocks(t) if (src := {q: at[c] for q, c
+                                                in coord.items() if c in at})]
+    action = {}
+    for d in comps:
+        for u in m.over.degrees():
+            t = m.add_deg(d, u)
+            if t not in comps:
+                continue
+            out = {}
+            for key, reader, e, src in parts[d]:
+                img = images[t].get(key)
+                if img is None:
+                    continue
+                for (i, j), row in reader._map_rows(e, u):
+                    if i not in src:
+                        continue
+                    if len(row) == 1:
+                        (q, c), = row.items()
+                        got = img.get(q)
+                        if got and c != one:
+                            got = {k: mul(c, v) for k, v in got.items()}
+                    else:
+                        got = _accumulate(F, row, img.get)
+                    if got:
+                        out[(src[i], j)] = got
+            if out or matched_pairs(comps[d], m.over.component(u)):
+                action[(d, u)] = out
+    keep_map = {d: tuple(keep) for d, keep in keeps.items()}
+    return GradedModule._of(m.over, m.window, comps, action), project, keep_map
+
+
 def torsion_spaces_by_full_scan(n, s, modulo=None):
     """torsion_spaces as it read every algebra: each off-S degree watches
     every degree of n not off S."""
@@ -255,7 +323,11 @@ def layouts(draw):
     """(A, window, comps, layout) of 1-3 generators over Z or Z/n, each
     tagged e_c A or, for a free module, all of A; over Z the window is the
     default one or drawn, and may cut generators off or reach past them."""
-    a = _algebra(draw, draw(st.sampled_from(FIELDS)))
+    return _layout_over(draw, _algebra(draw, draw(st.sampled_from(FIELDS))))
+
+
+def _layout_over(draw, a):
+    """layouts() over the given algebra."""
     degs = (st.integers(0, a.group.n - 1) if a.group.kind == "Zn"
             else st.integers(-2, 2))
     window = None
@@ -305,12 +377,99 @@ def test_layout_quotient_matches_the_table_quotient(lay, data):
     # every stored row, and the maps present with no nonzero row; the
     # pivot reduction of every matched pair too, which shares no code with
     # the quotient's image rows
-    assert got._maps == want._maps \
+    assert got._table() == want._table() \
         == quotient_by_pivot_reduction(table, spaces)[0]._maps
     assert keep == want_keep
     for d in table.degrees():
         vec = _vector(data.draw, a.field, table.component(d).dim)
         assert project(d, vec) == want_project(d, vec)
+
+
+def _spaces(draw, m):
+    """An action-closed family in m: a closure, maybe with its torsion."""
+    spaces = closure_under_action(m, _seeds(draw, m))
+    if m.degrees() and draw(st.booleans()):
+        spaces = torsion_spaces(m, draw(degree_sets(m)), spaces)
+    return spaces
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lazy_quotient_matches_the_eager_walk(field, data):
+    kind = data.draw(st.sampled_from(["drawn", "two-vertex", "Z/4"]))
+    if kind == "drawn":
+        a = _algebra(data.draw, field)
+    elif kind == "two-vertex":
+        a = z_algebra("cycle", data.draw(st.integers(1, 5)), field)
+    else:
+        a = group_algebra(4, field)
+    _, window, comps, layout = _layout_over(data.draw, a)
+    # the quotient of a module read through its layout, or of a table
+    m = _LayoutModule(a, window, comps, layout) if data.draw(st.booleans()) \
+        else layout_module_by_blocks(a, window, comps, layout)
+    spaces = _spaces(data.draw, m)
+    want, want_project, want_keep = quotient_by_eager_walk(m, spaces)
+
+    # every key read below: absent maps and unreduced Z/n keys among them
+    n = a.group.n or 0
+    keys = [(d + n * data.draw(st.integers(-1, 1)), u)
+            for d in range(window[0] - 1, window[1] + 2)
+            for u in [*a.degrees(), -1]]
+
+    # forced whole: the same keys in the same order, the maps present with
+    # no nonzero row among them, the same rows, coordinates and JSON; then
+    # the state only builds read is dropped, and every read still answers
+    got, project, keep = quotient_with_maps(m, spaces)
+    assert (got.window, got.components, keep) \
+        == (want.window, want.components, want_keep)
+    for d in m.degrees():
+        vec = _vector(data.draw, field, m.component(d).dim)
+        assert project(d, vec) == want_project(d, vec)
+    assert list(got._table()) == list(want._maps)
+    assert got._table() == want._maps
+    assert dump_json(got) == dump_json(want)
+    assert got._reads is got._images is None
+    assert [got._rows(*key) for key in keys] == [want._rows(*key)
+                                                 for key in keys]
+
+    # read in part, in a random order, then forced
+    got = quotient_with_maps(m, spaces)[0]
+    for d, u in data.draw(st.permutations(keys))[:data.draw(
+            st.integers(0, len(keys)))]:
+        assert got._rows(d, u) == want._rows(d, u)
+    assert list(got._table()) == list(want._maps)
+    assert got._table() == want._maps
+    assert dump_json(got) == dump_json(want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["poly", "loops", "cycle", "scaled2"])
+def test_a_killed_quotient_reads_through_to_it(field, kind):
+    a = (scaled_algebra(2, 7, field) if kind == "scaled2"
+         else z_algebra(kind, 7, field))
+    u = DegreeSet.periodic(3, (0, 1))
+    b = kill_support_algebra(a, u)
+    for seed in range(3):
+        m = random_category_module(a, u, u, seed)
+        eager = GradedModule._of(m.over, m.window, m.components,
+                                 m._table())
+        want = kill_support_module(eager, u, u, b)
+        m = random_category_module(a, u, u, seed)
+        got = kill_support_module(m, u, u, b)
+        # killing builds no map; reading one of the view builds that map
+        # of m alone, and hands on m's own rows
+        assert m._read == got._read == {}
+        for key in list(want._maps)[::2]:
+            assert got._rows(*key) is m._rows(*key)
+            assert got._rows(*key) == want._maps[key]
+            assert set(m._read) <= set(want._maps)
+        assert list(got._table()) == list(want._maps)
+        assert got._table() == want._maps
+        assert dump_json(got) == dump_json(want)
+        # forced, the view lets go of m and still reads every map
+        assert got._parent is None
+        assert {key: got._rows(*key) for key in want._maps} == want._maps
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,8 +538,17 @@ def test_no_layout_module_leaves_the_builders():
     assert report.liftable
     built = [projective_module(a, [(0, 0), (1, 1)]), free_module(a, [0, 2]),
              present_module(a, [0, 1], [(2, [1, 0, 0, 1])])]
-    for x in (m, report.lift, *built):
-        assert type(x) is graded_core.GradedModule
+    # the builders return tables or quotients, none a layout read: a
+    # quotient keeps the blocks of what it divides, read off A's rows for a
+    # layout and off the table's own for present_module's free module
+    assert [type(x) for x in (m, report.lift, *built)] \
+        == [graded_core._QuotientModule] * 2 + [graded_core.GradedModule] * 2 \
+        + [graded_core._QuotientModule]
+    assert [{reader for blocks in x._blocks_of.values()
+             for _, reader, _, _ in blocks}
+            for x in (m, report.lift)] == [{a}, {a}]
+    assert {type(reader) for blocks in built[2]._blocks_of.values()
+            for _, reader, _, _ in blocks} == {graded_core.GradedModule}
 
 
 def _lift_inputs(field, n, kind, shift, killed, seed):
@@ -487,12 +655,21 @@ def test_generation_is_decided_once_per_algebra(monkeypatch):
 def test_shared_rows_are_never_written(monkeypatch):
     built, classes = [], {}
     of = graded_core._GradedObject.__dict__["_of"].__func__
+    lazy_rows = graded_core._LazyModule._rows
     cls_of = Subspace.classes
 
     def recording(cls, *args):
         x = of(cls, *args)
-        built.append((x, copy.deepcopy(x._maps)))
+        built.append((x._maps, copy.deepcopy(x._maps)))
         return x
+
+    def recorded_rows(x, g, h):
+        # a map built on first read is copied when it is built
+        unread = len(x._read)
+        rows = lazy_rows(x, g, h)
+        if len(x._read) > unread and rows is not None:
+            built.append((rows, copy.deepcopy(rows)))
+        return rows
 
     def recorded_classes(sp):
         got = cls_of(sp)
@@ -502,6 +679,7 @@ def test_shared_rows_are_never_written(monkeypatch):
 
     monkeypatch.setattr(graded_core._GradedObject, "_of",
                         classmethod(recording))
+    monkeypatch.setattr(graded_core._LazyModule, "_rows", recorded_rows)
     monkeypatch.setattr(Subspace, "classes", recorded_classes)
     for field in (GF(101), QQ):
         a = scaled_algebra(1, 7, field)
@@ -513,7 +691,7 @@ def test_shared_rows_are_never_written(monkeypatch):
         assert report.liftable
         dump_json({"lift": report.lift, "x": x, "a": a})
     assert built and classes
-    for x, maps in built:
-        assert x._maps == maps
+    for got, want in built:
+        assert got == want
     for got, want in classes.values():
         assert got == want

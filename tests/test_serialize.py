@@ -439,7 +439,7 @@ def old_maps_to_json(x):
     return [{"g": g, "h": h, "matrix": old_rows_to_json(
                 x.field, [rows.get(p, {}) for p in x.pairs(g, h)],
                 x.component(x.add_deg(g, h)).dim)}
-            for (g, h), rows in sorted(x._maps.items())]
+            for (g, h), rows in sorted(x._table().items())]
 
 
 def old_components_to_json(components):
@@ -657,7 +657,7 @@ def _with_fractions(m, q):
     return GradedModule(m.over, m.window, m.components, {
         key: {p: {c: integral(v * q) for c, v in row.items()}
               for p, row in rows.items()}
-        for key, rows in m._maps.items()})
+        for key, rows in m._table().items()})
 
 
 @st.composite
@@ -711,7 +711,7 @@ def test_dump_json_writes_graded_objects_as_the_old_writer(x, data):
 
 @given(graded_objects())
 def test_matrix_to_json_matches_the_old_writer(x):
-    for key in x._maps:
+    for key in x._table():
         m = x._map_matrix(*key)
         assert matrix_to_json(m) == old_to_json(m)
 
