@@ -319,9 +319,9 @@ class _LazyModule(GradedModule):
     every map is built at most once.  A map can be present only where g
     and g + h are components and h is a degree of the algebra, so _table
     builds exactly those, once: it forces the whole table, as the writers,
-    validate_module, modules_equal and the summaries do, and then _release
-    drops what only builds needed.  The components are given when the
-    module is built.
+    validate_module, modules_equal and the summaries do, keeps it as the
+    one record of what was read, and then _release drops what only builds
+    needed.  The components are given when the module is built.
     """
 
     def __init__(self, over, window, components):
@@ -333,13 +333,15 @@ class _LazyModule(GradedModule):
             g, h = g % self.group.n, h % self.group.n
         rows = self._read.get((g, h), _UNREAD)
         if rows is _UNREAD:
+            if self._forced is not None:  # forced: a map not kept is absent
+                return None
             rows = self._read[(g, h)] = self._build(g, h)
         return rows
 
     def _table(self):
         if self._forced is None:
             comps, add, read = self.components, self.group.add, self._read
-            self._forced = forced = {}
+            forced = {}
             for g in self.degrees():
                 for h in self.over.degrees():
                     if add(g, h) in comps:
@@ -348,12 +350,12 @@ class _LazyModule(GradedModule):
                             rows = self._rows(g, h)
                         if rows is not None:
                             forced[(g, h)] = rows
+            self._read = self._forced = forced
             self._release()
         return self._forced
 
     def _release(self):
-        """Drop the state only _build reads: every map that can be present
-        is built, and _build refuses any other key before reading it."""
+        """Drop the state only _build reads, once the table is forced."""
 
 
 # ---------------------------------------------------------------------------
@@ -853,30 +855,33 @@ def quotient_with_maps(m: GradedModule, spaces: dict):
     build, every map.
     """
     F, tagged = m.field, m.over.k > 1
-    keeps, reads, comps = {}, {}, {}
+    keeps, comps = {}, {}
     for d in m.degrees():
-        comp = m.component(d)
-        sp = spaces.get(d, Subspace.zero(F, comp.dim))
-        keep = keeps[d] = sorted(set(range(comp.dim)) - set(sp.pivots))
+        comp, sp = m.component(d), spaces.get(d)
+        keep = sorted(set(range(comp.dim)) - set(sp.pivots if sp else ()))
         if tagged:  # with one idempotent every tag is 0: nothing to do
-            _tag_blocks(comp, sp)
+            if sp:
+                _tag_blocks(comp, sp)
             keep.sort(key=comp.right_tags.__getitem__)  # stable: by tag, i
-        reads[d] = {i: pos for pos, i in enumerate(keep)}, sp
+        keeps[d] = keep = tuple(keep)
         if keep:
             comps[d] = LabeledSpace.module_component(
                 tuple(comp.right_tags[i] for i in keep))
+    reads = {}  # d -> (coordinate -> position, W_d), on first use
 
     def project(d, vec):
         """vec in quotient coordinates: dense for a dense vec, else a row."""
+        if d not in reads:
+            keep = keeps[d]
+            reads[d] = ({i: pos for pos, i in enumerate(keep)},
+                        spaces.get(d) or Subspace.zero(F, len(keep)))
         at, sp = reads[d]
         v = sp.reduce(vec)
         if isinstance(v, dict):
             return {at[i]: c for i, c in v.items()}
         return tuple(v[i] for i in keeps[d])
 
-    keep_map = {d: tuple(keep) for d, keep in keeps.items()}
-    return _QuotientModule(m, comps, {d: reads[d] for d in comps}), project, \
-        keep_map
+    return _QuotientModule(m, comps, keeps, spaces), project, keeps
 
 
 class _QuotientModule(_LazyModule):
@@ -897,15 +902,19 @@ class _QuotientModule(_LazyModule):
     the module docstring.
     """
 
-    def __init__(self, m, comps, reads):
+    def __init__(self, m, comps, keeps, spaces):
         super().__init__(m.over, m.window, comps)
-        # _images[t]: the image of each coordinate by block; _parts[d]: the
-        # blocks at d on their kept indices
+        # _keeps[d]: keep[d]; _spaces[t]: W_t where it is not zero, at kept
+        # degrees; _images[t]: the image of each coordinate by block;
+        # _parts[d]: the blocks at d on their kept indices
         self._blocks_of = {d: m._blocks(d) for d in comps}
-        self._reads, self._images, self._parts = reads, {}, {}
+        self._keeps, self._images, self._parts = keeps, {}, {}
+        self._spaces = {d: sp for d in comps
+                        if (sp := spaces.get(d)) and sp.pivots}
 
     def _release(self):
-        self._blocks_of = self._reads = self._images = self._parts = None
+        self._blocks_of = self._keeps = self._spaces = self._images = \
+            self._parts = None
 
     def _build(self, d, u):
         comps = self.components
@@ -916,15 +925,16 @@ class _QuotientModule(_LazyModule):
         one, mul = F.one(), F.mul
         img_t = self._images.get(t)
         if img_t is None:
-            at, sp = self._reads[t]
-            cls = sp.classes()
+            keep, sp = self._keeps[t], self._spaces.get(t)
+            at = {i: pos for pos, i in enumerate(keep)}
+            cls = sp.classes() if sp else {}
             img_t = self._images[t] = _by_block(self._blocks_of[t], [
                 {at[q]: one} if q in at
                 else {at[k]: v for k, v in cls[q].items()}
-                for q in range(sp.ambient)])
+                for q in range(sp.ambient if sp else len(keep))])
         parts = self._parts.get(d)
         if parts is None:
-            at = self._reads[d][0]
+            at = {i: pos for pos, i in enumerate(self._keeps[d])}
             parts = self._parts[d] = [
                 (key, reader, e, src) for key, reader, e, coord
                 in self._blocks_of[d] if (src := {q: at[c] for q, c

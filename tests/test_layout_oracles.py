@@ -429,7 +429,7 @@ def test_lazy_quotient_matches_the_eager_walk(field, data):
     assert list(got._table()) == list(want._maps)
     assert got._table() == want._maps
     assert dump_json(got) == dump_json(want)
-    assert got._reads is got._images is None
+    assert got._spaces is got._images is None
     assert [got._rows(*key) for key in keys] == [want._rows(*key)
                                                  for key in keys]
 
@@ -441,6 +441,8 @@ def test_lazy_quotient_matches_the_eager_walk(field, data):
     assert list(got._table()) == list(want._maps)
     assert got._table() == want._maps
     assert dump_json(got) == dump_json(want)
+    # the forced table is the one record of reads: no absent read is kept
+    assert got._read is got._table()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
