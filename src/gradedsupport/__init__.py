@@ -5,9 +5,12 @@ modules over exact fields (Q and GF(p)):
 
 - ring-supporting subsets and (pre)modular pairs of degree sets, including
   exhaustive enumeration modulo n (`subsets`)
-- the support-killing functors A -> A_U and M -> M_S (`graded_core`)
+- graded algebras and modules, their equality and validation
+  (`graded_objects`)
+- the support-killing functors A -> A_U and M -> M_S, and submodules,
+  quotients, torsion and graded Hom (`graded_core`)
 - regrading along windowed pseudomorphisms and the interval delta map
-  (`regrade_maps`, `graded_core`)
+  (`regrade_maps`, `regrading`)
 - liftability criteria, certified lifts, and the hom-dimension equivalence
   harness (`lifting`)
 - stock algebras: group algebras, truncated polynomials, path algebras,

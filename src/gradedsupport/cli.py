@@ -20,10 +20,11 @@ import sys
 from . import constructions
 from .errors import PreconditionError, SchemaError
 from .exactlin import GF, QQ
-from .graded_core import kill_support_algebra, regrade_algebra, \
-    validate_algebra, validate_module
+from .graded_core import kill_support_algebra
+from .graded_objects import validate_algebra, validate_module
 from .lifting import check_and_lift, check_period, equivalence_harness, \
     koszul_pipeline, liftability_check, liftability_check_interval
+from .regrading import regrade_algebra
 from .serialize import (algebra_from_json, degree_set_from_json,
                         degree_set_to_json, dump_json, module_from_json,
                         windowed_map_from_json)

@@ -52,8 +52,9 @@ import itertools
 from .errors import CapacityError, PreconditionError
 from .exactlin import LabeledSpace, QQ, Subspace, integral, matched_pairs, \
     nullspace
-from .graded_core import GradedAlgebra, GradedModule, _LazyModule, \
-    _checked_parts, closure_under_action, quotient_module
+from .graded_core import closure_under_action, quotient_module
+from .graded_objects import GradedAlgebra, GradedModule, _LazyModule, \
+    _checked_parts
 from .subsets import Z, Zn
 
 

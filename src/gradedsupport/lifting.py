@@ -36,15 +36,16 @@ from .constructions import _LayoutModule, _layout, projective_layout, \
     regular_module
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
-from .graded_core import (GradedAlgebra, GradedModule, KilledAlgebra,
-                          _check_modular_pair, _kill_module, _tag_escape,
-                          _vanishing_spaces, algebras_equal,
-                          closure_under_action, hom_space_basis,
-                          hom_space_dim, is_cogenerated_in,
-                          is_generated_in, is_generated_in_degrees_01,
-                          kill_support_algebra, quotient_with_maps,
-                          regrade_algebra, torsion_spaces, validate_algebra)
+from .graded_core import (_check_modular_pair, _kill_module,
+                          _vanishing_spaces, closure_under_action,
+                          hom_space_basis, hom_space_dim, is_cogenerated_in,
+                          is_generated_in, kill_support_algebra,
+                          quotient_with_maps, torsion_spaces)
+from .graded_objects import (GradedAlgebra, GradedModule, KilledAlgebra,
+                             _tag_escape, algebras_equal,
+                             is_generated_in_degrees_01, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
+from .regrading import regrade_algebra
 from .subsets import DegreeSet, is_translation_of_interval, quotient_set
 
 

@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import CapacityError, SchemaError
 from .exactlin import GF, LabeledSpace, Matrix, QQ, integral
-from .graded_core import GradedAlgebra, GradedModule
+from .graded_objects import GradedAlgebra, GradedModule
 from .regrade_maps import WindowedMap
 from .subsets import (DegreeSet, FORM_FULL, FORM_PERIODIC, FORM_WINDOWED,
                       GradedGroup, Z, Zn)

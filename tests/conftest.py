@@ -3,7 +3,7 @@ import weakref
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gradedsupport import graded_core
+from gradedsupport import graded_objects
 
 # exact arithmetic has wildly variable per-example timing
 settings.register_profile(
@@ -13,7 +13,7 @@ settings.register_profile(
 )
 settings.load_profile("exact")
 
-_TRUSTED_OF = graded_core._GradedObject._of.__func__
+_TRUSTED_OF = graded_objects._GradedObject._of.__func__
 
 
 def _fields(x):
@@ -21,7 +21,7 @@ def _fields(x):
     return {k: v for k, v in vars(x).items() if k != "_pair_cache"}
 
 
-_LAZY_ROWS = graded_core._LazyModule._rows
+_LAZY_ROWS = graded_objects._LazyModule._rows
 
 
 def _checked_rows(twins):
@@ -36,7 +36,7 @@ def _checked_rows(twins):
             return rows
         twin = twins.get(x)
         if twin is None:
-            twin = twins[x] = graded_core.GradedModule(
+            twin = twins[x] = graded_objects.GradedModule(
                 x.over, x.window, x.components, {})
             assert (twin.window, twin.components) == (x.window, x.components)
         if x.group.kind == "Zn":
@@ -57,7 +57,7 @@ def trusted_builds_match_the_checked_path():
     same arguments too, and require the same fields: map table, components,
     window and the rest, dict for dict.  A builder whose table the checking
     path would refuse fails with that path's error.  A module that builds
-    its maps on first read (graded_core._LazyModule) is held to the same
+    its maps on first read (graded_objects._LazyModule) is held to the same
     check one map at a time, as each is built."""
 
     def checked_of(cls, *args):
@@ -68,6 +68,7 @@ def trusted_builds_match_the_checked_path():
 
     twins = weakref.WeakKeyDictionary()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graded_core._GradedObject, "_of", classmethod(checked_of))
-        mp.setattr(graded_core._LazyModule, "_rows", _checked_rows(twins))
+        mp.setattr(graded_objects._GradedObject, "_of",
+                   classmethod(checked_of))
+        mp.setattr(graded_objects._LazyModule, "_rows", _checked_rows(twins))
         yield

@@ -31,8 +31,9 @@ from gradedsupport.constructions import (PATH_CAP, _coerce,
                                          regular_module, zero_sum_pair_algebra)
 from gradedsupport.errors import CapacityError, PreconditionError
 from gradedsupport.exactlin import GF, QQ, Subspace, _accumulate, nullspace
-from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
-                                       _assoc_witness, kill_support_algebra)
+from gradedsupport.graded_core import kill_support_algebra
+from gradedsupport.graded_objects import (GradedAlgebra, GradedModule,
+                                          _assoc_witness)
 from gradedsupport.serialize import dump_json
 from gradedsupport.subsets import DegreeSet
 from test_graded_core_oracles import (FIELDS, dual_numbers_in_degree_0,

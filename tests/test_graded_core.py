@@ -674,7 +674,7 @@ def test_regrade_compresses_the_support():
 
 
 def test_regrade_checks_the_map_once_per_call(monkeypatch):
-    import gradedsupport.graded_core as gc
+    import gradedsupport.regrading as regrading
     a, u, b, phi = _compressed_setup()
     x = kill_support_module(regular_module(a), u, u, b)
     calls = []
@@ -683,7 +683,7 @@ def test_regrade_checks_the_map_once_per_call(monkeypatch):
         calls.append(f)
         return is_pseudomorphism(f)
 
-    monkeypatch.setattr(gc, "is_pseudomorphism", counted)
+    monkeypatch.setattr(regrading, "is_pseudomorphism", counted)
     regrade_algebra(b, phi)
     assert len(calls) == 1
     regrade_module(x, phi)  # regrades the algebra too
@@ -704,6 +704,99 @@ def test_regrade_module_round_trip():
     v = regrade_module(x, phi, 0)
     back = un_regrade_module(v, phi, 0, b)
     assert modules_equal(back, x)
+
+
+def _octic_setup():
+    """A = K[x]/(x^8), U = 3Z + {0, 1}, A_U, the regular module of A killed
+    to U, and delta on (0, 5), which sends 0..5 onto 0, 1, 3, 4, 6, 7."""
+    a, u = truncated_polynomial(8), DegreeSet.periodic(3, (0, 1), Z)
+    b = kill_support_algebra(a, u)
+    x = kill_support_module(regular_module(a), u, u, b)
+    return a, u, b, x, delta_map(u, 0, (0, 5))
+
+
+def _rebuilt(a, window=None, unit=None, rows=lambda key, rows: rows):
+    """a through the checked constructor, so every row dict is a copy, with
+    the window, the unit or a map's rows (None drops the map) replaced."""
+    table = {key: got for key, r in a._table().items()
+             if (got := rows(key, r)) is not None}
+    return GradedAlgebra(a.group, window or a.window, a.k, a.field,
+                         a.components, table, unit or a.unit)
+
+
+def test_regrade_module_refuses_an_algebra_that_is_not_the_regrading():
+    _, _, b, x, phi = _octic_setup()
+    with pytest.raises(PreconditionError, match="its regrading"):
+        regrade_module(x, phi, algebra=truncated_polynomial(3, window=(0, 5)))
+    bt = regrade_algebra(b, phi)
+    f = bt.field
+    # each part of the comparison refuses a near miss on its own: b's
+    # regrading along the identity, the window, a component, the unit, a
+    # row, a nonzero map dropped, and a nonzero map (1, 1) where x * x
+    # lands on 2, off the image, so b stores none
+    assert bt.component(2).dim == 1 and bt._rows(1, 1) is None
+    misses = [
+        regrade_algebra(b, WindowedMap.identity((0, 7))),
+        _rebuilt(bt, window=(0, 6)),
+        GradedAlgebra(bt.group, bt.window, bt.k, f,
+                      {**bt.components, 5: LabeledSpace.untagged(2)},
+                      bt._table(), bt.unit),
+        _rebuilt(bt, unit=(f.from_int(2),)),
+        _rebuilt(bt, rows=lambda key, r: {p: {c: f.add(e, e)
+                                              for c, e in row.items()}
+                                          for p, row in r.items()}
+                 if key == (1, 2) else r),
+        _rebuilt(bt, rows=lambda key, r: None if key == (1, 2) else r),
+        GradedAlgebra(bt.group, bt.window, bt.k, f, bt.components,
+                      {**bt._table(), (1, 1): {(0, 0): {0: f.one()}}},
+                      bt.unit),
+    ]
+    assert not any(algebras_equal(miss, bt) for miss in misses)
+    for miss in misses:
+        with pytest.raises(PreconditionError, match="its regrading"):
+            regrade_module(x, phi, algebra=miss)
+
+
+def test_un_regrade_module_refuses_an_algebra_not_regraded_to_the_modules():
+    _, _, b, x, phi = _octic_setup()
+    v = regrade_module(x, phi)
+    with pytest.raises(PreconditionError, match="its regrading"):
+        un_regrade_module(v, phi, algebra=truncated_polynomial(3,
+                                                               window=(0, 5)))
+    f = b.field
+    # a unit, a nonzero map dropped, and a component at 2, off the image,
+    # that no map touches: regrade_algebra refuses such an algebra
+    misses = [_rebuilt(b, unit=(f.from_int(2),)),
+              _rebuilt(b, rows=lambda key, r: None if key == (3, 1) else r),
+              GradedAlgebra(b.group, b.window, b.k, f,
+                            {**b.components, 2: LabeledSpace.untagged(1)},
+                            b._table(), b.unit)]
+    assert not any(algebras_equal(miss, b) for miss in misses)
+    for miss in misses:
+        with pytest.raises(PreconditionError, match="its regrading"):
+            un_regrade_module(v, phi, algebra=miss)
+
+
+def test_regrading_takes_the_right_algebra_by_ancestry_rows_or_value():
+    a, u, b, x, phi = _octic_setup()
+    v = regrade_module(x, phi)
+    back = un_regrade_module(v, phi)
+    # b's own regrading, known by its ancestry; a twin of b killed from the
+    # same A, whose regrading holds the same row dicts; and rows equal but
+    # copied by the checked constructor
+    twin = kill_support_algebra(a, u)
+    for bt in (regrade_algebra(b, phi), regrade_algebra(twin, phi),
+               _rebuilt(v.over)):
+        assert modules_equal(regrade_module(x, phi, algebra=bt), v)
+    for c in (b, twin, _rebuilt(b)):
+        assert modules_equal(un_regrade_module(v, phi, algebra=c), back)
+    # the same products on a window reaching past delta(5) = 7: regrading
+    # clips the window to the points delta sends into it, so un-regrading
+    # takes this algebra although the push-forward's window ends at 7
+    wide = kill_support_algebra(truncated_polynomial(8, window=(0, 9)), u)
+    assert algebras_equal(regrade_algebra(wide, phi), v.over)
+    assert un_regrade_module(v, phi, algebra=wide).over is wide
+    assert back.over.window == (0, 7)
 
 
 def test_un_regrade_rejects_vanishing_violations():
@@ -772,7 +865,7 @@ def test_regrade_cannot_meet_a_nonzero_product_off_the_image():
 
 
 def test_un_regrade_refuses_a_module_window_that_misses_the_map():
-    from gradedsupport.graded_core import _pushed_window
+    from gradedsupport.regrading import _pushed_window
     a, u, b, phi = _compressed_setup()
     zero = GradedModule(b, (7, 9), {}, {})
     with pytest.raises(PreconditionError,

@@ -73,8 +73,7 @@ from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
                                     kernel, matched_pairs, nullspace, rref,
                                     subspace_intersect)
 from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
-                                       _tag_blocks, _tag_escape,
-                                       _vanishing_spaces,
+                                       _tag_blocks, _vanishing_spaces,
                                        algebras_equal, closure_under_action,
                                        generated_submodule, hom_space_basis,
                                        hom_space_dim, is_generated_in,
@@ -87,6 +86,7 @@ from gradedsupport.graded_core import (GradedAlgebra, GradedModule,
                                        torsion_submodule,
                                        un_regrade_module, validate_algebra,
                                        validate_module)
+from gradedsupport.graded_objects import _tag_escape
 from gradedsupport.lifting import (LiftReport, _evaluation_rows,
                                    _generator_data, _rank,
                                    certified_isomorphism, check_and_lift,

@@ -29,7 +29,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedsupport import graded_core, lifting
+from gradedsupport import graded_core, graded_objects, lifting
 from gradedsupport.constructions import (_LayoutModule, _layout,
                                          _layout_module, free_module,
                                          group_algebra, present_module,
@@ -38,14 +38,14 @@ from gradedsupport.constructions import (_LayoutModule, _layout,
 from gradedsupport.exactlin import (QQ, GF, LabeledSpace, Subspace,
                                     _accumulate, _echelon, _forward,
                                     matched_pairs, nullspace)
-from gradedsupport.graded_core import (GradedModule, _checked_parts,
-                                       _generated_rows, _hom_system,
-                                       _tag_blocks, _vanishing_spaces,
-                                       algebras_equal, closure_under_action,
-                                       is_generated_in_degrees_01,
+from gradedsupport.graded_core import (_hom_system, _tag_blocks,
+                                       _vanishing_spaces, closure_under_action,
                                        kill_support_algebra,
                                        kill_support_module, quotient_with_maps,
                                        torsion_spaces)
+from gradedsupport.graded_objects import (GradedModule, _checked_parts,
+                                          _generated_rows, algebras_equal,
+                                          is_generated_in_degrees_01)
 from gradedsupport.errors import PreconditionError
 from gradedsupport.lifting import (_evaluation_rows, _generator_data,
                                    check_and_lift,
@@ -544,13 +544,13 @@ def test_no_layout_module_leaves_the_builders():
     # quotient keeps the blocks of what it divides, read off A's rows for a
     # layout and off the table's own for present_module's free module
     assert [type(x) for x in (m, report.lift, *built)] \
-        == [graded_core._QuotientModule] * 2 + [graded_core.GradedModule] * 2 \
+        == [graded_core._QuotientModule] * 2 + [GradedModule] * 2 \
         + [graded_core._QuotientModule]
     assert [{reader for blocks in x._blocks_of.values()
              for _, reader, _, _ in blocks}
             for x in (m, report.lift)] == [{a}, {a}]
     assert {type(reader) for blocks in built[2]._blocks_of.values()
-            for _, reader, _, _ in blocks} == {graded_core.GradedModule}
+            for _, reader, _, _ in blocks} == {GradedModule}
 
 
 def _lift_inputs(field, n, kind, shift, killed, seed):
@@ -637,8 +637,8 @@ def test_hom_system_cut_matches_all_lower_rows(pair):
 def test_generation_is_decided_once_per_algebra(monkeypatch):
     # the harness asks for A and A_U, and torsion and hom reuse the answers
     calls = []
-    spans = graded_core._spans
-    monkeypatch.setattr(graded_core, "_spans",
+    spans = graded_objects._spans
+    monkeypatch.setattr(graded_objects, "_spans",
                         lambda *args: calls.append(1) or spans(*args))
     u = DegreeSet.periodic(3, (0, 1))
     counts = []
@@ -656,8 +656,8 @@ def test_generation_is_decided_once_per_algebra(monkeypatch):
 
 def test_shared_rows_are_never_written(monkeypatch):
     built, classes = [], {}
-    of = graded_core._GradedObject.__dict__["_of"].__func__
-    lazy_rows = graded_core._LazyModule._rows
+    of = graded_objects._GradedObject.__dict__["_of"].__func__
+    lazy_rows = graded_objects._LazyModule._rows
     cls_of = Subspace.classes
 
     def recording(cls, *args):
@@ -679,9 +679,9 @@ def test_shared_rows_are_never_written(monkeypatch):
             classes[id(got)] = got, copy.deepcopy(got)
         return got
 
-    monkeypatch.setattr(graded_core._GradedObject, "_of",
+    monkeypatch.setattr(graded_objects._GradedObject, "_of",
                         classmethod(recording))
-    monkeypatch.setattr(graded_core._LazyModule, "_rows", recorded_rows)
+    monkeypatch.setattr(graded_objects._LazyModule, "_rows", recorded_rows)
     monkeypatch.setattr(Subspace, "classes", recorded_classes)
     for field in (GF(101), QQ):
         a = scaled_algebra(1, 7, field)

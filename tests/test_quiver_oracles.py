@@ -29,8 +29,10 @@ from gradedsupport.constructions import (_check_table, _path_source,
 from gradedsupport.errors import CapacityError, PreconditionError
 from gradedsupport.exactlin import GF, QQ, LabeledSpace, Subspace, _rank, \
     matched_pairs
-from gradedsupport.graded_core import GradedAlgebra, _generated_rows, \
-    is_generated_in, is_generated_in_degrees_01, submodule_from_subspaces
+from gradedsupport.graded_core import is_generated_in, \
+    submodule_from_subspaces
+from gradedsupport.graded_objects import GradedAlgebra, _generated_rows, \
+    is_generated_in_degrees_01
 from gradedsupport.subsets import Z
 
 FIELDS = [QQ, GF(3), GF(101)]
