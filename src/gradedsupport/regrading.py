@@ -5,14 +5,14 @@ X_{phi(sigma)}, and its map at (sigma, tau) is X's at (phi(sigma),
 phi(tau)); un-regrading pushes a module back.  Every map is passed through
 as X's own row dicts (see graded_objects).  A regraded algebra carries its
 ancestry, as a killed one does, so a regrading handed back the algebra it
-built knows it by identity; any other algebra is compared part by part.
+built knows it by identity; any other algebra is compared with a rebuild.
 """
 
 from __future__ import annotations
 
 from .errors import (GradingViolationError, InternalConsistencyError,
                      PreconditionError)
-from .graded_objects import GradedAlgebra, GradedModule
+from .graded_objects import GradedAlgebra, GradedModule, algebras_equal
 from .regrade_maps import WindowedMap, is_pseudomorphism
 
 
@@ -74,30 +74,18 @@ def _check_regraded(r, b, phi: WindowedMap):
     """Refuse an r that is not regrade_algebra(b, phi), for a checked phi.
 
     At once when r was built as that regrading: its base is b and its map
-    phi.  Else part by part, with no algebra built: group, idempotents,
-    field and unit; the window _regraded_parts clips phi's domain to, and
-    the components on it, each component of b lying in Im(phi); as many
-    maps with a nonzero row in r as in b; and each such map of r against
-    b's at (phi(sigma), phi(tau)), identity first.  A pseudomorphism is
-    injective, so the count leaves b no such map that r does not hold.
+    phi.  Else r is compared with b's regrading, rebuilt; a b that has no
+    regrading along phi is refused the same way.
     """
     # identity first: a dataclass's == compares the fields at once
     if isinstance(r, _RegradedAlgebra) and r.base is b \
             and (r.phi is phi or r.phi == phi):
         return
-    to = dict(zip(phi.domain(), phi.values))
-    at = [s for s, d in to.items() if b.in_window(d)]
-    rows_at, img = b._table().get, phi.image()
-    if not (at and r.group == b.group and r.k == b.k
-            and (r.field is b.field or r.field == b.field)
-            and r.unit == b.unit and r.window == (at[0], at[-1])
-            and all(d in img for d in b.components)
-            and r.components == {s: c for s in range(at[0], at[-1] + 1)
-                                 if (c := b.component(to[s])).dim}
-            and sum(map(bool, r._table().values()))
-            == sum(map(bool, b._table().values()))
-            and all(not rows or (got := rows_at((to[s], to[t]))) is rows
-                    or got == rows for (s, t), rows in r._table().items())):
+    try:
+        same = algebras_equal(r, _regraded_algebra(b, phi))
+    except PreconditionError:  # grading violations included
+        same = False
+    if not same:
         raise PreconditionError("the given algebra and the module's are not "
                                 "an algebra and its regrading along the map")
 

@@ -730,10 +730,10 @@ def test_regrade_module_refuses_an_algebra_that_is_not_the_regrading():
         regrade_module(x, phi, algebra=truncated_polynomial(3, window=(0, 5)))
     bt = regrade_algebra(b, phi)
     f = bt.field
-    # each part of the comparison refuses a near miss on its own: b's
-    # regrading along the identity, the window, a component, the unit, a
-    # row, a nonzero map dropped, and a nonzero map (1, 1) where x * x
-    # lands on 2, off the image, so b stores none
+    # near misses that each differ from bt in one part: b's regrading
+    # along the identity, the window, a component, the unit, a row, a
+    # nonzero map dropped, and a nonzero map (1, 1) where x * x lands on 2,
+    # off the image, so b stores none
     assert bt.component(2).dim == 1 and bt._rows(1, 1) is None
     misses = [
         regrade_algebra(b, WindowedMap.identity((0, 7))),
