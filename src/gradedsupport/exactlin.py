@@ -64,9 +64,9 @@ its pivots and free columns:
 Every vector is read modulo a subspace through one table,
 Subspace.classes: each pivot p maps to e_p modulo the subspace, minus the
 rest of the row pivoting at p, and any other e_j is its own class.  The
-class of a vector is _accumulate over its entries and that table: reduce,
-coordinates and contains_vector here, and the quotients, torsion,
-submodules and quiver residues built on them.
+class of a vector is _accumulate over its entries and that table: reduce
+and contains_vector here, and the quotients, torsion, submodules and
+quiver residues built on them.
 """
 
 from __future__ import annotations
@@ -329,24 +329,12 @@ class Matrix:
         o = field.one()
         return cls._of(field, n, n, tuple({i: o} for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, field, rows, cols=None):
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ShapeError("cannot infer cols from an empty row list")
-            cols = len(rows[0])
-        return cls(field, len(rows), cols, rows)
-
     @property
     def entries(self):
         if self._entries is None:
             z = self.field.zero()
             self._entries = tuple(_dense(r, self.cols, z) for r in self.nz)
         return self._entries
-
-    def row(self, i):
-        return self.entries[i]
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -576,16 +564,6 @@ class Subspace:
 
     def contains_vector(self, vec):
         return not self._residue(vec)
-
-    def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis, its entries at the pivots;
-        None if vec is outside."""
-        if self._residue(vec):
-            return None
-        if isinstance(vec, dict):
-            z = self.field.zero()
-            return [vec.get(p) or z for p in self.pivots]
-        return [vec[p] for p in self.pivots]
 
 
 def nullspace(field, rows, ncols) -> Subspace:

@@ -45,7 +45,7 @@ from .graded_objects import (GradedAlgebra, GradedModule, KilledAlgebra,
                              _tag_escape, algebras_equal,
                              is_generated_in_degrees_01, validate_algebra)
 from .regrade_maps import delta_map, preimage_subgroup
-from .regrading import regrade_algebra
+from .regrading import _is_regrading, regrade_algebra
 from .subsets import DegreeSet, is_translation_of_interval, quotient_set
 
 
@@ -594,16 +594,21 @@ def regraded_interval_conditions(v: GradedModule, a: GradedAlgebra, n, r=1):
     An A whose product escapes its tag blocks is refused, as the
     liftability checks refuse it, and so is a v not over A_U regraded.
     """
+    _check_regraded_side(v, a, n, r)
+    return _interval_conditions(v, a, n, r)
+
+
+def _check_regraded_side(v, a, n, r):
+    """Refuse what regraded_interval_conditions refuses: bad (n, r), an A
+    whose product escapes its tag blocks, a v not over A_U regraded."""
     if n < 2 or not 0 < r or 2 * r >= n:
         raise PreconditionError("need 0 < 2r < n")
     _check_ambient_tags(a)
     u = DegreeSet.periodic(n, range(r + 1))
-    regraded = regrade_algebra(kill_support_algebra(a, u),
-                               delta_map(u, 0, v.over.window))
-    if not algebras_equal(v.over, regraded):
+    if not _is_regrading(v.over, kill_support_algebra(a, u),
+                         delta_map(u, 0, v.over.window)):
         raise PreconditionError("the module is not over the regrading of "
                                 "the support-killed form of the given algebra")
-    return _interval_conditions(v, a, n, r)
 
 
 def _interval_conditions(v, a, n, r):
@@ -620,13 +625,14 @@ def _interval_conditions(v, a, n, r):
 
 def in_lifted_category(v: GradedModule, a: GradedAlgebra, n, r=1):
     """Whether a regraded-side module is generated in (r+1)Z degrees and
-    satisfies every membership condition."""
+    satisfies every membership condition; refuses what
+    regraded_interval_conditions refuses."""
+    _check_regraded_side(v, a, n, r)
     gendegs = [d for d in range(v.window[0], v.window[1] + 1)
                if d % (r + 1) == 0]
     if not is_generated_in(v, gendegs):
         return False
-    return all(holds for (_s, holds, _w)
-               in regraded_interval_conditions(v, a, n, r))
+    return all(holds for (_s, holds, _w) in _interval_conditions(v, a, n, r))
 
 
 # ---------------------------------------------------------------------------

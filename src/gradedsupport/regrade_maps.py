@@ -59,25 +59,12 @@ class WindowedMap:
             raise WindowViolationError(f"{k} outside map window {self.window}")
         return self.values[k - lo]
 
-    def try_call(self, k):
-        lo, hi = self.window
-        if k < lo or k > hi:
-            return None
-        return self.values[k - lo]
-
     def image(self):
         return frozenset(self.values)
 
     def domain(self):
         lo, hi = self.window
         return range(lo, hi + 1)
-
-    def preimage(self, v):
-        lo, _ = self.window
-        for i, x in enumerate(self.values):
-            if x == v:
-                return lo + i
-        return None
 
 
 def delta_map(u: DegreeSet, s0: int, window) -> WindowedMap:

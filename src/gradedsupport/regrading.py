@@ -5,7 +5,8 @@ X_{phi(sigma)}, and its map at (sigma, tau) is X's at (phi(sigma),
 phi(tau)); un-regrading pushes a module back.  Every map is passed through
 as X's own row dicts (see graded_objects).  A regraded algebra carries its
 ancestry, as a killed one does, so a regrading handed back the algebra it
-built knows it by identity; any other algebra is compared with a rebuild.
+built, or one along the same map of an equal algebra, is known without a
+rebuild; any other algebra is compared with a rebuild.
 """
 
 from __future__ import annotations
@@ -59,35 +60,36 @@ def regrade_module(x: GradedModule, phi: WindowedMap, g: int = 0,
                    algebra: GradedAlgebra | None = None) -> GradedModule:
     """New grading with component sigma = X_{g + phi(sigma)}; a given
     algebra must be regrade_algebra(x.over, phi), and is refused otherwise
-    once x's own parts are built (_check_regraded)."""
+    once x's own parts are built (_is_regrading)."""
     _check_regrade(x, phi)
     over = algebra
     if over is None:
         over = _regraded_algebra(x.over, phi)
     window, comps, action = _regraded_parts(x, phi, g)
-    if algebra is not None:
-        _check_regraded(algebra, x.over, phi)
+    if algebra is not None and not _is_regrading(algebra, x.over, phi):
+        raise PreconditionError(_NOT_REGRADING)
     return GradedModule._of(over, window, comps, action)
 
 
-def _check_regraded(r, b, phi: WindowedMap):
-    """Refuse an r that is not regrade_algebra(b, phi), for a checked phi.
+_NOT_REGRADING = ("the given algebra and the module's are not an algebra "
+                  "and its regrading along the map")
 
-    At once when r was built as that regrading: its base is b and its map
-    phi.  Else r is compared with b's regrading, rebuilt; a b that has no
-    regrading along phi is refused the same way.
+
+def _is_regrading(r, b, phi: WindowedMap) -> bool:
+    """Whether r is regrade_algebra(b, phi), for a pseudomorphism phi.
+
+    At once when r was built as a regrading along phi of an algebra equal
+    to b (algebras_equal, identity first).  Else r is compared with b's
+    regrading, rebuilt; a b that has no regrading along phi gives False.
     """
     # identity first: a dataclass's == compares the fields at once
-    if isinstance(r, _RegradedAlgebra) and r.base is b \
-            and (r.phi is phi or r.phi == phi):
-        return
+    if isinstance(r, _RegradedAlgebra) and (r.phi is phi or r.phi == phi) \
+            and algebras_equal(r.base, b):
+        return True
     try:
-        same = algebras_equal(r, _regraded_algebra(b, phi))
+        return algebras_equal(r, _regraded_algebra(b, phi))
     except PreconditionError:  # grading violations included
-        same = False
-    if not same:
-        raise PreconditionError("the given algebra and the module's are not "
-                                "an algebra and its regrading along the map")
+        return False
 
 
 def _regraded_parts(x, phi: WindowedMap, g: int):
@@ -147,7 +149,7 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     supplied algebra B must be one that V's algebra is the regrading of,
     regrade_algebra(B, phi): the algebra a regrade_module call regraded
     from, say, whose window may reach past the push-forward's.  Any other is
-    refused once the pushed maps and window are built (_check_regraded).
+    refused once the pushed maps and window are built (_is_regrading).
     """
     _check_regrade(v, phi)
     action = _pushed_maps(v, phi, g)
@@ -155,8 +157,8 @@ def un_regrade_module(v: GradedModule, phi: WindowedMap, g: int = 0,
     if over is None:
         over = _push_forward_algebra(v.over, phi)
     window = _pushed_window(v, phi, g)
-    if algebra is not None:
-        _check_regraded(v.over, algebra, phi)
+    if algebra is not None and not _is_regrading(v.over, algebra, phi):
+        raise PreconditionError(_NOT_REGRADING)
     comps = {g + phi(sigma): v.component(sigma) for sigma in v.degrees()}
     return GradedModule._of(over, window, comps, action)
 

@@ -1,4 +1,5 @@
-"""JSON forms for degree sets, windowed maps, matrices, algebras, modules.
+"""JSON forms for degree sets, windowed maps, algebras, modules; a matrix
+is written and read only as the matrix of a map item.
 
 Writing.  dump_json, the writer of every --format json output, gives the
 canonical byte form json.dumps(obj, indent=2, sort_keys=True), byte for
@@ -231,10 +232,6 @@ def _entry(field, value, rationals, *at):
     return field.from_int(_int(value, at))
 
 
-def matrix_to_json(m: Matrix) -> dict:
-    return _rows_to_json(m.field, m.nz, m.cols)
-
-
 def _rows_to_json(F, rows, cols) -> dict:
     """A matrix's JSON form, its dense entries written from dict rows."""
     zero = _entry_to_json(F, F.zero())
@@ -245,12 +242,6 @@ def _rows_to_json(F, rows, cols) -> dict:
             entries[-1][c] = _entry_to_json(F, v)
     return {**_field_keys(F), "rows": len(entries), "cols": cols,
             "entries": entries}
-
-
-def matrix_from_json(obj, path="", field=None) -> Matrix:
-    if field is None:
-        field = field_from_json(obj, path)
-    return _matrix(obj, _parts(path), field, {})
 
 
 def _matrix(obj, at, field, rationals):

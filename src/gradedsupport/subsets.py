@@ -184,23 +184,6 @@ class DegreeSet:
         m = self.group.n or d
         return DegreeSet.periodic(m, {j % m for j in self.residues}, self.group)
 
-    def intersect(self, other):
-        """Set intersection; None when empty.  Windowed results stay windowed."""
-        if self.group != other.group:
-            raise PreconditionError("intersection needs a common group")
-        windowed = FORM_WINDOWED in (self.form, other.form)
-        if not windowed and FORM_FULL in (self.form, other.form):
-            return other if self.form == FORM_FULL else self
-        lo, hi = _points(self, other)
-        if lo > hi:
-            return None
-        both = _bits(_view(self, lo, hi)[0] & _view(other, lo, hi)[0], lo)
-        if windowed:
-            return DegreeSet.windowed(both, (lo, hi))
-        if not both:
-            return None
-        return DegreeSet.periodic(hi + 1, both, self.group).canonical()
-
     def __repr__(self):
         if self.form == FORM_FULL:
             return f"DegreeSet.full({self.group!r})"

@@ -434,7 +434,7 @@ def lift_files(tmp_path, liftable=True):
         from gradedsupport.graded_core import GradedModule
         f = b.field
         one = Matrix.identity(f, 1)
-        act = Matrix.from_rows(f, [[f.one()]], 1)
+        act = Matrix(f, 1, 1, [[f.one()]])
         comps = {0: LabeledSpace.untagged(1), 3: LabeledSpace.untagged(1)}
         x = GradedModule(b, b.window, comps,
                          {(0, 0): one, (3, 0): one, (0, 3): act})

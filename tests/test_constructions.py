@@ -157,8 +157,7 @@ def test_dual_with_no_relations_kills_degree_n():
 def test_dual_of_commutativity_relation_is_alternating():
     # perp of span{xy - yx} inside the 4-dim tensor square has dimension 3
     f = QQ
-    pairing = Matrix.from_rows(
-        f, [[f.zero(), f.one(), f.neg(f.one()), f.zero()]], 4)
+    pairing = Matrix(f, 1, 4, [[f.zero(), f.one(), f.neg(f.one()), f.zero()]])
     assert len(kernel(pairing.transpose()).rows) == 3
     # so the dual quotient in degree 2 is one-dimensional
     a = n_homogeneous_dual(2, [[(1, (0, 1)), (-1, (1, 0))]], 4)
@@ -203,7 +202,7 @@ def _degree_n_relations(v_dim, rel, n):
             vec[index[tuple(path)]] = f.add(vec[index[tuple(path)]],
                                             f.from_int(coeff))
         rows.append(vec)
-    perp = kernel(Matrix.from_rows(f, rows, len(words)).transpose())
+    perp = kernel(Matrix(f, len(rows), len(words), rows).transpose())
     return [[(c, words[i]) for i, c in enumerate(row) if c != f.zero()]
             for row in perp.rows]
 

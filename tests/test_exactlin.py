@@ -36,7 +36,7 @@ def matrices(draw, max_dim=5, field=None):
     cols = draw(st.integers(0, max_dim))
     entries = [[f.from_int(draw(st.integers(-4, 4))) for _ in range(cols)]
                for _ in range(rows)]
-    return Matrix.from_rows(f, entries, cols)
+    return Matrix(f, rows, cols, entries)
 
 
 @st.composite
@@ -73,7 +73,7 @@ def test_kernel_rows_annihilate(m):
 def test_image_contains_every_row(m):
     im = image(m)
     for i in range(m.rows):
-        assert im.contains_vector(m.row(i))
+        assert im.contains_vector(m.entries[i])
 
 
 @given(matrices())
@@ -88,7 +88,7 @@ def test_solve_recovers_a_preimage(m):
 
 def test_solve_none_outside_image():
     f = QQ
-    m = Matrix.from_rows(f, [[f.one(), f.zero()]], 2)
+    m = Matrix(f, 1, 2, [[f.one(), f.zero()]])
     assert solve(m, [f.zero(), f.one()]) is None
 
 
@@ -99,12 +99,12 @@ def test_kernel_of_zero_column_matrix_is_everything():
 
 def test_matrix_multiplication_associates():
     f = GF(7)
-    a = Matrix.from_rows(f, [[f.from_int(e) for e in row]
-                             for row in [[1, 2], [3, 4], [5, 6]]], 2)
-    b = Matrix.from_rows(f, [[f.from_int(e) for e in row]
-                             for row in [[2, 0, 1], [1, 1, 1]]], 3)
-    c = Matrix.from_rows(f, [[f.from_int(e) for e in row]
-                             for row in [[1], [2], [3]]], 1)
+    a = Matrix(f, 3, 2, [[f.from_int(e) for e in row]
+                         for row in [[1, 2], [3, 4], [5, 6]]])
+    b = Matrix(f, 2, 3, [[f.from_int(e) for e in row]
+                         for row in [[2, 0, 1], [1, 1, 1]]])
+    c = Matrix(f, 3, 1, [[f.from_int(e) for e in row]
+                         for row in [[1], [2], [3]]])
     assert (a @ b) @ c == a @ (b @ c)
     assert a @ Matrix.identity(f, 2) == a
     assert Matrix.identity(f, 3) @ a == a
@@ -114,13 +114,13 @@ def test_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         Matrix.identity(QQ, 2) @ Matrix.identity(QQ, 3)
     with pytest.raises(ShapeError):
-        Matrix.from_rows(QQ, [[QQ.one()], [QQ.one(), QQ.one()]], 1)
+        Matrix(QQ, 2, 1, [[QQ.one()], [QQ.one(), QQ.one()]])
 
 
 def test_transpose_involution():
     f = QQ
-    m = Matrix.from_rows(f, [[f.from_int(e) for e in row]
-                             for row in [[1, 2, 3], [4, 5, 6]]], 3)
+    m = Matrix(f, 2, 3, [[f.from_int(e) for e in row]
+                         for row in [[1, 2, 3], [4, 5, 6]]])
     assert m.transpose().transpose() == m
 
 
@@ -133,7 +133,7 @@ def test_cauchy_style_matrix_has_full_rank_over_q():
     f = QQ
     n = 8
     rows = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
-    m = Matrix.from_rows(f, rows, n)
+    m = Matrix(f, n, n, rows)
     assert len(image(m).rows) == n
     assert kernel(m).rows == ()
 
@@ -223,13 +223,14 @@ def test_coordinates_reconstruct_the_vector():
                                      for row in [[1, 2, 0], [0, 1, 1]]])
     vec = [f.from_int(3), f.from_int(2), f.from_int(1)]
     # 3*(1,2,0) + 1*(0,1,1) = (3,7,1) = (3,2,1) mod 5
-    coords = s.coordinates(vec)
-    assert coords is not None
+    assert s.contains_vector(vec) and not any(s.reduce(vec))
+    # each canonical basis row is 1 at its own pivot and 0 at the others',
+    # so a member's coordinates are its entries at the pivots
     rebuilt = [f.zero()] * 3
-    for c, row in zip(coords, s.rows):
-        rebuilt = [f.add(r, f.mul(c, e)) for r, e in zip(rebuilt, row)]
+    for p, row in zip(s.pivots, s.rows):
+        rebuilt = [f.add(r, f.mul(vec[p], e)) for r, e in zip(rebuilt, row)]
     assert rebuilt == vec
-    assert s.coordinates([f.one(), f.zero(), f.zero()]) is None
+    assert not s.contains_vector([f.one(), f.zero(), f.zero()])
 
 
 def test_rref_is_idempotent():

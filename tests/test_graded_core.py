@@ -105,7 +105,7 @@ def hom_dim_by_enumeration(m, n):
                     row.append(f.from_int(bits >> off & 1))
                     off += 1
                 rows.append(row)
-            mats[d] = Matrix.from_rows(f, rows, b)
+            mats[d] = Matrix(f, a, b, rows)
         if _commutes(m, n, mats):
             count += 1
     assert count == (count & -count), "solution set must be a subspace"
@@ -146,7 +146,7 @@ def test_builders_validate():
 def test_validate_catches_broken_associativity():
     a = group_algebra(3)
     f = a.field
-    twist = Matrix.from_rows(f, [[f.from_int(2)]], 1)
+    twist = Matrix(f, 1, 1, [[f.from_int(2)]])
     bad = GradedAlgebra(a.group, a.window, a.k, a.field, a.components,
                         {**a.mult, (1, 2): twist}, a.unit)
     verdict = validate_algebra(bad)
@@ -207,7 +207,7 @@ def test_a_checked_dict_row_keeps_its_nonzero_entries_only():
 def test_validate_module_catches_a_broken_unit():
     a = truncated_polynomial(2)
     m = regular_module(a)
-    twice = Matrix.from_rows(a.field, [[a.field.from_int(2)]], 1)
+    twice = Matrix(a.field, 1, 1, [[a.field.from_int(2)]])
     bad = GradedModule(a, m.window, m.components, {**m.action, (0, 0): twice})
     verdict = validate_module(bad)
     assert not verdict.holds
@@ -217,7 +217,7 @@ def test_validate_module_catches_a_broken_unit():
 def test_validate_module_catches_a_non_associative_action():
     a = truncated_polynomial(3)
     m = regular_module(a)
-    twice = Matrix.from_rows(a.field, [[a.field.from_int(2)]], 1)
+    twice = Matrix(a.field, 1, 1, [[a.field.from_int(2)]])
     # x acting on x gives 2x^2, while 1 acting on x * x gives x^2
     bad = GradedModule(a, m.window, m.components, {**m.action, (1, 1): twice})
     verdict = validate_module(bad)
@@ -639,8 +639,8 @@ def test_closure_spans_each_degree_once(monkeypatch):
 
 def test_preimage_subspace_membership():
     f = GF(3)
-    mat = Matrix.from_rows(f, [[f.from_int(e) for e in row]
-                               for row in [[1, 1], [0, 1], [2, 0]]], 2)
+    mat = Matrix(f, 3, 2, [[f.from_int(e) for e in row]
+                           for row in [[1, 1], [0, 1], [2, 0]]])
     w = Subspace.from_vectors(f, 2, [[f.one(), f.zero()]])
     pre = preimage_subspace(mat, w)
     from test_exactlin_oracles import apply_row
@@ -670,7 +670,7 @@ def test_regrade_compresses_the_support():
         == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
     for sigma, tau in bt.mult:
         assert bt.mult_matrix(sigma, tau) \
-            == b.mult_matrix(phi.try_call(sigma), phi.try_call(tau))
+            == b.mult_matrix(phi(sigma), phi(tau))
 
 
 def test_regrade_checks_the_map_once_per_call(monkeypatch):

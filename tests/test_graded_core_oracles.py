@@ -93,8 +93,8 @@ from gradedsupport.lifting import (LiftReport, _evaluation_rows,
                                    liftability_check, random_category_module,
                                    random_killed_module)
 from gradedsupport.regrade_maps import delta_map
-from gradedsupport.serialize import (algebra_to_json, dump_json,
-                                     matrix_to_json, module_to_json)
+from gradedsupport.serialize import (_rows_to_json, algebra_to_json,
+                                     dump_json, module_to_json)
 from gradedsupport.subsets import DegreeSet, Z, Zn, quotient_set
 from test_exactlin_oracles import apply_row, pivot_reduce, unit_residues
 
@@ -735,7 +735,7 @@ def test_closure_keeps_the_seeds_without_a_unit_action():
 def test_vanishing_space_counts_x_itself_at_its_degree():
     m = _zero_action_module(GF(3))
     f = m.field
-    ev = Matrix.from_rows(f, [[f.one()], [f.zero()]])
+    ev = Matrix(f, 2, 1, [[f.one()], [f.zero()]])
     full = Subspace.full(f, 2)
     # no action to push through: off S nothing cuts the space down, and at
     # the degree inside S only x itself, which must lie in W_1 = ker ev_1
@@ -1334,9 +1334,9 @@ def dense_and_sparse_builds(draw):
 
 
 def _json_by_matrix_writer(table):
-    """The maps of a JSON document as matrix_to_json writes the Matrices."""
-    return [{"g": g, "h": h, "matrix": matrix_to_json(table[(g, h)])}
-            for (g, h) in sorted(table)]
+    """The maps of a JSON document as _rows_to_json writes each Matrix."""
+    return [{"g": g, "h": h, "matrix": _rows_to_json(m.field, m.nz, m.cols)}
+            for (g, h), m in sorted(table.items())]
 
 
 def _module_result(f):

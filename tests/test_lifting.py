@@ -74,8 +74,7 @@ def two_loop_witness():
     b = kill_support_algebra(a, U3)
     f = b.field
     one = Matrix.identity(f, 1)
-    act = Matrix.from_rows(
-        f, [[f.one()], [f.zero()], [f.zero()], [f.zero()]], 1)
+    act = Matrix(f, 4, 1, [[f.one()], [f.zero()], [f.zero()], [f.zero()]])
     comps = {0: LabeledSpace.untagged(1), 3: LabeledSpace.untagged(1)}
     bad = GradedModule(b, b.window, comps,
                        {(0, 0): one, (3, 0): one, (0, 3): act})
@@ -678,10 +677,44 @@ def test_conditions_refuse_a_module_over_another_algebras_regrading():
     v = regular_module(regraded)
     assert regraded_interval_conditions(v, a, 3) == report.conditions == (
         (0, True, None), (2, True, None), (4, True, None))
-    other = truncated_polynomial(8, window=(0, 7))
-    for check in (regraded_interval_conditions, in_lifted_category):
-        with pytest.raises(PreconditionError, match="not over the regrading"):
-            check(v, other, 3)
+    # K[x]/(x^10) killed to U has a component at 9, off delta's image on
+    # v's window: once refused by the rebuilt regrading's own message
+    for other in (truncated_polynomial(8, window=(0, 7)),
+                  truncated_polynomial(10, window=(0, 9))):
+        for check in (regraded_interval_conditions, in_lifted_category):
+            with pytest.raises(PreconditionError,
+                               match="not over the regrading"):
+                check(v, other, 3)
+
+
+def test_conditions_know_a_regrading_of_an_equal_killing_unbuilt(
+        monkeypatch):
+    # v's algebra was regraded from the pipeline's own A_U, equal to the
+    # one the conditions kill a to: its ancestry answers, with no rebuild
+    import gradedsupport.regrading as regrading
+    a = HARNESS_ALGEBRAS["two-loop"](3, QQ)
+    regraded, _even, report = koszul_pipeline(a, 3)
+    v = regular_module(regraded)
+    built = []
+    rebuild = regrading._regraded_algebra
+    monkeypatch.setattr(regrading, "_regraded_algebra",
+                        lambda *args: built.append(args) or rebuild(*args))
+    assert regraded_interval_conditions(v, a, 3) == report.conditions
+    assert built == []
+
+
+def test_membership_checks_its_inputs_before_the_generation_test():
+    # shifted by 1, v is not generated in (r+1)Z, and the generation test
+    # used to answer False before the inputs were checked
+    a = truncated_polynomial(8, window=(0, 7))
+    phi = delta_map(U3, 0, (0, 5))
+    v = shift_module(regrade_module(regular_module(
+        kill_support_algebra(a, U3)), phi), 1)
+    with pytest.raises(PreconditionError, match=r"need 0 < 2r < n"):
+        in_lifted_category(v, a, 3, r=2)
+    with pytest.raises(PreconditionError, match="not over the regrading"):
+        in_lifted_category(v, truncated_polynomial(3, window=(0, 2)), 3)
+    assert not in_lifted_category(v, a, 3)
 
 
 def test_conditions_reject_bad_parameters():
