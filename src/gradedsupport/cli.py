@@ -43,7 +43,7 @@ def parse_monomial(text):
     for t in tokens:
         if t in _VAR_NAMES:
             word.append(_VAR_NAMES[t])
-        elif t.isdigit():
+        elif t.isdecimal():
             word.append(int(t))
         else:
             raise PreconditionError(
@@ -375,7 +375,7 @@ def cmd_make(args):
         arrows = []
         for part in args.arrows.split(","):
             bits = part.strip().split(":")
-            if len(bits) != 2 or not all(b.strip().isdigit() for b in bits):
+            if len(bits) != 2 or not all(b.strip().isdecimal() for b in bits):
                 raise PreconditionError(
                     f"cannot parse arrow '{part}'; use src:tgt")
             arrows.append((int(bits[0]), int(bits[1])))

@@ -6,9 +6,10 @@ products in small degree patterns, path algebras of quivers modulo
 homogeneous relations, and the degreewise dual of an n-homogeneous
 one-vertex algebra.
 
-Modules: the regular module, finite free modules on shifted generators, and
-presentations (free module modulo the submodule generated by relation
-vectors).
+Modules: the regular module, finite free and projective modules on shifted
+generators, each the table of one builder of generator blocks
+(_LayoutModule), and presentations (free module modulo the submodule
+generated by relation vectors).
 
 Path algebra relations are lists of (coefficient, path) terms, a path being a
 tuple of arrow indices composing left to right, split into endpoint blocks
@@ -464,65 +465,8 @@ def free_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
     gens = [int(g) for g in gens]
     if not gens:
         raise PreconditionError("a free module needs at least one generator")
-    return _layout_module(a, *_layout(a, [(g, None) for g in gens], window))
-
-
-def projective_layout(a: GradedAlgebra, gens, window=None):
-    """Layout of the projective module on tagged generators.
-
-    gens is a list of (degree, tag) pairs; generator (m, c) contributes the
-    block e_c A shifted by m, i.e. at degree t the basis vectors of A_{t-m}
-    whose left tag is c.  Returns (window, comps, layout) with layout[t] a
-    list of (gen_index, algebra_degree, start, positions), positions being
-    the A-basis indices the block keeps.
-    """
-    gens = [(int(m), int(c)) for m, c in gens]
-    if not gens:
-        raise PreconditionError("need at least one generator")
-    for _, c in gens:
-        if not 0 <= c < a.k:
-            raise PreconditionError(f"generator tag {c} out of range")
-    return _layout(a, gens, window)
-
-
-def _layout(a: GradedAlgebra, gens, window):
-    """projective_layout for checked gens; a tag of None keeps all of A.
-
-    Over Z only the degrees m + d, m a generator degree and d a degree of
-    A, can hold a block, so those in the window are the ones listed: the
-    cost follows the generators and A, not the width of the window.
-    """
-    if a.group.kind == "Zn":
-        window = a.window
-        degrees = range(a.group.n)
-    else:
-        if window is None:
-            window = (min(m for m, _ in gens) + a.window[0],
-                      max(m for m, _ in gens) + a.window[1])
-        degrees = sorted({t for m, _ in gens for d in a.components
-                          if window[0] <= (t := m + d) <= window[1]})
-    comps = {}
-    layout = {}
-    for t in degrees:
-        tags = []
-        blocks = []
-        pos = 0
-        for b, (m, c) in enumerate(gens):
-            if a.group.kind == "Zn":
-                d = (t - m) % a.group.n
-            else:
-                d = t - m
-            comp = a.component(d)
-            positions = tuple(q for q in range(comp.dim)
-                              if c is None or comp.left_tags[q] == c)
-            if positions:
-                blocks.append((b, d, pos, positions))
-                tags.extend(comp.right_tags[q] for q in positions)
-                pos += len(positions)
-        if pos:
-            comps[t] = LabeledSpace.module_component(tuple(tags))
-            layout[t] = blocks
-    return window, comps, layout
+    m = _LayoutModule(a, [(g, None) for g in gens], window)
+    return GradedModule._of(a, m.window, m.components, m._table())
 
 
 def projective_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
@@ -531,54 +475,82 @@ def projective_module(a: GradedAlgebra, gens, window=None) -> GradedModule:
     These are exactly the projectives with tops concentrated in the listed
     degrees when the degree-0 part is split semisimple.
     """
-    return _layout_module(a, *projective_layout(a, gens, window))
-
-
-def _layout_module(a: GradedAlgebra, window, comps, layout) -> GradedModule:
-    """The module whose action multiplies each generator block inside A:
-    every map of its _LayoutModule, stored as a table."""
-    view = _LayoutModule(a, window, comps, layout)
-    return GradedModule._of(a, view.window, comps, view._table())
+    gens = [(int(m), int(c)) for m, c in gens]
+    if not gens:
+        raise PreconditionError("need at least one generator")
+    for _, c in gens:
+        if not 0 <= c < a.k:
+            raise PreconditionError(f"generator tag {c} out of range")
+    m = _LayoutModule(a, gens, window)
+    return GradedModule._of(a, m.window, m.components, m._table())
 
 
 class _LayoutModule(_LazyModule):
-    """The module of a layout, read through it: one block per generator.
+    """The direct sum of shifted projectives on checked (degree, tag)
+    generators, read through them: one block per generator.
 
-    Block b of component t holds the A_d basis vectors that generator b
-    keeps (layout[t]'s positions) at coordinates start, start + 1, ...;
-    _blocks gives it as (b, A, d, {A-basis index: coordinate}), built here
-    once.  _build is the one row builder: row (p, j) of map (t, u), for p
-    the A_d basis vector q of block b, is A's row (q, j) of map (d, u) kept
-    on block b's coordinates at t + u, A's map read once per block.  Where
+    Generator b = (m, c) contributes e_c A shifted by m: at degree t, the
+    basis vectors of A_d, d = t - m, whose left tag is c, or all of A_d
+    for a tag of None.  Component t lists the blocks of the generators in
+    order, each on the next free coordinates, and _blocks gives them as
+    (b, A, d, {A-basis index: coordinate}).  Over Z only the degrees m + d,
+    m a generator degree and d a degree of A, can hold a block, so those
+    in the window are the ones listed: the cost follows the generators and
+    A, not the width of the window, which defaults to the one just large
+    enough to hold every block.  Over Z/n the window is A's.
+
+    _build is the one row builder: row (p, j) of map (t, u), for p the A_d
+    basis vector q of block b, is A's row (q, j) of map (d, u) kept on
+    block b's coordinates at t + u, A's map read once per block.  Where
     components t and t + u are each one block of one generator holding all
     of A_d and A_{d+u}, map (t, u) is A's row dict of map (d, u) itself.
     It builds each map on first read, the one mechanism (_LazyModule) it
     shares with every quotient and the view killed from one; a quotient of
     it (quotient_with_maps), and the vanishing scan under any evaluation
-    but the identity, read the blocks instead.  _layout_module forces every
-    map into the table of projective_module, free_module and
-    present_module's free module; only the random modules' projectives
-    (lifting._random_presented) and the lift's induced module stay read
-    through their layout, and neither is returned: a quotient of one keeps
-    only its blocks, which read A's rows.
+    but the identity, read the blocks instead.  projective_module and
+    free_module (so present_module's free module too) store its whole
+    table; only the random modules' projectives (lifting._random_presented)
+    and the lift's induced module stay read through their blocks, and
+    neither is returned: a quotient of one keeps only its blocks, which
+    read A's rows.
     """
 
-    def __init__(self, a, window, comps, layout):
-        super().__init__(a, _checked_parts(a.group, window, a.k, {})[0], comps)
-        self._by_degree = {}
+    def __init__(self, a, gens, window=None):
+        if a.group.kind == "Zn":
+            window, degrees = a.window, range(a.group.n)
+        else:
+            if window is None:
+                window = (min(m for m, _ in gens) + a.window[0],
+                          max(m for m, _ in gens) + a.window[1])
+            lo, hi = window = _checked_parts(a.group, window, a.k, {})[0]
+            degrees = sorted({t for m, _ in gens for d in a.components
+                              if lo <= (t := m + d) <= hi})
+        comps, self._by_degree = {}, {}
         self._whole = {}  # t -> (b, d) where comps[t] is block b, all of A_d
         coords = {}  # one read-only coord dict per (start, positions)
-        for t, blocks in layout.items():
-            self._by_degree[t] = by_block = []
-            for b, d, start, positions in blocks:
-                coord = coords.get((start, positions))
+        for t in degrees:
+            tags, blocks = [], []
+            for b, (m, c) in enumerate(gens):
+                d = a.group.add(t, -m)
+                comp = a.component(d)
+                positions = tuple(q for q in range(comp.dim)
+                                  if c is None or comp.left_tags[q] == c)
+                if not positions:
+                    continue
+                coord = coords.get((len(tags), positions))
                 if coord is None:
-                    coord = coords[(start, positions)] = {
-                        q: start + n for n, q in enumerate(positions)}
-                by_block.append((b, a, d, coord))
-            if len(blocks) == 1 and len(blocks[0][3]) == a.component(
-                    blocks[0][1]).dim:
-                self._whole[t] = blocks[0][:2]
+                    coord = coords[(len(tags), positions)] = {
+                        q: len(tags) + n for n, q in enumerate(positions)}
+                blocks.append((b, a, d, coord))
+                tags.extend(comp.right_tags[q] for q in positions)
+            if not tags:
+                continue
+            comps[t] = LabeledSpace.module_component(tuple(tags))
+            self._by_degree[t] = blocks
+            (b, _, d, _), *more = blocks
+            if not more and len(tags) == a.component(d).dim:
+                self._whole[t] = b, d
+        super().__init__(a, window, comps)
 
     def _blocks(self, t):
         return self._by_degree.get(t, ())

@@ -238,7 +238,7 @@ class _QuotientModule(_LazyModule):
     Basis vector i times a_j is the row of coordinate keep[i] read the
     same way at its target t, one walk of map (d, u) over the rows of the
     kept coordinates, block by block (GradedModule._blocks): a module read
-    through its layout has a block per generator, read off A, and a table
+    through its generators has a block per generator, read off A, and a table
     is one block of itself.  The image of e_q at t, {i: 1} for q = keep[i]
     or else q's row in W_t.classes() on the kept coordinates, is built once
     per t, the first time a map into t is built, and shared (see the module

@@ -19,7 +19,7 @@ target coordinate for all the one-entry rows with coefficient 1 that land
 there; nothing writes a stored row.  A map is present when it has a
 nonzero row, or matched pairs and a nonzero target, so it may be an empty
 dict; any other map has no entry at all.  A quotient, and a module read
-through its generator layout, builds each map the first time it is read
+through its generator blocks, builds each map the first time it is read
 (_LazyModule), and killing such a module gives a view that reads each kept
 map through to it; _table() lists every present map, and so builds them
 all, which the JSON writers, validate_module, modules_equal and the CLI
@@ -295,7 +295,8 @@ class GradedModule(_GradedObject):
         A block's rows at t are reader's rows of map (degree, u), coord
         taking each reader index the block keeps to its coordinate at t; the
         same key names the same block at every degree.  A module stored as
-        a table is one block of itself."""
+        a table is one block of itself; constructions._LayoutModule has one
+        block per generator, read off A."""
         n = range(self.component(t).dim)
         return ((None, self, t, dict(zip(n, n))),)
 

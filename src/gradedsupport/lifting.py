@@ -32,8 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .constructions import _LayoutModule, _layout, projective_layout, \
-    regular_module
+from .constructions import _LayoutModule, regular_module
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
 from .graded_core import (_check_modular_pair, _kill_module,
@@ -279,9 +278,9 @@ def _evaluation_rows(x: GradedModule, blocks, meta):
     """Rows of the evaluation D_t -> X_t, generator block times A -> X, as
     {col: value} dicts."""
     rows = []
-    for (b, d, _start, positions) in blocks:
+    for b, _, d, coord in blocks:
         m, i = meta[b]
-        rows.extend(x.action_row(m, d, i, qq) or {} for qq in positions)
+        rows.extend(x.action_row(m, d, i, q) or {} for q in coord)
     return rows
 
 
@@ -315,27 +314,27 @@ def check_and_lift(x: GradedModule, s: DegreeSet, u: DegreeSet,
     scan over every degree (graded_core._vanishing_spaces): a submodule
     since (x b) a = x (b a), with W_t inside ker ev_t at t in S.  The
     dimension and rank checks below certify W_t = ker ev_t, whatever the
-    containment scan found, so one quotient builds the lift.  induced is
-    read through its generator blocks, so neither W nor the quotient
-    builds its table.  Only the degrees where X or induced is nonzero are
-    visited, so the cost does not grow with the width of X's window.
+    containment scan found, so one quotient builds the lift.  induced is a
+    _LayoutModule read through its generator blocks, which also give the
+    evaluation rows, so neither W nor the quotient builds its table.  Only
+    the degrees where X or induced is nonzero are visited, so the cost does
+    not grow with the width of X's window.
     Assumes x is a module (validate_module).
     """
     a, qdegs = _check_hypotheses(x, s, u, a)
     report = _liftability(x, u, a, qdegs, _all_triples)
     if not report.liftable:
         return report
-    window = x.window
     F = a.field
     # x's tags were checked when it was built; no generators, a zero lift
     gens, meta = _generator_data(x, qdegs)
-    pwindow, pcomps, layout = _layout(a, gens, window)
-    induced = _LayoutModule(a, pwindow, pcomps, layout)
+    induced = _LayoutModule(a, gens, x.window)
 
     # the S-degrees where X or induced is nonzero: both are zero elsewhere
-    sdegs = [t for t in sorted({*x.degrees(), *layout}) if s.try_contains(t)]
-    evals = {t: _evaluation_rows(x, layout[t], meta) for t in sdegs
-             if t in layout}
+    sdegs = [t for t in sorted({*x.degrees(), *induced.components})
+             if s.try_contains(t)]
+    evals = {t: _evaluation_rows(x, induced._blocks(t), meta) for t in sdegs
+             if t in induced.components}
     lifted, _project, keep = quotient_with_maps(induced, _vanishing_spaces(
         induced, evals, {d: evals for d in induced.degrees()}))
 
@@ -459,7 +458,7 @@ def _random_presented(alg, s, u, seed, window, reduce_torsion,
     for _attempt in range(8):
         gens = [(rng.choices(usable, weights)[0], rng.randrange(alg.k))
                 for _ in range(rng.randint(1, _MAX_GENS))]
-        proj = _LayoutModule(alg, *projective_layout(alg, gens, window))
+        proj = _LayoutModule(alg, gens, window)
         degrees = [d for d in proj.degrees() if d > min(m for m, _ in gens)]
         if relation_degrees == "quotient":
             degrees = [d for d in degrees if q.try_contains(d)]

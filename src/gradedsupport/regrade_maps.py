@@ -36,7 +36,12 @@ class WindowedMap:
 
     @classmethod
     def from_pairs(cls, pairs):
-        d = {int(k): int(v) for k, v in pairs}
+        d = {}
+        for k, v in pairs:
+            k = int(k)
+            if k in d:
+                raise PreconditionError(f"duplicate argument {k}")
+            d[k] = int(v)
         if not d:
             raise PreconditionError("a windowed map needs at least one value")
         lo, hi = min(d), max(d)

@@ -161,14 +161,17 @@ def windowed_map_from_json(obj, path="") -> WindowedMap:
     at = _parts(path)
     window = _pair(_get(obj, "window", at), (*at, "window"))
     raw = _get(obj, "values", at, list)
-    pairs = []
+    pairs = {}
     for i, item in enumerate(raw):
         got = _int_list(item, (*at, "values", i))
         if len(got) != 2:
             raise SchemaError("expected [argument, value]",
                               _path(*at, "values", i))
-        pairs.append((got[0], got[1]))
-    phi = WindowedMap.from_pairs(pairs)
+        if got[0] in pairs:
+            raise SchemaError(f"duplicate argument {got[0]}",
+                              _path(*at, "values", i))
+        pairs[got[0]] = got[1]
+    phi = WindowedMap.from_pairs(pairs.items())
     if phi.window != window:
         raise SchemaError(
             f"declared window {list(window)} does not match the values",

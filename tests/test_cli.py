@@ -407,6 +407,16 @@ def test_regrade_admits_a_map_at_the_pair_cap_and_refuses_one_past_it(
     assert "25 pairs of window points, over the cap of 24" in err
 
 
+def test_regrade_refuses_a_repeated_map_argument(capsys, tmp_path):
+    alg = write_json(tmp_path / "a.json", algebra_to_json(
+        truncated_polynomial(3)))
+    mp = write_json(tmp_path / "phi.json",
+                    {"window": [0, 1], "values": [[0, 0], [1, 5], [0, 3]]})
+    code, out, err = run(capsys, "regrade", alg, mp)
+    assert code == 2 and out == ""
+    assert "duplicate argument 0" in err and "values[2]" in err
+
+
 def test_regrade_refuses_a_long_map_before_the_pair_scan(capsys, tmp_path):
     # 8,001 points: a scan of their 64,016,001 pairs would take minutes
     alg = write_json(tmp_path / "a.json", algebra_to_json(
@@ -883,6 +893,9 @@ def test_make_dual_needs_a_relation(capsys):
      "monomial uses a generator outside vdim=1"),
     (["--vdim", "2", "--n", "3", "--rel", "x*y"],
      "relation '0*1' does not have tensor degree 3"),
+    # a digit that is not decimal: int() would refuse it
+    (["--vdim", "3", "--n", "2", "--rel", "x*\u00b2"],
+     "unknown generator '\u00b2' in monomial"),
 ])
 def test_make_dual_refuses_a_relation_that_does_not_fit(capsys, argv,
                                                         message):
@@ -905,6 +918,14 @@ def test_make_quiver_rejects_malformed_arrows(capsys):
                        "--arrows", "0-0", "--top", "2")
     assert code == 2
     assert "src:tgt" in err
+
+
+def test_make_quiver_rejects_an_arrow_with_a_digit_that_is_not_decimal(
+        capsys):
+    code, out, err = run(capsys, "make", "quiver", "--vertices", "2",
+                         "--arrows", "\u00b2:0", "--top", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse arrow '\u00b2:0'; use src:tgt\n"
 
 
 def test_make_quiver_rejects_a_relation_through_a_missing_arrow(capsys):

@@ -6,12 +6,12 @@ import time
 import pytest
 
 from gradedsupport.constructions import (
+    _LayoutModule,
     free_module,
     generic_pair_algebra,
     group_algebra,
     n_homogeneous_dual,
     present_module,
-    projective_layout,
     projective_module,
     quiver_algebra,
     regular_module,
@@ -253,32 +253,41 @@ def test_projective_module_on_unit_tags_is_regular():
     assert modules_equal(p, regular_module(a))
 
 
-def test_projective_layout_blocks_partition_the_components():
+def test_generator_blocks_partition_the_components():
     a = quiver_algebra(2, [(0, 1), (1, 0)], [], 4)
     gens = [(0, 0), (1, 1)]
-    window, comps, layout = projective_layout(a, gens)
-    p = projective_module(a, gens, window)
+    m = _LayoutModule(a, gens)
+    p = projective_module(a, gens, m.window)
     assert validate_module(p).holds
-    for t, blocks in layout.items():
-        total = sum(len(positions) for _, _, _, positions in blocks)
-        assert total == comps[t].dim == p.component(t).dim
-        starts = [start for _, _, start, _ in blocks]
-        assert starts == sorted(starts)
+    assert m.components == p.components
+    for t in m.degrees():
+        coords = [coord.values() for _, _, _, coord in m._blocks(t)]
+        # the blocks' coordinates, in order, are those of the component
+        assert [c for cs in coords for c in cs] == list(range(p.component(
+            t).dim))
 
 
 @pytest.mark.parametrize("window", [(1, 3), (-2, 9), (0, 10 ** 12),
-                                    (-10 ** 12, 10 ** 12), (5, 3)])
+                                    (-10 ** 12, 10 ** 12)])
 def test_a_layout_lists_only_the_degrees_its_generators_reach(window):
     # generator degrees plus A's degrees, cut to the window: a window of
     # any width costs what the degrees it holds cost
     a = quiver_algebra(2, [(0, 1), (1, 0)], [], 4)
     gens = [(0, 0), (1, 1), (3, 0)]
-    _, comps, layout = projective_layout(a, gens)
-    got_window, got_comps, got_layout = projective_layout(a, gens, window)
+    m = _LayoutModule(a, gens)
+    got = _LayoutModule(a, gens, window)
     lo, hi = window
-    assert got_window == window
-    assert got_comps == {t: c for t, c in comps.items() if lo <= t <= hi}
-    assert got_layout == {t: b for t, b in layout.items() if lo <= t <= hi}
+    assert got.window == window
+    assert got.components == {t: c for t, c in m.components.items()
+                              if lo <= t <= hi}
+    assert {t: got._blocks(t) for t in got.degrees()} \
+        == {t: m._blocks(t) for t in m.degrees() if lo <= t <= hi}
+
+
+def test_a_layout_refuses_an_empty_window():
+    a = quiver_algebra(2, [(0, 1), (1, 0)], [], 4)
+    with pytest.raises(PreconditionError, match="empty window"):
+        projective_module(a, [(0, 0), (1, 1), (3, 0)], (5, 3))
 
 
 def test_present_module_quotients_by_generated_relations():

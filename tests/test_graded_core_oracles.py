@@ -63,10 +63,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedsupport import lifting
-from gradedsupport.constructions import (_layout_module, group_algebra,
-                                         present_module, projective_layout,
-                                         projective_module, quiver_algebra,
-                                         regular_module, truncated_polynomial)
+from gradedsupport.constructions import (_LayoutModule, group_algebra,
+                                         present_module, projective_module,
+                                         quiver_algebra, regular_module,
+                                         truncated_polynomial)
 from gradedsupport.errors import (GradedSupportError, InternalConsistencyError,
                                    PreconditionError)
 from gradedsupport.exactlin import (GF, QQ, LabeledSpace, Matrix, Subspace,
@@ -231,12 +231,12 @@ def lift_by_two_quotients(x, s, u, a):
         return LiftReport(True, (), report.triples_checked,
                           GradedModule(a, window, {}, {}), True, True, True)
     gens, meta = _generator_data(x, qdegs)
-    pwindow, pcomps, layout = projective_layout(a, gens, window)
-    induced = _layout_module(a, pwindow, pcomps, layout)
+    induced = projective_module(a, gens, window)
+    blocks_of = _LayoutModule(a, gens, window)._blocks
     sdegs = s.members_in(*window)
     evals, seeds = {}, {}
     for t in sdegs:
-        blocks = layout.get(t)
+        blocks = blocks_of(t)
         if not blocks:
             continue
         xdim = x.component(t).dim
@@ -285,12 +285,12 @@ def lift_by_closed_kernels(x, s, u, a):
     if not qdegs:
         return GradedModule(a, x.window, {}, {}), None
     gens, meta = _generator_data(x, qdegs)
-    pwindow, pcomps, layout = projective_layout(a, gens, x.window)
-    induced = _layout_module(a, pwindow, pcomps, layout)
+    induced = projective_module(a, gens, x.window)
+    blocks_of = _LayoutModule(a, gens, x.window)._blocks
     kernels = {}
     for t in s.members_in(*x.window):
-        if layout.get(t):
-            ev = _evaluation_rows(x, layout[t], meta)
+        if blocks_of(t):
+            ev = _evaluation_rows(x, blocks_of(t), meta)
             kernels[t] = kernel(Matrix._of(F, len(ev), x.component(t).dim,
                                            tuple(ev))).basis
     lifted, _, keep = quotient_with_maps(induced, torsion_spaces(

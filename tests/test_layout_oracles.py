@@ -2,21 +2,23 @@
 replace.
 
 Every module is read through GradedModule._blocks: a table is one block of
-itself, and a module read through its layout (constructions._LayoutModule),
-the harness's random modules and the lift's induced module, has one block
-per generator, read off A.  _LayoutModule._build is the one row builder,
-and _layout_module stores its maps as the table of projective_module,
-free_module and present_module's free module.  quotient_with_maps and the
-one vanishing scan, graded_core._vanishing_spaces, walk A's rows block by
-block through one shared image row per target coordinate; the quotient
-walks each map the first time it is read.  The oracles are the paths the
-library took before: layout_module_by_blocks, the table built with its own
-coordinates per block; vanishing_space, the scan of one degree over a
-module's stored rows; induced_vanishing_spaces, that scan rewritten for a
-layout; quotient_by_eager_walk, the quotient that walked every map when it
-was built; quotient_with_maps on the table, reduced pair by pair against
-W's pivots too; and the scans of torsion_spaces and _hom_system that read
-every degree, kept here as torsion_spaces_by_full_scan and
+itself, and a module read through its generators (constructions.
+_LayoutModule), the harness's random modules and the lift's induced module,
+has one block per generator, read off A.  _LayoutModule builds the blocks
+and is the one row builder; projective_module, free_module and
+present_module's free module store its maps as a table.  quotient_with_maps
+and the one vanishing scan, graded_core._vanishing_spaces, walk A's rows
+block by block through one shared image row per target coordinate; the
+quotient walks each map the first time it is read.  The oracles are the
+paths the library took before: reference_layout, the blocks listed as
+(gen_index, degree, start, positions) tuples, and evaluation_rows_by_layout
+on them; layout_module_by_blocks, the table built with its own coordinates
+per block; vanishing_space, the scan of one degree over a module's stored
+rows; induced_vanishing_spaces, that scan rewritten for a layout;
+quotient_by_eager_walk, the quotient that walked every map when it was
+built; quotient_with_maps on the table, reduced pair by pair against W's
+pivots too; and the scans of torsion_spaces and _hom_system that read every
+degree, kept here as torsion_spaces_by_full_scan and
 hom_system_by_all_lower_rows, for the cuts that algebras generated in
 degrees 0 and 1 allow.  The shared rows are checked never to be written:
 every stored row and class table met in a harness sample, a lift and a JSON
@@ -30,11 +32,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedsupport import graded_core, graded_objects, lifting
-from gradedsupport.constructions import (_LayoutModule, _layout,
-                                         _layout_module, free_module,
+from gradedsupport.constructions import (_LayoutModule, free_module,
                                          group_algebra, present_module,
-                                         projective_layout, projective_module,
-                                         quiver_algebra)
+                                         projective_module, quiver_algebra)
 from gradedsupport.exactlin import (QQ, GF, LabeledSpace, Subspace,
                                     _accumulate, _echelon, _forward,
                                     matched_pairs, nullspace)
@@ -60,6 +60,56 @@ from test_graded_core_oracles import (FIELDS, _vector, degree_sets, hom_pairs,
 
 # ---------------------------------------------------------------------------
 # oracles: the paths the block reads and the cuts replace
+
+
+def reference_layout(a, gens, window):
+    """(window, comps, layout) of the projective on (degree, tag)
+    generators, a tag of None keeping all of A: layout[t] lists
+    (gen_index, algebra_degree, start, positions) for the generators with a
+    block at t, positions being the A-basis indices the block keeps.  Over Z
+    only the degrees m + d, m a generator degree and d a degree of A, are
+    listed.
+    """
+    if a.group.kind == "Zn":
+        window = a.window
+        degrees = range(a.group.n)
+    else:
+        if window is None:
+            window = (min(m for m, _ in gens) + a.window[0],
+                      max(m for m, _ in gens) + a.window[1])
+        degrees = sorted({t for m, _ in gens for d in a.components
+                          if window[0] <= (t := m + d) <= window[1]})
+    comps = {}
+    layout = {}
+    for t in degrees:
+        tags = []
+        blocks = []
+        pos = 0
+        for b, (m, c) in enumerate(gens):
+            if a.group.kind == "Zn":
+                d = (t - m) % a.group.n
+            else:
+                d = t - m
+            comp = a.component(d)
+            positions = tuple(q for q in range(comp.dim)
+                              if c is None or comp.left_tags[q] == c)
+            if positions:
+                blocks.append((b, d, pos, positions))
+                tags.extend(comp.right_tags[q] for q in positions)
+                pos += len(positions)
+        if pos:
+            comps[t] = LabeledSpace.module_component(tuple(tags))
+            layout[t] = blocks
+    return window, comps, layout
+
+
+def evaluation_rows_by_layout(x, blocks, meta):
+    """lifting._evaluation_rows read off reference_layout's blocks."""
+    rows = []
+    for (b, d, _start, positions) in blocks:
+        m, i = meta[b]
+        rows.extend(x.action_row(m, d, i, qq) or {} for qq in positions)
+    return rows
 
 
 def layout_module_by_blocks(a, window, comps, layout):
@@ -320,26 +370,36 @@ def _algebra(draw, field):
 
 @st.composite
 def layouts(draw):
-    """(A, window, comps, layout) of 1-3 generators over Z or Z/n, each
-    tagged e_c A or, for a free module, all of A; over Z the window is the
+    """(A, gens, window): 1-3 generators over Z or Z/n, each tagged e_c A
+    or, for a free module, all of A (tag None); over Z the window is the
     default one or drawn, and may cut generators off or reach past them."""
-    return _layout_over(draw, _algebra(draw, draw(st.sampled_from(FIELDS))))
+    a = _algebra(draw, draw(st.sampled_from(FIELDS)))
+    return (a, *_generators(draw, a))
 
 
-def _layout_over(draw, a):
-    """layouts() over the given algebra."""
+def _generators(draw, a, wide=False):
+    """(gens, window) of layouts() over the given algebra; wide also draws
+    the window [0, 10^12]."""
     degs = (st.integers(0, a.group.n - 1) if a.group.kind == "Zn"
             else st.integers(-2, 2))
     window = None
     if a.group.kind == "Z" and draw(st.booleans()):
-        lo = draw(st.integers(-4, 4))
-        window = (lo, lo + draw(st.integers(0, 8)))
-    if draw(st.booleans()):
-        gens = draw(st.lists(st.tuples(degs, st.integers(0, a.k - 1)),
-                             min_size=1, max_size=3))
-        return (a, *projective_layout(a, gens, window))
-    gens = draw(st.lists(degs, min_size=1, max_size=3))
-    return (a, *_layout(a, [(g, None) for g in gens], window))
+        if wide and draw(st.booleans()):
+            window = (0, 10 ** 12)
+        else:
+            lo = draw(st.integers(-4, 4))
+            window = (lo, lo + draw(st.integers(0, 8)))
+    tag = (st.integers(0, a.k - 1) if draw(st.booleans())
+           else st.none())
+    return draw(st.lists(st.tuples(degs, tag), min_size=1, max_size=3)), \
+        window
+
+
+def _table_of(a, gens, window):
+    """The layout's module as a table, by the builder that takes gens."""
+    if gens[0][1] is None:
+        return free_module(a, [m for m, _ in gens], window)
+    return projective_module(a, gens, window)
 
 
 def _seeds(draw, m):
@@ -358,9 +418,9 @@ def _seeds(draw, m):
 @settings(max_examples=150, deadline=None)
 @given(lay=layouts(), data=st.data())
 def test_layout_quotient_matches_the_table_quotient(lay, data):
-    a, window, comps, layout = lay
-    view, table = _LayoutModule(a, window, comps, layout), \
-        layout_module_by_blocks(a, window, comps, layout)
+    a, gens, window = lay
+    view = _LayoutModule(a, gens, window)
+    table = layout_module_by_blocks(a, *reference_layout(a, gens, window))
     # closure reads the view's rows built on first read, torsion its blocks
     seeds = _seeds(data.draw, table)
     spaces = closure_under_action(table, seeds)
@@ -404,10 +464,11 @@ def test_lazy_quotient_matches_the_eager_walk(field, data):
         a = z_algebra("cycle", data.draw(st.integers(1, 5)), field)
     else:
         a = group_algebra(4, field)
-    _, window, comps, layout = _layout_over(data.draw, a)
+    gens, window = _generators(data.draw, a)
     # the quotient of a module read through its layout, or of a table
-    m = _LayoutModule(a, window, comps, layout) if data.draw(st.booleans()) \
-        else layout_module_by_blocks(a, window, comps, layout)
+    m = _LayoutModule(a, gens, window) if data.draw(st.booleans()) \
+        else layout_module_by_blocks(a, *reference_layout(a, gens, window))
+    window = m.window
     spaces = _spaces(data.draw, m)
     want, want_project, want_keep = quotient_by_eager_walk(m, spaces)
 
@@ -474,15 +535,39 @@ def test_a_killed_quotient_reads_through_to_it(field, kind):
         assert {key: got._rows(*key) for key in want._maps} == want._maps
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_layout_module_blocks_match_the_reference_layout(data):
+    a = _algebra(data.draw, data.draw(st.sampled_from(FIELDS)))
+    gens, window = _generators(data.draw, a, wide=True)
+    m = _LayoutModule(a, gens, window)
+    want_window, want_comps, layout = reference_layout(a, gens, window)
+    assert (m.window, m.components) == (want_window, want_comps)
+    # each block's coordinates run on from its start, in positions order
+    got = {}
+    for t in m.degrees():
+        got[t] = []
+        for b, reader, d, coord in m._blocks(t):
+            assert reader is a
+            start = min(coord.values())
+            assert list(coord.values()) == list(range(start,
+                                                      start + len(coord)))
+            got[t].append((b, d, start, tuple(coord)))
+    assert got == layout
+    assert all(m._blocks(t) == () for t in range(m.window[0] - 1,
+                                                  m.window[0] + 9)
+               if t not in layout)
+
+
 @settings(max_examples=100, deadline=None)
 @given(lay=layouts())
 def test_layout_rows_match_the_layout_module(lay):
-    a, window, comps, layout = lay
-    view = _LayoutModule(a, window, comps, layout)
-    table = _layout_module(a, window, comps, layout)
-    want = layout_module_by_blocks(a, window, comps, layout)
+    a, gens, window = lay
+    view = _LayoutModule(a, gens, window)
+    table = _table_of(a, gens, window)
+    want = layout_module_by_blocks(a, *reference_layout(a, gens, window))
     assert view.window == table.window == want.window
-    assert view.components == table.components == comps
+    assert view.components == table.components == want.components
     read = {(t, u): rows for t in view.degrees() for u in a.degrees()
             if (rows := view._rows(t, u)) is not None}
     # the same maps in the same order, A's own row dicts where it keeps them
@@ -514,9 +599,10 @@ def _evals(draw, m):
 @settings(max_examples=150, deadline=None)
 @given(lay=layouts(), data=st.data())
 def test_vanishing_scan_matches_the_single_degree_scan(lay, data):
-    a, window, comps, layout = lay
-    view = _LayoutModule(a, window, comps, layout)
-    table = layout_module_by_blocks(a, window, comps, layout)
+    a, gens, window = lay
+    view = _LayoutModule(a, gens, window)
+    _, comps, layout = reference_layout(a, gens, window)
+    table = layout_module_by_blocks(a, view.window, comps, layout)
     evals = _evals(data.draw, table)
     # each degree watches all of evals or a part of it
     watch = {d: evals if data.draw(st.booleans()) else data.draw(
@@ -577,12 +663,14 @@ def test_induced_vanishing_spaces_match_the_induced_table(field, n, kind,
     qdegs = [m for m in lifting._quotient_set(s, u).members_in(*x.window)
              if x.component(m).dim]
     gens, meta = _generator_data(x, qdegs)
-    window, comps, layout = _layout(a, gens, x.window)
-    evals = {t: _evaluation_rows(x, layout[t], meta)
+    window, comps, layout = reference_layout(a, gens, x.window)
+    induced = _LayoutModule(a, gens, x.window)
+    evals = {t: _evaluation_rows(x, induced._blocks(t), meta)
              for t in s.members_in(*x.window) if layout.get(t)}
+    assert evals == {t: evaluation_rows_by_layout(x, layout[t], meta)
+                     for t in evals}
     table = layout_module_by_blocks(a, window, comps, layout)
-    got = _vanishing_spaces(_LayoutModule(a, window, comps, layout), evals,
-                            dict.fromkeys(comps, evals))
+    got = _vanishing_spaces(induced, evals, dict.fromkeys(comps, evals))
     assert got == induced_vanishing_spaces(a, comps, layout, evals) \
         == {d: vanishing_space(table, d, evals) for d in table.degrees()}
 
@@ -595,7 +683,8 @@ def test_induced_vanishing_spaces_match_the_induced_table(field, n, kind,
 @given(data=st.data())
 def test_torsion_cut_matches_the_full_scan(data):
     m = data.draw(st.one_of(modules, st.builds(
-        lambda lay: layout_module_by_blocks(*lay), layouts())))
+        lambda lay: layout_module_by_blocks(lay[0], *reference_layout(*lay)),
+        layouts())))
     if not m.degrees():
         return
     s = data.draw(degree_sets(m))

@@ -141,6 +141,11 @@ def test_from_pairs_rejects_gaps():
         WindowedMap.from_pairs([(0, 0), (2, 2)])
 
 
+def test_from_pairs_rejects_a_repeated_argument():
+    with pytest.raises(PreconditionError, match="duplicate argument 0"):
+        WindowedMap.from_pairs([(0, 0), (1, 5), (0, 3)])
+
+
 def test_image_domain_and_preimage():
     phi = WindowedMap.from_pairs([(0, 0), (1, 2), (2, 4)])
     assert list(phi.domain()) == [0, 1, 2]

@@ -116,6 +116,15 @@ def test_windowed_map_round_trips():
     assert all(back(k) == phi(k) for k in back.domain())
 
 
+def test_windowed_map_refuses_a_repeated_argument():
+    # read as a dict, the last value would win: phi(0) = 3
+    obj = {"window": [0, 1], "values": [[0, 0], [1, 5], [0, 3]]}
+    with pytest.raises(SchemaError) as e:
+        windowed_map_from_json(obj)
+    assert "duplicate argument 0" in str(e.value)
+    assert e.value.path == "values[2]"
+
+
 def test_windowed_map_declared_window_must_match():
     obj = windowed_map_to_json(WindowedMap.from_pairs([(0, 0), (1, 2)]))
     obj["window"] = [0, 5]
