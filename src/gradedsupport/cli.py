@@ -269,6 +269,8 @@ def _field(args):
 def cmd_verify_equivalence(args):
     if args.samples < 1:  # before the default algebra is built
         raise PreconditionError(f"--samples must be >= 1, got {args.samples}")
+    if args.n < 2:  # U = nZ + {0, 1} needs both residues below n
+        raise PreconditionError(f"--n must be >= 2, got {args.n}")
     field = _field(args)
     top = args.window if args.window is not None else 2 * args.n + 1
     if args.alg:

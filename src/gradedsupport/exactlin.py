@@ -71,10 +71,10 @@ quiver residues built on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import Record, set_field
 from .errors import CapacityError, LabelError, ShapeError
 
 
@@ -647,24 +647,32 @@ def solve(m: Matrix, b) -> list | None:
     return v
 
 
-@dataclass(frozen=True)
-class LabeledSpace:
+class LabeledSpace(Record):
     """A based space whose basis vectors carry idempotent tags on both sides.
 
     For a component of a graded algebra, basis vector x with tags (i, j)
     satisfies e_i x e_j = x.  Module components only use the right tags; by
-    convention their left tags mirror the right ones.
+    convention their left tags mirror the right ones.  == and hash compare
+    dim and both tag tuples.
     """
 
-    dim: int
-    left_tags: tuple
-    right_tags: tuple
-
-    def __post_init__(self):
-        if len(self.left_tags) != self.dim or len(self.right_tags) != self.dim:
-            raise LabelError(f"need {self.dim} tags on each side")
-        if any(t < 0 for t in self.left_tags + self.right_tags):
+    def __init__(self, dim: int, left_tags: tuple, right_tags: tuple):
+        if len(left_tags) != dim or len(right_tags) != dim:
+            raise LabelError(f"need {dim} tags on each side")
+        if any(t < 0 for t in left_tags + right_tags):
             raise LabelError("tags must be nonnegative idempotent indices")
+        set_field(self, "dim", dim)
+        set_field(self, "left_tags", left_tags)
+        set_field(self, "right_tags", right_tags)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.left_tags, self.right_tags) == (
+                other.dim, other.left_tags, other.right_tags)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim, self.left_tags, self.right_tags))
 
     @classmethod
     def untagged(cls, dim):

@@ -30,8 +30,8 @@ regular module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .constructions import _LayoutModule, regular_module
 from .errors import InternalConsistencyError, PreconditionError
 from .exactlin import Matrix, _accumulate, _rank, kernel
@@ -48,24 +48,49 @@ from .regrading import _is_regrading, regrade_algebra
 from .subsets import DegreeSet, is_translation_of_interval, quotient_set
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(Record):
     """Outcome of a liftability check, optionally with the lift attached.
 
     violations lists (m, u, v, vector): the vector is an element of
     X_m (x) A_v obtained by multiplying a kernel element of mu_{m,u} into
     A_v, whose image under mu_{m,v} is nonzero.  Verdicts are exact for the
     finitely supported inputs handled here, so window_certified stays False
-    in the same convention used by set-level verdicts.
+    in the same convention used by set-level verdicts.  == and hash compare
+    all eight fields, the lift included.
     """
-    liftable: bool
-    violations: tuple
-    triples_checked: int = 0
-    lift: GradedModule | None = None
-    isomorphism_certified: bool = False
-    generated_certified: bool = False
-    cogenerated_certified: bool = False
-    window_certified: bool = False
+
+    def __init__(self, liftable: bool, violations: tuple,
+                 triples_checked: int = 0, lift: GradedModule | None = None,
+                 isomorphism_certified: bool = False,
+                 generated_certified: bool = False,
+                 cogenerated_certified: bool = False,
+                 window_certified: bool = False):
+        set_field(self, "liftable", liftable)
+        set_field(self, "violations", violations)
+        set_field(self, "triples_checked", triples_checked)
+        set_field(self, "lift", lift)
+        set_field(self, "isomorphism_certified", isomorphism_certified)
+        set_field(self, "generated_certified", generated_certified)
+        set_field(self, "cogenerated_certified", cogenerated_certified)
+        set_field(self, "window_certified", window_certified)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.liftable, self.violations, self.triples_checked,
+                    self.lift, self.isomorphism_certified,
+                    self.generated_certified, self.cogenerated_certified,
+                    self.window_certified) == (
+                other.liftable, other.violations, other.triples_checked,
+                other.lift, other.isomorphism_certified,
+                other.generated_certified, other.cogenerated_certified,
+                other.window_certified)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.liftable, self.violations, self.triples_checked,
+                     self.lift, self.isomorphism_certified,
+                     self.generated_certified, self.cogenerated_certified,
+                     self.window_certified))
 
     def __bool__(self):
         return self.liftable
@@ -524,22 +549,46 @@ def random_presented_module(b: GradedAlgebra, s: DegreeSet, u: DegreeSet,
 # equivalence harness
 
 
-@dataclass(frozen=True)
-class HarnessSample:
-    index: int
-    hom_dim_ambient: int
-    hom_dim_killed: int
+class HarnessSample(Record):
+    """The two hom dimensions of one harness sample; == and hash compare
+    all three fields."""
+
+    def __init__(self, index: int, hom_dim_ambient: int, hom_dim_killed: int):
+        set_field(self, "index", index)
+        set_field(self, "hom_dim_ambient", hom_dim_ambient)
+        set_field(self, "hom_dim_killed", hom_dim_killed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.index, self.hom_dim_ambient, self.hom_dim_killed) == (
+                other.index, other.hom_dim_ambient, other.hom_dim_killed)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index, self.hom_dim_ambient, self.hom_dim_killed))
 
     @property
     def equal(self):
         return self.hom_dim_ambient == self.hom_dim_killed
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    seed: int
-    samples: tuple
-    holds: bool
+class EquivalenceReport(Record):
+    """A harness run: its seed, its HarnessSamples and whether every sample
+    agrees; == and hash compare all three fields."""
+
+    def __init__(self, seed: int, samples: tuple, holds: bool):
+        set_field(self, "seed", seed)
+        set_field(self, "samples", samples)
+        set_field(self, "holds", holds)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.seed, self.samples, self.holds) == (
+                other.seed, other.samples, other.holds)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.seed, self.samples, self.holds))
 
     def __bool__(self):
         return self.holds
@@ -638,16 +687,36 @@ def in_lifted_category(v: GradedModule, a: GradedAlgebra, n, r=1):
 # end-to-end pipeline
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    n: int
-    translate: int
-    regraded_window: tuple
-    regraded_dims: dict
-    even_preimage_members: tuple
-    vanishing_pairs: tuple
-    conditions: tuple
-    holds: bool
+class PipelineReport(Record):
+    """What koszul_pipeline checked; == compares all eight fields, and the
+    hash would too but regraded_dims, a dict, has none."""
+
+    def __init__(self, n: int, translate: int, regraded_window: tuple,
+                 regraded_dims: dict, even_preimage_members: tuple,
+                 vanishing_pairs: tuple, conditions: tuple, holds: bool):
+        set_field(self, "n", n)
+        set_field(self, "translate", translate)
+        set_field(self, "regraded_window", regraded_window)
+        set_field(self, "regraded_dims", regraded_dims)
+        set_field(self, "even_preimage_members", even_preimage_members)
+        set_field(self, "vanishing_pairs", vanishing_pairs)
+        set_field(self, "conditions", conditions)
+        set_field(self, "holds", holds)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.translate, self.regraded_window,
+                    self.regraded_dims, self.even_preimage_members,
+                    self.vanishing_pairs, self.conditions, self.holds) == (
+                other.n, other.translate, other.regraded_window,
+                other.regraded_dims, other.even_preimage_members,
+                other.vanishing_pairs, other.conditions, other.holds)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.translate, self.regraded_window,
+                     self.regraded_dims, self.even_preimage_members,
+                     self.vanishing_pairs, self.conditions, self.holds))
 
     def __bool__(self):
         return self.holds

@@ -15,24 +15,32 @@ delta(0) = s0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .errors import (CapacityError, PreconditionError, UnsupportedFormError,
                      WindowViolationError)
 from .subsets import (FORM_FULL, FORM_PERIODIC, DegreeSet, Verdict)
 
 
-@dataclass(frozen=True)
-class WindowedMap:
-    window: tuple  # (lo, hi), inclusive
-    values: tuple  # values[k - lo] = phi(k)
+class WindowedMap(Record):
+    """phi on the inclusive window (lo, hi), values[k - lo] = phi(k); == and
+    hash compare the window and the values."""
 
-    def __post_init__(self):
-        lo, hi = self.window
+    def __init__(self, window: tuple, values: tuple):
+        lo, hi = window
         if lo > hi:
             raise PreconditionError(f"empty window [{lo}, {hi}]")
-        if len(self.values) != hi - lo + 1:
+        if len(values) != hi - lo + 1:
             raise PreconditionError("one value per window point required")
+        set_field(self, "window", window)
+        set_field(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.window, self.values) == (other.window, other.values)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.window, self.values))
 
     @classmethod
     def from_pairs(cls, pairs):

@@ -82,7 +82,7 @@ def _is_regrading(r, b, phi: WindowedMap) -> bool:
     to b (algebras_equal, identity first).  Else r is compared with b's
     regrading, rebuilt; a b that has no regrading along phi gives False.
     """
-    # identity first: a dataclass's == compares the fields at once
+    # identity first: WindowedMap's == walks its whole values tuple
     if isinstance(r, _RegradedAlgebra) and (r.phi is phi or r.phi == phi) \
             and algebras_equal(r.base, b):
         return True

@@ -31,27 +31,35 @@ pairs are written (U, S) with the ring set first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import lcm
 from operator import or_
 
+from ._record import Record, replace, set_field
 from .errors import (CapacityError, InternalConsistencyError, PreconditionError,
                      UnsupportedFormError, WindowViolationError)
 
 
-@dataclass(frozen=True)
-class GradedGroup:
-    kind: str  # "Z" or "Zn"
-    n: int | None = None
+class GradedGroup(Record):
+    """Z (kind "Z") or Z/n (kind "Zn"); == and hash compare kind and n."""
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Zn"):
-            raise PreconditionError(f"unknown group kind {self.kind!r}")
-        if self.kind == "Zn" and (self.n is None or self.n < 1):
+    def __init__(self, kind: str, n: int | None = None):
+        if kind not in ("Z", "Zn"):
+            raise PreconditionError(f"unknown group kind {kind!r}")
+        if kind == "Zn" and (n is None or n < 1):
             raise PreconditionError("cyclic group needs a modulus n >= 1")
-        if self.kind == "Z" and self.n is not None:
+        if kind == "Z" and n is not None:
             raise PreconditionError("Z carries no modulus")
+        set_field(self, "kind", kind)
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.n) == (other.kind, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.n))
 
     def add(self, a, b):
         return (a + b) % self.n if self.kind == "Zn" else a + b
@@ -70,14 +78,28 @@ def Zn(n):
     return GradedGroup("Zn", n)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a decidable-or-window-checked property."""
+class Verdict(Record):
+    """Outcome of a decidable-or-window-checked property; == and hash
+    compare all four fields."""
 
-    holds: bool
-    window_certified: bool = False
-    witness: tuple | None = None
-    reason: str | None = None
+    def __init__(self, holds: bool, window_certified: bool = False,
+                 witness: tuple | None = None, reason: str | None = None):
+        set_field(self, "holds", holds)
+        set_field(self, "window_certified", window_certified)
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.holds, self.window_certified, self.witness,
+                    self.reason) == (
+                other.holds, other.window_certified, other.witness,
+                other.reason)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.holds, self.window_certified, self.witness,
+                     self.reason))
 
     def __bool__(self):
         return self.holds
@@ -88,14 +110,32 @@ FORM_PERIODIC = "periodic"
 FORM_WINDOWED = "windowed"
 
 
-@dataclass(frozen=True)
-class DegreeSet:
-    group: GradedGroup
-    form: str = field(compare=False)  # a name only: see the module docstring
-    period: int | None = None
-    residues: frozenset | None = None
-    elements: frozenset | None = None
-    window: tuple | None = None
+class DegreeSet(Record):
+    """A degree set in one of three forms (module docstring); == and hash
+    compare every field but form, which only names the set."""
+
+    def __init__(self, group: GradedGroup, form: str,
+                 period: int | None = None, residues: frozenset | None = None,
+                 elements: frozenset | None = None,
+                 window: tuple | None = None):
+        set_field(self, "group", group)
+        set_field(self, "form", form)
+        set_field(self, "period", period)
+        set_field(self, "residues", residues)
+        set_field(self, "elements", elements)
+        set_field(self, "window", window)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.period, self.residues, self.elements,
+                    self.window) == (
+                other.group, other.period, other.residues, other.elements,
+                other.window)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.period, self.residues, self.elements,
+                     self.window))
 
     # -- constructors ------------------------------------------------------
 
@@ -535,19 +575,48 @@ KIND_MONOID_NEG = "submonoid_of_neg_n"
 KIND_INTERVALS = "finite_interval_union"
 
 
-@dataclass(frozen=True)
-class IntervalDecomposition:
-    kind: str
-    intervals: tuple = ()
-    zero_radius: int | None = None
-    window_certified: bool = False
+class IntervalDecomposition(Record):
+    """The shape structure_decompose finds; == and hash compare all four
+    fields."""
+
+    def __init__(self, kind: str, intervals: tuple = (),
+                 zero_radius: int | None = None,
+                 window_certified: bool = False):
+        set_field(self, "kind", kind)
+        set_field(self, "intervals", intervals)
+        set_field(self, "zero_radius", zero_radius)
+        set_field(self, "window_certified", window_certified)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.intervals, self.zero_radius,
+                    self.window_certified) == (
+                other.kind, other.intervals, other.zero_radius,
+                other.window_certified)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.intervals, self.zero_radius,
+                     self.window_certified))
 
 
-@dataclass(frozen=True)
-class IntervalTranslation:
-    orientation: str  # "right" for U [nk, nk+r], "left" for U [nk-r, nk]
-    n: int
-    r: int
+class IntervalTranslation(Record):
+    """U as the translates nk + [0, r] (orientation "right") or
+    nk + [-r, 0] ("left"); == and hash compare all three fields."""
+
+    def __init__(self, orientation: str, n: int, r: int):
+        set_field(self, "orientation", orientation)
+        set_field(self, "n", n)
+        set_field(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.orientation, self.n, self.r) == (
+                other.orientation, other.n, other.r)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orientation, self.n, self.r))
 
 
 def _cyclic_runs(J, n):

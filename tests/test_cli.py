@@ -715,6 +715,14 @@ def test_verify_equivalence_refuses_no_samples(capsys, samples):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_verify_equivalence_refuses_a_period_below_2(capsys, n):
+    # U = nZ + {0, 1} has no residue 1 below n = 1, and no period below 1
+    code, out, err = run(capsys, "verify-equivalence", "--n", n,
+                         "--format", "json")
+    assert (code, out, err) == (2, "", f"error: --n must be >= 2, got {n}\n")
+
+
 def test_verify_equivalence_text_table(capsys):
     code, out, _ = run(capsys, "verify-equivalence", "--samples", "2")
     assert code == 0

@@ -11,6 +11,15 @@ each layer wherever the package binds them, and refuses to start when one
 is not found in its layer's module, so moving a function out of a module
 breaks `bench/run.py --trace 1` unless the old module still binds it.
 
+Each process also pays for the standard-library modules the package pulls
+in.  Its value records are plain classes on _record.Record, not dataclasses:
+importing dataclasses loads inspect, ast, dis, tokenize and more, and each
+@dataclass compiles its generated methods.  Dropping them took an import of
+gradedsupport.cli from 36 to 25 new modules, 25 to 10 ms with bytecode
+cached, and 1.1 MB off the importing process's peak RSS (0.7 to 1.0 MB off
+each benchmark worker's); a fresh interpreter checks that none of those
+five modules comes back.
+
 A public function or method that is not exported and that nothing in the
 package or bench/ refers to serves only the tests; an AST scan finds such
 definitions, and a short list with one reason each keeps the rest.
@@ -20,6 +29,8 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import pytest
@@ -27,6 +38,8 @@ import pytest
 import gradedsupport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the directory that holds the package under test
+PACKAGE_ROOT = pathlib.Path(gradedsupport.__file__).resolve().parent.parent
 SOURCES = sorted(pathlib.Path(gradedsupport.__file__).parent.glob("*.py"))
 
 # CPython 3.11's parser step: the token array doubles past this many tokens
@@ -79,6 +92,20 @@ def test_every_traced_function_resolves_in_its_layer():
         for func in funcs:
             if "." not in func:
                 assert (f"gradedsupport.{layer}", func) in bound
+
+
+# heavy standard-library modules that importing the package must not load
+NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():
+    # -S: no site hooks, so only the package's own imports count
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE_ROOT)!r}); "
+            "import gradedsupport, gradedsupport.cli; "
+            f"print(sorted(set({NOT_IMPORTED!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # Public definitions that no caller outside tests/ needs, kept on purpose.

@@ -23,10 +23,9 @@ import itertools
 import json
 from math import gcd
 
-from dataclasses import replace
-
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gradedsupport._record import replace
 from gradedsupport.subsets import (ENUMERATION_CAP, DegreeSet, Verdict, Z,
                                    Zn, _bits, _pair_scan, _shifts,
                                    enumerate_ring_supporting,
